@@ -14,6 +14,7 @@ mode is the right backend for that computation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -114,26 +115,51 @@ def sqrt_scalar(x, exact: bool):
     return frac_sqrt(x) if exact else math.sqrt(float(x))
 
 
-def psd_sqrt(a: np.ndarray, clamp_tol: float = 1e-10) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
+@dataclass(frozen=True)
+class PsdRoot:
+    """Root, pseudo-inverse root and range basis of one PSD matrix, from one decomposition."""
 
-    Float mode: symmetric eigendecomposition; eigenvalues in
-    [-clamp_tol, 0) are clamped to 0, anything below raises. Exact mode is
-    limited to diagonal matrices with perfect-square entries.
+    root: np.ndarray
+    pinv: np.ndarray
+    basis: np.ndarray
+    min_eigenvalue: float
+
+
+def psd_root(a_sq: np.ndarray, rank_cutoff: float = 1e-10) -> PsdRoot:
+    """The spectral data of a positive semidefinite Hermitian matrix ``a_sq``.
+
+    Float mode takes one eigendecomposition of the symmetrized matrix;
+    eigenvalues at or below ``rank_cutoff * max(1, largest)`` are treated as
+    exact zeros, so the root and its pseudo-inverse never amplify rounding
+    dust, and the range basis holds the eigenvectors of the kept eigenvalues
+    in ascending order. Exact mode is limited to diagonal matrices with
+    perfect-square entries; the range basis is then a coordinate selection.
+    The minimum eigenvalue is reported unclipped, so callers decide
+    positivity; non-positive eigenvalues contribute nothing to the root.
     """
-    if is_exact_array(a):
-        if not is_diagonal(a):
-            raise ExactnessError("exact matrix square root needs a diagonal matrix")
-        out = exact_zeros(a.shape)
-        for i in range(a.shape[0]):
-            out[i, i] = frac_sqrt(a[i, i])
-        return out
-    sym = (a + a.conj().T) / 2
+    if is_exact_array(a_sq):
+        if not is_diagonal(a_sq):
+            raise ExactnessError("exact matrix roots need a diagonal matrix")
+        n = a_sq.shape[0]
+        root = exact_zeros((n, n))
+        pinv = exact_zeros((n, n))
+        cols = [i for i in range(n) if a_sq[i, i] > 0]
+        basis = exact_zeros((n, len(cols)))
+        for j, i in enumerate(cols):
+            r = frac_sqrt(a_sq[i, i])
+            root[i, i] = r
+            pinv[i, i] = 1 / r
+            basis[i, j] = Fraction(1)
+        lo = min((float(a_sq[i, i]) for i in range(n)), default=math.inf)
+        return PsdRoot(root, pinv, basis, lo)
+    sym = (a_sq + a_sq.conj().T) / 2
     vals, vecs = np.linalg.eigh(sym)
-    if vals.min(initial=0.0) < -clamp_tol:
-        raise ValueError(f"matrix is not PSD: eigenvalue {vals.min()} < -{clamp_tol}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    keep = vals > rank_cutoff * max(1.0, float(vals.max(initial=0.0)))
+    roots = np.where(keep, np.sqrt(np.clip(vals, 0.0, None)), 0.0)
+    inv = np.where(keep, 1.0 / np.where(roots == 0, 1.0, roots), 0.0)
+    root = (vecs * roots) @ vecs.conj().T
+    pinv = (vecs * inv) @ vecs.conj().T
+    return PsdRoot(root, pinv, vecs[:, keep], float(vals.min(initial=math.inf)))
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
@@ -143,20 +169,10 @@ def min_eigenvalue(a: np.ndarray) -> float:
 
 
 def range_basis(a: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column space, as columns.
+    """Orthonormal basis of the column space of a float matrix, as columns.
 
-    Exact mode handles diagonal matrices (the basis is then a coordinate
-    selection). Float mode uses a singular value cutoff relative to
-    max(1, largest singular value).
+    Uses a singular value cutoff relative to max(1, largest singular value).
     """
-    if is_exact_array(a):
-        if not is_diagonal(a):
-            raise ExactnessError("exact range basis needs a diagonal matrix")
-        cols = [i for i in range(a.shape[0]) if a[i, i] != 0]
-        out = exact_zeros((a.shape[0], len(cols)))
-        for j, i in enumerate(cols):
-            out[i, j] = Fraction(1)
-        return out
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -197,22 +213,6 @@ def is_diagonal_rectangular(a: np.ndarray) -> bool:
                 return False
             seen.add(nz[0])
     return True
-
-
-def pinv_hermitian(a: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
-    """Pseudo-inverse of a Hermitian PSD matrix with a rank cutoff."""
-    if is_exact_array(a):
-        if not is_diagonal(a):
-            raise ExactnessError("exact pseudo-inverse needs a diagonal matrix")
-        out = exact_zeros(a.shape)
-        for i in range(a.shape[0]):
-            out[i, i] = Fraction(0) if a[i, i] == 0 else 1 / Fraction(a[i, i])
-        return out
-    sym = (a + a.conj().T) / 2
-    vals, vecs = np.linalg.eigh(sym)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    inv = np.where(np.abs(vals) > cutoff * scale, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    return (vecs * inv) @ vecs.conj().T
 
 
 def exact_rank(a: np.ndarray) -> int:

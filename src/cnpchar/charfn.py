@@ -43,10 +43,9 @@ from ._linalg import (
     is_exact_array,
     is_exactly_zero,
     max_abs,
-    min_eigenvalue,
     orth_complement_of_range,
-    pinv_hermitian,
     polar_orthogonal,
+    psd_root,
     spectral_norm,
     sqrt_scalar,
     to_float_array,
@@ -58,7 +57,6 @@ from .multiindex import (
     degree,
     enumerate_up_to_degree,
     monomial_value,
-    subtract,
 )
 from .operators import NotPureError, OperatorTuple, defect_data, operator_series
 from .series import KernelFactorization, KernelSeries, reciprocal_complement
@@ -86,45 +84,6 @@ class BlockSpace:
     def block(self, label: MultiIndex) -> slice:
         i = self.index[label]
         return slice(i * self.block_dim, (i + 1) * self.block_dim)
-
-
-def _root_package(a_sq: np.ndarray, rank_cutoff: float, psd_tol: float):
-    """(cleaned root, pseudo-inverse of root, range basis) of a PSD matrix.
-
-    Everything is derived from one eigendecomposition of the squared matrix;
-    eigenvalues below the cutoff are treated as exact zeros so that roots and
-    inverses never amplify rounding dust.
-    """
-    if is_exact_array(a_sq):
-        from ._linalg import frac_sqrt, is_diagonal
-
-        if not is_diagonal(a_sq):
-            raise ExactnessError("exact root package needs a diagonal matrix")
-        n = a_sq.shape[0]
-        root = exact_zeros((n, n))
-        pinv = exact_zeros((n, n))
-        cols = []
-        for i in range(n):
-            if a_sq[i, i] == 0:
-                continue
-            r = frac_sqrt(a_sq[i, i])
-            root[i, i] = r
-            pinv[i, i] = 1 / r
-            cols.append(i)
-        basis = exact_zeros((n, len(cols)))
-        for j, i in enumerate(cols):
-            basis[i, j] = Fraction(1)
-        return root, pinv, basis
-    sym = (a_sq + a_sq.conj().T) / 2
-    vals, vecs = np.linalg.eigh(sym)
-    if vals.min(initial=0.0) < -psd_tol:
-        raise CharFnBuildError(f"matrix is not PSD: eigenvalue {vals.min():.3e}")
-    keep = vals > rank_cutoff * max(1.0, float(vals.max(initial=0.0)))
-    roots = np.where(keep, np.sqrt(np.clip(vals, 0.0, None)), 0.0)
-    inv = np.where(keep, 1.0 / np.where(roots == 0, 1.0, roots), 0.0)
-    root = (vecs * roots) @ vecs.conj().T
-    pinv = (vecs * inv) @ vecs.conj().T
-    return root, pinv, vecs[:, keep]
 
 
 @dataclass(eq=False)
@@ -218,16 +177,16 @@ def build_charfn(
     if b_s.truncation < support_cap or g.truncation < constant_cap:
         raise ValueError("series truncation below the requested caps")
 
-    dd = defect_data(t, kernel, pick_factor=pick, psd_tol=psd_tol)
+    dd = defect_data(t, kernel, pick_factor=pick, psd_tol=psd_tol, rank_cutoff=rank_cutoff)
     if dd.purity_residual > purity_tol and not dd.purity_exact:
         raise NotPureError(
             f"tuple is not pure: purity residual {dd.purity_residual:.3e} > {purity_tol}"
         )
+    if dd.defect is None or dd.pick_defect is None:
+        raise ExactnessError("defect roots are not rational; use float mode")
     exact = t.exact
-    delta_sq = dd.defect_sq
-    delta, _, q_delta = _root_package(delta_sq, rank_cutoff, psd_tol)
-    gamma_sq = dd.pick_defect_sq
-    gamma, gamma_pinv, _ = _root_package(gamma_sq, rank_cutoff, psd_tol)
+    delta_sq, delta, q_delta = dd.defect_sq, dd.defect, dd.ran_defect_basis
+    gamma_sq, gamma, gamma_pinv = dd.pick_defect_sq, dd.pick_defect, dd.pick_defect_pinv
     r = q_delta.shape[1]
     n = t.size
     diagnostics: dict = {"purity_residual": dd.purity_residual}
@@ -275,11 +234,11 @@ def build_charfn(
         scale = sqrt_scalar(b_s.coeff(lab), exact)
         row[:, row_space.block(lab)] = scale * t.power(lab)
     row_gram = row.conj().T @ row
-    row_defect_sq = _eye(row_space.dim, exact) - row_gram
-    lo = min_eigenvalue(row_defect_sq)
+    row_root = psd_root(_eye(row_space.dim, exact) - row_gram, rank_cutoff)
+    lo = row_root.min_eigenvalue
     if lo < -psd_tol:
         raise CharFnBuildError(f"row contraction fails: eigenvalue {lo:.3e} of I - R*R")
-    row_defect, _, row_defect_basis = _root_package(row_defect_sq, rank_cutoff, psd_tol)
+    row_defect, row_defect_basis = row_root.root, row_root.basis
     diagnostics["row_defect_intertwining"] = spectral_norm(
         row @ row_defect - gamma @ row
     )

@@ -4,8 +4,8 @@ Every command writes a JSON run report (schema below) to --out when given
 and prints one line per check. Exit codes: 0 all checks passed (or
 certificate-only), 1 at least one verified failure, 2 malformed input or
 usage error. Randomness is controlled by --seed and recorded in the report,
-so residuals are reproducible; reports are byte-identical across runs and
-parallelism settings except for the elapsed fields.
+so residuals are reproducible; reports are byte-identical across runs
+except for the elapsed fields.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -240,31 +240,7 @@ def _configuration_from_args(args) -> Configuration:
     if args.tuple_spec:
         if not (args.kernel and args.cnp_factor):
             raise InputError("--tuple needs --kernel and --cnp-factor")
-        kernel = _load_kernel(args.kernel, args.N)
-        pick = _load_kernel(args.cnp_factor, args.N)
-        try:
-            with open(args.tuple_spec) as fh:
-                t = tuple_from_spec(json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise InputError(f"cannot read tuple spec {args.tuple_spec}: {exc}") from exc
-        try:
-            fac = factor_through_pick(kernel, pick)
-        except (FactorizationError, ValueError) as exc:
-            raise InputError(f"invalid factorization: {exc}") from exc
-        bound = t.nilpotency_bound if t.nilpotency_bound is not None else 9
-        support_cap, constant_cap = presets.default_caps(pick, kernel.dim, bound)
-        if args.degree_cap:
-            support_cap = constant_cap = args.degree_cap
-        return Configuration(
-            name="custom_tuple",
-            dim=kernel.dim,
-            factorization=fac,
-            ops=t if t.weights is None else t.to_float(),
-            support_cap=support_cap,
-            constant_cap=constant_cap,
-            source_degree=bound + 2,
-        )
-    if not (args.kernel and args.cnp_factor and args.d and args.model_degree is not None):
+    elif not (args.kernel and args.cnp_factor and args.d and args.model_degree is not None):
         raise InputError(
             "either --preset, --tuple, or all of --kernel/--cnp-factor/--d/--model-degree are required"
         )
@@ -274,18 +250,31 @@ def _configuration_from_args(args) -> Configuration:
         fac = factor_through_pick(kernel, pick)
     except (FactorizationError, ValueError) as exc:
         raise InputError(f"invalid factorization: {exc}") from exc
-    t = model_tuple(kernel, args.d, args.model_degree, mode="float")
-    support_cap, constant_cap = presets.default_caps(pick, args.d, args.model_degree)
+    if args.tuple_spec:
+        try:
+            with open(args.tuple_spec) as fh:
+                t = tuple_from_spec(json.load(fh))
+        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            raise InputError(f"cannot read tuple spec {args.tuple_spec}: {exc}") from exc
+        if t.weights is not None:
+            t = t.to_float()
+        name = "custom_tuple"
+        bound = t.nilpotency_bound if t.nilpotency_bound is not None else 9
+    else:
+        t = model_tuple(kernel, args.d, args.model_degree, mode="float")
+        name = f"custom_d{args.d}_n{args.model_degree}"
+        bound = args.model_degree
+    support_cap, constant_cap = presets.default_caps(pick, t.num_vars, bound)
     if args.degree_cap:
         support_cap = constant_cap = args.degree_cap
     return Configuration(
-        name=f"custom_d{args.d}_n{args.model_degree}",
-        dim=args.d,
+        name=name,
+        dim=t.num_vars,
         factorization=fac,
         ops=t,
         support_cap=support_cap,
         constant_cap=constant_cap,
-        source_degree=args.model_degree + 2,
+        source_degree=bound + 2,
     )
 
 
@@ -342,16 +331,7 @@ def _exact_variant(config: Configuration) -> Configuration:
                 exact[i, j] = value
         mats.append(exact)
     ops = OperatorTuple(tuple(mats), None, t.basis_labels, t.nilpotency_bound, t.kernel)
-    return Configuration(
-        name=config.name,
-        dim=config.dim,
-        factorization=config.factorization,
-        ops=ops,
-        support_cap=config.support_cap,
-        constant_cap=config.constant_cap,
-        source_degree=config.source_degree,
-        description=config.description,
-    )
+    return replace(config, ops=ops)
 
 
 def _build_checks(config: Configuration) -> list[CheckResult]:
@@ -440,25 +420,13 @@ def cmd_suite(args) -> int:
     if unknown:
         raise InputError(f"unknown configurations: {', '.join(unknown)}")
 
-    def run_one(name: str):
-        config = presets.configuration(name)
-        return name, run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
-
-    results: dict[str, list[CheckResult]] = {}
-    if args.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            for name, checks in pool.map(run_one, names):
-                results[name] = checks
-    else:
-        for name in names:
-            key, checks = run_one(name)
-            results[key] = checks
-    all_checks: list[CheckResult] = []
-    for name in names:
-        for check in results[name]:
-            all_checks.append(
-                CheckResult(f"{name}/{check.name}", check.verdict, check.residual, check.exact, check.elapsed)
-            )
+    all_checks = [
+        replace(check, name=f"{name}/{check.name}")
+        for name in names
+        for check in run_configuration_checks(
+            presets.configuration(name), seed=args.seed, composite_tol=args.tol
+        )
+    ]
     if not args.configs:
         all_checks.append(presets.run_alignment_check(seed=args.seed))
         all_checks.extend(presets.run_coincidence_checks(seed=args.seed))
@@ -466,7 +434,7 @@ def cmd_suite(args) -> int:
     failed = sum(1 for c in all_checks if c.verdict == "fail")
     report = _report(
         {"command": "suite", "configurations": names, "passed": passed, "failed": failed},
-        _environment("float", seed=args.seed, parallelism=args.parallelism),
+        _environment("float", seed=args.seed),
         all_checks,
     )
     code = _finish(report, args.out)
@@ -524,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run the full verification matrix")
     suite.add_argument("--configs", help="comma-separated configuration names (default: all)")
-    suite.add_argument("--parallelism", type=int, default=1)
     _common_flags(suite)
     suite.set_defaults(func=cmd_suite)
     return parser

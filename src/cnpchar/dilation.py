@@ -28,10 +28,8 @@ from ._linalg import (
     ExactnessError,
     exact_zeros,
     is_exact_array,
-    max_abs,
     min_eigenvalue,
     orth_complement_of_range,
-    range_basis,
     spectral_norm,
     sqrt_scalar,
     to_float_array,
@@ -138,14 +136,14 @@ def build_dilation(
     defect: DefectData,
     target_degree: int,
     purity_tol: float = 1e-10,
-    rank_cutoff: float = 1e-10,
 ) -> DilationData:
     """Assemble the dilation isometry on the window of degrees <= target_degree.
 
     Requires a pure tuple: the isometry property is exactly the purity
     identity, so a purity residual above tolerance is rejected up front.
     The row block at alpha is sqrt(a_alpha) * Q^* Defect (T^alpha)^*, with Q
-    an orthonormal basis of Ran(Defect); rows vanish above the nilpotency
+    the orthonormal basis of Ran(Defect) stored in ``defect`` (the one the
+    characteristic function uses too); rows vanish above the nilpotency
     degree.
     """
     if defect.purity_residual > purity_tol and not defect.purity_exact:
@@ -161,9 +159,7 @@ def build_dilation(
     if delta is None:
         raise ExactnessError("defect square root unavailable; use float mode")
     exact = t.exact and is_exact_array(delta)
-    # the squared defect fixes the range; taking the root first would amplify
-    # eigenvalue dust past the rank cutoff
-    q = range_basis(defect.defect_sq, rank_cutoff)
+    q = defect.ran_defect_basis
     window = MonomialWindow(kernel, q.shape[1], target_degree, exact=exact)
     v = exact_zeros((window.dim, t.size)) if exact else np.zeros((window.dim, t.size))
     bound = t.nilpotency_bound

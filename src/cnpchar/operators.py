@@ -35,7 +35,8 @@ from ._linalg import (
     is_exact_array,
     max_abs,
     min_eigenvalue,
-    psd_sqrt,
+    PsdRoot,
+    psd_root,
     range_basis,
     spectral_norm,
     to_float_array,
@@ -269,8 +270,13 @@ class DefectData:
     """Defect operators of a tuple for a kernel and, optionally, its CNP factor.
 
     ``defect_sq`` is I minus the b-weighted conjugation sum for the kernel;
-    ``pick_defect_sq`` the analogue for the factor. Square roots are stored
-    when representable in the tuple's arithmetic (always in float mode), else
+    ``pick_defect_sq`` the analogue for the factor. Each is decomposed once:
+    the root ``defect`` with the orthonormal basis ``ran_defect_basis`` of
+    its range, and the root ``pick_defect`` with its pseudo-inverse
+    ``pick_defect_pinv``. Every later construction (the dilation, the
+    characteristic function) reads these, so all of them use the same
+    coordinates on Ran Defect. The spectral fields are stored when
+    representable in the tuple's arithmetic (always in float mode), else
     None. ``purity_residual`` is the distance of the a-weighted conjugation
     sum of defect_sq from the identity.
     """
@@ -280,8 +286,10 @@ class DefectData:
     pick_factor: Optional[KernelSeries]
     defect_sq: np.ndarray
     defect: Optional[np.ndarray]
+    ran_defect_basis: Optional[np.ndarray]
     pick_defect_sq: Optional[np.ndarray]
     pick_defect: Optional[np.ndarray]
+    pick_defect_pinv: Optional[np.ndarray]
     support_degree: int
     increments: tuple
     purity_residual: float
@@ -295,28 +303,33 @@ def defect_data(
     degree_cap: int = 64,
     stop_tol: float = 1e-13,
     psd_tol: float = 1e-10,
+    rank_cutoff: float = 1e-10,
 ) -> DefectData:
     """Defect operators and purity diagnostics for t as a 1/kernel-contraction.
 
     Raises NotContractionError when I minus the b-sum has an eigenvalue below
     -psd_tol, ConvergenceError when a non-nilpotent sum does not settle.
+    Eigenvalues of the squared defects below the relative ``rank_cutoff``
+    count as zeros.
     """
     b = reciprocal_complement(kernel)
     s_sum, increments, stop_degree, _ = conjugated_sum(
         t, b, degree_cap=degree_cap, stop_tol=stop_tol
     )
     delta_sq = t.identity() - s_sum
-    _require_psd(delta_sq, psd_tol, f"not a 1/k-contraction for {_kname(kernel)}")
-    delta = _try_sqrt(delta_sq, psd_tol)
+    delta = _checked_root(
+        delta_sq, psd_tol, rank_cutoff, f"not a 1/k-contraction for {_kname(kernel)}"
+    )
 
     pick_defect_sq = None
-    pick_defect = None
+    gamma = None
     if pick_factor is not None:
         b_s = reciprocal_complement(pick_factor)
         s_sum_pick, _, _, _ = conjugated_sum(t, b_s, degree_cap=degree_cap, stop_tol=stop_tol)
         pick_defect_sq = t.identity() - s_sum_pick
-        _require_psd(pick_defect_sq, psd_tol, "not a 1/s-contraction for the CNP factor")
-        pick_defect = _try_sqrt(pick_defect_sq, psd_tol)
+        gamma = _checked_root(
+            pick_defect_sq, psd_tol, rank_cutoff, "not a 1/s-contraction for the CNP factor"
+        )
 
     purity = purity_check(t, kernel, delta_sq, degree_cap=degree_cap, stop_tol=stop_tol)
     return DefectData(
@@ -324,9 +337,11 @@ def defect_data(
         kernel=kernel,
         pick_factor=pick_factor,
         defect_sq=delta_sq,
-        defect=delta,
+        defect=None if delta is None else delta.root,
+        ran_defect_basis=None if delta is None else delta.basis,
         pick_defect_sq=pick_defect_sq,
-        pick_defect=pick_defect,
+        pick_defect=None if gamma is None else gamma.root,
+        pick_defect_pinv=None if gamma is None else gamma.pinv,
         support_degree=stop_degree,
         increments=tuple(increments),
         purity_residual=purity.residual,
@@ -338,17 +353,22 @@ def _kname(kernel: KernelSeries) -> str:
     return f"kernel(dim={kernel.dim}, N={kernel.truncation})"
 
 
-def _require_psd(a: np.ndarray, tol: float, message: str):
-    lo = min_eigenvalue(a)
-    if lo < -tol:
-        raise NotContractionError(f"{message}: eigenvalue {lo:.3e} < -{tol}")
+def _checked_root(
+    a_sq: np.ndarray, psd_tol: float, rank_cutoff: float, message: str
+) -> Optional[PsdRoot]:
+    """The spectral data of a squared defect, after its positivity check.
 
-
-def _try_sqrt(a: np.ndarray, clamp_tol: float) -> Optional[np.ndarray]:
+    None when the root is not representable in exact arithmetic; positivity
+    is then checked in floats.
+    """
     try:
-        return psd_sqrt(a, clamp_tol)
+        root = psd_root(a_sq, rank_cutoff)
+        lo = root.min_eigenvalue
     except ExactnessError:
-        return None
+        root, lo = None, min_eigenvalue(a_sq)
+    if lo < -psd_tol:
+        raise NotContractionError(f"{message}: eigenvalue {lo:.3e} < -{psd_tol}")
+    return root
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ name, which makes reports reproducible and independent of execution order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .charfn import (
-    CharFnData,
     align_factorizations,
     build_charfn,
     build_multiplier,
@@ -281,8 +281,28 @@ def _check(name, residual, tol, exact=None) -> CheckResult:
     return CheckResult(name, "pass" if residual <= tol else "fail", residual, exact, 0.0)
 
 
-def _timed(result: CheckResult, start: float) -> CheckResult:
-    return CheckResult(result.name, result.verdict, result.residual, result.exact, time.perf_counter() - start)
+class _Recorder:
+    """Check results in the order they were added, with the seconds spent on each.
+
+    ``timing(name)`` adds the run time of its block to check ``name``. A block
+    may run ahead of its check, when the check only reads what an earlier
+    construction stored.
+    """
+
+    def __init__(self):
+        self.checks: list[CheckResult] = []
+        self._spent: dict[str, float] = {}
+
+    @contextmanager
+    def timing(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._spent[name] = self._spent.get(name, 0.0) + time.perf_counter() - start
+
+    def results(self) -> list[CheckResult]:
+        return [replace(c, elapsed=self._spent.get(c.name, 0.0)) for c in self.checks]
 
 
 def sample_points(rng: np.random.Generator, count: int, dim: int, scale: float = 0.5):
@@ -317,182 +337,171 @@ def run_configuration_checks(
 
     Purity failure aborts the construction; it is reported as the single
     failing check so the caller can exit nonzero with the residual in hand.
+    Each check's elapsed time covers the work it needs first: the
+    characteristic-function build counts toward ``defect_embedding_gram``,
+    the first check that reads it.
     """
     rng = config_rng(seed, config.name)
-    checks: list[CheckResult] = []
-    t0 = time.perf_counter()
-    dd = defect_data(config.ops, config.kernel, config.pick_factor)
-    checks.append(_timed(_check("purity", dd.purity_residual, TOL_SINGLE, dd.purity_exact), t0))
-    if checks[-1].verdict == "fail":
-        return checks
+    rec = _Recorder()
+    with rec.timing("purity"):
+        dd = defect_data(config.ops, config.kernel, config.pick_factor)
+        rec.checks.append(_check("purity", dd.purity_residual, TOL_SINGLE, dd.purity_exact))
+    if rec.checks[-1].verdict == "fail":
+        return rec.results()
 
-    t0 = time.perf_counter()
-    cfd = build_charfn(
-        config.ops,
-        config.factorization,
-        support_cap=config.support_cap,
-        constant_cap=config.constant_cap,
-    )
+    with rec.timing("defect_embedding_gram"):
+        cfd = build_charfn(
+            config.ops,
+            config.factorization,
+            support_cap=config.support_cap,
+            constant_cap=config.constant_cap,
+        )
     target_degree = config.source_degree + cfd.max_taylor_degree
-    dil = build_dilation(config.ops, config.kernel, dd, target_degree)
-    checks.append(_timed(_check("dilation_isometry", dil.isometry_residual, TOL_SINGLE), t0))
+    with rec.timing("dilation_isometry"):
+        dil = build_dilation(config.ops, config.kernel, dd, target_degree)
+        rec.checks.append(_check("dilation_isometry", dil.isometry_residual, TOL_SINGLE))
 
-    t0 = time.perf_counter()
-    checks.append(
-        _timed(_check("dilation_intertwining", max(intertwining_residuals(dil)), TOL_SINGLE), t0)
-    )
+    with rec.timing("dilation_intertwining"):
+        rec.checks.append(_check("dilation_intertwining", max(intertwining_residuals(dil)), TOL_SINGLE))
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for point in sample_points(rng, point_count, config.dim, config.sample_scale):
-        fiber = rng.standard_normal(dil.fiber_dim)
-        fiber /= np.linalg.norm(fiber)
-        vec = dil.window.kernel_vector(point, fiber)
-        lhs = np.asarray(dil.matrix, dtype=complex).conj().T @ vec
-        rhs = kernel_vector_action(dil, point, fiber, tol=np.inf)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    checks.append(_timed(_check("kernel_vector_identity", worst, TOL_SINGLE), t0))
+    with rec.timing("kernel_vector_identity"):
+        worst = 0.0
+        for point in sample_points(rng, point_count, config.dim, config.sample_scale):
+            fiber = rng.standard_normal(dil.fiber_dim)
+            fiber /= np.linalg.norm(fiber)
+            vec = dil.window.kernel_vector(point, fiber)
+            lhs = np.asarray(dil.matrix, dtype=complex).conj().T @ vec
+            rhs = kernel_vector_action(dil, point, fiber, tol=np.inf)
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        rec.checks.append(_check("kernel_vector_identity", worst, TOL_SINGLE))
 
-    t0 = time.perf_counter()
-    checks.append(
-        _timed(
+    with rec.timing("defect_embedding_gram"):
+        rec.checks.append(
             _check(
                 "defect_embedding_gram",
                 cfd.diagnostics["embedding_gram_residual"],
                 TOL_BLOCK,
                 cfd.diagnostics.get("embedding_gram_exact"),
-            ),
-            t0,
+            )
         )
-    )
 
-    t0 = time.perf_counter()
-    block = max(
-        cfd.diagnostics["block_relation_row"],
-        cfd.diagnostics["block_relation_cross"],
-        cfd.diagnostics["block_relation_e"],
-        cfd.diagnostics["unitary_gram"],
-        cfd.diagnostics["unitary_cogram"],
-    )
-    checks.append(_timed(_check("block_unitarity", block, TOL_BLOCK), t0))
+    with rec.timing("block_unitarity"):
+        block = max(
+            cfd.diagnostics["block_relation_row"],
+            cfd.diagnostics["block_relation_cross"],
+            cfd.diagnostics["block_relation_e"],
+            cfd.diagnostics["unitary_gram"],
+            cfd.diagnostics["unitary_cogram"],
+        )
+        rec.checks.append(_check("block_unitarity", block, TOL_BLOCK))
 
-    t0 = time.perf_counter()
-    points = sample_points(rng, point_count, config.dim, config.sample_scale)
-    checks.append(
-        _timed(_check("series_inverse_identity", inverse_identity_residual(cfd, points), TOL_SINGLE), t0)
-    )
+    with rec.timing("series_inverse_identity"):
+        points = sample_points(rng, point_count, config.dim, config.sample_scale)
+        residual = inverse_identity_residual(cfd, points)
+        rec.checks.append(_check("series_inverse_identity", residual, TOL_SINGLE))
 
-    t0 = time.perf_counter()
-    margin, mismatch = row_symbol_margin(cfd, points)
-    strict_ok = margin > 0 and mismatch <= composite_tol
-    checks.append(
-        _timed(
+    with rec.timing("row_symbol_strict_contraction"):
+        margin, mismatch = row_symbol_margin(cfd, points)
+        strict_ok = margin > 0 and mismatch <= composite_tol
+        rec.checks.append(
             CheckResult(
                 "row_symbol_strict_contraction",
                 "pass" if strict_ok else "fail",
                 float(mismatch),
                 None,
                 0.0,
-            ),
-            t0,
-        )
-    )
-
-    t0 = time.perf_counter()
-    try:
-        for point in sample_points(rng, 5, config.dim, config.sample_scale):
-            evaluate_charfn(cfd, point)
-        checks.append(_timed(_check("theta_taylor_cross_check", 0.0, 1.0), t0))
-    except TruncationError:
-        checks.append(
-            _timed(CheckResult("theta_taylor_cross_check", "fail", None, None, 0.0), t0)
+            )
         )
 
-    t0 = time.perf_counter()
-    pairs = list(
-        zip(
-            sample_points(rng, gram_pairs, config.dim, config.sample_scale),
-            sample_points(rng, gram_pairs, config.dim, config.sample_scale),
+    with rec.timing("theta_taylor_cross_check"):
+        try:
+            for point in sample_points(rng, 5, config.dim, config.sample_scale):
+                evaluate_charfn(cfd, point)
+            rec.checks.append(_check("theta_taylor_cross_check", 0.0, 1.0))
+        except TruncationError:
+            rec.checks.append(CheckResult("theta_taylor_cross_check", "fail", None, None, 0.0))
+
+    with rec.timing("pointwise_gram_identity"):
+        pairs = list(
+            zip(
+                sample_points(rng, gram_pairs, config.dim, config.sample_scale),
+                sample_points(rng, gram_pairs, config.dim, config.sample_scale),
+            )
         )
-    )
-    checks.append(
-        _timed(_check("pointwise_gram_identity", pointwise_identity_residual(cfd, pairs), composite_tol), t0)
-    )
+        residual = pointwise_identity_residual(cfd, pairs)
+        rec.checks.append(_check("pointwise_gram_identity", residual, composite_tol))
 
-    t0 = time.perf_counter()
-    mult = build_multiplier(cfd, config.source_degree, target_degree)
-    norm = float(np.linalg.norm(np.asarray(mult.matrix, dtype=float), 2))
-    checks.append(_timed(_check("multiplier_contraction", max(0.0, norm - 1.0), TOL_SINGLE), t0))
+    with rec.timing("multiplier_contraction"):
+        mult = build_multiplier(cfd, config.source_degree, target_degree)
+        norm = float(np.linalg.norm(np.asarray(mult.matrix, dtype=float), 2))
+        rec.checks.append(_check("multiplier_contraction", max(0.0, norm - 1.0), TOL_SINGLE))
 
-    t0 = time.perf_counter()
-    fr = factorization_residual(cfd, dil, mult)
-    checks.append(
-        _timed(_check("projection_partition", fr.restricted, composite_tol, fr.restricted_exact), t0)
-    )
+    with rec.timing("projection_partition"):
+        fr = factorization_residual(cfd, dil, mult)
+        rec.checks.append(_check("projection_partition", fr.restricted, composite_tol, fr.restricted_exact))
 
-    t0 = time.perf_counter()
-    ki = k_inner_subspace(cfd)
-    ki_ok = ki.dim >= 1 and ki.shift_residual <= TOL_BLOCK
-    checks.append(
-        _timed(
-            CheckResult("k_inner_space", "pass" if ki_ok else "fail", float(ki.shift_residual), None, 0.0),
-            t0,
+    with rec.timing("k_inner_space"):
+        ki = k_inner_subspace(cfd)
+        ki_ok = ki.dim >= 1 and ki.shift_residual <= TOL_BLOCK
+        rec.checks.append(
+            CheckResult("k_inner_space", "pass" if ki_ok else "fail", float(ki.shift_residual), None, 0.0)
         )
-    )
 
-    t0 = time.perf_counter()
-    _, report = functional_model(cfd, dil, mult)
-    fm = max(report.equality_residual, max(report.intertwining_residuals))
-    checks.append(_timed(_check("functional_model", fm, TOL_MODEL), t0))
+    with rec.timing("functional_model"):
+        _, report = functional_model(cfd, dil, mult)
+        fm = max(report.equality_residual, max(report.intertwining_residuals))
+        rec.checks.append(_check("functional_model", fm, TOL_MODEL))
 
-    return checks
+    return rec.results()
 
 
 def run_alignment_check(seed: int = 0, samples: int = 30) -> CheckResult:
     """Gram alignment of the two CNP factorizations of the DA*Dirichlet kernel."""
-    t0 = time.perf_counter()
-    dim = 1
-    da = drury_arveson_kernel(dim, TRUNCATION)
-    dirichlet = dirichlet_kernel(dim, TRUNCATION)
-    kernel = cauchy_product(da, dirichlet)
-    t = model_tuple(kernel, dim, 1, mode="float")
-    cfd1 = build_charfn(t, factor_through_pick(kernel, da), support_cap=14, constant_cap=14)
-    cfd2 = build_charfn(t, factor_through_pick(kernel, dirichlet), support_cap=14, constant_cap=14)
-    rng = config_rng(seed, "alignment")
-    points = sample_points(rng, samples, dim, 0.5)
-    dd = defect_data(t, kernel, da)
-    dil = build_dilation(t, kernel, dd, 4)
-    alignment = align_factorizations(cfd1, cfd2, points, source_degree=18, dil=dil)
-    residual = max(alignment.gram_residual, alignment.reference_residual)
-    return _timed(_check("alignment_two_factorizations", residual, TOL_COMPOSITE), t0)
+    rec = _Recorder()
+    with rec.timing("alignment_two_factorizations"):
+        dim = 1
+        da = drury_arveson_kernel(dim, TRUNCATION)
+        dirichlet = dirichlet_kernel(dim, TRUNCATION)
+        kernel = cauchy_product(da, dirichlet)
+        t = model_tuple(kernel, dim, 1, mode="float")
+        cfd1 = build_charfn(t, factor_through_pick(kernel, da), support_cap=14, constant_cap=14)
+        cfd2 = build_charfn(t, factor_through_pick(kernel, dirichlet), support_cap=14, constant_cap=14)
+        rng = config_rng(seed, "alignment")
+        points = sample_points(rng, samples, dim, 0.5)
+        dd = defect_data(t, kernel, da)
+        dil = build_dilation(t, kernel, dd, 4)
+        alignment = align_factorizations(cfd1, cfd2, points, source_degree=18, dil=dil)
+        residual = max(alignment.gram_residual, alignment.reference_residual)
+        rec.checks.append(_check("alignment_two_factorizations", residual, TOL_COMPOSITE))
+    return rec.results()[0]
 
 
 def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
     """Conjugated tuples must coincide; distinct Jordan structures must not."""
-    out = []
-    t0 = time.perf_counter()
-    kernel = bergman_kernel(2, 1, TRUNCATION)
-    fac = factor_through_pick(kernel, drury_arveson_kernel(1, TRUNCATION))
-    t = model_tuple(kernel, 1, 2, mode="float")
-    rng = config_rng(seed, "coincidence")
-    w = np.linalg.qr(rng.standard_normal((t.size, t.size)))[0]
-    conjugated = OperatorTuple(
-        tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, kernel
-    )
-    cfd = build_charfn(t, fac, support_cap=5, constant_cap=10)
-    cfd_conj = build_charfn(conjugated, fac, support_cap=5, constant_cap=10)
-    res = coincidence_residual(cfd, cfd_conj, config_rng(seed, "coincidence-solve"))
-    out.append(_timed(_check("coincidence_conjugated", res, 1e-6), t0))
+    rec = _Recorder()
+    with rec.timing("coincidence_conjugated"):
+        kernel = bergman_kernel(2, 1, TRUNCATION)
+        fac = factor_through_pick(kernel, drury_arveson_kernel(1, TRUNCATION))
+        t = model_tuple(kernel, 1, 2, mode="float")
+        rng = config_rng(seed, "coincidence")
+        w = np.linalg.qr(rng.standard_normal((t.size, t.size)))[0]
+        conjugated = OperatorTuple(
+            tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, kernel
+        )
+        cfd = build_charfn(t, fac, support_cap=5, constant_cap=10)
+        cfd_conj = build_charfn(conjugated, fac, support_cap=5, constant_cap=10)
+        res = coincidence_residual(cfd, cfd_conj, config_rng(seed, "coincidence-solve"))
+        rec.checks.append(_check("coincidence_conjugated", res, 1e-6))
 
-    t0 = time.perf_counter()
-    jordan = configuration("two_cells")
-    chain = np.zeros((4, 4))
-    chain[1, 0] = 1.0
-    chain[2, 1] = 1.0
-    other = OperatorTuple((chain,), None, None, 3, jordan.kernel)
-    cfd_a = build_charfn(jordan.ops, jordan.factorization, support_cap=6, constant_cap=6)
-    cfd_b = build_charfn(other, jordan.factorization, support_cap=6, constant_cap=6)
-    res_distinct = coincidence_residual(cfd_a, cfd_b, config_rng(seed, "coincidence-distinct"))
-    verdict = "pass" if res_distinct >= 1e-3 else "fail"
-    out.append(_timed(CheckResult("coincidence_distinct", verdict, float(res_distinct), None, 0.0), t0))
-    return out
+    with rec.timing("coincidence_distinct"):
+        jordan = configuration("two_cells")
+        chain = np.zeros((4, 4))
+        chain[1, 0] = 1.0
+        chain[2, 1] = 1.0
+        other = OperatorTuple((chain,), None, None, 3, jordan.kernel)
+        cfd_a = build_charfn(jordan.ops, jordan.factorization, support_cap=6, constant_cap=6)
+        cfd_b = build_charfn(other, jordan.factorization, support_cap=6, constant_cap=6)
+        res_distinct = coincidence_residual(cfd_a, cfd_b, config_rng(seed, "coincidence-distinct"))
+        verdict = "pass" if res_distinct >= 1e-3 else "fail"
+        rec.checks.append(CheckResult("coincidence_distinct", verdict, float(res_distinct), None, 0.0))
+    return rec.results()

@@ -29,6 +29,7 @@ from cnpchar.operators import (
     model_tuple,
     random_coinvariant_compression,
 )
+from cnpchar.presets import configuration
 from cnpchar.series import (
     bergman_kernel,
     cauchy_product,
@@ -207,6 +208,36 @@ class TestBuildDiagnostics:
         t = OperatorTuple((np.array([[1.5]]),), None, None, None, k)
         with pytest.raises(Exception):
             build_charfn(t, fac, support_cap=4, constant_cap=4)
+
+
+def jordan_pair():
+    """J2 (+) J3 through the Szego kernel: the defect has rank 2 and a repeated eigenvalue."""
+    k = szego_kernel(1, 48)
+    mat = np.zeros((5, 5))
+    mat[1, 0] = mat[3, 2] = mat[4, 3] = 1.0
+    return OperatorTuple((mat,), None, None, 2, k), factor_through_pick(k, k), {}
+
+
+def preset_inputs(name):
+    config = configuration(name)
+    caps = {"support_cap": config.support_cap, "constant_cap": config.constant_cap}
+    return config.ops, config.factorization, caps
+
+
+class TestSharedDefectCoordinates:
+    """The dilation and theta must use one orthonormal basis of Ran Defect."""
+
+    @pytest.mark.parametrize(
+        "inputs", [jordan_pair, lambda: preset_inputs("k2_da_d1_n3_c")], ids=["j2_j3", "k2_da_d1_n3_c"]
+    )
+    def test_dilation_and_theta_share_ran_defect_basis(self, inputs):
+        t, fac, caps = inputs()
+        cfd = build_charfn(t, fac, **caps)
+        dd = defect_data(t, fac.kernel, fac.pick_factor)
+        dil = build_dilation(t, fac.kernel, dd, cfd.max_taylor_degree + 4)
+        assert np.array_equal(dil.ran_defect_basis, cfd.ran_defect_basis)
+        mult = build_multiplier(cfd, 4, cfd.max_taylor_degree + 4)
+        assert factorization_residual(cfd, dil, mult).restricted < 1e-12
 
 
 class TestThetaEvaluation:
