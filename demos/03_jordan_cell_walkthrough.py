@@ -32,15 +32,17 @@ t = model_tuple(k, dim=1, degree_cut=1, mode="exact")
 t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
 print("T =", [[str(x) for x in row] for row in t.mats[0].tolist()])
 
-dd = defect_data(t, k)
+# k = s: the factorization is trivial and the outer space vanishes. One
+# DefectData feeds both the dilation and the characteristic function.
+fac = factor_through_pick(k, k)
+dd = defect_data(t, k, pick_factor=k)
 print("defect^2 =", [[str(x) for x in row] for row in dd.defect_sq.tolist()])
 
 # The dilation isometry sends e_0 -> 1 (x) delta and e_1 -> z (x) delta.
-dil = build_dilation(t, k, dd, target_degree=5)
+dil = build_dilation(dd, target_degree=5)
 print("V columns:", dil.matrix[:3].tolist())
 
-# k = s: the factorization is trivial and the outer space vanishes.
-cfd = build_charfn(t, factor_through_pick(k, k))
+cfd = build_charfn(dd, fac)
 print("\nTaylor support of theta:", sorted(cfd.taylor))
 print("theta_2 =", cfd.taylor[(2,)].tolist())
 print("theta(1/2) =", evaluate_charfn(cfd, [Fraction(1, 2)]).tolist())

@@ -33,13 +33,15 @@ dirichlet = dirichlet_kernel(dim=1, truncation=48)
 k = cauchy_product(da, dirichlet)
 t = model_tuple(k, dim=1, degree_cut=1, mode="float")
 
-cfd_da = build_charfn(t, factor_through_pick(k, da), support_cap=14, constant_cap=14)
-cfd_dir = build_charfn(t, factor_through_pick(k, dirichlet), support_cap=14, constant_cap=14)
+fac_da = factor_through_pick(k, da)
+fac_dir = factor_through_pick(k, dirichlet)
+dd_da = defect_data(t, k, da)
+cfd_da = build_charfn(dd_da, fac_da, support_cap=14, constant_cap=14)
+cfd_dir = build_charfn(defect_data(t, k, dirichlet), fac_dir, support_cap=14, constant_cap=14)
 print("domain dims:", cfd_da.domain_dim, "vs", cfd_dir.domain_dim)
 
 points = sample_points(np.random.default_rng(0), 20, dim=1, scale=0.5)
-dd = defect_data(t, k, da)
-dil = build_dilation(t, k, dd, 4)
+dil = build_dilation(dd_da, 4)
 out = align_factorizations(cfd_da, cfd_dir, points, source_degree=18, dil=dil)
 print("gram residual between the two factorizations:", out.gram_residual)
 print("agreement with the I - V V* compression:", out.reference_residual)
@@ -49,7 +51,7 @@ print("correspondence maps family 1 to family 2 up to:", out.map_residual)
 # coefficients that match up to constant unitaries on both sides...
 w = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
 conj = OperatorTuple(tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, k)
-cfd_conj = build_charfn(conj, factor_through_pick(k, da), support_cap=14, constant_cap=14)
+cfd_conj = build_charfn(defect_data(conj, k, da), fac_da, support_cap=14, constant_cap=14)
 print("\ncoincidence residual, conjugated tuple:",
       coincidence_residual(cfd_da, cfd_conj, np.random.default_rng(0)))
 
@@ -58,7 +60,9 @@ hardy = szego_kernel(dim=1, truncation=24)
 fac = factor_through_pick(hardy, hardy)
 two_cells = np.zeros((4, 4)); two_cells[1, 0] = 1.0; two_cells[3, 2] = 1.0
 chain = np.zeros((4, 4)); chain[1, 0] = 1.0; chain[2, 1] = 1.0
-cfd_a = build_charfn(OperatorTuple((two_cells,), None, None, 3, hardy), fac, 6, 6)
-cfd_b = build_charfn(OperatorTuple((chain,), None, None, 3, hardy), fac, 6, 6)
+t_a = OperatorTuple((two_cells,), None, None, 3, hardy)
+t_b = OperatorTuple((chain,), None, None, 3, hardy)
+cfd_a = build_charfn(defect_data(t_a, hardy, hardy), fac, 6, 6)
+cfd_b = build_charfn(defect_data(t_b, hardy, hardy), fac, 6, 6)
 print("coincidence residual, two cells vs one chain:",
       coincidence_residual(cfd_a, cfd_b, np.random.default_rng(0)))

@@ -39,6 +39,7 @@ import numpy as np
 
 from ._linalg import (
     ExactnessError,
+    exact_eye,
     exact_zeros,
     is_exact_array,
     is_exactly_zero,
@@ -58,10 +59,13 @@ from .multiindex import (
     enumerate_up_to_degree,
     monomial_value,
 )
-from .operators import NotPureError, OperatorTuple, defect_data, operator_series
+from .operators import PSD_TOL, RANK_CUTOFF, DefectData, OperatorTuple, operator_series
 from .series import KernelFactorization, KernelSeries, reciprocal_complement
 
 Point = Sequence
+
+# largest ||u Gamma - embedding|| for which the range identification u is well defined
+IDENTITY_TOL = 1e-8
 
 
 class CharFnBuildError(RuntimeError):
@@ -90,6 +94,8 @@ class BlockSpace:
 class CharFnData:
     """All blocks of the characteristic-function construction for one tuple.
 
+    ``defect`` is the DefectData the blocks were built from: the tuple, its
+    defects and the basis of Ran Defect that theta's rows are written in.
     ``taylor`` maps multi-indices to the r x (p+q) coefficient matrices of
     theta, from coordinates of defect(R) (+) complement to coordinates of
     Ran Defect. ``diagnostics`` records the residuals of every defining
@@ -97,13 +103,7 @@ class CharFnData:
     """
 
     factorization: KernelFactorization
-    ops: OperatorTuple
-    defect_sq: np.ndarray
-    defect: np.ndarray
-    pick_defect_sq: np.ndarray
-    pick_defect: np.ndarray
-    purity_residual: float
-    ran_defect_basis: np.ndarray
+    defect: DefectData
     b_support: BlockSpace
     g_support: BlockSpace
     embedding: np.ndarray
@@ -121,6 +121,10 @@ class CharFnData:
     diagnostics: dict
 
     @property
+    def ops(self) -> OperatorTuple:
+        return self.defect.ops
+
+    @property
     def kernel(self) -> KernelSeries:
         return self.factorization.kernel
 
@@ -130,7 +134,7 @@ class CharFnData:
 
     @property
     def fiber_dim(self) -> int:
-        return self.ran_defect_basis.shape[1]
+        return self.defect.ran_defect_basis.shape[1]
 
     @property
     def domain_dim(self) -> int:
@@ -142,27 +146,29 @@ class CharFnData:
 
 
 def build_charfn(
-    t: OperatorTuple,
+    defect: DefectData,
     factorization: KernelFactorization,
     support_cap: Optional[int] = None,
     constant_cap: Optional[int] = None,
-    purity_tol: float = 1e-10,
-    rank_cutoff: float = 1e-10,
-    psd_tol: float = 1e-10,
-    identity_tol: float = 1e-8,
 ) -> CharFnData:
     """Run the whole block construction and return its data.
 
-    ``support_cap`` bounds the degrees of the row-contraction labels (nonzero
-    b coefficients of the CNP factor), ``constant_cap`` the labels of E
-    (nonzero g coefficients); both default to nilpotency degree + 3. Raises
-    NotPureError for impure tuples, CharFnBuildError when the row defect
-    fails positivity ("R is not a contraction") or when the range
+    ``defect`` is ``defect_data(t, fac.kernel, fac.pick_factor)``, the same
+    object ``build_dilation`` takes, so theta and the dilation share one
+    basis of Ran Defect; one for another kernel or pick factor raises
+    ValueError. ``support_cap`` bounds the degrees of the row-contraction
+    labels (nonzero b coefficients of the CNP factor), ``constant_cap`` the
+    labels of E (nonzero g coefficients); both default to nilpotency degree
+    + 3. Raises NotPureError for impure tuples, CharFnBuildError when the row
+    defect fails positivity ("R is not a contraction") or when the range
     identification u is ill-defined.
     """
     kernel = factorization.kernel
     pick = factorization.pick_factor
     g = factorization.positive_part
+    if defect.kernel is not kernel or defect.pick_factor is not pick:
+        raise ValueError("defect data is not for this factorization's kernel and pick factor")
+    t = defect.ops
     if kernel.dim != t.num_vars:
         raise ValueError("factorization dimension does not match the tuple")
     if t.weights is not None:
@@ -177,19 +183,15 @@ def build_charfn(
     if b_s.truncation < support_cap or g.truncation < constant_cap:
         raise ValueError("series truncation below the requested caps")
 
-    dd = defect_data(t, kernel, pick_factor=pick, psd_tol=psd_tol, rank_cutoff=rank_cutoff)
-    if dd.purity_residual > purity_tol and not dd.purity_exact:
-        raise NotPureError(
-            f"tuple is not pure: purity residual {dd.purity_residual:.3e} > {purity_tol}"
-        )
-    if dd.defect is None or dd.pick_defect is None:
+    defect.require_pure()
+    if defect.defect is None or defect.pick_defect is None:
         raise ExactnessError("defect roots are not rational; use float mode")
     exact = t.exact
-    delta_sq, delta, q_delta = dd.defect_sq, dd.defect, dd.ran_defect_basis
-    gamma_sq, gamma, gamma_pinv = dd.pick_defect_sq, dd.pick_defect, dd.pick_defect_pinv
+    delta, q_delta = defect.defect, defect.ran_defect_basis
+    gamma_sq, gamma, gamma_pinv = defect.pick_defect_sq, defect.pick_defect, defect.pick_defect_pinv
     r = q_delta.shape[1]
     n = t.size
-    diagnostics: dict = {"purity_residual": dd.purity_residual}
+    diagnostics: dict = {"purity_residual": defect.purity_residual}
 
     dim = t.num_vars
     b_labels = [
@@ -202,7 +204,7 @@ def build_charfn(
     e_space = BlockSpace(g_labels, r)
 
     # g-weighted embedding of H into E
-    embedding = exact_zeros((e_space.dim, n)) if exact else np.zeros((e_space.dim, n))
+    embedding = _zeros((e_space.dim, n), exact)
     qd_adj = q_delta.conj().T
     for lab in g_labels:
         if bound is not None and degree(lab) > bound:
@@ -221,22 +223,22 @@ def build_charfn(
     range_unitary = embedding @ gamma_pinv
     u_residual = spectral_norm(range_unitary @ gamma - embedding)
     diagnostics["range_unitary_residual"] = u_residual
-    if u_residual > identity_tol:
+    if u_residual > IDENTITY_TOL:
         raise CharFnBuildError(
             f"u ill-defined: ||u Gamma - embedding|| = {u_residual:.3e} "
             "(embedding Gram does not match the pick defect)"
         )
-    complement_basis = orth_complement_of_range(embedding, rank_cutoff)
+    complement_basis = orth_complement_of_range(embedding, RANK_CUTOFF)
 
     # row contraction from the weighted powers, and its defect
-    row = exact_zeros((n, row_space.dim)) if exact else np.zeros((n, row_space.dim))
+    row = _zeros((n, row_space.dim), exact)
     for lab in b_labels:
         scale = sqrt_scalar(b_s.coeff(lab), exact)
         row[:, row_space.block(lab)] = scale * t.power(lab)
     row_gram = row.conj().T @ row
-    row_root = psd_root(_eye(row_space.dim, exact) - row_gram, rank_cutoff)
+    row_root = psd_root(_eye(row_space.dim, exact) - row_gram, RANK_CUTOFF)
     lo = row_root.min_eigenvalue
-    if lo < -psd_tol:
+    if lo < -PSD_TOL:
         raise CharFnBuildError(f"row contraction fails: eigenvalue {lo:.3e} of I - R*R")
     row_defect, row_defect_basis = row_root.root, row_root.basis
     diagnostics["row_defect_intertwining"] = spectral_norm(
@@ -248,8 +250,8 @@ def build_charfn(
 
     p = row_defect_basis.shape[1]
     q_h = complement_basis.shape[1]
-    b_block = _hstack(row_defect @ row_defect_basis, _zeros((row_space.dim, q_h), exact))
-    d_block = _hstack(-(range_unitary @ (row @ row_defect_basis)), -complement_basis)
+    b_block = np.hstack([row_defect @ row_defect_basis, _zeros((row_space.dim, q_h), exact)])
+    d_block = np.hstack([-(range_unitary @ (row @ row_defect_basis)), -complement_basis])
 
     # block unitarity of U = [[R*, B], [P, D]]
     eye_row = _eye(row_space.dim, exact)
@@ -260,9 +262,7 @@ def build_charfn(
     diagnostics["block_relation_row"] = spectral_norm(rel1)
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
     diagnostics["block_relation_e"] = spectral_norm(rel3)
-    u_top = _hstack(row.conj().T, b_block)
-    u_bottom = _hstack(embedding, d_block)
-    u_full = _vstack(u_top, u_bottom)
+    u_full = np.vstack([np.hstack([row.conj().T, b_block]), np.hstack([embedding, d_block])])
     eye_full = _eye(n + p + q_h, exact)
     eye_target = _eye(row_space.dim + e_space.dim, exact)
     diagnostics["unitary_gram"] = spectral_norm(u_full.conj().T @ u_full - eye_full)
@@ -275,13 +275,7 @@ def build_charfn(
 
     return CharFnData(
         factorization=factorization,
-        ops=t,
-        defect_sq=delta_sq,
-        defect=delta,
-        pick_defect_sq=gamma_sq,
-        pick_defect=gamma,
-        purity_residual=dd.purity_residual,
-        ran_defect_basis=q_delta,
+        defect=defect,
         b_support=row_space,
         g_support=e_space,
         embedding=embedding,
@@ -331,21 +325,11 @@ def _taylor_coefficients(
 
 
 def _eye(n, exact):
-    from ._linalg import exact_eye
-
     return exact_eye(n) if exact else np.eye(n)
 
 
 def _zeros(shape, exact):
     return exact_zeros(shape) if exact else np.zeros(shape)
-
-
-def _hstack(a, b):
-    return np.hstack([np.asarray(a), np.asarray(b)])
-
-
-def _vstack(a, b):
-    return np.vstack([np.asarray(a), np.asarray(b)])
 
 
 def charfn_blocks_dict(cfd: CharFnData) -> dict:
@@ -364,9 +348,9 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
         "domain_dim": cfd.domain_dim,
         "b_support": [list(l) for l in cfd.b_support.labels],
         "g_support": [list(l) for l in cfd.g_support.labels],
-        "defect": dense(cfd.defect),
-        "pick_defect": dense(cfd.pick_defect),
-        "ran_defect_basis": dense(cfd.ran_defect_basis),
+        "defect": dense(cfd.defect.defect),
+        "pick_defect": dense(cfd.defect.pick_defect),
+        "ran_defect_basis": dense(cfd.defect.ran_defect_basis),
         "embedding": dense(cfd.embedding),
         "range_unitary": dense(cfd.range_unitary),
         "complement_basis": dense(cfd.complement_basis),
@@ -434,8 +418,8 @@ def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.nda
             mono = complex(mono)
             scale = float(scale)
         zb = zb + scale * mono * block
-    qd_adj = cfd.ran_defect_basis.conj().T
-    delta = cfd.defect
+    qd_adj = cfd.defect.ran_defect_basis.conj().T
+    delta = cfd.defect.defect
     if not exact:
         qd_adj = to_float_array(qd_adj)
         delta = to_float_array(delta)
@@ -451,8 +435,8 @@ def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.nda
 def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
     """max over (z, w) of || s(z,w) theta(z) theta(w)* - k(z,w) I + Q* Defect k_z(T)* k_w(T) Defect Q ||."""
     t = cfd.ops
-    q = to_float_array(cfd.ran_defect_basis)
-    delta = to_float_array(cfd.defect)
+    q = to_float_array(cfd.defect.ran_defect_basis)
+    delta = to_float_array(cfd.defect.defect)
     eye = np.eye(cfd.fiber_dim)
     worst = 0.0
     for z, w in pairs:
@@ -724,7 +708,6 @@ def align_factorizations(
     points: Sequence[Point],
     source_degree: int = 16,
     dil: Optional[DilationData] = None,
-    rank_cutoff: float = 1e-10,
     mismatch_tol: float = 1e-6,
 ) -> AlignmentData:
     if cfd1.ops is not cfd2.ops:
@@ -773,7 +756,7 @@ def align_factorizations(
         # <(I - VV*)(k_w (x) e_a), k_z (x) e_b> = k(z, w) delta_ab
         #     - <k_w(T) Defect Q e_a, k_z(T) Defect Q e_b>
         t = cfd1.ops
-        dq = to_float_array(cfd1.defect) @ to_float_array(cfd1.ran_defect_basis)
+        dq = to_float_array(cfd1.defect.defect) @ to_float_array(cfd1.defect.ran_defect_basis)
         series = [operator_series(t, cfd1.kernel, z).astype(complex) @ dq for z in points]
         m = len(points)
         gram_ref = np.zeros((m * r, m * r), dtype=complex)

@@ -37,7 +37,6 @@ from ._linalg import (
 from .multiindex import MultiIndex, add, degree, enumerate_up_to_degree, monomial_value, unit
 from .operators import (
     DefectData,
-    NotPureError,
     OperatorTuple,
     conjugated_sum,
     defect_data,
@@ -112,11 +111,8 @@ class MonomialWindow:
 class DilationData:
     """The dilation isometry of a pure tuple, materialized on a monomial window."""
 
-    ops: OperatorTuple
-    kernel: KernelSeries
     defect: DefectData
     window: MonomialWindow
-    ran_defect_basis: np.ndarray
     matrix: np.ndarray
     isometry_residual: float
     exact_regime: bool
@@ -130,26 +126,19 @@ class DilationData:
         return self.window.r
 
 
-def build_dilation(
-    t: OperatorTuple,
-    kernel: KernelSeries,
-    defect: DefectData,
-    target_degree: int,
-    purity_tol: float = 1e-10,
-) -> DilationData:
+def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
     """Assemble the dilation isometry on the window of degrees <= target_degree.
 
-    Requires a pure tuple: the isometry property is exactly the purity
-    identity, so a purity residual above tolerance is rejected up front.
-    The row block at alpha is sqrt(a_alpha) * Q^* Defect (T^alpha)^*, with Q
-    the orthonormal basis of Ran(Defect) stored in ``defect`` (the one the
-    characteristic function uses too); rows vanish above the nilpotency
+    ``defect`` is the DefectData of the tuple for the kernel, and the tuple
+    must be pure: the isometry property is exactly the purity identity, so
+    ``defect.require_pure()`` rejects an impure tuple up front. The row
+    block at alpha is sqrt(a_alpha) * Q^* Defect (T^alpha)^*, with Q the
+    orthonormal basis ``defect.ran_defect_basis`` of Ran(Defect), the one
+    the characteristic function uses too; rows vanish above the nilpotency
     degree.
     """
-    if defect.purity_residual > purity_tol and not defect.purity_exact:
-        raise NotPureError(
-            f"tuple is not pure: purity residual {defect.purity_residual:.3e} > {purity_tol}"
-        )
+    defect.require_pure()
+    t, kernel = defect.ops, defect.kernel
     if t.weights is not None:
         raise ExactnessError(
             "dilation needs an orthonormal basis for the tuple's space; "
@@ -172,11 +161,8 @@ def build_dilation(
     residual = spectral_norm(gram_gap)
     exact_regime = bound is not None and target_degree >= bound
     return DilationData(
-        ops=t,
-        kernel=kernel,
         defect=defect,
         window=window,
-        ran_defect_basis=q,
         matrix=v,
         isometry_residual=residual,
         exact_regime=exact_regime,
@@ -187,10 +173,11 @@ def intertwining_residuals(dil: DilationData) -> list[float]:
     """||V^* (M_i tensor I) - T_i V^*|| per coordinate, on the window."""
     v = dil.matrix
     vh = v.conj().T
+    t = dil.defect.ops
     out = []
-    for i in range(dil.ops.num_vars):
+    for i in range(t.num_vars):
         m = dil.window.multiplication_matrix(i)
-        out.append(spectral_norm(vh @ m - dil.ops.mats[i] @ vh))
+        out.append(spectral_norm(vh @ m - t.mats[i] @ vh))
     return out
 
 
@@ -205,9 +192,10 @@ def kernel_vector_action(
     """
     vec = dil.window.kernel_vector(point, np.asarray(fiber))
     lhs = to_float_array(dil.matrix).conj().T @ vec
-    series = operator_series(dil.ops, dil.kernel, point)
-    delta = to_float_array(dil.defect.defect)
-    rhs = series @ delta @ (to_float_array(dil.ran_defect_basis) @ np.asarray(fiber))
+    dd = dil.defect
+    series = operator_series(dd.ops, dd.kernel, point)
+    delta = to_float_array(dd.defect)
+    rhs = series @ delta @ (to_float_array(dd.ran_defect_basis) @ np.asarray(fiber))
     gap = float(np.linalg.norm(lhs - rhs))
     if gap > tol:
         raise TruncationError(f"kernel vector identity off by {gap:.3e} (window too small?)")
@@ -262,8 +250,7 @@ def associated_tuple_test(
             f"window degree {window_degree} below the nilpotency bound {bound}: "
             "Ran V would not fit"
         )
-    defect = defect_data(t, kernel)
-    dil = build_dilation(t, kernel, defect, window_degree)
+    dil = build_dilation(defect_data(t, kernel), window_degree)
     kernel_basis = orth_complement_of_range(to_float_array(dil.matrix), rank_cutoff)
     q = kernel_basis.shape[1]
     if q == 0:

@@ -55,6 +55,14 @@ from .series import KernelSeries, RealSeries, reciprocal_complement
 Series = Union[KernelSeries, RealSeries]
 
 
+# Shared by every construction read from a DefectData: a squared defect (or the
+# row defect of theta) fails positivity below -PSD_TOL, eigenvalues at or below
+# RANK_CUTOFF times the largest count as zeros, and purity allows PURITY_TOL.
+PSD_TOL = 1e-10
+RANK_CUTOFF = 1e-10
+PURITY_TOL = 1e-10
+
+
 class ConvergenceError(RuntimeError):
     """A truncated operator series did not settle below tolerance."""
 
@@ -275,10 +283,11 @@ class DefectData:
     its range, and the root ``pick_defect`` with its pseudo-inverse
     ``pick_defect_pinv``. Every later construction (the dilation, the
     characteristic function) reads these, so all of them use the same
-    coordinates on Ran Defect. The spectral fields are stored when
-    representable in the tuple's arithmetic (always in float mode), else
-    None. ``purity_residual`` is the distance of the a-weighted conjugation
-    sum of defect_sq from the identity.
+    coordinates on Ran Defect, and ``build_dilation`` and ``build_charfn``
+    take this object rather than computing or copying any of it. The
+    spectral fields are stored when representable in the tuple's arithmetic
+    (always in float mode), else None. ``purity_residual`` is the distance
+    of the a-weighted conjugation sum of defect_sq from the identity.
     """
 
     ops: OperatorTuple
@@ -295,6 +304,13 @@ class DefectData:
     purity_residual: float
     purity_exact: bool
 
+    def require_pure(self) -> None:
+        """Raise NotPureError unless the purity residual is within PURITY_TOL or exactly 0."""
+        if self.purity_residual > PURITY_TOL and not self.purity_exact:
+            raise NotPureError(
+                f"tuple is not pure: purity residual {self.purity_residual:.3e} > {PURITY_TOL}"
+            )
+
 
 def defect_data(
     t: OperatorTuple,
@@ -302,24 +318,20 @@ def defect_data(
     pick_factor: Optional[KernelSeries] = None,
     degree_cap: int = 64,
     stop_tol: float = 1e-13,
-    psd_tol: float = 1e-10,
-    rank_cutoff: float = 1e-10,
 ) -> DefectData:
     """Defect operators and purity diagnostics for t as a 1/kernel-contraction.
 
     Raises NotContractionError when I minus the b-sum has an eigenvalue below
-    -psd_tol, ConvergenceError when a non-nilpotent sum does not settle.
-    Eigenvalues of the squared defects below the relative ``rank_cutoff``
-    count as zeros.
+    -PSD_TOL, ConvergenceError when a non-nilpotent sum does not settle.
+    Eigenvalues of the squared defects at or below RANK_CUTOFF times the
+    largest count as zeros.
     """
     b = reciprocal_complement(kernel)
     s_sum, increments, stop_degree, _ = conjugated_sum(
         t, b, degree_cap=degree_cap, stop_tol=stop_tol
     )
     delta_sq = t.identity() - s_sum
-    delta = _checked_root(
-        delta_sq, psd_tol, rank_cutoff, f"not a 1/k-contraction for {_kname(kernel)}"
-    )
+    delta = _checked_root(delta_sq, f"not a 1/k-contraction for {_kname(kernel)}")
 
     pick_defect_sq = None
     gamma = None
@@ -327,9 +339,7 @@ def defect_data(
         b_s = reciprocal_complement(pick_factor)
         s_sum_pick, _, _, _ = conjugated_sum(t, b_s, degree_cap=degree_cap, stop_tol=stop_tol)
         pick_defect_sq = t.identity() - s_sum_pick
-        gamma = _checked_root(
-            pick_defect_sq, psd_tol, rank_cutoff, "not a 1/s-contraction for the CNP factor"
-        )
+        gamma = _checked_root(pick_defect_sq, "not a 1/s-contraction for the CNP factor")
 
     purity = purity_check(t, kernel, delta_sq, degree_cap=degree_cap, stop_tol=stop_tol)
     return DefectData(
@@ -353,21 +363,19 @@ def _kname(kernel: KernelSeries) -> str:
     return f"kernel(dim={kernel.dim}, N={kernel.truncation})"
 
 
-def _checked_root(
-    a_sq: np.ndarray, psd_tol: float, rank_cutoff: float, message: str
-) -> Optional[PsdRoot]:
+def _checked_root(a_sq: np.ndarray, message: str) -> Optional[PsdRoot]:
     """The spectral data of a squared defect, after its positivity check.
 
     None when the root is not representable in exact arithmetic; positivity
     is then checked in floats.
     """
     try:
-        root = psd_root(a_sq, rank_cutoff)
+        root = psd_root(a_sq, RANK_CUTOFF)
         lo = root.min_eigenvalue
     except ExactnessError:
         root, lo = None, min_eigenvalue(a_sq)
-    if lo < -psd_tol:
-        raise NotContractionError(f"{message}: eigenvalue {lo:.3e} < -{psd_tol}")
+    if lo < -PSD_TOL:
+        raise NotContractionError(f"{message}: eigenvalue {lo:.3e} < -{PSD_TOL}")
     return root
 
 

@@ -351,14 +351,11 @@ def run_configuration_checks(
 
     with rec.timing("defect_embedding_gram"):
         cfd = build_charfn(
-            config.ops,
-            config.factorization,
-            support_cap=config.support_cap,
-            constant_cap=config.constant_cap,
+            dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
         )
     target_degree = config.source_degree + cfd.max_taylor_degree
     with rec.timing("dilation_isometry"):
-        dil = build_dilation(config.ops, config.kernel, dd, target_degree)
+        dil = build_dilation(dd, target_degree)
         rec.checks.append(_check("dilation_isometry", dil.isometry_residual, TOL_SINGLE))
 
     with rec.timing("dilation_intertwining"):
@@ -464,12 +461,12 @@ def run_alignment_check(seed: int = 0, samples: int = 30) -> CheckResult:
         dirichlet = dirichlet_kernel(dim, TRUNCATION)
         kernel = cauchy_product(da, dirichlet)
         t = model_tuple(kernel, dim, 1, mode="float")
-        cfd1 = build_charfn(t, factor_through_pick(kernel, da), support_cap=14, constant_cap=14)
-        cfd2 = build_charfn(t, factor_through_pick(kernel, dirichlet), support_cap=14, constant_cap=14)
+        dd_da, dd_dir = defect_data(t, kernel, da), defect_data(t, kernel, dirichlet)
+        cfd1 = build_charfn(dd_da, factor_through_pick(kernel, da), support_cap=14, constant_cap=14)
+        cfd2 = build_charfn(dd_dir, factor_through_pick(kernel, dirichlet), support_cap=14, constant_cap=14)
         rng = config_rng(seed, "alignment")
         points = sample_points(rng, samples, dim, 0.5)
-        dd = defect_data(t, kernel, da)
-        dil = build_dilation(t, kernel, dd, 4)
+        dil = build_dilation(dd_da, 4)
         alignment = align_factorizations(cfd1, cfd2, points, source_degree=18, dil=dil)
         residual = max(alignment.gram_residual, alignment.reference_residual)
         rec.checks.append(_check("alignment_two_factorizations", residual, TOL_COMPOSITE))
@@ -481,15 +478,16 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
     rec = _Recorder()
     with rec.timing("coincidence_conjugated"):
         kernel = bergman_kernel(2, 1, TRUNCATION)
-        fac = factor_through_pick(kernel, drury_arveson_kernel(1, TRUNCATION))
+        da = drury_arveson_kernel(1, TRUNCATION)
+        fac = factor_through_pick(kernel, da)
         t = model_tuple(kernel, 1, 2, mode="float")
         rng = config_rng(seed, "coincidence")
         w = np.linalg.qr(rng.standard_normal((t.size, t.size)))[0]
         conjugated = OperatorTuple(
             tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, kernel
         )
-        cfd = build_charfn(t, fac, support_cap=5, constant_cap=10)
-        cfd_conj = build_charfn(conjugated, fac, support_cap=5, constant_cap=10)
+        cfd = build_charfn(defect_data(t, kernel, da), fac, support_cap=5, constant_cap=10)
+        cfd_conj = build_charfn(defect_data(conjugated, kernel, da), fac, support_cap=5, constant_cap=10)
         res = coincidence_residual(cfd, cfd_conj, config_rng(seed, "coincidence-solve"))
         rec.checks.append(_check("coincidence_conjugated", res, 1e-6))
 
@@ -499,8 +497,9 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
         chain[1, 0] = 1.0
         chain[2, 1] = 1.0
         other = OperatorTuple((chain,), None, None, 3, jordan.kernel)
-        cfd_a = build_charfn(jordan.ops, jordan.factorization, support_cap=6, constant_cap=6)
-        cfd_b = build_charfn(other, jordan.factorization, support_cap=6, constant_cap=6)
+        kernel, pick, fac = jordan.kernel, jordan.pick_factor, jordan.factorization
+        cfd_a = build_charfn(defect_data(jordan.ops, kernel, pick), fac, support_cap=6, constant_cap=6)
+        cfd_b = build_charfn(defect_data(other, kernel, pick), fac, support_cap=6, constant_cap=6)
         res_distinct = coincidence_residual(cfd_a, cfd_b, config_rng(seed, "coincidence-distinct"))
         verdict = "pass" if res_distinct >= 1e-3 else "fail"
         rec.checks.append(CheckResult("coincidence_distinct", verdict, float(res_distinct), None, 0.0))

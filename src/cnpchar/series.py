@@ -451,6 +451,8 @@ def _scalar_from_string(s: str):
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return float(s)
 

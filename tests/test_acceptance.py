@@ -69,13 +69,10 @@ def matrix():
         config = configuration(name)
         dd = defect_data(config.ops, config.kernel, config.pick_factor)
         cfd = build_charfn(
-            config.ops,
-            config.factorization,
-            support_cap=config.support_cap,
-            constant_cap=config.constant_cap,
+            dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
         )
         target = config.source_degree + cfd.max_taylor_degree
-        dil = build_dilation(config.ops, config.kernel, dd, target)
+        dil = build_dilation(dd, target)
         mult = build_multiplier(cfd, config.source_degree, target)
         bundles[name] = (config, dd, cfd, dil, mult)
     return bundles
@@ -202,9 +199,9 @@ def test_criterion_09_projection_partition(matrix):
         t = model_tuple(k, 1, 1, mode="exact")
         t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
         fac = factor_through_pick(k, k)
-        cfd = build_charfn(t, fac)
-        dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, 5)
+        dd = defect_data(t, k, k)
+        cfd = build_charfn(dd, fac)
+        dil = build_dilation(dd, 5)
         mult = build_multiplier(cfd, 3, 5)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted_exact and fr.unrestricted == 0.0

@@ -23,6 +23,7 @@ from cnpchar.charfn import (
 )
 from cnpchar.dilation import build_dilation
 from cnpchar.operators import (
+    NotContractionError,
     NotPureError,
     OperatorTuple,
     defect_data,
@@ -40,6 +41,11 @@ from cnpchar.series import (
 )
 
 
+def charfn_of(t, fac, **caps):
+    """The characteristic function of t built from its own defect data."""
+    return build_charfn(defect_data(t, fac.kernel, fac.pick_factor), fac, **caps)
+
+
 def sample_points(rng, count, dim, scale=0.5):
     out = []
     for _ in range(count):
@@ -55,7 +61,7 @@ def jordan_exact():
     t = model_tuple(k, 1, 1, mode="exact")
     t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
     fac = factor_through_pick(k, k)
-    return build_charfn(t, fac), t, k, fac
+    return charfn_of(t, fac), t, k, fac
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +70,7 @@ def k2_da():
     s = drury_arveson_kernel(1, 48)
     fac = factor_through_pick(k, s)
     t = model_tuple(k, 1, 2, mode="float")
-    cfd = build_charfn(t, fac, support_cap=5, constant_cap=14)
+    cfd = charfn_of(t, fac, support_cap=5, constant_cap=14)
     return cfd, t, k, fac
 
 
@@ -133,8 +139,7 @@ class TestJordanCell:
 
     def test_projection_partition_exact(self, jordan_exact):
         cfd, t, k, _ = jordan_exact
-        dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, 5)
+        dil = build_dilation(cfd.defect, 5)
         mult = build_multiplier(cfd, 3, 5)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted_exact
@@ -148,8 +153,7 @@ class TestJordanCell:
 
     def test_functional_model_is_the_cell(self, jordan_exact):
         cfd, t, k, _ = jordan_exact
-        dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, 5)
+        dil = build_dilation(cfd.defect, 5)
         mult = build_multiplier(cfd, 3, 5)
         model, report = functional_model(cfd, dil, mult)
         assert report.equality_residual < 1e-14
@@ -164,7 +168,7 @@ class TestDegenerateCase:
         k = drury_arveson_kernel(2, 24)
         fac = factor_through_pick(k, k)
         t = model_tuple(k, 2, 2, mode="float")
-        cfd = build_charfn(t, fac)
+        cfd = charfn_of(t, fac)
         assert [lab for lab in cfd.g_support.labels] == [(0, 0)]
         assert cfd.complement_basis.shape[1] == 0
         assert cfd.g_support.dim == cfd.fiber_dim
@@ -190,24 +194,24 @@ class TestBuildDiagnostics:
         k = szego_kernel(1, 24)
         fac = factor_through_pick(k, k)
         t = OperatorTuple((np.array([[1.0]]),), None, None, None, k)
+        dd = defect_data(t, k, k)  # the defects exist; only purity fails
         with pytest.raises(NotPureError):
-            build_charfn(t, fac, support_cap=4, constant_cap=4)
+            build_charfn(dd, fac, support_cap=4, constant_cap=4)
 
     def test_requires_caps_without_nilpotency(self):
         k = szego_kernel(1, 24)
         fac = factor_through_pick(k, k)
         t = OperatorTuple((np.array([[0.5]]),), None, None, None, k)
         with pytest.raises(ValueError, match="caps"):
-            build_charfn(t, fac)
+            charfn_of(t, fac)
 
     def test_row_contraction_failure_detected(self):
-        # a non-contraction cannot be a 1/s-contraction either; the defect
-        # data already rejects it upstream of the row construction
+        # a non-contraction cannot be a 1/s-contraction either: defect_data
+        # rejects it, so build_charfn never reaches the row construction
         k = szego_kernel(1, 24)
-        fac = factor_through_pick(k, k)
         t = OperatorTuple((np.array([[1.5]]),), None, None, None, k)
-        with pytest.raises(Exception):
-            build_charfn(t, fac, support_cap=4, constant_cap=4)
+        with pytest.raises(NotContractionError):
+            defect_data(t, k, k)
 
 
 def jordan_pair():
@@ -232,12 +236,24 @@ class TestSharedDefectCoordinates:
     )
     def test_dilation_and_theta_share_ran_defect_basis(self, inputs):
         t, fac, caps = inputs()
-        cfd = build_charfn(t, fac, **caps)
         dd = defect_data(t, fac.kernel, fac.pick_factor)
-        dil = build_dilation(t, fac.kernel, dd, cfd.max_taylor_degree + 4)
-        assert np.array_equal(dil.ran_defect_basis, cfd.ran_defect_basis)
+        cfd = build_charfn(dd, fac, **caps)
+        dil = build_dilation(dd, cfd.max_taylor_degree + 4)
+        assert cfd.defect is dd and dil.defect is dd
         mult = build_multiplier(cfd, 4, cfd.max_taylor_degree + 4)
         assert factorization_residual(cfd, dil, mult).restricted < 1e-12
+
+    @pytest.mark.parametrize("case", ["other_kernel", "other_pick_factor", "no_pick_factor"])
+    def test_rejects_defect_data_of_another_factorization(self, two_factorizations, case):
+        t, k, cfd1, cfd2 = two_factorizations
+        da, dirichlet = cfd1.pick_factor, cfd2.pick_factor
+        dd = {
+            "other_kernel": lambda: defect_data(t, da, da),
+            "other_pick_factor": lambda: defect_data(t, k, dirichlet),
+            "no_pick_factor": lambda: defect_data(t, k),
+        }[case]()
+        with pytest.raises(ValueError, match="defect data"):
+            build_charfn(dd, cfd1.factorization, support_cap=14, constant_cap=14)
 
 
 class TestThetaEvaluation:
@@ -278,8 +294,8 @@ class TestThetaEvaluation:
         s = drury_arveson_kernel(1, 48)
         fac = factor_through_pick(k, s)
         t = model_tuple(k, 1, 2, mode="float")
-        small = build_charfn(t, fac, support_cap=6, constant_cap=8)
-        large = build_charfn(t, fac, support_cap=8, constant_cap=12)
+        small = charfn_of(t, fac, support_cap=6, constant_cap=8)
+        large = charfn_of(t, fac, support_cap=8, constant_cap=12)
         dom_small = small.domain_dim
         for gamma, coeff in small.taylor.items():
             bigger = large.taylor[gamma]
@@ -336,9 +352,8 @@ class TestMultiplier:
 class TestProjectionPartition:
     def test_k2_da(self, k2_da):
         cfd, t, k, _ = k2_da
-        dd = defect_data(t, k)
         target = 4 + cfd.max_taylor_degree
-        dil = build_dilation(t, k, dd, target)
+        dil = build_dilation(cfd.defect, target)
         mult = build_multiplier(cfd, 4, target)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted < 1e-8
@@ -354,8 +369,7 @@ class TestProjectionPartition:
         broken = dict(cfd.taylor)
         del broken[victim]
         target = 4 + cfd.max_taylor_degree
-        dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, target)
+        dil = build_dilation(cfd.defect, target)
         mult = multiplier_from_taylor(
             broken, cfd.pick_factor, k, cfd.fiber_dim, cfd.domain_dim, 4, target
         )
@@ -364,8 +378,7 @@ class TestProjectionPartition:
 
     def test_window_mismatch_rejected(self, k2_da):
         cfd, t, k, _ = k2_da
-        dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, 6)
+        dil = build_dilation(cfd.defect, 6)
         mult = build_multiplier(cfd, 4, 7)
         with pytest.raises(ValueError, match="window"):
             factorization_residual(cfd, dil, mult)
@@ -401,8 +414,8 @@ def two_factorizations():
     dirichlet = dirichlet_kernel(1, 48)
     k = cauchy_product(da, dirichlet)
     t = model_tuple(k, 1, 1, mode="float")
-    cfd1 = build_charfn(t, factor_through_pick(k, da), support_cap=14, constant_cap=14)
-    cfd2 = build_charfn(t, factor_through_pick(k, dirichlet), support_cap=14, constant_cap=14)
+    cfd1 = charfn_of(t, factor_through_pick(k, da), support_cap=14, constant_cap=14)
+    cfd2 = charfn_of(t, factor_through_pick(k, dirichlet), support_cap=14, constant_cap=14)
     return t, k, cfd1, cfd2
 
 
@@ -417,8 +430,7 @@ class TestAlignment:
     def test_distinct_factors_share_grams(self, two_factorizations):
         t, k, cfd1, cfd2 = two_factorizations
         rng = np.random.default_rng(29)
-        dd = defect_data(t, k, cfd1.pick_factor)
-        dil = build_dilation(t, k, dd, 4)
+        dil = build_dilation(cfd1.defect, 4)
         out = align_factorizations(
             cfd1, cfd2, sample_points(rng, 30, 1), source_degree=18, dil=dil
         )
@@ -431,7 +443,7 @@ class TestAlignment:
         t, k, cfd1, _ = two_factorizations
         other = model_tuple(k, 1, 2, mode="float")
         fac = factor_through_pick(k, drury_arveson_kernel(1, 48))
-        cfd_other = build_charfn(other, fac, support_cap=14, constant_cap=14)
+        cfd_other = charfn_of(other, fac, support_cap=14, constant_cap=14)
         with pytest.raises(ValueError, match="mismatched"):
             align_factorizations(cfd1, cfd_other, [[0.1]], source_degree=8)
 
@@ -446,9 +458,8 @@ class TestAlignment:
 class TestFunctionalModelAndCoincidence:
     def test_model_reproduces_tuple(self, k2_da):
         cfd, t, k, _ = k2_da
-        dd = defect_data(t, k)
         target = 4 + cfd.max_taylor_degree
-        dil = build_dilation(t, k, dd, target)
+        dil = build_dilation(cfd.defect, target)
         mult = build_multiplier(cfd, 4, target)
         model, report = functional_model(cfd, dil, mult)
         assert report.equality_residual < 1e-9
@@ -462,8 +473,8 @@ class TestFunctionalModelAndCoincidence:
         conj = OperatorTuple(
             tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, k
         )
-        cfd_a = build_charfn(t, fac, support_cap=5, constant_cap=10)
-        cfd_b = build_charfn(conj, fac, support_cap=5, constant_cap=10)
+        cfd_a = charfn_of(t, fac, support_cap=5, constant_cap=10)
+        cfd_b = charfn_of(conj, fac, support_cap=5, constant_cap=10)
         res = coincidence_residual(cfd_a, cfd_b, np.random.default_rng(0))
         assert res < 1e-6
 
@@ -478,7 +489,7 @@ class TestFunctionalModelAndCoincidence:
         chain[2, 1] = 1.0
         t_a = OperatorTuple((two_cells,), None, None, 3, k)
         t_b = OperatorTuple((chain,), None, None, 3, k)
-        cfd_a = build_charfn(t_a, fac, support_cap=6, constant_cap=6)
-        cfd_b = build_charfn(t_b, fac, support_cap=6, constant_cap=6)
+        cfd_a = charfn_of(t_a, fac, support_cap=6, constant_cap=6)
+        cfd_b = charfn_of(t_b, fac, support_cap=6, constant_cap=6)
         res = coincidence_residual(cfd_a, cfd_b, np.random.default_rng(0))
         assert res >= 1e-3

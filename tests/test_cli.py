@@ -73,6 +73,9 @@ class TestKernelCommands:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"kind": "nope"}))
         assert main(["kernel", "cnp", "--spec", str(wrong)]) == 2
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"kind": "coeffs", "a": ["1/1", "1/0"], "d": 1}))
+        assert main(["kernel", "cnp", "--spec", str(zero)]) == 2
 
 
 class TestCharFnCommands:
@@ -161,6 +164,15 @@ class TestCharFnCommands:
     def test_missing_arguments_exit_two(self):
         assert main(["charfn", "build"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--d", "1", "--model-degree", "-1"], ["--d", "1", "--model-degree", "1", "--degree-cap", "40"]],
+        ids=["negative_model_degree", "degree_cap_beyond_truncation"],
+    )
+    def test_bad_model_flags_exit_two(self, specs, flags):
+        args = ["charfn", "verify", "--kernel", specs["bergman_m2"], "--cnp-factor", specs["k1"]]
+        assert main(args + flags) == 2
+
 
 class TestImpossibility:
     def test_first_violation_m2_n2(self, tmp_path, capsys):
@@ -176,6 +188,9 @@ class TestImpossibility:
         out = tmp_path / "r.json"
         assert main(["impossibility", "--m", "5", "--n", "1", "--N-max", "50", "--out", str(out)]) == 0
         assert read_report(out)["config"]["first_violation"] is None
+
+    def test_negative_n_max_exits_two(self):
+        assert main(["impossibility", "--m", "2", "--n", "2", "--N-max", "-3"]) == 2
 
     def test_boundary_case_m3_n2(self, tmp_path):
         # at N=0 the form value is exactly 0 (not a violation); first violation at N=1

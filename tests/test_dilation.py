@@ -29,7 +29,7 @@ def jordan_dilation(target=5):
     k = szego_kernel(1, 24)
     t = model_tuple(k, 1, 1, mode="float")
     dd = defect_data(t, k)
-    return build_dilation(t, k, dd, target), t, k
+    return build_dilation(dd, target), t, k
 
 
 class TestBuild:
@@ -46,7 +46,7 @@ class TestBuild:
         k = bergman_kernel(2, 2, 16)
         t = model_tuple(k, 2, 2, mode="float")
         dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, 2)
+        dil = build_dilation(dd, 2)
         # V is then square and unitary: the model is its own functional model
         assert dil.matrix.shape[0] == dil.matrix.shape[1]
         assert max_abs(dil.matrix @ dil.matrix.conj().T - np.eye(t.size)) < 1e-12
@@ -55,7 +55,7 @@ class TestBuild:
         k = szego_kernel(1, 16)
         t = model_tuple(k, 1, 0, mode="float")
         dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, 4)
+        dil = build_dilation(dd, 4)
         v = dil.matrix
         assert abs(v[0, 0] - 1) < 1e-15 and max_abs(v[1:]) < 1e-15
 
@@ -64,14 +64,14 @@ class TestBuild:
         t = OperatorTuple((np.array([[1.0]]),), None, None, None, k)
         dd = defect_data(t, k)
         with pytest.raises(NotPureError):
-            build_dilation(t, k, dd, 4)
+            build_dilation(dd, 4)
 
     def test_isometry_across_matrix(self):
         for m, d, n in [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1)]:
             k = bergman_kernel(m, d, 16)
             t = model_tuple(k, d, n, mode="float")
             dd = defect_data(t, k)
-            dil = build_dilation(t, k, dd, n + 2)
+            dil = build_dilation(dd, n + 2)
             assert dil.isometry_residual < 1e-12
 
     def test_exact_isometry_for_jordan_cell(self):
@@ -79,7 +79,7 @@ class TestBuild:
         t = model_tuple(k, 1, 1, mode="exact")
         t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
         dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, 4)
+        dil = build_dilation(dd, 4)
         gram = dil.matrix.conj().T @ dil.matrix
         assert gram.dtype == object
         assert all(gram[i, j] == (1 if i == j else 0) for i in range(2) for j in range(2))
@@ -95,11 +95,11 @@ class TestIntertwining:
             k = bergman_kernel(2, d, 16)
             t = model_tuple(k, d, 2, mode="float")
             dd = defect_data(t, k)
-            dil = build_dilation(t, k, dd, 4)
+            dil = build_dilation(dd, 4)
             assert max(intertwining_residuals(dil)) < 1e-12
             tc = random_coinvariant_compression(t, np.random.default_rng(3))
             ddc = defect_data(tc, k)
-            dilc = build_dilation(tc, k, ddc, 4)
+            dilc = build_dilation(ddc, 4)
             assert max(intertwining_residuals(dilc)) < 1e-12
 
     def test_detects_corruption(self):
@@ -136,7 +136,7 @@ class TestKernelVectorAction:
         k = bergman_kernel(m, d, 24)
         t = model_tuple(k, d, n, mode="float")
         dd = defect_data(t, k)
-        dil = build_dilation(t, k, dd, n + 2)
+        dil = build_dilation(dd, n + 2)
         rng = np.random.default_rng(17)
         for _ in range(20):
             w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
