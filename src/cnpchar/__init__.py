@@ -57,6 +57,7 @@ from .dilation import (
     MonomialWindow,
     AssociatedTupleCertificate,
     TruncationError,
+    WindowError,
     associated_tuple_test,
     build_dilation,
     intertwining_residuals,

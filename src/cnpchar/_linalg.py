@@ -1,14 +1,18 @@
-"""Dense linear algebra over the package's two scalar backends.
+"""The scalar backend and the dense linear algebra built on it.
 
-Float-mode matrices are ordinary numpy float/complex arrays in orthonormal
-bases; spectral operations go through numpy/scipy. Exact-mode matrices are
-object arrays of ``fractions.Fraction`` (or int), optionally expressed in an
-orthogonal-but-not-normalized basis whose squared norms are carried
-separately as ``weights``; adjoints then pick up the weight ratios. Exact
-mode supports only the spectral operations that stay rational, namely square
-roots, ranges and pseudo-inverses of diagonal matrices with perfect-square
-entries. Anything else raises :class:`ExactnessError`, signalling that float
-mode is the right backend for that computation.
+Every computation runs in one of two arithmetics, ``EXACT`` or ``FLOAT``
+(:class:`Scalars`), and every choice that depends on which one is made
+here: zeros and identities, square roots, how a coefficient, a monomial or
+an array enters the arithmetic, and whether an evaluation point keeps
+exactness. Float matrices are numpy float/complex arrays in orthonormal
+bases. Exact matrices are object arrays of ``fractions.Fraction`` (or int),
+optionally in an orthogonal-but-not-normalized basis whose squared norms
+are carried separately as ``weights``; adjoints then pick up the weight
+ratios. Exact arrays support only the spectral operations that stay
+rational, namely square roots, ranges and pseudo-inverses of diagonal
+matrices with perfect-square entries. Anything else raises
+:class:`ExactnessError`, signalling that float arithmetic is the right
+backend for that computation.
 """
 
 from __future__ import annotations
@@ -32,17 +36,6 @@ def exact_zeros(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = Fraction(0)
     return out
-
-
-def exact_eye(n: int) -> np.ndarray:
-    out = exact_zeros((n, n))
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
-
-
-def eye_like(a: np.ndarray, n: int) -> np.ndarray:
-    return exact_eye(n) if is_exact_array(a) else np.eye(n, dtype=a.dtype)
 
 
 def to_float_array(a: np.ndarray) -> np.ndarray:
@@ -111,8 +104,50 @@ def frac_sqrt(x) -> Fraction:
     return Fraction(pn, pd)
 
 
-def sqrt_scalar(x, exact: bool):
-    return frac_sqrt(x) if exact else math.sqrt(float(x))
+@dataclass(frozen=True)
+class Scalars:
+    """One arithmetic: exact rationals or floats. Use the instances EXACT and FLOAT."""
+
+    exact: bool
+
+    def zeros(self, shape, dtype=float) -> np.ndarray:
+        """Zeros of ``shape``; ``dtype`` applies to floats only."""
+        return exact_zeros(shape) if self.exact else np.zeros(shape, dtype=dtype)
+
+    def eye(self, n: int, dtype=float) -> np.ndarray:
+        """The n x n identity; ``dtype`` applies to floats only."""
+        if not self.exact:
+            return np.eye(n, dtype=dtype)
+        out = exact_zeros((n, n))
+        for i in range(n):
+            out[i, i] = Fraction(1)
+        return out
+
+    def sqrt(self, x):
+        """Square root; exact only for perfect-square rationals (else ExactnessError)."""
+        return frac_sqrt(x) if self.exact else math.sqrt(float(x))
+
+    def coefficient(self, c):
+        """A real scalar in this arithmetic."""
+        return c if self.exact else float(c)
+
+    def monomial(self, c):
+        """A possibly complex scalar, such as a monomial at a point, in this arithmetic."""
+        return c if self.exact else complex(c)
+
+    def array(self, a) -> np.ndarray:
+        """An array in this arithmetic: unchanged when exact, its float view otherwise."""
+        return a if self.exact else to_float_array(np.asarray(a))
+
+    def at(self, point) -> "Scalars":
+        """The arithmetic at ``point``: exact only if every coordinate is rational."""
+        if self.exact and all(isinstance(p, (Fraction, int)) for p in point):
+            return self
+        return FLOAT
+
+
+EXACT = Scalars(True)
+FLOAT = Scalars(False)
 
 
 @dataclass(frozen=True)

@@ -32,28 +32,25 @@ degree range and unrestricted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._linalg import (
+    FLOAT,
     ExactnessError,
-    exact_eye,
-    exact_zeros,
-    is_exact_array,
+    Scalars,
     is_exactly_zero,
     max_abs,
     orth_complement_of_range,
     polar_orthogonal,
     psd_root,
     spectral_norm,
-    sqrt_scalar,
     to_float_array,
 )
 from .dilation import DilationData, MonomialWindow, TruncationError
 from .multiindex import (
-    MultiIndex,
+    BlockSpace,
     add,
     degree,
     enumerate_up_to_degree,
@@ -74,20 +71,6 @@ class CharFnBuildError(RuntimeError):
 
 class EmptyKInnerError(RuntimeError):
     """No unit eigenvalue in the multiplier Gram: the isometric subspace is missing."""
-
-
-class BlockSpace:
-    """A direct sum of identical blocks indexed by multi-index labels."""
-
-    def __init__(self, labels: Sequence[MultiIndex], block_dim: int):
-        self.labels = tuple(labels)
-        self.block_dim = block_dim
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.dim = len(self.labels) * block_dim
-
-    def block(self, label: MultiIndex) -> slice:
-        i = self.index[label]
-        return slice(i * self.block_dim, (i + 1) * self.block_dim)
 
 
 @dataclass(eq=False)
@@ -117,12 +100,15 @@ class CharFnData:
     taylor: dict
     support_cap: int
     constant_cap: int
-    exact: bool
     diagnostics: dict
 
     @property
     def ops(self) -> OperatorTuple:
         return self.defect.ops
+
+    @property
+    def exact(self) -> bool:
+        return self.ops.exact
 
     @property
     def kernel(self) -> KernelSeries:
@@ -186,7 +172,7 @@ def build_charfn(
     defect.require_pure()
     if defect.defect is None or defect.pick_defect is None:
         raise ExactnessError("defect roots are not rational; use float mode")
-    exact = t.exact
+    sc = t.scalars
     delta, q_delta = defect.defect, defect.ran_defect_basis
     gamma_sq, gamma, gamma_pinv = defect.pick_defect_sq, defect.pick_defect, defect.pick_defect_pinv
     r = q_delta.shape[1]
@@ -204,17 +190,17 @@ def build_charfn(
     e_space = BlockSpace(g_labels, r)
 
     # g-weighted embedding of H into E
-    embedding = _zeros((e_space.dim, n), exact)
+    embedding = sc.zeros((e_space.dim, n))
     qd_adj = q_delta.conj().T
     for lab in g_labels:
         if bound is not None and degree(lab) > bound:
             continue
-        scale = sqrt_scalar(g.coeff(lab), exact)
+        scale = sc.sqrt(g.coeff(lab))
         embedding[e_space.block(lab)] = scale * (qd_adj @ delta @ t.power_adjoint(lab))
     diagnostics["embedding_gram_residual"] = spectral_norm(
         embedding.conj().T @ embedding - gamma_sq
     )
-    if exact:
+    if sc.exact:
         diagnostics["embedding_gram_exact"] = is_exactly_zero(
             embedding.conj().T @ embedding - gamma_sq
         )
@@ -231,12 +217,12 @@ def build_charfn(
     complement_basis = orth_complement_of_range(embedding, RANK_CUTOFF)
 
     # row contraction from the weighted powers, and its defect
-    row = _zeros((n, row_space.dim), exact)
+    row = sc.zeros((n, row_space.dim))
     for lab in b_labels:
-        scale = sqrt_scalar(b_s.coeff(lab), exact)
+        scale = sc.sqrt(b_s.coeff(lab))
         row[:, row_space.block(lab)] = scale * t.power(lab)
     row_gram = row.conj().T @ row
-    row_root = psd_root(_eye(row_space.dim, exact) - row_gram, RANK_CUTOFF)
+    row_root = psd_root(sc.eye(row_space.dim) - row_gram, RANK_CUTOFF)
     lo = row_root.min_eigenvalue
     if lo < -PSD_TOL:
         raise CharFnBuildError(f"row contraction fails: eigenvalue {lo:.3e} of I - R*R")
@@ -245,17 +231,17 @@ def build_charfn(
         row @ row_defect - gamma @ row
     )
     diagnostics["row_gram_vs_pick_defect"] = spectral_norm(
-        row @ row.conj().T - (_eye(n, exact) - gamma_sq)
+        row @ row.conj().T - (sc.eye(n) - gamma_sq)
     )
 
     p = row_defect_basis.shape[1]
     q_h = complement_basis.shape[1]
-    b_block = np.hstack([row_defect @ row_defect_basis, _zeros((row_space.dim, q_h), exact)])
+    b_block = np.hstack([row_defect @ row_defect_basis, sc.zeros((row_space.dim, q_h))])
     d_block = np.hstack([-(range_unitary @ (row @ row_defect_basis)), -complement_basis])
 
     # block unitarity of U = [[R*, B], [P, D]]
-    eye_row = _eye(row_space.dim, exact)
-    eye_e = _eye(e_space.dim, exact)
+    eye_row = sc.eye(row_space.dim)
+    eye_e = sc.eye(e_space.dim)
     rel1 = row_gram + b_block @ b_block.conj().T - eye_row
     rel2 = embedding @ row + d_block @ b_block.conj().T
     rel3 = embedding @ embedding.conj().T + d_block @ d_block.conj().T - eye_e
@@ -263,14 +249,14 @@ def build_charfn(
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
     diagnostics["block_relation_e"] = spectral_norm(rel3)
     u_full = np.vstack([np.hstack([row.conj().T, b_block]), np.hstack([embedding, d_block])])
-    eye_full = _eye(n + p + q_h, exact)
-    eye_target = _eye(row_space.dim + e_space.dim, exact)
+    eye_full = sc.eye(n + p + q_h)
+    eye_target = sc.eye(row_space.dim + e_space.dim)
     diagnostics["unitary_gram"] = spectral_norm(u_full.conj().T @ u_full - eye_full)
     diagnostics["unitary_cogram"] = spectral_norm(u_full @ u_full.conj().T - eye_target)
 
     beta_cap = bound if bound is not None else max(support_cap, constant_cap)
     taylor = _taylor_coefficients(
-        t, kernel, g, b_s, qd_adj, delta, row_space, e_space, d_block, b_block, exact, beta_cap
+        t, kernel, g, b_s, qd_adj, delta, row_space, e_space, d_block, b_block, beta_cap
     )
 
     return CharFnData(
@@ -289,16 +275,15 @@ def build_charfn(
         taylor=taylor,
         support_cap=support_cap,
         constant_cap=constant_cap,
-        exact=exact,
         diagnostics=diagnostics,
     )
 
 
 def _taylor_coefficients(
-    t, kernel, g, b_s, qd_adj, delta, row_space, e_space, d_block, b_block, exact, beta_cap
+    t, kernel, g, b_s, qd_adj, delta, row_space, e_space, d_block, b_block, beta_cap
 ):
     """theta_gamma = sqrt(g_gamma) D_gamma + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha."""
-    dim = t.num_vars
+    dim, sc = t.num_vars, t.scalars
     taylor: dict = {}
 
     def bump(label, term):
@@ -308,28 +293,18 @@ def _taylor_coefficients(
             taylor[label] = term
 
     for lab in e_space.labels:
-        scale = sqrt_scalar(g.coeff(lab), exact)
+        scale = sc.sqrt(g.coeff(lab))
         bump(lab, scale * d_block[e_space.block(lab)])
     power_rows = {}
     for beta in enumerate_up_to_degree(dim, min(beta_cap, kernel.truncation)):
         power_rows[beta] = qd_adj @ delta @ t.power_adjoint(beta)
     for alpha in row_space.labels:
-        scale = sqrt_scalar(b_s.coeff(alpha), exact)
+        scale = sc.sqrt(b_s.coeff(alpha))
         block = b_block[row_space.block(alpha)]
         for beta, rows in power_rows.items():
-            coeff = kernel.coeff(beta) * scale
-            if not exact:
-                coeff = float(coeff)
+            coeff = sc.coefficient(kernel.coeff(beta) * scale)
             bump(add(alpha, beta), coeff * (rows @ block))
     return {lab: m for lab, m in taylor.items() if not is_exactly_zero(np.asarray(m))}
-
-
-def _eye(n, exact):
-    return exact_eye(n) if exact else np.eye(n)
-
-
-def _zeros(shape, exact):
-    return exact_zeros(shape) if exact else np.zeros(shape)
 
 
 def charfn_blocks_dict(cfd: CharFnData) -> dict:
@@ -370,14 +345,10 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
 
 def theta_taylor_at(cfd: CharFnData, point: Point) -> np.ndarray:
     """sum_gamma theta_gamma point^gamma."""
-    exact = cfd.exact and all(isinstance(p, (Fraction, int)) for p in point)
-    out = _zeros((cfd.fiber_dim, cfd.domain_dim), exact) if exact else np.zeros(
-        (cfd.fiber_dim, cfd.domain_dim), dtype=complex
-    )
+    sp = cfd.ops.scalars.at(point)
+    out = sp.zeros((cfd.fiber_dim, cfd.domain_dim), complex)
     for lab, mat in cfd.taylor.items():
-        mono = monomial_value(point, lab)
-        term = mat if exact else to_float_array(np.asarray(mat))
-        out = out + (mono if exact else complex(mono)) * term
+        out = out + sp.monomial(monomial_value(point, lab)) * sp.array(mat)
     return out
 
 
@@ -388,42 +359,28 @@ def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.nda
     with the Taylor-coefficient sum within ``tol``; disagreement raises
     TruncationError since it means the windows were too shallow.
     """
-    exact = cfd.exact and all(isinstance(p, (Fraction, int)) for p in point)
     t = cfd.ops
+    sc = t.scalars
+    sp = sc.at(point)
     g = cfd.factorization.positive_part
     b_s = reciprocal_complement(cfd.pick_factor)
     n = t.size
     dom = cfd.domain_dim
-    direct = _zeros((cfd.fiber_dim, dom), exact) if exact else np.zeros(
-        (cfd.fiber_dim, dom), dtype=complex
-    )
-    for lab in cfd.g_support.labels:
-        scale = sqrt_scalar(g.coeff(lab), cfd.exact)
-        mono = monomial_value(point, lab)
-        block = cfd.d_block[cfd.g_support.block(lab)]
-        if not exact:
-            block = to_float_array(np.asarray(block))
-            mono = complex(mono)
-            scale = float(scale)
-        direct = direct + scale * mono * block
+
+    def scaled_sum(space, series, blocks, rows):
+        total = sp.zeros((rows, dom), complex)
+        for lab in space.labels:
+            scale = sp.coefficient(sc.sqrt(series.coeff(lab)))
+            mono = sp.monomial(monomial_value(point, lab))
+            total = total + scale * mono * sp.array(blocks[space.block(lab)])
+        return total
+
+    direct = scaled_sum(cfd.g_support, g, cfd.d_block, cfd.fiber_dim)
     # Defect k_z(T)^* Z(z) B
     kz_adj = operator_series(t, cfd.kernel, point).conj().T
-    zb = _zeros((n, dom), exact) if exact else np.zeros((n, dom), dtype=complex)
-    for alpha in cfd.b_support.labels:
-        scale = sqrt_scalar(b_s.coeff(alpha), cfd.exact)
-        mono = monomial_value(point, alpha)
-        block = cfd.b_block[cfd.b_support.block(alpha)]
-        if not exact:
-            block = to_float_array(np.asarray(block))
-            mono = complex(mono)
-            scale = float(scale)
-        zb = zb + scale * mono * block
-    qd_adj = cfd.defect.ran_defect_basis.conj().T
-    delta = cfd.defect.defect
-    if not exact:
-        qd_adj = to_float_array(qd_adj)
-        delta = to_float_array(delta)
-        kz_adj = kz_adj.astype(complex)
+    zb = scaled_sum(cfd.b_support, b_s, cfd.b_block, n)
+    qd_adj = sp.array(cfd.defect.ran_defect_basis.conj().T)
+    delta = sp.array(cfd.defect.defect)
     direct = direct + qd_adj @ delta @ kz_adj @ zb
     taylor_sum = theta_taylor_at(cfd, point)
     gap = max_abs(np.asarray(direct) - np.asarray(taylor_sum))
@@ -507,18 +464,12 @@ class MultiplierMatrix:
     """
 
     matrix: np.ndarray
-    source_labels: tuple
     window: MonomialWindow
-    domain_dim: int
     source_degree: int
     target_degree: int
     max_taylor_degree: int
     exact_window: bool
     discarded_mass: float
-
-    @property
-    def source_dim(self) -> int:
-        return len(self.source_labels) * self.domain_dim
 
 
 def build_multiplier(cfd: CharFnData, source_degree: int, target_degree: int) -> MultiplierMatrix:
@@ -536,7 +487,7 @@ def build_multiplier(cfd: CharFnData, source_degree: int, target_degree: int) ->
         cfd.domain_dim,
         source_degree,
         target_degree,
-        exact=cfd.exact,
+        cfd.ops.scalars,
     )
 
 
@@ -548,33 +499,31 @@ def multiplier_from_taylor(
     domain_dim: int,
     source_degree: int,
     target_degree: int,
-    exact: bool = False,
+    scalars: Scalars = FLOAT,
 ) -> MultiplierMatrix:
     max_deg = max((degree(g) for g in taylor), default=0)
     if kernel.truncation < source_degree + max_deg or pick.truncation < source_degree:
         raise ValueError("kernel truncation too small for the requested windows")
-    source_labels = tuple(enumerate_up_to_degree(kernel.dim, source_degree))
-    window = MonomialWindow(kernel, fiber_dim, target_degree, exact=exact)
-    matrix = _zeros((window.dim, len(source_labels) * domain_dim), exact)
+    source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), domain_dim)
+    window = MonomialWindow(kernel, fiber_dim, target_degree, scalars)
+    matrix = scalars.zeros((window.dim, source.dim))
     discarded = 0.0
-    for j, beta in enumerate(source_labels):
-        cols = slice(j * domain_dim, (j + 1) * domain_dim)
+    for beta in source.labels:
+        cols = source.block(beta)
         for gamma, coeff in taylor.items():
             target = add(beta, gamma)
             ratio = pick.coeff(beta) / kernel.coeff(target)
             if degree(target) > target_degree:
                 discarded = max(discarded, float(ratio) * float(max_abs(np.asarray(coeff))) ** 2)
                 continue
-            scale = sqrt_scalar(ratio, exact)
+            scale = scalars.sqrt(ratio)
             matrix[window.block(target), cols] = (
                 matrix[window.block(target), cols] + scale * coeff
             )
     exact_window = target_degree >= source_degree + max_deg
     return MultiplierMatrix(
         matrix=matrix,
-        source_labels=source_labels,
         window=window,
-        domain_dim=domain_dim,
         source_degree=source_degree,
         target_degree=target_degree,
         max_taylor_degree=max_deg,
@@ -602,21 +551,25 @@ class FactorizationResidual:
 def factorization_residual(
     cfd: CharFnData, dil: DilationData, mult: MultiplierMatrix
 ) -> FactorizationResidual:
-    if dil.window.max_degree != mult.target_degree or dil.fiber_dim != mult.window.r:
+    window = dil.window
+    if (
+        window.max_degree != mult.target_degree
+        or window.block_dim != mult.window.block_dim
+        or window.scalars != mult.window.scalars
+    ):
         raise ValueError("dilation and multiplier windows do not match")
     v = dil.matrix
     m = mult.matrix
-    eye = _eye(dil.window.dim, cfd.exact and is_exact_array(v) and is_exact_array(m))
-    total = v @ v.conj().T + m @ m.conj().T - eye
+    total = v @ v.conj().T + m @ m.conj().T - window.scalars.eye(window.dim)
     restricted_degree = min(
         mult.source_degree,
         mult.target_degree - mult.max_taylor_degree,
         cfd.support_cap,
         cfd.constant_cap,
     )
-    mask = dil.window.degree_mask(restricted_degree)
+    mask = window.degree_mask(restricted_degree)
     sub = np.asarray(total)[np.ix_(mask, mask)]
-    exact_zero = bool(is_exact_array(np.asarray(total)) and is_exactly_zero(sub))
+    exact_zero = bool(window.scalars.exact and is_exactly_zero(sub))
     return FactorizationResidual(
         restricted=spectral_norm(sub),
         unrestricted=spectral_norm(np.asarray(total)),
@@ -726,19 +679,12 @@ def align_factorizations(
             raise ValueError("sample point on or outside the unit sphere")
 
     def family(cfd: CharFnData) -> np.ndarray:
-        s = cfd.pick_factor
-        labels = enumerate_up_to_degree(s.dim, source_degree)
-        dom = cfd.domain_dim
+        window = MonomialWindow(cfd.pick_factor, cfd.domain_dim, source_degree)
         cols = []
         for z in points:
             theta_adj = np.asarray(theta_taylor_at(cfd, z), dtype=complex).conj().T
             for a in range(r):
-                vec = np.zeros(len(labels) * dom, dtype=complex)
-                for i, beta in enumerate(labels):
-                    scale = np.sqrt(float(s.coeff(beta)))
-                    mono = np.conjugate(complex(monomial_value(z, beta)))
-                    vec[i * dom : (i + 1) * dom] = scale * mono * theta_adj[:, a]
-                cols.append(vec)
+                cols.append(window.kernel_vector(z, theta_adj[:, a]))
         return np.array(cols).T
 
     fam1, fam2 = family(cfd1), family(cfd2)

@@ -21,7 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import presets
+from ._linalg import ExactnessError
 from .charfn import build_charfn, charfn_blocks_dict
+from .dilation import WindowError
 from .operators import (
     OperatorTuple,
     defect_data,
@@ -300,11 +302,17 @@ def cmd_charfn(args) -> int:
         "configuration": config.name,
         "description": config.description,
     }
-    if args.charfn_cmd == "verify":
-        checks = run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
-    else:
-        checks = _build_checks(config)
-    if args.dump_theta:
+    try:
+        if args.charfn_cmd == "verify":
+            checks = run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
+        else:
+            checks = _build_checks(config)
+    except (ExactnessError, WindowError) as exc:
+        raise InputError(str(exc)) from exc
+    pure = next(c for c in checks if c.name == "purity").verdict == "pass"
+    if args.dump_theta and not pure:
+        print(f"theta not written to {args.dump_theta}: the tuple is not pure")
+    elif args.dump_theta:
         cfd = build_charfn(
             defect_data(config.ops, config.kernel, config.pick_factor),
             config.factorization,

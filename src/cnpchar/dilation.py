@@ -25,16 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import (
+    FLOAT,
     ExactnessError,
-    exact_zeros,
-    is_exact_array,
+    Scalars,
     min_eigenvalue,
     orth_complement_of_range,
     spectral_norm,
-    sqrt_scalar,
     to_float_array,
 )
-from .multiindex import MultiIndex, add, degree, enumerate_up_to_degree, monomial_value, unit
+from .multiindex import BlockSpace, add, degree, enumerate_up_to_degree, monomial_value, unit
 from .operators import (
     DefectData,
     OperatorTuple,
@@ -49,44 +48,46 @@ class TruncationError(RuntimeError):
     """Two representations that must agree differ beyond tolerance."""
 
 
-class MonomialWindow:
+class WindowError(ValueError):
+    """A monomial window reaches beyond the truncation of its kernel."""
+
+
+class MonomialWindow(BlockSpace):
     """The truncated space H_k^{<=degree} (x) C^r in the normalized monomial basis.
 
-    Coordinates are grouped in blocks of size r per monomial label, in graded
-    label order.
+    A block space with one block of size r = ``block_dim`` per monomial
+    label of degree <= ``max_degree``, in graded label order. Matrices on it
+    are built in the arithmetic ``scalars``.
     """
 
-    def __init__(self, kernel: KernelSeries, fiber_dim: int, max_degree: int, exact: bool = False):
+    def __init__(
+        self, kernel: KernelSeries, fiber_dim: int, max_degree: int, scalars: Scalars = FLOAT
+    ):
         if max_degree > kernel.truncation:
-            raise ValueError("window degree exceeds the kernel truncation")
+            raise WindowError(
+                f"window degree {max_degree} exceeds the kernel truncation {kernel.truncation}"
+            )
+        super().__init__(enumerate_up_to_degree(kernel.dim, max_degree), fiber_dim)
         self.kernel = kernel
-        self.r = fiber_dim
         self.max_degree = max_degree
-        self.exact = exact
-        self.labels = tuple(enumerate_up_to_degree(kernel.dim, max_degree))
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self.dim = len(self.labels) * fiber_dim
+        self.scalars = scalars
         self.degrees = np.array([degree(lab) for lab in self.labels])
-
-    def block(self, label: MultiIndex) -> slice:
-        i = self.label_index[label]
-        return slice(i * self.r, (i + 1) * self.r)
 
     def degree_mask(self, max_degree: int) -> np.ndarray:
         """Boolean coordinate mask selecting blocks of degree <= max_degree."""
-        return np.repeat(self.degrees <= max_degree, self.r)
+        return np.repeat(self.degrees <= max_degree, self.block_dim)
 
     def multiplication_matrix(self, i: int) -> np.ndarray:
         """Matrix of (M_{z_i} tensor I_r) on the window; top degree is compressed to 0."""
-        out = exact_zeros((self.dim, self.dim)) if self.exact else np.zeros((self.dim, self.dim))
+        out = self.scalars.zeros((self.dim, self.dim))
         for lab in self.labels:
             if degree(lab) == self.max_degree:
                 continue
             target = add(lab, unit(self.kernel.dim, i))
             ratio = self.kernel.coeff(lab) / self.kernel.coeff(target)
-            entry = sqrt_scalar(ratio, self.exact)
+            entry = self.scalars.sqrt(ratio)
             src, dst = self.block(lab), self.block(target)
-            for j in range(self.r):
+            for j in range(self.block_dim):
                 out[dst.start + j, src.start + j] = entry
         return out
 
@@ -97,7 +98,7 @@ class MonomialWindow:
         sqrt(a_alpha) * conj(point^alpha).
         """
         fiber = np.asarray(fiber)
-        if fiber.shape != (self.r,):
+        if fiber.shape != (self.block_dim,):
             raise ValueError("fiber vector has wrong length")
         out = np.zeros(self.dim, dtype=complex)
         for lab in self.labels:
@@ -123,7 +124,7 @@ class DilationData:
 
     @property
     def fiber_dim(self) -> int:
-        return self.window.r
+        return self.window.block_dim
 
 
 def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
@@ -147,15 +148,15 @@ def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
     delta = defect.defect
     if delta is None:
         raise ExactnessError("defect square root unavailable; use float mode")
-    exact = t.exact and is_exact_array(delta)
+    sc = t.scalars
     q = defect.ran_defect_basis
-    window = MonomialWindow(kernel, q.shape[1], target_degree, exact=exact)
-    v = exact_zeros((window.dim, t.size)) if exact else np.zeros((window.dim, t.size))
+    window = MonomialWindow(kernel, q.shape[1], target_degree, sc)
+    v = sc.zeros((window.dim, t.size))
     bound = t.nilpotency_bound
     for lab in window.labels:
         if bound is not None and degree(lab) > bound:
             continue
-        scale = sqrt_scalar(kernel.coeff(lab), exact)
+        scale = sc.sqrt(kernel.coeff(lab))
         v[window.block(lab)] = scale * (q.conj().T @ delta @ t.power_adjoint(lab))
     gram_gap = v.conj().T @ v - t.identity()
     residual = spectral_norm(gram_gap)

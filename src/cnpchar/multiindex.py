@@ -9,7 +9,7 @@ This makes every degree-raising operator matrix block-lower-triangular.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -91,3 +91,21 @@ def monomial_value(point, alpha: MultiIndex):
     for p, a in zip(point, alpha):
         out = out * p**a
     return out
+
+
+class BlockSpace:
+    """A direct sum of identical blocks of size ``block_dim``, one per multi-index label.
+
+    Coordinates are grouped by label in the order given; ``block(label)`` is
+    the slice of that label's coordinates.
+    """
+
+    def __init__(self, labels: Sequence[MultiIndex], block_dim: int):
+        self.labels = tuple(labels)
+        self.block_dim = block_dim
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self.dim = len(self.labels) * block_dim
+
+    def block(self, label: MultiIndex) -> slice:
+        i = self.index[label]
+        return slice(i * self.block_dim, (i + 1) * self.block_dim)

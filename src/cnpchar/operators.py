@@ -23,15 +23,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._linalg import (
+    EXACT,
+    FLOAT,
     ExactnessError,
+    Scalars,
     adjoint,
-    eye_like,
-    exact_zeros,
     is_exact_array,
     max_abs,
     min_eigenvalue,
@@ -48,11 +49,18 @@ from .multiindex import (
     compositions,
     degree,
     enumerate_up_to_degree,
+    monomial_value,
     unit,
 )
-from .series import KernelSeries, RealSeries, reciprocal_complement
-
-Series = Union[KernelSeries, RealSeries]
+from .series import (
+    KernelSeries,
+    RealSeries,
+    _scalar_from_string,
+    _scalar_to_string,
+    kernel_from_spec,
+    kernel_to_spec,
+    reciprocal_complement,
+)
 
 
 # Shared by every construction read from a DefectData: a squared defect (or the
@@ -136,8 +144,13 @@ class OperatorTuple:
     def exact(self) -> bool:
         return is_exact_array(self.mats[0])
 
+    @property
+    def scalars(self) -> Scalars:
+        """The arithmetic of the matrices: EXACT for object arrays, else FLOAT."""
+        return EXACT if self.exact else FLOAT
+
     def identity(self) -> np.ndarray:
-        return eye_like(self.mats[0], self.size)
+        return self.scalars.eye(self.size, self.mats[0].dtype)
 
     def power(self, alpha: MultiIndex) -> np.ndarray:
         """T^alpha = T_1^a1 ... T_d^ad, memoized along the graded recursion."""
@@ -150,7 +163,7 @@ class OperatorTuple:
         if all(a == 0 for a in alpha):
             out = self.identity()
         elif self.nilpotency_bound is not None and degree(alpha) > self.nilpotency_bound:
-            out = exact_zeros((self.size, self.size)) if self.exact else np.zeros_like(self.mats[0])
+            out = self.scalars.zeros((self.size, self.size), self.mats[0].dtype)
         else:
             i = next(j for j, a in enumerate(alpha) if a > 0)
             out = self.mats[i] @ self.power(subtract_unit(alpha, i))
@@ -194,23 +207,23 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
     labels = tuple(enumerate_up_to_degree(dim, degree_cut))
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    exact = mode == "exact"
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    mats = [exact_zeros((n, n)) if exact else np.zeros((n, n)) for _ in range(dim)]
+    sc = EXACT if mode == "exact" else FLOAT
+    mats = [sc.zeros((n, n)) for _ in range(dim)]
     for lab in labels:
         if degree(lab) == degree_cut:
             continue
         src = index[lab]
         for i in range(dim):
             target = add(lab, unit(dim, i))
-            if exact:
+            if sc.exact:
                 mats[i][index[target], src] = Fraction(1)
             else:
                 ratio = kernel.coeff(lab) / kernel.coeff(target)
                 mats[i][index[target], src] = np.sqrt(float(ratio))
     weights = None
-    if exact:
+    if sc.exact:
         weights = np.array([Fraction(1, 1) / kernel.coeff(lab) for lab in labels], dtype=object)
     return OperatorTuple(tuple(mats), weights, labels, degree_cut, kernel)
 
@@ -221,7 +234,7 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
 
 def conjugated_sum(
     t: OperatorTuple,
-    series: Series,
+    series: RealSeries,
     middle: Optional[np.ndarray] = None,
     include_zero: bool = False,
     degree_cap: int = 64,
@@ -236,25 +249,23 @@ def conjugated_sum(
     """
     if series.dim != t.num_vars:
         raise ValueError("series dimension does not match the tuple")
-    n = t.size
-    total = exact_zeros((n, n)) if t.exact else np.zeros((n, n), dtype=t.mats[0].dtype)
+    n, sc, dtype = t.size, t.scalars, t.mats[0].dtype
+    total = sc.zeros((n, n), dtype)
     if include_zero:
         term = middle if middle is not None else t.identity()
-        c0 = series.coeff_1d(0)
-        total = total + (c0 if t.exact else float(c0)) * term
+        total = total + sc.coefficient(series.coeff_1d(0)) * term
     bound = t.nilpotency_bound
     top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
     support_max = max((i for i, c in enumerate(series.coefficients) if i >= 1 and c != 0), default=0)
     loop_top = min(top, support_max)
     increments = []
     for deg in range(1, loop_top + 1):
-        inc = exact_zeros((n, n)) if t.exact else np.zeros((n, n), dtype=t.mats[0].dtype)
+        inc = sc.zeros((n, n), dtype)
         for alpha in compositions(deg, t.num_vars):
             c = series.coeff(alpha)
             if c == 0:
                 continue
-            if not t.exact:
-                c = float(c)
+            c = sc.coefficient(c)
             p = t.power(alpha)
             conj = adjoint(p, t.weights)
             inc = inc + c * (p @ middle @ conj if middle is not None else p @ conj)
@@ -409,7 +420,7 @@ def purity_check(
 
 def operator_series(
     t: OperatorTuple,
-    series: Series,
+    series: RealSeries,
     point: Sequence,
     degree_cap: int = 64,
     stop_tol: float = 1e-13,
@@ -421,41 +432,29 @@ def operator_series(
     """
     if series.dim != t.num_vars or len(point) != t.num_vars:
         raise ValueError("dimension mismatch")
-    point_exact = all(isinstance(p, (Fraction, int)) for p in point)
-    exact = t.exact and point_exact
+    sc = t.scalars.at(point)
     n = t.size
-    total = exact_zeros((n, n)) if exact else np.zeros((n, n), dtype=complex)
+    total = sc.zeros((n, n), complex)
     bound = t.nilpotency_bound
     top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
     prev = None
     for deg in range(0, top + 1):
-        inc = exact_zeros((n, n)) if exact else np.zeros((n, n), dtype=complex)
+        inc = sc.zeros((n, n), complex)
         for alpha in compositions(deg, t.num_vars):
             c = series.coeff(alpha)
             if c == 0:
                 continue
-            mono = 1
-            for p, a in zip(point, alpha):
-                mono = mono * p**a
-            scalar = c * _conj(mono)
-            term = t.power(alpha)
-            if not exact:
-                term = to_float_array(term)
-                scalar = complex(scalar)
-            inc = inc + scalar * term
+            scalar = c * monomial_value(point, alpha).conjugate()
+            inc = inc + sc.monomial(scalar) * sc.array(t.power(alpha))
         total = total + inc
         prev = max_abs(inc)
     if bound is None and degree_cap <= series.truncation and (prev is None or prev > stop_tol):
         raise ConvergenceError(f"operator series did not settle below {stop_tol} by degree {top}")
-    if not exact and not any(isinstance(x, complex) for x in np.asarray(point).flat):
+    if not sc.exact and not any(isinstance(x, complex) for x in np.asarray(point).flat):
         # real point, real tuple: keep the result real when it is
         if np.allclose(total.imag, 0.0):
             return total.real
     return total
-
-
-def _conj(x):
-    return x.conjugate() if hasattr(x, "conjugate") else x
 
 
 def compress(t: OperatorTuple, basis: np.ndarray, coinvariance_tol: float = 1e-10) -> OperatorTuple:
@@ -519,8 +518,6 @@ def random_coinvariant_compression(
 
 def tuple_to_spec(t: OperatorTuple) -> dict:
     """JSON-compatible dict: dense row-major matrices, rational strings in exact mode."""
-    from .series import _scalar_to_string, kernel_to_spec
-
     def encode(m):
         if t.exact:
             return [[_scalar_to_string(x) for x in row] for row in m.tolist()]
@@ -537,8 +534,6 @@ def tuple_to_spec(t: OperatorTuple) -> dict:
 
 
 def tuple_from_spec(spec: dict) -> OperatorTuple:
-    from .series import _scalar_from_string, kernel_from_spec
-
     try:
         mode = spec["mode"]
         raw = spec["matrices"]
@@ -599,7 +594,7 @@ def quadratic_form_certificate(
     labels = t.basis_labels
     index = {lab: i for i, lab in enumerate(labels)}
     n = t.size
-    exact = t.exact
+    sc = t.scalars
     mask = np.array([degree(lab) > base_degree for lab in labels])
     adjoints = [adjoint(m, t.weights) for m in t.mats]
     b = reciprocal_complement(form_kernel)
@@ -610,10 +605,10 @@ def quadratic_form_certificate(
         if isinstance(v, tuple):
             if v not in index:
                 raise ValueError(f"test vector {v} outside the window")
-            vec = exact_zeros(n) if exact else np.zeros(n)
-            vec[index[v]] = Fraction(1) if exact else 1.0
+            vec = sc.zeros(n)
+            vec[index[v]] = 1
         else:
-            vec = np.asarray(v, dtype=object if exact else None)
+            vec = np.asarray(v, dtype=object if sc.exact else None)
             if vec.shape != (n,):
                 raise ValueError("test vector has the wrong length for the window")
         # <(I - sum b_alpha M^a P M^a*) v, v> via lowered copies of v only:
@@ -630,8 +625,7 @@ def quadratic_form_certificate(
                 c = b.coeff(alpha)
                 if c == 0:
                     continue
-                if not exact:
-                    c = float(c)
+                c = sc.coefficient(c)
                 value = value - c * weighted_inner(np.where(mask, w, 0 * w), w, t.weights)
             lowered = next_lowered
         values.append(value / total)

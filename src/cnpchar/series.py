@@ -23,7 +23,7 @@ sequences, which is what makes the one-variable calculus sufficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -51,7 +51,7 @@ class RealSeries:
     """
 
     coefficients: tuple
-    dim: int = 1
+    dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
@@ -84,8 +84,9 @@ class RealSeries:
     def support_degrees(self) -> list[int]:
         return [n for n, c in enumerate(self.coefficients) if c != 0]
 
-    def to_float(self) -> "RealSeries":
-        return RealSeries(tuple(float(c) for c in self.coefficients), self.dim)
+    def to_float(self):
+        """The same series (and kind of series) with float coefficients."""
+        return replace(self, coefficients=tuple(float(c) for c in self.coefficients))
 
 
 class KernelValue(NamedTuple):
@@ -94,7 +95,7 @@ class KernelValue(NamedTuple):
 
 
 @dataclass(frozen=True)
-class KernelSeries:
+class KernelSeries(RealSeries):
     """A unitarily invariant kernel sum_n a_n <z,w>^n, truncated at order N.
 
     Invariants enforced at construction: a_0 = 1 and a_n > 0 for every stored
@@ -103,52 +104,20 @@ class KernelSeries:
     the built-in kernels declare it.
     """
 
-    coefficients: tuple
-    dim: int
     radius_one_declared: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if not self.coefficients:
-            raise ValueError("empty coefficient sequence")
+        super().__post_init__()
         if self.coefficients[0] != 1:
             raise ValueError(f"a_0 must be 1, got {self.coefficients[0]}")
         for n, a in enumerate(self.coefficients):
             if not a > 0:
                 raise ValueError(f"coefficient a_{n} = {a} is not strictly positive")
 
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coefficients)
-
-    def coeff_1d(self, n: int):
-        if n < 0 or n > self.truncation:
-            raise ValueError(f"degree {n} beyond truncation {self.truncation}")
-        return self.coefficients[n]
-
-    def coeff(self, alpha: Optional[MultiIndex]):
-        """Multi-index lift a_alpha = a_|alpha| * multinomial(alpha); 0 off the cone."""
-        if alpha is None:
-            return 0
-        if len(alpha) != self.dim:
-            raise ValueError(f"multi-index dimension {len(alpha)} != {self.dim}")
-        return self.coeff_1d(degree(alpha)) * multinomial(alpha)
-
     def monomial_norm_sq(self, alpha: MultiIndex):
         """Squared norm of z^alpha in the kernel's space: 1 / a_alpha."""
         a = self.coeff(alpha)
         return Fraction(1, 1) / a if _is_exact(a) else 1.0 / a
-
-    def to_float(self) -> "KernelSeries":
-        return KernelSeries(
-            tuple(float(c) for c in self.coefficients), self.dim, self.radius_one_declared
-        )
 
     def evaluate(self, z: Sequence, w: Sequence, truncated: bool = False) -> KernelValue:
         """Partial sum of the kernel at a pair of points inside the ball.
@@ -163,7 +132,7 @@ class KernelSeries:
             raise ValueError("point dimension mismatch")
         if _norm_sq(z) >= 1 or _norm_sq(w) >= 1:
             raise ValueError("point on or outside the unit sphere")
-        t = sum(zi * _conj(wi) for zi, wi in zip(z, w))
+        t = sum(zi * wi.conjugate() for zi, wi in zip(z, w))
         value = self.coefficients[-1]
         for a in reversed(self.coefficients[:-1]):
             value = value * t + a
@@ -180,10 +149,6 @@ class KernelSeries:
         else:
             tail = math.inf
         return KernelValue(value, tail)
-
-
-def _conj(x):
-    return x.conjugate() if hasattr(x, "conjugate") else x
 
 
 def _norm_sq(point) -> float:

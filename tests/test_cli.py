@@ -94,12 +94,25 @@ class TestCharFnCommands:
         assert theta["fiber_dim"] == 1 and theta["domain_dim"] == 1
         assert theta["b_block"]["shape"] == [2, 1]
 
-    def test_exact_mode_jordan(self, tmp_path):
+    @pytest.mark.parametrize("preset", ["jordan", "two_cells"])
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_exact_mode_jordan(self, tmp_path, command, preset):
         out = tmp_path / "r.json"
-        code = main(["charfn", "build", "--preset", "jordan", "--mode", "exact", "--out", str(out)])
+        code = main(["charfn", command, "--preset", preset, "--mode", "exact", "--out", str(out)])
         assert code == 0
         report = read_report(out)
+        assert all(c["verdict"] == "pass" for c in report["checks"])
         assert any(c.get("exact") for c in report["checks"])
+        if command == "verify":
+            exact = {c["name"]: c["exact"] for c in report["checks"]}
+            for name in ("purity", "defect_embedding_gram", "projection_partition"):
+                assert exact[name] is True, name
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_exact_mode_irrational_defect_exits_two(self, command, capsys):
+        code = main(["charfn", command, "--preset", "k2_da_d1_n1", "--mode", "exact"])
+        assert code == 2
+        assert "defect roots are not rational" in capsys.readouterr().err
 
     def test_custom_model_build(self, specs, tmp_path):
         code = main(
@@ -158,6 +171,17 @@ class TestCharFnCommands:
         assert report["checks"][0]["verdict"] == "fail"
         assert report["checks"][0]["residual"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_nonpure_theta_dump_skipped(self, tmp_path, capsys, command):
+        out, dump = tmp_path / "r.json", tmp_path / "theta.json"
+        code = main(
+            ["charfn", command, "--preset", "nonpure", "--dump-theta", str(dump), "--out", str(out)]
+        )
+        assert code == 1
+        assert read_report(out)["checks"][0]["verdict"] == "fail"
+        assert not dump.exists()
+        assert "not pure" in capsys.readouterr().out
+
     def test_unknown_preset_exits_two(self):
         assert main(["charfn", "build", "--preset", "nope"]) == 2
 
@@ -166,8 +190,12 @@ class TestCharFnCommands:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--d", "1", "--model-degree", "-1"], ["--d", "1", "--model-degree", "1", "--degree-cap", "40"]],
-        ids=["negative_model_degree", "degree_cap_beyond_truncation"],
+        [
+            ["--d", "1", "--model-degree", "-1"],
+            ["--d", "1", "--model-degree", "1", "--degree-cap", "40"],
+            ["--d", "1", "--model-degree", "1", "--N", "16"],
+        ],
+        ids=["negative_model_degree", "degree_cap_beyond_truncation", "window_beyond_truncation"],
     )
     def test_bad_model_flags_exit_two(self, specs, flags):
         args = ["charfn", "verify", "--kernel", specs["bergman_m2"], "--cnp-factor", specs["k1"]]
