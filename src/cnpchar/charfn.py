@@ -603,35 +603,35 @@ class KInnerData:
 
 
 def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e-9) -> KInnerData:
-    dom = cfd.domain_dim
-    gram = np.zeros((dom, dom))
-    for gamma, coeff in cfd.taylor.items():
-        c = to_float_array(np.asarray(coeff))
-        gram += (c.conj().T @ c).real / float(cfd.kernel.coeff(gamma))
+    """The constants on which M_theta is isometric, and their shift residual.
+
+    ``basis`` spans the eigenvectors of G = sum_gamma theta_gamma^* theta_gamma / k_gamma
+    with eigenvalue >= 1 - eig_tol (EmptyKInnerError if there is none). ``shift_residual``
+    is max |basis^* S_alpha basis| over 1 <= |alpha| <= check_degree: the shifts
+    S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
+    """
+    labels, dom = list(cfd.taylor), cfd.domain_dim
+    row = {gamma: i for i, gamma in enumerate(labels)}
+    stack = np.array([to_float_array(np.asarray(c)) for c in cfd.taylor.values()])
+    stack = stack.reshape(len(labels), cfd.fiber_dim, dom)
+    inv_k = 1.0 / np.array([float(cfd.kernel.coeff(g)) for g in labels])[:, None, None]
+    gram = (stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)).real
     vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
-    excess = max(0.0, float(vals.max(initial=0.0)) - 1.0)
+    top = float(vals.max(initial=0.0))
     sel = vals >= 1.0 - eig_tol
     if not sel.any():
         raise EmptyKInnerError(
-            f"empty k-inner space: largest Gram eigenvalue {vals.max(initial=0.0):.6f} < 1"
+            f"empty k-inner space: largest Gram eigenvalue 1 - {1.0 - top:.3e} is below 1 - eig_tol ({eig_tol:g})"
         )
     basis = vecs[:, sel]
+    proj = stack @ basis
     worst = 0.0
-    dim = cfd.kernel.dim
-    for alpha in enumerate_up_to_degree(dim, check_degree):
-        if degree(alpha) == 0:
-            continue
-        shift = np.zeros((dom, dom), dtype=complex)
-        for gamma, coeff in cfd.taylor.items():
-            upper = add(gamma, alpha)
-            other = cfd.taylor.get(upper)
-            if other is None:
-                continue
-            c = to_float_array(np.asarray(coeff))
-            o = to_float_array(np.asarray(other))
-            shift += (c.conj().T @ o) / float(cfd.kernel.coeff(upper))
-        worst = max(worst, max_abs(basis.conj().T @ shift @ basis))
-    return KInnerData(basis, vals, worst, excess)
+    for alpha in enumerate_up_to_degree(cfd.kernel.dim, check_degree)[1:]:
+        pairs = [(i, row[up]) for i, g in enumerate(labels) if (up := add(g, alpha)) in row]
+        low, high = np.array(pairs, dtype=int).reshape(-1, 2).T
+        shift = np.tensordot(proj[low].conj(), proj[high] * inv_k[high], axes=([0, 1], [0, 1]))
+        worst = max(worst, max_abs(shift))
+    return KInnerData(basis, vals, worst, max(0.0, top - 1.0))
 
 
 # ---------------------------------------------------------------------------

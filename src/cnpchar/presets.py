@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charfn import (
+    EmptyKInnerError,
     align_factorizations,
     build_charfn,
     build_multiplier,
@@ -438,11 +439,10 @@ def run_configuration_checks(
         rec.checks.append(_check("projection_partition", fr.restricted, composite_tol, fr.restricted_exact))
 
     with rec.timing("k_inner_space"):
-        ki = k_inner_subspace(cfd)
-        ki_ok = ki.dim >= 1 and ki.shift_residual <= TOL_BLOCK
-        rec.checks.append(
-            CheckResult("k_inner_space", "pass" if ki_ok else "fail", float(ki.shift_residual), None, 0.0)
-        )
+        try:
+            rec.checks.append(_check("k_inner_space", k_inner_subspace(cfd).shift_residual, TOL_BLOCK))
+        except EmptyKInnerError:
+            rec.checks.append(CheckResult("k_inner_space", "fail", None, None, 0.0))
 
     with rec.timing("functional_model"):
         _, report = functional_model(cfd, dil, mult)

@@ -22,6 +22,7 @@ from cnpchar.charfn import (
     theta_taylor_at,
 )
 from cnpchar.dilation import build_dilation
+from cnpchar.multiindex import add, degree, enumerate_up_to_degree
 from cnpchar.operators import (
     NotContractionError,
     NotPureError,
@@ -398,6 +399,71 @@ class TestKInner:
         fake = _clone_with_taylor(cfd, shrunk)
         with pytest.raises(EmptyKInnerError):
             k_inner_subspace(fake)
+
+    def test_empty_message_names_the_gap(self, jordan_exact):
+        short = {(0,): np.array([[np.sqrt(1.0 - 4e-9)]])}
+        with pytest.raises(EmptyKInnerError, match=r"1 - 4\.000e-09 is below 1 - eig_tol \(1e-09\)"):
+            k_inner_subspace(_clone_with_taylor(jordan_exact[0], short))
+
+    def test_shift_residual_closed_form(self, jordan_exact):
+        # theta(z) = 0.6 + 0.8 z over Szego: the Gram is 0.36 + 0.64 = 1 and the
+        # first shift pairs theta_0 with theta_1, so the residual is 0.6 * 0.8
+        ki = k_inner_subspace(_clone_with_taylor(jordan_exact[0], _LINEAR_THETA))
+        assert ki.dim == 1
+        assert ki.shift_residual == pytest.approx(0.48, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            lambda request: request.getfixturevalue("k2_da")[0],
+            lambda request: _preset_charfn("k2_da_d2_n2_c"),
+            lambda request: _clone_with_taylor(request.getfixturevalue("jordan_exact")[0], _LINEAR_THETA),
+        ],
+        ids=["k2_da", "k2_da_d2_n2_c", "linear_szego"],
+    )
+    def test_matches_dense_reference(self, request, theta):
+        cfd = theta(request)
+        ki = k_inner_subspace(cfd)
+        vals, dim, shift = _dense_k_inner_reference(cfd)
+        assert ki.dim == dim
+        assert np.max(np.abs(ki.gram_eigenvalues - vals)) < 1e-12
+        assert abs(ki.shift_residual - shift) < 1e-14
+
+
+_LINEAR_THETA = {(0,): np.array([[0.6]]), (1,): np.array([[0.8]])}
+
+
+def _preset_charfn(name):
+    t, fac, caps = preset_inputs(name)
+    return charfn_of(t, fac, **caps)
+
+
+def _dense_k_inner_reference(cfd, check_degree=3, eig_tol=1e-9):
+    """The k-inner check with one dense domain x domain matrix per Taylor term.
+
+    Returns the Gram eigenvalues, the k-inner dimension and the largest entry
+    of basis^* S_alpha basis over 1 <= |alpha| <= check_degree.
+    """
+    dom = cfd.domain_dim
+    gram = np.zeros((dom, dom))
+    for gamma, coeff in cfd.taylor.items():
+        c = to_float_array(np.asarray(coeff))
+        gram += (c.conj().T @ c).real / float(cfd.kernel.coeff(gamma))
+    vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
+    basis = vecs[:, vals >= 1.0 - eig_tol]
+    worst = 0.0
+    for alpha in enumerate_up_to_degree(cfd.kernel.dim, check_degree):
+        if degree(alpha) == 0:
+            continue
+        shift = np.zeros((dom, dom), dtype=complex)
+        for gamma, coeff in cfd.taylor.items():
+            upper = add(gamma, alpha)
+            if upper in cfd.taylor:
+                c = to_float_array(np.asarray(coeff))
+                o = to_float_array(np.asarray(cfd.taylor[upper]))
+                shift += (c.conj().T @ o) / float(cfd.kernel.coeff(upper))
+        worst = max(worst, max_abs(basis.conj().T @ shift @ basis))
+    return vals, basis.shape[1], worst
 
 
 def _clone_with_taylor(cfd, taylor):

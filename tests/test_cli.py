@@ -162,6 +162,18 @@ class TestCharFnCommands:
             )
             assert code == 0
 
+    def test_empty_k_inner_space_is_a_failed_check(self, specs, tmp_path):
+        # T = 0.6 is not nilpotent, so the default window is too shallow for
+        # theta to reach a unit Gram eigenvalue: the check fails, the run goes on
+        spec, out = tmp_path / "tuple.json", tmp_path / "r.json"
+        spec.write_text(json.dumps({"mode": "float", "matrices": [[[0.6]]]}))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(spec)]
+        assert main(["charfn", "verify", *args, "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in read_report(out)["checks"]}
+        assert len(checks) == 14
+        assert checks["k_inner_space"]["verdict"] == "fail"
+        assert checks["k_inner_space"]["residual"] is None
+
     def test_nonpure_exits_one(self, tmp_path):
         out = tmp_path / "r.json"
         code = main(["charfn", "build", "--preset", "nonpure", "--out", str(out)])
