@@ -61,14 +61,6 @@ def adjoint(a: np.ndarray, weights=None) -> np.ndarray:
     return at * (w[None, :] / w[:, None])
 
 
-def weighted_inner(x, y, weights=None):
-    """<x, y> = sum_i w_i x_i conj(y_i)."""
-    yc = np.conjugate(y)
-    if weights is None:
-        return (np.asarray(x) * yc).sum()
-    return (np.asarray(weights) * np.asarray(x) * yc).sum()
-
-
 def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0

@@ -20,6 +20,7 @@ Float-mode tuples use the orthonormalized monomial basis.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +42,6 @@ from ._linalg import (
     range_basis,
     spectral_norm,
     to_float_array,
-    weighted_inner,
 )
 from .multiindex import (
     MultiIndex,
@@ -50,6 +50,7 @@ from .multiindex import (
     degree,
     enumerate_up_to_degree,
     monomial_value,
+    subtract,
     unit,
 )
 from .series import (
@@ -570,63 +571,65 @@ def quadratic_form_certificate(
 ):
     """Values of the contraction form of ``form_kernel`` on a co-invariant window.
 
-    Builds the multiplication model of ``kernel`` up to ``window_degree`` and
-    evaluates, for each test vector v,
+    For each test vector v in the multiplication model of ``kernel`` up to
+    ``window_degree``, the value is
 
         < (I - sum_{alpha != 0} b_alpha M^alpha P M^{alpha *}) v, v > / <v, v>
 
-    where P projects onto the span of monomials of degree above
-    ``base_degree`` (within the window) and b comes from ``form_kernel``.
-    Vectors may be given as multi-index labels (meaning the corresponding
-    normalized monomial) or as coordinate arrays. Values are exact rationals
-    in exact mode. Lowering-then-raising keeps every test vector's degree, so
-    the window truncation does not perturb the values.
+    with P the projection onto monomials of degree above ``base_degree`` and
+    b from ``form_kernel``. With a and b the multi-index lifts, M^{alpha *}
+    sends e_gamma = sqrt(a_gamma) z^gamma to sqrt(a_{gamma-alpha} / a_gamma)
+    e_{gamma-alpha}, so the form is diagonal and no matrix is formed:
+
+        d_gamma = 1 - sum_{0 != alpha <= gamma, |gamma| - |alpha| > base}
+                      b_alpha a_{gamma-alpha} / a_gamma.
+
+    A label gamma gets d_gamma; a nonzero coordinate array over the window's
+    labels in graded order gets sum w |v_gamma|^2 d_gamma / sum w |v_gamma|^2,
+    with w = 1/a_gamma in exact mode (over z^gamma; rational values) and
+    w = 1 in float mode (over e_gamma; float coefficients only).
     """
     if kernel.dim != form_kernel.dim:
         raise ValueError("kernel dimensions differ")
-    dim = kernel.dim
-    label_vectors = [v for v in vectors if isinstance(v, tuple)]
-    needed = max((degree(v) for v in label_vectors), default=0)
+    needed = max((degree(v) for v in vectors if isinstance(v, tuple)), default=0)
     window = window_degree if window_degree is not None else max(base_degree + 2, needed)
     if needed > window:
         raise ValueError("test vector outside the window")
-    t = model_tuple(kernel, dim, window, mode=mode)
-    labels = t.basis_labels
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = t.size
-    sc = t.scalars
-    mask = np.array([degree(lab) > base_degree for lab in labels])
-    adjoints = [adjoint(m, t.weights) for m in t.mats]
+    if window > kernel.truncation:
+        raise ValueError("model degree exceeds the kernel truncation")
+    labels = enumerate_up_to_degree(kernel.dim, window)
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    exact = mode == "exact"
+    if not exact:
+        kernel, form_kernel = kernel.to_float(), form_kernel.to_float()
     b = reciprocal_complement(form_kernel)
-    support = max((i for i, c in enumerate(b.coefficients) if i >= 1 and c != 0), default=0)
-    top = min(window, support)
+
+    def entry(gamma):
+        top = min(degree(gamma) - base_degree - 1, b.truncation)
+        lowered = 0
+        for alpha in itertools.product(*(range(g + 1) for g in gamma)):
+            if 1 <= degree(alpha) <= top:
+                lowered += b.coeff(alpha) * kernel.coeff(subtract(gamma, alpha))
+        return 1 - lowered / kernel.coeff(gamma)
+
     values = []
     for v in vectors:
         if isinstance(v, tuple):
-            if v not in index:
+            if v not in labels:
                 raise ValueError(f"test vector {v} outside the window")
-            vec = sc.zeros(n)
-            vec[index[v]] = 1
-        else:
-            vec = np.asarray(v, dtype=object if sc.exact else None)
-            if vec.shape != (n,):
-                raise ValueError("test vector has the wrong length for the window")
-        # <(I - sum b_alpha M^a P M^a*) v, v> via lowered copies of v only:
-        # each term is b_alpha <P (M^a)* v, (M^a)* v>
-        lowered = {(0,) * dim: vec}
-        total = weighted_inner(vec, vec, t.weights)
-        value = total
-        for deg in range(1, top + 1):
-            next_lowered = {}
-            for alpha in compositions(deg, dim):
-                i = next(j for j, a in enumerate(alpha) if a > 0)
-                w = adjoints[i] @ lowered[subtract_unit(alpha, i)]
-                next_lowered[alpha] = w
-                c = b.coeff(alpha)
-                if c == 0:
-                    continue
-                c = sc.coefficient(c)
-                value = value - c * weighted_inner(np.where(mask, w, 0 * w), w, t.weights)
-            lowered = next_lowered
-        values.append(value / total)
+            values.append(entry(v))
+            continue
+        vec = np.asarray(v, dtype=object if exact else None)
+        if vec.shape != (len(labels),):
+            raise ValueError("test vector has the wrong length for the window")
+        num = den = 0
+        for gamma, x in zip(labels, vec):
+            if x != 0:
+                w = x * x.conjugate() / (kernel.coeff(gamma) if exact else 1)
+                num += w * entry(gamma)
+                den += w
+        if den == 0:
+            raise ValueError("zero test vector")
+        values.append(num / den)
     return values

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -81,9 +82,6 @@ class RealSeries:
             raise ValueError(f"multi-index dimension {len(alpha)} != {self.dim}")
         return self.coeff_1d(degree(alpha)) * multinomial(alpha)
 
-    def support_degrees(self) -> list[int]:
-        return [n for n, c in enumerate(self.coefficients) if c != 0]
-
     def to_float(self):
         """The same series (and kind of series) with float coefficients."""
         return replace(self, coefficients=tuple(float(c) for c in self.coefficients))
@@ -113,6 +111,21 @@ class KernelSeries(RealSeries):
         for n, a in enumerate(self.coefficients):
             if not a > 0:
                 raise ValueError(f"coefficient a_{n} = {a} is not strictly positive")
+
+    @cached_property
+    def b(self) -> RealSeries:
+        """The sequence b with sum_{n>=1} b_n t^n = 1 - 1/k, stored as b_0 = 0, b_1, ...
+
+        Computed on first use from the coefficients c of 1/k (c_0 = 1,
+        c_n = -sum_{i=1}^{n} a_i c_{n-i}, b_n = -c_n), exactly in rational mode.
+        Not a field, so equality, hashing and repr ignore it.
+        """
+        a = self.coefficients
+        inv = [a[0] ** 0]  # one of the right scalar type
+        for n in range(1, len(a)):
+            inv.append(-sum(a[i] * inv[n - i] for i in range(1, n + 1)))
+        b = [0 * inv[0]] + [-c for c in inv[1:]]
+        return RealSeries(tuple(b), self.dim)
 
     def monomial_norm_sq(self, alpha: MultiIndex):
         """Squared norm of z^alpha in the kernel's space: 1 / a_alpha."""
@@ -160,18 +173,8 @@ def _norm_sq(point) -> float:
 
 
 def reciprocal_complement(k: KernelSeries) -> RealSeries:
-    """The sequence b with sum_{n>=1} b_n t^n = 1 - 1/k, stored as b_0 = 0, b_1, ...
-
-    Uses the reciprocal recurrence: with c the coefficients of 1/k,
-    c_0 = 1 and c_n = -sum_{i=1}^{n} a_i c_{n-i}; then b_n = -c_n. Exact in
-    rational mode.
-    """
-    a = k.coefficients
-    inv = [a[0] ** 0]  # one of the right scalar type
-    for n in range(1, len(a)):
-        inv.append(-sum(a[i] * inv[n - i] for i in range(1, n + 1)))
-    b = [0 * inv[0]] + [-c for c in inv[1:]]
-    return RealSeries(tuple(b), k.dim)
+    """The b-sequence of k (``KernelSeries.b``), computed once per kernel object."""
+    return k.b
 
 
 def cauchy_product(p, q):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cnpchar._linalg import exact_zeros, max_abs
+from cnpchar._linalg import adjoint, exact_zeros, max_abs
+from cnpchar.multiindex import compositions, count_up_to_degree, degree, enumerate_up_to_degree
 from cnpchar.operators import (
     ConvergenceError,
     NotContractionError,
@@ -16,6 +17,7 @@ from cnpchar.operators import (
     purity_check,
     quadratic_form_certificate,
     random_coinvariant_compression,
+    subtract_unit,
 )
 from cnpchar.series import (
     bergman_kernel,
@@ -273,6 +275,98 @@ class TestQuadraticForm:
             bergman_kernel(3, 1, 32), bergman_kernel(2, 1, 32), 1, [(3,)], mode="float"
         )[0]
         assert abs(float(exact) - approx) < 1e-12
+
+    @pytest.mark.parametrize("base", range(4), ids=lambda b: f"base{b}")
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 2)], ids=lambda x: f"{x}")
+    @pytest.mark.parametrize("dim", [1, 2], ids=lambda d: f"d{d}")
+    def test_matches_dense_reference(self, dim, m, n, base):
+        """Labels and mixed exact coordinate vectors equal the dense form exactly;
+        float mode agrees within 1e-12."""
+        kernel, form = bergman_kernel(m, dim, 8), bergman_kernel(n, dim, 8)
+        window = base + 2
+        size = count_up_to_degree(dim, window)
+        vectors = enumerate_up_to_degree(dim, window) + [
+            np.array([Fraction((-1) ** i * (i % 4), i % 3 + 1) for i in range(size)], dtype=object),
+            np.array([Fraction(0)] * (size - 1) + [Fraction(-2, 7)], dtype=object),
+            np.array([i % 2 for i in range(size)], dtype=object),
+        ]
+        values = quadratic_form_certificate(kernel, form, base, vectors, window_degree=window)
+        reference = _dense_certificate_reference(kernel, form, base, vectors, window)
+        assert all(isinstance(v, Fraction) for v in values)
+        assert values == reference
+
+        floats = [v if isinstance(v, tuple) else v.astype(float) for v in vectors]
+        approx = quadratic_form_certificate(
+            kernel, form, base, floats, window_degree=window, mode="float"
+        )
+        float_reference = _dense_certificate_reference(kernel, form, base, floats, window, "float")
+        assert all(isinstance(v, float) for v in approx)
+        assert max(abs(a - r) for a, r in zip(approx, float_reference)) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_zero_vector_rejected(self, mode):
+        k = bergman_kernel(2, 1, 8)
+        zero = np.zeros(4, dtype=object if mode == "exact" else float)
+        if mode == "exact":
+            zero[:] = Fraction(0)
+        with pytest.raises(ValueError, match="^zero test vector$"):
+            quadratic_form_certificate(k, k, 0, [zero], window_degree=3, mode=mode)
+
+    def test_unknown_mode_rejected(self):
+        k = bergman_kernel(2, 1, 8)
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            quadratic_form_certificate(k, k, 0, [(2,)], mode="bogus")
+
+    def test_window_beyond_truncation_rejected(self):
+        k = bergman_kernel(2, 1, 8)
+        with pytest.raises(ValueError, match="^model degree exceeds the kernel truncation$"):
+            quadratic_form_certificate(k, k, 0, [(2,)], window_degree=9)
+
+    def test_wrong_length_rejected(self):
+        k = bergman_kernel(2, 1, 8)
+        with pytest.raises(ValueError, match="^test vector has the wrong length for the window$"):
+            quadratic_form_certificate(k, k, 0, [np.ones(3)], window_degree=3)
+
+
+def _dense_certificate_reference(kernel, form_kernel, base_degree, vectors, window_degree, mode="exact"):
+    """The contraction form through the dense model tuple and lowered copies of each vector.
+
+    For each vector v it subtracts b_alpha <P (M^alpha)^* v, (M^alpha)^* v>
+    from <v, v>, lowering v one variable at a time with the dense adjoints.
+    """
+    t = model_tuple(kernel, kernel.dim, window_degree, mode=mode)
+    sc = t.scalars
+    index = {lab: i for i, lab in enumerate(t.basis_labels)}
+    mask = np.array([degree(lab) > base_degree for lab in t.basis_labels])
+    weights = t.weights if t.weights is not None else np.ones(t.size)
+    adjoints = [adjoint(m, t.weights) for m in t.mats]
+    b = reciprocal_complement(form_kernel)
+    support = max(n for n, c in enumerate(b.coefficients) if c != 0)
+
+    def inner(x, y):
+        return (weights * x * np.conjugate(y)).sum()
+
+    values = []
+    for v in vectors:
+        if isinstance(v, tuple):
+            vec = sc.zeros(t.size)
+            vec[index[v]] = 1
+        else:
+            vec = np.asarray(v, dtype=object if sc.exact else None)
+        total = inner(vec, vec)
+        value = total
+        lowered = {(0,) * kernel.dim: vec}
+        for deg in range(1, min(window_degree, support) + 1):
+            next_lowered = {}
+            for alpha in compositions(deg, kernel.dim):
+                i = next(j for j, a in enumerate(alpha) if a > 0)
+                w = adjoints[i] @ lowered[subtract_unit(alpha, i)]
+                next_lowered[alpha] = w
+                c = sc.coefficient(b.coeff(alpha))
+                value = value - c * inner(np.where(mask, w, 0 * w), w)
+            lowered = next_lowered
+        values.append(value / total)
+    return values
 
 
 class TestSerialization:

@@ -90,6 +90,28 @@ class TestReciprocalComplement:
         assert all(c == 0 for c in prod.coefficients[1:])
 
 
+class TestCachedReciprocalComplement:
+    def test_computed_once_per_kernel(self):
+        k = bergman_kernel(3, 2, 16)
+        assert reciprocal_complement(k) is reciprocal_complement(k)
+
+    def test_float_copy_has_its_own_float_b(self):
+        k = dirichlet_kernel(1, 24)
+        exact = reciprocal_complement(k)
+        approx = reciprocal_complement(k.to_float())
+        assert approx is not exact
+        assert all(isinstance(c, float) for c in approx.coefficients)
+        for e, f in zip(exact.coefficients[1:], approx.coefficients[1:]):
+            assert math.isclose(f, float(e), rel_tol=1e-12)
+
+    def test_cache_leaves_equality_hash_and_repr_alone(self):
+        filled, fresh = bergman_kernel(2, 2, 12), bergman_kernel(2, 2, 12)
+        reciprocal_complement(filled)
+        assert "b" in vars(filled) and "b" not in vars(fresh)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+
+
 class TestCompletePick:
     def test_drury_arveson_holds(self):
         assert is_complete_pick(drury_arveson_kernel(3, 40)).holds
