@@ -2,9 +2,9 @@
 
 Every computation runs in one of two arithmetics, ``EXACT`` or ``FLOAT``
 (:class:`Scalars`), and every choice that depends on which one is made
-here: zeros and identities, square roots, how a coefficient, a monomial or
-an array enters the arithmetic, and whether an evaluation point keeps
-exactness. Float matrices are numpy float/complex arrays in orthonormal
+here: zeros and identities, square roots, how a coefficient, a monomial, an
+array or a series enters the arithmetic, and whether an evaluation point
+keeps exactness. Float matrices are numpy float/complex arrays in orthonormal
 bases. Exact matrices are object arrays of ``fractions.Fraction`` (or int),
 optionally in an orthogonal-but-not-normalized basis whose squared norms
 are carried separately as ``weights``; adjoints then pick up the weight
@@ -124,12 +124,16 @@ class Scalars:
         return c if self.exact else float(c)
 
     def monomial(self, c):
-        """A possibly complex scalar, such as a monomial at a point, in this arithmetic."""
-        return c if self.exact else complex(c)
+        """A possibly complex scalar or array, such as monomials at a point, in this arithmetic."""
+        return c if self.exact else np.asarray(c, dtype=complex)
 
     def array(self, a) -> np.ndarray:
         """An array in this arithmetic: unchanged when exact, its float view otherwise."""
         return a if self.exact else to_float_array(np.asarray(a))
+
+    def series(self, s):
+        """A coefficient series in this arithmetic: unchanged when exact, its float view otherwise."""
+        return s if self.exact else s.floats
 
     def at(self, point) -> "Scalars":
         """The arithmetic at ``point``: exact only if every coordinate is rational."""

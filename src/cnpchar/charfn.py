@@ -54,7 +54,6 @@ from .multiindex import (
     add,
     degree,
     enumerate_up_to_degree,
-    monomial_value,
 )
 from .operators import PSD_TOL, RANK_CUTOFF, DefectData, OperatorTuple, operator_series
 from .series import KernelFactorization, KernelSeries, reciprocal_complement
@@ -188,15 +187,19 @@ def build_charfn(
     g_labels = [a for a in enumerate_up_to_degree(dim, constant_cap) if g.coeff_1d(degree(a)) != 0]
     row_space = BlockSpace(b_labels, n)
     e_space = BlockSpace(g_labels, r)
+    root_g = [sc.sqrt(c) for c in e_space.lift(g, sc)]
+    root_b = [sc.sqrt(c) for c in row_space.lift(b_s, sc)]
+
+    # Q* Defect (T^beta)^* for every beta read below; zero above the nilpotency degree
+    beta_cap = bound if bound is not None else max(support_cap, constant_cap)
+    betas = BlockSpace(enumerate_up_to_degree(dim, min(beta_cap, kernel.truncation)), r)
+    defect_rows = {beta: q_delta.conj().T @ delta @ t.power_adjoint(beta) for beta in betas.labels}
 
     # g-weighted embedding of H into E
     embedding = sc.zeros((e_space.dim, n))
-    qd_adj = q_delta.conj().T
-    for lab in g_labels:
-        if bound is not None and degree(lab) > bound:
-            continue
-        scale = sc.sqrt(g.coeff(lab))
-        embedding[e_space.block(lab)] = scale * (qd_adj @ delta @ t.power_adjoint(lab))
+    for lab, scale in zip(g_labels, root_g):
+        if lab in defect_rows:
+            embedding[e_space.block(lab)] = scale * defect_rows[lab]
     diagnostics["embedding_gram_residual"] = spectral_norm(
         embedding.conj().T @ embedding - gamma_sq
     )
@@ -218,8 +221,7 @@ def build_charfn(
 
     # row contraction from the weighted powers, and its defect
     row = sc.zeros((n, row_space.dim))
-    for lab in b_labels:
-        scale = sc.sqrt(b_s.coeff(lab))
+    for lab, scale in zip(b_labels, root_b):
         row[:, row_space.block(lab)] = scale * t.power(lab)
     row_gram = row.conj().T @ row
     row_root = psd_root(sc.eye(row_space.dim) - row_gram, RANK_CUTOFF)
@@ -254,10 +256,16 @@ def build_charfn(
     diagnostics["unitary_gram"] = spectral_norm(u_full.conj().T @ u_full - eye_full)
     diagnostics["unitary_cogram"] = spectral_norm(u_full @ u_full.conj().T - eye_target)
 
-    beta_cap = bound if bound is not None else max(support_cap, constant_cap)
-    taylor = _taylor_coefficients(
-        t, kernel, g, b_s, qd_adj, delta, row_space, e_space, d_block, b_block, beta_cap
-    )
+    # theta_gamma = sqrt(g_gamma) D_gamma
+    #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha
+    taylor = {lab: scale * d_block[e_space.block(lab)] for lab, scale in zip(g_labels, root_g)}
+    a = betas.lift(kernel, sc)
+    for alpha, scale in zip(b_labels, root_b):
+        block = b_block[row_space.block(alpha)]
+        for beta, a_beta in zip(betas.labels, a):
+            gamma, term = add(alpha, beta), (a_beta * scale) * (defect_rows[beta] @ block)
+            taylor[gamma] = taylor[gamma] + term if gamma in taylor else term
+    taylor = {lab: m for lab, m in taylor.items() if not is_exactly_zero(np.asarray(m))}
 
     return CharFnData(
         factorization=factorization,
@@ -277,34 +285,6 @@ def build_charfn(
         constant_cap=constant_cap,
         diagnostics=diagnostics,
     )
-
-
-def _taylor_coefficients(
-    t, kernel, g, b_s, qd_adj, delta, row_space, e_space, d_block, b_block, beta_cap
-):
-    """theta_gamma = sqrt(g_gamma) D_gamma + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha."""
-    dim, sc = t.num_vars, t.scalars
-    taylor: dict = {}
-
-    def bump(label, term):
-        if label in taylor:
-            taylor[label] = taylor[label] + term
-        else:
-            taylor[label] = term
-
-    for lab in e_space.labels:
-        scale = sc.sqrt(g.coeff(lab))
-        bump(lab, scale * d_block[e_space.block(lab)])
-    power_rows = {}
-    for beta in enumerate_up_to_degree(dim, min(beta_cap, kernel.truncation)):
-        power_rows[beta] = qd_adj @ delta @ t.power_adjoint(beta)
-    for alpha in row_space.labels:
-        scale = sc.sqrt(b_s.coeff(alpha))
-        block = b_block[row_space.block(alpha)]
-        for beta, rows in power_rows.items():
-            coeff = sc.coefficient(kernel.coeff(beta) * scale)
-            bump(add(alpha, beta), coeff * (rows @ block))
-    return {lab: m for lab, m in taylor.items() if not is_exactly_zero(np.asarray(m))}
 
 
 def charfn_blocks_dict(cfd: CharFnData) -> dict:
@@ -343,13 +323,28 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
 # evaluation and pointwise identities
 
 
+def _taylor_stack(cfd: CharFnData, labels: Sequence, scalars: Scalars = FLOAT) -> np.ndarray:
+    """theta_gamma for each of ``labels`` (zero off the Taylor support), stacked into one array."""
+    r, dom = cfd.fiber_dim, cfd.domain_dim
+    zero = scalars.zeros((r, dom))
+    stack = np.array([scalars.array(np.asarray(cfd.taylor.get(g, zero))) for g in labels])
+    return stack.reshape(len(labels), r, dom)
+
+
 def theta_taylor_at(cfd: CharFnData, point: Point) -> np.ndarray:
     """sum_gamma theta_gamma point^gamma."""
     sp = cfd.ops.scalars.at(point)
-    out = sp.zeros((cfd.fiber_dim, cfd.domain_dim), complex)
-    for lab, mat in cfd.taylor.items():
-        out = out + sp.monomial(monomial_value(point, lab)) * sp.array(mat)
-    return out
+    labels = list(cfd.taylor)
+    monomials = sp.monomial(BlockSpace(labels, cfd.fiber_dim).monomials(point))
+    return np.tensordot(monomials, _taylor_stack(cfd, labels, sp), axes=1)
+
+
+def _scaled_blocks(space: BlockSpace, series, point: Point, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
+    """sum_alpha sqrt(c_alpha) point^alpha B_alpha, with B_alpha the rows of ``blocks`` at label alpha."""
+    monomials = sp.monomial(space.monomials(point))
+    weights = [sp.sqrt(c) * m for c, m in zip(space.lift(sp.series(series), sp), monomials)]
+    stack = sp.array(blocks).reshape(len(space.labels), space.block_dim, blocks.shape[1])
+    return np.tensordot(np.array(weights), stack, axes=1)
 
 
 def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.ndarray:
@@ -360,25 +355,11 @@ def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.nda
     TruncationError since it means the windows were too shallow.
     """
     t = cfd.ops
-    sc = t.scalars
-    sp = sc.at(point)
-    g = cfd.factorization.positive_part
-    b_s = reciprocal_complement(cfd.pick_factor)
-    n = t.size
-    dom = cfd.domain_dim
-
-    def scaled_sum(space, series, blocks, rows):
-        total = sp.zeros((rows, dom), complex)
-        for lab in space.labels:
-            scale = sp.coefficient(sc.sqrt(series.coeff(lab)))
-            mono = sp.monomial(monomial_value(point, lab))
-            total = total + scale * mono * sp.array(blocks[space.block(lab)])
-        return total
-
-    direct = scaled_sum(cfd.g_support, g, cfd.d_block, cfd.fiber_dim)
+    sp = t.scalars.at(point)
+    direct = _scaled_blocks(cfd.g_support, cfd.factorization.positive_part, point, cfd.d_block, sp)
     # Defect k_z(T)^* Z(z) B
     kz_adj = operator_series(t, cfd.kernel, point).conj().T
-    zb = scaled_sum(cfd.b_support, b_s, cfd.b_block, n)
+    zb = _scaled_blocks(cfd.b_support, reciprocal_complement(cfd.pick_factor), point, cfd.b_block, sp)
     qd_adj = sp.array(cfd.defect.ran_defect_basis.conj().T)
     delta = sp.array(cfd.defect.defect)
     direct = direct + qd_adj @ delta @ kz_adj @ zb
@@ -412,17 +393,15 @@ def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
 def inverse_identity_residual(cfd: CharFnData, points: Sequence[Point]) -> float:
     """max over z of || g_z(T)^* - k_z(T)^* (I - Z(z) R^*) ||."""
     t = cfd.ops
-    b_s = reciprocal_complement(cfd.pick_factor)
-    g_series = cfd.factorization.positive_part
+    space = cfd.b_support
+    b = space.lift(reciprocal_complement(cfd.pick_factor).floats)
+    powers = [to_float_array(t.power_adjoint(alpha)) for alpha in space.labels]
     n = t.size
     worst = 0.0
     for z in points:
-        g_adj = operator_series(t, g_series, z).conj().T
+        g_adj = operator_series(t, cfd.factorization.positive_part, z).conj().T
         k_adj = operator_series(t, cfd.kernel, z).conj().T
-        zr = np.zeros((n, n), dtype=complex)
-        for alpha in cfd.b_support.labels:
-            mono = complex(monomial_value(z, alpha))
-            zr += float(b_s.coeff(alpha)) * mono * to_float_array(t.power_adjoint(alpha))
+        zr = sum(c * p for c, p in zip(b * space.monomials(z).astype(complex), powers))
         gap = g_adj - k_adj @ (np.eye(n) - zr)
         worst = max(worst, spectral_norm(gap))
     return worst
@@ -434,14 +413,12 @@ def row_symbol_margin(cfd: CharFnData, points: Sequence[Point]):
     The quantity is the squared-norm defect of the scalar row Z(z); strict
     positivity witnesses that Z is a strict contraction.
     """
-    b_s = reciprocal_complement(cfd.pick_factor)
+    space = cfd.b_support
+    b = space.lift(reciprocal_complement(cfd.pick_factor).floats)
     margin = np.inf
     mismatch = 0.0
     for z in points:
-        total = 0.0
-        for alpha in cfd.b_support.labels:
-            total += float(b_s.coeff(alpha)) * abs(complex(monomial_value(z, alpha))) ** 2
-        value = 1.0 - total
+        value = 1.0 - sum(c * abs(complex(m)) ** 2 for c, m in zip(b, space.monomials(z)))
         margin = min(margin, value)
         s_val = cfd.pick_factor.evaluate(z, z, truncated=True).value
         mismatch = max(mismatch, abs(value - 1.0 / float(abs(complex(s_val)))))
@@ -508,18 +485,18 @@ def multiplier_from_taylor(
     window = MonomialWindow(kernel, fiber_dim, target_degree, scalars)
     matrix = scalars.zeros((window.dim, source.dim))
     discarded = 0.0
-    for beta in source.labels:
+    a_s, a_k = source.lift(pick, scalars), window.coefficients
+    for i, beta in enumerate(source.labels):
         cols = source.block(beta)
         for gamma, coeff in taylor.items():
             target = add(beta, gamma)
-            ratio = pick.coeff(beta) / kernel.coeff(target)
-            if degree(target) > target_degree:
+            j = window.index.get(target)
+            if j is None:
+                ratio = pick.coeff(beta) / kernel.coeff(target)
                 discarded = max(discarded, float(ratio) * float(max_abs(np.asarray(coeff))) ** 2)
                 continue
-            scale = scalars.sqrt(ratio)
-            matrix[window.block(target), cols] = (
-                matrix[window.block(target), cols] + scale * coeff
-            )
+            rows = window.block(target)
+            matrix[rows, cols] = matrix[rows, cols] + scalars.sqrt(a_s[i] / a_k[j]) * coeff
     exact_window = target_degree >= source_degree + max_deg
     return MultiplierMatrix(
         matrix=matrix,
@@ -610,11 +587,10 @@ def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e
     is max |basis^* S_alpha basis| over 1 <= |alpha| <= check_degree: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """
-    labels, dom = list(cfd.taylor), cfd.domain_dim
-    row = {gamma: i for i, gamma in enumerate(labels)}
-    stack = np.array([to_float_array(np.asarray(c)) for c in cfd.taylor.values()])
-    stack = stack.reshape(len(labels), cfd.fiber_dim, dom)
-    inv_k = 1.0 / np.array([float(cfd.kernel.coeff(g)) for g in labels])[:, None, None]
+    space, dom = BlockSpace(list(cfd.taylor), cfd.fiber_dim), cfd.domain_dim
+    labels, row = space.labels, space.index
+    stack = _taylor_stack(cfd, labels)
+    inv_k = 1.0 / space.lift(cfd.kernel.floats)[:, None, None]
     gram = (stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)).real
     vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
     top = float(vals.max(initial=0.0))
@@ -794,17 +770,12 @@ def coincidence_residual(
     if tuple(cfd_a.kernel.coefficients) != tuple(cfd_b.kernel.coefficients):
         raise ValueError("coincidence comparison requires the same kernel")
     rng = rng if rng is not None else np.random.default_rng(0)
-    labels = sorted(set(cfd_a.taylor) | set(cfd_b.taylor), key=lambda g: (degree(g), g))
+    space = BlockSpace(sorted(set(cfd_a.taylor) | set(cfd_b.taylor), key=lambda g: (degree(g), g)), 1)
     r, dom = cfd_a.fiber_dim, cfd_a.domain_dim
 
     def stack(cfd):
-        mats = []
-        for lab in labels:
-            w = 1.0 / float(cfd.kernel.coeff(lab))
-            m = cfd.taylor.get(lab)
-            m = np.zeros((r, dom)) if m is None else to_float_array(np.asarray(m))
-            mats.append(np.sqrt(w) * m)
-        return mats
+        weights = np.sqrt(1.0 / space.lift(cfd.kernel.floats))
+        return list(weights[:, None, None] * _taylor_stack(cfd, space.labels))
 
     stack_a, stack_b = stack(cfd_a), stack(cfd_b)
     scale = max(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in stack_a)), 1e-30)

@@ -346,7 +346,7 @@ def _build_checks(config: Configuration) -> list[CheckResult]:
     """The purity check and, for a pure tuple only, the construction identities."""
     t0 = time.perf_counter()
     dd = defect_data(config.ops, config.kernel, config.pick_factor)
-    if dd.purity_residual > presets.TOL_SINGLE and not dd.purity_exact:
+    if not dd.pure:
         elapsed = time.perf_counter() - t0
         return [CheckResult("purity", "fail", dd.purity_residual, dd.purity_exact, elapsed)]
     cfd = build_charfn(

@@ -33,7 +33,7 @@ from ._linalg import (
     spectral_norm,
     to_float_array,
 )
-from .multiindex import BlockSpace, add, degree, enumerate_up_to_degree, monomial_value, unit
+from .multiindex import BlockSpace, add, enumerate_up_to_degree, unit
 from .operators import (
     DefectData,
     OperatorTuple,
@@ -57,7 +57,9 @@ class MonomialWindow(BlockSpace):
 
     A block space with one block of size r = ``block_dim`` per monomial
     label of degree <= ``max_degree``, in graded label order. Matrices on it
-    are built in the arithmetic ``scalars``.
+    are built in the arithmetic ``scalars``. ``coefficients`` holds the
+    kernel's lifts a_alpha over the labels in that arithmetic, lifted once
+    at construction.
     """
 
     def __init__(
@@ -71,7 +73,8 @@ class MonomialWindow(BlockSpace):
         self.kernel = kernel
         self.max_degree = max_degree
         self.scalars = scalars
-        self.degrees = np.array([degree(lab) for lab in self.labels])
+        self.coefficients = self.lift(kernel, scalars)
+        self._root_coefficients = np.sqrt(to_float_array(self.coefficients))
 
     def degree_mask(self, max_degree: int) -> np.ndarray:
         """Boolean coordinate mask selecting blocks of degree <= max_degree."""
@@ -80,15 +83,13 @@ class MonomialWindow(BlockSpace):
     def multiplication_matrix(self, i: int) -> np.ndarray:
         """Matrix of (M_{z_i} tensor I_r) on the window; top degree is compressed to 0."""
         out = self.scalars.zeros((self.dim, self.dim))
-        for lab in self.labels:
-            if degree(lab) == self.max_degree:
+        a = self.coefficients
+        for k, lab in enumerate(self.labels):
+            if self.degrees[k] == self.max_degree:
                 continue
             target = add(lab, unit(self.kernel.dim, i))
-            ratio = self.kernel.coeff(lab) / self.kernel.coeff(target)
-            entry = self.scalars.sqrt(ratio)
-            src, dst = self.block(lab), self.block(target)
-            for j in range(self.block_dim):
-                out[dst.start + j, src.start + j] = entry
+            entry = self.scalars.sqrt(a[k] / a[self.index[target]])
+            np.fill_diagonal(out[self.block(target), self.block(lab)], entry)
         return out
 
     def kernel_vector(self, point: Sequence, fiber: np.ndarray) -> np.ndarray:
@@ -100,12 +101,8 @@ class MonomialWindow(BlockSpace):
         fiber = np.asarray(fiber)
         if fiber.shape != (self.block_dim,):
             raise ValueError("fiber vector has wrong length")
-        out = np.zeros(self.dim, dtype=complex)
-        for lab in self.labels:
-            scale = np.sqrt(float(self.kernel.coeff(lab)))
-            mono = monomial_value(point, lab)
-            out[self.block(lab)] = scale * np.conjugate(mono) * fiber
-        return out
+        scaled = self._root_coefficients * np.conjugate(self.monomials(point))
+        return np.multiply.outer(scaled, fiber).reshape(self.dim).astype(complex)
 
 
 @dataclass(eq=False)
@@ -153,11 +150,10 @@ def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
     window = MonomialWindow(kernel, q.shape[1], target_degree, sc)
     v = sc.zeros((window.dim, t.size))
     bound = t.nilpotency_bound
-    for lab in window.labels:
-        if bound is not None and degree(lab) > bound:
+    for lab, deg, a in zip(window.labels, window.degrees, window.coefficients):
+        if bound is not None and deg > bound:
             continue
-        scale = sc.sqrt(kernel.coeff(lab))
-        v[window.block(lab)] = scale * (q.conj().T @ delta @ t.power_adjoint(lab))
+        v[window.block(lab)] = sc.sqrt(a) * (q.conj().T @ delta @ t.power_adjoint(lab))
     gram_gap = v.conj().T @ v - t.identity()
     residual = spectral_norm(gram_gap)
     exact_regime = bound is not None and target_degree >= bound

@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
+from ._linalg import FLOAT, Scalars
+
 MultiIndex = tuple[int, ...]
 
 
@@ -97,7 +101,9 @@ class BlockSpace:
     """A direct sum of identical blocks of size ``block_dim``, one per multi-index label.
 
     Coordinates are grouped by label in the order given; ``block(label)`` is
-    the slice of that label's coordinates.
+    the slice of that label's coordinates. ``degrees``, ``lift`` and
+    ``monomials`` give |label|, a series' lifted coefficients and a point's
+    monomials for all labels at once, in label order.
     """
 
     def __init__(self, labels: Sequence[MultiIndex], block_dim: int):
@@ -105,7 +111,20 @@ class BlockSpace:
         self.block_dim = block_dim
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels) * block_dim
+        self.degrees = np.array([degree(lab) for lab in self.labels], dtype=int)
 
     def block(self, label: MultiIndex) -> slice:
         i = self.index[label]
         return slice(i * self.block_dim, (i + 1) * self.block_dim)
+
+    def lift(self, series, scalars: Scalars = FLOAT) -> np.ndarray:
+        """The lifts c_gamma = c_|gamma| * multinomial(gamma) of ``series``, in label order.
+
+        Exact under EXACT; under FLOAT the float of each exact lift, which is
+        float(series.coeff(gamma)) bit for bit.
+        """
+        return scalars.array(np.array([series.coeff(lab) for lab in self.labels], dtype=object))
+
+    def monomials(self, point) -> np.ndarray:
+        """point^gamma for every label: an object array at rational points, else numeric."""
+        return np.array([monomial_value(point, lab) for lab in self.labels])

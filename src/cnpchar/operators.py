@@ -44,6 +44,7 @@ from ._linalg import (
     to_float_array,
 )
 from .multiindex import (
+    BlockSpace,
     MultiIndex,
     add,
     compositions,
@@ -205,28 +206,20 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
     """
     if degree_cut > kernel.truncation:
         raise ValueError("model degree exceeds the kernel truncation")
-    labels = tuple(enumerate_up_to_degree(dim, degree_cut))
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
+    space = BlockSpace(enumerate_up_to_degree(dim, degree_cut), 1)
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     sc = EXACT if mode == "exact" else FLOAT
-    mats = [sc.zeros((n, n)) for _ in range(dim)]
-    for lab in labels:
-        if degree(lab) == degree_cut:
+    a = space.lift(kernel, EXACT)
+    mats = [sc.zeros((space.dim, space.dim)) for _ in range(dim)]
+    for src, lab in enumerate(space.labels):
+        if space.degrees[src] == degree_cut:
             continue
-        src = index[lab]
         for i in range(dim):
-            target = add(lab, unit(dim, i))
-            if sc.exact:
-                mats[i][index[target], src] = Fraction(1)
-            else:
-                ratio = kernel.coeff(lab) / kernel.coeff(target)
-                mats[i][index[target], src] = np.sqrt(float(ratio))
-    weights = None
-    if sc.exact:
-        weights = np.array([Fraction(1, 1) / kernel.coeff(lab) for lab in labels], dtype=object)
-    return OperatorTuple(tuple(mats), weights, labels, degree_cut, kernel)
+            dst = space.index[add(lab, unit(dim, i))]
+            mats[i][dst, src] = Fraction(1) if sc.exact else np.sqrt(float(a[src] / a[dst]))
+    weights = 1 / a if sc.exact else None
+    return OperatorTuple(tuple(mats), weights, space.labels, degree_cut, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +309,14 @@ class DefectData:
     purity_residual: float
     purity_exact: bool
 
+    @property
+    def pure(self) -> bool:
+        """The purity residual is within PURITY_TOL or exactly 0."""
+        return self.purity_residual <= PURITY_TOL or self.purity_exact
+
     def require_pure(self) -> None:
-        """Raise NotPureError unless the purity residual is within PURITY_TOL or exactly 0."""
-        if self.purity_residual > PURITY_TOL and not self.purity_exact:
+        """Raise NotPureError unless the tuple is ``pure``."""
+        if not self.pure:
             raise NotPureError(
                 f"tuple is not pure: purity residual {self.purity_residual:.3e} > {PURITY_TOL}"
             )
@@ -429,11 +427,13 @@ def operator_series(
     """sum_alpha series.coeff(alpha) conj(point^alpha) T^alpha.
 
     Finite (hence exact) for nilpotent tuples; otherwise truncated with
-    increment stopping and ConvergenceError on failure.
+    increment stopping and ConvergenceError on failure. Away from exact
+    arithmetic the coefficients come from the series' float view.
     """
     if series.dim != t.num_vars or len(point) != t.num_vars:
         raise ValueError("dimension mismatch")
     sc = t.scalars.at(point)
+    series = sc.series(series)
     n = t.size
     total = sc.zeros((n, n), complex)
     bound = t.nilpotency_bound
@@ -602,7 +602,7 @@ def quadratic_form_certificate(
         raise ValueError(f"unknown mode {mode!r}")
     exact = mode == "exact"
     if not exact:
-        kernel, form_kernel = kernel.to_float(), form_kernel.to_float()
+        kernel, form_kernel = kernel.floats, form_kernel.floats
     b = reciprocal_complement(form_kernel)
 
     def entry(gamma):

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._linalg import spectral_norm
 from .charfn import (
     EmptyKInnerError,
     align_factorizations,
@@ -346,7 +347,8 @@ def run_configuration_checks(
     rec = _Recorder()
     with rec.timing("purity"):
         dd = defect_data(config.ops, config.kernel, config.pick_factor)
-        rec.checks.append(_check("purity", dd.purity_residual, TOL_SINGLE, dd.purity_exact))
+        verdict = "pass" if dd.pure else "fail"
+        rec.checks.append(CheckResult("purity", verdict, float(dd.purity_residual), dd.purity_exact, 0.0))
     if rec.checks[-1].verdict == "fail":
         return rec.results()
 
@@ -431,7 +433,7 @@ def run_configuration_checks(
 
     with rec.timing("multiplier_contraction"):
         mult = build_multiplier(cfd, config.source_degree, target_degree)
-        norm = float(np.linalg.norm(np.asarray(mult.matrix, dtype=float), 2))
+        norm = spectral_norm(mult.matrix)
         rec.checks.append(_check("multiplier_contraction", max(0.0, norm - 1.0), TOL_SINGLE))
 
     with rec.timing("projection_partition"):

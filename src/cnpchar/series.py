@@ -3,7 +3,9 @@
 A kernel k(z, w) = sum_n a_n <z, w>^n with a_0 = 1 and a_n > 0 is stored as
 its truncated coefficient sequence. Two scalar backends coexist: exact
 ``fractions.Fraction`` entries (default for the built-in kernels, so that
-every coefficient identity can be asserted exactly) and plain floats.
+every coefficient identity can be asserted exactly) and plain floats. Float
+paths read a series' float view (``floats``, built once per series), so
+they do no ``Fraction`` arithmetic.
 
 The signed sequence b_n defined by
 
@@ -15,7 +17,8 @@ class of kernels, and the multi-index lifts
 
     a_alpha = a_|alpha| * multinomial(alpha),   b_alpha likewise
 
-are the coefficients appearing in every operator series. Products of two
+are the coefficients appearing in every operator series; a label set lifts
+them all at once (``multiindex.BlockSpace.lift``). Products of two
 kernels correspond exactly to Cauchy products of the one-variable
 sequences, which is what makes the one-variable calculus sufficient.
 """
@@ -82,8 +85,12 @@ class RealSeries:
             raise ValueError(f"multi-index dimension {len(alpha)} != {self.dim}")
         return self.coeff_1d(degree(alpha)) * multinomial(alpha)
 
-    def to_float(self):
-        """The same series (and kind of series) with float coefficients."""
+    @cached_property
+    def floats(self):
+        """The same series (and kind of series) with float coefficients, built once.
+
+        Not a field, so equality, hashing and repr ignore it.
+        """
         return replace(self, coefficients=tuple(float(c) for c in self.coefficients))
 
 
@@ -146,18 +153,18 @@ class KernelSeries(RealSeries):
         if _norm_sq(z) >= 1 or _norm_sq(w) >= 1:
             raise ValueError("point on or outside the unit sphere")
         t = sum(zi * wi.conjugate() for zi, wi in zip(z, w))
-        value = self.coefficients[-1]
-        for a in reversed(self.coefficients[:-1]):
+        rational = all(_is_exact(p) for p in (*z, *w))
+        coeffs = self.coefficients if rational else self.floats.coefficients
+        value = coeffs[-1]
+        for a in reversed(coeffs[:-1]):
             value = value * t + a
         if truncated:
             return KernelValue(value, 0.0)
-        growth = max(
-            float(self.coefficients[n + 1]) / float(self.coefficients[n])
-            for n in range(self.truncation)
-        )
+        floats = self.floats.coefficients
+        growth = max(floats[n + 1] / floats[n] for n in range(self.truncation))
         r = abs(complex(t)) * growth
         if r < 1:
-            tail = abs(float(self.coefficients[-1])) * abs(complex(t)) ** self.truncation
+            tail = abs(floats[-1]) * abs(complex(t)) ** self.truncation
             tail *= r / (1 - r)
         else:
             tail = math.inf

@@ -33,6 +33,7 @@ from cnpchar.operators import (
 )
 from cnpchar.presets import configuration
 from cnpchar.series import (
+    RealSeries,
     bergman_kernel,
     cauchy_product,
     dirichlet_kernel,
@@ -120,6 +121,11 @@ class TestJordanCell:
         cfd, _, _, _ = jordan_exact
         value = evaluate_charfn(cfd, [Fraction(1, 2)])
         assert value[0][0] == Fraction(1, 4)
+
+    def test_rational_point_keeps_exact_scalars(self, jordan_exact):
+        cfd, _, _, _ = jordan_exact
+        value = evaluate_charfn(cfd, [Fraction(1, 2)])
+        assert all(isinstance(x, Fraction) for x in np.asarray(value).flat)
 
     def test_pointwise_identity_closed_form(self, jordan_exact):
         """With theta = z^2 and k = s the Hardy kernel, the identity reduces to
@@ -302,6 +308,51 @@ class TestThetaEvaluation:
             bigger = large.taylor[gamma]
             assert max_abs(np.asarray(bigger)[:, :dom_small] - np.asarray(coeff)) < 1e-12
             assert max_abs(np.asarray(bigger)[:, dom_small:]) < 1e-12
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+)
+
+
+class TestFloatPaths:
+    def test_complex_points_lift_no_exact_coefficient(self, monkeypatch):
+        """After theta, the dilation and the multiplier are built, no evaluation
+        at complex points lifts an exact coefficient or does Fraction arithmetic.
+
+        dadir_da_d1_n2 has non-dyadic coefficients (Dirichlet and harmonic
+        numbers), so a float lift that went through Fraction would show."""
+        config = configuration("dadir_da_d1_n2")
+        dd = defect_data(config.ops, config.kernel, config.pick_factor)
+        cfd = build_charfn(
+            dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
+        )
+        target_degree = config.source_degree + cfd.max_taylor_degree
+        dil = build_dilation(dd, target_degree)
+        build_multiplier(cfd, config.source_degree, target_degree)
+
+        lift = RealSeries.coeff
+
+        def float_only(series, alpha):
+            assert not series.exact, f"exact lift at {alpha}"
+            return lift(series, alpha)
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic on a float path")
+
+        monkeypatch.setattr(RealSeries, "coeff", float_only)
+        for name in FRACTION_ARITHMETIC:
+            monkeypatch.setattr(Fraction, name, refuse)
+        z, w = np.array([0.3 + 0.1j]), np.array([-0.2 + 0.25j])
+        assert theta_taylor_at(cfd, z).shape == (cfd.fiber_dim, cfd.domain_dim)
+        evaluate_charfn(cfd, z)
+        assert pointwise_identity_residual(cfd, [(z, w)]) < 1e-8
+        assert inverse_identity_residual(cfd, [z, w]) < 1e-10
+        assert row_symbol_margin(cfd, [z, w])[0] > 0
+        dil.window.kernel_vector(z, np.ones(dil.fiber_dim))
+        config.kernel.evaluate(z, w)
+        k_inner_subspace(cfd)
 
 
 class TestPointwiseIdentity:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cnpchar._linalg import EXACT, FLOAT
 from cnpchar.multiindex import (
+    BlockSpace,
     add,
     compositions,
     count_up_to_degree,
@@ -15,6 +17,7 @@ from cnpchar.multiindex import (
     subtract,
     unit,
 )
+from cnpchar.series import bergman_kernel, cauchy_product, dirichlet_kernel, drury_arveson_kernel
 
 
 def test_enumerate_single_variable():
@@ -116,3 +119,21 @@ def test_lifted_series_products_match_convolution(d):
                 continue
             total += (c1[degree(alpha)] * multinomial(alpha)) * (c2[degree(rest)] * multinomial(rest))
         assert total == conv[degree(beta)] * multinomial(beta), beta
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["bergman", "dirichlet", "da*dirichlet"])
+def test_block_space_lift_matches_coeff(d, kind):
+    """EXACT lifts equal coeff exactly; FLOAT lifts equal float(coeff) bit for bit."""
+    kernel = {
+        "bergman": bergman_kernel(2, d, 12),
+        "dirichlet": dirichlet_kernel(d, 12),
+        "da*dirichlet": cauchy_product(drury_arveson_kernel(d, 12), dirichlet_kernel(d, 12)),
+    }[kind]
+    space = BlockSpace(enumerate_up_to_degree(d, 12), 2)
+    for series in (kernel, kernel.b):
+        exact = [series.coeff(lab) for lab in space.labels]
+        assert list(space.lift(series, EXACT)) == exact
+        assert [x.hex() for x in space.lift(series, FLOAT)] == [float(c).hex() for c in exact]
+    point = [0.3 + 0.1j, -0.2, 0.1j][:d]
+    assert list(space.monomials(point)) == [monomial_value(point, lab) for lab in space.labels]

@@ -1,0 +1,47 @@
+"""The report oracle, pinned: verdicts and exact residuals of fixed command lines.
+
+Each file in ``tests/golden/`` holds one ``cnpchar`` command line and, for
+every check its report lists, the ``name``, ``verdict`` and ``exact`` fields,
+plus the ``residual`` of every check flagged exact. The suite's file pins its
+255 checks this way, which gives its (name, verdict) pairs.
+
+Float residuals are not pinned: their last bits depend on the BLAS library
+and its threading, so they are held only through their verdicts.
+
+To re-pin after a deliberate report change, run the command line with
+``--out`` and copy those fields of each check into its golden file.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cnpchar.cli import main
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
+
+
+def pinned(check: dict) -> dict:
+    out = {key: check[key] for key in ("name", "verdict", "exact")}
+    if check["exact"]:
+        out["residual"] = check["residual"]
+    return out
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
+def test_report_matches_golden(path, tmp_path, capsys):
+    golden = json.loads(path.read_text())
+    out = tmp_path / "report.json"
+    assert main(golden["argv"] + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [pinned(c) for c in report["checks"]] == golden["checks"]
+
+
+def test_golden_files_present():
+    assert {p.stem for p in GOLDEN} == {
+        "charfn_build_jordan_exact",
+        "charfn_verify_jordan_exact",
+        "charfn_verify_two_cells_exact",
+        "suite_seed_0",
+    }

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,7 +99,7 @@ class TestCachedReciprocalComplement:
     def test_float_copy_has_its_own_float_b(self):
         k = dirichlet_kernel(1, 24)
         exact = reciprocal_complement(k)
-        approx = reciprocal_complement(k.to_float())
+        approx = reciprocal_complement(k.floats)
         assert approx is not exact
         assert all(isinstance(c, float) for c in approx.coefficients)
         for e, f in zip(exact.coefficients[1:], approx.coefficients[1:]):
@@ -267,6 +268,48 @@ class TestEvaluate:
         value, tail = szego_kernel(1, 10).evaluate([0.5], [0.5], truncated=True)
         assert tail == 0.0
         assert abs(float(value) - sum(0.25**n for n in range(11))) < 1e-15
+
+
+def _fraction_horner_reference(kernel, z, w):
+    """The truncated kernel sum by Horner's rule over the stored (exact) coefficients."""
+    t = sum(zi * wi.conjugate() for zi, wi in zip(z, w))
+    value = kernel.coefficients[-1]
+    for a in reversed(kernel.coefficients[:-1]):
+        value = value * t + a
+    return value
+
+
+def _bits(x) -> tuple:
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+class TestEvaluateOracle:
+    KERNELS = (
+        bergman_kernel(2, 2, 48),
+        dirichlet_kernel(3, 48),
+        cauchy_product(drury_arveson_kernel(2, 48), dirichlet_kernel(2, 48)),
+    )
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["bergman2", "dirichlet", "da*dirichlet"])
+    def test_float_points_match_fraction_horner_bitwise(self, kernel):
+        rng = np.random.default_rng(7)
+        d = kernel.dim
+        for _ in range(50):
+            u, v = rng.standard_normal((2, d)) * 0.3 / np.sqrt(d)
+            zc = 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2 * d)
+            wc = 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2 * d)
+            for z, w in ((list(map(float, u)), list(map(float, v))), (u, v), (zc, wc), (list(map(complex, zc)), list(wc))):
+                got = kernel.evaluate(z, w, truncated=True).value
+                assert _bits(got) == _bits(_fraction_horner_reference(kernel, z, w))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["bergman2", "dirichlet", "da*dirichlet"])
+    def test_rational_points_stay_exact(self, kernel):
+        z = [Fraction(1, 3)] + [Fraction(-1, 5)] * (kernel.dim - 1)
+        w = [Fraction(1, 4)] * kernel.dim
+        got = kernel.evaluate(z, w, truncated=True).value
+        assert isinstance(got, Fraction)
+        assert got == _fraction_horner_reference(kernel, z, w)
 
 
 class TestLifts:
