@@ -121,10 +121,6 @@ class TestJordanCell:
         cfd, _, _, _ = jordan_exact
         value = evaluate_charfn(cfd, [Fraction(1, 2)])
         assert value[0][0] == Fraction(1, 4)
-
-    def test_rational_point_keeps_exact_scalars(self, jordan_exact):
-        cfd, _, _, _ = jordan_exact
-        value = evaluate_charfn(cfd, [Fraction(1, 2)])
         assert all(isinstance(x, Fraction) for x in np.asarray(value).flat)
 
     def test_pointwise_identity_closed_form(self, jordan_exact):

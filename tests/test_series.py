@@ -299,7 +299,9 @@ class TestEvaluateOracle:
             u, v = rng.standard_normal((2, d)) * 0.3 / np.sqrt(d)
             zc = 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2 * d)
             wc = 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2 * d)
-            for z, w in ((list(map(float, u)), list(map(float, v))), (u, v), (zc, wc), (list(map(complex, zc)), list(wc))):
+            python_floats = (list(map(float, u)), list(map(float, v)))
+            python_complex = (list(map(complex, zc)), list(wc))
+            for z, w in (python_floats, (u, v), (zc, wc), python_complex):
                 got = kernel.evaluate(z, w, truncated=True).value
                 assert _bits(got) == _bits(_fraction_horner_reference(kernel, z, w))
 
