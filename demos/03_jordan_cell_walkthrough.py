@@ -63,6 +63,6 @@ print("\nisometric constant subspace dimension:", ki.dim,
       "shift-orthogonality residual:", ki.shift_residual)
 
 # Compressing the coordinate multiplier to Ran V recovers T.
-model, report = functional_model(cfd, dil, mult)
+model, report = functional_model(cfd, dil, fr)
 print("functional model equals T up to", report.equality_residual)
 print("recovered matrix:\n", np.asarray(model.mats[0]))

@@ -68,9 +68,13 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def spectral_norm(a: np.ndarray) -> float:
+    """The operator 2-norm: max |eigenvalue| for an exactly Hermitian matrix, else the top singular value."""
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(to_float_array(a), 2))
+    a = to_float_array(a)
+    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
+        return float(np.abs(np.linalg.eigvalsh(a)).max())
+    return float(np.linalg.norm(a, 2))
 
 
 def is_exactly_zero(a: np.ndarray) -> bool:

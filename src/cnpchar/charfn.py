@@ -31,6 +31,7 @@ degree range and unrestricted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -331,12 +332,24 @@ def _taylor_stack(cfd: CharFnData, labels: Sequence, scalars: Scalars = FLOAT) -
     return stack.reshape(len(labels), r, dom)
 
 
+def _taylor_sum(cfd: CharFnData):
+    """point -> sum_gamma theta_gamma point^gamma, stacking the coefficients once per arithmetic."""
+    labels = list(cfd.taylor)
+    space = BlockSpace(labels, cfd.fiber_dim)
+    stacks = {}
+
+    def at(point: Point) -> np.ndarray:
+        sp = cfd.ops.scalars.at(point)
+        if sp not in stacks:
+            stacks[sp] = _taylor_stack(cfd, labels, sp)
+        return np.tensordot(sp.monomial(space.monomials(point)), stacks[sp], axes=1)
+
+    return at
+
+
 def theta_taylor_at(cfd: CharFnData, point: Point) -> np.ndarray:
     """sum_gamma theta_gamma point^gamma."""
-    sp = cfd.ops.scalars.at(point)
-    labels = list(cfd.taylor)
-    monomials = sp.monomial(BlockSpace(labels, cfd.fiber_dim).monomials(point))
-    return np.tensordot(monomials, _taylor_stack(cfd, labels, sp), axes=1)
+    return _taylor_sum(cfd)(point)
 
 
 def _scaled_blocks(space: BlockSpace, series, point: Point, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
@@ -354,6 +367,14 @@ def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.nda
     with the Taylor-coefficient sum within ``tol``; disagreement raises
     TruncationError since it means the windows were too shallow.
     """
+    taylor_sum, gap = evaluation_gap(cfd, point)
+    if gap > tol:
+        raise TruncationError(f"theta evaluations disagree by {gap:.3e}")
+    return taylor_sum
+
+
+def evaluation_gap(cfd: CharFnData, point: Point) -> tuple[np.ndarray, float]:
+    """(Taylor sum of theta at ``point``, max entrywise gap between it and the direct formula)."""
     t = cfd.ops
     sp = t.scalars.at(point)
     direct = _scaled_blocks(cfd.g_support, cfd.factorization.positive_part, point, cfd.d_block, sp)
@@ -364,10 +385,7 @@ def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.nda
     delta = sp.array(cfd.defect.defect)
     direct = direct + qd_adj @ delta @ kz_adj @ zb
     taylor_sum = theta_taylor_at(cfd, point)
-    gap = max_abs(np.asarray(direct) - np.asarray(taylor_sum))
-    if gap > tol:
-        raise TruncationError(f"theta evaluations disagree by {gap:.3e}")
-    return taylor_sum
+    return taylor_sum, max_abs(np.asarray(direct) - np.asarray(taylor_sum))
 
 
 def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
@@ -376,10 +394,11 @@ def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
     q = to_float_array(cfd.defect.ran_defect_basis)
     delta = to_float_array(cfd.defect.defect)
     eye = np.eye(cfd.fiber_dim)
+    theta = _taylor_sum(cfd)
     worst = 0.0
     for z, w in pairs:
-        tz = np.asarray(theta_taylor_at(cfd, z), dtype=complex)
-        tw = np.asarray(theta_taylor_at(cfd, w), dtype=complex)
+        tz = np.asarray(theta(z), dtype=complex)
+        tw = np.asarray(theta(w), dtype=complex)
         s_val = complex(cfd.pick_factor.evaluate(z, w, truncated=True).value)
         k_val = complex(cfd.kernel.evaluate(z, w, truncated=True).value)
         kz_adj = operator_series(t, cfd.kernel, z).conj().T
@@ -511,18 +530,20 @@ def multiplier_from_taylor(
 
 @dataclass(frozen=True)
 class FactorizationResidual:
-    """|| V V^* + M_theta M_theta^* - I || on the target window.
+    """|| V V^* + M_theta M_theta^* - I || on the target window, and || M_theta ||.
 
     ``restricted`` is measured on the degree range where the finite windows
     represent the infinite objects with no discarded mass; ``unrestricted``
     covers the whole window and is generally nonzero for truncation reasons
-    alone.
+    alone. ``multiplier_norm`` is the norm of the windowed multiplier, read
+    as sqrt(lambda_max(M_theta M_theta^*)) from the same Gram.
     """
 
     restricted: float
     unrestricted: float
     restricted_degree: int
     restricted_exact: bool
+    multiplier_norm: float
 
 
 def factorization_residual(
@@ -537,7 +558,8 @@ def factorization_residual(
         raise ValueError("dilation and multiplier windows do not match")
     v = dil.matrix
     m = mult.matrix
-    total = v @ v.conj().T + m @ m.conj().T - window.scalars.eye(window.dim)
+    gram = m @ m.conj().T
+    total = v @ v.conj().T + gram - window.scalars.eye(window.dim)
     restricted_degree = min(
         mult.source_degree,
         mult.target_degree - mult.max_taylor_degree,
@@ -552,6 +574,7 @@ def factorization_residual(
         unrestricted=spectral_norm(np.asarray(total)),
         restricted_degree=restricted_degree,
         restricted_exact=exact_zero,
+        multiplier_norm=math.sqrt(spectral_norm(gram)),
     )
 
 
@@ -656,9 +679,10 @@ def align_factorizations(
 
     def family(cfd: CharFnData) -> np.ndarray:
         window = MonomialWindow(cfd.pick_factor, cfd.domain_dim, source_degree)
+        theta = _taylor_sum(cfd)
         cols = []
         for z in points:
-            theta_adj = np.asarray(theta_taylor_at(cfd, z), dtype=complex).conj().T
+            theta_adj = np.asarray(theta(z), dtype=complex).conj().T
             for a in range(r):
                 cols.append(window.kernel_vector(z, theta_adj[:, a]))
         return np.array(cols).T
@@ -717,20 +741,21 @@ class FunctionalModelReport:
 def functional_model(
     cfd: CharFnData,
     dil: DilationData,
-    mult: MultiplierMatrix,
+    partition: FactorizationResidual,
     residual_tol: float = 1e-8,
 ):
     """The compression of the coordinate multipliers to Ran V, with verification.
 
     Since V V^* + M_theta M_theta^* = I, Ran V is the orthogonal complement
     of Ran M_theta, and V itself is an orthonormal basis of it; in
-    V-coordinates the compressed tuple must reproduce T. Returns the model
-    tuple and a report of the intertwining and equality residuals.
+    V-coordinates the compressed tuple must reproduce T. ``partition`` is
+    ``factorization_residual(cfd, dil, mult)``; a restricted residual above
+    ``residual_tol`` raises ValueError. Returns the model tuple and a report
+    of the intertwining and equality residuals.
     """
-    fr = factorization_residual(cfd, dil, mult)
-    if fr.restricted > residual_tol:
+    if partition.restricted > residual_tol:
         raise ValueError(
-            f"factorization residual {fr.restricted:.3e} exceeds {residual_tol}; "
+            f"factorization residual {partition.restricted:.3e} exceeds {residual_tol}; "
             "the model space is not trustworthy"
         )
     v = to_float_array(dil.matrix)
@@ -746,7 +771,7 @@ def functional_model(
         inter.append(spectral_norm(m.conj().T @ v - v @ ti.conj().T))
         equality = max(equality, spectral_norm(compressed - ti))
     model = OperatorTuple(tuple(mats), None, None, t.nilpotency_bound, cfd.kernel)
-    return model, FunctionalModelReport(tuple(inter), equality, fr)
+    return model, FunctionalModelReport(tuple(inter), equality, partition)
 
 
 def coincidence_residual(

@@ -187,16 +187,21 @@ def kernel_vector_action(
     disagree beyond ``tol`` (which signals a window that is too shallow);
     returns the operator-series side.
     """
+    rhs, gap = kernel_vector_gap(dil, point, fiber)
+    if gap > tol:
+        raise TruncationError(f"kernel vector identity off by {gap:.3e} (window too small?)")
+    return rhs
+
+
+def kernel_vector_gap(dil: DilationData, point: Sequence, fiber: np.ndarray) -> tuple[np.ndarray, float]:
+    """(k_point(T) Defect fiber, its distance from V^* applied to k_point (x) fiber)."""
     vec = dil.window.kernel_vector(point, np.asarray(fiber))
-    lhs = to_float_array(dil.matrix).conj().T @ vec
+    lhs = np.asarray(dil.matrix, dtype=complex).conj().T @ vec
     dd = dil.defect
     series = operator_series(dd.ops, dd.kernel, point)
     delta = to_float_array(dd.defect)
     rhs = series @ delta @ (to_float_array(dd.ran_defect_basis) @ np.asarray(fiber))
-    gap = float(np.linalg.norm(lhs - rhs))
-    if gap > tol:
-        raise TruncationError(f"kernel vector identity off by {gap:.3e} (window too small?)")
-    return rhs
+    return rhs, float(np.linalg.norm(lhs - rhs))
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def test_criterion_11_k_inner_space(matrix):
 def test_criterion_12_functional_model_and_coincidence(matrix):
     with criterion(12, "functional model at 1e-9; coincidence for conjugates, not across structures"):
         for name, (config, dd, cfd, dil, mult) in matrix.items():
-            _, report = functional_model(cfd, dil, mult)
+            _, report = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
             assert report.equality_residual <= 1e-9, name
             assert max(report.intertwining_residuals) <= 1e-9, name
         results = {c.name: c for c in run_coincidence_checks(seed=0)}

@@ -12,6 +12,7 @@ from cnpchar.charfn import (
     build_multiplier,
     coincidence_residual,
     evaluate_charfn,
+    evaluation_gap,
     factorization_residual,
     functional_model,
     inverse_identity_residual,
@@ -21,7 +22,7 @@ from cnpchar.charfn import (
     row_symbol_margin,
     theta_taylor_at,
 )
-from cnpchar.dilation import build_dilation
+from cnpchar.dilation import TruncationError, build_dilation
 from cnpchar.multiindex import add, degree, enumerate_up_to_degree
 from cnpchar.operators import (
     NotContractionError,
@@ -158,7 +159,7 @@ class TestJordanCell:
         cfd, t, k, _ = jordan_exact
         dil = build_dilation(cfd.defect, 5)
         mult = build_multiplier(cfd, 3, 5)
-        model, report = functional_model(cfd, dil, mult)
+        model, report = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
         assert report.equality_residual < 1e-14
         assert max(report.intertwining_residuals) < 1e-14
         assert max_abs(model.mats[0] - to_float_array(t.mats[0])) < 1e-14
@@ -289,6 +290,17 @@ class TestThetaEvaluation:
         rng = np.random.default_rng(7)
         for z in sample_points(rng, 5, 1):
             evaluate_charfn(cfd, z)
+
+    def test_gap_is_the_cross_check_threshold(self, k2_da):
+        """evaluate_charfn returns the Taylor sum up to tol = gap and raises just below it."""
+        cfd, _, _, _ = k2_da
+        z = sample_points(np.random.default_rng(7), 1, 1)[0]
+        taylor_sum, gap = evaluation_gap(cfd, z)
+        assert 0.0 < gap <= 1e-10
+        assert np.array_equal(taylor_sum, theta_taylor_at(cfd, z))
+        assert np.array_equal(evaluate_charfn(cfd, z, tol=gap), taylor_sum)
+        with pytest.raises(TruncationError, match="disagree"):
+            evaluate_charfn(cfd, z, tol=gap / 2)
 
     def test_cap_stability(self):
         """Taylor coefficients do not move when the windows grow; new domain
@@ -423,6 +435,19 @@ class TestProjectionPartition:
         )
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted >= 1e-3
+
+    def test_multiplier_norm_k2_da(self, k2_da):
+        cfd, _, _, _ = k2_da
+        target = 4 + cfd.max_taylor_degree
+        mult = build_multiplier(cfd, 4, target)
+        fr = factorization_residual(cfd, build_dilation(cfd.defect, target), mult)
+        assert abs(fr.multiplier_norm - np.linalg.norm(mult.matrix, 2)) <= 1e-14
+
+    def test_multiplier_norm_jordan_exact(self, jordan_exact):
+        cfd, _, _, _ = jordan_exact
+        mult = build_multiplier(cfd, 3, 5)
+        fr = factorization_residual(cfd, build_dilation(cfd.defect, 5), mult)
+        assert abs(fr.multiplier_norm - np.linalg.norm(to_float_array(mult.matrix), 2)) <= 1e-14
 
     def test_window_mismatch_rejected(self, k2_da):
         cfd, t, k, _ = k2_da
@@ -574,7 +599,7 @@ class TestFunctionalModelAndCoincidence:
         target = 4 + cfd.max_taylor_degree
         dil = build_dilation(cfd.defect, target)
         mult = build_multiplier(cfd, 4, target)
-        model, report = functional_model(cfd, dil, mult)
+        model, report = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
         assert report.equality_residual < 1e-9
         assert max(report.intertwining_residuals) < 1e-9
 

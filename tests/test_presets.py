@@ -1,0 +1,70 @@
+"""The configuration checks: what each computes once, and how a failed partition is reported."""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from cnpchar import charfn, presets
+from cnpchar.cli import main
+from cnpchar.dilation import MonomialWindow
+
+
+@pytest.fixture(scope="module")
+def config():
+    return presets.configuration("k2_da_d1_n1")
+
+
+def _checks(results):
+    return {c.name: c for c in results}
+
+
+def test_partition_computed_once(config, monkeypatch):
+    calls = []
+    real = charfn.factorization_residual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(presets, "factorization_residual", counted)
+    monkeypatch.setattr(charfn, "factorization_residual", counted)
+    results = _checks(presets.run_configuration_checks(config))
+    assert len(calls) == 1
+    assert results["multiplier_contraction"].verdict == "pass"
+    assert results["functional_model"].verdict == "pass"
+
+
+def test_kernel_vector_once_per_sample(config, monkeypatch):
+    calls = []
+    real = MonomialWindow.kernel_vector
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(MonomialWindow, "kernel_vector", counted)
+    presets.run_configuration_checks(config, point_count=7)
+    assert len(calls) == 7
+
+
+def test_theta_cross_check_reports_its_gap(config):
+    check = _checks(presets.run_configuration_checks(config))["theta_taylor_cross_check"]
+    assert check.verdict == "pass"
+    assert 0.0 < check.residual <= presets.TOL_SINGLE
+
+
+def test_failed_partition_is_a_failed_check(tmp_path, monkeypatch):
+    real = charfn.factorization_residual
+
+    def broken(*args):
+        return replace(real(*args), restricted=1e-3)
+
+    monkeypatch.setattr(presets, "factorization_residual", broken)
+    monkeypatch.setattr(charfn, "factorization_residual", broken)
+    out = tmp_path / "report.json"
+    assert main(["charfn", "verify", "--preset", "k2_da_d1_n1", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["projection_partition"]["verdict"] == "fail"
+    assert checks["functional_model"]["verdict"] == "fail"
+    assert checks["functional_model"]["residual"] == 1e-3

@@ -3,7 +3,9 @@
 Each file in ``tests/golden/`` holds one ``cnpchar`` command line and, for
 every check its report lists, the ``name``, ``verdict`` and ``exact`` fields,
 plus the ``residual`` of every check flagged exact. The suite's file pins its
-255 checks this way, which gives its (name, verdict) pairs.
+255 checks this way, which gives its (name, verdict) pairs. The wide file
+runs the benchmark's ``wide`` command line on the spec files under
+``perfbench/specs``, read from the repository root.
 
 Float residuals are not pinned: their last bits depend on the BLAS library
 and its threading, so they are held only through their verdicts.
@@ -43,5 +45,6 @@ def test_golden_files_present():
         "charfn_build_jordan_exact",
         "charfn_verify_jordan_exact",
         "charfn_verify_two_cells_exact",
+        "charfn_verify_wide_seed_0",
         "suite_seed_0",
     }
