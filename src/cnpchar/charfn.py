@@ -201,13 +201,10 @@ def build_charfn(
     for lab, scale in zip(g_labels, root_g):
         if lab in defect_rows:
             embedding[e_space.block(lab)] = scale * defect_rows[lab]
-    diagnostics["embedding_gram_residual"] = spectral_norm(
-        embedding.conj().T @ embedding - gamma_sq
-    )
+    embedding_gap = embedding.conj().T @ embedding - gamma_sq
+    diagnostics["embedding_gram_residual"] = spectral_norm(embedding_gap)
     if sc.exact:
-        diagnostics["embedding_gram_exact"] = is_exactly_zero(
-            embedding.conj().T @ embedding - gamma_sq
-        )
+        diagnostics["embedding_gram_exact"] = is_exactly_zero(embedding_gap)
 
     # unitary identification of Ran(pick defect) with Ran(embedding)
     range_unitary = embedding @ gamma_pinv

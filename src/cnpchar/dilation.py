@@ -113,7 +113,6 @@ class DilationData:
     window: MonomialWindow
     matrix: np.ndarray
     isometry_residual: float
-    exact_regime: bool
 
     @property
     def target_degree(self) -> int:
@@ -155,14 +154,11 @@ def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
             continue
         v[window.block(lab)] = sc.sqrt(a) * (q.conj().T @ delta @ t.power_adjoint(lab))
     gram_gap = v.conj().T @ v - t.identity()
-    residual = spectral_norm(gram_gap)
-    exact_regime = bound is not None and target_degree >= bound
     return DilationData(
         defect=defect,
         window=window,
         matrix=v,
-        isometry_residual=residual,
-        exact_regime=exact_regime,
+        isometry_residual=spectral_norm(gram_gap),
     )
 
 
@@ -263,7 +259,7 @@ def associated_tuple_test(
     )
     restricted = OperatorTuple(mats, None, None, window_degree, kernel)
     b_form = reciprocal_complement(form_kernel)
-    total, _, _, _ = conjugated_sum(restricted, b_form, degree_cap=window_degree)
+    total, _ = conjugated_sum(restricted, b_form)
     form = restricted.identity() - total
     lo = min_eigenvalue(form)
     return AssociatedTupleCertificate(lo, lo >= -tol, False, window_degree, q)

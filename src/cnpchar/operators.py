@@ -223,59 +223,57 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
 
 
 # ---------------------------------------------------------------------------
-# conjugated operator sums
+# graded operator series
+
+
+def _graded_sum(t: OperatorTuple, series: RealSeries, term, zero, degree_cap: int, stop_tol: float):
+    """sum over alpha of term(alpha, c_alpha), c_alpha = series.coeff(alpha), degree by degree.
+
+    Zero coefficients are skipped. The walk runs from degree 0 to the first
+    of ``degree_cap``, the truncation, the nilpotency bound and the series'
+    last nonzero degree. Without a nilpotency bound, a walk that ends at its
+    cap (with ``degree_cap`` at most the truncation) must end on a
+    positive-degree increment with entries at most ``stop_tol``, else
+    ConvergenceError. Returns (total, exact_stop); exact_stop says the walk
+    reached the nilpotency bound, so the sum is finite and complete.
+    """
+    if series.dim != t.num_vars:
+        raise ValueError("series dimension does not match the tuple")
+    bound = t.nilpotency_bound
+    top = min(degree_cap, series.truncation, degree_cap if bound is None else bound)
+    stop = min(top, max((i for i, c in enumerate(series.coefficients) if c != 0), default=0))
+    total = inc = zero
+    for deg in range(stop + 1):
+        inc = zero
+        for alpha in compositions(deg, t.num_vars):
+            c = series.coeff(alpha)
+            if c != 0:
+                inc = inc + term(alpha, c)
+        total = total + inc
+    if bound is None and degree_cap <= series.truncation and 0 < stop == top and max_abs(inc) > stop_tol:
+        raise ConvergenceError(f"operator series did not settle below {stop_tol} by degree {top}")
+    return total, bound is not None and bound <= min(degree_cap, series.truncation)
 
 
 def conjugated_sum(
     t: OperatorTuple,
     series: RealSeries,
     middle: Optional[np.ndarray] = None,
-    include_zero: bool = False,
     degree_cap: int = 64,
     stop_tol: float = 1e-13,
 ):
     """sum over alpha of series.coeff(alpha) T^alpha [middle] (T^alpha)^*.
 
-    Stops exactly at the nilpotency bound when one is known; otherwise runs
-    degree by degree until the increment norm falls below ``stop_tol`` or
-    ``degree_cap`` is hit (then raises ConvergenceError). Returns
-    (total, increment_norms, stop_degree, exact_stop).
+    Summed and stopped by ``_graded_sum``; returns (total, exact_stop).
     """
-    if series.dim != t.num_vars:
-        raise ValueError("series dimension does not match the tuple")
-    n, sc, dtype = t.size, t.scalars, t.mats[0].dtype
-    total = sc.zeros((n, n), dtype)
-    if include_zero:
-        term = middle if middle is not None else t.identity()
-        total = total + sc.coefficient(series.coeff_1d(0)) * term
-    bound = t.nilpotency_bound
-    top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
-    support_max = max((i for i, c in enumerate(series.coefficients) if i >= 1 and c != 0), default=0)
-    loop_top = min(top, support_max)
-    increments = []
-    for deg in range(1, loop_top + 1):
-        inc = sc.zeros((n, n), dtype)
-        for alpha in compositions(deg, t.num_vars):
-            c = series.coeff(alpha)
-            if c == 0:
-                continue
-            c = sc.coefficient(c)
-            p = t.power(alpha)
-            conj = adjoint(p, t.weights)
-            inc = inc + c * (p @ middle @ conj if middle is not None else p @ conj)
-        total = total + inc
-        increments.append(max_abs(inc))
-    if bound is None:
-        settled = loop_top < top or not increments or increments[-1] <= stop_tol
-        if degree_cap <= series.truncation and not settled:
-            raise ConvergenceError(
-                f"conjugated series increments did not fall below {stop_tol} "
-                f"by degree {top}"
-            )
-        exact_stop = False
-    else:
-        exact_stop = top >= min(bound, series.truncation) and series.truncation >= bound
-    return total, increments, top, exact_stop
+    sc = t.scalars
+
+    def term(alpha, c):
+        p = t.power(alpha)
+        return sc.coefficient(c) * ((p if middle is None else p @ middle) @ adjoint(p, t.weights))
+
+    zero = sc.zeros((t.size, t.size), t.mats[0].dtype)
+    return _graded_sum(t, series, term, zero, degree_cap, stop_tol)
 
 
 @dataclass
@@ -304,8 +302,6 @@ class DefectData:
     pick_defect_sq: Optional[np.ndarray]
     pick_defect: Optional[np.ndarray]
     pick_defect_pinv: Optional[np.ndarray]
-    support_degree: int
-    increments: tuple
     purity_residual: float
     purity_exact: bool
 
@@ -337,9 +333,7 @@ def defect_data(
     largest count as zeros.
     """
     b = reciprocal_complement(kernel)
-    s_sum, increments, stop_degree, _ = conjugated_sum(
-        t, b, degree_cap=degree_cap, stop_tol=stop_tol
-    )
+    s_sum, _ = conjugated_sum(t, b, degree_cap=degree_cap, stop_tol=stop_tol)
     delta_sq = t.identity() - s_sum
     delta = _checked_root(delta_sq, f"not a 1/k-contraction for {_kname(kernel)}")
 
@@ -347,7 +341,7 @@ def defect_data(
     gamma = None
     if pick_factor is not None:
         b_s = reciprocal_complement(pick_factor)
-        s_sum_pick, _, _, _ = conjugated_sum(t, b_s, degree_cap=degree_cap, stop_tol=stop_tol)
+        s_sum_pick, _ = conjugated_sum(t, b_s, degree_cap=degree_cap, stop_tol=stop_tol)
         pick_defect_sq = t.identity() - s_sum_pick
         gamma = _checked_root(pick_defect_sq, "not a 1/s-contraction for the CNP factor")
 
@@ -362,8 +356,6 @@ def defect_data(
         pick_defect_sq=pick_defect_sq,
         pick_defect=None if gamma is None else gamma.root,
         pick_defect_pinv=None if gamma is None else gamma.pinv,
-        support_degree=stop_degree,
-        increments=tuple(increments),
         purity_residual=purity.residual,
         purity_exact=purity.exact,
     )
@@ -408,8 +400,8 @@ def purity_check(
     flag is set when the sum terminated at a nilpotency bound and the
     difference vanishes identically.
     """
-    total, _, _, exact_stop = conjugated_sum(
-        t, kernel, middle=defect_sq, include_zero=True, degree_cap=degree_cap, stop_tol=stop_tol
+    total, exact_stop = conjugated_sum(
+        t, kernel, middle=defect_sq, degree_cap=degree_cap, stop_tol=stop_tol
     )
     gap = total - t.identity()
     residual = spectral_norm(gap)
@@ -426,31 +418,19 @@ def operator_series(
 ) -> np.ndarray:
     """sum_alpha series.coeff(alpha) conj(point^alpha) T^alpha.
 
-    Finite (hence exact) for nilpotent tuples; otherwise truncated with
-    increment stopping and ConvergenceError on failure. Away from exact
-    arithmetic the coefficients come from the series' float view.
+    Summed and stopped by ``_graded_sum``: finite (hence exact) for
+    nilpotent tuples. Away from exact arithmetic the coefficients come from
+    the series' float view.
     """
-    if series.dim != t.num_vars or len(point) != t.num_vars:
+    if len(point) != t.num_vars:
         raise ValueError("dimension mismatch")
     sc = t.scalars.at(point)
-    series = sc.series(series)
-    n = t.size
-    total = sc.zeros((n, n), complex)
-    bound = t.nilpotency_bound
-    top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
-    prev = None
-    for deg in range(0, top + 1):
-        inc = sc.zeros((n, n), complex)
-        for alpha in compositions(deg, t.num_vars):
-            c = series.coeff(alpha)
-            if c == 0:
-                continue
-            scalar = c * monomial_value(point, alpha).conjugate()
-            inc = inc + sc.monomial(scalar) * sc.array(t.power(alpha))
-        total = total + inc
-        prev = max_abs(inc)
-    if bound is None and degree_cap <= series.truncation and (prev is None or prev > stop_tol):
-        raise ConvergenceError(f"operator series did not settle below {stop_tol} by degree {top}")
+
+    def term(alpha, c):
+        return sc.monomial(c * monomial_value(point, alpha).conjugate()) * sc.array(t.power(alpha))
+
+    zero = sc.zeros((t.size, t.size), complex)
+    total, _ = _graded_sum(t, sc.series(series), term, zero, degree_cap, stop_tol)
     if not sc.exact and not any(isinstance(x, complex) for x in np.asarray(point).flat):
         # real point, real tuple: keep the result real when it is
         if np.allclose(total.imag, 0.0):

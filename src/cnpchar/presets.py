@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -113,9 +113,7 @@ def default_caps(pick: KernelSeries, dim: int, nilpotency_bound: int) -> tuple[i
     return support_cap, deep
 
 
-def _model_config(
-    name, k_kind, s_kind, dim, model_degree, compress_seed=None, description=""
-) -> Configuration:
+def _model_config(name, k_kind, s_kind, dim, model_degree, compress_seed) -> Configuration:
     kernel = _kernel_named(k_kind, dim)
     pick = _kernel_named(s_kind, dim)
     fac = factor_through_pick(kernel, pick)
@@ -133,126 +131,78 @@ def _model_config(
         constant_cap=constant_cap,
         source_degree=bound + 2,
         sample_scale=0.45 if dim >= 2 else 0.48,
+        description="" if compress_seed is None else "random co-invariant compression",
+    )
+
+
+def _szego_config(name, tuple_for, description) -> Configuration:
+    """A hand-built tuple for the Szego kernel factored through itself."""
+    kernel = szego_kernel(1, TRUNCATION)
+    fac = factor_through_pick(kernel, kernel)
+    return Configuration(
+        name=name,
+        dim=1,
+        factorization=fac,
+        ops=tuple_for(kernel),
+        support_cap=4,
+        constant_cap=4,
+        source_degree=3,
         description=description,
     )
 
 
-def _jordan_config() -> Configuration:
-    kernel = szego_kernel(1, TRUNCATION)
-    fac = factor_through_pick(kernel, kernel)
-    t = model_tuple(kernel, 1, 1, mode="float")
-    return Configuration(
-        name="jordan",
-        dim=1,
-        factorization=fac,
-        ops=t,
-        support_cap=4,
-        constant_cap=4,
-        source_degree=3,
-        description="2x2 nilpotent Jordan cell; theta(z) = z^2, all identities exact",
-    )
-
-
-def _two_cells_config() -> Configuration:
-    kernel = szego_kernel(1, TRUNCATION)
-    fac = factor_through_pick(kernel, kernel)
+def _two_cells(kernel: KernelSeries) -> OperatorTuple:
     mat = np.zeros((4, 4))
     mat[1, 0] = 1.0
     mat[3, 2] = 1.0
-    t = OperatorTuple((mat,), None, None, 1, kernel)
-    return Configuration(
-        name="two_cells",
-        dim=1,
-        factorization=fac,
-        ops=t,
-        support_cap=4,
-        constant_cap=4,
-        source_degree=3,
-        description="direct sum of two Jordan cells; defect rank 2",
-    )
+    return OperatorTuple((mat,), None, None, 1, kernel)
 
 
-def _nonpure_config() -> Configuration:
-    kernel = szego_kernel(1, TRUNCATION)
-    fac = factor_through_pick(kernel, kernel)
-    t = OperatorTuple((np.array([[1.0]]),), None, None, None, kernel)
-    return Configuration(
-        name="nonpure",
-        dim=1,
-        factorization=fac,
-        ops=t,
-        support_cap=4,
-        constant_cap=4,
-        source_degree=3,
-        description="the 1x1 isometry: a 1/k-contraction that is not pure",
-    )
-
-
-_BUILDERS: dict[str, Callable[[], Configuration]] = {
-    "jordan": _jordan_config,
-    "two_cells": _two_cells_config,
-    "nonpure": _nonpure_config,
-    "k2_da_d1_n1": lambda: _model_config("k2_da_d1_n1", "bergman2", "da", 1, 1),
-    "k2_da_d1_n2": lambda: _model_config("k2_da_d1_n2", "bergman2", "da", 1, 2),
-    "k2_da_d1_n3": lambda: _model_config("k2_da_d1_n3", "bergman2", "da", 1, 3),
-    "k2_da_d2_n1": lambda: _model_config("k2_da_d2_n1", "bergman2", "da", 2, 1),
-    "k2_da_d2_n2": lambda: _model_config("k2_da_d2_n2", "bergman2", "da", 2, 2),
-    "k2_da_d2_n3": lambda: _model_config("k2_da_d2_n3", "bergman2", "da", 2, 3),
-    "k3_da_d1_n1": lambda: _model_config("k3_da_d1_n1", "bergman3", "da", 1, 1),
-    "k3_da_d1_n2": lambda: _model_config("k3_da_d1_n2", "bergman3", "da", 1, 2),
-    "k3_da_d2_n1": lambda: _model_config("k3_da_d2_n1", "bergman3", "da", 2, 1),
-    "dadir_da_d1_n2": lambda: _model_config("dadir_da_d1_n2", "da*dirichlet", "da", 1, 2),
-    "dadir_da_d2_n1": lambda: _model_config("dadir_da_d2_n1", "da*dirichlet", "da", 2, 1),
-    "dadir_dir_d1_n1": lambda: _model_config("dadir_dir_d1_n1", "da*dirichlet", "dirichlet", 1, 1),
-    "k2_da_d1_n3_c": lambda: _model_config(
-        "k2_da_d1_n3_c", "bergman2", "da", 1, 3, compress_seed=1031,
-        description="random co-invariant compression",
+# name -> (tuple built from the Szego kernel, description)
+_SZEGO_TUPLES = {
+    "jordan": (
+        lambda k: model_tuple(k, 1, 1, mode="float"),
+        "2x2 nilpotent Jordan cell; theta(z) = z^2, all identities exact",
     ),
-    "k2_da_d2_n2_c": lambda: _model_config(
-        "k2_da_d2_n2_c", "bergman2", "da", 2, 2, compress_seed=1032,
-        description="random co-invariant compression",
-    ),
-    "k3_da_d1_n2_c": lambda: _model_config(
-        "k3_da_d1_n2_c", "bergman3", "da", 1, 2, compress_seed=1033,
-        description="random co-invariant compression",
-    ),
-    "dadir_da_d1_n2_c": lambda: _model_config(
-        "dadir_da_d1_n2_c", "da*dirichlet", "da", 1, 2, compress_seed=1034,
-        description="random co-invariant compression",
+    "two_cells": (_two_cells, "direct sum of two Jordan cells; defect rank 2"),
+    "nonpure": (
+        lambda k: OperatorTuple((np.array([[1.0]]),), None, None, None, k),
+        "the 1x1 isometry: a 1/k-contraction that is not pure",
     ),
 }
 
-# the verification matrix exercised by the suite and the acceptance tests
-SUITE_CONFIGS = (
-    "jordan",
-    "two_cells",
-    "k2_da_d1_n1",
-    "k2_da_d1_n2",
-    "k2_da_d1_n3",
-    "k2_da_d2_n1",
-    "k2_da_d2_n2",
-    "k2_da_d2_n3",
-    "k3_da_d1_n1",
-    "k3_da_d1_n2",
-    "k3_da_d2_n1",
-    "dadir_da_d1_n2",
-    "dadir_da_d2_n1",
-    "dadir_dir_d1_n1",
-    "k2_da_d1_n3_c",
-    "k2_da_d2_n2_c",
-    "k3_da_d1_n2_c",
-    "dadir_da_d1_n2_c",
-)
+# name -> (kernel, CNP factor, d, model degree, compression seed)
+_MODELS = {
+    "k2_da_d1_n1": ("bergman2", "da", 1, 1, None),
+    "k2_da_d1_n2": ("bergman2", "da", 1, 2, None),
+    "k2_da_d1_n3": ("bergman2", "da", 1, 3, None),
+    "k2_da_d2_n1": ("bergman2", "da", 2, 1, None),
+    "k2_da_d2_n2": ("bergman2", "da", 2, 2, None),
+    "k2_da_d2_n3": ("bergman2", "da", 2, 3, None),
+    "k3_da_d1_n1": ("bergman3", "da", 1, 1, None),
+    "k3_da_d1_n2": ("bergman3", "da", 1, 2, None),
+    "k3_da_d2_n1": ("bergman3", "da", 2, 1, None),
+    "dadir_da_d1_n2": ("da*dirichlet", "da", 1, 2, None),
+    "dadir_da_d2_n1": ("da*dirichlet", "da", 2, 1, None),
+    "dadir_dir_d1_n1": ("da*dirichlet", "dirichlet", 1, 1, None),
+    "k2_da_d1_n3_c": ("bergman2", "da", 1, 3, 1031),
+    "k2_da_d2_n2_c": ("bergman2", "da", 2, 2, 1032),
+    "k3_da_d1_n2_c": ("bergman3", "da", 1, 2, 1033),
+    "dadir_da_d1_n2_c": ("da*dirichlet", "da", 1, 2, 1034),
+}
 
-CONFIG_NAMES = tuple(_BUILDERS)
+CONFIG_NAMES = tuple(_SZEGO_TUPLES) + tuple(_MODELS)
+
+# the verification matrix exercised by the suite and the acceptance tests
+SUITE_CONFIGS = tuple(name for name in CONFIG_NAMES if name != "nonpure")
 
 
 def configuration(name: str) -> Configuration:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown configuration {name!r}; known: {', '.join(_BUILDERS)}") from None
-    return builder()
+    if name in _SZEGO_TUPLES:
+        return _szego_config(name, *_SZEGO_TUPLES[name])
+    if name in _MODELS:
+        return _model_config(name, *_MODELS[name])
+    raise ValueError(f"unknown configuration {name!r}; known: {', '.join(CONFIG_NAMES)}")
 
 
 # ---------------------------------------------------------------------------

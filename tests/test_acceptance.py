@@ -109,7 +109,7 @@ def test_criterion_03_defect_is_constants_projection():
     with criterion(3, "I - b-weighted sum equals the constants projection, exact rationals"):
         for k, t in _exact_model_grid():
             b = reciprocal_complement(k)
-            total, _, _, exact_stop = conjugated_sum(t, b)
+            total, exact_stop = conjugated_sum(t, b)
             assert exact_stop
             gap = t.identity() - total
             expected = exact_zeros((t.size, t.size))
@@ -154,9 +154,7 @@ def test_criterion_06_embedding_gram_exact():
             for degree_cut in (1, 2):
                 t = model_tuple(k, k.dim, degree_cut, mode="exact")
                 dd = defect_data(t, k, pick_factor=s)
-                lhs, _, _, exact_stop = conjugated_sum(
-                    t, fac.positive_part, middle=dd.defect_sq, include_zero=True
-                )
+                lhs, exact_stop = conjugated_sum(t, fac.positive_part, middle=dd.defect_sq)
                 assert exact_stop
                 assert is_exactly_zero(lhs - dd.pick_defect_sq)
 

@@ -5,12 +5,19 @@ import numpy as np
 import pytest
 
 from cnpchar._linalg import adjoint, exact_zeros, max_abs
-from cnpchar.multiindex import compositions, count_up_to_degree, degree, enumerate_up_to_degree
+from cnpchar.multiindex import (
+    compositions,
+    count_up_to_degree,
+    degree,
+    enumerate_up_to_degree,
+    monomial_value,
+)
 from cnpchar.operators import (
     ConvergenceError,
     NotContractionError,
     OperatorTuple,
     compress,
+    conjugated_sum,
     defect_data,
     model_tuple,
     operator_series,
@@ -369,6 +376,135 @@ def _dense_certificate_reference(kernel, form_kernel, base_degree, vectors, wind
     return values
 
 
+def _conjugated_sum_reference(t, series, middle=None, include_zero=False, degree_cap=64, stop_tol=1e-13):
+    """The conjugated sum as its own loop, with an optional degree-0 term added up front.
+
+    Returns (total, increment_norms, stop_degree, exact_stop).
+    """
+    n, sc, dtype = t.size, t.scalars, t.mats[0].dtype
+    total = sc.zeros((n, n), dtype)
+    if include_zero:
+        term = middle if middle is not None else t.identity()
+        total = total + sc.coefficient(series.coeff_1d(0)) * term
+    bound = t.nilpotency_bound
+    top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
+    support_max = max((i for i, c in enumerate(series.coefficients) if i >= 1 and c != 0), default=0)
+    loop_top = min(top, support_max)
+    increments = []
+    for deg in range(1, loop_top + 1):
+        inc = sc.zeros((n, n), dtype)
+        for alpha in compositions(deg, t.num_vars):
+            c = series.coeff(alpha)
+            if c == 0:
+                continue
+            c = sc.coefficient(c)
+            p = t.power(alpha)
+            conj = adjoint(p, t.weights)
+            inc = inc + c * (p @ middle @ conj if middle is not None else p @ conj)
+        total = total + inc
+        increments.append(max_abs(inc))
+    if bound is None:
+        settled = loop_top < top or not increments or increments[-1] <= stop_tol
+        if degree_cap <= series.truncation and not settled:
+            raise ConvergenceError("conjugated series did not settle")
+        exact_stop = False
+    else:
+        exact_stop = top >= min(bound, series.truncation) and series.truncation >= bound
+    return total, increments, top, exact_stop
+
+
+def _operator_series_reference(t, series, point, degree_cap=64, stop_tol=1e-13):
+    """The operator series as its own loop over every degree up to the cap."""
+    sc = t.scalars.at(point)
+    series = sc.series(series)
+    n = t.size
+    total = sc.zeros((n, n), complex)
+    bound = t.nilpotency_bound
+    top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
+    prev = None
+    for deg in range(0, top + 1):
+        inc = sc.zeros((n, n), complex)
+        for alpha in compositions(deg, t.num_vars):
+            c = series.coeff(alpha)
+            if c == 0:
+                continue
+            scalar = c * monomial_value(point, alpha).conjugate()
+            inc = inc + sc.monomial(scalar) * sc.array(t.power(alpha))
+        total = total + inc
+        prev = max_abs(inc)
+    if bound is None and degree_cap <= series.truncation and (prev is None or prev > stop_tol):
+        raise ConvergenceError("operator series did not settle")
+    if not sc.exact and not any(isinstance(x, complex) for x in np.asarray(point).flat):
+        if np.allclose(total.imag, 0.0):
+            return total.real
+    return total
+
+
+def _same(a, b):
+    """Exact arrays entry by entry with ==, float arrays bit for bit."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert all(x == y for x, y in zip(a.flat, b.flat))
+    else:
+        assert np.array_equal(a, b)
+
+
+def _assert_walker_matches_references(t, kernel, points):
+    """The b-sum, the purity sum and k_z(T)*, b_z(T)* agree with the reference loops."""
+    b = reciprocal_complement(kernel)
+    total, exact_stop = conjugated_sum(t, b)
+    ref, _, _, ref_exact = _conjugated_sum_reference(t, b)
+    _same(total, ref)
+    assert exact_stop == ref_exact
+    defect_sq = t.identity() - total
+    total, exact_stop = conjugated_sum(t, kernel, middle=defect_sq)
+    ref, _, _, ref_exact = _conjugated_sum_reference(t, kernel, middle=defect_sq, include_zero=True)
+    _same(total, ref)
+    assert exact_stop == ref_exact
+    for point in points:
+        for series in (kernel, b):
+            _same(operator_series(t, series, point), _operator_series_reference(t, series, point))
+
+
+class TestGradedWalker:
+    """conjugated_sum and operator_series against the loops they replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("degree_cut", [1, 2, 3])
+    def test_exact_weighted_models(self, dim, degree_cut):
+        k = bergman_kernel(2, dim, 12)
+        t = model_tuple(k, dim, degree_cut, mode="exact")
+        assert t.weights is not None
+        _assert_walker_matches_references(t, k, [(0.3 + 0.1j,) * dim])
+
+    def test_float_model_and_compression(self):
+        k = bergman_kernel(2, 2, 24)
+        t = model_tuple(k, 2, 2, mode="float")
+        tc = random_coinvariant_compression(t, np.random.default_rng(5))
+        for ops in (t, tc):
+            _assert_walker_matches_references(ops, k, [np.array([0.2 - 0.3j, 0.1j]), np.array([0.3, -0.2])])
+
+    def test_rational_point(self):
+        k = szego_kernel(1, 8)
+        t = model_tuple(k, 1, 2, mode="exact")
+        t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
+        _assert_walker_matches_references(t, k, [[Fraction(1, 2)], [Fraction(-2, 3)]])
+
+    @pytest.mark.parametrize("truncation", [40, 80])
+    @pytest.mark.parametrize("kernel", [szego_kernel, dirichlet_kernel])
+    def test_non_nilpotent_scalar(self, kernel, truncation):
+        t = OperatorTuple((np.array([[0.5]]),), None, None, None, None)
+        _assert_walker_matches_references(t, kernel(1, truncation), [[0.6], [0.3 + 0.4j]])
+
+    def test_operator_series_convergence_error(self):
+        t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
+        dirichlet = dirichlet_kernel(1, 80)
+        with pytest.raises(ConvergenceError):
+            operator_series(t, dirichlet, [0.9])
+        with pytest.raises(ConvergenceError):
+            _operator_series_reference(t, dirichlet, [0.9])
+
+
 class TestSerialization:
     def test_float_round_trip(self):
         from cnpchar.operators import tuple_from_spec, tuple_to_spec
@@ -421,9 +557,7 @@ class TestPickFactorPurityExact:
         for degree_cut in (1, 2, 3):
             t = model_tuple(k, 1, degree_cut, mode="exact")
             dd = defect_data(t, k, pick_factor=s)
-            total, _, _, exact_stop = conjugated_sum(
-                t, s, middle=dd.pick_defect_sq, include_zero=True
-            )
+            total, exact_stop = conjugated_sum(t, s, middle=dd.pick_defect_sq)
             assert exact_stop
             gap = total - t.identity()
             assert all(x == 0 for x in gap.flat)

@@ -5,7 +5,10 @@ every check its report lists, the ``name``, ``verdict`` and ``exact`` fields,
 plus the ``residual`` of every check flagged exact. The suite's file pins its
 255 checks this way, which gives its (name, verdict) pairs. The wide file
 runs the benchmark's ``wide`` command line on the spec files under
-``perfbench/specs``, read from the repository root.
+``perfbench/specs``, read from the repository root. The scalar file runs
+the non-nilpotent tuple [[0.5]] through the Szego kernel at truncation 64,
+where the truncated operator series settle, on the spec files under
+``tests/specs`` (outside ``tests/golden``, whose every file is a golden).
 
 Float residuals are not pinned: their last bits depend on the BLAS library
 and its threading, so they are held only through their verdicts.
@@ -44,6 +47,7 @@ def test_golden_files_present():
     assert {p.stem for p in GOLDEN} == {
         "charfn_build_jordan_exact",
         "charfn_verify_jordan_exact",
+        "charfn_verify_scalar_half_N64",
         "charfn_verify_two_cells_exact",
         "charfn_verify_wide_seed_0",
         "suite_seed_0",
