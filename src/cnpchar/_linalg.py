@@ -61,6 +61,17 @@ def adjoint(a: np.ndarray, weights=None) -> np.ndarray:
     return at * (w[None, :] / w[:, None])
 
 
+def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with real part ``re`` and imaginary part ``im``, exactly.
+
+    For complex products written in real arithmetic, which round like
+    numpy's scalar complex product; its array product rounds differently.
+    """
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
@@ -68,13 +79,22 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """The operator 2-norm: max |eigenvalue| for an exactly Hermitian matrix, else the top singular value."""
+    """The operator 2-norm of a matrix, or the largest over a stack of matrices.
+
+    Each matrix takes max |eigenvalue| when it is exactly Hermitian, else its
+    top singular value.
+    """
     if a.size == 0:
         return 0.0
-    a = to_float_array(a)
-    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
-        return float(np.abs(np.linalg.eigvalsh(a)).max())
-    return float(np.linalg.norm(a, 2))
+    stack = to_float_array(a).reshape(-1, *a.shape[-2:])
+    herm = a.shape[-1] == a.shape[-2] and np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.all(herm):
+        norms = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
+    elif not np.any(herm):
+        norms = np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+    else:
+        return max(spectral_norm(m) for m in stack)
+    return float(norms.max())
 
 
 def is_exactly_zero(a: np.ndarray) -> bool:
@@ -98,6 +118,17 @@ def frac_sqrt(x) -> Fraction:
     if pn * pn != f.numerator or pd * pd != f.denominator:
         raise ExactnessError(f"{f} is not a perfect square")
     return Fraction(pn, pd)
+
+
+def point_stack(points) -> tuple[list, bool]:
+    """(the points, single) of a (d,) point or a (P, d) stack of points.
+
+    A single point becomes a stack of one and is flagged, so callers can
+    return its (unstacked) result; an empty sequence is an empty stack.
+    Coordinates keep their scalar types.
+    """
+    single = len(points) > 0 and np.ndim(points) == 1
+    return ([points] if single else list(points)), single
 
 
 @dataclass(frozen=True)
@@ -139,9 +170,9 @@ class Scalars:
         """A coefficient series in this arithmetic: unchanged when exact, its float view otherwise."""
         return s if self.exact else s.floats
 
-    def at(self, point) -> "Scalars":
-        """The arithmetic at ``point``: exact only if every coordinate is rational."""
-        if self.exact and all(isinstance(p, (Fraction, int)) for p in point):
+    def at(self, points) -> "Scalars":
+        """The arithmetic at a point or a stack of points: exact only if every coordinate is rational."""
+        if self.exact and all(isinstance(p, (Fraction, int)) for pt in point_stack(points)[0] for p in pt):
             return self
         return FLOAT
 

@@ -44,6 +44,7 @@ from ._linalg import (
     is_exactly_zero,
     max_abs,
     orth_complement_of_range,
+    point_stack,
     polar_orthogonal,
     psd_root,
     spectral_norm,
@@ -329,116 +330,116 @@ def _taylor_stack(cfd: CharFnData, labels: Sequence, scalars: Scalars = FLOAT) -
     return stack.reshape(len(labels), r, dom)
 
 
-def _taylor_sum(cfd: CharFnData):
-    """point -> sum_gamma theta_gamma point^gamma, stacking the coefficients once per arithmetic."""
+def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
+    """sum_gamma theta_gamma point^gamma at a (d,) point or a (P, d) stack: (r, dom) or (P, r, dom).
+
+    One broadcast matmul (P, 1, L) @ (L, r dom), which rounds like the
+    vector-matrix product of a single point; a stacked gemm would not.
+    """
+    pts, single = point_stack(points)
     labels = list(cfd.taylor)
-    space = BlockSpace(labels, cfd.fiber_dim)
-    stacks = {}
-
-    def at(point: Point) -> np.ndarray:
-        sp = cfd.ops.scalars.at(point)
-        if sp not in stacks:
-            stacks[sp] = _taylor_stack(cfd, labels, sp)
-        return np.tensordot(sp.monomial(space.monomials(point)), stacks[sp], axes=1)
-
-    return at
+    sp = cfd.ops.scalars.at(pts)
+    coeffs = _taylor_stack(cfd, labels, sp).reshape(len(labels), -1)
+    monomials = sp.monomial(BlockSpace(labels, cfd.fiber_dim).monomials(pts))
+    out = (monomials[:, None, :] @ coeffs).reshape(len(pts), cfd.fiber_dim, cfd.domain_dim)
+    return out[0] if single else out
 
 
-def theta_taylor_at(cfd: CharFnData, point: Point) -> np.ndarray:
-    """sum_gamma theta_gamma point^gamma."""
-    return _taylor_sum(cfd)(point)
+def _scaled_blocks(space: BlockSpace, series, points: list, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
+    """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha."""
+    roots = np.array([sp.sqrt(c) for c in space.lift(sp.series(series), sp)])
+    weights = roots * sp.monomial(space.monomials(points))
+    stack = sp.array(blocks).reshape(len(space.labels), -1)
+    return (weights[:, None, :] @ stack).reshape(len(points), space.block_dim, blocks.shape[1])
 
 
-def _scaled_blocks(space: BlockSpace, series, point: Point, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
-    """sum_alpha sqrt(c_alpha) point^alpha B_alpha, with B_alpha the rows of ``blocks`` at label alpha."""
-    monomials = sp.monomial(space.monomials(point))
-    weights = [sp.sqrt(c) * m for c, m in zip(space.lift(sp.series(series), sp), monomials)]
-    stack = sp.array(blocks).reshape(len(space.labels), space.block_dim, blocks.shape[1])
-    return np.tensordot(np.array(weights), stack, axes=1)
-
-
-def evaluate_charfn(cfd: CharFnData, point: Point, tol: float = 1e-10) -> np.ndarray:
-    """theta at a point, evaluated two ways and cross-checked.
+def evaluate_charfn(cfd: CharFnData, points, tol: float = 1e-10) -> np.ndarray:
+    """theta at a point or along a stack of points, evaluated two ways and cross-checked.
 
     The direct formula (operator series times the scalar row Z) must agree
     with the Taylor-coefficient sum within ``tol``; disagreement raises
     TruncationError since it means the windows were too shallow.
     """
-    taylor_sum, gap = evaluation_gap(cfd, point)
+    taylor_sum, gap = evaluation_gap(cfd, points)
     if gap > tol:
         raise TruncationError(f"theta evaluations disagree by {gap:.3e}")
     return taylor_sum
 
 
-def evaluation_gap(cfd: CharFnData, point: Point) -> tuple[np.ndarray, float]:
-    """(Taylor sum of theta at ``point``, max entrywise gap between it and the direct formula)."""
+def evaluation_gap(cfd: CharFnData, points) -> tuple[np.ndarray, float]:
+    """(Taylor sum of theta at a point or a stack, max entrywise gap to the direct formula over all of them)."""
     t = cfd.ops
-    sp = t.scalars.at(point)
-    direct = _scaled_blocks(cfd.g_support, cfd.factorization.positive_part, point, cfd.d_block, sp)
+    pts, single = point_stack(points)
+    sp = t.scalars.at(pts)
+    direct = _scaled_blocks(cfd.g_support, cfd.factorization.positive_part, pts, cfd.d_block, sp)
     # Defect k_z(T)^* Z(z) B
-    kz_adj = operator_series(t, cfd.kernel, point).conj().T
-    zb = _scaled_blocks(cfd.b_support, reciprocal_complement(cfd.pick_factor), point, cfd.b_block, sp)
+    kz_adj = np.conjugate(operator_series(t, cfd.kernel, pts)).swapaxes(-1, -2)
+    zb = _scaled_blocks(cfd.b_support, reciprocal_complement(cfd.pick_factor), pts, cfd.b_block, sp)
     qd_adj = sp.array(cfd.defect.ran_defect_basis.conj().T)
     delta = sp.array(cfd.defect.defect)
     direct = direct + qd_adj @ delta @ kz_adj @ zb
-    taylor_sum = theta_taylor_at(cfd, point)
-    return taylor_sum, max_abs(np.asarray(direct) - np.asarray(taylor_sum))
+    taylor_sum = theta_taylor_at(cfd, pts)
+    gap = max_abs(np.asarray(direct) - np.asarray(taylor_sum))
+    return (taylor_sum[0] if single else taylor_sum), gap
 
 
 def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
     """max over (z, w) of || s(z,w) theta(z) theta(w)* - k(z,w) I + Q* Defect k_z(T)* k_w(T) Defect Q ||."""
-    t = cfd.ops
+    zs, ws = [z for z, _ in pairs], [w for _, w in pairs]
+    if not zs:
+        return 0.0
+    t, m = cfd.ops, len(zs)
     q = to_float_array(cfd.defect.ran_defect_basis)
     delta = to_float_array(cfd.defect.defect)
+    theta = np.asarray(theta_taylor_at(cfd, zs + ws), dtype=complex)
+    tz, tw = theta[:m], theta[m:]
+    s_val = np.asarray(cfd.pick_factor.evaluate(zs, ws, truncated=True).value, dtype=complex)
+    k_val = np.asarray(cfd.kernel.evaluate(zs, ws, truncated=True).value, dtype=complex)
+    series = operator_series(t, cfd.kernel, zs + ws)
+    kz_adj, kw = series[:m].conj().swapaxes(-1, -2), series[m:]
+    mid = q.conj().T @ delta @ kz_adj @ kw @ delta @ q
     eye = np.eye(cfd.fiber_dim)
-    theta = _taylor_sum(cfd)
-    worst = 0.0
-    for z, w in pairs:
-        tz = np.asarray(theta(z), dtype=complex)
-        tw = np.asarray(theta(w), dtype=complex)
-        s_val = complex(cfd.pick_factor.evaluate(z, w, truncated=True).value)
-        k_val = complex(cfd.kernel.evaluate(z, w, truncated=True).value)
-        kz_adj = operator_series(t, cfd.kernel, z).conj().T
-        kw = operator_series(t, cfd.kernel, w)
-        mid = q.conj().T @ delta @ kz_adj @ kw @ delta @ q
-        gap = s_val * (tz @ tw.conj().T) - k_val * eye + mid
-        worst = max(worst, spectral_norm(gap))
-    return worst
+    gap = s_val[:, None, None] * (tz @ tw.conj().swapaxes(-1, -2)) - k_val[:, None, None] * eye + mid
+    return spectral_norm(gap)
 
 
 def inverse_identity_residual(cfd: CharFnData, points: Sequence[Point]) -> float:
     """max over z of || g_z(T)^* - k_z(T)^* (I - Z(z) R^*) ||."""
+    if not len(points):
+        return 0.0
     t = cfd.ops
     space = cfd.b_support
     b = space.lift(reciprocal_complement(cfd.pick_factor).floats)
-    powers = [to_float_array(t.power_adjoint(alpha)) for alpha in space.labels]
-    n = t.size
-    worst = 0.0
-    for z in points:
-        g_adj = operator_series(t, cfd.factorization.positive_part, z).conj().T
-        k_adj = operator_series(t, cfd.kernel, z).conj().T
-        zr = sum(c * p for c, p in zip(b * space.monomials(z).astype(complex), powers))
-        gap = g_adj - k_adj @ (np.eye(n) - zr)
-        worst = max(worst, spectral_norm(gap))
-    return worst
+    g_adj = operator_series(t, cfd.factorization.positive_part, points).conj().swapaxes(-1, -2)
+    k_adj = operator_series(t, cfd.kernel, points).conj().swapaxes(-1, -2)
+    coeffs = b * FLOAT.monomial(space.monomials(points))
+    # Z(z) R^* term by term in label order, as a scalar sum would add them
+    zr = 0
+    for alpha, c in zip(space.labels, coeffs.T):
+        zr = zr + c[:, None, None] * to_float_array(t.power_adjoint(alpha))
+    return spectral_norm(g_adj - k_adj @ (np.eye(t.size) - zr))
 
 
 def row_symbol_margin(cfd: CharFnData, points: Sequence[Point]):
     """(min of 1 - sum b_alpha |z^alpha|^2, max mismatch against 1/s(z,z)) over points.
 
     The quantity is the squared-norm defect of the scalar row Z(z); strict
-    positivity witnesses that Z is a strict contraction.
+    positivity witnesses that Z is a strict contraction. Moduli are taken
+    with ``np.hypot``, which rounds like the scalar ``abs`` (``np.abs`` on
+    complex arrays does not).
     """
+    if not len(points):
+        return np.inf, 0.0
     space = cfd.b_support
     b = space.lift(reciprocal_complement(cfd.pick_factor).floats)
-    margin = np.inf
-    mismatch = 0.0
-    for z in points:
-        value = 1.0 - sum(c * abs(complex(m)) ** 2 for c, m in zip(b, space.monomials(z)))
-        margin = min(margin, value)
-        s_val = cfd.pick_factor.evaluate(z, z, truncated=True).value
-        mismatch = max(mismatch, abs(value - 1.0 / float(abs(complex(s_val)))))
-    return margin, mismatch
+    monomials = FLOAT.monomial(space.monomials(points))
+    total = 0
+    for c, m in zip(b, monomials.T):
+        total = total + c * np.hypot(m.real, m.imag) ** 2
+    value = 1.0 - total
+    s_val = np.asarray(cfd.pick_factor.evaluate(points, points, truncated=True).value, dtype=complex)
+    mismatch = np.abs(value - 1.0 / np.hypot(s_val.real, s_val.imag))
+    return value.min(), mismatch.max()
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +676,10 @@ def align_factorizations(
             raise ValueError("sample point on or outside the unit sphere")
 
     def family(cfd: CharFnData) -> np.ndarray:
+        # columns k_z (x) theta(z)^* e_a, point by point and a = 0..r-1 within a point
         window = MonomialWindow(cfd.pick_factor, cfd.domain_dim, source_degree)
-        theta = _taylor_sum(cfd)
-        cols = []
-        for z in points:
-            theta_adj = np.asarray(theta(z), dtype=complex).conj().T
-            for a in range(r):
-                cols.append(window.kernel_vector(z, theta_adj[:, a]))
-        return np.array(cols).T
+        fibers = np.asarray(theta_taylor_at(cfd, points), dtype=complex).conj().reshape(-1, cfd.domain_dim)
+        return window.kernel_vector([z for z in points for _ in range(r)], fibers).T
 
     fam1, fam2 = family(cfd1), family(cfd2)
     gram1 = fam1.conj().T @ fam1
@@ -698,16 +695,15 @@ def align_factorizations(
         # closed form of the compression of I - V V^*:
         # <(I - VV*)(k_w (x) e_a), k_z (x) e_b> = k(z, w) delta_ab
         #     - <k_w(T) Defect Q e_a, k_z(T) Defect Q e_b>
-        t = cfd1.ops
+        t, m = cfd1.ops, len(points)
         dq = to_float_array(cfd1.defect.defect) @ to_float_array(cfd1.defect.ran_defect_basis)
-        series = [operator_series(t, cfd1.kernel, z).astype(complex) @ dq for z in points]
-        m = len(points)
-        gram_ref = np.zeros((m * r, m * r), dtype=complex)
-        for i, zi in enumerate(points):
-            for j, zj in enumerate(points):
-                k_val = complex(cfd1.kernel.evaluate(zi, zj, truncated=True).value)
-                block = k_val * np.eye(r) - series[i].conj().T @ series[j]
-                gram_ref[i * r : (i + 1) * r, j * r : (j + 1) * r] = block
+        series = operator_series(t, cfd1.kernel, points).astype(complex) @ dq
+        k_val = cfd1.kernel.evaluate(
+            [zi for zi in points for _ in range(m)], [zj for _ in range(m) for zj in points], truncated=True
+        ).value
+        k_val = np.asarray(k_val, dtype=complex).reshape(m, m)
+        blocks = k_val[:, :, None, None] * np.eye(r) - series.conj().swapaxes(-1, -2)[:, None] @ series[None, :]
+        gram_ref = blocks.transpose(0, 2, 1, 3).reshape(m * r, m * r)
         reference = max(max_abs(gram1 - gram_ref), max_abs(gram2 - gram_ref))
     # common Gram factorization: orthonormalize both families against the
     # shared Gram, then match the orthonormal frames

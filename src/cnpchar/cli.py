@@ -92,14 +92,14 @@ def _load_kernel(path: str, truncation: Optional[int]) -> KernelSeries:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read kernel spec {path}: {exc}") from exc
-    if truncation is not None:
+    if truncation is not None and isinstance(spec, dict):
         spec = dict(spec)
-        if spec.get("kind") == "coeffs":
+        if spec.get("kind") != "coeffs":
+            spec["truncation"] = truncation
+        elif isinstance(spec.get("a"), list):
             if len(spec["a"]) - 1 < truncation:
                 raise InputError(f"coefficient spec too short for truncation {truncation}")
             spec["a"] = spec["a"][: truncation + 1]
-        else:
-            spec["truncation"] = truncation
     try:
         return kernel_from_spec(spec)
     except ValueError as exc:
@@ -187,6 +187,8 @@ def cmd_kernel(args) -> int:
     if args.kernel_cmd == "quotient":
         num = _load_kernel(args.num, args.N)
         den = _load_kernel(args.den, args.N)
+        if num.dim != den.dim:
+            raise InputError(f"kernel dimensions differ: {num.dim} and {den.dim}")
         q = quotient(num, den)
         cert = is_positive_quotient(num, den, tol)
         print("quotient:", [_scalar_to_string(c) for c in q.coefficients])

@@ -30,6 +30,7 @@ from ._linalg import (
     Scalars,
     min_eigenvalue,
     orth_complement_of_range,
+    point_stack,
     spectral_norm,
     to_float_array,
 )
@@ -92,17 +93,21 @@ class MonomialWindow(BlockSpace):
             np.fill_diagonal(out[self.block(target), self.block(lab)], entry)
         return out
 
-    def kernel_vector(self, point: Sequence, fiber: np.ndarray) -> np.ndarray:
-        """Coordinates of k_point (x) fiber on the window.
+    def kernel_vector(self, points: Sequence, fibers: np.ndarray) -> np.ndarray:
+        """Coordinates of k_point (x) fiber on the window, for one point and fiber or a stack of each.
 
         The coefficient of the normalized monomial at alpha is
-        sqrt(a_alpha) * conj(point^alpha).
+        sqrt(a_alpha) * conj(point^alpha). A (d,) point with an (r,) fiber
+        gives a (dim,) vector, a (P, d) stack with (P, r) fibers a (P, dim) array.
         """
-        fiber = np.asarray(fiber)
-        if fiber.shape != (self.block_dim,):
+        pts, single = point_stack(points)
+        fibers = np.asarray(fibers)
+        if fibers.shape != ((self.block_dim,) if single else (len(pts), self.block_dim)):
             raise ValueError("fiber vector has wrong length")
-        scaled = self._root_coefficients * np.conjugate(self.monomials(point))
-        return np.multiply.outer(scaled, fiber).reshape(self.dim).astype(complex)
+        scaled = self._root_coefficients * np.conjugate(self.monomials(pts))
+        out = scaled[:, :, None] * fibers.reshape(len(pts), 1, self.block_dim)
+        out = out.reshape(len(pts), self.dim).astype(complex, copy=False)
+        return out[0] if single else out
 
 
 @dataclass(eq=False)
@@ -175,29 +180,39 @@ def intertwining_residuals(dil: DilationData) -> list[float]:
 
 
 def kernel_vector_action(
-    dil: DilationData, point: Sequence, fiber: np.ndarray, tol: float = 1e-10
+    dil: DilationData, points: Sequence, fibers: np.ndarray, tol: float = 1e-10
 ) -> np.ndarray:
     """V^* applied to k_point (x) fiber, cross-checked against k_point(T) Defect fiber.
 
+    Takes one point and fiber or a stack of each, as ``kernel_vector_gap``.
     Computes both sides of the identity and raises TruncationError when they
     disagree beyond ``tol`` (which signals a window that is too shallow);
     returns the operator-series side.
     """
-    rhs, gap = kernel_vector_gap(dil, point, fiber)
+    rhs, gap = kernel_vector_gap(dil, points, fibers)
     if gap > tol:
         raise TruncationError(f"kernel vector identity off by {gap:.3e} (window too small?)")
     return rhs
 
 
-def kernel_vector_gap(dil: DilationData, point: Sequence, fiber: np.ndarray) -> tuple[np.ndarray, float]:
-    """(k_point(T) Defect fiber, its distance from V^* applied to k_point (x) fiber)."""
-    vec = dil.window.kernel_vector(point, np.asarray(fiber))
-    lhs = np.asarray(dil.matrix, dtype=complex).conj().T @ vec
+def kernel_vector_gap(dil: DilationData, points: Sequence, fibers: np.ndarray) -> tuple[np.ndarray, float]:
+    """(k_point(T) Defect fiber, its largest distance from V^* applied to k_point (x) fiber).
+
+    For a (d,) point with an (r,) fiber the first entry is an (n,) vector;
+    for a (P, d) stack with (P, r) fibers it is (P, n), and the distance is
+    the largest over the stack.
+    """
+    pts, single = point_stack(points)
+    fibers = np.asarray(fibers).reshape(len(pts), -1)
+    vecs = dil.window.kernel_vector(pts, fibers)
+    lhs = np.asarray(dil.matrix, dtype=complex).conj().T @ vecs[:, :, None]
     dd = dil.defect
-    series = operator_series(dd.ops, dd.kernel, point)
+    series = operator_series(dd.ops, dd.kernel, pts)
     delta = to_float_array(dd.defect)
-    rhs = series @ delta @ (to_float_array(dd.ran_defect_basis) @ np.asarray(fiber))
-    return rhs, float(np.linalg.norm(lhs - rhs))
+    rhs = series @ delta @ (to_float_array(dd.ran_defect_basis) @ fibers[:, :, None])
+    # the 2-norm of each difference alone: norm(axis=...) would round differently
+    gap = max((float(np.linalg.norm(x)) for x in (lhs - rhs)[:, :, 0]), default=0.0)
+    return (rhs[0, :, 0] if single else rhs[:, :, 0]), gap
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import FLOAT, Scalars
+from ._linalg import EXACT, FLOAT, Scalars, complex_array, point_stack
 
 MultiIndex = tuple[int, ...]
 
@@ -125,6 +125,34 @@ class BlockSpace:
         """
         return scalars.array(np.array([series.coeff(lab) for lab in self.labels], dtype=object))
 
-    def monomials(self, point) -> np.ndarray:
-        """point^gamma for every label: an object array at rational points, else numeric."""
-        return np.array([monomial_value(point, lab) for lab in self.labels])
+    def monomials(self, points) -> np.ndarray:
+        """point^gamma for every label, at a (d,) point or a (P, d) stack: shape (L,) or (P, L).
+
+        An object array when every coordinate of every point is rational, else
+        complex, equal to ``monomial_value`` entry by entry: each coordinate's
+        powers are the scalar ``p**k``, and the products over coordinates are
+        written in real arithmetic (see ``complex_array``).
+        """
+        pts, single = point_stack(points)
+        if self.labels:
+            exps = np.array(self.labels, dtype=int).T
+        else:
+            exps = np.zeros((len(pts[0]) if pts else 0, 0), dtype=int)
+        exact = EXACT.at(pts).exact
+
+        def powers(j):
+            top = int(exps[j].max(initial=0))
+            table = [[pt[j] ** k for k in range(top + 1)] for pt in pts]
+            return np.array(table, dtype=object if exact else complex).reshape(len(pts), top + 1)[:, exps[j]]
+
+        if exact:
+            out = np.ones((len(pts), len(self.labels)), dtype=int).astype(object)
+            for j in range(len(exps)):
+                out = out * powers(j)
+        else:
+            re, im = np.ones((len(pts), len(self.labels))), np.zeros((len(pts), len(self.labels)))
+            for j in range(len(exps)):
+                x = powers(j)
+                re, im = re * x.real - im * x.imag, re * x.imag + im * x.real
+            out = complex_array(re, im)
+        return out[0] if single else out

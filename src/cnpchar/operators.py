@@ -37,6 +37,7 @@ from ._linalg import (
     is_exact_array,
     max_abs,
     min_eigenvalue,
+    point_stack,
     PsdRoot,
     psd_root,
     range_basis,
@@ -50,7 +51,6 @@ from .multiindex import (
     compositions,
     degree,
     enumerate_up_to_degree,
-    monomial_value,
     subtract,
     unit,
 )
@@ -226,22 +226,34 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
 # graded operator series
 
 
+def _graded_stop(t: OperatorTuple, series: RealSeries, degree_cap: int) -> tuple[int, int]:
+    """(top, stop): the cap of a graded walk and its last degree.
+
+    top is the first of ``degree_cap``, the truncation and the nilpotency
+    bound; stop is also at most the series' last nonzero degree.
+    """
+    bound = t.nilpotency_bound
+    top = min(degree_cap, series.truncation, degree_cap if bound is None else bound)
+    stop = min(top, max((i for i, c in enumerate(series.coefficients) if c != 0), default=0))
+    return top, stop
+
+
 def _graded_sum(t: OperatorTuple, series: RealSeries, term, zero, degree_cap: int, stop_tol: float):
     """sum over alpha of term(alpha, c_alpha), c_alpha = series.coeff(alpha), degree by degree.
 
     Zero coefficients are skipped. The walk runs from degree 0 to the first
     of ``degree_cap``, the truncation, the nilpotency bound and the series'
-    last nonzero degree. Without a nilpotency bound, a walk that ends at its
-    cap (with ``degree_cap`` at most the truncation) must end on a
-    positive-degree increment with entries at most ``stop_tol``, else
-    ConvergenceError. Returns (total, exact_stop); exact_stop says the walk
-    reached the nilpotency bound, so the sum is finite and complete.
+    last nonzero degree (``_graded_stop``). Without a nilpotency bound, a
+    walk that ends at its cap (with ``degree_cap`` at most the truncation)
+    must end on a positive-degree increment with entries at most
+    ``stop_tol``, else ConvergenceError. Returns (total, exact_stop);
+    exact_stop says the walk reached the nilpotency bound, so the sum is
+    finite and complete.
     """
     if series.dim != t.num_vars:
         raise ValueError("series dimension does not match the tuple")
     bound = t.nilpotency_bound
-    top = min(degree_cap, series.truncation, degree_cap if bound is None else bound)
-    stop = min(top, max((i for i, c in enumerate(series.coefficients) if c != 0), default=0))
+    top, stop = _graded_stop(t, series, degree_cap)
     total = inc = zero
     for deg in range(stop + 1):
         inc = zero
@@ -412,30 +424,36 @@ def purity_check(
 def operator_series(
     t: OperatorTuple,
     series: RealSeries,
-    point: Sequence,
+    points: Sequence,
     degree_cap: int = 64,
     stop_tol: float = 1e-13,
 ) -> np.ndarray:
-    """sum_alpha series.coeff(alpha) conj(point^alpha) T^alpha.
+    """sum_alpha series.coeff(alpha) conj(point^alpha) T^alpha at a (d,) point or a (P, d) stack.
 
-    Summed and stopped by ``_graded_sum``: finite (hence exact) for
-    nilpotent tuples. Away from exact arithmetic the coefficients come from
-    the series' float view.
+    Returns (n, n) or (P, n, n). Summed and stopped by ``_graded_sum`` for
+    all points at once: finite (hence exact) for nilpotent tuples, and a
+    stack raises ConvergenceError when any point's last increment exceeds
+    ``stop_tol``. Exact only at rational points; elsewhere the coefficients
+    come from the series' float view.
     """
-    if len(point) != t.num_vars:
+    pts, single = point_stack(points)
+    if any(len(p) != t.num_vars for p in pts):
         raise ValueError("dimension mismatch")
-    sc = t.scalars.at(point)
+    sc = t.scalars.at(pts)
+    series = sc.series(series)
+    space = BlockSpace(enumerate_up_to_degree(t.num_vars, _graded_stop(t, series, degree_cap)[1]), 1)
+    conj = np.conjugate(space.monomials(pts))
 
     def term(alpha, c):
-        return sc.monomial(c * monomial_value(point, alpha).conjugate()) * sc.array(t.power(alpha))
+        return sc.monomial(c * conj[:, space.index[alpha]])[:, None, None] * sc.array(t.power(alpha))
 
-    zero = sc.zeros((t.size, t.size), complex)
-    total, _ = _graded_sum(t, sc.series(series), term, zero, degree_cap, stop_tol)
-    if not sc.exact and not any(isinstance(x, complex) for x in np.asarray(point).flat):
-        # real point, real tuple: keep the result real when it is
+    zero = sc.zeros((len(pts), t.size, t.size), complex)
+    total, _ = _graded_sum(t, series, term, zero, degree_cap, stop_tol)
+    if not sc.exact and not any(isinstance(x, complex) for p in pts for x in np.asarray(p).flat):
+        # real points, real tuple: keep the result real when it is
         if np.allclose(total.imag, 0.0):
-            return total.real
-    return total
+            total = total.real
+    return total[0] if single else total
 
 
 def compress(t: OperatorTuple, basis: np.ndarray, coinvariance_tol: float = 1e-10) -> OperatorTuple:

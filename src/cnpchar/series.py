@@ -31,6 +31,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
+import numpy as np
+
+from ._linalg import complex_array, point_stack
 from .multiindex import MultiIndex, degree, multinomial
 
 Scalar = Union[Fraction, int, float]
@@ -116,6 +119,8 @@ class KernelSeries(RealSeries):
         if self.coefficients[0] != 1:
             raise ValueError(f"a_0 must be 1, got {self.coefficients[0]}")
         for n, a in enumerate(self.coefficients):
+            if not _is_exact(a) and not math.isfinite(a):
+                raise ValueError(f"coefficient a_{n} = {a} is not finite")
             if not a > 0:
                 raise ValueError(f"coefficient a_{n} = {a} is not strictly positive")
 
@@ -140,39 +145,78 @@ class KernelSeries(RealSeries):
         return Fraction(1, 1) / a if _is_exact(a) else 1.0 / a
 
     def evaluate(self, z: Sequence, w: Sequence, truncated: bool = False) -> KernelValue:
-        """Partial sum of the kernel at a pair of points inside the ball.
+        """Partial sum of the kernel at a pair of points inside the ball, or pairwise along two stacks.
 
-        Returns the truncated value together with a geometric tail estimate
-        derived from the largest observed coefficient ratio. The estimate is
+        For (d,) points the value and the tail bound are scalars; for two
+        (P, d) stacks they are (P,) arrays, pair by pair. The sum runs Horner
+        over the exact coefficients when every coordinate is rational, else
+        over the float view, with complex products in real arithmetic so that
+        each pair rounds as a scalar evaluation would. The tail bound is a
+        geometric estimate from the largest observed coefficient ratio; it is
         heuristic in that ratios beyond the truncation are assumed not to
         exceed the observed maximum. With ``truncated=True`` the partial sum
         is the requested semantics and the tail bound is reported as 0.
         """
-        if len(z) != self.dim or len(w) != self.dim:
+        zs, single = point_stack(z)
+        ws = point_stack(w)[0]
+        if len(zs) != len(ws):
+            raise ValueError("point stacks differ in length")
+        if any(len(p) != self.dim for p in zs + ws):
             raise ValueError("point dimension mismatch")
-        if _norm_sq(z) >= 1 or _norm_sq(w) >= 1:
+        if any(_norm_sq(p) >= 1 for p in zs + ws):
             raise ValueError("point on or outside the unit sphere")
-        t = sum(zi * wi.conjugate() for zi, wi in zip(z, w))
-        rational = all(_is_exact(p) for p in (*z, *w))
-        coeffs = self.coefficients if rational else self.floats.coefficients
-        value = coeffs[-1]
-        for a in reversed(coeffs[:-1]):
-            value = value * t + a
-        if truncated:
-            return KernelValue(value, 0.0)
-        floats = self.floats.coefficients
-        growth = max(floats[n + 1] / floats[n] for n in range(self.truncation))
-        r = abs(complex(t)) * growth
-        if r < 1:
-            tail = abs(floats[-1]) * abs(complex(t)) ** self.truncation
-            tail *= r / (1 - r)
+        t = _inner_products(zs, ws)
+        coeffs = self.coefficients if t.dtype == object else self.floats.coefficients
+        if t.dtype == complex:
+            vr, vi = np.full(len(t), coeffs[-1]), np.zeros(len(t))
+            for a in reversed(coeffs[:-1]):
+                vr, vi = vr * t.real - vi * t.imag + a, vr * t.imag + vi * t.real
+            value = complex_array(vr, vi)
         else:
-            tail = math.inf
-        return KernelValue(value, tail)
+            value = np.full(len(t), coeffs[-1], dtype=t.dtype)
+            for a in reversed(coeffs[:-1]):
+                value = value * t + a
+        if truncated:
+            tail = np.zeros(len(t))
+        else:
+            floats = self.floats.coefficients
+            growth = max(floats[n + 1] / floats[n] for n in range(self.truncation))
+            tail = np.array([self._tail(abs(complex(x)), growth) for x in t])
+        return KernelValue(value[0], float(tail[0])) if single else KernelValue(value, tail)
+
+    def _tail(self, size: float, growth: float) -> float:
+        """The geometric tail estimate beyond the truncation at |<z, w>| = ``size``."""
+        r = size * growth
+        if r < 1:
+            return abs(self.floats.coefficients[-1]) * size**self.truncation * (r / (1 - r))
+        return math.inf
 
 
 def _norm_sq(point) -> float:
     return sum(abs(complex(p)) ** 2 for p in point)
+
+
+def _inner_products(zs: list, ws: list) -> np.ndarray:
+    """<z, w> = sum_i z_i conj(w_i) for each pair, added in coordinate order as the scalar sum does.
+
+    Exact (object) when every coordinate is rational, float when none is
+    complex, else complex with each product written in real arithmetic.
+    """
+    coords = [p for pt in zs + ws for p in pt]
+    if all(_is_exact(p) for p in coords):
+        terms = np.array(zs, dtype=object) * np.conjugate(np.array(ws, dtype=object))
+    elif not any(isinstance(p, complex) for p in coords):
+        terms = np.array(zs, dtype=float) * np.array(ws, dtype=float)
+    else:
+        za, wa = np.array(zs, dtype=complex), np.conjugate(np.array(ws, dtype=complex))
+        terms = complex_array(
+            za.real * wa.real - za.imag * wa.imag, za.real * wa.imag + za.imag * wa.real
+        )
+    terms = terms.reshape(len(zs), -1)
+    out = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        out = out + terms[:, j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +467,26 @@ def _scalar_to_string(x) -> str:
 
 
 def _scalar_from_string(s: str):
+    """A "p/q" string as an exact Fraction, any other number as a float; ValueError names a bad one."""
     s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(int(num), int(den))
-    return float(s)
+    try:
+        if "/" not in s:
+            return float(s)
+        num, den = (int(part) for part in s.split("/"))
+    except ValueError:
+        raise ValueError(f"bad scalar {s!r}: expected a number or p/q") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(num, den)
+
+
+def _scalar_from_spec(x):
+    """A spec entry: a string as ``_scalar_from_string`` reads it, or a JSON number."""
+    if isinstance(x, str):
+        return _scalar_from_string(x)
+    if isinstance(x, (int, float)):
+        return x
+    raise ValueError(f"bad scalar {x!r}: expected a number or p/q")
 
 
 def kernel_from_spec(spec: dict) -> KernelSeries:
@@ -441,8 +498,8 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("kernel spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    trunc = int(spec.get("truncation", DEFAULT_TRUNCATION))
     try:
+        trunc = int(spec.get("truncation", DEFAULT_TRUNCATION))
         if kind == "bergman":
             return bergman_kernel(int(spec["m"]), int(spec["d"]), trunc)
         if kind == "szego":
@@ -450,10 +507,14 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
         if kind == "dirichlet":
             return dirichlet_kernel(int(spec["d"]), trunc)
         if kind == "coeffs":
-            a = [_scalar_from_string(s) if isinstance(s, str) else s for s in spec["a"]]
+            if not isinstance(spec["a"], list):
+                raise ValueError(f"'a' must be a list of coefficients, got {spec['a']!r}")
+            a = [_scalar_from_spec(s) for s in spec["a"]]
             return kernel_from_coefficients(a, int(spec["d"]), bool(spec.get("radius_one", False)))
     except KeyError as exc:
         raise ValueError(f"kernel spec missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed kernel spec: {exc}") from exc
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

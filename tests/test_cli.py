@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnpchar.cli import REPORT_SCHEMA, main
 
@@ -76,6 +82,30 @@ class TestKernelCommands:
         zero = tmp_path / "zero.json"
         zero.write_text(json.dumps({"kind": "coeffs", "a": ["1/1", "1/0"], "d": 1}))
         assert main(["kernel", "cnp", "--spec", str(zero)]) == 2
+
+    @pytest.mark.parametrize("command", ["info", "cnp"])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_coefficient_exits_two(self, tmp_path, capsys, command, bad):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "coeffs", "a": ["1", bad, "1"], "d": 1}))
+        assert main(["kernel", command, "--spec", str(spec)]) == 2
+        assert f"a_1 = {bad} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [{"kind": "coeffs", "d": 1}, {"kind": "coeffs", "a": 5, "d": 1}, [1, 2]])
+    def test_malformed_spec_with_truncation_exits_two(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["kernel", "info", "--spec", str(path), "--N", "3"]) == 2
+        assert "bad kernel spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "a, named", [(["1", "1/2/3"], "'1/2/3'"), (["1", None], "None"), ("12", "'a' must be a list")]
+    )
+    def test_bad_coefficients_are_named(self, tmp_path, capsys, a, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "coeffs", "a": a, "d": 1}))
+        assert main(["kernel", "info", "--spec", str(spec)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestCharFnCommands:
@@ -263,3 +293,50 @@ class TestSuite:
 
     def test_unknown_configuration_exits_two(self):
         assert main(["suite", "--configs", "nope"]) == 2
+
+
+# coefficient strings a spec file may hold, well-formed or not
+_SCALARS = ["1", "1/1", "1/2", "3/4", "2", "0.5", "1e3", "inf", "-inf", "nan", "1/0", "-1", "0", "1/2/3", "x"]
+
+
+def _coeffs_spec():
+    entry = st.one_of(st.sampled_from(_SCALARS), st.integers(-2, 3), st.floats(-1, 4), st.none())
+    rest = st.lists(entry, max_size=6)
+    first = st.sampled_from(["1", "1/1", 1, 1.0, "2", "nan"])
+    return st.fixed_dictionaries(
+        {
+            "kind": st.just("coeffs"),
+            "a": st.one_of(st.builds(lambda a0, a: [a0] + a, first, rest), st.sampled_from(["12", 5, None])),
+            "d": st.one_of(st.integers(0, 3), st.none()),
+        }
+    )
+
+
+class TestFuzzKernelCommands:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["info", "cnp", "quotient", "factor"]),
+        first=_coeffs_spec(),
+        second=_coeffs_spec(),
+        truncation=st.one_of(st.none(), st.integers(-1, 6)),
+    )
+    def test_exit_code_and_no_traceback(self, command, first, second, truncation):
+        """Generated coefficient specs end in exit 0, 1 or 2, never in a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, spec in (("first", first), ("second", second)):
+                paths.append(Path(tmp) / f"{name}.json")
+                paths[-1].write_text(json.dumps(spec))
+            if command == "quotient":
+                argv = ["kernel", "quotient", "--num", str(paths[0]), "--den", str(paths[1])]
+            else:
+                argv = ["kernel", command, "--spec", str(paths[0])]
+                if command == "factor":
+                    argv += ["--cnp-factor", str(paths[1])]
+            if truncation is not None:
+                argv += ["--N", str(truncation)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

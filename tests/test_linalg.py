@@ -41,3 +41,11 @@ def test_other_input_is_the_svd_norm(name):
 
 def test_empty_is_zero():
     assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_stack_takes_the_largest_norm_with_each_branch():
+    """A stack of square matrices gives the largest per-matrix norm, each by its own branch."""
+    square = [m for m in {**HERMITIAN, **NOT_HERMITIAN}.values() if m.shape == (7, 7)]
+    stack = np.array(square)
+    assert spectral_norm(stack) == max(spectral_norm(m) for m in square)
+    assert spectral_norm(stack[:1]) == spectral_norm(square[0])

@@ -137,3 +137,14 @@ def test_block_space_lift_matches_coeff(d, kind):
         assert [x.hex() for x in space.lift(series, FLOAT)] == [float(c).hex() for c in exact]
     point = [0.3 + 0.1j, -0.2, 0.1j][:d]
     assert list(space.monomials(point)) == [monomial_value(point, lab) for lab in space.labels]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_space_monomials_of_a_stack(d):
+    """A (P, d) stack gives one row per point, each equal to monomial_value exactly."""
+    space = BlockSpace(enumerate_up_to_degree(d, 9), 1)
+    points = [[0.3 + 0.1j, -0.2, 0.1j][:d], [0.5, 0.25, -0.125][:d], [-0.4j, 0.3 - 0.2j, 0.0][:d]]
+    stack = space.monomials(points)
+    assert stack.shape == (3, len(space.labels))
+    for row, point in zip(stack, points):
+        assert list(row) == [monomial_value(point, lab) for lab in space.labels]

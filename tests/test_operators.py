@@ -575,3 +575,29 @@ class TestConvergenceHandling:
         t = OperatorTuple((np.array([[0.5]]),), None, None, None, None)
         dd = defect_data(t, szego_kernel(1, 40), degree_cap=60)
         assert abs(dd.defect_sq[0, 0] - 0.75) < 1e-14
+
+
+class TestOperatorSeriesStack:
+    """operator_series over a (P, d) stack of points: one walk, one stopping rule."""
+
+    def test_one_unsettled_point_raises(self):
+        t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
+        dirichlet = dirichlet_kernel(1, 80)
+        operator_series(t, dirichlet, [0.1])
+        with pytest.raises(ConvergenceError):
+            operator_series(t, dirichlet, [[0.1], [0.9]])
+
+    def test_stack_equals_points(self):
+        k = bergman_kernel(2, 2, 24)
+        t = random_coinvariant_compression(model_tuple(k, 2, 2, mode="float"), np.random.default_rng(5))
+        points = [np.array([0.2 - 0.3j, 0.1j]), np.array([0.3 + 0.1j, -0.2]), np.array([0.0, 0.4j])]
+        stack = operator_series(t, k, points)
+        assert stack.shape == (3, t.size, t.size)
+        for got, z in zip(stack, points):
+            assert np.array_equal(got, operator_series(t, k, z))
+
+    def test_real_stack_stays_real(self):
+        t = OperatorTuple((np.array([[0.5]]),), None, None, None, None)
+        stack = operator_series(t, szego_kernel(1, 40), [[0.6], [0.3]])
+        assert stack.dtype == float
+        assert stack[0, 0, 0] == operator_series(t, szego_kernel(1, 40), [0.6])[0, 0]

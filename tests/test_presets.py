@@ -45,7 +45,10 @@ def test_kernel_vector_once_per_sample(config, monkeypatch):
 
     monkeypatch.setattr(MonomialWindow, "kernel_vector", counted)
     presets.run_configuration_checks(config, point_count=7)
-    assert len(calls) == 7
+    # one batched call whose stack holds each of the 7 samples once
+    assert len(calls) == 1
+    points, fibers = calls[0]
+    assert len(points) == len(fibers) == 7
 
 
 def test_theta_cross_check_reports_its_gap(config):

@@ -405,3 +405,21 @@ class TestSpecFiles:
             kernel_from_spec({"no": "kind"})
         with pytest.raises(ValueError):
             kernel_from_spec({"kind": "bergman", "d": 1})
+
+
+class TestEvaluateStack:
+    def test_pairwise_values_equal_single_pairs(self):
+        kernel = cauchy_product(drury_arveson_kernel(2, 48), dirichlet_kernel(2, 48))
+        rng = np.random.default_rng(5)
+        zs = 0.3 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+        ws = 0.3 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+        values, tails = kernel.evaluate(zs, ws)
+        assert values.shape == tails.shape == (6,)
+        for value, tail, z, w in zip(values, tails, zs, ws):
+            single = kernel.evaluate(z, w)
+            assert _bits(value) == _bits(single.value) == _bits(_fraction_horner_reference(kernel, z, w))
+            assert tail == single.tail_bound
+
+    def test_rejects_stacks_of_different_lengths(self):
+        with pytest.raises(ValueError, match="length"):
+            szego_kernel(1, 10).evaluate([[0.1], [0.2]], [[0.1]])
