@@ -17,7 +17,7 @@ from cnpchar import (
     build_dilation,
     build_multiplier,
     defect_data,
-    evaluate_charfn,
+    evaluation_gap,
     factor_through_pick,
     factorization_residual,
     functional_model,
@@ -45,7 +45,9 @@ print("V columns:", dil.matrix[:3].tolist())
 cfd = build_charfn(dd, fac)
 print("\nTaylor support of theta:", sorted(cfd.taylor))
 print("theta_2 =", cfd.taylor[(2,)].tolist())
-print("theta(1/2) =", evaluate_charfn(cfd, [Fraction(1, 2)]).tolist())
+# theta at a rational point stays exact; the gap to the direct formula is 0
+value, gap = evaluation_gap(cfd, [Fraction(1, 2)])
+print("theta(1/2) =", value.tolist(), "gap to the direct formula:", gap)
 
 # The induced multiplier is the double shift, and together with V it
 # partitions the identity of the truncated target space exactly.

@@ -56,15 +56,15 @@ from .dilation import (
     DilationData,
     MonomialWindow,
     AssociatedTupleCertificate,
-    TruncationError,
     WindowError,
     associated_tuple_test,
     build_dilation,
     intertwining_residuals,
-    kernel_vector_action,
+    kernel_vector_gap,
 )
 from .charfn import (
     CharFnData,
+    TaylorCoefficients,
     MultiplierMatrix,
     FactorizationResidual,
     KInnerData,
@@ -76,12 +76,11 @@ from .charfn import (
     build_multiplier,
     charfn_blocks_dict,
     coincidence_residual,
-    evaluate_charfn,
+    evaluation_gap,
     factorization_residual,
     functional_model,
     inverse_identity_residual,
     k_inner_subspace,
-    multiplier_from_taylor,
     pointwise_identity_residual,
     row_symbol_margin,
 )

@@ -32,15 +32,18 @@ degree range and unrestricted.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._linalg import (
+    EXACT,
     FLOAT,
     ExactnessError,
     Scalars,
+    is_exact_array,
     is_exactly_zero,
     max_abs,
     orth_complement_of_range,
@@ -50,7 +53,7 @@ from ._linalg import (
     spectral_norm,
     to_float_array,
 )
-from .dilation import DilationData, MonomialWindow, TruncationError
+from .dilation import DilationData, MonomialWindow
 from .multiindex import (
     BlockSpace,
     add,
@@ -74,15 +77,47 @@ class EmptyKInnerError(RuntimeError):
     """No unit eigenvalue in the multiplier Gram: the isometric subspace is missing."""
 
 
+@dataclass(frozen=True, eq=False)
+class TaylorCoefficients(Mapping):
+    """theta's Taylor coefficients, as a mapping from labels gamma to r x dom matrices theta_gamma.
+
+    They are held as one read-only (L, r, dom) stack ``coefficients`` over
+    the labels of ``space`` (block size r), in the arithmetic they were built
+    in; a label whose coefficient is exactly zero is absent.
+    """
+
+    space: BlockSpace
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        self.coefficients.setflags(write=False)
+
+    def __getitem__(self, label) -> np.ndarray:
+        return self.coefficients[self.space.index[label]]
+
+    def __iter__(self):
+        return iter(self.space.labels)
+
+    def __len__(self) -> int:
+        return len(self.space.labels)
+
+    @property
+    def max_degree(self) -> int:
+        return int(self.space.degrees.max(initial=0))
+
+    @property
+    def scalars(self) -> Scalars:
+        return EXACT if is_exact_array(self.coefficients) else FLOAT
+
+
 @dataclass(eq=False)
 class CharFnData:
     """All blocks of the characteristic-function construction for one tuple.
 
     ``defect`` is the DefectData the blocks were built from: the tuple, its
     defects and the basis of Ran Defect that theta's rows are written in.
-    ``taylor`` maps multi-indices to the r x (p+q) coefficient matrices of
-    theta, from coordinates of defect(R) (+) complement to coordinates of
-    Ran Defect. ``diagnostics`` records the residuals of every defining
+    ``taylor`` holds the Taylor coefficients of theta, which every later
+    step reads. ``diagnostics`` records the residuals of every defining
     identity checked during the build.
     """
 
@@ -98,7 +133,7 @@ class CharFnData:
     row_defect_basis: np.ndarray
     b_block: np.ndarray
     d_block: np.ndarray
-    taylor: dict
+    taylor: TaylorCoefficients
     support_cap: int
     constant_cap: int
     diagnostics: dict
@@ -129,7 +164,7 @@ class CharFnData:
 
     @property
     def max_taylor_degree(self) -> int:
-        return max((degree(g) for g in self.taylor), default=0)
+        return self.taylor.max_degree
 
 
 def build_charfn(
@@ -198,7 +233,7 @@ def build_charfn(
     defect_rows = {beta: q_delta.conj().T @ delta @ t.power_adjoint(beta) for beta in betas.labels}
 
     # g-weighted embedding of H into E
-    embedding = sc.zeros((e_space.dim, n))
+    embedding = sc.zeros((e_space.dim, n), t.dtype)
     for lab, scale in zip(g_labels, root_g):
         if lab in defect_rows:
             embedding[e_space.block(lab)] = scale * defect_rows[lab]
@@ -219,7 +254,7 @@ def build_charfn(
     complement_basis = orth_complement_of_range(embedding, RANK_CUTOFF)
 
     # row contraction from the weighted powers, and its defect
-    row = sc.zeros((n, row_space.dim))
+    row = sc.zeros((n, row_space.dim), t.dtype)
     for lab, scale in zip(b_labels, root_b):
         row[:, row_space.block(lab)] = scale * t.power(lab)
     row_gram = row.conj().T @ row
@@ -256,15 +291,22 @@ def build_charfn(
     diagnostics["unitary_cogram"] = spectral_norm(u_full @ u_full.conj().T - eye_target)
 
     # theta_gamma = sqrt(g_gamma) D_gamma
-    #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha
-    taylor = {lab: scale * d_block[e_space.block(lab)] for lab, scale in zip(g_labels, root_g)}
+    #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha,
+    # summed in place over the labels in order of first appearance. Float
+    # entries start at -0.0, the exact additive identity, so a first term
+    # enters unchanged, sign of zero included.
     a = betas.lift(kernel, sc)
+    labels = list(dict.fromkeys(g_labels + [add(al, be) for al in b_labels for be in betas.labels]))
+    index = {lab: i for i, lab in enumerate(labels)}
+    stack = -sc.zeros((len(labels), r, p + q_h), t.dtype)
+    for lab, scale in zip(g_labels, root_g):
+        stack[index[lab]] += scale * d_block[e_space.block(lab)]
     for alpha, scale in zip(b_labels, root_b):
         block = b_block[row_space.block(alpha)]
         for beta, a_beta in zip(betas.labels, a):
-            gamma, term = add(alpha, beta), (a_beta * scale) * (defect_rows[beta] @ block)
-            taylor[gamma] = taylor[gamma] + term if gamma in taylor else term
-    taylor = {lab: m for lab, m in taylor.items() if not is_exactly_zero(np.asarray(m))}
+            stack[index[add(alpha, beta)]] += (a_beta * scale) * (defect_rows[beta] @ block)
+    keep = [i for i, m in enumerate(stack) if not is_exactly_zero(m)]
+    taylor = TaylorCoefficients(BlockSpace([labels[i] for i in keep], r), stack[keep])
 
     return CharFnData(
         factorization=factorization,
@@ -322,14 +364,6 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
 # evaluation and pointwise identities
 
 
-def _taylor_stack(cfd: CharFnData, labels: Sequence, scalars: Scalars = FLOAT) -> np.ndarray:
-    """theta_gamma for each of ``labels`` (zero off the Taylor support), stacked into one array."""
-    r, dom = cfd.fiber_dim, cfd.domain_dim
-    zero = scalars.zeros((r, dom))
-    stack = np.array([scalars.array(np.asarray(cfd.taylor.get(g, zero))) for g in labels])
-    return stack.reshape(len(labels), r, dom)
-
-
 def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     """sum_gamma theta_gamma point^gamma at a (d,) point or a (P, d) stack: (r, dom) or (P, r, dom).
 
@@ -337,11 +371,11 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     vector-matrix product of a single point; a stacked gemm would not.
     """
     pts, single = point_stack(points)
-    labels = list(cfd.taylor)
-    sp = cfd.ops.scalars.at(pts)
-    coeffs = _taylor_stack(cfd, labels, sp).reshape(len(labels), -1)
-    monomials = sp.monomial(BlockSpace(labels, cfd.fiber_dim).monomials(pts))
-    out = (monomials[:, None, :] @ coeffs).reshape(len(pts), cfd.fiber_dim, cfd.domain_dim)
+    taylor = cfd.taylor
+    sp = taylor.scalars.at(pts)
+    coeffs = sp.array(taylor.coefficients).reshape(len(taylor), -1)
+    monomials = sp.monomial(taylor.space.monomials(pts))
+    out = (monomials[:, None, :] @ coeffs).reshape(len(pts), *taylor.coefficients.shape[1:])
     return out[0] if single else out
 
 
@@ -353,21 +387,11 @@ def _scaled_blocks(space: BlockSpace, series, points: list, blocks: np.ndarray, 
     return (weights[:, None, :] @ stack).reshape(len(points), space.block_dim, blocks.shape[1])
 
 
-def evaluate_charfn(cfd: CharFnData, points, tol: float = 1e-10) -> np.ndarray:
-    """theta at a point or along a stack of points, evaluated two ways and cross-checked.
-
-    The direct formula (operator series times the scalar row Z) must agree
-    with the Taylor-coefficient sum within ``tol``; disagreement raises
-    TruncationError since it means the windows were too shallow.
-    """
-    taylor_sum, gap = evaluation_gap(cfd, points)
-    if gap > tol:
-        raise TruncationError(f"theta evaluations disagree by {gap:.3e}")
-    return taylor_sum
-
-
 def evaluation_gap(cfd: CharFnData, points) -> tuple[np.ndarray, float]:
-    """(Taylor sum of theta at a point or a stack, max entrywise gap to the direct formula over all of them)."""
+    """(Taylor sum of theta at a point or a stack, max entrywise gap to the direct formula over all of them).
+
+    The direct formula is the operator series times the scalar row Z.
+    """
     t = cfd.ops
     pts, single = point_stack(points)
     sp = t.scalars.at(pts)
@@ -467,45 +491,26 @@ class MultiplierMatrix:
 
 
 def build_multiplier(cfd: CharFnData, source_degree: int, target_degree: int) -> MultiplierMatrix:
-    """Assemble M_theta from the Taylor coefficients.
+    """Assemble M_theta from the Taylor coefficients, in their arithmetic.
 
     A source monomial block at beta lands at target blocks beta + gamma with
     weight sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}) theta_gamma; degrees
     beyond the target window are discarded and their mass recorded.
     """
-    return multiplier_from_taylor(
-        cfd.taylor,
-        cfd.pick_factor,
-        cfd.kernel,
-        cfd.fiber_dim,
-        cfd.domain_dim,
-        source_degree,
-        target_degree,
-        cfd.ops.scalars,
-    )
-
-
-def multiplier_from_taylor(
-    taylor: dict,
-    pick: KernelSeries,
-    kernel: KernelSeries,
-    fiber_dim: int,
-    domain_dim: int,
-    source_degree: int,
-    target_degree: int,
-    scalars: Scalars = FLOAT,
-) -> MultiplierMatrix:
-    max_deg = max((degree(g) for g in taylor), default=0)
+    taylor, pick, kernel = cfd.taylor, cfd.pick_factor, cfd.kernel
+    _, r, dom = taylor.coefficients.shape
+    scalars, max_deg = taylor.scalars, taylor.max_degree
     if kernel.truncation < source_degree + max_deg or pick.truncation < source_degree:
         raise ValueError("kernel truncation too small for the requested windows")
-    source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), domain_dim)
-    window = MonomialWindow(kernel, fiber_dim, target_degree, scalars)
-    matrix = scalars.zeros((window.dim, source.dim))
+    source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), dom)
+    window = MonomialWindow(kernel, r, target_degree, scalars)
+    matrix = scalars.zeros((window.dim, source.dim), taylor.coefficients.dtype)
     discarded = 0.0
     a_s, a_k = source.lift(pick, scalars), window.coefficients
+    terms = list(zip(taylor.space.labels, taylor.coefficients))
     for i, beta in enumerate(source.labels):
         cols = source.block(beta)
-        for gamma, coeff in taylor.items():
+        for gamma, coeff in terms:
             target = add(beta, gamma)
             j = window.index.get(target)
             if j is None:
@@ -608,12 +613,12 @@ def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e
     is max |basis^* S_alpha basis| over 1 <= |alpha| <= check_degree: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """
-    space, dom = BlockSpace(list(cfd.taylor), cfd.fiber_dim), cfd.domain_dim
+    space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
     labels, row = space.labels, space.index
-    stack = _taylor_stack(cfd, labels)
+    stack = to_float_array(cfd.taylor.coefficients)
     inv_k = 1.0 / space.lift(cfd.kernel.floats)[:, None, None]
-    gram = (stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)).real
-    vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
+    gram = stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)
+    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     top = float(vals.max(initial=0.0))
     sel = vals >= 1.0 - eig_tol
     if not sel.any():
@@ -792,8 +797,11 @@ def coincidence_residual(
     r, dom = cfd_a.fiber_dim, cfd_a.domain_dim
 
     def stack(cfd):
-        weights = np.sqrt(1.0 / space.lift(cfd.kernel.floats))
-        return list(weights[:, None, None] * _taylor_stack(cfd, space.labels))
+        # theta_gamma / sqrt(k_gamma) over the shared labels, zero off this one's support
+        coeffs = to_float_array(cfd.taylor.coefficients)
+        out = np.zeros((len(space.labels), r, dom), dtype=coeffs.dtype)
+        out[[space.index[g] for g in cfd.taylor]] = coeffs
+        return list(np.sqrt(1.0 / space.lift(cfd.kernel.floats))[:, None, None] * out)
 
     stack_a, stack_b = stack(cfd_a), stack(cfd_b)
     scale = max(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in stack_a)), 1e-30)

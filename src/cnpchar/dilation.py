@@ -45,10 +45,6 @@ from .operators import (
 from .series import KernelSeries, reciprocal_complement
 
 
-class TruncationError(RuntimeError):
-    """Two representations that must agree differ beyond tolerance."""
-
-
 class WindowError(ValueError):
     """A monomial window reaches beyond the truncation of its kernel."""
 
@@ -120,10 +116,6 @@ class DilationData:
     isometry_residual: float
 
     @property
-    def target_degree(self) -> int:
-        return self.window.max_degree
-
-    @property
     def fiber_dim(self) -> int:
         return self.window.block_dim
 
@@ -152,7 +144,7 @@ def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
     sc = t.scalars
     q = defect.ran_defect_basis
     window = MonomialWindow(kernel, q.shape[1], target_degree, sc)
-    v = sc.zeros((window.dim, t.size))
+    v = sc.zeros((window.dim, t.size), t.dtype)
     bound = t.nilpotency_bound
     for lab, deg, a in zip(window.labels, window.degrees, window.coefficients):
         if bound is not None and deg > bound:
@@ -177,22 +169,6 @@ def intertwining_residuals(dil: DilationData) -> list[float]:
         m = dil.window.multiplication_matrix(i)
         out.append(spectral_norm(vh @ m - t.mats[i] @ vh))
     return out
-
-
-def kernel_vector_action(
-    dil: DilationData, points: Sequence, fibers: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
-    """V^* applied to k_point (x) fiber, cross-checked against k_point(T) Defect fiber.
-
-    Takes one point and fiber or a stack of each, as ``kernel_vector_gap``.
-    Computes both sides of the identity and raises TruncationError when they
-    disagree beyond ``tol`` (which signals a window that is too shallow);
-    returns the operator-series side.
-    """
-    rhs, gap = kernel_vector_gap(dil, points, fibers)
-    if gap > tol:
-        raise TruncationError(f"kernel vector identity off by {gap:.3e} (window too small?)")
-    return rhs
 
 
 def kernel_vector_gap(dil: DilationData, points: Sequence, fibers: np.ndarray) -> tuple[np.ndarray, float]:

@@ -151,8 +151,12 @@ class OperatorTuple:
         """The arithmetic of the matrices: EXACT for object arrays, else FLOAT."""
         return EXACT if self.exact else FLOAT
 
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(*self.mats)
+
     def identity(self) -> np.ndarray:
-        return self.scalars.eye(self.size, self.mats[0].dtype)
+        return self.scalars.eye(self.size, self.dtype)
 
     def power(self, alpha: MultiIndex) -> np.ndarray:
         """T^alpha = T_1^a1 ... T_d^ad, memoized along the graded recursion."""
@@ -165,7 +169,7 @@ class OperatorTuple:
         if all(a == 0 for a in alpha):
             out = self.identity()
         elif self.nilpotency_bound is not None and degree(alpha) > self.nilpotency_bound:
-            out = self.scalars.zeros((self.size, self.size), self.mats[0].dtype)
+            out = self.scalars.zeros((self.size, self.size), self.dtype)
         else:
             i = next(j for j, a in enumerate(alpha) if a > 0)
             out = self.mats[i] @ self.power(subtract_unit(alpha, i))
@@ -284,7 +288,7 @@ def conjugated_sum(
         p = t.power(alpha)
         return sc.coefficient(c) * ((p if middle is None else p @ middle) @ adjoint(p, t.weights))
 
-    zero = sc.zeros((t.size, t.size), t.mats[0].dtype)
+    zero = sc.zeros((t.size, t.size), t.dtype)
     return _graded_sum(t, series, term, zero, degree_cap, stop_tol)
 
 

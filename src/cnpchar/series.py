@@ -494,23 +494,31 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
 
     Supported kinds: bergman (fields m, d, truncation), szego, dirichlet
     (fields d, truncation), coeffs (fields a: list of "p/q" strings, d).
+    The fields m, d and truncation must be integers.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("kernel spec must be an object with a 'kind' field")
     kind = spec["kind"]
+
+    def integer(name):
+        value = spec[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"kernel spec field {name!r} must be an integer, got {value!r}")
+        return value
+
     try:
-        trunc = int(spec.get("truncation", DEFAULT_TRUNCATION))
+        trunc = integer("truncation") if "truncation" in spec else DEFAULT_TRUNCATION
         if kind == "bergman":
-            return bergman_kernel(int(spec["m"]), int(spec["d"]), trunc)
+            return bergman_kernel(integer("m"), integer("d"), trunc)
         if kind == "szego":
-            return szego_kernel(int(spec["d"]), trunc)
+            return szego_kernel(integer("d"), trunc)
         if kind == "dirichlet":
-            return dirichlet_kernel(int(spec["d"]), trunc)
+            return dirichlet_kernel(integer("d"), trunc)
         if kind == "coeffs":
             if not isinstance(spec["a"], list):
                 raise ValueError(f"'a' must be a list of coefficients, got {spec['a']!r}")
             a = [_scalar_from_spec(s) for s in spec["a"]]
-            return kernel_from_coefficients(a, int(spec["d"]), bool(spec.get("radius_one", False)))
+            return kernel_from_coefficients(a, integer("d"), bool(spec.get("radius_one", False)))
     except KeyError as exc:
         raise ValueError(f"kernel spec missing field {exc}") from exc
     except TypeError as exc:

@@ -15,7 +15,6 @@ import pytest
 
 from cnpchar._linalg import max_abs, to_float_array
 from cnpchar.charfn import (
-    _taylor_stack,
     align_factorizations,
     build_charfn,
     evaluation_gap,
@@ -72,10 +71,9 @@ def _kernel_value_reference(kernel, z, w):
 
 
 def _theta_reference(cfd, point):
-    labels = list(cfd.taylor)
     sp = cfd.ops.scalars.at(point)
-    monomials = _monomials_reference(BlockSpace(labels, cfd.fiber_dim), point)
-    return np.tensordot(sp.monomial(monomials), _taylor_stack(cfd, labels, sp), axes=1)
+    monomials = _monomials_reference(cfd.taylor.space, point)
+    return np.tensordot(sp.monomial(monomials), sp.array(cfd.taylor.coefficients), axes=1)
 
 
 def _scaled_blocks_reference(space, series, point, blocks, sp):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,23 +8,22 @@ from cnpchar._linalg import max_abs, to_float_array
 from cnpchar.charfn import (
     CharFnBuildError,
     EmptyKInnerError,
+    TaylorCoefficients,
     align_factorizations,
     build_charfn,
     build_multiplier,
     coincidence_residual,
-    evaluate_charfn,
     evaluation_gap,
     factorization_residual,
     functional_model,
     inverse_identity_residual,
     k_inner_subspace,
-    multiplier_from_taylor,
     pointwise_identity_residual,
     row_symbol_margin,
     theta_taylor_at,
 )
-from cnpchar.dilation import TruncationError, build_dilation
-from cnpchar.multiindex import add, degree, enumerate_up_to_degree
+from cnpchar.dilation import build_dilation
+from cnpchar.multiindex import BlockSpace, add, degree, enumerate_up_to_degree
 from cnpchar.operators import (
     NotContractionError,
     NotPureError,
@@ -40,6 +40,7 @@ from cnpchar.series import (
     dirichlet_kernel,
     drury_arveson_kernel,
     factor_through_pick,
+    reciprocal_complement,
     szego_kernel,
 )
 
@@ -120,7 +121,8 @@ class TestJordanCell:
 
     def test_evaluation_at_rational_point(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
-        value = evaluate_charfn(cfd, [Fraction(1, 2)])
+        value, gap = evaluation_gap(cfd, [Fraction(1, 2)])
+        assert gap == 0.0
         assert value[0][0] == Fraction(1, 4)
         assert all(isinstance(x, Fraction) for x in np.asarray(value).flat)
 
@@ -263,7 +265,7 @@ class TestSharedDefectCoordinates:
 class TestThetaEvaluation:
     def test_value_at_origin_is_constant_block(self, k2_da):
         cfd, _, _, _ = k2_da
-        value = np.asarray(evaluate_charfn(cfd, [0.0]), dtype=complex)
+        value = np.asarray(evaluation_gap(cfd, [0.0])[0], dtype=complex)
         expected = cfd.taylor.get((0,))
         if expected is None:
             expected = np.zeros((cfd.fiber_dim, cfd.domain_dim))
@@ -289,18 +291,15 @@ class TestThetaEvaluation:
         cfd, _, _, _ = k2_da
         rng = np.random.default_rng(7)
         for z in sample_points(rng, 5, 1):
-            evaluate_charfn(cfd, z)
+            assert evaluation_gap(cfd, z)[1] <= 1e-10
 
     def test_gap_is_the_cross_check_threshold(self, k2_da):
-        """evaluate_charfn returns the Taylor sum up to tol = gap and raises just below it."""
+        """evaluation_gap returns the Taylor sum with its rounding-level gap to the direct formula."""
         cfd, _, _, _ = k2_da
         z = sample_points(np.random.default_rng(7), 1, 1)[0]
         taylor_sum, gap = evaluation_gap(cfd, z)
         assert 0.0 < gap <= 1e-10
         assert np.array_equal(taylor_sum, theta_taylor_at(cfd, z))
-        assert np.array_equal(evaluate_charfn(cfd, z, tol=gap), taylor_sum)
-        with pytest.raises(TruncationError, match="disagree"):
-            evaluate_charfn(cfd, z, tol=gap / 2)
 
     def test_cap_stability(self):
         """Taylor coefficients do not move when the windows grow; new domain
@@ -354,7 +353,7 @@ class TestFloatPaths:
             monkeypatch.setattr(Fraction, name, refuse)
         z, w = np.array([0.3 + 0.1j]), np.array([-0.2 + 0.25j])
         assert theta_taylor_at(cfd, z).shape == (cfd.fiber_dim, cfd.domain_dim)
-        evaluate_charfn(cfd, z)
+        evaluation_gap(cfd, z)
         assert pointwise_identity_residual(cfd, [(z, w)]) < 1e-8
         assert inverse_identity_residual(cfd, [z, w]) < 1e-10
         assert row_symbol_margin(cfd, [z, w])[0] > 0
@@ -383,14 +382,66 @@ class TestPointwiseIdentity:
         assert mismatch < 1e-8
 
 
+def _taylor_reference(cfd):
+    """theta's Taylor coefficients summed into a dict label by label, from the blocks of ``cfd``.
+
+    The dict adds each label's terms in the order build_charfn does and keeps
+    the first term of a label as it is, so its values must equal the stack
+    bit for bit, sign of zero included, with the same labels in the same order.
+    """
+    t, sc = cfd.ops, cfd.ops.scalars
+    qd = cfd.defect.ran_defect_basis.conj().T @ cfd.defect.defect
+    bound = t.nilpotency_bound
+    beta_cap = bound if bound is not None else max(cfd.support_cap, cfd.constant_cap)
+    betas = BlockSpace(enumerate_up_to_degree(t.num_vars, min(beta_cap, cfd.kernel.truncation)), 1)
+    e, row = cfd.g_support, cfd.b_support
+    root_g = [sc.sqrt(c) for c in e.lift(cfd.factorization.positive_part, sc)]
+    root_b = [sc.sqrt(c) for c in row.lift(reciprocal_complement(cfd.pick_factor), sc)]
+    taylor = {lab: scale * cfd.d_block[e.block(lab)] for lab, scale in zip(e.labels, root_g)}
+    for alpha, scale in zip(row.labels, root_b):
+        block = cfd.b_block[row.block(alpha)]
+        for beta, a_beta in zip(betas.labels, betas.lift(cfd.kernel, sc)):
+            gamma, term = add(alpha, beta), (a_beta * scale) * (qd @ t.power_adjoint(beta) @ block)
+            taylor[gamma] = taylor[gamma] + term if gamma in taylor else term
+    return {lab: m for lab, m in taylor.items() if any(x != 0 for x in np.asarray(m).flat)}
+
+
+class TestTaylorCoefficients:
+    @pytest.mark.parametrize(
+        "name", ["two_cells_exact", "two_cells", "k2_da_d2_n2", "dadir_dir_d1_n1", "k2_da_d1_n3_c"]
+    )
+    def test_stack_equals_label_by_label_sums(self, name):
+        t, fac, caps = preset_inputs(name.removesuffix("_exact"))
+        if name.endswith("_exact"):
+            mats = tuple(np.vectorize(Fraction, otypes=[object])(m.astype(int)) for m in t.mats)
+            t = OperatorTuple(mats, None, None, t.nilpotency_bound, t.kernel)
+        cfd = charfn_of(t, fac, **caps)
+        assert cfd.exact == name.endswith("_exact")
+        reference = _taylor_reference(cfd)
+        assert list(cfd.taylor) == list(reference)
+        assert len(cfd.taylor) == len(reference)
+        for gamma, coeff in reference.items():
+            got = cfd.taylor[gamma]
+            assert got.dtype == coeff.dtype
+            assert np.array_equal(got, coeff), gamma
+            if not cfd.exact:
+                assert np.array_equal(np.signbit(got), np.signbit(coeff)), gamma
+
+    def test_read_only_and_shaped(self, k2_da):
+        cfd = k2_da[0]
+        stack = cfd.taylor.coefficients
+        assert stack.shape == (len(cfd.taylor), cfd.fiber_dim, cfd.domain_dim)
+        assert cfd.taylor.max_degree == max(sum(g) for g in cfd.taylor) == cfd.max_taylor_degree
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+
+
 class TestMultiplier:
-    def test_constant_isometry_stays_isometric(self):
+    def test_constant_isometry_stays_isometric(self, k2_da):
         """A constant isometric symbol induces an isometry on constants,
         independent of the kernels involved."""
-        k = bergman_kernel(2, 1, 24)
-        s = drury_arveson_kernel(1, 24)
         theta = {(0,): np.array([[1.0, 0.0], [0.0, 1.0]])}
-        mult = multiplier_from_taylor(theta, s, k, 2, 2, 3, 3)
+        mult = build_multiplier(_clone_with_taylor(k2_da[0], theta), 3, 3)
         m = np.asarray(mult.matrix, dtype=float)
         constants = m[:, :2]
         assert max_abs(constants.T @ constants - np.eye(2)) < 1e-14
@@ -430,9 +481,7 @@ class TestProjectionPartition:
         del broken[victim]
         target = 4 + cfd.max_taylor_degree
         dil = build_dilation(cfd.defect, target)
-        mult = multiplier_from_taylor(
-            broken, cfd.pick_factor, k, cfd.fiber_dim, cfd.domain_dim, 4, target
-        )
+        mult = build_multiplier(_clone_with_taylor(cfd, broken), 4, target)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted >= 1e-3
 
@@ -517,11 +566,11 @@ def _dense_k_inner_reference(cfd, check_degree=3, eig_tol=1e-9):
     of basis^* S_alpha basis over 1 <= |alpha| <= check_degree.
     """
     dom = cfd.domain_dim
-    gram = np.zeros((dom, dom))
+    gram = np.zeros((dom, dom), dtype=complex)
     for gamma, coeff in cfd.taylor.items():
         c = to_float_array(np.asarray(coeff))
-        gram += (c.conj().T @ c).real / float(cfd.kernel.coeff(gamma))
-    vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
+        gram += (c.conj().T @ c) / float(cfd.kernel.coeff(gamma))
+    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     basis = vecs[:, vals >= 1.0 - eig_tol]
     worst = 0.0
     for alpha in enumerate_up_to_degree(cfd.kernel.dim, check_degree):
@@ -538,12 +587,10 @@ def _dense_k_inner_reference(cfd, check_degree=3, eig_tol=1e-9):
     return vals, basis.shape[1], worst
 
 
-def _clone_with_taylor(cfd, taylor):
-    import copy
-
-    fake = copy.copy(cfd)
-    fake.taylor = taylor
-    return fake
+def _clone_with_taylor(cfd, terms):
+    """``cfd`` with the Taylor coefficients of a label -> matrix dict."""
+    stack = np.array(list(terms.values()))
+    return dataclasses.replace(cfd, taylor=TaylorCoefficients(BlockSpace(list(terms), stack.shape[1]), stack))
 
 
 @pytest.fixture(scope="module")

@@ -107,6 +107,25 @@ class TestKernelCommands:
         assert main(["kernel", "info", "--spec", str(spec)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "szego", "d": 2.9, "truncation": 3.7}, "'truncation'"),
+            ({"kind": "szego", "d": 2.9}, "'d'"),
+            ({"kind": "bergman", "m": 2.5, "d": 1}, "'m'"),
+            ({"kind": "bergman", "m": True, "d": 1}, "'m'"),
+            ({"kind": "dirichlet", "d": "2"}, "'d'"),
+            ({"kind": "szego", "d": 1, "truncation": 8.0}, "'truncation'"),
+            ({"kind": "coeffs", "a": ["1", "1"], "d": 1.0}, "'d'"),
+        ],
+        ids=["float_truncation", "float_d", "float_m", "bool_m", "string_d", "integral_float", "coeffs_float_d"],
+    )
+    def test_non_integer_fields_exit_two(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["kernel", "info", "--spec", str(path)]) == 2
+        assert f"field {field} must be an integer" in capsys.readouterr().err
+
 
 class TestCharFnCommands:
     def test_jordan_verify_and_theta_dump(self, tmp_path, capsys):

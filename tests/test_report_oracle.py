@@ -9,6 +9,8 @@ runs the benchmark's ``wide`` command line on the spec files under
 the non-nilpotent tuple [[0.5]] through the Szego kernel at truncation 64,
 where the truncated operator series settle, on the spec files under
 ``tests/specs`` (outside ``tests/golden``, whose every file is a golden).
+The ``--dump-theta`` file of the exact two_cells preset is pinned whole in
+``tests/dumps``: every block and Taylor coefficient is a rational there.
 
 Float residuals are not pinned: their last bits depend on the BLAS library
 and its threading, so they are held only through their verdicts.
@@ -52,3 +54,11 @@ def test_golden_files_present():
         "charfn_verify_wide_seed_0",
         "suite_seed_0",
     }
+
+
+def test_exact_theta_dump_matches_golden(tmp_path, capsys):
+    dump = tmp_path / "theta.json"
+    argv = ["charfn", "build", "--preset", "two_cells", "--mode", "exact", "--dump-theta", str(dump)]
+    assert main(argv) == 0
+    golden = Path(__file__).parent / "dumps" / "theta_two_cells_exact.json"
+    assert json.loads(dump.read_text()) == json.loads(golden.read_text())
