@@ -50,9 +50,17 @@ value, gap = evaluation_gap(cfd, [Fraction(1, 2)])
 print("theta(1/2) =", value.tolist(), "gap to the direct formula:", gap)
 
 # The induced multiplier is the double shift, and together with V it
-# partitions the identity of the truncated target space exactly.
+# partitions the identity of the truncated target space exactly. It is held
+# as an index plan, source block -> target block with a weight, and the
+# Gram M M* that the partition check reads; no dense matrix is formed.
 mult = build_multiplier(cfd, source_degree=3, target_degree=5)
-print("\nmultiplier matrix (double shift):")
+print("\nmultiplier plan (double shift): source monomial -> target monomial, weight")
+for i, j, w in zip(mult.sources, mult.targets, mult.weights):
+    print(f"  z^{mult.source.labels[i][0]} -> z^{mult.window.labels[j][0]}  {w}")
+print("M M* =")
+print(np.asarray(mult.gram, dtype=float))
+# the dense matrix is scattered through the same plan when it is read
+print("dense M:")
 print(np.asarray(mult.matrix, dtype=float))
 fr = factorization_residual(cfd, dil, mult)
 print("V V* + M M* - I: restricted", fr.restricted, "unrestricted", fr.unrestricted,

@@ -154,6 +154,12 @@ class Scalars:
         """Square root; exact only for perfect-square rationals (else ExactnessError)."""
         return frac_sqrt(x) if self.exact else math.sqrt(float(x))
 
+    def roots(self, a: np.ndarray) -> np.ndarray:
+        """Entrywise ``sqrt`` of an array."""
+        if self.exact:
+            return np.array([frac_sqrt(x) for x in a.flat], dtype=object).reshape(a.shape)
+        return np.sqrt(a)
+
     def coefficient(self, c):
         """A real scalar in this arithmetic."""
         return c if self.exact else float(c)

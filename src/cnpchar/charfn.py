@@ -31,6 +31,7 @@ degree range and unrestricted.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -224,8 +225,8 @@ def build_charfn(
     g_labels = [a for a in enumerate_up_to_degree(dim, constant_cap) if g.coeff_1d(degree(a)) != 0]
     row_space = BlockSpace(b_labels, n)
     e_space = BlockSpace(g_labels, r)
-    root_g = [sc.sqrt(c) for c in e_space.lift(g, sc)]
-    root_b = [sc.sqrt(c) for c in row_space.lift(b_s, sc)]
+    root_g = sc.roots(e_space.lift(g, sc))
+    root_b = sc.roots(row_space.lift(b_s, sc))
 
     # Q* Defect (T^beta)^* for every beta read below; zero above the nilpotency degree
     beta_cap = bound if bound is not None else max(support_cap, constant_cap)
@@ -381,7 +382,7 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
 
 def _scaled_blocks(space: BlockSpace, series, points: list, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
     """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha."""
-    roots = np.array([sp.sqrt(c) for c in space.lift(sp.series(series), sp)])
+    roots = sp.roots(space.lift(sp.series(series), sp))
     weights = roots * sp.monomial(space.monomials(points))
     stack = sp.array(blocks).reshape(len(space.labels), -1)
     return (weights[:, None, :] @ stack).reshape(len(points), space.block_dim, blocks.shape[1])
@@ -472,61 +473,114 @@ def row_symbol_margin(cfd: CharFnData, points: Sequence[Point]):
 
 @dataclass(eq=False)
 class MultiplierMatrix:
-    """Dense matrix of M_theta between truncated monomial windows.
+    """M_theta between truncated monomial windows, held as an index plan and its Gram.
 
     Source coordinates are grouped as (source label) x (domain coordinate),
-    target coordinates as (target label) x (Ran Defect coordinate). The
-    ``exact_window`` flag is set when no Taylor mass was discarded, which the
-    caller guarantees by target_degree >= source_degree + max Taylor degree.
-    ``discarded_mass`` bounds the squared column mass dropped by truncation.
+    target coordinates as (target label) x (Ran Defect coordinate). Entry k
+    of the plan puts ``weights[k] * theta_gamma``, gamma the Taylor label
+    ``terms[k]``, at target block ``targets[k]`` of source block
+    ``sources[k]``; the weight is sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}).
+    The plan runs source by source, and pairs whose target lies beyond the
+    window are left out of it. ``gram`` is M_theta M_theta^* on the window,
+    formed from Theta Theta^* through the plan; the dense ``matrix`` is
+    scattered through the same plan only when it is read. The
+    ``exact_window`` flag is set when no Taylor mass was discarded, which
+    the caller guarantees by target_degree >= source_degree + max Taylor
+    degree. ``discarded_mass`` bounds the squared column mass of the
+    pairs left out.
     """
 
-    matrix: np.ndarray
+    taylor: TaylorCoefficients
+    source: BlockSpace
     window: MonomialWindow
+    sources: np.ndarray
+    terms: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    gram: np.ndarray
     source_degree: int
     target_degree: int
     max_taylor_degree: int
     exact_window: bool
     discarded_mass: float
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense window x source matrix of M_theta."""
+        coeffs = self.taylor.coefficients
+        _, r, dom = coeffs.shape
+        out = self.window.scalars.zeros((self.window.dim, self.source.dim), coeffs.dtype)
+        blocks = out.reshape(len(self.window.labels), r, len(self.source.labels), dom)
+        blocks[self.targets, :, self.sources, :] = self.weights[:, None, None] * coeffs[self.terms]
+        return out
+
 
 def build_multiplier(cfd: CharFnData, source_degree: int, target_degree: int) -> MultiplierMatrix:
-    """Assemble M_theta from the Taylor coefficients, in their arithmetic.
+    """The plan of M_theta from the Taylor coefficients, and its Gram, in their arithmetic.
 
     A source monomial block at beta lands at target blocks beta + gamma with
     weight sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}) theta_gamma; degrees
-    beyond the target window are discarded and their mass recorded.
+    beyond the target window are discarded and their mass recorded. The Gram
+    is sum_beta W_beta P_beta (Theta Theta^*) P_beta^* W_beta, with P_beta
+    moving Taylor label gamma to target block beta + gamma and W_beta the
+    weights: one product of the Taylor stack with itself, scattered once per
+    source label.
     """
     taylor, pick, kernel = cfd.taylor, cfd.pick_factor, cfd.kernel
-    _, r, dom = taylor.coefficients.shape
+    coeffs = taylor.coefficients
+    n_terms, r, dom = coeffs.shape
     scalars, max_deg = taylor.scalars, taylor.max_degree
     if kernel.truncation < source_degree + max_deg or pick.truncation < source_degree:
         raise ValueError("kernel truncation too small for the requested windows")
     source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), dom)
     window = MonomialWindow(kernel, r, target_degree, scalars)
-    matrix = scalars.zeros((window.dim, source.dim), taylor.coefficients.dtype)
+
+    # every (source label, Taylor label) pair, source by source; the window holds every degree <= target_degree
+    gammas = np.array(taylor.space.labels, dtype=int).reshape(n_terms, kernel.dim)
+    ends = np.array(source.labels)[:, None, :] + gammas[None, :, :]
+    inside = source.degrees[:, None] + taylor.space.degrees[None, :] <= target_degree
+    sources, terms = np.nonzero(inside)
+    targets = window.positions(ends[inside])
+    a_s = source.lift(pick, scalars)
+    weights = scalars.roots(a_s[sources] / window.coefficients[targets])
+
     discarded = 0.0
-    a_s, a_k = source.lift(pick, scalars), window.coefficients
-    terms = list(zip(taylor.space.labels, taylor.coefficients))
-    for i, beta in enumerate(source.labels):
-        cols = source.block(beta)
-        for gamma, coeff in terms:
-            target = add(beta, gamma)
-            j = window.index.get(target)
-            if j is None:
-                ratio = pick.coeff(beta) / kernel.coeff(target)
-                discarded = max(discarded, float(ratio) * float(max_abs(np.asarray(coeff))) ** 2)
-                continue
-            rows = window.block(target)
-            matrix[rows, cols] = matrix[rows, cols] + scalars.sqrt(a_s[i] / a_k[j]) * coeff
-    exact_window = target_degree >= source_degree + max_deg
+    if not inside.all():
+        lost_sources, lost_terms = np.nonzero(~inside)
+        lost, at = np.unique(ends[~inside], axis=0, return_inverse=True)
+        a_lost = BlockSpace([tuple(lab) for lab in lost.tolist()], 1).lift(kernel, EXACT)
+        ratio = (source.lift(pick, EXACT)[lost_sources] / a_lost[at.ravel()]).astype(float)
+        peak = np.abs(to_float_array(coeffs)).max(axis=(1, 2), initial=0.0)
+        discarded = float(np.max(ratio * peak[lost_terms] ** 2))
+
+    # coordinates of the plan: r rows per target block, r rows of Theta per Taylor label
+    fiber = np.arange(r)
+    rows = (targets[:, None] * r + fiber).ravel()
+    cols = (terms[:, None] * r + fiber).ravel()
+    scale = np.repeat(weights, r)
+    theta = coeffs.reshape(n_terms * r, dom)
+    products = theta @ theta.conj().T
+    gram = scalars.zeros((window.dim, window.dim), products.dtype)
+    # one block of the sum per source label, gathered and scattered through flat indices
+    flat_gram, flat_products = gram.reshape(-1), products.reshape(-1)
+    cuts = r * np.searchsorted(sources, np.arange(1, len(source.labels)))
+    for at_rows, at_cols, w in zip(np.split(rows, cuts), np.split(cols, cuts), np.split(scale, cuts)):
+        into = (at_rows[:, None] * window.dim + at_rows).ravel()
+        outof = (at_cols[:, None] * len(theta) + at_cols).ravel()
+        flat_gram[into] += flat_products[outof] * np.multiply.outer(w, w).ravel()
     return MultiplierMatrix(
-        matrix=matrix,
+        taylor=taylor,
+        source=source,
         window=window,
+        sources=sources,
+        terms=terms,
+        targets=targets,
+        weights=weights,
+        gram=gram,
         source_degree=source_degree,
         target_degree=target_degree,
         max_taylor_degree=max_deg,
-        exact_window=exact_window,
+        exact_window=target_degree >= source_degree + max_deg,
         discarded_mass=discarded,
     )
 
@@ -552,6 +606,10 @@ class FactorizationResidual:
 def factorization_residual(
     cfd: CharFnData, dil: DilationData, mult: MultiplierMatrix
 ) -> FactorizationResidual:
+    """V V^* + M_theta M_theta^* - I on the window, with M_theta M_theta^* read from ``mult.gram``.
+
+    ``dil`` and ``mult`` must share the target window. No dense M_theta is formed.
+    """
     window = dil.window
     if (
         window.max_degree != mult.target_degree
@@ -560,9 +618,7 @@ def factorization_residual(
     ):
         raise ValueError("dilation and multiplier windows do not match")
     v = dil.matrix
-    m = mult.matrix
-    gram = m @ m.conj().T
-    total = v @ v.conj().T + gram - window.scalars.eye(window.dim)
+    total = v @ v.conj().T + mult.gram - window.scalars.eye(window.dim)
     restricted_degree = min(
         mult.source_degree,
         mult.target_degree - mult.max_taylor_degree,
@@ -577,7 +633,7 @@ def factorization_residual(
         unrestricted=spectral_norm(np.asarray(total)),
         restricted_degree=restricted_degree,
         restricted_exact=exact_zero,
-        multiplier_norm=math.sqrt(spectral_norm(gram)),
+        multiplier_norm=math.sqrt(spectral_norm(mult.gram)),
     )
 
 

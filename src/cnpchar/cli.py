@@ -22,7 +22,7 @@ import numpy as np
 
 from . import presets
 from ._linalg import ExactnessError
-from .charfn import build_charfn, charfn_blocks_dict
+from .charfn import CharFnData, build_charfn, charfn_blocks_dict
 from .dilation import WindowError
 from .operators import (
     OperatorTuple,
@@ -306,21 +306,14 @@ def cmd_charfn(args) -> int:
     }
     try:
         if args.charfn_cmd == "verify":
-            checks = run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
+            checks, cfd = run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
         else:
-            checks = _build_checks(config)
+            checks, cfd = _build_checks(config)
     except (ExactnessError, WindowError) as exc:
         raise InputError(str(exc)) from exc
-    pure = next(c for c in checks if c.name == "purity").verdict == "pass"
-    if args.dump_theta and not pure:
+    if args.dump_theta and cfd is None:
         print(f"theta not written to {args.dump_theta}: the tuple is not pure")
     elif args.dump_theta:
-        cfd = build_charfn(
-            defect_data(config.ops, config.kernel, config.pick_factor),
-            config.factorization,
-            support_cap=config.support_cap,
-            constant_cap=config.constant_cap,
-        )
         with open(args.dump_theta, "w") as fh:
             json.dump(charfn_blocks_dict(cfd), fh, indent=2, sort_keys=True)
         print(f"theta coefficients written to {args.dump_theta}")
@@ -344,13 +337,13 @@ def _exact_variant(config: Configuration) -> Configuration:
     return replace(config, ops=ops)
 
 
-def _build_checks(config: Configuration) -> list[CheckResult]:
-    """The purity check and, for a pure tuple only, the construction identities."""
+def _build_checks(config: Configuration) -> tuple[list[CheckResult], Optional[CharFnData]]:
+    """The purity check and, for a pure tuple only, the construction identities and theta."""
     t0 = time.perf_counter()
     dd = defect_data(config.ops, config.kernel, config.pick_factor)
     if not dd.pure:
         elapsed = time.perf_counter() - t0
-        return [CheckResult("purity", "fail", dd.purity_residual, dd.purity_exact, elapsed)]
+        return [CheckResult("purity", "fail", dd.purity_residual, dd.purity_exact, elapsed)], None
     cfd = build_charfn(
         dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
     )
@@ -367,7 +360,7 @@ def _build_checks(config: Configuration) -> list[CheckResult]:
             cfd.exact or None,
             elapsed,
         ),
-    ]
+    ], cfd
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +429,7 @@ def cmd_suite(args) -> int:
         for name in names
         for check in run_configuration_checks(
             presets.configuration(name), seed=args.seed, composite_tol=args.tol
-        )
+        )[0]
     ]
     if not args.configs:
         all_checks.append(presets.run_alignment_check(seed=args.seed))

@@ -117,6 +117,14 @@ class BlockSpace:
         i = self.index[label]
         return slice(i * self.block_dim, (i + 1) * self.block_dim)
 
+    def positions(self, exponents: np.ndarray) -> np.ndarray:
+        """The label index of each row of an (n, d) integer array of exponents; each row must be a label."""
+        labels = np.array(self.labels, dtype=int)
+        dims = np.maximum(labels.max(axis=0), exponents.max(axis=0, initial=0)) + 1
+        keys = np.ravel_multi_index(labels.T, dims)
+        order = np.argsort(keys)
+        return order[np.searchsorted(keys, np.ravel_multi_index(exponents.T, dims), sorter=order)]
+
     def lift(self, series, scalars: Scalars = FLOAT) -> np.ndarray:
         """The lifts c_gamma = c_|gamma| * multinomial(gamma) of ``series``, in label order.
 

@@ -520,11 +520,14 @@ def random_coinvariant_compression(
 
 
 def tuple_to_spec(t: OperatorTuple) -> dict:
-    """JSON-compatible dict: dense row-major matrices, rational strings in exact mode."""
+    """JSON-compatible dict: dense row-major matrices, rational strings in exact mode.
+
+    A float entry with a nonzero imaginary part is written as a complex string.
+    """
     def encode(m):
         if t.exact:
             return [[_scalar_to_string(x) for x in row] for row in m.tolist()]
-        return [[float(x) for x in row] for row in m.tolist()]
+        return [[float(x.real) if x.imag == 0 else str(x) for x in row] for row in m.tolist()]
 
     return {
         "mode": "exact" if t.exact else "float",
@@ -548,7 +551,10 @@ def tuple_from_spec(spec: dict) -> OperatorTuple:
             for m in raw
         )
     elif mode == "float":
-        mats = tuple(np.array(m, dtype=float) for m in raw)
+        # complex strings such as "0.3+0.4j" parse too; the tuple is complex only if an entry is
+        mats = tuple(np.array(m, dtype=complex) for m in raw)
+        if not any(m.imag.any() for m in mats):
+            mats = tuple(m.real.copy() for m in mats)
     else:
         raise ValueError(f"unknown tuple mode {mode!r}")
     weights = spec.get("weights")

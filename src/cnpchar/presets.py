@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .charfn import (
+    CharFnData,
     EmptyKInnerError,
     align_factorizations,
     build_charfn,
@@ -289,11 +290,13 @@ def run_configuration_checks(
     composite_tol: float = TOL_COMPOSITE,
     gram_pairs: int = 50,
     point_count: int = 20,
-) -> list[CheckResult]:
+) -> tuple[list[CheckResult], Optional[CharFnData]]:
     """Build everything for one configuration and run the invariant suite.
 
-    Purity failure aborts the construction; it is reported as the single
-    failing check so the caller can exit nonzero with the residual in hand.
+    Returns the checks and the characteristic function they read. Purity
+    failure aborts the construction; it is reported as the single failing
+    check, with no characteristic function, so the caller can exit nonzero
+    with the residual in hand.
     Each check's elapsed time covers the work it needs first: the
     characteristic-function build counts toward ``defect_embedding_gram``,
     the first check that reads it, and the partition Gram M_theta M_theta^*
@@ -306,7 +309,7 @@ def run_configuration_checks(
         verdict = "pass" if dd.pure else "fail"
         rec.checks.append(CheckResult("purity", verdict, float(dd.purity_residual), dd.purity_exact, 0.0))
     if rec.checks[-1].verdict == "fail":
-        return rec.results()
+        return rec.results(), None
 
     with rec.timing("defect_embedding_gram"):
         cfd = build_charfn(
@@ -402,7 +405,7 @@ def run_configuration_checks(
             fm = max(report.equality_residual, max(report.intertwining_residuals))
             rec.checks.append(_check("functional_model", fm, TOL_MODEL))
 
-    return rec.results()
+    return rec.results(), cfd
 
 
 def run_alignment_check(seed: int = 0, samples: int = 30) -> CheckResult:

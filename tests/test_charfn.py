@@ -22,7 +22,7 @@ from cnpchar.charfn import (
     row_symbol_margin,
     theta_taylor_at,
 )
-from cnpchar.dilation import build_dilation
+from cnpchar.dilation import MonomialWindow, build_dilation
 from cnpchar.multiindex import BlockSpace, add, degree, enumerate_up_to_degree
 from cnpchar.operators import (
     NotContractionError,
@@ -32,7 +32,7 @@ from cnpchar.operators import (
     model_tuple,
     random_coinvariant_compression,
 )
-from cnpchar.presets import configuration
+from cnpchar.presets import SUITE_CONFIGS, configuration, run_configuration_checks
 from cnpchar.series import (
     RealSeries,
     bergman_kernel,
@@ -504,6 +504,96 @@ class TestProjectionPartition:
         mult = build_multiplier(cfd, 4, 7)
         with pytest.raises(ValueError, match="window"):
             factorization_residual(cfd, dil, mult)
+
+
+def _dense_multiplier_reference(cfd, source_degree, target_degree):
+    """(M_theta as one dense window x source matrix, its discarded mass), filled pair by pair.
+
+    Every (source label, Taylor label) pair is visited in a Python loop: beta
+    lands at target beta + gamma with weight sqrt(a_beta^(s) / a_(beta+gamma)^(k)),
+    and a pair beyond the window adds its squared column mass to the bound.
+    """
+    taylor, pick, kernel = cfd.taylor, cfd.pick_factor, cfd.kernel
+    _, r, dom = taylor.coefficients.shape
+    scalars = taylor.scalars
+    source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), dom)
+    window = MonomialWindow(kernel, r, target_degree, scalars)
+    matrix = scalars.zeros((window.dim, source.dim), taylor.coefficients.dtype)
+    discarded = 0.0
+    a_s, a_k = source.lift(pick, scalars), window.coefficients
+    terms = list(zip(taylor.space.labels, taylor.coefficients))
+    for i, beta in enumerate(source.labels):
+        cols = source.block(beta)
+        for gamma, coeff in terms:
+            target = add(beta, gamma)
+            j = window.index.get(target)
+            if j is None:
+                ratio = pick.coeff(beta) / kernel.coeff(target)
+                discarded = max(discarded, float(ratio) * float(max_abs(np.asarray(coeff))) ** 2)
+                continue
+            rows = window.block(target)
+            matrix[rows, cols] = matrix[rows, cols] + scalars.sqrt(a_s[i] / a_k[j]) * coeff
+    return matrix, discarded
+
+
+def _exact_preset_charfn(name):
+    t, fac, caps = preset_inputs(name)
+    mats = tuple(np.vectorize(Fraction, otypes=[object])(m.astype(int)) for m in t.mats)
+    return charfn_of(OperatorTuple(mats, None, None, t.nilpotency_bound, t.kernel), fac, **caps)
+
+
+def _windows(cfd, source_degree):
+    """The exact window, and one that cuts the top half of theta's degrees."""
+    top = cfd.max_taylor_degree
+    return [(source_degree, source_degree + top), (source_degree, source_degree + top // 2)]
+
+
+class TestMultiplierPlan:
+    """The Gram of the index plan against M M* of the dense pair-by-pair reference."""
+
+    @pytest.mark.parametrize("name", SUITE_CONFIGS)
+    def test_float_gram_matches_dense_reference(self, name):
+        cfd = _preset_charfn(name)
+        assert not cfd.exact
+        for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
+            mult = build_multiplier(cfd, source_degree, target_degree)
+            dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
+            assert max_abs(mult.gram - dense @ dense.conj().T) <= 1e-15
+            assert mult.discarded_mass == discarded
+            assert mult.exact_window == (discarded == 0.0)
+            assert mult.matrix.dtype == dense.dtype and np.array_equal(mult.matrix, dense)
+
+    @pytest.mark.parametrize("name", ["jordan", "two_cells"])
+    def test_exact_gram_equals_dense_reference(self, name):
+        cfd = _exact_preset_charfn(name)
+        assert cfd.exact
+        for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
+            mult = build_multiplier(cfd, source_degree, target_degree)
+            dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
+            assert mult.gram.dtype == object
+            assert np.array_equal(mult.gram, dense @ dense.conj().T)
+            assert mult.discarded_mass == discarded
+            assert np.array_equal(mult.matrix, dense)
+
+    def test_wide_window(self):
+        """Bergman m = 2 through Drury-Arveson in d = 3 at cap 12: 816 x 9,260 when dense."""
+        k, s = bergman_kernel(2, 3, 32), drury_arveson_kernel(3, 32)
+        cfd = charfn_of(model_tuple(k, 3, 1, mode="float"), factor_through_pick(k, s), support_cap=12, constant_cap=12)
+        mult = build_multiplier(cfd, 3, 3 + cfd.max_taylor_degree)
+        dense, discarded = _dense_multiplier_reference(cfd, 3, 3 + cfd.max_taylor_degree)
+        assert dense.shape == (816, 9260) and discarded == mult.discarded_mass == 0.0
+        assert max_abs(mult.gram - dense @ dense.T) <= 1e-15
+        assert np.array_equal(mult.matrix, dense)
+
+    def test_dense_matrix_built_only_on_request(self, monkeypatch):
+        from cnpchar import charfn
+
+        def refuse(self):
+            raise AssertionError("dense multiplier built")
+
+        monkeypatch.setattr(charfn.MultiplierMatrix, "matrix", property(refuse))
+        for name in ("jordan", "k2_da_d2_n2"):
+            assert all(c.verdict == "pass" for c in run_configuration_checks(configuration(name))[0])
 
 
 class TestKInner:

@@ -143,6 +143,25 @@ class TestCharFnCommands:
         assert theta["fiber_dim"] == 1 and theta["domain_dim"] == 1
         assert theta["b_block"]["shape"] == [2, 1]
 
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_theta_dump_builds_theta_once(self, tmp_path, monkeypatch, command):
+        """The dump writes the theta of the check run instead of building another."""
+        from cnpchar import charfn, cli, presets
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return charfn.build_charfn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_charfn", counted)
+        monkeypatch.setattr(presets, "build_charfn", counted)
+        out, dump = tmp_path / "r.json", tmp_path / "theta.json"
+        args = ["charfn", command, "--preset", "two_cells", "--out", str(out), "--dump-theta", str(dump)]
+        assert main(args) == 0
+        assert len(calls) == 1
+        assert json.loads(dump.read_text())["fiber_dim"] == 2
+
     @pytest.mark.parametrize("preset", ["jordan", "two_cells"])
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_exact_mode_jordan(self, tmp_path, command, preset):
@@ -210,6 +229,28 @@ class TestCharFnCommands:
                 ]
             )
             assert code == 0
+
+    def test_complex_tuple_spec(self, specs, tmp_path):
+        """A float tuple spec may carry complex entries as strings: Szego at 0.3+0.4j."""
+        spec, out = tmp_path / "tuple.json", tmp_path / "r.json"
+        spec.write_text(json.dumps({"mode": "float", "matrices": [[["0.3+0.4j"]]]}))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(spec)]
+        code = main(["charfn", "verify", *args, "--N", "64", "--degree-cap", "40", "--out", str(out)])
+        assert code == 0
+        checks = read_report(out)["checks"]
+        assert len(checks) == 14 and all(c["verdict"] == "pass" for c in checks)
+
+    def test_complex_tuple_spec_round_trip(self):
+        import numpy as np
+
+        from cnpchar.operators import OperatorTuple, tuple_from_spec, tuple_to_spec
+
+        t = OperatorTuple((np.array([[0.3 + 0.4j, 0.0], [0.25, -0.5j]]),), nilpotency_bound=None)
+        back = tuple_from_spec(json.loads(json.dumps(tuple_to_spec(t))))
+        assert back.mats[0].dtype == complex and np.array_equal(back.mats[0], t.mats[0])
+        real = tuple_from_spec({"mode": "float", "matrices": [[["0.5", 0.25], [0, "-1e-3+0j"]]]})
+        assert real.mats[0].dtype == float
+        assert np.array_equal(real.mats[0], [[0.5, 0.25], [0.0, -1e-3]])
 
     def test_empty_k_inner_space_is_a_failed_check(self, specs, tmp_path):
         # T = 0.6 is not nilpotent, so the default window is too shallow for

@@ -35,8 +35,24 @@ def da2():
     return drury_arveson_kernel(2, N)
 
 
+def da1():
+    return drury_arveson_kernel(1, N)
+
+
+def da3():
+    return drury_arveson_kernel(3, N)
+
+
 def bergman2():
     return bergman_kernel(2, 1, N)
+
+
+def bergman2_d2():
+    return bergman_kernel(2, 2, N)
+
+
+def bergman3():
+    return bergman_kernel(3, 1, N)
 
 
 # name -> (kernel k = (1 - t)^(-m), CNP factor s = (1 - t)^(-1), m, lambda)
@@ -48,6 +64,10 @@ CASES = {
     # a real T_1 beside a complex T_2
     "da2_mixed": (da2, da2, 1, [0.3, 0.4j]),
     "bergman2_szego_half": (bergman2, szego, 2, [0.5]),
+    "da3_real": (da3, da3, 1, [0.3, -0.2, 0.4]),
+    "da3_complex": (da3, da3, 1, [0.3j, 0.2 - 0.1j, -0.4]),
+    "bergman2_da2": (bergman2_d2, da2, 2, [0.3, 0.4]),
+    "bergman3_da1_half": (bergman3, da1, 3, [0.5]),
 }
 
 
@@ -97,7 +117,7 @@ def test_projection_partition_at_a_complex_point():
     dd, cfd = scalar_point([[[0.3 + 0.4j]]], szego(), szego())
     target = 4 + cfd.max_taylor_degree
     mult = build_multiplier(cfd, 4, target)
-    assert np.iscomplexobj(mult.matrix)
+    assert np.iscomplexobj(mult.gram) and np.iscomplexobj(mult.matrix)
     assert factorization_residual(cfd, build_dilation(dd, target), mult).restricted <= TOL
 
 

@@ -29,7 +29,7 @@ def test_partition_computed_once(config, monkeypatch):
 
     monkeypatch.setattr(presets, "factorization_residual", counted)
     monkeypatch.setattr(charfn, "factorization_residual", counted)
-    results = _checks(presets.run_configuration_checks(config))
+    results = _checks(presets.run_configuration_checks(config)[0])
     assert len(calls) == 1
     assert results["multiplier_contraction"].verdict == "pass"
     assert results["functional_model"].verdict == "pass"
@@ -52,7 +52,7 @@ def test_kernel_vector_once_per_sample(config, monkeypatch):
 
 
 def test_theta_cross_check_reports_its_gap(config):
-    check = _checks(presets.run_configuration_checks(config))["theta_taylor_cross_check"]
+    check = _checks(presets.run_configuration_checks(config)[0])["theta_taylor_cross_check"]
     assert check.verdict == "pass"
     assert 0.0 < check.residual <= presets.TOL_SINGLE
 
