@@ -552,7 +552,12 @@ def tuple_from_spec(spec: dict) -> OperatorTuple:
         )
     elif mode == "float":
         # complex strings such as "0.3+0.4j" parse too; the tuple is complex only if an entry is
-        mats = tuple(np.array(m, dtype=complex) for m in raw)
+        try:
+            mats = tuple(np.array(m, dtype=complex) for m in raw)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"tuple matrices must hold numbers: {exc}") from exc
+        if not all(m.ndim == 2 and np.isfinite(m).all() for m in mats):
+            raise ValueError("tuple matrices must be 2-d arrays of finite numbers")
         if not any(m.imag.any() for m in mats):
             mats = tuple(m.real.copy() for m in mats)
     else:

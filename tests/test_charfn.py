@@ -411,11 +411,7 @@ class TestTaylorCoefficients:
         "name", ["two_cells_exact", "two_cells", "k2_da_d2_n2", "dadir_dir_d1_n1", "k2_da_d1_n3_c"]
     )
     def test_stack_equals_label_by_label_sums(self, name):
-        t, fac, caps = preset_inputs(name.removesuffix("_exact"))
-        if name.endswith("_exact"):
-            mats = tuple(np.vectorize(Fraction, otypes=[object])(m.astype(int)) for m in t.mats)
-            t = OperatorTuple(mats, None, None, t.nilpotency_bound, t.kernel)
-        cfd = charfn_of(t, fac, **caps)
+        cfd = _preset_charfn(name)
         assert cfd.exact == name.endswith("_exact")
         reference = _taylor_reference(cfd)
         assert list(cfd.taylor) == list(reference)
@@ -536,12 +532,6 @@ def _dense_multiplier_reference(cfd, source_degree, target_degree):
     return matrix, discarded
 
 
-def _exact_preset_charfn(name):
-    t, fac, caps = preset_inputs(name)
-    mats = tuple(np.vectorize(Fraction, otypes=[object])(m.astype(int)) for m in t.mats)
-    return charfn_of(OperatorTuple(mats, None, None, t.nilpotency_bound, t.kernel), fac, **caps)
-
-
 def _windows(cfd, source_degree):
     """The exact window, and one that cuts the top half of theta's degrees."""
     top = cfd.max_taylor_degree
@@ -565,7 +555,7 @@ class TestMultiplierPlan:
 
     @pytest.mark.parametrize("name", ["jordan", "two_cells"])
     def test_exact_gram_equals_dense_reference(self, name):
-        cfd = _exact_preset_charfn(name)
+        cfd = _preset_charfn(f"{name}_exact")
         assert cfd.exact
         for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
             mult = build_multiplier(cfd, source_degree, target_degree)
@@ -645,7 +635,11 @@ _LINEAR_THETA = {(0,): np.array([[0.6]]), (1,): np.array([[0.8]])}
 
 
 def _preset_charfn(name):
-    t, fac, caps = preset_inputs(name)
+    """The theta of a preset; a name ending in _exact re-expresses its integer tuple in Fractions."""
+    t, fac, caps = preset_inputs(name.removesuffix("_exact"))
+    if name.endswith("_exact"):
+        mats = tuple(np.vectorize(Fraction, otypes=[object])(m.astype(int)) for m in t.mats)
+        t = OperatorTuple(mats, None, None, t.nilpotency_bound, t.kernel)
     return charfn_of(t, fac, **caps)
 
 

@@ -252,6 +252,17 @@ class TestCharFnCommands:
         assert real.mats[0].dtype == float
         assert np.array_equal(real.mats[0], [[0.5, 0.25], [0.0, -1e-3]])
 
+    @pytest.mark.parametrize(
+        "matrices",
+        [[[[{}]]], 5, [5], [[[None]]], [[["nan"]]], [[[1e400]]], [[[10**400]]], [[["abc"]]]],
+        ids=["dict", "number", "flat", "null", "nan", "inf", "huge_int", "bad_string"],
+    )
+    def test_malformed_float_tuple_exits_two(self, specs, tmp_path, matrices):
+        spec = tmp_path / "tuple.json"
+        spec.write_text(json.dumps({"mode": "float", "matrices": matrices}))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(spec)]
+        assert main(["charfn", "verify", *args]) == 2
+
     def test_empty_k_inner_space_is_a_failed_check(self, specs, tmp_path):
         # T = 0.6 is not nilpotent, so the default window is too shallow for
         # theta to reach a unit Gram eigenvalue: the check fails, the run goes on
