@@ -25,6 +25,7 @@ from ._linalg import ExactnessError
 from .charfn import CharFnData, build_charfn, charfn_blocks_dict
 from .dilation import WindowError
 from .operators import (
+    NotContractionError,
     OperatorTuple,
     defect_data,
     model_tuple,
@@ -261,6 +262,8 @@ def _configuration_from_args(args) -> Configuration:
                 t = tuple_from_spec(json.load(fh))
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise InputError(f"cannot read tuple spec {args.tuple_spec}: {exc}") from exc
+        if t.num_vars != kernel.dim:
+            raise InputError(f"the tuple has {t.num_vars} operators, the kernel dimension is {kernel.dim}")
         if t.weights is not None:
             t = t.to_float()
         name = "custom_tuple"
@@ -309,7 +312,7 @@ def cmd_charfn(args) -> int:
             checks, cfd = run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
         else:
             checks, cfd = _build_checks(config)
-    except (ExactnessError, WindowError) as exc:
+    except (ExactnessError, WindowError, NotContractionError) as exc:
         raise InputError(str(exc)) from exc
     if args.dump_theta and cfd is None:
         print(f"theta not written to {args.dump_theta}: the tuple is not pure")
@@ -323,6 +326,8 @@ def cmd_charfn(args) -> int:
 def _exact_variant(config: Configuration) -> Configuration:
     """Re-express the configuration's tuple with exact scalars when possible."""
     t = config.ops
+    if any(np.iscomplexobj(m) for m in t.mats):
+        raise InputError("exact mode needs rational matrix entries")
     mats = []
     for m in np.asarray(t.mats, dtype=object):
         exact = np.empty(m.shape, dtype=object)

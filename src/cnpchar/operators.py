@@ -21,6 +21,7 @@ Float-mode tuples use the orthonormalized monomial basis.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -546,10 +547,17 @@ def tuple_from_spec(spec: dict) -> OperatorTuple:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"tuple spec missing field {exc}") from exc
     if mode == "exact":
-        mats = tuple(
-            np.array([[_scalar_from_string(x) if isinstance(x, str) else Fraction(x) for x in row] for row in m], dtype=object)
-            for m in raw
-        )
+        try:
+            mats = tuple(
+                np.array([[_scalar_from_string(x) if isinstance(x, str) else Fraction(x) for x in row] for row in m], dtype=object)
+                for m in raw
+            )
+            # a Fraction too large for a float overflows here, as it would in the float backend
+            finite = all(m.ndim == 2 and all(map(math.isfinite, m.flat)) for m in mats)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"tuple matrices must hold finite numbers: {exc}") from exc
+        if not finite:
+            raise ValueError("tuple matrices must be 2-d arrays of finite numbers")
     elif mode == "float":
         # complex strings such as "0.3+0.4j" parse too; the tuple is complex only if an entry is
         try:

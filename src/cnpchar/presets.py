@@ -100,6 +100,16 @@ def _kernel_named(kind: str, dim: int) -> KernelSeries:
     raise ValueError(f"unknown kernel name {kind!r}")
 
 
+@functools.cache
+def _factorization(k_kind: str, s_kind: str, dim: int) -> KernelFactorization:
+    """One verified factorization per (kernel, CNP factor, dim), shared by every configuration.
+
+    The factorization belongs to the kernel pair, not to the tuple, and is
+    frozen like its kernels; its Cauchy check runs once per pair.
+    """
+    return factor_through_pick(_kernel_named(k_kind, dim), _kernel_named(s_kind, dim))
+
+
 def default_caps(pick: KernelSeries, dim: int, nilpotency_bound: int) -> tuple[int, int]:
     """Degree windows deep enough for 1e-8 pointwise residuals at the sample radii.
 
@@ -121,9 +131,8 @@ def default_caps(pick: KernelSeries, dim: int, nilpotency_bound: int) -> tuple[i
 
 
 def _model_config(name, k_kind, s_kind, dim, model_degree, compress_seed) -> Configuration:
-    kernel = _kernel_named(k_kind, dim)
-    pick = _kernel_named(s_kind, dim)
-    fac = factor_through_pick(kernel, pick)
+    fac = _factorization(k_kind, s_kind, dim)
+    kernel, pick = fac.kernel, fac.pick_factor
     t = model_tuple(kernel, dim, model_degree, mode="float")
     if compress_seed is not None:
         t = random_coinvariant_compression(t, np.random.default_rng(compress_seed))
@@ -144,13 +153,12 @@ def _model_config(name, k_kind, s_kind, dim, model_degree, compress_seed) -> Con
 
 def _szego_config(name, tuple_for, description) -> Configuration:
     """A hand-built tuple for the Szego kernel factored through itself."""
-    kernel = _kernel_named("szego", 1)
-    fac = factor_through_pick(kernel, kernel)
+    fac = _factorization("szego", "szego", 1)
     return Configuration(
         name=name,
         dim=1,
         factorization=fac,
-        ops=tuple_for(kernel),
+        ops=tuple_for(fac.kernel),
         support_cap=4,
         constant_cap=4,
         source_degree=3,
@@ -413,12 +421,13 @@ def run_alignment_check(seed: int = 0, samples: int = 30) -> CheckResult:
     rec = _Recorder()
     with rec.timing("alignment_two_factorizations"):
         dim = 1
-        da, dirichlet = _kernel_named("da", dim), _kernel_named("dirichlet", dim)
-        kernel = _kernel_named("da*dirichlet", dim)
+        fac_da = _factorization("da*dirichlet", "da", dim)
+        fac_dir = _factorization("da*dirichlet", "dirichlet", dim)
+        kernel = fac_da.kernel
         t = model_tuple(kernel, dim, 1, mode="float")
-        dd_da, dd_dir = defect_data(t, kernel, da), defect_data(t, kernel, dirichlet)
-        cfd1 = build_charfn(dd_da, factor_through_pick(kernel, da), support_cap=14, constant_cap=14)
-        cfd2 = build_charfn(dd_dir, factor_through_pick(kernel, dirichlet), support_cap=14, constant_cap=14)
+        dd_da, dd_dir = defect_data(t, kernel, fac_da.pick_factor), defect_data(t, kernel, fac_dir.pick_factor)
+        cfd1 = build_charfn(dd_da, fac_da, support_cap=14, constant_cap=14)
+        cfd2 = build_charfn(dd_dir, fac_dir, support_cap=14, constant_cap=14)
         rng = config_rng(seed, "alignment")
         points = sample_points(rng, samples, dim, 0.5)
         dil = build_dilation(dd_da, 4)
@@ -432,8 +441,8 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
     """Conjugated tuples must coincide; distinct Jordan structures must not."""
     rec = _Recorder()
     with rec.timing("coincidence_conjugated"):
-        kernel, da = _kernel_named("bergman2", 1), _kernel_named("da", 1)
-        fac = factor_through_pick(kernel, da)
+        fac = _factorization("bergman2", "da", 1)
+        kernel, da = fac.kernel, fac.pick_factor
         t = model_tuple(kernel, 1, 2, mode="float")
         rng = config_rng(seed, "coincidence")
         w = np.linalg.qr(rng.standard_normal((t.size, t.size)))[0]

@@ -5,7 +5,10 @@ its truncated coefficient sequence. Two scalar backends coexist: exact
 ``fractions.Fraction`` entries (default for the built-in kernels, so that
 every coefficient identity can be asserted exactly) and plain floats. Float
 paths read a series' float view (``floats``, built once per series), so
-they do no ``Fraction`` arithmetic.
+they do no ``Fraction`` arithmetic. Exact sequences whose entries are all
+integral (the Bergman, Drury-Arveson and Szego kernels) are multiplied,
+divided and inverted over Python ints and converted back to ``Fraction``
+once.
 
 The signed sequence b_n defined by
 
@@ -132,12 +135,12 @@ class KernelSeries(RealSeries):
         c_n = -sum_{i=1}^{n} a_i c_{n-i}, b_n = -c_n), exactly in rational mode.
         Not a field, so equality, hashing and repr ignore it.
         """
-        a = self.coefficients
+        (a,), back = _over_ints(self.coefficients)
         inv = [a[0] ** 0]  # one of the right scalar type
         for n in range(1, len(a)):
             inv.append(-sum(a[i] * inv[n - i] for i in range(1, n + 1)))
         b = [0 * inv[0]] + [-c for c in inv[1:]]
-        return RealSeries(tuple(b), self.dim)
+        return RealSeries(back(b), self.dim)
 
     def monomial_norm_sq(self, alpha: MultiIndex):
         """Squared norm of z^alpha in the kernel's space: 1 / a_alpha."""
@@ -228,6 +231,20 @@ def reciprocal_complement(k: KernelSeries) -> RealSeries:
     return k.b
 
 
+def _over_ints(*seqs):
+    """The sequences over Python ints when every entry is an integral ``Fraction``, and the map back.
+
+    Integer products and sums skip the gcd that every ``Fraction`` operation
+    takes, so a loop run over the returned sequences gives the same numbers
+    faster; the map turns its result back into a tuple of ``Fraction``. Any
+    other input (ints, floats, non-integral or mixed entries) comes back as
+    it is, with ``tuple`` as the map, so its loop runs over its own scalars.
+    """
+    if all(isinstance(c, Fraction) and c.denominator == 1 for s in seqs for c in s):
+        return [[c.numerator for c in s] for s in seqs], lambda out: tuple(map(Fraction, out))
+    return seqs, tuple
+
+
 def cauchy_product(p, q):
     """Coefficientwise convolution, truncated to the shorter of the two inputs.
 
@@ -237,8 +254,8 @@ def cauchy_product(p, q):
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     n = min(len(p.coefficients), len(q.coefficients))
-    pa, qa = p.coefficients, q.coefficients
-    out = tuple(sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(n))
+    (pa, qa), back = _over_ints(p.coefficients, q.coefficients)
+    out = back(sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(n))
     if isinstance(p, KernelSeries) and isinstance(q, KernelSeries):
         return KernelSeries(out, p.dim, p.radius_one_declared and q.radius_one_declared)
     return RealSeries(out, p.dim)
@@ -254,11 +271,11 @@ def quotient(numerator, denominator) -> RealSeries:
     if denominator.coefficients[0] != 1:
         raise ValueError("denominator must have leading coefficient 1")
     n = min(len(numerator.coefficients), len(denominator.coefficients))
-    a, l = numerator.coefficients, denominator.coefficients
+    (a, l), back = _over_ints(numerator.coefficients, denominator.coefficients)
     q: list = []
     for m in range(n):
         q.append(a[m] - sum(q[i] * l[m - i] for i in range(m)))
-    return RealSeries(tuple(q), numerator.dim)
+    return RealSeries(back(q), numerator.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,34 @@ class TestCharFnCommands:
         args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(spec)]
         assert main(["charfn", "verify", *args]) == 2
 
+    @pytest.mark.parametrize(
+        "matrices",
+        [[[[{}]]], 5, [[1, 2]], [[[0], [0, 1]]], [[[None]]], [[["nan"]]], [[[1e400]]], [[[10**400]]], [[["abc"]]]],
+        ids=["dict", "number", "one_d", "ragged", "null", "nan", "inf", "huge_int", "bad_string"],
+    )
+    def test_malformed_exact_tuple_exits_two(self, specs, tmp_path, capsys, matrices):
+        spec = tmp_path / "tuple.json"
+        spec.write_text(json.dumps({"mode": "exact", "matrices": matrices}))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(spec)]
+        assert main(["charfn", "verify", *args]) == 2
+        assert "cannot read tuple spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, mode, message",
+        [
+            ({"mode": "exact", "matrices": [[[0]], [[0]]]}, "float", "the tuple has 2 operators"),
+            ({"mode": "float", "matrices": [[[2.0]]]}, "float", "not a 1/k-contraction"),
+            ({"mode": "float", "matrices": [[["0.3+0.4j"]]]}, "exact", "exact mode needs rational"),
+        ],
+        ids=["dimension", "not_contraction", "complex_in_exact_mode"],
+    )
+    def test_tuple_the_run_cannot_use_exits_two(self, specs, tmp_path, capsys, spec, mode, message):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(spec))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(path), "--mode", mode]
+        assert main(["charfn", "verify", *args, "--N", "24", "--degree-cap", "4"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_empty_k_inner_space_is_a_failed_check(self, specs, tmp_path):
         # T = 0.6 is not nilpotent, so the default window is too shallow for
         # theta to reach a unit Gram eigenvalue: the check fails, the run goes on
@@ -409,5 +437,43 @@ class TestFuzzKernelCommands:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+# tuple entries a spec file may hold: rationals, floats, complex strings, non-finite values, junk
+_ENTRIES = ["1/2", "-1/3", "0", "1", "0.25", "0.3+0.4j", "nan", "inf", "1e400", "1/0", "x"]
+
+
+def _tuple_spec():
+    entry = st.one_of(
+        st.sampled_from(_ENTRIES),
+        st.integers(-2, 2),
+        st.floats(-1.5, 1.5),
+        st.sampled_from([float("nan"), float("inf"), None, {}, []]),
+    )
+    square = st.integers(1, 2).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    matrices = st.one_of(
+        st.lists(square, min_size=1, max_size=2),
+        st.recursive(entry, lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+    )
+    return st.fixed_dictionaries({"mode": st.sampled_from(["exact", "float", "bogus"]), "matrices": matrices})
+
+
+class TestFuzzTupleSpecs:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_tuple_spec(), mode=st.sampled_from(["float", "exact"]))
+    def test_exit_code_and_no_traceback(self, spec, mode):
+        """Generated tuple specs for ``charfn verify`` end in exit 0, 1 or 2, never in a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tuple.json"
+            path.write_text(json.dumps(spec))
+            kernel = str(Path(__file__).parent / "specs" / "szego_d1.json")
+            argv = ["charfn", "verify", "--kernel", kernel, "--cnp-factor", kernel, "--tuple", str(path)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--mode", mode, "--N", "24", "--degree-cap", "4"])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()

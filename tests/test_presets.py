@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from cnpchar import charfn, presets
+from cnpchar import charfn, presets, series
 from cnpchar.cli import main
 from cnpchar.dilation import MonomialWindow
 
@@ -71,3 +71,32 @@ def test_failed_partition_is_a_failed_check(tmp_path, monkeypatch):
     assert checks["projection_partition"]["verdict"] == "fail"
     assert checks["functional_model"]["verdict"] == "fail"
     assert checks["functional_model"]["residual"] == 1e-3
+
+
+def test_one_factorization_per_kernel_pair(monkeypatch):
+    """The suite's 18 configurations, alignment and coincidence share 8 factorizations, each checked once."""
+    calls, checked = [], []
+    real_factor, real_check = presets.factor_through_pick, series.KernelFactorization.__post_init__
+
+    def counted(k, s, *args):
+        calls.append((k, s))
+        return real_factor(k, s, *args)
+
+    def counted_check(self):
+        checked.append(self)
+        real_check(self)
+
+    presets._factorization.cache_clear()
+    monkeypatch.setattr(presets, "factor_through_pick", counted)
+    monkeypatch.setattr(series.KernelFactorization, "__post_init__", counted_check)
+    for name in presets.SUITE_CONFIGS:
+        presets.configuration(name)
+    presets.run_alignment_check()
+    presets.run_coincidence_checks()
+    assert len(calls) == 8
+    assert len({(id(k), id(s)) for k, s in calls}) == 8
+    assert len(checked) == 8
+
+
+def test_configurations_of_one_pair_share_the_factorization():
+    assert presets.configuration("k2_da_d1_n1").factorization is presets.configuration("k2_da_d1_n3").factorization

@@ -26,6 +26,7 @@ from cnpchar.series import (
     quotient,
     reciprocal_complement,
     szego_kernel,
+    _over_ints,
 )
 
 
@@ -224,6 +225,84 @@ class TestFactorization:
         KernelFactorization(k, s, bad)  # correct one passes
         with pytest.raises(FactorizationError):
             KernelFactorization(k, s, wrong)
+
+
+def _cauchy_reference(pa, qa):
+    """The loop of ``cauchy_product`` over the scalars it is given, as it ran before the int path."""
+    return tuple(sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(min(len(pa), len(qa))))
+
+
+def _quotient_reference(a, l):
+    """The loop of ``quotient`` over the scalars it is given."""
+    q = []
+    for m in range(min(len(a), len(l))):
+        q.append(a[m] - sum(q[i] * l[m - i] for i in range(m)))
+    return tuple(q)
+
+
+def _b_reference(a):
+    """The b recurrence of ``KernelSeries.b`` over the scalars it is given."""
+    inv = [a[0] ** 0]
+    for n in range(1, len(a)):
+        inv.append(-sum(a[i] * inv[n - i] for i in range(1, n + 1)))
+    return tuple([0 * inv[0]] + [-c for c in inv[1:]])
+
+
+def _same(got, expected):
+    """Equal entry by entry, scalar type included."""
+    return tuple(got) == tuple(expected) and [type(c) for c in got] == [type(c) for c in expected]
+
+
+# kernels whose coefficients are integers, stored as Fraction(n) or as int
+integral_kernels = st.tuples(
+    st.lists(st.integers(1, 60), min_size=1, max_size=12), st.sampled_from([Fraction, int])
+).map(lambda drawn: kernel_from_coefficients([drawn[1](c) for c in [1] + drawn[0]], 1))
+
+
+class TestIntegerPath:
+    """Integral sequences run over ints and must equal the scalar loops exactly, type included."""
+
+    @given(integral_kernels, integral_kernels)
+    @settings(max_examples=60)
+    def test_integral_kernels_match_the_reference(self, k, l):
+        if type(k.coefficients[0]) is not type(l.coefficients[0]):
+            # mixed int and Fraction input is not integral Fraction input: it runs the plain loop
+            assert _over_ints(k.coefficients, l.coefficients)[0][0] is k.coefficients
+        assert _same(cauchy_product(k, l).coefficients, _cauchy_reference(k.coefficients, l.coefficients))
+        assert _same(quotient(k, l).coefficients, _quotient_reference(k.coefficients, l.coefficients))
+        assert _same(k.b.coefficients, _b_reference(k.coefficients))
+
+    def test_integral_fractions_run_over_ints(self):
+        k = bergman_kernel(3, 1, 6)
+        (ints,), back = _over_ints(k.coefficients)
+        assert all(type(c) is int for c in ints)
+        assert _same(back(ints), k.coefficients)
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["fraction", "float"])
+    def test_other_kernels_take_the_reference_path(self, floats):
+        k, s = dirichlet_kernel(1, 12), drury_arveson_kernel(1, 12)
+        if floats:
+            k, s = k.floats, s.floats
+        (seq, other), back = _over_ints(k.coefficients, s.coefficients)
+        assert seq is k.coefficients and other is s.coefficients and back is tuple
+        assert _same(cauchy_product(k, s).coefficients, _cauchy_reference(k.coefficients, s.coefficients))
+        assert _same(quotient(k, s).coefficients, _quotient_reference(k.coefficients, s.coefficients))
+        assert _same(k.b.coefficients, _b_reference(k.coefficients))
+
+    @given(rational_kernels, rational_kernels)
+    @settings(max_examples=30)
+    def test_rational_kernels_match_the_reference(self, k, l):
+        assert _same(cauchy_product(k, l).coefficients, _cauchy_reference(k.coefficients, l.coefficients))
+        assert _same(quotient(k, l).coefficients, _quotient_reference(k.coefficients, l.coefficients))
+        assert _same(k.b.coefficients, _b_reference(k.coefficients))
+
+    def test_cauchy_check_catches_an_integral_part_off_by_one(self):
+        k, s = bergman_kernel(2, 1, 10), drury_arveson_kernel(1, 10)
+        g = [Fraction(1)] * 11
+        KernelFactorization(k, s, RealSeries(tuple(g), 1))
+        g[5] += 1
+        with pytest.raises(FactorizationError, match="at degree 5:"):
+            KernelFactorization(k, s, RealSeries(tuple(g), 1))
 
 
 class TestAdmissibility:
