@@ -228,7 +228,7 @@ class TestFactorization:
 
 
 def _cauchy_reference(pa, qa):
-    """The loop of ``cauchy_product`` over the scalars it is given, as it ran before the int path."""
+    """The loop of ``cauchy_product`` over the scalars it is given."""
     return tuple(sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(min(len(pa), len(qa))))
 
 
@@ -253,6 +253,12 @@ def _same(got, expected):
     return tuple(got) == tuple(expected) and [type(c) for c in got] == [type(c) for c in expected]
 
 
+def _assert_matches_reference(k, l):
+    assert _same(cauchy_product(k, l).coefficients, _cauchy_reference(k.coefficients, l.coefficients))
+    assert _same(quotient(k, l).coefficients, _quotient_reference(k.coefficients, l.coefficients))
+    assert _same(k.b.coefficients, _b_reference(k.coefficients))
+
+
 # kernels whose coefficients are integers, stored as Fraction(n) or as int
 integral_kernels = st.tuples(
     st.lists(st.integers(1, 60), min_size=1, max_size=12), st.sampled_from([Fraction, int])
@@ -268,9 +274,7 @@ class TestIntegerPath:
         if type(k.coefficients[0]) is not type(l.coefficients[0]):
             # mixed int and Fraction input is not integral Fraction input: it runs the plain loop
             assert _over_ints(k.coefficients, l.coefficients)[0][0] is k.coefficients
-        assert _same(cauchy_product(k, l).coefficients, _cauchy_reference(k.coefficients, l.coefficients))
-        assert _same(quotient(k, l).coefficients, _quotient_reference(k.coefficients, l.coefficients))
-        assert _same(k.b.coefficients, _b_reference(k.coefficients))
+        _assert_matches_reference(k, l)
 
     def test_integral_fractions_run_over_ints(self):
         k = bergman_kernel(3, 1, 6)
@@ -285,16 +289,12 @@ class TestIntegerPath:
             k, s = k.floats, s.floats
         (seq, other), back = _over_ints(k.coefficients, s.coefficients)
         assert seq is k.coefficients and other is s.coefficients and back is tuple
-        assert _same(cauchy_product(k, s).coefficients, _cauchy_reference(k.coefficients, s.coefficients))
-        assert _same(quotient(k, s).coefficients, _quotient_reference(k.coefficients, s.coefficients))
-        assert _same(k.b.coefficients, _b_reference(k.coefficients))
+        _assert_matches_reference(k, s)
 
     @given(rational_kernels, rational_kernels)
     @settings(max_examples=30)
     def test_rational_kernels_match_the_reference(self, k, l):
-        assert _same(cauchy_product(k, l).coefficients, _cauchy_reference(k.coefficients, l.coefficients))
-        assert _same(quotient(k, l).coefficients, _quotient_reference(k.coefficients, l.coefficients))
-        assert _same(k.b.coefficients, _b_reference(k.coefficients))
+        _assert_matches_reference(k, l)
 
     def test_cauchy_check_catches_an_integral_part_off_by_one(self):
         k, s = bergman_kernel(2, 1, 10), drury_arveson_kernel(1, 10)
