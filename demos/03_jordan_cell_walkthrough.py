@@ -52,8 +52,9 @@ print("theta(1/2) =", value.tolist(), "gap to the direct formula:", gap)
 # The induced multiplier is the double shift, and together with V it
 # partitions the identity of the truncated target space exactly. It is held
 # as an index plan, source block -> target block with a weight, and the
-# Gram M M* that the partition check reads; no dense matrix is formed.
-mult = build_multiplier(cfd, source_degree=3, target_degree=5)
+# Gram M M* that the partition check reads; no dense matrix is formed. Its
+# target window is the dilation's window.
+mult = build_multiplier(cfd, dil, source_degree=3)
 print("\nmultiplier plan (double shift): source monomial -> target monomial, weight")
 for i, j, w in zip(mult.sources, mult.targets, mult.weights):
     print(f"  z^{mult.source.labels[i][0]} -> z^{mult.window.labels[j][0]}  {w}")
@@ -73,6 +74,6 @@ print("\nisometric constant subspace dimension:", ki.dim,
       "shift-orthogonality residual:", ki.shift_residual)
 
 # Compressing the coordinate multiplier to Ran V recovers T.
-model, report = functional_model(cfd, dil, fr)
-print("functional model equals T up to", report.equality_residual)
+model, equality = functional_model(cfd, dil, fr)
+print("functional model equals T up to", equality)
 print("recovered matrix:\n", np.asarray(model.mats[0]))

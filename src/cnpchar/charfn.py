@@ -163,10 +163,6 @@ class CharFnData:
     def domain_dim(self) -> int:
         return self.row_defect_basis.shape[1] + self.complement_basis.shape[1]
 
-    @property
-    def max_taylor_degree(self) -> int:
-        return self.taylor.max_degree
-
 
 def build_charfn(
     defect: DefectData,
@@ -306,7 +302,7 @@ def build_charfn(
         block = b_block[row_space.block(alpha)]
         for beta, a_beta in zip(betas.labels, a):
             stack[index[add(alpha, beta)]] += (a_beta * scale) * (defect_rows[beta] @ block)
-    keep = [i for i, m in enumerate(stack) if not is_exactly_zero(m)]
+    keep = np.flatnonzero((stack != 0).reshape(len(labels), -1).any(axis=1))
     taylor = TaylorCoefficients(BlockSpace([labels[i] for i in keep], r), stack[keep])
 
     return CharFnData(
@@ -473,7 +469,7 @@ def row_symbol_margin(cfd: CharFnData, points: Sequence[Point]):
 
 @dataclass(eq=False)
 class MultiplierMatrix:
-    """M_theta between truncated monomial windows, held as an index plan and its Gram.
+    """M_theta from a truncated source window into the dilation's ``window``, held as an index plan and its Gram.
 
     Source coordinates are grouped as (source label) x (domain coordinate),
     target coordinates as (target label) x (Ran Defect coordinate). Entry k
@@ -483,11 +479,10 @@ class MultiplierMatrix:
     The plan runs source by source, and pairs whose target lies beyond the
     window are left out of it. ``gram`` is M_theta M_theta^* on the window,
     formed from Theta Theta^* through the plan; the dense ``matrix`` is
-    scattered through the same plan only when it is read. The
-    ``exact_window`` flag is set when no Taylor mass was discarded, which
-    the caller guarantees by target_degree >= source_degree + max Taylor
-    degree. ``discarded_mass`` bounds the squared column mass of the
-    pairs left out.
+    scattered through the same plan only when it is read. ``exact_window``
+    is set when no Taylor mass was discarded: the window's degree is at
+    least ``source_degree`` plus the top Taylor degree. ``discarded_mass``
+    bounds the squared column mass of the pairs left out.
     """
 
     taylor: TaylorCoefficients
@@ -499,8 +494,6 @@ class MultiplierMatrix:
     weights: np.ndarray
     gram: np.ndarray
     source_degree: int
-    target_degree: int
-    max_taylor_degree: int
     exact_window: bool
     discarded_mass: float
 
@@ -515,25 +508,27 @@ class MultiplierMatrix:
         return out
 
 
-def build_multiplier(cfd: CharFnData, source_degree: int, target_degree: int) -> MultiplierMatrix:
-    """The plan of M_theta from the Taylor coefficients, and its Gram, in their arithmetic.
+def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> MultiplierMatrix:
+    """The plan of M_theta from the Taylor coefficients into ``dil.window``, and its Gram, in their arithmetic.
 
-    A source monomial block at beta lands at target blocks beta + gamma with
-    weight sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}) theta_gamma; degrees
-    beyond the target window are discarded and their mass recorded. The Gram
-    is sum_beta W_beta P_beta (Theta Theta^*) P_beta^* W_beta, with P_beta
-    moving Taylor label gamma to target block beta + gamma and W_beta the
-    weights: one product of the Taylor stack with itself, scattered once per
-    source label.
+    ``dil`` is the dilation of ``cfd.defect``, so V and M_theta share one
+    window. A source monomial block at beta lands at target blocks beta + gamma
+    with weight sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}) theta_gamma; degrees
+    beyond the window are discarded and their mass recorded. The Gram is
+    sum_beta W_beta P_beta (Theta Theta^*) P_beta^* W_beta, with P_beta moving
+    Taylor label gamma to target block beta + gamma and W_beta the weights:
+    one product of the Taylor stack with itself, gathered and scattered once
+    per source label.
     """
-    taylor, pick, kernel = cfd.taylor, cfd.pick_factor, cfd.kernel
+    taylor, pick, kernel, window = cfd.taylor, cfd.pick_factor, cfd.kernel, dil.window
     coeffs = taylor.coefficients
     n_terms, r, dom = coeffs.shape
-    scalars, max_deg = taylor.scalars, taylor.max_degree
+    scalars, max_deg, target_degree = taylor.scalars, taylor.max_degree, window.max_degree
+    if dil.defect is not cfd.defect or window.block_dim != r:
+        raise ValueError("the dilation is not built from this characteristic function's defect data")
     if kernel.truncation < source_degree + max_deg or pick.truncation < source_degree:
         raise ValueError("kernel truncation too small for the requested windows")
     source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), dom)
-    window = MonomialWindow(kernel, r, target_degree, scalars)
 
     # every (source label, Taylor label) pair, source by source; the window holds every degree <= target_degree
     gammas = np.array(taylor.space.labels, dtype=int).reshape(n_terms, kernel.dim)
@@ -561,13 +556,12 @@ def build_multiplier(cfd: CharFnData, source_degree: int, target_degree: int) ->
     theta = coeffs.reshape(n_terms * r, dom)
     products = theta @ theta.conj().T
     gram = scalars.zeros((window.dim, window.dim), products.dtype)
-    # one block of the sum per source label, gathered and scattered through flat indices
-    flat_gram, flat_products = gram.reshape(-1), products.reshape(-1)
+    # one block of the sum per source label, gathered and scattered in 2-d (flat index arrays cost page faults)
     cuts = r * np.searchsorted(sources, np.arange(1, len(source.labels)))
     for at_rows, at_cols, w in zip(np.split(rows, cuts), np.split(cols, cuts), np.split(scale, cuts)):
-        into = (at_rows[:, None] * window.dim + at_rows).ravel()
-        outof = (at_cols[:, None] * len(theta) + at_cols).ravel()
-        flat_gram[into] += flat_products[outof] * np.multiply.outer(w, w).ravel()
+        block = products[np.ix_(at_cols, at_cols)]
+        block *= np.multiply.outer(w, w)
+        gram[np.ix_(at_rows, at_rows)] += block
     return MultiplierMatrix(
         taylor=taylor,
         source=source,
@@ -578,8 +572,6 @@ def build_multiplier(cfd: CharFnData, source_degree: int, target_degree: int) ->
         weights=weights,
         gram=gram,
         source_degree=source_degree,
-        target_degree=target_degree,
-        max_taylor_degree=max_deg,
         exact_window=target_degree >= source_degree + max_deg,
         discarded_mass=discarded,
     )
@@ -608,20 +600,16 @@ def factorization_residual(
 ) -> FactorizationResidual:
     """V V^* + M_theta M_theta^* - I on the window, with M_theta M_theta^* read from ``mult.gram``.
 
-    ``dil`` and ``mult`` must share the target window. No dense M_theta is formed.
+    ``mult`` must be built on ``dil``'s window. No dense M_theta is formed.
     """
     window = dil.window
-    if (
-        window.max_degree != mult.target_degree
-        or window.block_dim != mult.window.block_dim
-        or window.scalars != mult.window.scalars
-    ):
+    if mult.window is not window:
         raise ValueError("dilation and multiplier windows do not match")
     v = dil.matrix
     total = v @ v.conj().T + mult.gram - window.scalars.eye(window.dim)
     restricted_degree = min(
         mult.source_degree,
-        mult.target_degree - mult.max_taylor_degree,
+        window.max_degree - mult.taylor.max_degree,
         cfd.support_cap,
         cfd.constant_cap,
     )
@@ -670,7 +658,6 @@ def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """
     space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
-    labels, row = space.labels, space.index
     stack = to_float_array(cfd.taylor.coefficients)
     inv_k = 1.0 / space.lift(cfd.kernel.floats)[:, None, None]
     gram = stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)
@@ -685,8 +672,7 @@ def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e
     proj = stack @ basis
     worst = 0.0
     for alpha in enumerate_up_to_degree(cfd.kernel.dim, check_degree)[1:]:
-        pairs = [(i, row[up]) for i, g in enumerate(labels) if (up := add(g, alpha)) in row]
-        low, high = np.array(pairs, dtype=int).reshape(-1, 2).T
+        low, high = space.shift(alpha)
         shift = np.tensordot(proj[low].conj(), proj[high] * inv_k[high], axes=([0, 1], [0, 1]))
         worst = max(worst, max_abs(shift))
     return KInnerData(basis, vals, worst, max(0.0, top - 1.0))
@@ -785,27 +771,21 @@ def align_factorizations(
 # functional model and coincidence
 
 
-@dataclass(frozen=True)
-class FunctionalModelReport:
-    intertwining_residuals: tuple
-    equality_residual: float
-    factorization: FactorizationResidual
-
-
 def functional_model(
     cfd: CharFnData,
     dil: DilationData,
     partition: FactorizationResidual,
     residual_tol: float = 1e-8,
-):
+) -> tuple[OperatorTuple, float]:
     """The compression of the coordinate multipliers to Ran V, with verification.
 
     Since V V^* + M_theta M_theta^* = I, Ran V is the orthogonal complement
     of Ran M_theta, and V itself is an orthonormal basis of it; in
     V-coordinates the compressed tuple must reproduce T. ``partition`` is
     ``factorization_residual(cfd, dil, mult)``; a restricted residual above
-    ``residual_tol`` raises ValueError. Returns the model tuple and a report
-    of the intertwining and equality residuals.
+    ``residual_tol`` raises ValueError. Returns the model tuple and the
+    largest ||compressed T_i - T_i||; the intertwining of V is
+    ``dilation.intertwining_residuals``.
     """
     if partition.restricted > residual_tol:
         raise ValueError(
@@ -814,18 +794,9 @@ def functional_model(
         )
     v = to_float_array(dil.matrix)
     t = cfd.ops
-    mats = []
-    inter = []
-    equality = 0.0
-    for i in range(t.num_vars):
-        m = to_float_array(dil.window.multiplication_matrix(i))
-        compressed = v.conj().T @ m @ v
-        mats.append(compressed)
-        ti = to_float_array(t.mats[i])
-        inter.append(spectral_norm(m.conj().T @ v - v @ ti.conj().T))
-        equality = max(equality, spectral_norm(compressed - ti))
-    model = OperatorTuple(tuple(mats), None, None, t.nilpotency_bound, cfd.kernel)
-    return model, FunctionalModelReport(tuple(inter), equality, partition)
+    mats = tuple(dil.window.lower(i, v).conj().T @ v for i in range(t.num_vars))
+    equality = max(spectral_norm(m - to_float_array(ti)) for m, ti in zip(mats, t.mats))
+    return OperatorTuple(mats, None, None, t.nilpotency_bound, cfd.kernel), equality
 
 
 def coincidence_residual(

@@ -295,6 +295,8 @@ def cmd_charfn(args) -> int:
     config = _configuration_from_args(args)
     if args.mode == "exact":
         config = _exact_variant(config)
+    elif config.ops.exact:
+        config = replace(config, ops=config.ops.to_float())
     environment = _environment(
         args.mode,
         seed=args.seed,

@@ -28,13 +28,14 @@ from ._linalg import (
     FLOAT,
     ExactnessError,
     Scalars,
+    is_exact_array,
     min_eigenvalue,
     orth_complement_of_range,
     point_stack,
     spectral_norm,
     to_float_array,
 )
-from .multiindex import BlockSpace, add, enumerate_up_to_degree, unit
+from .multiindex import BlockSpace, enumerate_up_to_degree, unit
 from .operators import (
     DefectData,
     OperatorTuple,
@@ -53,10 +54,9 @@ class MonomialWindow(BlockSpace):
     """The truncated space H_k^{<=degree} (x) C^r in the normalized monomial basis.
 
     A block space with one block of size r = ``block_dim`` per monomial
-    label of degree <= ``max_degree``, in graded label order. Matrices on it
-    are built in the arithmetic ``scalars``. ``coefficients`` holds the
-    kernel's lifts a_alpha over the labels in that arithmetic, lifted once
-    at construction.
+    label of degree <= ``max_degree``, in graded label order. ``coefficients``
+    holds the kernel's lifts a_alpha over the labels in the arithmetic
+    ``scalars``, lifted once at construction.
     """
 
     def __init__(
@@ -77,17 +77,21 @@ class MonomialWindow(BlockSpace):
         """Boolean coordinate mask selecting blocks of degree <= max_degree."""
         return np.repeat(self.degrees <= max_degree, self.block_dim)
 
-    def multiplication_matrix(self, i: int) -> np.ndarray:
-        """Matrix of (M_{z_i} tensor I_r) on the window; top degree is compressed to 0."""
-        out = self.scalars.zeros((self.dim, self.dim))
-        a = self.coefficients
-        for k, lab in enumerate(self.labels):
-            if self.degrees[k] == self.max_degree:
-                continue
-            target = add(lab, unit(self.kernel.dim, i))
-            entry = self.scalars.sqrt(a[k] / a[self.index[target]])
-            np.fill_diagonal(out[self.block(target), self.block(lab)], entry)
-        return out
+    def lower(self, i: int, x: np.ndarray) -> np.ndarray:
+        """(M_{z_i} tensor I_r)^* x on the window, for x of ``dim`` rows, as a gather.
+
+        Block gamma is sqrt(a_gamma / a_{gamma+e_i}) times block gamma + e_i of
+        x (zero at the top degree), with the weight in x's arithmetic, so each
+        float entry rounds as in a product with the dense shift matrix.
+        """
+        low, high = self.shift(unit(self.kernel.dim, i))
+        weights = self.scalars.roots(self.coefficients[low] / self.coefficients[high])
+        if not is_exact_array(x):
+            weights = to_float_array(weights)
+        blocks = x.reshape(len(self.labels), self.block_dim, -1)
+        out = np.zeros_like(blocks)
+        out[low] = weights[:, None, None] * blocks[high]
+        return out.reshape(x.shape)
 
     def kernel_vector(self, points: Sequence, fibers: np.ndarray) -> np.ndarray:
         """Coordinates of k_point (x) fiber on the window, for one point and fiber or a stack of each.
@@ -162,13 +166,8 @@ def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
 def intertwining_residuals(dil: DilationData) -> list[float]:
     """||V^* (M_i tensor I) - T_i V^*|| per coordinate, on the window."""
     v = dil.matrix
-    vh = v.conj().T
     t = dil.defect.ops
-    out = []
-    for i in range(t.num_vars):
-        m = dil.window.multiplication_matrix(i)
-        out.append(spectral_norm(vh @ m - t.mats[i] @ vh))
-    return out
+    return [spectral_norm(dil.window.lower(i, v).conj().T - t.mats[i] @ v.conj().T) for i in range(t.num_vars)]
 
 
 def kernel_vector_gap(dil: DilationData, points: Sequence, fibers: np.ndarray) -> tuple[np.ndarray, float]:
@@ -244,10 +243,7 @@ def associated_tuple_test(
     q = kernel_basis.shape[1]
     if q == 0:
         return AssociatedTupleCertificate(None, True, True, window_degree, 0)
-    mats = tuple(
-        kernel_basis.conj().T @ dil.window.multiplication_matrix(i) @ kernel_basis
-        for i in range(t.num_vars)
-    )
+    mats = tuple(dil.window.lower(i, kernel_basis).conj().T @ kernel_basis for i in range(t.num_vars))
     restricted = OperatorTuple(mats, None, None, window_degree, kernel)
     b_form = reciprocal_complement(form_kernel)
     total, _ = conjugated_sum(restricted, b_form)

@@ -118,12 +118,21 @@ class BlockSpace:
         return slice(i * self.block_dim, (i + 1) * self.block_dim)
 
     def positions(self, exponents: np.ndarray) -> np.ndarray:
-        """The label index of each row of an (n, d) integer array of exponents; each row must be a label."""
+        """The label index of each row of an (n, d) integer array of exponents, or -1 for a row that is not a label."""
+        if not self.labels:
+            return np.full(len(exponents), -1)
         labels = np.array(self.labels, dtype=int)
         dims = np.maximum(labels.max(axis=0), exponents.max(axis=0, initial=0)) + 1
-        keys = np.ravel_multi_index(labels.T, dims)
+        keys, wanted = np.ravel_multi_index(labels.T, dims), np.ravel_multi_index(exponents.T, dims)
         order = np.argsort(keys)
-        return order[np.searchsorted(keys, np.ravel_multi_index(exponents.T, dims), sorter=order)]
+        found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
+        return np.where(keys[found] == wanted, found, -1)
+
+    def shift(self, alpha: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high): the index of each label gamma whose gamma + alpha is a label, in order, and of gamma + alpha."""
+        high = self.positions(np.array(self.labels, dtype=int).reshape(-1, len(alpha)) + alpha)
+        low = np.flatnonzero(high >= 0)
+        return low, high[low]
 
     def lift(self, series, scalars: Scalars = FLOAT) -> np.ndarray:
         """The lifts c_gamma = c_|gamma| * multinomial(gamma) of ``series``, in label order.

@@ -48,7 +48,6 @@ from ._linalg import (
 from .multiindex import (
     BlockSpace,
     MultiIndex,
-    add,
     compositions,
     degree,
     enumerate_up_to_degree,
@@ -58,6 +57,7 @@ from .multiindex import (
 from .series import (
     KernelSeries,
     RealSeries,
+    _scalar_from_spec,
     _scalar_from_string,
     _scalar_to_string,
     kernel_from_spec,
@@ -217,12 +217,9 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
     sc = EXACT if mode == "exact" else FLOAT
     a = space.lift(kernel, EXACT)
     mats = [sc.zeros((space.dim, space.dim)) for _ in range(dim)]
-    for src, lab in enumerate(space.labels):
-        if space.degrees[src] == degree_cut:
-            continue
-        for i in range(dim):
-            dst = space.index[add(lab, unit(dim, i))]
-            mats[i][dst, src] = Fraction(1) if sc.exact else np.sqrt(float(a[src] / a[dst]))
+    for i, m in enumerate(mats):
+        src, dst = space.shift(unit(dim, i))
+        m[dst, src] = Fraction(1) if sc.exact else np.sqrt((a[src] / a[dst]).astype(float))
     weights = 1 / a if sc.exact else None
     return OperatorTuple(tuple(mats), weights, space.labels, degree_cut, kernel)
 
@@ -570,16 +567,41 @@ def tuple_from_spec(spec: dict) -> OperatorTuple:
             mats = tuple(m.real.copy() for m in mats)
     else:
         raise ValueError(f"unknown tuple mode {mode!r}")
-    weights = spec.get("weights")
-    if weights is not None:
-        weights = np.array([_scalar_from_string(w) if isinstance(w, str) else w for w in weights], dtype=object)
-    labels = spec.get("basis_labels")
-    if labels is not None:
-        labels = tuple(tuple(l) for l in labels)
+    n, d = (len(mats[0]) if mats else 0), len(mats)
+    weights = _spec_field(spec, "weights", lambda ws: np.array(_listed(ws, n, _positive), dtype=object))
+    labels = _spec_field(spec, "basis_labels", lambda ls: tuple(_listed(ls, n, lambda l: tuple(_listed(l, d, _count)))))
+    bound = _spec_field(spec, "nilpotency_bound", _count)
     kernel = spec.get("kernel")
     if kernel is not None:
         kernel = kernel_from_spec(kernel)
-    return OperatorTuple(mats, weights, labels, spec.get("nilpotency_bound"), kernel)
+    return OperatorTuple(mats, weights, labels, bound, kernel)
+
+
+def _spec_field(spec: dict, name: str, read):
+    """``read(spec[name])``, or None when the field is absent or null; a bad value is a ValueError naming the field."""
+    try:
+        return None if spec.get(name) is None else read(spec[name])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"tuple spec field {name!r}: {exc}") from exc
+
+
+def _listed(value, count: int, read) -> list:
+    if not isinstance(value, list) or len(value) != count:
+        raise ValueError(f"expected a list of {count} entries, got {value!r}")
+    return [read(x) for x in value]
+
+
+def _count(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise ValueError(f"{x!r} is not a non-negative integer")
+    return x
+
+
+def _positive(x):
+    value = _scalar_from_spec(x)
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{x!r} is not a positive finite number")
+    return value
 
 
 def quadratic_form_certificate(

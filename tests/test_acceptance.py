@@ -71,9 +71,8 @@ def matrix():
         cfd = build_charfn(
             dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
         )
-        target = config.source_degree + cfd.max_taylor_degree
-        dil = build_dilation(dd, target)
-        mult = build_multiplier(cfd, config.source_degree, target)
+        dil = build_dilation(dd, config.source_degree + cfd.taylor.max_degree)
+        mult = build_multiplier(cfd, dil, config.source_degree)
         bundles[name] = (config, dd, cfd, dil, mult)
     return bundles
 
@@ -200,7 +199,7 @@ def test_criterion_09_projection_partition(matrix):
         dd = defect_data(t, k, k)
         cfd = build_charfn(dd, fac)
         dil = build_dilation(dd, 5)
-        mult = build_multiplier(cfd, 3, 5)
+        mult = build_multiplier(cfd, dil, 3)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted_exact and fr.unrestricted == 0.0
 
@@ -244,9 +243,9 @@ def test_criterion_11_k_inner_space(matrix):
 def test_criterion_12_functional_model_and_coincidence(matrix):
     with criterion(12, "functional model at 1e-9; coincidence for conjugates, not across structures"):
         for name, (config, dd, cfd, dil, mult) in matrix.items():
-            _, report = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
-            assert report.equality_residual <= 1e-9, name
-            assert max(report.intertwining_residuals) <= 1e-9, name
+            _, equality = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
+            assert equality <= 1e-9, name
+            assert max(intertwining_residuals(dil)) <= 1e-9, name
         results = {c.name: c for c in run_coincidence_checks(seed=0)}
         conj = results["coincidence_conjugated"]
         assert conj.verdict == "pass" and conj.residual <= 1e-6

@@ -162,7 +162,7 @@ def built(request):
     config = configuration(request.param)
     dd = defect_data(config.ops, config.kernel, config.pick_factor)
     cfd = build_charfn(dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap)
-    dil = build_dilation(dd, config.source_degree + cfd.max_taylor_degree)
+    dil = build_dilation(dd, config.source_degree + cfd.taylor.max_degree)
     rng = config_rng(3, config.name)
     points = sample_points(rng, 12, config.dim, config.sample_scale)
     others = sample_points(rng, 12, config.dim, config.sample_scale)

@@ -22,7 +22,7 @@ from cnpchar.charfn import (
     row_symbol_margin,
     theta_taylor_at,
 )
-from cnpchar.dilation import MonomialWindow, build_dilation
+from cnpchar.dilation import MonomialWindow, build_dilation, intertwining_residuals
 from cnpchar.multiindex import BlockSpace, add, degree, enumerate_up_to_degree
 from cnpchar.operators import (
     NotContractionError,
@@ -48,6 +48,12 @@ from cnpchar.series import (
 def charfn_of(t, fac, **caps):
     """The characteristic function of t built from its own defect data."""
     return build_charfn(defect_data(t, fac.kernel, fac.pick_factor), fac, **caps)
+
+
+def multiplier_on(cfd, source_degree, target_degree):
+    """(M_theta into the window of the dilation at ``target_degree``, that dilation)."""
+    dil = build_dilation(cfd.defect, target_degree)
+    return build_multiplier(cfd, dil, source_degree), dil
 
 
 def sample_points(rng, count, dim, scale=0.5):
@@ -136,7 +142,7 @@ class TestJordanCell:
 
     def test_multiplier_is_double_shift(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
-        mult = build_multiplier(cfd, 3, 5)
+        mult, _ = multiplier_on(cfd, 3, 5)
         m = np.asarray(mult.matrix, dtype=float)
         expected = np.zeros((6, 4))
         for j in range(4):
@@ -145,8 +151,7 @@ class TestJordanCell:
 
     def test_projection_partition_exact(self, jordan_exact):
         cfd, t, k, _ = jordan_exact
-        dil = build_dilation(cfd.defect, 5)
-        mult = build_multiplier(cfd, 3, 5)
+        mult, dil = multiplier_on(cfd, 3, 5)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted_exact
         assert fr.restricted == 0.0 and fr.unrestricted == 0.0
@@ -159,11 +164,10 @@ class TestJordanCell:
 
     def test_functional_model_is_the_cell(self, jordan_exact):
         cfd, t, k, _ = jordan_exact
-        dil = build_dilation(cfd.defect, 5)
-        mult = build_multiplier(cfd, 3, 5)
-        model, report = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
-        assert report.equality_residual < 1e-14
-        assert max(report.intertwining_residuals) < 1e-14
+        mult, dil = multiplier_on(cfd, 3, 5)
+        model, equality = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
+        assert equality < 1e-14
+        assert max(intertwining_residuals(dil)) < 1e-14
         assert max_abs(model.mats[0] - to_float_array(t.mats[0])) < 1e-14
 
 
@@ -244,9 +248,10 @@ class TestSharedDefectCoordinates:
         t, fac, caps = inputs()
         dd = defect_data(t, fac.kernel, fac.pick_factor)
         cfd = build_charfn(dd, fac, **caps)
-        dil = build_dilation(dd, cfd.max_taylor_degree + 4)
+        dil = build_dilation(dd, cfd.taylor.max_degree + 4)
         assert cfd.defect is dd and dil.defect is dd
-        mult = build_multiplier(cfd, 4, cfd.max_taylor_degree + 4)
+        mult = build_multiplier(cfd, dil, 4)
+        assert mult.window is dil.window
         assert factorization_residual(cfd, dil, mult).restricted < 1e-12
 
     @pytest.mark.parametrize("case", ["other_kernel", "other_pick_factor", "no_pick_factor"])
@@ -335,9 +340,8 @@ class TestFloatPaths:
         cfd = build_charfn(
             dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
         )
-        target_degree = config.source_degree + cfd.max_taylor_degree
-        dil = build_dilation(dd, target_degree)
-        build_multiplier(cfd, config.source_degree, target_degree)
+        dil = build_dilation(dd, config.source_degree + cfd.taylor.max_degree)
+        build_multiplier(cfd, dil, config.source_degree)
 
         lift = RealSeries.coeff
 
@@ -427,7 +431,7 @@ class TestTaylorCoefficients:
         cfd = k2_da[0]
         stack = cfd.taylor.coefficients
         assert stack.shape == (len(cfd.taylor), cfd.fiber_dim, cfd.domain_dim)
-        assert cfd.taylor.max_degree == max(sum(g) for g in cfd.taylor) == cfd.max_taylor_degree
+        assert cfd.taylor.max_degree == max(sum(g) for g in cfd.taylor)
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 0] = 1.0
 
@@ -435,33 +439,36 @@ class TestTaylorCoefficients:
 class TestMultiplier:
     def test_constant_isometry_stays_isometric(self, k2_da):
         """A constant isometric symbol induces an isometry on constants,
-        independent of the kernels involved."""
+        independent of the kernels involved. The symbol maps into Ran Defect,
+        so the tuple is doubled to give the defect rank 2."""
+        _, t, k, fac = k2_da
+        doubled = OperatorTuple((np.kron(np.eye(2), t.mats[0]),), None, None, t.nilpotency_bound, k)
+        cfd = charfn_of(doubled, fac, support_cap=5, constant_cap=14)
+        assert cfd.fiber_dim == 2
         theta = {(0,): np.array([[1.0, 0.0], [0.0, 1.0]])}
-        mult = build_multiplier(_clone_with_taylor(k2_da[0], theta), 3, 3)
+        mult, _ = multiplier_on(_clone_with_taylor(cfd, theta), 3, 3)
         m = np.asarray(mult.matrix, dtype=float)
         constants = m[:, :2]
         assert max_abs(constants.T @ constants - np.eye(2)) < 1e-14
 
     def test_norm_is_at_most_one(self, k2_da):
         cfd, _, _, _ = k2_da
-        mult = build_multiplier(cfd, 4, 4 + cfd.max_taylor_degree)
+        mult, _ = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
         assert np.linalg.norm(np.asarray(mult.matrix, dtype=float), 2) <= 1 + 1e-10
 
     def test_discarded_mass_reported(self, k2_da):
         cfd, _, _, _ = k2_da
-        tight = build_multiplier(cfd, 4, 5)
+        tight, _ = multiplier_on(cfd, 4, 5)
         assert not tight.exact_window
         assert tight.discarded_mass > 0
-        full = build_multiplier(cfd, 4, 4 + cfd.max_taylor_degree)
+        full, _ = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
         assert full.exact_window and full.discarded_mass == 0
 
 
 class TestProjectionPartition:
     def test_k2_da(self, k2_da):
         cfd, t, k, _ = k2_da
-        target = 4 + cfd.max_taylor_degree
-        dil = build_dilation(cfd.defect, target)
-        mult = build_multiplier(cfd, 4, target)
+        mult, dil = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted < 1e-8
 
@@ -475,31 +482,35 @@ class TestProjectionPartition:
         )
         broken = dict(cfd.taylor)
         del broken[victim]
-        target = 4 + cfd.max_taylor_degree
-        dil = build_dilation(cfd.defect, target)
-        mult = build_multiplier(_clone_with_taylor(cfd, broken), 4, target)
+        mult, dil = multiplier_on(_clone_with_taylor(cfd, broken), 4, 4 + cfd.taylor.max_degree)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted >= 1e-3
 
     def test_multiplier_norm_k2_da(self, k2_da):
         cfd, _, _, _ = k2_da
-        target = 4 + cfd.max_taylor_degree
-        mult = build_multiplier(cfd, 4, target)
-        fr = factorization_residual(cfd, build_dilation(cfd.defect, target), mult)
+        mult, dil = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
+        fr = factorization_residual(cfd, dil, mult)
         assert abs(fr.multiplier_norm - np.linalg.norm(mult.matrix, 2)) <= 1e-14
 
     def test_multiplier_norm_jordan_exact(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
-        mult = build_multiplier(cfd, 3, 5)
-        fr = factorization_residual(cfd, build_dilation(cfd.defect, 5), mult)
+        mult, dil = multiplier_on(cfd, 3, 5)
+        fr = factorization_residual(cfd, dil, mult)
         assert abs(fr.multiplier_norm - np.linalg.norm(to_float_array(mult.matrix), 2)) <= 1e-14
 
     def test_window_mismatch_rejected(self, k2_da):
+        """The windows are compared by identity: an equal window of another dilation is not the multiplier's."""
         cfd, t, k, _ = k2_da
-        dil = build_dilation(cfd.defect, 6)
-        mult = build_multiplier(cfd, 4, 7)
-        with pytest.raises(ValueError, match="window"):
-            factorization_residual(cfd, dil, mult)
+        mult, _ = multiplier_on(cfd, 4, 7)
+        for other in (build_dilation(cfd.defect, 7), build_dilation(cfd.defect, 6)):
+            with pytest.raises(ValueError, match="window"):
+                factorization_residual(cfd, other, mult)
+
+    def test_dilation_of_other_defect_data_rejected(self, k2_da):
+        cfd, t, k, fac = k2_da
+        other = build_dilation(defect_data(t, k, fac.pick_factor), 7)
+        with pytest.raises(ValueError, match="defect data"):
+            build_multiplier(cfd, other, 4)
 
 
 def _dense_multiplier_reference(cfd, source_degree, target_degree):
@@ -534,7 +545,7 @@ def _dense_multiplier_reference(cfd, source_degree, target_degree):
 
 def _windows(cfd, source_degree):
     """The exact window, and one that cuts the top half of theta's degrees."""
-    top = cfd.max_taylor_degree
+    top = cfd.taylor.max_degree
     return [(source_degree, source_degree + top), (source_degree, source_degree + top // 2)]
 
 
@@ -546,7 +557,7 @@ class TestMultiplierPlan:
         cfd = _preset_charfn(name)
         assert not cfd.exact
         for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
-            mult = build_multiplier(cfd, source_degree, target_degree)
+            mult, _ = multiplier_on(cfd, source_degree, target_degree)
             dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
             assert max_abs(mult.gram - dense @ dense.conj().T) <= 1e-15
             assert mult.discarded_mass == discarded
@@ -558,7 +569,7 @@ class TestMultiplierPlan:
         cfd = _preset_charfn(f"{name}_exact")
         assert cfd.exact
         for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
-            mult = build_multiplier(cfd, source_degree, target_degree)
+            mult, _ = multiplier_on(cfd, source_degree, target_degree)
             dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
             assert mult.gram.dtype == object
             assert np.array_equal(mult.gram, dense @ dense.conj().T)
@@ -569,8 +580,8 @@ class TestMultiplierPlan:
         """Bergman m = 2 through Drury-Arveson in d = 3 at cap 12: 816 x 9,260 when dense."""
         k, s = bergman_kernel(2, 3, 32), drury_arveson_kernel(3, 32)
         cfd = charfn_of(model_tuple(k, 3, 1, mode="float"), factor_through_pick(k, s), support_cap=12, constant_cap=12)
-        mult = build_multiplier(cfd, 3, 3 + cfd.max_taylor_degree)
-        dense, discarded = _dense_multiplier_reference(cfd, 3, 3 + cfd.max_taylor_degree)
+        mult, _ = multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)
+        dense, discarded = _dense_multiplier_reference(cfd, 3, 3 + cfd.taylor.max_degree)
         assert dense.shape == (816, 9260) and discarded == mult.discarded_mass == 0.0
         assert max_abs(mult.gram - dense @ dense.T) <= 1e-15
         assert np.array_equal(mult.matrix, dense)
@@ -727,12 +738,10 @@ class TestAlignment:
 class TestFunctionalModelAndCoincidence:
     def test_model_reproduces_tuple(self, k2_da):
         cfd, t, k, _ = k2_da
-        target = 4 + cfd.max_taylor_degree
-        dil = build_dilation(cfd.defect, target)
-        mult = build_multiplier(cfd, 4, target)
-        model, report = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
-        assert report.equality_residual < 1e-9
-        assert max(report.intertwining_residuals) < 1e-9
+        mult, dil = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
+        model, equality = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
+        assert equality < 1e-9
+        assert max(intertwining_residuals(dil)) < 1e-9
 
     def test_conjugated_tuples_coincide(self):
         k = bergman_kernel(2, 1, 48)

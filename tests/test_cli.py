@@ -291,6 +291,35 @@ class TestCharFnCommands:
         assert main(["charfn", "verify", *args, "--N", "24", "--degree-cap", "4"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nilpotency_bound", "x"),
+            ("nilpotency_bound", -1),
+            ("nilpotency_bound", True),
+            ("weights", 5),
+            ("weights", ["0"]),
+            ("weights", [1, 2]),
+            ("basis_labels", 5),
+            ("basis_labels", [[-1]]),
+            ("basis_labels", [[0, 0]]),
+        ],
+    )
+    def test_malformed_optional_field_exits_two(self, specs, tmp_path, capsys, field, value):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"mode": "float", "matrices": [[[0.5]]], field: value}))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(path)]
+        assert main(["charfn", "verify", *args]) == 2
+        assert f"tuple spec field {field!r}" in capsys.readouterr().err
+
+    def test_exact_tuple_spec_runs_in_float_mode(self, specs, tmp_path):
+        """An exact spec whose defect root is irrational runs when float mode is asked for."""
+        spec, out = tmp_path / "tuple.json", tmp_path / "r.json"
+        spec.write_text(json.dumps({"mode": "exact", "matrices": [[["1/3"]]]}))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(spec)]
+        assert main(["charfn", "verify", *args, "--mode", "float", "--out", str(out)]) == 0
+        assert read_report(out)["environment"]["mode"] == "float"
+
     def test_empty_k_inner_space_is_a_failed_check(self, specs, tmp_path):
         # T = 0.6 is not nilpotent, so the default window is too shallow for
         # theta to reach a unit Gram eigenvalue: the check fails, the run goes on
@@ -459,7 +488,20 @@ def _tuple_spec():
         st.lists(square, min_size=1, max_size=2),
         st.recursive(entry, lambda inner: st.lists(inner, max_size=3), max_leaves=6),
     )
-    return st.fixed_dictionaries({"mode": st.sampled_from(["exact", "float", "bogus"]), "matrices": matrices})
+    # the optional fields, each valid or not: null, a count, a list of the wrong length or of junk
+    weight = st.one_of(st.sampled_from(["1/2", "2", "0", "-1/3", "1/0", "x", True, None, 1e400]), st.integers(-1, 3), st.floats(0.1, 4))
+    optional = {
+        "nilpotency_bound": st.one_of(st.none(), st.integers(-1, 3), st.sampled_from(["x", True, 1.5, 2.0, []])),
+        "weights": st.one_of(st.none(), st.lists(weight, max_size=3), st.sampled_from([5, "1/2", {}])),
+        "basis_labels": st.one_of(
+            st.none(),
+            st.lists(st.lists(st.integers(-1, 3), max_size=2), max_size=3),
+            st.sampled_from([5, [5], [["0"]], [[True]], [[0.0]]]),
+        ),
+    }
+    return st.fixed_dictionaries(
+        {"mode": st.sampled_from(["exact", "float", "bogus"]), "matrices": matrices}, optional=optional
+    )
 
 
 class TestFuzzTupleSpecs:

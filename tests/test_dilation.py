@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from cnpchar._linalg import max_abs
+from cnpchar._linalg import EXACT, max_abs, to_float_array
 from cnpchar.dilation import (
     MonomialWindow,
     associated_tuple_test,
@@ -9,6 +11,7 @@ from cnpchar.dilation import (
     intertwining_residuals,
     kernel_vector_gap,
 )
+from cnpchar.multiindex import add, unit
 from cnpchar.operators import (
     NotPureError,
     OperatorTuple,
@@ -20,8 +23,22 @@ from cnpchar.series import (
     bergman_kernel,
     drury_arveson_kernel,
     is_positive_quotient,
+    kernel_from_coefficients,
     szego_kernel,
 )
+
+
+def _dense_shift_reference(window, i):
+    """The dense matrix of (M_{z_i} tensor I_r) on the window, filled label by label; the top degree maps to 0."""
+    out = window.scalars.zeros((window.dim, window.dim))
+    a = window.coefficients
+    for k, lab in enumerate(window.labels):
+        if window.degrees[k] == window.max_degree:
+            continue
+        target = add(lab, unit(window.kernel.dim, i))
+        entry = window.scalars.sqrt(a[k] / a[window.index[target]])
+        np.fill_diagonal(out[window.block(target), window.block(lab)], entry)
+    return out
 
 
 def jordan_dilation(target=5):
@@ -211,14 +228,44 @@ class TestMonomialWindow:
         assert win.block((0, 0)) == slice(0, 2)
         assert win.block((0, 1)) == slice(4, 6)
 
-    def test_multiplication_matrix_shifts(self):
+    def test_lower_shifts(self):
         k = szego_kernel(1, 10)
         win = MonomialWindow(k, 1, 3)
-        m = win.multiplication_matrix(0)
         expected = np.zeros((4, 4))
         for i in range(3):
-            expected[i + 1, i] = 1.0
-        assert np.allclose(m, expected)
+            expected[i, i + 1] = 1.0
+        assert np.array_equal(win.lower(0, np.eye(4)), expected)
+        assert np.array_equal(win.lower(0, np.arange(4.0)), [1.0, 2.0, 3.0, 0.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lower_matches_dense_shift_bitwise(self, d):
+        """X^* M read as lower(i, X)^*, for real and complex X, rounds as the dense product does."""
+        win = MonomialWindow(bergman_kernel(2, d, 10), 2, 4)
+        rng = np.random.default_rng(d)
+        real = rng.standard_normal((win.dim, 3))
+        for x in (real, real + 1j * rng.standard_normal((win.dim, 3))):
+            for i in range(d):
+                dense = _dense_shift_reference(win, i)
+                got = win.lower(i, x)
+                assert got.dtype == x.dtype
+                assert np.array_equal(got.conj().T, x.conj().T @ dense)
+                assert np.array_equal(win.lower(i, x[:, 0]), got[:, 0])
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [szego_kernel(1, 10), kernel_from_coefficients([Fraction(1, 4**n) for n in range(11)], 1)],
+        ids=["szego", "ratio_4"],
+    )
+    def test_lower_matches_dense_shift_exactly(self, kernel):
+        """On an exact window, Fractions in give the exact product; floats in give the float product."""
+        win = MonomialWindow(kernel, 2, 4, EXACT)
+        x = np.array([[Fraction(j - 2 * c, 3 + c) for c in range(2)] for j in range(win.dim)], dtype=object)
+        dense = _dense_shift_reference(win, 0)
+        assert dense.dtype == object and x.dtype == object
+        assert np.array_equal(win.lower(0, x), dense.T @ x)
+        assert all(isinstance(v, (Fraction, int)) for v in win.lower(0, x).flat)
+        xf = to_float_array(x)
+        assert np.array_equal(win.lower(0, xf).T, xf.T @ to_float_array(dense))
 
     def test_degree_mask(self):
         k = szego_kernel(1, 10)

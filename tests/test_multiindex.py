@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,3 +149,25 @@ def test_block_space_monomials_of_a_stack(d):
     assert stack.shape == (3, len(space.labels))
     for row, point in zip(stack, points):
         assert list(row) == [monomial_value(point, lab) for lab in space.labels]
+
+
+@st.composite
+def _labels_and_shift(draw):
+    """A random subset of Z^d_+ labels up to degree 4 (d from 1 to 3), in random order, and a shift alpha."""
+    d = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.sampled_from(enumerate_up_to_degree(d, 4)), unique=True, max_size=20))
+    alpha = tuple(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    return labels, alpha
+
+
+@given(_labels_and_shift())
+def test_positions_and_shift_match_brute_force(case):
+    labels, alpha = case
+    space = BlockSpace(labels, 2)
+    d = len(alpha)
+    rows = enumerate_up_to_degree(d, 5)
+    expected = [labels.index(row) if row in labels else -1 for row in rows]
+    assert space.positions(np.array(rows, dtype=int)).tolist() == expected
+    pairs = [(i, labels.index(add(lab, alpha))) for i, lab in enumerate(labels) if add(lab, alpha) in labels]
+    low, high = space.shift(alpha)
+    assert list(zip(low.tolist(), high.tolist())) == pairs

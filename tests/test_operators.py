@@ -6,11 +6,13 @@ import pytest
 
 from cnpchar._linalg import adjoint, exact_zeros, max_abs
 from cnpchar.multiindex import (
+    add,
     compositions,
     count_up_to_degree,
     degree,
     enumerate_up_to_degree,
     monomial_value,
+    unit,
 )
 from cnpchar.operators import (
     ConvergenceError,
@@ -72,6 +74,24 @@ class TestModelTuple:
     def test_requires_truncation(self):
         with pytest.raises(ValueError, match="truncation"):
             model_tuple(szego_kernel(1, 3), 1, 5)
+
+    @pytest.mark.parametrize("d, degree_cut", [(1, 0), (1, 4), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("kind", ["bergman", "dirichlet"])
+    def test_matches_label_loop(self, d, degree_cut, kind):
+        """Both modes equal the label-by-label construction: exactly, and bit for bit in floats."""
+        kernel = bergman_kernel(3, d, 8) if kind == "bergman" else dirichlet_kernel(d, 8)
+        labels = enumerate_up_to_degree(d, degree_cut)
+        a = {lab: kernel.coeff(lab) for lab in labels}
+        for mode in ("exact", "float"):
+            t = model_tuple(kernel, d, degree_cut, mode=mode)
+            for i, got in enumerate(t.mats):
+                expected = exact_zeros(got.shape) if mode == "exact" else np.zeros(got.shape)
+                for src, lab in enumerate(labels):
+                    if degree(lab) < degree_cut:
+                        dst = labels.index(add(lab, unit(d, i)))
+                        expected[dst, src] = Fraction(1) if mode == "exact" else np.sqrt(float(a[lab] / a[labels[dst]]))
+                entries = (lambda m: [float.hex(x) for x in m.flat]) if mode == "float" else (lambda m: list(m.flat))
+                assert got.dtype == expected.dtype and entries(got) == entries(expected)
 
     def test_commutation_enforced(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])

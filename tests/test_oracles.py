@@ -115,10 +115,10 @@ def test_dilation_isometry_and_block_unitarity(case):
 
 def test_projection_partition_at_a_complex_point():
     dd, cfd = scalar_point([[[0.3 + 0.4j]]], szego(), szego())
-    target = 4 + cfd.max_taylor_degree
-    mult = build_multiplier(cfd, 4, target)
+    dil = build_dilation(dd, 4 + cfd.taylor.max_degree)
+    mult = build_multiplier(cfd, dil, 4)
     assert np.iscomplexobj(mult.gram) and np.iscomplexobj(mult.matrix)
-    assert factorization_residual(cfd, build_dilation(dd, target), mult).restricted <= TOL
+    assert factorization_residual(cfd, dil, mult).restricted <= TOL
 
 
 def test_k_inner_space_of_a_conjugated_complex_pair():

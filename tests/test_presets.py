@@ -51,6 +51,22 @@ def test_kernel_vector_once_per_sample(config, monkeypatch):
     assert len(points) == len(fibers) == 7
 
 
+@pytest.mark.parametrize("name", ["k2_da_d1_n1", "k2_da_d2_n2_c", "two_cells"])
+def test_one_window_per_configuration(name, monkeypatch):
+    """The dilation's window is the multiplier's target too: one MonomialWindow per run."""
+    built = []
+    real = MonomialWindow.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialWindow, "__init__", counted)
+    results = presets.run_configuration_checks(presets.configuration(name))[0]
+    assert all(c.verdict == "pass" for c in results)
+    assert len(built) == 1
+
+
 def test_theta_cross_check_reports_its_gap(config):
     check = _checks(presets.run_configuration_checks(config)[0])["theta_taylor_cross_check"]
     assert check.verdict == "pass"
