@@ -16,7 +16,6 @@ from cnpchar import (
     OperatorTuple,
     align_factorizations,
     build_charfn,
-    build_dilation,
     cauchy_product,
     coincidence_residual,
     defect_data,
@@ -35,14 +34,12 @@ t = model_tuple(k, dim=1, degree_cut=1, mode="float")
 
 fac_da = factor_through_pick(k, da)
 fac_dir = factor_through_pick(k, dirichlet)
-dd_da = defect_data(t, k, da)
-cfd_da = build_charfn(dd_da, fac_da, support_cap=14, constant_cap=14)
+cfd_da = build_charfn(defect_data(t, k, da), fac_da, support_cap=14, constant_cap=14)
 cfd_dir = build_charfn(defect_data(t, k, dirichlet), fac_dir, support_cap=14, constant_cap=14)
 print("domain dims:", cfd_da.domain_dim, "vs", cfd_dir.domain_dim)
 
 points = sample_points(np.random.default_rng(0), 20, dim=1, scale=0.5)
-dil = build_dilation(dd_da, 4)
-out = align_factorizations(cfd_da, cfd_dir, points, source_degree=18, dil=dil)
+out = align_factorizations(cfd_da, cfd_dir, points, source_degree=18)
 print("gram residual between the two factorizations:", out.gram_residual)
 print("agreement with the I - V V* compression:", out.reference_residual)
 print("correspondence maps family 1 to family 2 up to:", out.map_residual)

@@ -1,18 +1,19 @@
 """The scalar backend and the dense linear algebra built on it.
 
 Every computation runs in one of two arithmetics, ``EXACT`` or ``FLOAT``
-(:class:`Scalars`), and every choice that depends on which one is made
-here: zeros and identities, square roots, how a coefficient, a monomial, an
-array or a series enters the arithmetic, and whether an evaluation point
-keeps exactness. Float matrices are numpy float/complex arrays in orthonormal
-bases. Exact matrices are object arrays of ``fractions.Fraction`` (or int),
-optionally in an orthogonal-but-not-normalized basis whose squared norms
-are carried separately as ``weights``; adjoints then pick up the weight
-ratios. Exact arrays support only the spectral operations that stay
-rational, namely square roots, ranges and pseudo-inverses of diagonal
-matrices with perfect-square entries. Anything else raises
-:class:`ExactnessError`, signalling that float arithmetic is the right
-backend for that computation.
+(:class:`Scalars`), and every choice that depends on which one is made here:
+zeros and identities, square roots, how a monomial or an array enters the
+arithmetic, and whether an evaluation point keeps exactness. The one
+exception is a series' coefficients, which enter through
+``multiindex.BlockSpace.lift`` in the arithmetic it is given. Float matrices
+are numpy float/complex arrays in orthonormal bases. Exact matrices are
+object arrays of ``fractions.Fraction`` (or int), optionally in an
+orthogonal-but-not-normalized basis whose squared norms are carried
+separately as ``weights``; adjoints then pick up the weight ratios. Exact
+arrays support only the spectral operations that stay rational, namely
+square roots, ranges and pseudo-inverses of diagonal matrices with
+perfect-square entries. Anything else raises :class:`ExactnessError`,
+signalling that float arithmetic is the right backend for that computation.
 """
 
 from __future__ import annotations
@@ -160,10 +161,6 @@ class Scalars:
             return np.array([frac_sqrt(x) for x in a.flat], dtype=object).reshape(a.shape)
         return np.sqrt(a)
 
-    def coefficient(self, c):
-        """A real scalar in this arithmetic."""
-        return c if self.exact else float(c)
-
     def monomial(self, c):
         """A possibly complex scalar or array, such as monomials at a point, in this arithmetic."""
         return c if self.exact else np.asarray(c, dtype=complex)
@@ -171,10 +168,6 @@ class Scalars:
     def array(self, a) -> np.ndarray:
         """An array in this arithmetic: unchanged when exact, its float view otherwise."""
         return a if self.exact else to_float_array(np.asarray(a))
-
-    def series(self, s):
-        """A coefficient series in this arithmetic: unchanged when exact, its float view otherwise."""
-        return s if self.exact else s.floats
 
     def at(self, points) -> "Scalars":
         """The arithmetic at a point or a stack of points: exact only if every coordinate is rational."""

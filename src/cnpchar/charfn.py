@@ -378,7 +378,7 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
 
 def _scaled_blocks(space: BlockSpace, series, points: list, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
     """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha."""
-    roots = sp.roots(space.lift(sp.series(series), sp))
+    roots = sp.roots(space.lift(series, sp))
     weights = roots * sp.monomial(space.monomials(points))
     stack = sp.array(blocks).reshape(len(space.labels), -1)
     return (weights[:, None, :] @ stack).reshape(len(points), space.block_dim, blocks.shape[1])
@@ -430,7 +430,7 @@ def inverse_identity_residual(cfd: CharFnData, points: Sequence[Point]) -> float
         return 0.0
     t = cfd.ops
     space = cfd.b_support
-    b = space.lift(reciprocal_complement(cfd.pick_factor).floats)
+    b = space.lift(reciprocal_complement(cfd.pick_factor))
     g_adj = operator_series(t, cfd.factorization.positive_part, points).conj().swapaxes(-1, -2)
     k_adj = operator_series(t, cfd.kernel, points).conj().swapaxes(-1, -2)
     coeffs = b * FLOAT.monomial(space.monomials(points))
@@ -452,7 +452,7 @@ def row_symbol_margin(cfd: CharFnData, points: Sequence[Point]):
     if not len(points):
         return np.inf, 0.0
     space = cfd.b_support
-    b = space.lift(reciprocal_complement(cfd.pick_factor).floats)
+    b = space.lift(reciprocal_complement(cfd.pick_factor))
     monomials = FLOAT.monomial(space.monomials(points))
     total = 0
     for c, m in zip(b, monomials.T):
@@ -659,7 +659,7 @@ def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e
     """
     space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
     stack = to_float_array(cfd.taylor.coefficients)
-    inv_k = 1.0 / space.lift(cfd.kernel.floats)[:, None, None]
+    inv_k = 1.0 / space.lift(cfd.kernel)[:, None, None]
     gram = stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)
     vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     top = float(vals.max(initial=0.0))
@@ -689,14 +689,15 @@ class AlignmentData:
     The Gram matrices of the families s_{i,z} (x) theta_i(z)^* eta must agree
     (both equal the compression of I - V V^*); ``correspondence`` is the
     partial isometry matching the two sampled families, computed from the
-    common Gram factorization.
+    common Gram factorization. ``reference_residual`` is the larger gap of
+    the two Grams to the closed form of that compression.
     """
 
     gram_residual: float
     correspondence: np.ndarray
     map_residual: float
     idempotency_residual: float
-    reference_residual: Optional[float]
+    reference_residual: float
 
 
 def align_factorizations(
@@ -704,7 +705,6 @@ def align_factorizations(
     cfd2: CharFnData,
     points: Sequence[Point],
     source_degree: int = 16,
-    dil: Optional[DilationData] = None,
     mismatch_tol: float = 1e-6,
 ) -> AlignmentData:
     if cfd1.ops is not cfd2.ops:
@@ -737,21 +737,19 @@ def align_factorizations(
             f"Gram mismatch {gram_residual:.3e} beyond {mismatch_tol}: "
             "the inputs do not factor the same projection"
         )
-    reference = None
-    if dil is not None:
-        # closed form of the compression of I - V V^*:
-        # <(I - VV*)(k_w (x) e_a), k_z (x) e_b> = k(z, w) delta_ab
-        #     - <k_w(T) Defect Q e_a, k_z(T) Defect Q e_b>
-        t, m = cfd1.ops, len(points)
-        dq = to_float_array(cfd1.defect.defect) @ to_float_array(cfd1.defect.ran_defect_basis)
-        series = operator_series(t, cfd1.kernel, points).astype(complex) @ dq
-        k_val = cfd1.kernel.evaluate(
-            [zi for zi in points for _ in range(m)], [zj for _ in range(m) for zj in points], truncated=True
-        ).value
-        k_val = np.asarray(k_val, dtype=complex).reshape(m, m)
-        blocks = k_val[:, :, None, None] * np.eye(r) - series.conj().swapaxes(-1, -2)[:, None] @ series[None, :]
-        gram_ref = blocks.transpose(0, 2, 1, 3).reshape(m * r, m * r)
-        reference = max(max_abs(gram1 - gram_ref), max_abs(gram2 - gram_ref))
+    # closed form of the compression of I - V V^*:
+    # <(I - VV*)(k_w (x) e_a), k_z (x) e_b> = k(z, w) delta_ab
+    #     - <k_w(T) Defect Q e_a, k_z(T) Defect Q e_b>
+    t, m = cfd1.ops, len(points)
+    dq = to_float_array(cfd1.defect.defect) @ to_float_array(cfd1.defect.ran_defect_basis)
+    series = operator_series(t, cfd1.kernel, points).astype(complex) @ dq
+    k_val = cfd1.kernel.evaluate(
+        [zi for zi in points for _ in range(m)], [zj for _ in range(m) for zj in points], truncated=True
+    ).value
+    k_val = np.asarray(k_val, dtype=complex).reshape(m, m)
+    blocks = k_val[:, :, None, None] * np.eye(r) - series.conj().swapaxes(-1, -2)[:, None] @ series[None, :]
+    gram_ref = blocks.transpose(0, 2, 1, 3).reshape(m * r, m * r)
+    reference = max(max_abs(gram1 - gram_ref), max_abs(gram2 - gram_ref))
     # common Gram factorization: orthonormalize both families against the
     # shared Gram, then match the orthonormal frames
     gram = (gram1 + gram2) / 2
@@ -828,7 +826,7 @@ def coincidence_residual(
         coeffs = to_float_array(cfd.taylor.coefficients)
         out = np.zeros((len(space.labels), r, dom), dtype=coeffs.dtype)
         out[[space.index[g] for g in cfd.taylor]] = coeffs
-        return list(np.sqrt(1.0 / space.lift(cfd.kernel.floats))[:, None, None] * out)
+        return list(np.sqrt(1.0 / space.lift(cfd.kernel))[:, None, None] * out)
 
     stack_a, stack_b = stack(cfd_a), stack(cfd_b)
     scale = max(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in stack_a)), 1e-30)

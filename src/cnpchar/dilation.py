@@ -71,7 +71,7 @@ class MonomialWindow(BlockSpace):
         self.max_degree = max_degree
         self.scalars = scalars
         self.coefficients = self.lift(kernel, scalars)
-        self._root_coefficients = np.sqrt(to_float_array(self.coefficients))
+        self._root_coefficients = np.sqrt(self.lift(kernel))
 
     def degree_mask(self, max_degree: int) -> np.ndarray:
         """Boolean coordinate mask selecting blocks of degree <= max_degree."""

@@ -4,6 +4,8 @@ Multi-indices are plain tuples of non-negative integers. Everything in the
 package enumerates them in graded order: by total degree first and, within a
 degree, with the leading exponents largest first, so (1,0) precedes (0,1).
 This makes every degree-raising operator matrix block-lower-triangular.
+``BlockSpace.lift`` is the one way a series' coefficients enter a
+computation over labels, with one float definition: the float view's lift.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ class BlockSpace:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels) * block_dim
         self.degrees = np.array([degree(lab) for lab in self.labels], dtype=int)
+        self._multinomials = np.array([multinomial(lab) for lab in self.labels], dtype=object)
 
     def block(self, label: MultiIndex) -> slice:
         i = self.index[label]
@@ -137,10 +140,17 @@ class BlockSpace:
     def lift(self, series, scalars: Scalars = FLOAT) -> np.ndarray:
         """The lifts c_gamma = c_|gamma| * multinomial(gamma) of ``series``, in label order.
 
-        Exact under EXACT; under FLOAT the float of each exact lift, which is
-        float(series.coeff(gamma)) bit for bit.
+        Under EXACT ``series.coeff(gamma)``, type included; under FLOAT the
+        float view's lift, ``series.floats.coeff(gamma)`` bit for bit.
+        ValueError for labels of another dimension or beyond the truncation.
         """
-        return scalars.array(np.array([series.coeff(lab) for lab in self.labels], dtype=object))
+        if self.labels and len(self.labels[0]) != series.dim:
+            raise ValueError(f"multi-index dimension {len(self.labels[0])} != {series.dim}")
+        if self.degrees.max(initial=0) > series.truncation:
+            raise ValueError(f"degree {self.degrees.max()} beyond truncation {series.truncation}")
+        if scalars.exact:
+            return np.array(series.coefficients, dtype=object)[self.degrees] * self._multinomials
+        return np.array(series.floats.coefficients)[self.degrees] * self._multinomials.astype(float)
 
     def monomials(self, points) -> np.ndarray:
         """point^gamma for every label, at a (d,) point or a (P, d) stack: shape (L,) or (P, L).

@@ -36,6 +36,7 @@ from ._linalg import (
     Scalars,
     adjoint,
     is_exact_array,
+    is_exactly_zero,
     max_abs,
     min_eigenvalue,
     point_stack,
@@ -48,7 +49,6 @@ from ._linalg import (
 from .multiindex import (
     BlockSpace,
     MultiIndex,
-    compositions,
     degree,
     enumerate_up_to_degree,
     subtract,
@@ -228,44 +228,39 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
 # graded operator series
 
 
-def _graded_stop(t: OperatorTuple, series: RealSeries, degree_cap: int) -> tuple[int, int]:
-    """(top, stop): the cap of a graded walk and its last degree.
+def _graded_space(t: OperatorTuple, series: RealSeries, degree_cap: int) -> BlockSpace:
+    """The labels of a graded walk, in graded order, up to its last degree.
 
-    top is the first of ``degree_cap``, the truncation and the nilpotency
-    bound; stop is also at most the series' last nonzero degree.
+    That degree is the first of ``degree_cap``, the truncation, the
+    nilpotency bound and the series' last nonzero degree.
     """
     bound = t.nilpotency_bound
     top = min(degree_cap, series.truncation, degree_cap if bound is None else bound)
     stop = min(top, max((i for i, c in enumerate(series.coefficients) if c != 0), default=0))
-    return top, stop
+    return BlockSpace(enumerate_up_to_degree(t.num_vars, stop), 1)
 
 
-def _graded_sum(t: OperatorTuple, series: RealSeries, term, zero, degree_cap: int, stop_tol: float):
-    """sum over alpha of term(alpha, c_alpha), c_alpha = series.coeff(alpha), degree by degree.
+def _graded_sum(t: OperatorTuple, series: RealSeries, space: BlockSpace, scalars: Scalars, term, zero, degree_cap, stop_tol):
+    """sum of term(i, c_i) over the labels of ``space`` = ``_graded_space(t, series, degree_cap)``, degree by degree.
 
-    Zero coefficients are skipped. The walk runs from degree 0 to the first
-    of ``degree_cap``, the truncation, the nilpotency bound and the series'
-    last nonzero degree (``_graded_stop``). Without a nilpotency bound, a
-    walk that ends at its cap (with ``degree_cap`` at most the truncation)
-    must end on a positive-degree increment with entries at most
-    ``stop_tol``, else ConvergenceError. Returns (total, exact_stop);
+    c = space.lift(series, scalars), and a label with c_i = 0 is skipped.
+    Without a nilpotency bound, a walk that ends at ``degree_cap`` (at most
+    the truncation) must end on a positive-degree increment with entries at
+    most ``stop_tol``, else ConvergenceError. Returns (total, exact_stop);
     exact_stop says the walk reached the nilpotency bound, so the sum is
     finite and complete.
     """
-    if series.dim != t.num_vars:
-        raise ValueError("series dimension does not match the tuple")
-    bound = t.nilpotency_bound
-    top, stop = _graded_stop(t, series, degree_cap)
+    bound, stop = t.nilpotency_bound, int(space.degrees[-1])
+    coeffs = space.lift(series, scalars)
+    nonzero = coeffs != 0
     total = inc = zero
     for deg in range(stop + 1):
         inc = zero
-        for alpha in compositions(deg, t.num_vars):
-            c = series.coeff(alpha)
-            if c != 0:
-                inc = inc + term(alpha, c)
+        for i in np.flatnonzero(nonzero & (space.degrees == deg)):
+            inc = inc + term(i, coeffs[i])
         total = total + inc
-    if bound is None and degree_cap <= series.truncation and 0 < stop == top and max_abs(inc) > stop_tol:
-        raise ConvergenceError(f"operator series did not settle below {stop_tol} by degree {top}")
+    if bound is None and 0 < stop == degree_cap <= series.truncation and max_abs(inc) > stop_tol:
+        raise ConvergenceError(f"operator series did not settle below {stop_tol} by degree {stop}")
     return total, bound is not None and bound <= min(degree_cap, series.truncation)
 
 
@@ -276,18 +271,18 @@ def conjugated_sum(
     degree_cap: int = 64,
     stop_tol: float = 1e-13,
 ):
-    """sum over alpha of series.coeff(alpha) T^alpha [middle] (T^alpha)^*.
+    """sum over alpha of c_alpha T^alpha [middle] (T^alpha)^*, with c the series' lift.
 
     Summed and stopped by ``_graded_sum``; returns (total, exact_stop).
     """
-    sc = t.scalars
+    space = _graded_space(t, series, degree_cap)
 
-    def term(alpha, c):
-        p = t.power(alpha)
-        return sc.coefficient(c) * ((p if middle is None else p @ middle) @ adjoint(p, t.weights))
+    def term(i, c):
+        p = t.power(space.labels[i])
+        return c * ((p if middle is None else p @ middle) @ adjoint(p, t.weights))
 
-    zero = sc.zeros((t.size, t.size), t.dtype)
-    return _graded_sum(t, series, term, zero, degree_cap, stop_tol)
+    zero = t.scalars.zeros((t.size, t.size), t.dtype)
+    return _graded_sum(t, series, space, t.scalars, term, zero, degree_cap, stop_tol)
 
 
 @dataclass
@@ -430,27 +425,25 @@ def operator_series(
     degree_cap: int = 64,
     stop_tol: float = 1e-13,
 ) -> np.ndarray:
-    """sum_alpha series.coeff(alpha) conj(point^alpha) T^alpha at a (d,) point or a (P, d) stack.
+    """sum_alpha c_alpha conj(point^alpha) T^alpha at a (d,) point or a (P, d) stack, c the series' lift.
 
     Returns (n, n) or (P, n, n). Summed and stopped by ``_graded_sum`` for
     all points at once: finite (hence exact) for nilpotent tuples, and a
     stack raises ConvergenceError when any point's last increment exceeds
-    ``stop_tol``. Exact only at rational points; elsewhere the coefficients
-    come from the series' float view.
+    ``stop_tol``. Exact only at rational points of an exact tuple.
     """
     pts, single = point_stack(points)
     if any(len(p) != t.num_vars for p in pts):
         raise ValueError("dimension mismatch")
     sc = t.scalars.at(pts)
-    series = sc.series(series)
-    space = BlockSpace(enumerate_up_to_degree(t.num_vars, _graded_stop(t, series, degree_cap)[1]), 1)
+    space = _graded_space(t, series, degree_cap)
     conj = np.conjugate(space.monomials(pts))
 
-    def term(alpha, c):
-        return sc.monomial(c * conj[:, space.index[alpha]])[:, None, None] * sc.array(t.power(alpha))
+    def term(i, c):
+        return sc.monomial(c * conj[:, i])[:, None, None] * sc.array(t.power(space.labels[i]))
 
     zero = sc.zeros((len(pts), t.size, t.size), complex)
-    total, _ = _graded_sum(t, series, term, zero, degree_cap, stop_tol)
+    total, _ = _graded_sum(t, series, space, sc, term, zero, degree_cap, stop_tol)
     if not sc.exact and not any(isinstance(x, complex) for p in pts for x in np.asarray(p).flat):
         # real points, real tuple: keep the result real when it is
         if np.allclose(total.imag, 0.0):
@@ -574,7 +567,27 @@ def tuple_from_spec(spec: dict) -> OperatorTuple:
     kernel = spec.get("kernel")
     if kernel is not None:
         kernel = kernel_from_spec(kernel)
-    return OperatorTuple(mats, weights, labels, bound, kernel)
+    t = OperatorTuple(mats, weights, labels, bound, kernel)
+    if bound is not None:
+        _check_nilpotent(t)
+    return t
+
+
+def _check_nilpotent(t: OperatorTuple) -> None:
+    """ValueError naming ``nilpotency_bound`` unless T^alpha vanishes for every |alpha| = bound + 1.
+
+    The powers come from ``t.mats``, since ``power`` returns zero above the
+    bound. Exact powers must be exactly zero; float entries may reach
+    commutation_tol * max(1, max ||T_i||)^(bound + 1).
+    """
+    bound = t.nilpotency_bound
+    tol = t.commutation_tol * max(1.0, max(spectral_norm(m) for m in t.mats)) ** (bound + 1)
+    powers: dict = {}
+    for alpha in enumerate_up_to_degree(t.num_vars, bound + 1):
+        i = next((j for j, a in enumerate(alpha) if a > 0), None)
+        p = powers[alpha] = t.identity() if i is None else t.mats[i] @ powers[subtract_unit(alpha, i)]
+        if degree(alpha) > bound and not (is_exactly_zero(p) if t.exact else max_abs(p) <= tol):
+            raise ValueError(f"tuple spec field 'nilpotency_bound': T^{alpha} is not zero, so {bound} is no bound")
 
 
 def _spec_field(spec: dict, name: str, read):

@@ -429,8 +429,7 @@ def run_alignment_check(seed: int = 0, samples: int = 30) -> CheckResult:
         cfd2 = build_charfn(dd_dir, fac_dir, support_cap=14, constant_cap=14)
         rng = config_rng(seed, "alignment")
         points = sample_points(rng, samples, dim, 0.5)
-        dil = build_dilation(dd_da, 4)
-        alignment = align_factorizations(cfd1, cfd2, points, source_degree=18, dil=dil)
+        alignment = align_factorizations(cfd1, cfd2, points, source_degree=18)
         residual = max(alignment.gram_residual, alignment.reference_residual)
         rec.checks.append(_check("alignment_two_factorizations", residual, TOL_COMPOSITE))
     return rec.results()[0]

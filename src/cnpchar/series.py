@@ -20,8 +20,10 @@ class of kernels, and the multi-index lifts
 
     a_alpha = a_|alpha| * multinomial(alpha),   b_alpha likewise
 
-are the coefficients appearing in every operator series; a label set lifts
-them all at once (``multiindex.BlockSpace.lift``). Products of two
+are the coefficients appearing in every operator series. Computations
+over labels read them from ``multiindex.BlockSpace.lift``: exact, or the
+float view's lift float(c_n) * multinomial(alpha). ``RealSeries.coeff`` is
+the scalar definition that lift is tested against. Products of two
 kernels correspond exactly to Cauchy products of the one-variable
 sequences, which is what makes the one-variable calculus sufficient.
 """
@@ -141,11 +143,6 @@ class KernelSeries(RealSeries):
             inv.append(-sum(a[i] * inv[n - i] for i in range(1, n + 1)))
         b = [0 * inv[0]] + [-c for c in inv[1:]]
         return RealSeries(back(b), self.dim)
-
-    def monomial_norm_sq(self, alpha: MultiIndex):
-        """Squared norm of z^alpha in the kernel's space: 1 / a_alpha."""
-        a = self.coeff(alpha)
-        return Fraction(1, 1) / a if _is_exact(a) else 1.0 / a
 
     def evaluate(self, z: Sequence, w: Sequence, truncated: bool = False) -> KernelValue:
         """Partial sum of the kernel at a pair of points inside the ball, or pairwise along two stacks.

@@ -705,15 +705,13 @@ class TestAlignment:
         rng = np.random.default_rng(23)
         out = align_factorizations(cfd1, cfd1, sample_points(rng, 10, 1), source_degree=16)
         assert out.gram_residual == 0.0
+        assert out.reference_residual < 1e-8
         assert out.idempotency_residual < 1e-6
 
     def test_distinct_factors_share_grams(self, two_factorizations):
         t, k, cfd1, cfd2 = two_factorizations
         rng = np.random.default_rng(29)
-        dil = build_dilation(cfd1.defect, 4)
-        out = align_factorizations(
-            cfd1, cfd2, sample_points(rng, 30, 1), source_degree=18, dil=dil
-        )
+        out = align_factorizations(cfd1, cfd2, sample_points(rng, 30, 1), source_degree=18)
         assert out.gram_residual < 1e-8
         assert out.reference_residual < 1e-8
         assert out.map_residual < 1e-4

@@ -303,6 +303,8 @@ class TestCharFnCommands:
             ("basis_labels", 5),
             ("basis_labels", [[-1]]),
             ("basis_labels", [[0, 0]]),
+            # T = 0.5 is not nilpotent of degree 0: no truncated sum may stop there
+            ("nilpotency_bound", 0),
         ],
     )
     def test_malformed_optional_field_exits_two(self, specs, tmp_path, capsys, field, value):

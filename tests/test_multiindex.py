@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +127,11 @@ def test_lifted_series_products_match_convolution(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["bergman", "dirichlet", "da*dirichlet"])
 def test_block_space_lift_matches_coeff(d, kind):
-    """EXACT lifts equal coeff exactly; FLOAT lifts equal float(coeff) bit for bit."""
+    """EXACT lifts equal coeff exactly, type included; FLOAT lifts equal the float view's coeff bit for bit.
+
+    The float view's lift float(c_n) * multinomial(gamma) is within one ulp
+    of the float of the exact lift, and equal to it when c_n is integral.
+    """
     kernel = {
         "bergman": bergman_kernel(2, d, 12),
         "dirichlet": dirichlet_kernel(d, 12),
@@ -134,10 +140,52 @@ def test_block_space_lift_matches_coeff(d, kind):
     space = BlockSpace(enumerate_up_to_degree(d, 12), 2)
     for series in (kernel, kernel.b):
         exact = [series.coeff(lab) for lab in space.labels]
-        assert list(space.lift(series, EXACT)) == exact
-        assert [x.hex() for x in space.lift(series, FLOAT)] == [float(c).hex() for c in exact]
+        lifted = space.lift(series, EXACT)
+        assert list(lifted) == exact and [type(x) for x in lifted] == [type(c) for c in exact]
+        floats = space.lift(series, FLOAT)
+        assert floats.dtype == float
+        assert [x.hex() for x in floats] == [series.floats.coeff(lab).hex() for lab in space.labels]
+        rounded = np.array([float(c) for c in exact])
+        assert np.all(np.abs(floats - rounded) <= np.spacing(np.abs(rounded)))
+        if kind == "bergman":
+            assert np.array_equal(floats, rounded)
     point = [0.3 + 0.1j, -0.2, 0.1j][:d]
     assert list(space.monomials(point)) == [monomial_value(point, lab) for lab in space.labels]
+
+
+def test_block_space_lift_rejects_other_dimensions_and_deep_labels():
+    k = dirichlet_kernel(2, 4)
+    for scalars in (EXACT, FLOAT):
+        with pytest.raises(ValueError, match="dimension 3 != 2"):
+            BlockSpace([(1, 0, 0)], 1).lift(k, scalars)
+        with pytest.raises(ValueError, match="degree 5 beyond truncation 4"):
+            BlockSpace(enumerate_up_to_degree(2, 5), 1).lift(k, scalars)
+        assert len(BlockSpace([], 1).lift(k, scalars)) == 0
+        assert len(BlockSpace(enumerate_up_to_degree(2, 4), 1).lift(k, scalars)) == 15
+
+
+def test_only_the_lift_reads_series_coefficients_by_label():
+    """In src/cnpchar only series.py and multiindex.py read ``.floats`` or call ``.coeff(``.
+
+    Every other module takes a series' coefficients over labels from
+    ``BlockSpace.lift``, so there is one float definition of the lift. The
+    sweep's exact per-label walk, ``operators.quadratic_form_certificate``,
+    is the one exception.
+    """
+    src = Path(__file__).parents[1] / "src" / "cnpchar"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("series.py", "multiindex.py"):
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if path.name == "operators.py" and getattr(top, "name", None) == "quadratic_form_certificate":
+                continue
+            for node in ast.walk(top):
+                reads_floats = isinstance(node, ast.Attribute) and node.attr == "floats"
+                calls_coeff = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "coeff"
+                if reads_floats or calls_coeff:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

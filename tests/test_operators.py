@@ -389,7 +389,7 @@ def _dense_certificate_reference(kernel, form_kernel, base_degree, vectors, wind
                 i = next(j for j, a in enumerate(alpha) if a > 0)
                 w = adjoints[i] @ lowered[subtract_unit(alpha, i)]
                 next_lowered[alpha] = w
-                c = sc.coefficient(b.coeff(alpha))
+                c = b.coeff(alpha) if sc.exact else float(b.coeff(alpha))
                 value = value - c * inner(np.where(mask, w, 0 * w), w)
             lowered = next_lowered
         values.append(value / total)
@@ -399,13 +399,15 @@ def _dense_certificate_reference(kernel, form_kernel, base_degree, vectors, wind
 def _conjugated_sum_reference(t, series, middle=None, include_zero=False, degree_cap=64, stop_tol=1e-13):
     """The conjugated sum as its own loop, with an optional degree-0 term added up front.
 
+    A float tuple reads the coefficients of the series' float view.
     Returns (total, increment_norms, stop_degree, exact_stop).
     """
     n, sc, dtype = t.size, t.scalars, t.mats[0].dtype
+    lifted = series if sc.exact else series.floats
     total = sc.zeros((n, n), dtype)
     if include_zero:
         term = middle if middle is not None else t.identity()
-        total = total + sc.coefficient(series.coeff_1d(0)) * term
+        total = total + lifted.coeff_1d(0) * term
     bound = t.nilpotency_bound
     top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
     support_max = max((i for i, c in enumerate(series.coefficients) if i >= 1 and c != 0), default=0)
@@ -414,10 +416,9 @@ def _conjugated_sum_reference(t, series, middle=None, include_zero=False, degree
     for deg in range(1, loop_top + 1):
         inc = sc.zeros((n, n), dtype)
         for alpha in compositions(deg, t.num_vars):
-            c = series.coeff(alpha)
+            c = lifted.coeff(alpha)
             if c == 0:
                 continue
-            c = sc.coefficient(c)
             p = t.power(alpha)
             conj = adjoint(p, t.weights)
             inc = inc + c * (p @ middle @ conj if middle is not None else p @ conj)
@@ -436,7 +437,7 @@ def _conjugated_sum_reference(t, series, middle=None, include_zero=False, degree
 def _operator_series_reference(t, series, point, degree_cap=64, stop_tol=1e-13):
     """The operator series as its own loop over every degree up to the cap."""
     sc = t.scalars.at(point)
-    series = sc.series(series)
+    series = series if sc.exact else series.floats
     n = t.size
     total = sc.zeros((n, n), complex)
     bound = t.nilpotency_bound
@@ -510,6 +511,15 @@ class TestGradedWalker:
         t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
         _assert_walker_matches_references(t, k, [[Fraction(1, 2)], [Fraction(-2, 3)]])
 
+    def test_float_model_with_non_integral_coefficients(self):
+        """DA*Dirichlet in d = 2: the float lifts are the float view's, one ulp off the float of the exact lift."""
+        k = cauchy_product(drury_arveson_kernel(2, 12), dirichlet_kernel(2, 12))
+        # from degree 5 on, some lifts of k and b differ from the float of the exact lift
+        t = model_tuple(k, 2, 6, mode="float")
+        tc = random_coinvariant_compression(t, np.random.default_rng(7))
+        for ops in (t, tc):
+            _assert_walker_matches_references(ops, k, [np.array([0.2 - 0.3j, 0.1j]), np.array([0.3, -0.2])])
+
     @pytest.mark.parametrize("truncation", [40, 80])
     @pytest.mark.parametrize("kernel", [szego_kernel, dirichlet_kernel])
     def test_non_nilpotent_scalar(self, kernel, truncation):
@@ -564,6 +574,26 @@ class TestSerialization:
             tuple_from_spec({"matrices": [[[0.0]]]})
         with pytest.raises(ValueError):
             tuple_from_spec({"mode": "nope", "matrices": [[[0.0]]]})
+
+    def test_nilpotency_bound_is_checked(self):
+        """T^alpha at every |alpha| = bound + 1 must vanish: exactly for exact tuples, to rounding for float ones."""
+        from cnpchar.operators import tuple_from_spec, tuple_to_spec
+
+        k = bergman_kernel(2, 2, 12)
+        for mode in ("exact", "float"):
+            spec = tuple_to_spec(model_tuple(k, 2, 2, mode=mode))
+            assert tuple_from_spec(spec).nilpotency_bound == 2
+            with pytest.raises(ValueError, match="^tuple spec field 'nilpotency_bound': T\\^\\(2, 0\\) is not zero"):
+                tuple_from_spec({**spec, "nilpotency_bound": 1})
+        # a co-invariant compression of a model tuple: its powers at bound + 1 are rounding dust
+        tc = random_coinvariant_compression(model_tuple(k, 2, 3, mode="float"), np.random.default_rng(3), 2)
+        back = tuple_from_spec(tuple_to_spec(tc))
+        assert back.nilpotency_bound == tc.nilpotency_bound == 3
+        dust = max(max_abs(back.mats[i] @ back.mats[j] @ back.mats[0] @ back.mats[0]) for i in (0, 1) for j in (0, 1))
+        assert 0 < dust < 1e-12
+        assert tuple_from_spec({"mode": "exact", "matrices": [[[0, 0], [1, 0]]], "nilpotency_bound": 1}).size == 2
+        with pytest.raises(ValueError, match="nilpotency_bound"):
+            tuple_from_spec({"mode": "exact", "matrices": [[["1/2"]]], "nilpotency_bound": 3})
 
 
 class TestPickFactorPurityExact:

@@ -5,9 +5,11 @@ For the 1 x 1 tuple T_i = [[lambda_i]] the pointwise identity of theta reads
     theta(z) theta(w)^* = (k(z,w) - k(z,lambda) k(lambda,w) / k(lambda,lambda)) / s(z,w)
 
 for every kernel k with a CNP factor s. Here k and s are summed in closed
-form, (1 - <z,w>)^(-m), not from their truncated series, and theta comes from
-its Taylor coefficients at kernel truncation 64 and caps 40. A complex
-point also checks that no step of the construction drops imaginary parts.
+form as functions of t = <z,w>: (1 - t)^(-m) for Bergman m, -log(1 - t)/t
+for Dirichlet and their product for DA*Dirichlet, not from their truncated
+series; theta comes from its Taylor coefficients at kernel truncation 64 and
+caps 40. A complex point also checks that no step of the construction drops
+imaginary parts.
 """
 
 import numpy as np
@@ -22,7 +24,14 @@ from cnpchar.charfn import (
 )
 from cnpchar.dilation import build_dilation
 from cnpchar.operators import OperatorTuple, defect_data
-from cnpchar.series import bergman_kernel, drury_arveson_kernel, factor_through_pick, szego_kernel
+from cnpchar.series import (
+    bergman_kernel,
+    cauchy_product,
+    dirichlet_kernel,
+    drury_arveson_kernel,
+    factor_through_pick,
+    szego_kernel,
+)
 
 N, CAP, TOL = 64, 40, 1e-12
 
@@ -55,25 +64,57 @@ def bergman3():
     return bergman_kernel(3, 1, N)
 
 
-# name -> (kernel k = (1 - t)^(-m), CNP factor s = (1 - t)^(-1), m, lambda)
+def dirichlet1():
+    return dirichlet_kernel(1, N)
+
+
+def dadir1():
+    return cauchy_product(da1(), dirichlet1())
+
+
+def dadir2():
+    return cauchy_product(da2(), dirichlet_kernel(2, N))
+
+
+def power(m):
+    """t -> (1 - t)^(-m)."""
+    return lambda t: (1 - t) ** (-m)
+
+
+def dirichlet_sum(t):
+    """-log(1 - t)/t; every t these tests pass has |t| > 0.01, where the quotient loses little to cancellation."""
+    return -np.log(1 - t) / t
+
+
+def dadir_sum(t):
+    return dirichlet_sum(t) / (1 - t)
+
+
+# name -> (kernel k, CNP factor s, k and s summed in closed form, lambda)
 CASES = {
-    "szego_half": (szego, szego, 1, [0.5]),
-    "szego_complex": (szego, szego, 1, [0.3 + 0.4j]),
-    "da2_real": (da2, da2, 1, [0.3, 0.4]),
-    "da2_complex": (da2, da2, 1, [0.3j, 0.4 - 0.1j]),
+    "szego_half": (szego, szego, power(1), power(1), [0.5]),
+    "szego_complex": (szego, szego, power(1), power(1), [0.3 + 0.4j]),
+    "da2_real": (da2, da2, power(1), power(1), [0.3, 0.4]),
+    "da2_complex": (da2, da2, power(1), power(1), [0.3j, 0.4 - 0.1j]),
     # a real T_1 beside a complex T_2
-    "da2_mixed": (da2, da2, 1, [0.3, 0.4j]),
-    "bergman2_szego_half": (bergman2, szego, 2, [0.5]),
-    "da3_real": (da3, da3, 1, [0.3, -0.2, 0.4]),
-    "da3_complex": (da3, da3, 1, [0.3j, 0.2 - 0.1j, -0.4]),
-    "bergman2_da2": (bergman2_d2, da2, 2, [0.3, 0.4]),
-    "bergman3_da1_half": (bergman3, da1, 3, [0.5]),
+    "da2_mixed": (da2, da2, power(1), power(1), [0.3, 0.4j]),
+    "bergman2_szego_half": (bergman2, szego, power(2), power(1), [0.5]),
+    "da3_real": (da3, da3, power(1), power(1), [0.3, -0.2, 0.4]),
+    "da3_complex": (da3, da3, power(1), power(1), [0.3j, 0.2 - 0.1j, -0.4]),
+    "bergman2_da2": (bergman2_d2, da2, power(2), power(1), [0.3, 0.4]),
+    "bergman2_da2_complex": (bergman2_d2, da2, power(2), power(1), [0.3j, 0.4 - 0.1j]),
+    "bergman3_da1_half": (bergman3, da1, power(3), power(1), [0.5]),
+    "dadir_da1_half": (dadir1, da1, dadir_sum, power(1), [0.5]),
+    "dadir_da1_complex": (dadir1, da1, dadir_sum, power(1), [0.3 + 0.4j]),
+    "dadir_da2_real": (dadir2, da2, dadir_sum, power(1), [0.3, 0.4]),
+    "dadir_dir1_half": (dadir1, dirichlet1, dadir_sum, dirichlet_sum, [0.5]),
+    "dadir_dir1_complex": (dadir1, dirichlet1, dadir_sum, dirichlet_sum, [0.3 + 0.4j]),
 }
 
 
-def power_kernel(m, z, w):
-    """(1 - <z, w>)^(-m), with <z, w> = sum z_i conj(w_i)."""
-    return (1 - np.vdot(w, z)) ** (-m)
+def inner(z, w):
+    """<z, w> = sum z_i conj(w_i)."""
+    return np.vdot(w, z)
 
 
 def scalar_point(mats, k, s):
@@ -84,13 +125,13 @@ def scalar_point(mats, k, s):
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def case(request):
-    kernel, pick, m, lam = CASES[request.param]
+    kernel, pick, k_sum, s_sum, lam = CASES[request.param]
     dd, cfd = scalar_point([[[x]] for x in lam], kernel(), pick())
-    return dd, cfd, m, np.array(lam)
+    return dd, cfd, k_sum, s_sum, np.array(lam)
 
 
 def test_pointwise_identity_closed_form(case):
-    _, cfd, m, lam = case
+    _, cfd, k_sum, s_sum, lam = case
     rng = np.random.default_rng(0)
     d = len(lam)
 
@@ -100,14 +141,14 @@ def test_pointwise_identity_closed_form(case):
 
     zs, ws = points(), points()
     for z, w, tz, tw in zip(zs, ws, theta_taylor_at(cfd, zs), theta_taylor_at(cfd, ws)):
-        k_zl = power_kernel(m, z, lam) * power_kernel(m, lam, w) / power_kernel(m, lam, lam)
-        expected = (power_kernel(m, z, w) - k_zl) / power_kernel(1, z, w)
+        k_zl = k_sum(inner(z, lam)) * k_sum(inner(lam, w)) / k_sum(inner(lam, lam))
+        expected = (k_sum(inner(z, w)) - k_zl) / s_sum(inner(z, w))
         assert (tz @ tw.conj().T).shape == (1, 1)
         assert abs((tz @ tw.conj().T)[0, 0] - expected) <= TOL
 
 
 def test_dilation_isometry_and_block_unitarity(case):
-    dd, cfd, _, _ = case
+    dd, cfd = case[:2]
     assert build_dilation(dd, CAP).isometry_residual <= TOL
     assert cfd.diagnostics["unitary_gram"] <= TOL
     assert cfd.diagnostics["unitary_cogram"] <= TOL

@@ -411,10 +411,6 @@ class TestLifts:
         with pytest.raises(ValueError, match="beyond truncation"):
             k.coeff((3, 2))
 
-    def test_monomial_norms(self):
-        k = bergman_kernel(2, 2, 10)
-        assert k.monomial_norm_sq((1, 1)) == Fraction(1, k.coeff((1, 1)))
-
 
 class TestBergmanKernels:
     def test_m_one_is_drury_arveson(self):
