@@ -64,7 +64,7 @@ print(np.asarray(mult.gram, dtype=float))
 print("dense M:")
 print(np.asarray(mult.matrix, dtype=float))
 fr = factorization_residual(cfd, dil, mult)
-print("V V* + M M* - I: restricted", fr.restricted, "unrestricted", fr.unrestricted,
+print(f"V V* + M M* - I up to degree {fr.restricted_degree}:", fr.restricted,
       "(exact:", fr.restricted_exact, ")")
 
 # z^2 is inner: the whole (one-dimensional) constant space is isometric and

@@ -42,7 +42,8 @@ points = sample_points(np.random.default_rng(0), 20, dim=1, scale=0.5)
 out = align_factorizations(cfd_da, cfd_dir, points, source_degree=18)
 print("gram residual between the two factorizations:", out.gram_residual)
 print("agreement with the I - V V* compression:", out.reference_residual)
-print("correspondence maps family 1 to family 2 up to:", out.map_residual)
+# By Douglas' lemma, equal Grams give a partial isometry that maps the first
+# family onto the second: the two multipliers factor the same projection.
 
 # Coincidence: conjugating the tuple by an orthogonal matrix produces Taylor
 # coefficients that match up to constant unitaries on both sides...

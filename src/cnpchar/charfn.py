@@ -25,8 +25,7 @@ All row/column index sets are materialized on finite degree windows. For
 nilpotent tuples the windowed Taylor coefficients on the retained domain
 columns equal the true ones exactly; windowing only removes domain columns,
 whose contributions live at target degrees above the window. The
-factorization residual is therefore reported both restricted to the exact
-degree range and unrestricted.
+factorization residual is therefore measured on the exact degree range only.
 """
 
 from __future__ import annotations
@@ -579,17 +578,16 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
 
 @dataclass(frozen=True)
 class FactorizationResidual:
-    """|| V V^* + M_theta M_theta^* - I || on the target window, and || M_theta ||.
+    """|| V V^* + M_theta M_theta^* - I || on the exact degree range, and || M_theta ||.
 
-    ``restricted`` is measured on the degree range where the finite windows
-    represent the infinite objects with no discarded mass; ``unrestricted``
-    covers the whole window and is generally nonzero for truncation reasons
-    alone. ``multiplier_norm`` is the norm of the windowed multiplier, read
-    as sqrt(lambda_max(M_theta M_theta^*)) from the same Gram.
+    ``restricted`` is measured on the labels of degree <= ``restricted_degree``,
+    where the finite windows represent the infinite objects with no discarded
+    mass; beyond it the windowed identity can fail for truncation reasons alone.
+    ``multiplier_norm`` is the norm of the windowed multiplier, read as
+    sqrt(lambda_max(M_theta M_theta^*)) from the Gram.
     """
 
     restricted: float
-    unrestricted: float
     restricted_degree: int
     restricted_exact: bool
     multiplier_norm: float
@@ -598,15 +596,13 @@ class FactorizationResidual:
 def factorization_residual(
     cfd: CharFnData, dil: DilationData, mult: MultiplierMatrix
 ) -> FactorizationResidual:
-    """V V^* + M_theta M_theta^* - I on the window, with M_theta M_theta^* read from ``mult.gram``.
+    """V V^* + M_theta M_theta^* - I on the exact degree range, M_theta M_theta^* read from ``mult.gram``.
 
     ``mult`` must be built on ``dil``'s window. No dense M_theta is formed.
     """
     window = dil.window
     if mult.window is not window:
         raise ValueError("dilation and multiplier windows do not match")
-    v = dil.matrix
-    total = v @ v.conj().T + mult.gram - window.scalars.eye(window.dim)
     restricted_degree = min(
         mult.source_degree,
         window.max_degree - mult.taylor.max_degree,
@@ -614,11 +610,11 @@ def factorization_residual(
         cfd.constant_cap,
     )
     mask = window.degree_mask(restricted_degree)
-    sub = np.asarray(total)[np.ix_(mask, mask)]
+    v = dil.matrix[mask]
+    sub = v @ v.conj().T + mult.gram[np.ix_(mask, mask)] - window.scalars.eye(v.shape[0])
     exact_zero = bool(window.scalars.exact and is_exactly_zero(sub))
     return FactorizationResidual(
         restricted=spectral_norm(sub),
-        unrestricted=spectral_norm(np.asarray(total)),
         restricted_degree=restricted_degree,
         restricted_exact=exact_zero,
         multiplier_norm=math.sqrt(spectral_norm(mult.gram)),
@@ -687,16 +683,14 @@ class AlignmentData:
     """Alignment of the multipliers of two CNP factorizations of one kernel.
 
     The Gram matrices of the families s_{i,z} (x) theta_i(z)^* eta must agree
-    (both equal the compression of I - V V^*); ``correspondence`` is the
-    partial isometry matching the two sampled families, computed from the
-    common Gram factorization. ``reference_residual`` is the larger gap of
-    the two Grams to the closed form of that compression.
+    (both equal the compression of I - V V^*); ``gram_residual`` is their
+    largest entrywise gap. By Douglas' lemma equal Grams give the partial
+    isometry that maps one sampled family onto the other, so no map is formed.
+    ``reference_residual`` is the larger gap of the two Grams to the closed
+    form of that compression.
     """
 
     gram_residual: float
-    correspondence: np.ndarray
-    map_residual: float
-    idempotency_residual: float
     reference_residual: float
 
 
@@ -750,19 +744,7 @@ def align_factorizations(
     blocks = k_val[:, :, None, None] * np.eye(r) - series.conj().swapaxes(-1, -2)[:, None] @ series[None, :]
     gram_ref = blocks.transpose(0, 2, 1, 3).reshape(m * r, m * r)
     reference = max(max_abs(gram1 - gram_ref), max_abs(gram2 - gram_ref))
-    # common Gram factorization: orthonormalize both families against the
-    # shared Gram, then match the orthonormal frames
-    gram = (gram1 + gram2) / 2
-    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    keep = vals > 1e-8 * max(1.0, float(vals.max(initial=0.0)))
-    whiten = vecs[:, keep] / np.sqrt(vals[keep])
-    frame1 = fam1 @ whiten
-    frame2 = fam2 @ whiten
-    correspondence = frame2 @ frame1.conj().T
-    map_residual = max_abs(correspondence @ fam1 - fam2)
-    p = correspondence.conj().T @ correspondence
-    idem = max_abs(p @ p - p)
-    return AlignmentData(gram_residual, correspondence, map_residual, idem, reference)
+    return AlignmentData(gram_residual, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -251,6 +252,10 @@ def _configuration_from_args(args) -> Configuration:
     elif args.d < 1 or args.model_degree < 0:
         raise InputError("--d must be >= 1 and --model-degree >= 0")
     kernel = _load_kernel(args.kernel, args.N)
+    if not args.tuple_spec and args.d != kernel.dim:
+        raise InputError(f"--d is {args.d}, the kernel dimension is {kernel.dim}")
+    if not args.tuple_spec and args.model_degree > kernel.truncation:
+        raise InputError(f"--model-degree {args.model_degree} exceeds the truncation {kernel.truncation}")
     pick = _load_kernel(args.cnp_factor, args.N)
     try:
         fac = factor_through_pick(kernel, pick)
@@ -519,6 +524,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise InputError(f"--tol must be finite and > 0, got {args.tol}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

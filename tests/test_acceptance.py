@@ -201,7 +201,9 @@ def test_criterion_09_projection_partition(matrix):
         dil = build_dilation(dd, 5)
         mult = build_multiplier(cfd, dil, 3)
         fr = factorization_residual(cfd, dil, mult)
-        assert fr.restricted_exact and fr.unrestricted == 0.0
+        assert fr.restricted_exact
+        total = dil.matrix @ dil.matrix.conj().T + mult.gram - dil.window.scalars.eye(dil.window.dim)
+        assert is_exactly_zero(total)
 
 
 def test_criterion_10_impossibility_sweep():

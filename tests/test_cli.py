@@ -366,12 +366,37 @@ class TestCharFnCommands:
             ["--d", "1", "--model-degree", "-1"],
             ["--d", "1", "--model-degree", "1", "--degree-cap", "40"],
             ["--d", "1", "--model-degree", "1", "--N", "16"],
+            ["--d", "1", "--model-degree", "2", "--N", "1"],
+            ["--d", "2", "--model-degree", "1"],
         ],
-        ids=["negative_model_degree", "degree_cap_beyond_truncation", "window_beyond_truncation"],
+        ids=["negative_model_degree", "degree_cap_beyond_truncation", "window_beyond_truncation",
+             "model_degree_beyond_truncation", "dimension_other_than_the_kernel"],
     )
     def test_bad_model_flags_exit_two(self, specs, flags):
         args = ["charfn", "verify", "--kernel", specs["bergman_m2"], "--cnp-factor", specs["k1"]]
         assert main(args + flags) == 2
+
+
+class TestCommonFlags:
+    SZEGO = str(Path(__file__).parent / "specs" / "szego_d1.json")
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0"]],
+        ids=["negative_seed", "nan_tol", "inf_tol", "negative_tol", "zero_tol"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--configs", "jordan"],
+            ["charfn", "verify", "--preset", "jordan"],
+            ["kernel", "factor", "--spec", SZEGO, "--cnp-factor", SZEGO],
+        ],
+        ids=["suite", "charfn", "kernel_factor"],
+    )
+    def test_out_of_range_exits_two(self, argv, flag, capsys):
+        assert main(argv + flag) == 2
+        assert f"{flag[0]} must be" in capsys.readouterr().err
 
 
 class TestImpossibility:
@@ -521,3 +546,44 @@ class TestFuzzTupleSpecs:
                 code = main(argv + ["--mode", mode, "--N", "24", "--degree-cap", "4"])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+class TestFuzzCharfnFlags:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["build", "verify"]),
+        preset=st.sampled_from(["jordan", "two_cells", None]),
+        d=st.one_of(st.none(), st.integers(-1, 3)),
+        model_degree=st.one_of(st.none(), st.integers(-1, 2)),
+        degree_cap=st.one_of(st.none(), st.integers(-1, 8)),
+        truncation=st.one_of(st.none(), st.integers(-1, 16)),
+        tol=st.one_of(st.none(), st.sampled_from(["1e-8", "1e-30", "0.5", "0", "-1", "nan", "inf"])),
+        seed=st.one_of(st.none(), st.integers(-2, 3)),
+    )
+    def test_exit_code_and_no_traceback(self, command, preset, d, model_degree, degree_cap, truncation, tol, seed):
+        """Generated ``charfn`` flags end in exit 0, 1 or 2, never in a traceback.
+
+        Without a preset the run builds the model tuple of the Szego kernel in
+        d = 1 from ``--d`` and ``--model-degree``. A negative seed, a tolerance
+        that is not finite and > 0, and a dimension other than 1 exit 2.
+        """
+        if preset is None:
+            kernel = str(Path(__file__).parent / "specs" / "szego_d1.json")
+            argv = ["charfn", command, "--kernel", kernel, "--cnp-factor", kernel]
+        else:
+            argv = ["charfn", command, "--preset", preset]
+        for flag, value in (
+            ("--d", d), ("--model-degree", model_degree), ("--degree-cap", degree_cap),
+            ("--N", truncation), ("--tol", tol), ("--seed", seed),
+        ):
+            if value is not None:
+                argv += [flag, str(value)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if (seed is not None and seed < 0) or tol in ("0", "-1", "nan", "inf"):
+            assert code == 2
+        if preset is None and d != 1:
+            assert code == 2
