@@ -83,19 +83,22 @@ def spectral_norm(a: np.ndarray) -> float:
     """The operator 2-norm of a matrix, or the largest over a stack of matrices.
 
     Each matrix takes max |eigenvalue| when it is exactly Hermitian, else its
-    top singular value.
+    top singular value. A stack runs one batched ``eigvalsh`` over its
+    Hermitian matrices and one batched ``svd`` over the others; a stack of
+    one kind is passed to LAPACK as it is, without a copy.
     """
     if a.size == 0:
         return 0.0
     stack = to_float_array(a).reshape(-1, *a.shape[-2:])
     herm = a.shape[-1] == a.shape[-2] and np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
     if np.all(herm):
-        norms = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
-    elif not np.any(herm):
-        norms = np.linalg.svd(stack, compute_uv=False).max(axis=-1)
-    else:
-        return max(spectral_norm(m) for m in stack)
-    return float(norms.max())
+        return float(np.abs(np.linalg.eigvalsh(stack)).max())
+    if not np.any(herm):
+        return float(np.linalg.svd(stack, compute_uv=False).max())
+    return max(
+        float(np.abs(np.linalg.eigvalsh(stack[herm])).max()),
+        float(np.linalg.svd(stack[~herm], compute_uv=False).max()),
+    )
 
 
 def is_exactly_zero(a: np.ndarray) -> bool:

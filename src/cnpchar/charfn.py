@@ -808,19 +808,23 @@ def coincidence_residual(
         coeffs = to_float_array(cfd.taylor.coefficients)
         out = np.zeros((len(space.labels), r, dom), dtype=coeffs.dtype)
         out[[space.index[g] for g in cfd.taylor]] = coeffs
-        return list(np.sqrt(1.0 / space.lift(cfd.kernel))[:, None, None] * out)
+        return np.sqrt(1.0 / space.lift(cfd.kernel))[:, None, None] * out
 
     stack_a, stack_b = stack(cfd_a), stack(cfd_b)
     scale = max(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in stack_a)), 1e-30)
 
+    def label_sum(products):
+        # sum over the labels in order, from 0, as the scalar sum adds them
+        return np.add.accumulate(np.concatenate([np.zeros_like(products[:1]), products]), axis=0)[-1]
+
     def residual(u2, u1):
         total = 0.0
-        for ma, mb in zip(stack_a, stack_b):
-            total += np.linalg.norm(u2 @ ma @ u1 - mb) ** 2
+        for gap in u2 @ stack_a @ u1 - stack_b:
+            total += np.linalg.norm(gap) ** 2
         return float(np.sqrt(total)) / scale
 
     candidates = [np.eye(r)]
-    guess = sum(mb @ ma.conj().T for ma, mb in zip(stack_a, stack_b))
+    guess = label_sum(stack_b @ stack_a.conj().swapaxes(-1, -2))
     if np.linalg.norm(guess) > 1e-12:
         candidates.append(polar_orthogonal(guess))
     for _ in range(starts):
@@ -829,10 +833,8 @@ def coincidence_residual(
     for u2 in candidates:
         u1 = np.eye(dom)
         for _ in range(iterations):
-            m1 = sum((u2 @ ma).conj().T @ mb for ma, mb in zip(stack_a, stack_b))
-            u1 = polar_orthogonal(m1)
-            m2 = sum(mb @ (ma @ u1).conj().T for ma, mb in zip(stack_a, stack_b))
-            u2 = polar_orthogonal(m2)
+            u1 = polar_orthogonal(label_sum((u2 @ stack_a).conj().swapaxes(-1, -2) @ stack_b))
+            u2 = polar_orthogonal(label_sum(stack_b @ (stack_a @ u1).conj().swapaxes(-1, -2)))
             current = residual(u2, u1)
             if current < best:
                 best = current

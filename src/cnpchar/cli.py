@@ -235,8 +235,17 @@ def cmd_kernel(args) -> int:
 # charfn subcommands
 
 
+def _refuse_flags(args, source: str, flags: dict) -> None:
+    """InputError naming each of ``flags`` (flag -> attribute) that was given: ``source`` fixes what it sets."""
+    given = [flag for flag, attr in flags.items() if getattr(args, attr) is not None]
+    if given:
+        raise InputError(f"{', '.join(given)} cannot be combined with {source}")
+
+
 def _configuration_from_args(args) -> Configuration:
+    model_flags = {"--d": "d", "--model-degree": "model_degree"}
     if args.preset:
+        _refuse_flags(args, "--preset", {"--N": "N", "--degree-cap": "degree_cap", **model_flags})
         try:
             config = presets.configuration(args.preset)
         except ValueError as exc:
@@ -245,7 +254,8 @@ def _configuration_from_args(args) -> Configuration:
     if args.tuple_spec:
         if not (args.kernel and args.cnp_factor):
             raise InputError("--tuple needs --kernel and --cnp-factor")
-    elif not (args.kernel and args.cnp_factor and args.d and args.model_degree is not None):
+        _refuse_flags(args, "--tuple", model_flags)
+    elif not (args.kernel and args.cnp_factor and args.d is not None and args.model_degree is not None):
         raise InputError(
             "either --preset, --tuple, or all of --kernel/--cnp-factor/--d/--model-degree are required"
         )

@@ -99,6 +99,31 @@ def monomial_value(point, alpha: MultiIndex):
     return out
 
 
+def _column_powers(column: Sequence, top: int, exact: bool) -> np.ndarray:
+    """The powers p**k, k = 0..top, of every p in ``column``: shape (len(column), top + 1), each its scalar ``p**k``.
+
+    Exact: an object array of the exact powers. Otherwise complex, with one
+    power call over the column per scalar type: ``np.complex128``
+    coordinates through ``np.power``, the power their scalar ``**`` runs, and
+    real ones (``float``, ``np.float64``) through ``np.float_power``, which
+    runs the libm ``pow`` of ``float.__pow__``. Any other coordinate (a
+    Python ``complex``, whose power can differ in the sign of a zero part, or
+    an int or ``Fraction`` among floats) takes its own ``**``, rounded after.
+    """
+    ks = np.arange(top + 1)
+    col = np.array(column, dtype=object).reshape(len(column), 1)
+    if exact:
+        return col**ks
+    out = np.empty((len(column), top + 1), dtype=complex)
+    cplx = np.array([type(p) is np.complex128 for p in column], dtype=bool)
+    real = np.array([type(p) in (float, np.float64) for p in column], dtype=bool)
+    other = ~(cplx | real)
+    out[cplx] = np.power(col[cplx].astype(complex), ks)
+    out[real] = np.float_power(col[real].astype(float), ks)
+    out[other] = (col[other] ** ks).astype(complex)
+    return out
+
+
 class BlockSpace:
     """A direct sum of identical blocks of size ``block_dim``, one per multi-index label.
 
@@ -156,9 +181,10 @@ class BlockSpace:
         """point^gamma for every label, at a (d,) point or a (P, d) stack: shape (L,) or (P, L).
 
         An object array when every coordinate of every point is rational, else
-        complex, equal to ``monomial_value`` entry by entry: each coordinate's
-        powers are the scalar ``p**k``, and the products over coordinates are
-        written in real arithmetic (see ``complex_array``).
+        complex, equal to ``monomial_value`` entry by entry. Each coordinate's
+        powers come from its column of points (``_column_powers``), each entry
+        with the powers of its own scalar type, and the products over
+        coordinates are written in real arithmetic (see ``complex_array``).
         """
         pts, single = point_stack(points)
         if self.labels:
@@ -166,20 +192,16 @@ class BlockSpace:
         else:
             exps = np.zeros((len(pts[0]) if pts else 0, 0), dtype=int)
         exact = EXACT.at(pts).exact
-
-        def powers(j):
-            top = int(exps[j].max(initial=0))
-            table = [[pt[j] ** k for k in range(top + 1)] for pt in pts]
-            return np.array(table, dtype=object if exact else complex).reshape(len(pts), top + 1)[:, exps[j]]
-
+        columns = [
+            _column_powers([pt[j] for pt in pts], int(e.max(initial=0)), exact)[:, e] for j, e in enumerate(exps)
+        ]
         if exact:
             out = np.ones((len(pts), len(self.labels)), dtype=int).astype(object)
-            for j in range(len(exps)):
-                out = out * powers(j)
+            for x in columns:
+                out = out * x
         else:
             re, im = np.ones((len(pts), len(self.labels))), np.zeros((len(pts), len(self.labels)))
-            for j in range(len(exps)):
-                x = powers(j)
+            for x in columns:
                 re, im = re * x.real - im * x.imag, re * x.imag + im * x.real
             out = complex_array(re, im)
         return out[0] if single else out

@@ -272,13 +272,19 @@ class _Recorder:
 
 
 def sample_points(rng: np.random.Generator, count: int, dim: int, scale: float = 0.5):
-    """Complex points in the ball of radius ``scale``, seeded."""
-    pts = []
-    for _ in range(count):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v = v / np.linalg.norm(v) * scale * rng.uniform(0.3, 1.0)
-        pts.append(v)
-    return pts
+    """Complex points in the ball of radius ``scale``, seeded.
+
+    Each point draws its 2 dim normals (the real parts, then the imaginary
+    parts) and then its radius factor in [0.3, 1). The scaling v / |v| *
+    scale * factor runs once over the stack, with |v| formed as
+    ``np.linalg.norm`` forms it: a BLAS dot of the real parts plus one of the
+    imaginary parts, each a (1, dim) @ (dim, 1) product.
+    """
+    draws = [(rng.standard_normal(2 * dim), rng.uniform(0.3, 1.0)) for _ in range(count)]
+    x = np.array([normals for normals, _ in draws]).reshape(count, 2 * dim)
+    v = x[:, :dim] + 1j * x[:, dim:]
+    sq = v.real[:, None, :] @ v.real[:, :, None] + v.imag[:, None, :] @ v.imag[:, :, None]
+    return list(v / np.sqrt(sq[:, 0]) * scale * np.array([factor for _, factor in draws])[:, None])
 
 
 def config_rng(seed: int, name: str) -> np.random.Generator:

@@ -5,10 +5,10 @@ its truncated coefficient sequence. Two scalar backends coexist: exact
 ``fractions.Fraction`` entries (default for the built-in kernels, so that
 every coefficient identity can be asserted exactly) and plain floats. Float
 paths read a series' float view (``floats``, built once per series), so
-they do no ``Fraction`` arithmetic. Exact sequences whose entries are all
-integral (the Bergman, Drury-Arveson and Szego kernels) are multiplied,
-divided and inverted over Python ints and converted back to ``Fraction``
-once.
+they do no ``Fraction`` arithmetic. Exact sequences are multiplied,
+divided and inverted over Python ints, each scaled by its common
+denominator (1 for the Bergman, Drury-Arveson and Szego kernels), with one
+``Fraction`` normalization per coefficient.
 
 The signed sequence b_n defined by
 
@@ -134,10 +134,14 @@ class KernelSeries(RealSeries):
         """The sequence b with sum_{n>=1} b_n t^n = 1 - 1/k, stored as b_0 = 0, b_1, ...
 
         Computed on first use from the coefficients c of 1/k (c_0 = 1,
-        c_n = -sum_{i=1}^{n} a_i c_{n-i}, b_n = -c_n), exactly in rational mode.
+        c_n = -sum_{i=1}^{n} a_i c_{n-i}, b_n = -c_n), exactly in rational mode:
+        over ints, or as the quotient (k - 1) / k (``_divide``) when the
+        coefficients are Fractions over a common denominator above 1.
         Not a field, so equality, hashing and repr ignore it.
         """
         (a,), back = _over_ints(self.coefficients)
+        if a[0] != 1:
+            return RealSeries(_divide((Fraction(0),) + self.coefficients[1:], self.coefficients), self.dim)
         inv = [a[0] ** 0]  # one of the right scalar type
         for n in range(1, len(a)):
             inv.append(-sum(a[i] * inv[n - i] for i in range(1, n + 1)))
@@ -163,7 +167,7 @@ class KernelSeries(RealSeries):
             raise ValueError("point stacks differ in length")
         if any(len(p) != self.dim for p in zs + ws):
             raise ValueError("point dimension mismatch")
-        if any(_norm_sq(p) >= 1 for p in zs + ws):
+        if zs and _norms_sq(zs + ws).max() >= 1:
             raise ValueError("point on or outside the unit sphere")
         t = _inner_products(zs, ws)
         coeffs = self.coefficients if t.dtype == object else self.floats.coefficients
@@ -179,21 +183,27 @@ class KernelSeries(RealSeries):
         if truncated:
             tail = np.zeros(len(t))
         else:
+            # at |<z, w>| = size: |a_N| size^N r / (1 - r) with r = size * growth, inf once r >= 1
             floats = self.floats.coefficients
             growth = max(floats[n + 1] / floats[n] for n in range(self.truncation))
-            tail = np.array([self._tail(abs(complex(x)), growth) for x in t])
+            tc = np.asarray(t, dtype=complex)
+            size = np.hypot(tc.real, tc.imag)
+            r = size * growth
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tail = abs(floats[-1]) * np.float_power(size, self.truncation) * (r / (1 - r))
+            tail = np.where(r < 1, tail, math.inf)
         return KernelValue(value[0], float(tail[0])) if single else KernelValue(value, tail)
 
-    def _tail(self, size: float, growth: float) -> float:
-        """The geometric tail estimate beyond the truncation at |<z, w>| = ``size``."""
-        r = size * growth
-        if r < 1:
-            return abs(self.floats.coefficients[-1]) * size**self.truncation * (r / (1 - r))
-        return math.inf
 
+def _norms_sq(points: list) -> np.ndarray:
+    """|p|^2 of each point of a stack, as sum(abs(complex(x)) ** 2 for x in p) gives it.
 
-def _norm_sq(point) -> float:
-    return sum(abs(complex(p)) ** 2 for p in point)
+    The moduli go through the libm ``hypot`` of ``abs(complex)``, the squares
+    through the libm ``pow`` of ``float.__pow__``, and the sum runs in
+    coordinate order.
+    """
+    x = np.array(points, dtype=complex)
+    return np.cumsum(np.float_power(np.hypot(x.real, x.imag), 2), axis=1)[:, -1]
 
 
 def _inner_products(zs: list, ws: list) -> np.ndarray:
@@ -229,17 +239,26 @@ def reciprocal_complement(k: KernelSeries) -> RealSeries:
 
 
 def _over_ints(*seqs):
-    """The sequences over Python ints when every entry is an integral ``Fraction``, and the map back.
+    """Each sequence over Python ints, times its own common denominator, when every entry is a ``Fraction``; and the map back.
 
-    Integer products and sums skip the gcd that every ``Fraction`` operation
-    takes, so a loop run over the returned sequences gives the same numbers
-    faster; the map turns its result back into a tuple of ``Fraction``. Any
-    other input (ints, floats, non-integral or mixed entries) comes back as
-    it is, with ``tuple`` as the map, so its loop runs over its own scalars.
+    Sequence j comes back as the ints c * D_j, with D_j the lcm of its
+    denominators. The map takes ints over D_1 * ... * D_k, the denominator
+    of a product of one entry from each sequence (of one entry, for a single
+    sequence, so that it inverts the scaling), to a tuple of ``Fraction``,
+    with one normalization per entry, or none when every D_j is 1. Integer
+    products and sums skip the gcd that every ``Fraction`` operation takes,
+    so a loop over the returned ints gives the same numbers faster. Any other
+    input (ints, floats, mixed entries) comes back as it is, with ``tuple``
+    as the map, so its loop runs over its own scalars.
     """
-    if all(isinstance(c, Fraction) and c.denominator == 1 for s in seqs for c in s):
-        return [[c.numerator for c in s] for s in seqs], lambda out: tuple(map(Fraction, out))
-    return seqs, tuple
+    if not all(isinstance(c, Fraction) for s in seqs for c in s):
+        return seqs, tuple
+    dens = [math.lcm(*(c.denominator for c in s)) for s in seqs]
+    ints = [[c.numerator * (d // c.denominator) for c in s] for s, d in zip(seqs, dens)]
+    den = math.prod(dens)
+    if den == 1:
+        return ints, lambda out: tuple(map(Fraction, out))
+    return ints, lambda out: tuple(Fraction(n, den) for n in out)
 
 
 def cauchy_product(p, q):
@@ -251,11 +270,38 @@ def cauchy_product(p, q):
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     n = min(len(p.coefficients), len(q.coefficients))
-    (pa, qa), back = _over_ints(p.coefficients, q.coefficients)
+    (pa, qa), back = _over_ints(p.coefficients[:n], q.coefficients[:n])
     out = back(sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(n))
     if isinstance(p, KernelSeries) and isinstance(q, KernelSeries):
         return KernelSeries(out, p.dim, p.radius_one_declared and q.radius_one_declared)
     return RealSeries(out, p.dim)
+
+
+def _divide(a, l) -> tuple:
+    """q with cauchy_product(l, q) = a, for sequences of one length with l[0] = 1.
+
+    Runs q_m = a_m - sum_{i<m} q_i l_{m-i} over the ints of ``_over_ints``
+    (or over the input's own scalars). When l's entries are Fractions over a
+    common denominator D > 1, l runs as the ints D l and the partial results
+    as ints over their running lcm E, so that each q_m is one normalized
+    ``Fraction`` of ints over a_m's denominator times E D.
+    """
+    (a_int, l_int), back = _over_ints(a, l)
+    if l_int[0] == 1:
+        q: list = []
+        for m in range(len(a)):
+            q.append(a_int[m] - sum(q[i] * l_int[m - i] for i in range(m)))
+        return back(q)
+    den, q, scaled, e = l_int[0], [], [], 1
+    for m, x in enumerate(a):
+        s = sum(scaled[i] * l_int[m - i] for i in range(m))
+        f = Fraction(x.numerator * e * den - s * x.denominator, x.denominator * e * den)
+        q.append(f)
+        if e % f.denominator:
+            step = f.denominator // math.gcd(e, f.denominator)
+            scaled, e = [c * step for c in scaled], e * step
+        scaled.append(f.numerator * (e // f.denominator))
+    return tuple(q)
 
 
 def quotient(numerator, denominator) -> RealSeries:
@@ -268,11 +314,7 @@ def quotient(numerator, denominator) -> RealSeries:
     if denominator.coefficients[0] != 1:
         raise ValueError("denominator must have leading coefficient 1")
     n = min(len(numerator.coefficients), len(denominator.coefficients))
-    (a, l), back = _over_ints(numerator.coefficients, denominator.coefficients)
-    q: list = []
-    for m in range(n):
-        q.append(a[m] - sum(q[i] * l[m - i] for i in range(m)))
-    return RealSeries(back(q), numerator.dim)
+    return RealSeries(_divide(numerator.coefficients[:n], denominator.coefficients[:n]), numerator.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cnpchar._linalg import is_exactly_zero, max_abs, to_float_array
+from cnpchar._linalg import is_exactly_zero, max_abs, polar_orthogonal, to_float_array
 from cnpchar.charfn import (
     CharFnBuildError,
     EmptyKInnerError,
@@ -758,6 +758,44 @@ class TestAlignment:
             align_factorizations(cfd1, broken, [[0.3], [0.1 + 0.2j]], source_degree=12)
 
 
+def _coincidence_reference(cfd_a, cfd_b, rng, starts=8, iterations=60):
+    """``coincidence_residual`` with each label sum a Python ``sum`` of per-label products."""
+    space = BlockSpace(sorted(set(cfd_a.taylor) | set(cfd_b.taylor), key=lambda g: (degree(g), g)), 1)
+    r, dom = cfd_a.fiber_dim, cfd_a.domain_dim
+
+    def stack(cfd):
+        coeffs = to_float_array(cfd.taylor.coefficients)
+        out = np.zeros((len(space.labels), r, dom), dtype=coeffs.dtype)
+        out[[space.index[g] for g in cfd.taylor]] = coeffs
+        return list(np.sqrt(1.0 / space.lift(cfd.kernel))[:, None, None] * out)
+
+    stack_a, stack_b = stack(cfd_a), stack(cfd_b)
+    scale = max(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in stack_a)), 1e-30)
+
+    def residual(u2, u1):
+        total = 0.0
+        for ma, mb in zip(stack_a, stack_b):
+            total += np.linalg.norm(u2 @ ma @ u1 - mb) ** 2
+        return float(np.sqrt(total)) / scale
+
+    candidates = [np.eye(r)]
+    guess = sum(mb @ ma.conj().T for ma, mb in zip(stack_a, stack_b))
+    if np.linalg.norm(guess) > 1e-12:
+        candidates.append(polar_orthogonal(guess))
+    for _ in range(starts):
+        candidates.append(polar_orthogonal(rng.standard_normal((r, r))))
+    best = float("inf")
+    for u2 in candidates:
+        u1 = np.eye(dom)
+        for _ in range(iterations):
+            u1 = polar_orthogonal(sum((u2 @ ma).conj().T @ mb for ma, mb in zip(stack_a, stack_b)))
+            u2 = polar_orthogonal(sum(mb @ (ma @ u1).conj().T for ma, mb in zip(stack_a, stack_b)))
+            best = min(best, residual(u2, u1))
+            if best < 1e-13:
+                return best
+    return best
+
+
 class TestFunctionalModelAndCoincidence:
     def test_model_reproduces_tuple(self, k2_da):
         cfd, t, k, _ = k2_da
@@ -778,6 +816,18 @@ class TestFunctionalModelAndCoincidence:
         cfd_b = charfn_of(conj, fac, support_cap=5, constant_cap=10)
         res = coincidence_residual(cfd_a, cfd_b, np.random.default_rng(0))
         assert res < 1e-6
+
+    def test_stacked_label_sums_match_the_per_label_loop(self):
+        """On the two_cells pair of the suite, the stacked sums give the per-label loop's residual bit for bit."""
+        jordan = configuration("two_cells")
+        chain = np.zeros((4, 4))
+        chain[1, 0] = chain[2, 1] = 1.0
+        other = OperatorTuple((chain,), None, None, 3, jordan.kernel)
+        cfd_a, cfd_b = (charfn_of(t, jordan.factorization, support_cap=6, constant_cap=6) for t in (jordan.ops, other))
+        for seed in range(2):
+            got = coincidence_residual(cfd_a, cfd_b, np.random.default_rng(seed))
+            assert got == _coincidence_reference(cfd_a, cfd_b, np.random.default_rng(seed))
+            assert got >= 1e-3
 
     def test_distinct_jordan_structures_do_not_coincide(self):
         k = szego_kernel(1, 24)

@@ -361,20 +361,38 @@ class TestCharFnCommands:
         assert main(["charfn", "build"]) == 2
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, message",
         [
-            ["--d", "1", "--model-degree", "-1"],
-            ["--d", "1", "--model-degree", "1", "--degree-cap", "40"],
-            ["--d", "1", "--model-degree", "1", "--N", "16"],
-            ["--d", "1", "--model-degree", "2", "--N", "1"],
-            ["--d", "2", "--model-degree", "1"],
+            (["--d", "1", "--model-degree", "-1"], "--model-degree >= 0"),
+            (["--d", "1", "--model-degree", "1", "--degree-cap", "40"], "degree caps 40, 40 outside 1..32"),
+            (["--d", "1", "--model-degree", "1", "--N", "16"], "exceeds the kernel truncation 16"),
+            (["--d", "1", "--model-degree", "2", "--N", "1"], "--model-degree 2 exceeds the truncation 1"),
+            (["--d", "2", "--model-degree", "1"], "--d is 2, the kernel dimension is 1"),
+            (["--d", "0", "--model-degree", "0"], "--d must be >= 1"),
         ],
         ids=["negative_model_degree", "degree_cap_beyond_truncation", "window_beyond_truncation",
-             "model_degree_beyond_truncation", "dimension_other_than_the_kernel"],
+             "model_degree_beyond_truncation", "dimension_other_than_the_kernel", "zero_dimension"],
     )
-    def test_bad_model_flags_exit_two(self, specs, flags):
+    def test_bad_model_flags_exit_two(self, specs, flags, message, capsys):
         args = ["charfn", "verify", "--kernel", specs["bergman_m2"], "--cnp-factor", specs["k1"]]
         assert main(args + flags) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, flags",
+        [
+            (["--preset", "jordan"], ["--N", "16", "--d", "1"]),
+            (["--preset", "jordan"], ["--degree-cap", "3"]),
+            (["--tuple", str(Path(__file__).parent / "specs" / "scalar_half.json")], ["--model-degree", "2"]),
+        ],
+        ids=["preset_truncation_and_dimension", "preset_degree_cap", "tuple_model_degree"],
+    )
+    def test_flags_a_source_fixes_exit_two(self, source, flags, capsys):
+        szego = str(Path(__file__).parent / "specs" / "szego_d1.json")
+        kernel = ["--kernel", szego, "--cnp-factor", szego] if source[0] == "--tuple" else []
+        assert main(["charfn", "verify"] + source + kernel + flags) == 2
+        named = [f for f in flags if f.startswith("--")]
+        assert f"{', '.join(named)} cannot be combined with {source[0]}" in capsys.readouterr().err
 
 
 class TestCommonFlags:
@@ -565,7 +583,9 @@ class TestFuzzCharfnFlags:
 
         Without a preset the run builds the model tuple of the Szego kernel in
         d = 1 from ``--d`` and ``--model-degree``. A negative seed, a tolerance
-        that is not finite and > 0, and a dimension other than 1 exit 2.
+        that is not finite and > 0, and a dimension other than 1 exit 2, and
+        so does a preset given with ``--d``, ``--model-degree``,
+        ``--degree-cap`` or ``--N``.
         """
         if preset is None:
             kernel = str(Path(__file__).parent / "specs" / "szego_d1.json")
@@ -584,6 +604,8 @@ class TestFuzzCharfnFlags:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if (seed is not None and seed < 0) or tol in ("0", "-1", "nan", "inf"):
+            assert code == 2
+        if preset is not None and (d, model_degree, degree_cap, truncation) != (None,) * 4:
             assert code == 2
         if preset is None and d != 1:
             assert code == 2

@@ -49,3 +49,18 @@ def test_stack_takes_the_largest_norm_with_each_branch():
     stack = np.array(square)
     assert spectral_norm(stack) == max(spectral_norm(m) for m in square)
     assert spectral_norm(stack[:1]) == spectral_norm(square[0])
+
+
+def test_mixed_stack_matches_the_per_matrix_maximum():
+    """A stack mixing Hermitian and other matrices gives the per-matrix maximum bit for bit."""
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 3.0):
+        square = [scale * m for m in {**HERMITIAN, **NOT_HERMITIAN}.values() if m.shape == (7, 7)]
+        extra = rng.standard_normal((4, 7, 7))
+        stack = np.concatenate([np.array(square), extra, extra + extra.swapaxes(-1, -2)])
+        herm = [np.array_equal(m, m.conj().T) for m in stack]
+        assert any(herm) and not all(herm)
+        assert spectral_norm(stack) == max(spectral_norm(m) for m in stack)
+        imag = np.concatenate([np.zeros((len(square), 7, 7)), extra, extra - extra.swapaxes(-1, -2)])
+        complex_stack = stack + 1j * imag  # Hermitian where stack is symmetric and imag antisymmetric
+        assert spectral_norm(complex_stack) == max(spectral_norm(m) for m in complex_stack)

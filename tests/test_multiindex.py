@@ -199,6 +199,25 @@ def test_block_space_monomials_of_a_stack(d):
         assert list(row) == [monomial_value(point, lab) for lab in space.labels]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_space_monomials_of_numpy_points_match_monomial_value_bitwise(d):
+    """Column powers give monomial_value bit for bit, for numpy complex and real points.
+
+    Adding 0.0 clears the sign of zero imaginary parts: the real-arithmetic
+    products can leave -0.0 where the scalar product leaves 0.0.
+    """
+    rng = np.random.default_rng(d)
+    space = BlockSpace(enumerate_up_to_degree(d, 16), 1)
+    complex_points = list(0.4 * (rng.standard_normal((25, d)) + 1j * rng.standard_normal((25, d))) / d)
+    real_points = list(0.5 * rng.standard_normal((25, d)) / math.sqrt(d))
+    for points in (complex_points, real_points, complex_points[:3] + real_points[:3]):
+        stack = space.monomials(points)
+        expected = np.array([[monomial_value(p, lab) for lab in space.labels] for p in points], dtype=complex)
+        assert stack.dtype == complex and (stack + 0.0).tobytes() == (expected + 0.0).tobytes()
+    single = np.array([monomial_value(complex_points[0], lab) for lab in space.labels], dtype=complex)
+    assert (space.monomials(complex_points[0]) + 0.0).tobytes() == (single + 0.0).tobytes()
+
+
 @st.composite
 def _labels_and_shift(draw):
     """A random subset of Z^d_+ labels up to degree 4 (d from 1 to 3), in random order, and a shift alpha."""

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cnpchar import charfn, presets, series
@@ -116,3 +117,23 @@ def test_one_factorization_per_kernel_pair(monkeypatch):
 
 def test_configurations_of_one_pair_share_the_factorization():
     assert presets.configuration("k2_da_d1_n1").factorization is presets.configuration("k2_da_d1_n3").factorization
+
+
+def _sample_points_reference(rng, count, dim, scale):
+    """The per-point loop: two normal draws, np.linalg.norm and the scaling, one point at a time."""
+    pts = []
+    for _ in range(count):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        pts.append(v / np.linalg.norm(v) * scale * rng.uniform(0.3, 1.0))
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_points_match_the_per_point_loop_bitwise(dim):
+    """The stacked scaling draws the same stream and gives the per-point loop's points bit for bit."""
+    for seed in range(20):
+        for count in (0, 1, 20, 50):
+            got = presets.sample_points(presets.config_rng(seed, "points"), count, dim, 0.4)
+            expected = _sample_points_reference(presets.config_rng(seed, "points"), count, dim, 0.4)
+            assert len(got) == count
+            assert all(p.shape == (dim,) and p.tobytes() == q.tobytes() for p, q in zip(got, expected))

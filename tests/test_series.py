@@ -288,8 +288,22 @@ class TestIntegerPath:
         if floats:
             k, s = k.floats, s.floats
         (seq, other), back = _over_ints(k.coefficients, s.coefficients)
-        assert seq is k.coefficients and other is s.coefficients and back is tuple
+        if floats:
+            assert seq is k.coefficients and other is s.coefficients and back is tuple
+        else:
+            # Fractions run over ints times their common denominator, lcm(1..13) for Dirichlet
+            assert seq == [math.lcm(*range(1, 14)) // (n + 1) for n in range(13)] and other == [1] * 13
+            assert _same(back(seq), k.coefficients)
         _assert_matches_reference(k, s)
+
+    def test_dirichlet_type_kernels_match_the_reference_at_truncation_48(self):
+        """The common-denominator path on DA*Dirichlet, Dirichlet and DA: the scalar loops' Fractions exactly."""
+        da, dirichlet = drury_arveson_kernel(1, 48), dirichlet_kernel(1, 48)
+        dadir = cauchy_product(da, dirichlet)
+        assert _same(dadir.coefficients, _cauchy_reference(da.coefficients, dirichlet.coefficients))
+        for k in (dadir, dirichlet, da):
+            for l in (dadir, dirichlet, da):
+                _assert_matches_reference(k, l)
 
     @given(rational_kernels, rational_kernels)
     @settings(max_examples=30)
