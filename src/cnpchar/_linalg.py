@@ -24,6 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
+# singular values and eigenvalues at or below RANK_CUTOFF * max(1, largest) count as zeros
+RANK_CUTOFF = 1e-10
+
 
 class ExactnessError(ArithmeticError):
     """An operation cannot be carried out in exact rational arithmetic."""
@@ -193,11 +196,11 @@ class PsdRoot:
     min_eigenvalue: float
 
 
-def psd_root(a_sq: np.ndarray, rank_cutoff: float = 1e-10) -> PsdRoot:
+def psd_root(a_sq: np.ndarray) -> PsdRoot:
     """The spectral data of a positive semidefinite Hermitian matrix ``a_sq``.
 
     Float mode takes one eigendecomposition of the symmetrized matrix;
-    eigenvalues at or below ``rank_cutoff * max(1, largest)`` are treated as
+    eigenvalues at or below ``RANK_CUTOFF * max(1, largest)`` are treated as
     exact zeros, so the root and its pseudo-inverse never amplify rounding
     dust, and the range basis holds the eigenvectors of the kept eigenvalues
     in ascending order. Exact mode is limited to diagonal matrices with
@@ -222,7 +225,7 @@ def psd_root(a_sq: np.ndarray, rank_cutoff: float = 1e-10) -> PsdRoot:
         return PsdRoot(root, pinv, basis, lo)
     sym = (a_sq + a_sq.conj().T) / 2
     vals, vecs = np.linalg.eigh(sym)
-    keep = vals > rank_cutoff * max(1.0, float(vals.max(initial=0.0)))
+    keep = vals > RANK_CUTOFF * max(1.0, float(vals.max(initial=0.0)))
     roots = np.where(keep, np.sqrt(np.clip(vals, 0.0, None)), 0.0)
     inv = np.where(keep, 1.0 / np.where(roots == 0, 1.0, roots), 0.0)
     root = (vecs * roots) @ vecs.conj().T
@@ -236,20 +239,20 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(sym).min())
 
 
-def range_basis(a: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
+def range_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of a float matrix, as columns.
 
-    Uses a singular value cutoff relative to max(1, largest singular value).
+    Uses the singular value cutoff RANK_CUTOFF relative to max(1, largest singular value).
     """
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > cutoff * max(1.0, s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
     return u[:, :rank]
 
 
-def orth_complement_of_range(a: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of Ran(a)."""
+def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the orthogonal complement of Ran(a), rank cut at RANK_CUTOFF."""
     m = a.shape[0]
     if is_exact_array(a):
         rank = exact_rank(a)
@@ -265,7 +268,7 @@ def orth_complement_of_range(a: np.ndarray, cutoff: float = 1e-10) -> np.ndarray
     if a.shape[1] == 0:
         return np.eye(m)
     u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > cutoff * max(1.0, s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
     return u[:, rank:]
 
 

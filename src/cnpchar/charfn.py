@@ -60,13 +60,21 @@ from .multiindex import (
     degree,
     enumerate_up_to_degree,
 )
-from .operators import PSD_TOL, RANK_CUTOFF, DefectData, OperatorTuple, operator_series
+from .operators import PSD_TOL, DefectData, OperatorTuple, operator_series
 from .series import KernelFactorization, KernelSeries, reciprocal_complement
 
 Point = Sequence
 
 # largest ||u Gamma - embedding|| for which the range identification u is well defined
 IDENTITY_TOL = 1e-8
+# the settings of k_inner_subspace, align_factorizations, functional_model
+# and coincidence_residual; each docstring says how its own are read
+ISOMETRY_TOL = 1e-9
+SHIFT_CHECK_DEGREE = 3
+GRAM_MISMATCH_TOL = 1e-6
+PARTITION_TOL = 1e-8
+COINCIDENCE_STARTS = 8
+COINCIDENCE_ITERATIONS = 60
 
 
 class CharFnBuildError(RuntimeError):
@@ -247,14 +255,14 @@ def build_charfn(
             f"u ill-defined: ||u Gamma - embedding|| = {u_residual:.3e} "
             "(embedding Gram does not match the pick defect)"
         )
-    complement_basis = orth_complement_of_range(embedding, RANK_CUTOFF)
+    complement_basis = orth_complement_of_range(embedding)
 
     # row contraction from the weighted powers, and its defect
     row = sc.zeros((n, row_space.dim), t.dtype)
     for lab, scale in zip(b_labels, root_b):
         row[:, row_space.block(lab)] = scale * t.power(lab)
     row_gram = row.conj().T @ row
-    row_root = psd_root(sc.eye(row_space.dim) - row_gram, RANK_CUTOFF)
+    row_root = psd_root(sc.eye(row_space.dim) - row_gram)
     lo = row_root.min_eigenvalue
     if lo < -PSD_TOL:
         raise CharFnBuildError(f"row contraction fails: eigenvalue {lo:.3e} of I - R*R")
@@ -645,12 +653,12 @@ class KInnerData:
         return self.basis.shape[1]
 
 
-def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e-9) -> KInnerData:
+def k_inner_subspace(cfd: CharFnData) -> KInnerData:
     """The constants on which M_theta is isometric, and their shift residual.
 
     ``basis`` spans the eigenvectors of G = sum_gamma theta_gamma^* theta_gamma / k_gamma
-    with eigenvalue >= 1 - eig_tol (EmptyKInnerError if there is none). ``shift_residual``
-    is max |basis^* S_alpha basis| over 1 <= |alpha| <= check_degree: the shifts
+    with eigenvalue >= 1 - ISOMETRY_TOL (EmptyKInnerError if there is none). ``shift_residual``
+    is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """
     space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
@@ -659,15 +667,15 @@ def k_inner_subspace(cfd: CharFnData, check_degree: int = 3, eig_tol: float = 1e
     gram = stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)
     vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     top = float(vals.max(initial=0.0))
-    sel = vals >= 1.0 - eig_tol
+    sel = vals >= 1.0 - ISOMETRY_TOL
     if not sel.any():
         raise EmptyKInnerError(
-            f"empty k-inner space: largest Gram eigenvalue 1 - {1.0 - top:.3e} is below 1 - eig_tol ({eig_tol:g})"
+            f"empty k-inner space: largest Gram eigenvalue 1 - {1.0 - top:.3e} is below 1 - {ISOMETRY_TOL:g}"
         )
     basis = vecs[:, sel]
     proj = stack @ basis
     worst = 0.0
-    for alpha in enumerate_up_to_degree(cfd.kernel.dim, check_degree)[1:]:
+    for alpha in enumerate_up_to_degree(cfd.kernel.dim, SHIFT_CHECK_DEGREE)[1:]:
         low, high = space.shift(alpha)
         shift = np.tensordot(proj[low].conj(), proj[high] * inv_k[high], axes=([0, 1], [0, 1]))
         worst = max(worst, max_abs(shift))
@@ -699,7 +707,6 @@ def align_factorizations(
     cfd2: CharFnData,
     points: Sequence[Point],
     source_degree: int = 16,
-    mismatch_tol: float = 1e-6,
 ) -> AlignmentData:
     if cfd1.ops is not cfd2.ops:
         if cfd1.ops.size != cfd2.ops.size or any(
@@ -726,9 +733,9 @@ def align_factorizations(
     gram1 = fam1.conj().T @ fam1
     gram2 = fam2.conj().T @ fam2
     gram_residual = max_abs(gram1 - gram2)
-    if gram_residual > mismatch_tol:
+    if gram_residual > GRAM_MISMATCH_TOL:
         raise ValueError(
-            f"Gram mismatch {gram_residual:.3e} beyond {mismatch_tol}: "
+            f"Gram mismatch {gram_residual:.3e} beyond {GRAM_MISMATCH_TOL}: "
             "the inputs do not factor the same projection"
         )
     # closed form of the compression of I - V V^*:
@@ -752,10 +759,7 @@ def align_factorizations(
 
 
 def functional_model(
-    cfd: CharFnData,
-    dil: DilationData,
-    partition: FactorizationResidual,
-    residual_tol: float = 1e-8,
+    cfd: CharFnData, dil: DilationData, partition: FactorizationResidual
 ) -> tuple[OperatorTuple, float]:
     """The compression of the coordinate multipliers to Ran V, with verification.
 
@@ -763,13 +767,13 @@ def functional_model(
     of Ran M_theta, and V itself is an orthonormal basis of it; in
     V-coordinates the compressed tuple must reproduce T. ``partition`` is
     ``factorization_residual(cfd, dil, mult)``; a restricted residual above
-    ``residual_tol`` raises ValueError. Returns the model tuple and the
+    PARTITION_TOL raises ValueError. Returns the model tuple and the
     largest ||compressed T_i - T_i||; the intertwining of V is
     ``dilation.intertwining_residuals``.
     """
-    if partition.restricted > residual_tol:
+    if partition.restricted > PARTITION_TOL:
         raise ValueError(
-            f"factorization residual {partition.restricted:.3e} exceeds {residual_tol}; "
+            f"factorization residual {partition.restricted:.3e} exceeds {PARTITION_TOL}; "
             "the model space is not trustworthy"
         )
     v = to_float_array(dil.matrix)
@@ -783,8 +787,6 @@ def coincidence_residual(
     cfd_a: CharFnData,
     cfd_b: CharFnData,
     rng: Optional[np.random.Generator] = None,
-    starts: int = 8,
-    iterations: int = 60,
 ) -> float:
     """How far the two Taylor families are from a constant-unitary match.
 
@@ -792,8 +794,9 @@ def coincidence_residual(
     existence of unitaries U2 (on Ran Defect coordinates) and U1 (on the
     domain) with theta'_gamma = U2 theta_gamma U1 for every gamma. The
     bilinear orthogonal Procrustes problem is solved by alternating polar
-    updates from several starts; the returned value is the best relative
-    Frobenius mismatch (inf for incompatible shapes).
+    updates from the identity, a polar guess and COINCIDENCE_STARTS random
+    starts, COINCIDENCE_ITERATIONS each; the returned value is the best
+    relative Frobenius mismatch (inf for incompatible shapes).
     """
     if cfd_a.fiber_dim != cfd_b.fiber_dim or cfd_a.domain_dim != cfd_b.domain_dim:
         return float("inf")
@@ -827,12 +830,12 @@ def coincidence_residual(
     guess = label_sum(stack_b @ stack_a.conj().swapaxes(-1, -2))
     if np.linalg.norm(guess) > 1e-12:
         candidates.append(polar_orthogonal(guess))
-    for _ in range(starts):
+    for _ in range(COINCIDENCE_STARTS):
         candidates.append(polar_orthogonal(rng.standard_normal((r, r))))
     best = float("inf")
     for u2 in candidates:
         u1 = np.eye(dom)
-        for _ in range(iterations):
+        for _ in range(COINCIDENCE_ITERATIONS):
             u1 = polar_orthogonal(label_sum((u2 @ stack_a).conj().swapaxes(-1, -2) @ stack_b))
             u2 = polar_orthogonal(label_sum(stack_b @ (stack_a @ u1).conj().swapaxes(-1, -2)))
             current = residual(u2, u1)

@@ -26,6 +26,7 @@ from ._linalg import ExactnessError
 from .charfn import CharFnData, build_charfn, charfn_blocks_dict
 from .dilation import WindowError
 from .operators import (
+    ConvergenceError,
     NotContractionError,
     OperatorTuple,
     defect_data,
@@ -329,7 +330,7 @@ def cmd_charfn(args) -> int:
             checks, cfd = run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
         else:
             checks, cfd = _build_checks(config)
-    except (ExactnessError, WindowError, NotContractionError) as exc:
+    except (ExactnessError, WindowError, NotContractionError, ConvergenceError) as exc:
         raise InputError(str(exc)) from exc
     if args.dump_theta and cfd is None:
         print(f"theta not written to {args.dump_theta}: the tuple is not pure")

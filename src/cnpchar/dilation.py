@@ -37,6 +37,7 @@ from ._linalg import (
 )
 from .multiindex import BlockSpace, enumerate_up_to_degree, unit
 from .operators import (
+    PSD_TOL,
     DefectData,
     OperatorTuple,
     conjugated_sum,
@@ -197,7 +198,8 @@ class AssociatedTupleCertificate:
     A negative ``min_eigenvalue`` certifies that the associated tuple is not
     a 1/l-contraction (so no characteristic function through l exists); a
     non-negative minimum is supporting evidence only, bounded by the window.
-    ``vacuous`` marks an empty kernel within the window.
+    ``holds`` says the minimum is at least -PSD_TOL; ``vacuous`` marks an
+    empty kernel within the window.
     """
 
     min_eigenvalue: Optional[float]
@@ -212,8 +214,6 @@ def associated_tuple_test(
     kernel: KernelSeries,
     form_kernel: KernelSeries,
     window_degree: Optional[int] = None,
-    rank_cutoff: float = 1e-10,
-    tol: float = 1e-10,
 ) -> AssociatedTupleCertificate:
     """Evaluate the 1/l-contraction form of the tuple restricted to Ker V^*.
 
@@ -239,7 +239,7 @@ def associated_tuple_test(
             "Ran V would not fit"
         )
     dil = build_dilation(defect_data(t, kernel), window_degree)
-    kernel_basis = orth_complement_of_range(to_float_array(dil.matrix), rank_cutoff)
+    kernel_basis = orth_complement_of_range(to_float_array(dil.matrix))
     q = kernel_basis.shape[1]
     if q == 0:
         return AssociatedTupleCertificate(None, True, True, window_degree, 0)
@@ -249,4 +249,4 @@ def associated_tuple_test(
     total, _ = conjugated_sum(restricted, b_form)
     form = restricted.identity() - total
     lo = min_eigenvalue(form)
-    return AssociatedTupleCertificate(lo, lo >= -tol, False, window_degree, q)
+    return AssociatedTupleCertificate(lo, lo >= -PSD_TOL, False, window_degree, q)

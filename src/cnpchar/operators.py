@@ -9,8 +9,10 @@ matrices. For a kernel with coefficients a_n and derived sequence b_n
 and its defect operator is the square root of that positive operator. The
 tuple is pure when the a-weighted sum of conjugations of the squared defect
 reproduces the identity. Both sums are finite and exact for the graded
-multiplication models built here, which are nilpotent; otherwise they are
-truncated with increment-based stopping.
+multiplication models built here, which are nilpotent. Every operator
+series stops at the truncation of its series, the one depth the kernel
+fixes; without a nilpotency bound, a sum that reaches it must end on an
+increment of at most STOP_TOL, else ConvergenceError.
 
 Exact-mode model tuples are expressed in the monomial basis z^alpha with the
 squared norms 1/a_alpha carried as basis weights, so the matrices stay
@@ -68,10 +70,12 @@ from .series import (
 
 # Shared by every construction read from a DefectData: a squared defect (or the
 # row defect of theta) fails positivity below -PSD_TOL, eigenvalues at or below
-# RANK_CUTOFF times the largest count as zeros, and purity allows PURITY_TOL.
+# _linalg.RANK_CUTOFF times the largest count as zeros, purity allows PURITY_TOL.
 PSD_TOL = 1e-10
-RANK_CUTOFF = 1e-10
 PURITY_TOL = 1e-10
+STOP_TOL = 1e-13  # largest last increment of a walk with no nilpotency bound that ends at the truncation
+COMMUTATION_TOL = 1e-12  # largest [T_i, T_j] of a float tuple, relative to max(1, max ||T_i||)^2
+COINVARIANCE_TOL = 1e-10  # largest ||(I - PP*) T_i* P|| for which ``compress`` keeps the bound
 
 
 class ConvergenceError(RuntimeError):
@@ -106,7 +110,6 @@ class OperatorTuple:
     basis_labels: Optional[tuple] = None
     nilpotency_bound: Optional[int] = None
     kernel: Optional[KernelSeries] = None
-    commutation_tol: float = 1e-12
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,7 +134,7 @@ class OperatorTuple:
                 if self.exact:
                     ok = all(x == 0 for x in gap.flat)
                 else:
-                    ok = max_abs(gap) <= self.commutation_tol * scale
+                    ok = max_abs(gap) <= COMMUTATION_TOL * scale
                 if not ok:
                     raise ValueError(f"tuple does not commute: [T_{i}, T_{j}] != 0")
 
@@ -228,25 +231,24 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
 # graded operator series
 
 
-def _graded_space(t: OperatorTuple, series: RealSeries, degree_cap: int) -> BlockSpace:
+def _graded_space(t: OperatorTuple, series: RealSeries) -> BlockSpace:
     """The labels of a graded walk, in graded order, up to its last degree.
 
-    That degree is the first of ``degree_cap``, the truncation, the
-    nilpotency bound and the series' last nonzero degree.
+    That degree is the first of the truncation, the nilpotency bound and the
+    series' last nonzero degree.
     """
     bound = t.nilpotency_bound
-    top = min(degree_cap, series.truncation, degree_cap if bound is None else bound)
-    stop = min(top, max((i for i, c in enumerate(series.coefficients) if c != 0), default=0))
-    return BlockSpace(enumerate_up_to_degree(t.num_vars, stop), 1)
+    top = series.truncation if bound is None else min(series.truncation, bound)
+    return BlockSpace(enumerate_up_to_degree(t.num_vars, min(top, series.last_nonzero)), 1)
 
 
-def _graded_sum(t: OperatorTuple, series: RealSeries, space: BlockSpace, scalars: Scalars, term, zero, degree_cap, stop_tol):
-    """sum of term(i, c_i) over the labels of ``space`` = ``_graded_space(t, series, degree_cap)``, degree by degree.
+def _graded_sum(t: OperatorTuple, series: RealSeries, space: BlockSpace, scalars: Scalars, term, zero):
+    """sum of term(i, c_i) over the labels of ``space`` = ``_graded_space(t, series)``, degree by degree.
 
     c = space.lift(series, scalars), and a label with c_i = 0 is skipped.
-    Without a nilpotency bound, a walk that ends at ``degree_cap`` (at most
-    the truncation) must end on a positive-degree increment with entries at
-    most ``stop_tol``, else ConvergenceError. Returns (total, exact_stop);
+    The walk stops at the truncation. Without a nilpotency bound, a walk
+    that ends there must end on a positive-degree increment with entries at
+    most STOP_TOL, else ConvergenceError. Returns (total, exact_stop);
     exact_stop says the walk reached the nilpotency bound, so the sum is
     finite and complete.
     """
@@ -259,30 +261,24 @@ def _graded_sum(t: OperatorTuple, series: RealSeries, space: BlockSpace, scalars
         for i in np.flatnonzero(nonzero & (space.degrees == deg)):
             inc = inc + term(i, coeffs[i])
         total = total + inc
-    if bound is None and 0 < stop == degree_cap <= series.truncation and max_abs(inc) > stop_tol:
-        raise ConvergenceError(f"operator series did not settle below {stop_tol} by degree {stop}")
-    return total, bound is not None and bound <= min(degree_cap, series.truncation)
+    if bound is None and 0 < stop == series.truncation and max_abs(inc) > STOP_TOL:
+        raise ConvergenceError(f"operator series did not settle below {STOP_TOL} by degree {stop}")
+    return total, bound is not None and bound <= series.truncation
 
 
-def conjugated_sum(
-    t: OperatorTuple,
-    series: RealSeries,
-    middle: Optional[np.ndarray] = None,
-    degree_cap: int = 64,
-    stop_tol: float = 1e-13,
-):
+def conjugated_sum(t: OperatorTuple, series: RealSeries, middle: Optional[np.ndarray] = None):
     """sum over alpha of c_alpha T^alpha [middle] (T^alpha)^*, with c the series' lift.
 
-    Summed and stopped by ``_graded_sum``; returns (total, exact_stop).
+    Summed and stopped at the truncation by ``_graded_sum``; returns (total, exact_stop).
     """
-    space = _graded_space(t, series, degree_cap)
+    space = _graded_space(t, series)
 
     def term(i, c):
         p = t.power(space.labels[i])
         return c * ((p if middle is None else p @ middle) @ adjoint(p, t.weights))
 
     zero = t.scalars.zeros((t.size, t.size), t.dtype)
-    return _graded_sum(t, series, space, t.scalars, term, zero, degree_cap, stop_tol)
+    return _graded_sum(t, series, space, t.scalars, term, zero)
 
 
 @dataclass
@@ -331,18 +327,18 @@ def defect_data(
     t: OperatorTuple,
     kernel: KernelSeries,
     pick_factor: Optional[KernelSeries] = None,
-    degree_cap: int = 64,
-    stop_tol: float = 1e-13,
 ) -> DefectData:
     """Defect operators and purity diagnostics for t as a 1/kernel-contraction.
 
-    Raises NotContractionError when I minus the b-sum has an eigenvalue below
-    -PSD_TOL, ConvergenceError when a non-nilpotent sum does not settle.
+    Every sum stops at the truncation of its series. Raises
+    NotContractionError when I minus the b-sum has an eigenvalue below
+    -PSD_TOL, ConvergenceError when a non-nilpotent sum has not settled
+    below STOP_TOL by the truncation.
     Eigenvalues of the squared defects at or below RANK_CUTOFF times the
     largest count as zeros.
     """
     b = reciprocal_complement(kernel)
-    s_sum, _ = conjugated_sum(t, b, degree_cap=degree_cap, stop_tol=stop_tol)
+    s_sum, _ = conjugated_sum(t, b)
     delta_sq = t.identity() - s_sum
     delta = _checked_root(delta_sq, f"not a 1/k-contraction for {_kname(kernel)}")
 
@@ -350,11 +346,11 @@ def defect_data(
     gamma = None
     if pick_factor is not None:
         b_s = reciprocal_complement(pick_factor)
-        s_sum_pick, _ = conjugated_sum(t, b_s, degree_cap=degree_cap, stop_tol=stop_tol)
+        s_sum_pick, _ = conjugated_sum(t, b_s)
         pick_defect_sq = t.identity() - s_sum_pick
         gamma = _checked_root(pick_defect_sq, "not a 1/s-contraction for the CNP factor")
 
-    purity = purity_check(t, kernel, delta_sq, degree_cap=degree_cap, stop_tol=stop_tol)
+    purity = purity_check(t, kernel, delta_sq)
     return DefectData(
         ops=t,
         kernel=kernel,
@@ -381,7 +377,7 @@ def _checked_root(a_sq: np.ndarray, message: str) -> Optional[PsdRoot]:
     is then checked in floats.
     """
     try:
-        root = psd_root(a_sq, RANK_CUTOFF)
+        root = psd_root(a_sq)
         lo = root.min_eigenvalue
     except ExactnessError:
         root, lo = None, min_eigenvalue(a_sq)
@@ -396,54 +392,41 @@ class PurityReport:
     exact: bool
 
 
-def purity_check(
-    t: OperatorTuple,
-    kernel: KernelSeries,
-    defect_sq: np.ndarray,
-    degree_cap: int = 64,
-    stop_tol: float = 1e-13,
-) -> PurityReport:
+def purity_check(t: OperatorTuple, kernel: KernelSeries, defect_sq: np.ndarray) -> PurityReport:
     """Distance of sum_alpha a_alpha T^alpha defect_sq (T^alpha)^* from the identity.
 
     Purity failure is a verdict (nonzero residual), not an error. The exact
     flag is set when the sum terminated at a nilpotency bound and the
     difference vanishes identically.
     """
-    total, exact_stop = conjugated_sum(
-        t, kernel, middle=defect_sq, degree_cap=degree_cap, stop_tol=stop_tol
-    )
+    total, exact_stop = conjugated_sum(t, kernel, middle=defect_sq)
     gap = total - t.identity()
     residual = spectral_norm(gap)
     exact = bool(t.exact and exact_stop and all(x == 0 for x in gap.flat))
     return PurityReport(residual, exact)
 
 
-def operator_series(
-    t: OperatorTuple,
-    series: RealSeries,
-    points: Sequence,
-    degree_cap: int = 64,
-    stop_tol: float = 1e-13,
-) -> np.ndarray:
+def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> np.ndarray:
     """sum_alpha c_alpha conj(point^alpha) T^alpha at a (d,) point or a (P, d) stack, c the series' lift.
 
-    Returns (n, n) or (P, n, n). Summed and stopped by ``_graded_sum`` for
-    all points at once: finite (hence exact) for nilpotent tuples, and a
-    stack raises ConvergenceError when any point's last increment exceeds
-    ``stop_tol``. Exact only at rational points of an exact tuple.
+    Returns (n, n) or (P, n, n). Summed by ``_graded_sum`` for all points at
+    once and stopped at the truncation: finite (hence exact) for nilpotent
+    tuples, and a stack raises ConvergenceError when any point's last
+    increment exceeds STOP_TOL. Exact only at rational points of an exact
+    tuple.
     """
     pts, single = point_stack(points)
     if any(len(p) != t.num_vars for p in pts):
         raise ValueError("dimension mismatch")
     sc = t.scalars.at(pts)
-    space = _graded_space(t, series, degree_cap)
+    space = _graded_space(t, series)
     conj = np.conjugate(space.monomials(pts))
 
     def term(i, c):
         return sc.monomial(c * conj[:, i])[:, None, None] * sc.array(t.power(space.labels[i]))
 
     zero = sc.zeros((len(pts), t.size, t.size), complex)
-    total, _ = _graded_sum(t, series, space, sc, term, zero, degree_cap, stop_tol)
+    total, _ = _graded_sum(t, series, space, sc, term, zero)
     if not sc.exact and not any(isinstance(x, complex) for p in pts for x in np.asarray(p).flat):
         # real points, real tuple: keep the result real when it is
         if np.allclose(total.imag, 0.0):
@@ -451,12 +434,12 @@ def operator_series(
     return total[0] if single else total
 
 
-def compress(t: OperatorTuple, basis: np.ndarray, coinvariance_tol: float = 1e-10) -> OperatorTuple:
+def compress(t: OperatorTuple, basis: np.ndarray) -> OperatorTuple:
     """Compression P* T_i P to the span of orthonormal basis columns.
 
-    Checks co-invariance ||(I - PP*) T_i* P|| <= tol and only warns on
-    violation (invariant complements are legitimately compressed too); the
-    nilpotency bound is inherited only when the check passes.
+    Checks co-invariance ||(I - PP*) T_i* P|| <= COINVARIANCE_TOL and only
+    warns on violation (invariant complements are legitimately compressed
+    too); the nilpotency bound is inherited only when the check passes.
     """
     if t.exact:
         raise ExactnessError("compress expects a float-mode tuple; call to_float() first")
@@ -469,7 +452,7 @@ def compress(t: OperatorTuple, basis: np.ndarray, coinvariance_tol: float = 1e-1
         raise ValueError(f"non-orthonormal basis: Gram deviation {gram_gap:.3e}")
     proj_out = np.eye(n) - basis @ basis.conj().T
     residuals = [spectral_norm(proj_out @ t.mat_adjoint(i) @ basis) for i in range(t.num_vars)]
-    co_invariant = max(residuals) <= coinvariance_tol
+    co_invariant = max(residuals) <= COINVARIANCE_TOL
     if not co_invariant:
         warnings.warn(
             f"compression subspace is not co-invariant (residual {max(residuals):.3e}); "
@@ -578,10 +561,10 @@ def _check_nilpotent(t: OperatorTuple) -> None:
 
     The powers come from ``t.mats``, since ``power`` returns zero above the
     bound. Exact powers must be exactly zero; float entries may reach
-    commutation_tol * max(1, max ||T_i||)^(bound + 1).
+    COMMUTATION_TOL * max(1, max ||T_i||)^(bound + 1).
     """
     bound = t.nilpotency_bound
-    tol = t.commutation_tol * max(1.0, max(spectral_norm(m) for m in t.mats)) ** (bound + 1)
+    tol = COMMUTATION_TOL * max(1.0, max(spectral_norm(m) for m in t.mats)) ** (bound + 1)
     powers: dict = {}
     for alpha in enumerate_up_to_degree(t.num_vars, bound + 1):
         i = next((j for j, a in enumerate(alpha) if a > 0), None)

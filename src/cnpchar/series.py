@@ -101,6 +101,11 @@ class RealSeries:
         """
         return replace(self, coefficients=tuple(float(c) for c in self.coefficients))
 
+    @cached_property
+    def last_nonzero(self) -> int:
+        """The degree of the last nonzero coefficient (0 when every coefficient is zero), found once."""
+        return max((n for n, c in enumerate(self.coefficients) if c != 0), default=0)
+
 
 class KernelValue(NamedTuple):
     value: Scalar
@@ -112,12 +117,8 @@ class KernelSeries(RealSeries):
     """A unitarily invariant kernel sum_n a_n <z,w>^n, truncated at order N.
 
     Invariants enforced at construction: a_0 = 1 and a_n > 0 for every stored
-    coefficient. ``radius_one_declared`` records the (unverifiable at finite
-    truncation) assumption that the power series has radius of convergence 1;
-    the built-in kernels declare it.
+    coefficient.
     """
-
-    radius_one_declared: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -273,7 +274,7 @@ def cauchy_product(p, q):
     (pa, qa), back = _over_ints(p.coefficients[:n], q.coefficients[:n])
     out = back(sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(n))
     if isinstance(p, KernelSeries) and isinstance(q, KernelSeries):
-        return KernelSeries(out, p.dim, p.radius_one_declared and q.radius_one_declared)
+        return KernelSeries(out, p.dim)
     return RealSeries(out, p.dim)
 
 
@@ -488,7 +489,7 @@ def bergman_kernel(m: int, dim: int, truncation: int = DEFAULT_TRUNCATION) -> Ke
     if m < 1:
         raise ValueError("m must be >= 1")
     coeffs = tuple(Fraction(math.comb(n + m - 1, n)) for n in range(truncation + 1))
-    return KernelSeries(coeffs, dim, radius_one_declared=True)
+    return KernelSeries(coeffs, dim)
 
 
 def drury_arveson_kernel(dim: int, truncation: int = DEFAULT_TRUNCATION) -> KernelSeries:
@@ -504,11 +505,11 @@ def szego_kernel(dim: int, truncation: int = DEFAULT_TRUNCATION) -> KernelSeries
 def dirichlet_kernel(dim: int, truncation: int = DEFAULT_TRUNCATION) -> KernelSeries:
     """a_n = 1/(n+1), the kernel -log(1 - <z,w>) / <z,w>."""
     coeffs = tuple(Fraction(1, n + 1) for n in range(truncation + 1))
-    return KernelSeries(coeffs, dim, radius_one_declared=True)
+    return KernelSeries(coeffs, dim)
 
 
-def kernel_from_coefficients(a: Sequence[Scalar], dim: int, radius_one_declared: bool = False) -> KernelSeries:
-    return KernelSeries(tuple(a), dim, radius_one_declared)
+def kernel_from_coefficients(a: Sequence[Scalar], dim: int) -> KernelSeries:
+    return KernelSeries(tuple(a), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +551,8 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
 
     Supported kinds: bergman (fields m, d, truncation), szego, dirichlet
     (fields d, truncation), coeffs (fields a: list of "p/q" strings, d).
-    The fields m, d and truncation must be integers.
+    The fields m, d and truncation must be integers; other fields, such as
+    the "radius_one" flag of older coeffs specs, are ignored.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("kernel spec must be an object with a 'kind' field")
@@ -574,7 +576,7 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
             if not isinstance(spec["a"], list):
                 raise ValueError(f"'a' must be a list of coefficients, got {spec['a']!r}")
             a = [_scalar_from_spec(s) for s in spec["a"]]
-            return kernel_from_coefficients(a, integer("d"), bool(spec.get("radius_one", False)))
+            return kernel_from_coefficients(a, integer("d"))
     except KeyError as exc:
         raise ValueError(f"kernel spec missing field {exc}") from exc
     except TypeError as exc:
@@ -587,5 +589,4 @@ def kernel_to_spec(k: KernelSeries) -> dict:
         "kind": "coeffs",
         "a": [_scalar_to_string(c) for c in k.coefficients],
         "d": k.dim,
-        "radius_one": k.radius_one_declared,
     }

@@ -237,7 +237,7 @@ def test_criterion_10_impossibility_sweep():
 def test_criterion_11_k_inner_space(matrix):
     with criterion(11, "isometric constant subspace nonempty; shift orthogonality at 1e-9"):
         for name, (config, dd, cfd, dil, mult) in matrix.items():
-            ki = k_inner_subspace(cfd, check_degree=3)
+            ki = k_inner_subspace(cfd)
             assert ki.dim >= 1, name
             assert ki.shift_residual <= 1e-9, name
 
@@ -257,6 +257,6 @@ def test_criterion_12_functional_model_and_coincidence(matrix):
 
 def test_criterion_13_alignment():
     with criterion(13, "Gram alignment of the two CNP factorizations at 1e-8, 30 samples"):
-        check = run_alignment_check(seed=0, samples=30)
+        check = run_alignment_check()
         assert check.verdict == "pass"
         assert check.residual <= 1e-8

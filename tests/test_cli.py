@@ -291,6 +291,17 @@ class TestCharFnCommands:
         assert main(["charfn", "verify", *args, "--N", "24", "--degree-cap", "4"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_unsettled_series_exits_two(self, tmp_path, capsys):
+        """T = 0.9 is not nilpotent, and its purity sum has not settled by --N 48: an error, not a failed check."""
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"mode": "float", "matrices": [[[0.9]]]}))
+        kernel = str(Path(__file__).parent / "specs" / "szego_d1.json")
+        args = ["--kernel", kernel, "--cnp-factor", kernel, "--tuple", str(path), "--N", "48", "--degree-cap", "20"]
+        assert main(["charfn", "verify", *args]) == 2
+        err = capsys.readouterr().err
+        assert "did not settle" in err and "by degree 48" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, value",
         [

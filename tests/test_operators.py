@@ -15,6 +15,7 @@ from cnpchar.multiindex import (
     unit,
 )
 from cnpchar.operators import (
+    STOP_TOL,
     ConvergenceError,
     NotContractionError,
     OperatorTuple,
@@ -396,8 +397,8 @@ def _dense_certificate_reference(kernel, form_kernel, base_degree, vectors, wind
     return values
 
 
-def _conjugated_sum_reference(t, series, middle=None, include_zero=False, degree_cap=64, stop_tol=1e-13):
-    """The conjugated sum as its own loop, with an optional degree-0 term added up front.
+def _conjugated_sum_reference(t, series, middle=None, include_zero=False):
+    """The conjugated sum as its own loop up to the truncation, with an optional degree-0 term added up front.
 
     A float tuple reads the coefficients of the series' float view.
     Returns (total, increment_norms, stop_degree, exact_stop).
@@ -409,7 +410,7 @@ def _conjugated_sum_reference(t, series, middle=None, include_zero=False, degree
         term = middle if middle is not None else t.identity()
         total = total + lifted.coeff_1d(0) * term
     bound = t.nilpotency_bound
-    top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
+    top = series.truncation if bound is None else min(series.truncation, bound)
     support_max = max((i for i, c in enumerate(series.coefficients) if i >= 1 and c != 0), default=0)
     loop_top = min(top, support_max)
     increments = []
@@ -425,23 +426,22 @@ def _conjugated_sum_reference(t, series, middle=None, include_zero=False, degree
         total = total + inc
         increments.append(max_abs(inc))
     if bound is None:
-        settled = loop_top < top or not increments or increments[-1] <= stop_tol
-        if degree_cap <= series.truncation and not settled:
+        if loop_top == top and increments and increments[-1] > STOP_TOL:
             raise ConvergenceError("conjugated series did not settle")
         exact_stop = False
     else:
-        exact_stop = top >= min(bound, series.truncation) and series.truncation >= bound
+        exact_stop = series.truncation >= bound
     return total, increments, top, exact_stop
 
 
-def _operator_series_reference(t, series, point, degree_cap=64, stop_tol=1e-13):
-    """The operator series as its own loop over every degree up to the cap."""
+def _operator_series_reference(t, series, point):
+    """The operator series as its own loop over every degree up to the truncation."""
     sc = t.scalars.at(point)
     series = series if sc.exact else series.floats
     n = t.size
     total = sc.zeros((n, n), complex)
     bound = t.nilpotency_bound
-    top = min(degree_cap, series.truncation, bound if bound is not None else degree_cap)
+    top = series.truncation if bound is None else min(series.truncation, bound)
     prev = None
     for deg in range(0, top + 1):
         inc = sc.zeros((n, n), complex)
@@ -453,7 +453,7 @@ def _operator_series_reference(t, series, point, degree_cap=64, stop_tol=1e-13):
             inc = inc + sc.monomial(scalar) * sc.array(t.power(alpha))
         total = total + inc
         prev = max_abs(inc)
-    if bound is None and degree_cap <= series.truncation and (prev is None or prev > stop_tol):
+    if bound is None and top > 0 and prev > STOP_TOL:
         raise ConvergenceError("operator series did not settle")
     if not sc.exact and not any(isinstance(x, complex) for x in np.asarray(point).flat):
         if np.allclose(total.imag, 0.0):
@@ -617,13 +617,18 @@ class TestConvergenceHandling:
     def test_no_convergence_error(self):
         # a non-nilpotent contraction against a kernel with slowly decaying b
         t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
-        dirichlet = dirichlet_kernel(1, 40)
-        with pytest.raises(ConvergenceError):
-            defect_data(t, dirichlet, degree_cap=10, stop_tol=1e-13)
+        with pytest.raises(ConvergenceError, match="by degree 10"):
+            defect_data(t, dirichlet_kernel(1, 10))
+
+    def test_unsettled_at_truncation_48(self):
+        """Below degree 64 too, a sum that reaches the truncation unsettled is an error, not a verdict."""
+        t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
+        with pytest.raises(ConvergenceError, match="by degree 48"):
+            defect_data(t, dirichlet_kernel(1, 48))
 
     def test_scalar_contraction_converges(self):
         t = OperatorTuple((np.array([[0.5]]),), None, None, None, None)
-        dd = defect_data(t, szego_kernel(1, 40), degree_cap=60)
+        dd = defect_data(t, szego_kernel(1, 40))
         assert abs(dd.defect_sq[0, 0] - 0.75) < 1e-14
 
 

@@ -45,11 +45,11 @@ def test_kernel_vector_once_per_sample(config, monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(MonomialWindow, "kernel_vector", counted)
-    presets.run_configuration_checks(config, point_count=7)
-    # one batched call whose stack holds each of the 7 samples once
+    presets.run_configuration_checks(config)
+    # one batched call whose stack holds each of the samples once
     assert len(calls) == 1
     points, fibers = calls[0]
-    assert len(points) == len(fibers) == 7
+    assert len(points) == len(fibers) == presets.POINT_COUNT
 
 
 @pytest.mark.parametrize("name", ["k2_da_d1_n1", "k2_da_d2_n2_c", "two_cells"])
