@@ -17,6 +17,7 @@ from .series import (
     admissibility_report,
     bergman_kernel,
     cauchy_product,
+    contraction_diagonal,
     dirichlet_kernel,
     drury_arveson_kernel,
     factor_through_pick,

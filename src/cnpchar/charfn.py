@@ -708,6 +708,16 @@ def align_factorizations(
     points: Sequence[Point],
     source_degree: int = 16,
 ) -> AlignmentData:
+    """Check that two factorizations of one kernel give the same I - V V^* at sampled points.
+
+    Both ``CharFnData`` must come from the same tuple and kernel, with equal
+    defect ranks. At each point z (inside the unit ball) and each coordinate
+    e_a of Ran Defect, the family s_z (x) theta(z)^* e_a is formed in the
+    window of the factor s up to ``source_degree``, once per factorization.
+    A Gram gap above GRAM_MISMATCH_TOL raises ValueError; so do mismatched
+    tuples, kernels or ranks, and points outside the ball. Returns the gap
+    and the distance of both Grams to the closed form (``AlignmentData``).
+    """
     if cfd1.ops is not cfd2.ops:
         if cfd1.ops.size != cfd2.ops.size or any(
             max_abs(to_float_array(a) - to_float_array(b)) > 1e-12
@@ -783,11 +793,7 @@ def functional_model(
     return OperatorTuple(mats, None, None, t.nilpotency_bound, cfd.kernel), equality
 
 
-def coincidence_residual(
-    cfd_a: CharFnData,
-    cfd_b: CharFnData,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
+def coincidence_residual(cfd_a: CharFnData, cfd_b: CharFnData, rng: np.random.Generator) -> float:
     """How far the two Taylor families are from a constant-unitary match.
 
     Coincidence of characteristic functions is operationalized as the
@@ -795,14 +801,14 @@ def coincidence_residual(
     domain) with theta'_gamma = U2 theta_gamma U1 for every gamma. The
     bilinear orthogonal Procrustes problem is solved by alternating polar
     updates from the identity, a polar guess and COINCIDENCE_STARTS random
-    starts, COINCIDENCE_ITERATIONS each; the returned value is the best
-    relative Frobenius mismatch (inf for incompatible shapes).
+    starts drawn from ``rng``, COINCIDENCE_ITERATIONS each; the returned
+    value is the best relative Frobenius mismatch (inf for incompatible
+    shapes).
     """
     if cfd_a.fiber_dim != cfd_b.fiber_dim or cfd_a.domain_dim != cfd_b.domain_dim:
         return float("inf")
     if tuple(cfd_a.kernel.coefficients) != tuple(cfd_b.kernel.coefficients):
         raise ValueError("coincidence comparison requires the same kernel")
-    rng = rng if rng is not None else np.random.default_rng(0)
     space = BlockSpace(sorted(set(cfd_a.taylor) | set(cfd_b.taylor), key=lambda g: (degree(g), g)), 1)
     r, dom = cfd_a.fiber_dim, cfd_a.domain_dim
 

@@ -128,11 +128,17 @@ def _finish(report: dict, out: Optional[str]) -> int:
         exact_txt = " (exact)" if check.get("exact") else ""
         print(f"[{check['verdict'].upper():>16}] {check['name']}: residual {residual_txt}{exact_txt}")
     if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(out, json.dumps(report, indent=2, sort_keys=True) + "\n", "report")
         print(f"report written to {out}")
     return 1 if any(c["verdict"] == "fail" for c in report["checks"]) else 0
+
+
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write the {what} to {path}: {exc}") from exc
 
 
 def _environment(mode: str, seed: Optional[int] = None, **caps) -> dict:
@@ -335,8 +341,7 @@ def cmd_charfn(args) -> int:
     if args.dump_theta and cfd is None:
         print(f"theta not written to {args.dump_theta}: the tuple is not pure")
     elif args.dump_theta:
-        with open(args.dump_theta, "w") as fh:
-            json.dump(charfn_blocks_dict(cfd), fh, indent=2, sort_keys=True)
+        _write(args.dump_theta, json.dumps(charfn_blocks_dict(cfd), indent=2, sort_keys=True), "theta coefficients")
         print(f"theta coefficients written to {args.dump_theta}")
     return _finish(_report(config_echo, environment, checks), args.out)
 
@@ -391,6 +396,7 @@ def _build_checks(config: Configuration) -> tuple[list[CheckResult], Optional[Ch
 
 
 def cmd_impossibility(args) -> int:
+    _refuse_flags(args, "impossibility", {"--N": "N"})
     m, n, n_max = args.m, args.n, args.N_max
     if m < 1 or n < 1:
         raise InputError("m and n must be >= 1")
@@ -406,9 +412,7 @@ def cmd_impossibility(args) -> int:
     form = bergman_kernel(n, 1, truncation)
     for base in range(n_max + 1):
         closed = Fraction(1) - Fraction(n * (base + 2), base + m + 1)
-        value = quadratic_form_certificate(
-            kernel, form, base, [(base + 2,)], window_degree=base + 2, mode="exact"
-        )[0]
+        value = quadratic_form_certificate(kernel, form, base, [(base + 2,)], window_degree=base + 2)[0]
         agreement = max(agreement, abs(float(value - closed)))
         if value < 0 and first_violation is None:
             first_violation = base
@@ -442,6 +446,7 @@ def cmd_impossibility(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    _refuse_flags(args, "suite", {"--N": "N"})
     names = args.configs.split(",") if args.configs else list(presets.SUITE_CONFIGS)
     unknown = [n for n in names if n not in presets.CONFIG_NAMES]
     if unknown:

@@ -22,7 +22,6 @@ Float-mode tuples use the orthonormalized monomial basis.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -53,7 +52,6 @@ from .multiindex import (
     MultiIndex,
     degree,
     enumerate_up_to_degree,
-    subtract,
     unit,
 )
 from .series import (
@@ -62,6 +60,7 @@ from .series import (
     _scalar_from_spec,
     _scalar_from_string,
     _scalar_to_string,
+    contraction_diagonal,
     kernel_from_spec,
     kernel_to_spec,
     reciprocal_complement,
@@ -604,71 +603,42 @@ def quadratic_form_certificate(
     kernel: KernelSeries,
     form_kernel: KernelSeries,
     base_degree: int,
-    vectors: Sequence,
+    labels: Sequence,
+    *,
     window_degree: Optional[int] = None,
-    mode: str = "exact",
-):
-    """Values of the contraction form of ``form_kernel`` on a co-invariant window.
+) -> list:
+    """Values of the contraction form of ``form_kernel`` at the monomials z^gamma of a co-invariant window.
 
-    For each test vector v in the multiplication model of ``kernel`` up to
-    ``window_degree``, the value is
-
-        < (I - sum_{alpha != 0} b_alpha M^alpha P M^{alpha *}) v, v > / <v, v>
-
-    with P the projection onto monomials of degree above ``base_degree`` and
-    b from ``form_kernel``. With a and b the multi-index lifts, M^{alpha *}
-    sends e_gamma = sqrt(a_gamma) z^gamma to sqrt(a_{gamma-alpha} / a_gamma)
-    e_{gamma-alpha}, so the form is diagonal and no matrix is formed:
-
-        d_gamma = 1 - sum_{0 != alpha <= gamma, |gamma| - |alpha| > base}
-                      b_alpha a_{gamma-alpha} / a_gamma.
-
-    A label gamma gets d_gamma; a nonzero coordinate array over the window's
-    labels in graded order gets sum w |v_gamma|^2 d_gamma / sum w |v_gamma|^2,
-    with w = 1/a_gamma in exact mode (over z^gamma; rational values) and
-    w = 1 in float mode (over e_gamma; float coefficients only).
+    The window is the multiplication model of ``kernel`` up to
+    ``window_degree`` (by default the larger of base_degree + 2 and the
+    labels' top degree). With P the projection onto monomials of degree
+    above ``base_degree`` and b from ``form_kernel``, the form
+    I - sum_{alpha != 0} b_alpha M^alpha P M^{alpha *} is diagonal on
+    monomials, and its entry at gamma is the last value of
+    ``series.contraction_diagonal`` at n = |gamma| and
+    top = max(0, min(n - base_degree - 1, the truncation of b)), in the
+    arithmetic of the coefficients. An input that is not a label of the
+    window is a ValueError naming it.
     """
     if kernel.dim != form_kernel.dim:
         raise ValueError("kernel dimensions differ")
-    needed = max((degree(v) for v in vectors if isinstance(v, tuple)), default=0)
-    window = window_degree if window_degree is not None else max(base_degree + 2, needed)
-    if needed > window:
-        raise ValueError("test vector outside the window")
+    degrees = [_label_degree(v, kernel.dim) for v in labels]
+    window = window_degree
+    if window is None:
+        window = max([base_degree + 2] + [n for n in degrees if n is not None])
     if window > kernel.truncation:
         raise ValueError("model degree exceeds the kernel truncation")
-    labels = enumerate_up_to_degree(kernel.dim, window)
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    exact = mode == "exact"
-    if not exact:
-        kernel, form_kernel = kernel.floats, form_kernel.floats
-    b = reciprocal_complement(form_kernel)
+    for v, n in zip(labels, degrees):
+        if n is None or n > window:
+            raise ValueError(f"test vector {v!r} is not a label of the window of degree {window}")
+    return [
+        contraction_diagonal(kernel, form_kernel, n, max(0, min(n - base_degree - 1, form_kernel.truncation)))[-1]
+        for n in degrees
+    ]
 
-    def entry(gamma):
-        top = min(degree(gamma) - base_degree - 1, b.truncation)
-        lowered = 0
-        for alpha in itertools.product(*(range(g + 1) for g in gamma)):
-            if 1 <= degree(alpha) <= top:
-                lowered += b.coeff(alpha) * kernel.coeff(subtract(gamma, alpha))
-        return 1 - lowered / kernel.coeff(gamma)
 
-    values = []
-    for v in vectors:
-        if isinstance(v, tuple):
-            if v not in labels:
-                raise ValueError(f"test vector {v} outside the window")
-            values.append(entry(v))
-            continue
-        vec = np.asarray(v, dtype=object if exact else None)
-        if vec.shape != (len(labels),):
-            raise ValueError("test vector has the wrong length for the window")
-        num = den = 0
-        for gamma, x in zip(labels, vec):
-            if x != 0:
-                w = x * x.conjugate() / (kernel.coeff(gamma) if exact else 1)
-                num += w * entry(gamma)
-                den += w
-        if den == 0:
-            raise ValueError("zero test vector")
-        values.append(num / den)
-    return values
+def _label_degree(v, dim: int) -> Optional[int]:
+    """|v| for a multi-index v (a tuple of ``dim`` non-negative ints), else None."""
+    if isinstance(v, tuple) and len(v) == dim and all(isinstance(x, int) and x >= 0 for x in v):
+        return degree(v)
+    return None

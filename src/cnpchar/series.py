@@ -460,19 +460,31 @@ class AdmissibilityReport:
     verdict: str
 
 
+def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int) -> list:
+    """The partial values 1 - sum_{j=1}^{d} b_j a_{n-j} / a_n for d = 0..top, a from k and b from l.
+
+    Computed in the arithmetic of the coefficients, adding the terms in order
+    of j. By Vandermonde's identity (the multinomials of alpha and gamma -
+    alpha, summed over |alpha| = j, give that of gamma), the value at d is the
+    diagonal entry at any monomial z^gamma with |gamma| = n of
+    I - sum_{1 <= |alpha| <= d} b_alpha M^alpha M^{alpha *} on the model of k.
+    """
+    a, b = k.coefficients, reciprocal_complement(l).coefficients
+    if not 0 <= top <= n <= k.truncation or top > l.truncation:
+        raise ValueError(f"need 0 <= top {top} <= n {n} <= {k.truncation} and top <= {l.truncation}")
+    partial = 0 * a[0]
+    values = [1 - partial / a[n]]
+    for j in range(1, top + 1):
+        partial += b[j] * a[n - j]
+        values.append(1 - partial / a[n])
+    return values
+
+
 def admissibility_report(k: KernelSeries) -> AdmissibilityReport:
     a = k.coefficients
     n_max = k.truncation
     ratio_sup = max((a[n] / a[n + 1] for n in range(n_max)), default=a[0] / a[0])
-    b = reciprocal_complement(k).coefficients
-    bound = 0 * a[0]
-    for n in range(n_max + 1):
-        partial = 0 * a[0]
-        for d in range(0, n + 1):
-            if d >= 1:
-                partial += b[d] * a[n - d]
-            value = 1 - partial / a[n]
-            bound = max(bound, abs(value))
+    bound = max(abs(value) for n in range(n_max + 1) for value in contraction_diagonal(k, k, n, n))
     return AdmissibilityReport(ratio_sup, bound, n_max, f"certified up to {n_max}")
 
 

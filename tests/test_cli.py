@@ -427,6 +427,31 @@ class TestCommonFlags:
         assert main(argv + flag) == 2
         assert f"{flag[0]} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["suite", "--configs", "jordan"], "--out"),
+            (["charfn", "verify", "--preset", "jordan"], "--out"),
+            (["charfn", "verify", "--preset", "jordan"], "--dump-theta"),
+            (["impossibility", "--m", "2", "--n", "2", "--N-max", "2"], "--out"),
+        ],
+        ids=["suite_out", "charfn_out", "charfn_dump_theta", "impossibility_out"],
+    )
+    def test_unwritable_output_exits_two(self, argv, flag, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(argv + [flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the ") and str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["suite", "--configs", "jordan"], ["impossibility", "--m", "2", "--n", "2", "--N-max", "2"]],
+        ids=["suite", "impossibility"],
+    )
+    def test_truncation_where_unused_exits_two(self, argv, capsys):
+        assert main(argv + ["--N", "5"]) == 2
+        assert f"--N cannot be combined with {argv[0]}" in capsys.readouterr().err
+
 
 class TestImpossibility:
     def test_first_violation_m2_n2(self, tmp_path, capsys):

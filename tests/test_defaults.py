@@ -7,7 +7,6 @@ from pathlib import Path
 KEPT = {
     # optional inputs: absent means "none given" or "derive it"
     "_linalg.adjoint.weights",
-    "charfn.coincidence_residual.rng",
     "cli._certificate.residual",
     "cli._certificate.exact",
     "cli._environment.seed",
@@ -29,7 +28,6 @@ KEPT = {
     "dilation.MonomialWindow.__init__.scalars",
     "multiindex.BlockSpace.lift.scalars",
     "operators.model_tuple.mode",
-    "operators.quadratic_form_certificate.mode",
     # depths and sizes that callers set to other values
     "charfn.build_charfn.support_cap",
     "charfn.build_charfn.constant_cap",

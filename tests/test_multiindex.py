@@ -169,22 +169,18 @@ def test_only_the_lift_reads_series_coefficients_by_label():
 
     Every other module takes a series' coefficients over labels from
     ``BlockSpace.lift``, so there is one float definition of the lift. The
-    sweep's exact per-label walk, ``operators.quadratic_form_certificate``,
-    is the one exception.
+    sweep's certificate reads the one-variable ``series.contraction_diagonal``.
     """
     src = Path(__file__).parents[1] / "src" / "cnpchar"
     found = []
     for path in sorted(src.glob("*.py")):
         if path.name in ("series.py", "multiindex.py"):
             continue
-        for top in ast.parse(path.read_text()).body:
-            if path.name == "operators.py" and getattr(top, "name", None) == "quadratic_form_certificate":
-                continue
-            for node in ast.walk(top):
-                reads_floats = isinstance(node, ast.Attribute) and node.attr == "floats"
-                calls_coeff = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "coeff"
-                if reads_floats or calls_coeff:
-                    found.append(f"{path.name}:{node.lineno}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            reads_floats = isinstance(node, ast.Attribute) and node.attr == "floats"
+            calls_coeff = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "coeff"
+            if reads_floats or calls_coeff:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

@@ -295,92 +295,72 @@ class TestQuadraticForm:
                 bergman_kernel(2, 1, 32), bergman_kernel(2, 1, 32), 0, [(9,)], window_degree=4
             )
 
-    def test_float_mode_agrees(self):
+    def test_float_coefficients_agree(self):
+        """Float coefficients give float values, within 1e-12 of the exact ones."""
         exact = quadratic_form_certificate(
             bergman_kernel(3, 1, 32), bergman_kernel(2, 1, 32), 1, [(3,)]
         )[0]
         approx = quadratic_form_certificate(
-            bergman_kernel(3, 1, 32), bergman_kernel(2, 1, 32), 1, [(3,)], mode="float"
+            bergman_kernel(3, 1, 32).floats, bergman_kernel(2, 1, 32).floats, 1, [(3,)]
         )[0]
+        assert isinstance(approx, float)
         assert abs(float(exact) - approx) < 1e-12
 
     @pytest.mark.parametrize("base", range(4), ids=lambda b: f"base{b}")
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 2)], ids=lambda x: f"{x}")
     @pytest.mark.parametrize("dim", [1, 2], ids=lambda d: f"d{d}")
     def test_matches_dense_reference(self, dim, m, n, base):
-        """Labels and mixed exact coordinate vectors equal the dense form exactly;
-        float mode agrees within 1e-12."""
+        """Every label of the window gets the dense form's value exactly."""
         kernel, form = bergman_kernel(m, dim, 8), bergman_kernel(n, dim, 8)
         window = base + 2
-        size = count_up_to_degree(dim, window)
-        vectors = enumerate_up_to_degree(dim, window) + [
-            np.array([Fraction((-1) ** i * (i % 4), i % 3 + 1) for i in range(size)], dtype=object),
-            np.array([Fraction(0)] * (size - 1) + [Fraction(-2, 7)], dtype=object),
-            np.array([i % 2 for i in range(size)], dtype=object),
-        ]
-        values = quadratic_form_certificate(kernel, form, base, vectors, window_degree=window)
-        reference = _dense_certificate_reference(kernel, form, base, vectors, window)
+        labels = enumerate_up_to_degree(dim, window)
+        values = quadratic_form_certificate(kernel, form, base, labels, window_degree=window)
         assert all(isinstance(v, Fraction) for v in values)
-        assert values == reference
+        assert values == _dense_certificate_reference(kernel, form, base, labels, window)
 
-        floats = [v if isinstance(v, tuple) else v.astype(float) for v in vectors]
-        approx = quadratic_form_certificate(
-            kernel, form, base, floats, window_degree=window, mode="float"
-        )
-        float_reference = _dense_certificate_reference(kernel, form, base, floats, window, "float")
-        assert all(isinstance(v, float) for v in approx)
-        assert max(abs(a - r) for a, r in zip(approx, float_reference)) < 1e-12
-
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_zero_vector_rejected(self, mode):
+    @pytest.mark.parametrize("dtype", ["exact", "float"])
+    def test_zero_vector_rejected(self, dtype):
+        """A coordinate vector, here zero, is not a label."""
         k = bergman_kernel(2, 1, 8)
-        zero = np.zeros(4, dtype=object if mode == "exact" else float)
-        if mode == "exact":
-            zero[:] = Fraction(0)
-        with pytest.raises(ValueError, match="^zero test vector$"):
-            quadratic_form_certificate(k, k, 0, [zero], window_degree=3, mode=mode)
-
-    def test_unknown_mode_rejected(self):
-        k = bergman_kernel(2, 1, 8)
-        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
-            quadratic_form_certificate(k, k, 0, [(2,)], mode="bogus")
+        zero = np.zeros(4, dtype=object if dtype == "exact" else float)
+        with pytest.raises(ValueError, match="^test vector array.* is not a label of the window of degree 3$"):
+            quadratic_form_certificate(k, k, 0, [zero], window_degree=3)
 
     def test_window_beyond_truncation_rejected(self):
         k = bergman_kernel(2, 1, 8)
         with pytest.raises(ValueError, match="^model degree exceeds the kernel truncation$"):
             quadratic_form_certificate(k, k, 0, [(2,)], window_degree=9)
 
-    def test_wrong_length_rejected(self):
+    @pytest.mark.parametrize("window", [3, None], ids=["window3", "default_window"])
+    def test_non_labels_rejected(self, window):
+        """Whatever is not a multi-index of the kernel's dimension is a ValueError naming it."""
         k = bergman_kernel(2, 1, 8)
-        with pytest.raises(ValueError, match="^test vector has the wrong length for the window$"):
-            quadratic_form_certificate(k, k, 0, [np.ones(3)], window_degree=3)
+        for v in (np.ones(4), [2], (2, 0), (-1,), (1.5,), ("2",), (None,), "2", None):
+            with pytest.raises(ValueError, match="is not a label of the window") as info:
+                quadratic_form_certificate(k, k, 0, [(1,), v], window_degree=window)
+            assert repr(v) in str(info.value)
 
 
-def _dense_certificate_reference(kernel, form_kernel, base_degree, vectors, window_degree, mode="exact"):
-    """The contraction form through the dense model tuple and lowered copies of each vector.
+def _dense_certificate_reference(kernel, form_kernel, base_degree, labels, window_degree):
+    """The contraction form at each label through the dense exact model tuple and lowered copies of z^gamma.
 
-    For each vector v it subtracts b_alpha <P (M^alpha)^* v, (M^alpha)^* v>
-    from <v, v>, lowering v one variable at a time with the dense adjoints.
+    For each label gamma it subtracts b_alpha <P (M^alpha)^* z^gamma, (M^alpha)^* z^gamma>
+    from <z^gamma, z^gamma>, lowering one variable at a time with the dense adjoints.
     """
-    t = model_tuple(kernel, kernel.dim, window_degree, mode=mode)
-    sc = t.scalars
+    t = model_tuple(kernel, kernel.dim, window_degree, mode="exact")
     index = {lab: i for i, lab in enumerate(t.basis_labels)}
     mask = np.array([degree(lab) > base_degree for lab in t.basis_labels])
-    weights = t.weights if t.weights is not None else np.ones(t.size)
     adjoints = [adjoint(m, t.weights) for m in t.mats]
     b = reciprocal_complement(form_kernel)
     support = max(n for n, c in enumerate(b.coefficients) if c != 0)
 
     def inner(x, y):
-        return (weights * x * np.conjugate(y)).sum()
+        return (t.weights * x * np.conjugate(y)).sum()
 
     values = []
-    for v in vectors:
-        if isinstance(v, tuple):
-            vec = sc.zeros(t.size)
-            vec[index[v]] = 1
-        else:
-            vec = np.asarray(v, dtype=object if sc.exact else None)
+    for gamma in labels:
+        vec = t.scalars.zeros(t.size)
+        vec[index[gamma]] = 1
         total = inner(vec, vec)
         value = total
         lowered = {(0,) * kernel.dim: vec}
@@ -390,8 +370,7 @@ def _dense_certificate_reference(kernel, form_kernel, base_degree, vectors, wind
                 i = next(j for j, a in enumerate(alpha) if a > 0)
                 w = adjoints[i] @ lowered[subtract_unit(alpha, i)]
                 next_lowered[alpha] = w
-                c = b.coeff(alpha) if sc.exact else float(b.coeff(alpha))
-                value = value - c * inner(np.where(mask, w, 0 * w), w)
+                value = value - b.coeff(alpha) * inner(np.where(mask, w, 0 * w), w)
             lowered = next_lowered
         values.append(value / total)
     return values

@@ -52,6 +52,7 @@ def test_golden_files_present():
         "charfn_verify_scalar_half_N64",
         "charfn_verify_two_cells_exact",
         "charfn_verify_wide_seed_0",
+        "impossibility_m3_n2_N50",
         "suite_seed_0",
     }
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnpchar.multiindex import degree, enumerate_up_to_degree, subtract
 from cnpchar.series import (
     FactorizationError,
     KernelFactorization,
@@ -15,6 +17,7 @@ from cnpchar.series import (
     admissibility_report,
     bergman_kernel,
     cauchy_product,
+    contraction_diagonal,
     dirichlet_kernel,
     drury_arveson_kernel,
     factor_through_pick,
@@ -336,6 +339,78 @@ class TestAdmissibility:
     def test_partial_sum_bound_szego(self):
         report = admissibility_report(szego_kernel(1, 20))
         assert report.partial_sum_bound == 1
+
+    @pytest.mark.parametrize("name", ["bergman2", "dirichlet", "da_dirichlet", "float_coeffs"])
+    def test_matches_the_double_loop(self, name):
+        """Both fields equal, value and type, those of the scalar double loop kept in ``_admissibility_reference``."""
+        k = _diagonal_kernels(1, 16)[name] if name != "float_coeffs" else kernel_from_coefficients(
+            [1.0, 0.2, 0.9, 0.05, 0.7, 0.3, 0.45], 2
+        )
+        report = admissibility_report(k)
+        for got, want in zip((report.ratio_sup, report.partial_sum_bound), _admissibility_reference(k)):
+            assert got == want and type(got) is type(want)
+        if name == "float_coeffs":
+            assert report.partial_sum_bound > 1
+
+
+def _admissibility_reference(k):
+    """(ratio_sup, partial_sum_bound) by the scalar double loop over n and d."""
+    a = k.coefficients
+    n_max = k.truncation
+    ratio_sup = max((a[n] / a[n + 1] for n in range(n_max)), default=a[0] / a[0])
+    b = reciprocal_complement(k).coefficients
+    bound = 0 * a[0]
+    for n in range(n_max + 1):
+        partial = 0 * a[0]
+        for d in range(0, n + 1):
+            if d >= 1:
+                partial += b[d] * a[n - d]
+            value = 1 - partial / a[n]
+            bound = max(bound, abs(value))
+    return ratio_sup, bound
+
+
+def _diagonal_kernels(dim, truncation):
+    return {
+        "bergman2": bergman_kernel(2, dim, truncation),
+        "dirichlet": dirichlet_kernel(dim, truncation),
+        "da_dirichlet": cauchy_product(drury_arveson_kernel(dim, truncation), dirichlet_kernel(dim, truncation)),
+    }
+
+
+class TestContractionDiagonal:
+    @pytest.mark.parametrize("dim", [1, 2, 3], ids=lambda d: f"d{d}")
+    def test_equals_the_multi_index_sum(self, dim):
+        """At every label gamma with |gamma| <= 5, the value at d is
+        1 - sum_{1 <= |alpha| <= d, alpha <= gamma} b_alpha a_{gamma-alpha} / a_gamma, exactly,
+        for a and b from any two of Bergman 2, Dirichlet and DA*Dirichlet."""
+        kernels = _diagonal_kernels(dim, 8).values()
+        for k in kernels:
+            for l in kernels:
+                b = reciprocal_complement(l)
+                for gamma in enumerate_up_to_degree(dim, 5):
+                    n = degree(gamma)
+                    values = contraction_diagonal(k, l, n, n)
+                    assert len(values) == n + 1
+                    for d, value in enumerate(values):
+                        lowered = sum(
+                            b.coeff(alpha) * k.coeff(subtract(gamma, alpha))
+                            for alpha in itertools.product(*(range(g + 1) for g in gamma))
+                            if 1 <= degree(alpha) <= d
+                        )
+                        assert value == 1 - lowered / k.coeff(gamma), (gamma, d)
+                        assert isinstance(value, Fraction)
+
+    def test_partial_values_stop_at_top(self):
+        k = bergman_kernel(2, 1, 8)
+        assert contraction_diagonal(k, k, 6, 2) == contraction_diagonal(k, k, 6, 6)[:3]
+        assert contraction_diagonal(k, k, 3, 0) == [1]
+
+    @pytest.mark.parametrize("n, top", [(3, 4), (3, -1), (9, 1)], ids=["top_above_n", "negative_top", "n_beyond_truncation"])
+    def test_out_of_range_rejected(self, n, top):
+        k = bergman_kernel(2, 1, 8)
+        with pytest.raises(ValueError, match="^need 0 <= top"):
+            contraction_diagonal(k, k, n, top)
 
 
 class TestEvaluate:
