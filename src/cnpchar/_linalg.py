@@ -53,12 +53,12 @@ def _exact_is_real(a: np.ndarray) -> bool:
 
 
 def adjoint(a: np.ndarray, weights=None) -> np.ndarray:
-    """Adjoint of the operator with matrix ``a`` on a basis with squared norms ``weights``.
+    """Adjoint of the operator with matrix ``a``, or of each in a stack, on a basis with squared norms ``weights``.
 
     weights None means orthonormal basis (plain conjugate transpose).
     Otherwise [a*]_{ij} = (w_j / w_i) conj(a_{ji}).
     """
-    at = a.conj().T
+    at = a.conj().swapaxes(-1, -2)
     if weights is None:
         return at
     w = np.asarray(weights, dtype=object if is_exact_array(a) else None)

@@ -43,6 +43,7 @@ from ._linalg import (
     FLOAT,
     ExactnessError,
     Scalars,
+    adjoint,
     is_exact_array,
     is_exactly_zero,
     max_abs,
@@ -56,7 +57,7 @@ from ._linalg import (
 from .dilation import DilationData, MonomialWindow
 from .multiindex import (
     BlockSpace,
-    add,
+    count_up_to_degree,
     degree,
     enumerate_up_to_degree,
 )
@@ -219,28 +220,24 @@ def build_charfn(
     n = t.size
     diagnostics: dict = {"purity_residual": defect.purity_residual}
 
-    dim = t.num_vars
-    b_labels = [
-        a
-        for a in enumerate_up_to_degree(dim, support_cap)
-        if degree(a) >= 1 and b_s.coeff_1d(degree(a)) != 0
-    ]
-    g_labels = [a for a in enumerate_up_to_degree(dim, constant_cap) if g.coeff_1d(degree(a)) != 0]
-    row_space = BlockSpace(b_labels, n)
-    e_space = BlockSpace(g_labels, r)
+    # every T^alpha read below, the betas first; zero above the nilpotency degree
+    beta_top = min(bound if bound is not None else max(support_cap, constant_cap), kernel.truncation)
+    labels, powers = t.powers(max(support_cap, constant_cap, beta_top))
+    b_pos = np.array([i for i, m in enumerate(labels.degrees) if 1 <= m <= support_cap and b_s.coeff_1d(m)], dtype=int)
+    g_pos = np.array([i for i, m in enumerate(labels.degrees) if m <= constant_cap and g.coeff_1d(m)], dtype=int)
+    row_space = BlockSpace([labels.labels[i] for i in b_pos], n)
+    e_space = BlockSpace([labels.labels[i] for i in g_pos], r)
     root_g = sc.roots(e_space.lift(g, sc))
     root_b = sc.roots(row_space.lift(b_s, sc))
 
-    # Q* Defect (T^beta)^* for every beta read below; zero above the nilpotency degree
-    beta_cap = bound if bound is not None else max(support_cap, constant_cap)
-    betas = BlockSpace(enumerate_up_to_degree(dim, min(beta_cap, kernel.truncation)), r)
-    defect_rows = {beta: q_delta.conj().T @ delta @ t.power_adjoint(beta) for beta in betas.labels}
+    # Q* Defect (T^beta)^* for every beta with |beta| <= beta_top, as one (L_beta, r, n) stack
+    n_betas = count_up_to_degree(t.num_vars, beta_top)
+    defect_rows = q_delta.conj().T @ delta @ adjoint(powers[:n_betas])
 
     # g-weighted embedding of H into E
     embedding = sc.zeros((e_space.dim, n), t.dtype)
-    for lab, scale in zip(g_labels, root_g):
-        if lab in defect_rows:
-            embedding[e_space.block(lab)] = scale * defect_rows[lab]
+    inside = g_pos < n_betas
+    embedding.reshape(len(g_pos), r, n)[inside] = root_g[inside][:, None, None] * defect_rows[g_pos[inside]]
     embedding_gap = embedding.conj().T @ embedding - gamma_sq
     diagnostics["embedding_gram_residual"] = spectral_norm(embedding_gap)
     if sc.exact:
@@ -258,9 +255,7 @@ def build_charfn(
     complement_basis = orth_complement_of_range(embedding)
 
     # row contraction from the weighted powers, and its defect
-    row = sc.zeros((n, row_space.dim), t.dtype)
-    for lab, scale in zip(b_labels, root_b):
-        row[:, row_space.block(lab)] = scale * t.power(lab)
+    row = (root_b[:, None, None] * powers[b_pos]).swapaxes(0, 1).reshape(n, row_space.dim)
     row_gram = row.conj().T @ row
     row_root = psd_root(sc.eye(row_space.dim) - row_gram)
     lo = row_root.min_eigenvalue
@@ -299,18 +294,20 @@ def build_charfn(
     # summed in place over the labels in order of first appearance. Float
     # entries start at -0.0, the exact additive identity, so a first term
     # enters unchanged, sign of zero included.
-    a = betas.lift(kernel, sc)
-    labels = list(dict.fromkeys(g_labels + [add(al, be) for al in b_labels for be in betas.labels]))
-    index = {lab: i for i, lab in enumerate(labels)}
-    stack = -sc.zeros((len(labels), r, p + q_h), t.dtype)
-    for lab, scale in zip(g_labels, root_g):
-        stack[index[lab]] += scale * d_block[e_space.block(lab)]
-    for alpha, scale in zip(b_labels, root_b):
-        block = b_block[row_space.block(alpha)]
-        for beta, a_beta in zip(betas.labels, a):
-            stack[index[add(alpha, beta)]] += (a_beta * scale) * (defect_rows[beta] @ block)
-    keep = np.flatnonzero((stack != 0).reshape(len(labels), -1).any(axis=1))
-    taylor = TaylorCoefficients(BlockSpace([labels[i] for i in keep], r), stack[keep])
+    a = BlockSpace(labels.labels[:n_betas], r).lift(kernel, sc)
+    exps = np.array(labels.labels, dtype=int).reshape(-1, t.num_vars)
+    sums = (exps[b_pos, None, :] + exps[None, :n_betas, :]).reshape(-1, t.num_vars)
+    gammas = np.concatenate([exps[g_pos], sums])
+    first = np.unique(np.ravel_multi_index(gammas.T, gammas.max(axis=0, initial=0) + 1), return_index=True)[1]
+    gamma_space = BlockSpace([tuple(x) for x in gammas[np.sort(first)].tolist()], r)
+    targets = gamma_space.positions(sums).reshape(len(b_pos), n_betas)
+    stack = -sc.zeros((len(gamma_space.labels), r, p + q_h), t.dtype)
+    stack[: len(g_pos)] += root_g[:, None, None] * d_block.reshape(len(g_pos), r, p + q_h)  # the g labels lead
+    for alpha_targets, scale, block in zip(targets, root_b, b_block.reshape(len(b_pos), n, p + q_h)):
+        for target, a_beta, rows in zip(alpha_targets, a, defect_rows):
+            stack[target] += (a_beta * scale) * (rows @ block)
+    keep = np.flatnonzero((stack != 0).reshape(len(stack), -1).any(axis=1))
+    taylor = TaylorCoefficients(BlockSpace([gamma_space.labels[i] for i in keep], r), stack[keep])
 
     return CharFnData(
         factorization=factorization,
@@ -441,10 +438,13 @@ def inverse_identity_residual(cfd: CharFnData, points: Sequence[Point]) -> float
     g_adj = operator_series(t, cfd.factorization.positive_part, points).conj().swapaxes(-1, -2)
     k_adj = operator_series(t, cfd.kernel, points).conj().swapaxes(-1, -2)
     coeffs = b * FLOAT.monomial(space.monomials(points))
+    labels, powers = t.powers(int(space.degrees.max(initial=0)))
+    wanted = labels.positions(np.array(space.labels, dtype=int).reshape(-1, t.num_vars))
+    adjoints = to_float_array(adjoint(powers[wanted]))
     # Z(z) R^* term by term in label order, as a scalar sum would add them
     zr = 0
-    for alpha, c in zip(space.labels, coeffs.T):
-        zr = zr + c[:, None, None] * to_float_array(t.power_adjoint(alpha))
+    for c, p in zip(coeffs.T, adjoints):
+        zr = zr + c[:, None, None] * p
     return spectral_norm(g_adj - k_adj @ (np.eye(t.size) - zr))
 
 

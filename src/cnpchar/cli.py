@@ -5,7 +5,8 @@ and prints one line per check. Exit codes: 0 all checks passed (or
 certificate-only), 1 at least one verified failure, 2 malformed input or
 usage error. Randomness is controlled by --seed and recorded in the report,
 so residuals are reproducible; reports are byte-identical across runs
-except for the elapsed fields.
+except for the elapsed fields. A flag the command would ignore, and an
+output path that cannot be written, exit 2 before any check runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -141,6 +143,12 @@ def _write(path: str, text: str, what: str) -> None:
         raise InputError(f"cannot write the {what} to {path}: {exc}") from exc
 
 
+def _check_writable(path: Optional[str], what: str) -> None:
+    """InputError, before any check runs, for a ``path`` that is a directory or lies in no writable one."""
+    if path and (os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)):
+        raise InputError(f"cannot write the {what} to {path}: not a file in a writable directory")
+
+
 def _environment(mode: str, seed: Optional[int] = None, **caps) -> dict:
     return {
         "mode": mode,
@@ -163,8 +171,10 @@ def _certificate(name: str, payload_ok: bool, residual=None, exact=None) -> Chec
 
 
 def cmd_kernel(args) -> int:
+    unused = {"--seed": "seed", "--tol": "tol"} if args.kernel_cmd == "info" else {"--seed": "seed"}
+    _refuse_flags(args, f"kernel {args.kernel_cmd}", unused)
     k = _load_kernel(args.spec, args.N) if args.spec else None
-    tol = args.tol
+    tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
     if args.kernel_cmd == "info":
         b = reciprocal_complement(k)
         adm = admissibility_report(k)
@@ -319,9 +329,10 @@ def cmd_charfn(args) -> int:
         config = _exact_variant(config)
     elif config.ops.exact:
         config = replace(config, ops=config.ops.to_float())
+    seed = 0 if args.seed is None else args.seed
     environment = _environment(
         args.mode,
-        seed=args.seed,
+        seed=seed,
         support_cap=config.support_cap,
         constant_cap=config.constant_cap,
         source_degree=config.source_degree,
@@ -333,7 +344,8 @@ def cmd_charfn(args) -> int:
     }
     try:
         if args.charfn_cmd == "verify":
-            checks, cfd = run_configuration_checks(config, seed=args.seed, composite_tol=args.tol)
+            tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
+            checks, cfd = run_configuration_checks(config, seed=seed, composite_tol=tol)
         else:
             checks, cfd = _build_checks(config)
     except (ExactnessError, WindowError, NotContractionError, ConvergenceError) as exc:
@@ -396,7 +408,7 @@ def _build_checks(config: Configuration) -> tuple[list[CheckResult], Optional[Ch
 
 
 def cmd_impossibility(args) -> int:
-    _refuse_flags(args, "impossibility", {"--N": "N"})
+    _refuse_flags(args, "impossibility", {"--N": "N", "--tol": "tol", "--seed": "seed"})
     m, n, n_max = args.m, args.n, args.N_max
     if m < 1 or n < 1:
         raise InputError("m and n must be >= 1")
@@ -447,6 +459,8 @@ def cmd_impossibility(args) -> int:
 
 def cmd_suite(args) -> int:
     _refuse_flags(args, "suite", {"--N": "N"})
+    seed = 0 if args.seed is None else args.seed
+    tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
     names = args.configs.split(",") if args.configs else list(presets.SUITE_CONFIGS)
     unknown = [n for n in names if n not in presets.CONFIG_NAMES]
     if unknown:
@@ -456,17 +470,17 @@ def cmd_suite(args) -> int:
         replace(check, name=f"{name}/{check.name}")
         for name in names
         for check in run_configuration_checks(
-            presets.configuration(name), seed=args.seed, composite_tol=args.tol
+            presets.configuration(name), seed=seed, composite_tol=tol
         )[0]
     ]
     if not args.configs:
-        all_checks.append(presets.run_alignment_check(seed=args.seed))
-        all_checks.extend(presets.run_coincidence_checks(seed=args.seed))
+        all_checks.append(presets.run_alignment_check(seed=seed))
+        all_checks.extend(presets.run_coincidence_checks(seed=seed))
     passed = sum(1 for c in all_checks if c.verdict == "pass")
     failed = sum(1 for c in all_checks if c.verdict == "fail")
     report = _report(
         {"command": "suite", "configurations": names, "passed": passed, "failed": failed},
-        _environment("float", seed=args.seed),
+        _environment("float", seed=seed),
         all_checks,
     )
     code = _finish(report, args.out)
@@ -531,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--N", type=int, default=None, help="series truncation override")
-    p.add_argument("--tol", type=float, default=presets.TOL_COMPOSITE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, help=f"composite tolerance (default {presets.TOL_COMPOSITE})")
+    p.add_argument("--seed", type=int, help="seed of the sample points (default 0)")
     p.add_argument("--out", help="write the JSON run report here")
 
 
@@ -540,10 +554,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
+        if args.seed is not None and args.seed < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise InputError(f"--tol must be finite and > 0, got {args.tol}")
+        _check_writable(args.out, "report")
+        _check_writable(getattr(args, "dump_theta", None), "theta coefficients")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from ._linalg import (
     FLOAT,
     ExactnessError,
     Scalars,
+    adjoint,
     is_exact_array,
     min_eigenvalue,
     orth_complement_of_range,
@@ -149,12 +150,13 @@ def build_dilation(defect: DefectData, target_degree: int) -> DilationData:
     sc = t.scalars
     q = defect.ran_defect_basis
     window = MonomialWindow(kernel, q.shape[1], target_degree, sc)
-    v = sc.zeros((window.dim, t.size), t.dtype)
     bound = t.nilpotency_bound
-    for lab, deg, a in zip(window.labels, window.degrees, window.coefficients):
-        if bound is not None and deg > bound:
-            continue
-        v[window.block(lab)] = sc.sqrt(a) * (q.conj().T @ delta @ t.power_adjoint(lab))
+    _, powers = t.powers(target_degree if bound is None else min(target_degree, bound))
+    live = len(powers)
+    v = sc.zeros((window.dim, t.size), t.dtype)
+    v[: live * window.block_dim] = (
+        sc.roots(window.coefficients[:live])[:, None, None] * (q.conj().T @ delta @ adjoint(powers))
+    ).reshape(-1, t.size)
     gram_gap = v.conj().T @ v - t.identity()
     return DilationData(
         defect=defect,
@@ -226,8 +228,7 @@ def associated_tuple_test(
     Lowering-then-raising preserves degrees, so values on the window part
     are exact values of the infinite form.
     """
-    if t.exact:
-        t = t.to_float()
+    t = t.to_float()
     bound = t.nilpotency_bound
     if window_degree is None:
         if bound is None:

@@ -10,6 +10,7 @@ computation over labels, with one float definition: the float view's lift.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Optional, Sequence
 
@@ -139,7 +140,10 @@ class BlockSpace:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels) * block_dim
         self.degrees = np.array([degree(lab) for lab in self.labels], dtype=int)
-        self._multinomials = np.array([multinomial(lab) for lab in self.labels], dtype=object)
+
+    @functools.cached_property
+    def _multinomials(self) -> np.ndarray:
+        return np.array([multinomial(lab) for lab in self.labels], dtype=object)
 
     def block(self, label: MultiIndex) -> slice:
         i = self.index[label]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -49,7 +49,7 @@ from ._linalg import (
 )
 from .multiindex import (
     BlockSpace,
-    MultiIndex,
+    count_up_to_degree,
     degree,
     enumerate_up_to_degree,
     unit,
@@ -98,10 +98,6 @@ class OperatorTuple:
     multi-indices for graded models. ``nilpotency_bound`` is a degree nu with
     T^alpha = 0 whenever |alpha| > nu, when one is known; it makes all
     operator series finite and exact.
-
-    Tuples are immutable after construction apart from the power cache,
-    whose entries are idempotent, so concurrent readers see pure-function
-    behavior.
     """
 
     mats: tuple
@@ -109,7 +105,6 @@ class OperatorTuple:
     basis_labels: Optional[tuple] = None
     nilpotency_bound: Optional[int] = None
     kernel: Optional[KernelSeries] = None
-    _powers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.mats = tuple(np.asarray(m) for m in self.mats)
@@ -161,46 +156,28 @@ class OperatorTuple:
     def identity(self) -> np.ndarray:
         return self.scalars.eye(self.size, self.dtype)
 
-    def power(self, alpha: MultiIndex) -> np.ndarray:
-        """T^alpha = T_1^a1 ... T_d^ad, memoized along the graded recursion."""
-        alpha = tuple(alpha)
-        if len(alpha) != self.num_vars:
-            raise ValueError("multi-index dimension mismatch")
-        cached = self._powers.get(alpha)
-        if cached is not None:
-            return cached
-        if all(a == 0 for a in alpha):
-            out = self.identity()
-        elif self.nilpotency_bound is not None and degree(alpha) > self.nilpotency_bound:
-            out = self.scalars.zeros((self.size, self.size), self.dtype)
-        else:
-            i = next(j for j, a in enumerate(alpha) if a > 0)
-            out = self.mats[i] @ self.power(subtract_unit(alpha, i))
-        self._powers[alpha] = out
-        return out
+    def powers(self, top: int) -> tuple[BlockSpace, np.ndarray]:
+        """Every T^alpha with |alpha| <= top: (their labels in graded order, an (L, n, n) stack).
 
-    def power_adjoint(self, alpha: MultiIndex) -> np.ndarray:
-        return adjoint(self.power(alpha), self.weights)
-
-    def mat_adjoint(self, i: int) -> np.ndarray:
-        return adjoint(self.mats[i], self.weights)
+        T^alpha = T_i T^(alpha - e_i), with i the first nonzero entry of
+        alpha, and T^alpha = 0 above the nilpotency bound.
+        """
+        space = BlockSpace(enumerate_up_to_degree(self.num_vars, top), 1)
+        stack = self.scalars.zeros((len(space.labels), self.size, self.size), self.dtype)
+        stack[0] = self.identity()
+        bound = top if self.nilpotency_bound is None else min(top, self.nilpotency_bound)
+        for j, alpha in enumerate(space.labels[1 : count_up_to_degree(self.num_vars, bound)], 1):
+            i = next(k for k, a in enumerate(alpha) if a > 0)
+            stack[j] = self.mats[i] @ stack[space.index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]]
+        return space, stack
 
     def to_float(self) -> "OperatorTuple":
-        """Re-express in the orthonormalized basis with float entries."""
-        if not self.exact:
-            return self
+        """Re-express in the orthonormalized basis with float entries; a float tuple with weights is rescaled too."""
         if self.weights is None:
-            mats = tuple(to_float_array(m) for m in self.mats)
-        else:
-            scale = np.sqrt(to_float_array(self.weights).astype(float))
-            mats = tuple(to_float_array(m) * scale[:, None] / scale[None, :] for m in self.mats)
-        return OperatorTuple(
-            mats, None, self.basis_labels, self.nilpotency_bound, self.kernel
-        )
-
-
-def subtract_unit(alpha: MultiIndex, i: int) -> MultiIndex:
-    return tuple(a - 1 if j == i else a for j, a in enumerate(alpha))
+            return replace(self, mats=tuple(map(to_float_array, self.mats))) if self.exact else self
+        scale = np.sqrt(to_float_array(self.weights).astype(float))
+        mats = tuple(to_float_array(m) * scale[:, None] / scale[None, :] for m in self.mats)
+        return OperatorTuple(mats, None, self.basis_labels, self.nilpotency_bound, self.kernel)
 
 
 def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "float") -> OperatorTuple:
@@ -230,19 +207,19 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
 # graded operator series
 
 
-def _graded_space(t: OperatorTuple, series: RealSeries) -> BlockSpace:
-    """The labels of a graded walk, in graded order, up to its last degree.
+def _graded_space(t: OperatorTuple, series: RealSeries) -> tuple[BlockSpace, np.ndarray]:
+    """The labels of a graded walk up to its last degree, and their powers: ``t.powers`` of that degree.
 
     That degree is the first of the truncation, the nilpotency bound and the
     series' last nonzero degree.
     """
     bound = t.nilpotency_bound
     top = series.truncation if bound is None else min(series.truncation, bound)
-    return BlockSpace(enumerate_up_to_degree(t.num_vars, min(top, series.last_nonzero)), 1)
+    return t.powers(min(top, series.last_nonzero))
 
 
 def _graded_sum(t: OperatorTuple, series: RealSeries, space: BlockSpace, scalars: Scalars, term, zero):
-    """sum of term(i, c_i) over the labels of ``space`` = ``_graded_space(t, series)``, degree by degree.
+    """sum of term(i, c_i) over the labels ``space`` of ``_graded_space(t, series)``, degree by degree.
 
     c = space.lift(series, scalars), and a label with c_i = 0 is skipped.
     The walk stops at the truncation. Without a nilpotency bound, a walk
@@ -270,10 +247,10 @@ def conjugated_sum(t: OperatorTuple, series: RealSeries, middle: Optional[np.nda
 
     Summed and stopped at the truncation by ``_graded_sum``; returns (total, exact_stop).
     """
-    space = _graded_space(t, series)
+    space, powers = _graded_space(t, series)
 
     def term(i, c):
-        p = t.power(space.labels[i])
+        p = powers[i]
         return c * ((p if middle is None else p @ middle) @ adjoint(p, t.weights))
 
     zero = t.scalars.zeros((t.size, t.size), t.dtype)
@@ -418,11 +395,11 @@ def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> n
     if any(len(p) != t.num_vars for p in pts):
         raise ValueError("dimension mismatch")
     sc = t.scalars.at(pts)
-    space = _graded_space(t, series)
+    space, powers = _graded_space(t, series)
     conj = np.conjugate(space.monomials(pts))
 
     def term(i, c):
-        return sc.monomial(c * conj[:, i])[:, None, None] * sc.array(t.power(space.labels[i]))
+        return sc.monomial(c * conj[:, i])[:, None, None] * sc.array(powers[i])
 
     zero = sc.zeros((len(pts), t.size, t.size), complex)
     total, _ = _graded_sum(t, series, space, sc, term, zero)
@@ -450,7 +427,7 @@ def compress(t: OperatorTuple, basis: np.ndarray) -> OperatorTuple:
     if gram_gap > 1e-8:
         raise ValueError(f"non-orthonormal basis: Gram deviation {gram_gap:.3e}")
     proj_out = np.eye(n) - basis @ basis.conj().T
-    residuals = [spectral_norm(proj_out @ t.mat_adjoint(i) @ basis) for i in range(t.num_vars)]
+    residuals = [spectral_norm(proj_out @ adjoint(m, t.weights) @ basis) for m in t.mats]
     co_invariant = max(residuals) <= COINVARIANCE_TOL
     if not co_invariant:
         warnings.warn(
@@ -477,8 +454,7 @@ def random_coinvariant_compression(
     adjoint, hence co-invariant for the tuple, so the compression of a pure
     tuple stays pure.
     """
-    if t.exact:
-        t = t.to_float()
+    t = t.to_float()
     n = t.size
     vecs = rng.standard_normal((n, num_seeds))
     basis = range_basis(vecs)
@@ -558,18 +534,16 @@ def tuple_from_spec(spec: dict) -> OperatorTuple:
 def _check_nilpotent(t: OperatorTuple) -> None:
     """ValueError naming ``nilpotency_bound`` unless T^alpha vanishes for every |alpha| = bound + 1.
 
-    The powers come from ``t.mats``, since ``power`` returns zero above the
-    bound. Exact powers must be exactly zero; float entries may reach
-    COMMUTATION_TOL * max(1, max ||T_i||)^(bound + 1).
+    The powers come from the same tuple without its bound, since ``powers``
+    is zero above it. Exact powers must be exactly zero; float entries may
+    reach COMMUTATION_TOL * max(1, max ||T_i||)^(bound + 1).
     """
     bound = t.nilpotency_bound
     tol = COMMUTATION_TOL * max(1.0, max(spectral_norm(m) for m in t.mats)) ** (bound + 1)
-    powers: dict = {}
-    for alpha in enumerate_up_to_degree(t.num_vars, bound + 1):
-        i = next((j for j, a in enumerate(alpha) if a > 0), None)
-        p = powers[alpha] = t.identity() if i is None else t.mats[i] @ powers[subtract_unit(alpha, i)]
-        if degree(alpha) > bound and not (is_exactly_zero(p) if t.exact else max_abs(p) <= tol):
-            raise ValueError(f"tuple spec field 'nilpotency_bound': T^{alpha} is not zero, so {bound} is no bound")
+    space, stack = replace(t, nilpotency_bound=None).powers(bound + 1)
+    for i in np.flatnonzero(space.degrees > bound):
+        if not (is_exactly_zero(stack[i]) if t.exact else max_abs(stack[i]) <= tol):
+            raise ValueError(f"tuple spec field 'nilpotency_bound': T^{space.labels[i]} is not zero, so {bound} is no bound")
 
 
 def _spec_field(spec: dict, name: str, read):

@@ -333,6 +333,17 @@ class TestCharFnCommands:
         assert main(["charfn", "verify", *args, "--mode", "float", "--out", str(out)]) == 0
         assert read_report(out)["environment"]["mode"] == "float"
 
+    def test_weighted_tuple_specs_agree(self, tmp_path):
+        """The Jordan cell on the basis with squared norms 1, 4, as a float and as an exact spec: the same passing checks."""
+        here = Path(__file__).parent / "specs"
+        args = ["--kernel", str(here / "szego_d1.json"), "--cnp-factor", str(here / "szego_d1.json")]
+        verdicts = []
+        for mode in ("float", "exact"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["charfn", "verify", *args, "--tuple", str(here / f"jordan_weighted_{mode}.json"), "--out", str(out)]) == 0
+            verdicts.append([(c["name"], c["verdict"]) for c in read_report(out)["checks"]])
+        assert verdicts[0] == verdicts[1] and len(verdicts[0]) == 14
+
     def test_empty_k_inner_space_is_a_failed_check(self, specs, tmp_path):
         # T = 0.6 is not nilpotent, so the default window is too shallow for
         # theta to reach a unit Gram eigenvalue: the check fails, the run goes on
@@ -434,14 +445,35 @@ class TestCommonFlags:
             (["charfn", "verify", "--preset", "jordan"], "--out"),
             (["charfn", "verify", "--preset", "jordan"], "--dump-theta"),
             (["impossibility", "--m", "2", "--n", "2", "--N-max", "2"], "--out"),
+            (["kernel", "info", "--spec", SZEGO], "--out"),
         ],
-        ids=["suite_out", "charfn_out", "charfn_dump_theta", "impossibility_out"],
+        ids=["suite_out", "charfn_out", "charfn_dump_theta", "impossibility_out", "kernel_out"],
     )
     def test_unwritable_output_exits_two(self, argv, flag, tmp_path, capsys):
+        """An output path in a missing directory exits 2 before the first check prints its line."""
         path = tmp_path / "missing" / "x.json"
         assert main(argv + [flag, str(path)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: cannot write the ") and str(path) in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["impossibility", "--m", "2", "--n", "2", "--N-max", "2"], ["--tol", "0.5", "--seed", "7"]),
+            (["kernel", "info", "--spec", SZEGO], ["--tol", "0.5"]),
+            (["kernel", "info", "--spec", SZEGO], ["--seed", "7"]),
+            (["kernel", "cnp", "--spec", SZEGO], ["--seed", "7"]),
+            (["kernel", "quotient", "--num", SZEGO, "--den", SZEGO], ["--seed", "7"]),
+            (["kernel", "factor", "--spec", SZEGO, "--cnp-factor", SZEGO], ["--seed", "7"]),
+        ],
+        ids=["impossibility", "info_tol", "info_seed", "cnp", "quotient", "factor"],
+    )
+    def test_seed_and_tol_where_unused_exit_two(self, argv, flags, capsys):
+        assert main(argv + flags) == 2
+        named = [f for f in flags if f.startswith("--")]
+        source = " ".join(argv[:2]) if argv[0] == "kernel" else argv[0]
+        assert f"{', '.join(named)} cannot be combined with {source}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

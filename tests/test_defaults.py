@@ -16,7 +16,6 @@ KEPT = {
     "operators.OperatorTuple.basis_labels",
     "operators.OperatorTuple.nilpotency_bound",
     "operators.OperatorTuple.kernel",
-    "operators.OperatorTuple._powers",
     "operators.conjugated_sum.middle",
     "operators.defect_data.pick_factor",
     "operators.quadratic_form_certificate.window_degree",

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cnpchar._linalg import adjoint, exact_zeros, max_abs
+from cnpchar._linalg import adjoint, exact_zeros, is_exactly_zero, max_abs
 from cnpchar.multiindex import (
     add,
     compositions,
@@ -27,7 +28,6 @@ from cnpchar.operators import (
     purity_check,
     quadratic_form_certificate,
     random_coinvariant_compression,
-    subtract_unit,
 )
 from cnpchar.series import (
     bergman_kernel,
@@ -101,21 +101,62 @@ class TestModelTuple:
             OperatorTuple((a, b))
 
 
+def _product_power(t, alpha):
+    """T_1^a1 ... T_d^ad, multiplied onto the identity from the left, T_d first: the order of ``powers``."""
+    p = t.identity()
+    for i in reversed(range(t.num_vars)):
+        for _ in range(alpha[i]):
+            p = t.mats[i] @ p
+    return p
+
+
 class TestPowers:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["exact", "float", "complex"])
+    def test_stack_equals_products(self, mode, d):
+        """Every T^alpha equals the product, bit for bit, and so does its weighted adjoint.
+
+        The exact model carries its basis weights; the complex tuple is a
+        scalar point with no nilpotency bound.
+        """
+        if mode == "complex":
+            t = OperatorTuple(tuple(np.array([[x]]) for x in [0.3 + 0.1j, 0.2, -0.4j][:d]))
+        else:
+            t = model_tuple(bergman_kernel(2, d, 8), d, 2, mode=mode)
+        labels, stack = t.powers(4)
+        assert labels.labels == tuple(enumerate_up_to_degree(d, 4))
+        assert stack.shape == (len(labels.labels), t.size, t.size)
+        adjoints = adjoint(stack, t.weights)
+        for i, alpha in enumerate(labels.labels):
+            expected = _product_power(t, alpha)
+            _same(stack[i], expected)
+            _same(adjoints[i], adjoint(expected, t.weights))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_zero_above_the_bound(self, mode):
+        """Above the nilpotency bound a power is zero, whatever the product of the matrices is."""
+        t = dataclasses.replace(model_tuple(bergman_kernel(2, 2, 8), 2, 3, mode=mode), nilpotency_bound=1)
+        labels, stack = t.powers(4)
+        zero = t.scalars.zeros((t.size, t.size), t.dtype)
+        for i, alpha in enumerate(labels.labels):
+            _same(stack[i], _product_power(t, alpha) if degree(alpha) <= 1 else zero)
+        assert not is_exactly_zero(_product_power(t, (1, 1)))
+
     def test_zero_index_is_identity(self):
-        t = jordan_cell()
-        assert np.allclose(t.power((0,)), np.eye(2))
+        labels, stack = jordan_cell().powers(0)
+        assert labels.labels == ((0,),) and np.array_equal(stack[0], np.eye(2))
 
     def test_nilpotent_powers_vanish(self):
-        t = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode="float")
-        assert max_abs(t.power((3, 0))) == 0
-        assert max_abs(t.power((2, 2))) == 0
+        labels, stack = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode="float").powers(4)
+        assert max_abs(stack[labels.index[(3, 0)]]) == 0
+        assert max_abs(stack[labels.index[(2, 2)]]) == 0
 
     def test_power_respects_commutation(self):
         t = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode="float")
+        labels, stack = t.powers(2)
         direct = t.mats[0] @ t.mats[1]
         swapped = t.mats[1] @ t.mats[0]
-        assert np.allclose(t.power((1, 1)), direct)
+        assert np.allclose(stack[labels.index[(1, 1)]], direct)
         assert np.allclose(direct, swapped)
 
 
@@ -368,7 +409,7 @@ def _dense_certificate_reference(kernel, form_kernel, base_degree, labels, windo
             next_lowered = {}
             for alpha in compositions(deg, kernel.dim):
                 i = next(j for j, a in enumerate(alpha) if a > 0)
-                w = adjoints[i] @ lowered[subtract_unit(alpha, i)]
+                w = adjoints[i] @ lowered[tuple(a - (j == i) for j, a in enumerate(alpha))]
                 next_lowered[alpha] = w
                 value = value - b.coeff(alpha) * inner(np.where(mask, w, 0 * w), w)
             lowered = next_lowered
@@ -399,7 +440,7 @@ def _conjugated_sum_reference(t, series, middle=None, include_zero=False):
             c = lifted.coeff(alpha)
             if c == 0:
                 continue
-            p = t.power(alpha)
+            p = _product_power(t, alpha)
             conj = adjoint(p, t.weights)
             inc = inc + c * (p @ middle @ conj if middle is not None else p @ conj)
         total = total + inc
@@ -429,7 +470,7 @@ def _operator_series_reference(t, series, point):
             if c == 0:
                 continue
             scalar = c * monomial_value(point, alpha).conjugate()
-            inc = inc + sc.monomial(scalar) * sc.array(t.power(alpha))
+            inc = inc + sc.monomial(scalar) * sc.array(_product_power(t, alpha))
         total = total + inc
         prev = max_abs(inc)
     if bound is None and top > 0 and prev > STOP_TOL:

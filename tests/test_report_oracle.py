@@ -9,6 +9,8 @@ runs the benchmark's ``wide`` command line on the spec files under
 the non-nilpotent tuple [[0.5]] through the Szego kernel at truncation 64,
 where the truncated operator series settle, on the spec files under
 ``tests/specs`` (outside ``tests/golden``, whose every file is a golden).
+The weighted file runs the Jordan cell as a float spec on a weighted basis,
+which the run rescales to an orthonormal one.
 The ``--dump-theta`` file of the exact two_cells preset is pinned whole in
 ``tests/dumps``: every block and Taylor coefficient is a rational there.
 
@@ -51,6 +53,7 @@ def test_golden_files_present():
         "charfn_verify_jordan_exact",
         "charfn_verify_scalar_half_N64",
         "charfn_verify_two_cells_exact",
+        "charfn_verify_weighted_float",
         "charfn_verify_wide_seed_0",
         "impossibility_m3_n2_N50",
         "suite_seed_0",
