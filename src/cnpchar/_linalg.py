@@ -86,14 +86,21 @@ def spectral_norm(a: np.ndarray) -> float:
     """The operator 2-norm of a matrix, or the largest over a stack of matrices.
 
     Each matrix takes max |eigenvalue| when it is exactly Hermitian, else its
-    top singular value. A stack runs one batched ``eigvalsh`` over its
-    Hermitian matrices and one batched ``svd`` over the others; a stack of
-    one kind is passed to LAPACK as it is, without a copy.
+    top singular value. A single Hermitian matrix is split into the connected
+    blocks of its nonzero pattern (:func:`connected_blocks`) and runs one
+    batched ``eigvalsh`` per block size; a diagonal matrix is the case of
+    blocks of size 1, and a matrix of one block gives ``eigvalsh``'s value
+    bit for bit. A stack runs one batched ``eigvalsh`` over its Hermitian
+    matrices and one batched ``svd`` over the others; a stack of one kind is
+    passed to LAPACK as it is, without a copy.
     """
     if a.size == 0:
         return 0.0
     stack = to_float_array(a).reshape(-1, *a.shape[-2:])
     herm = a.shape[-1] == a.shape[-2] and np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.all(herm) and a.ndim == 2:
+        matrix = stack[0]
+        return max(float(np.abs(np.linalg.eigvalsh(_gather(matrix, idx))).max()) for idx in connected_blocks(matrix))
     if np.all(herm):
         return float(np.abs(np.linalg.eigvalsh(stack)).max())
     if not np.any(herm):
@@ -104,6 +111,71 @@ def spectral_norm(a: np.ndarray) -> float:
     )
 
 
+def connected_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a square matrix's nonzero pattern, grouped by size.
+
+    Indices i and j are linked when a[i, j] or a[j, i] is nonzero. Each entry
+    of the list is a (count, size) integer array holding one component per
+    row, indices ascending inside a row and rows ordered by their first
+    index; the entries run by ascending size. Permuted to these blocks, the
+    matrix is block-diagonal. Found by label propagation on a boolean copy
+    of the pattern: every index hooks to its smallest linked index, pointer
+    jumping takes each to the root of its tree, and the trees are contracted
+    to one index each until no two are linked, O(log n) rounds.
+    """
+    n = a.shape[0]
+    linked = a != 0
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    label = np.arange(n)
+    while linked.size:
+        parent = np.argmax(linked, axis=1)  # the smallest linked index, at most the index itself
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        root = parent == np.arange(len(parent))
+        if root.all():
+            break
+        group = (np.cumsum(root) - 1)[parent]  # trees numbered in the order of their roots
+        label = group[label]
+        order = np.argsort(group, kind="stable")
+        starts = np.searchsorted(group[order], np.arange(np.count_nonzero(root)))
+        linked = np.logical_or.reduceat(linked[order], starts, axis=0)
+        linked = np.logical_or.reduceat(linked[:, order], starts, axis=1)
+    sizes = np.bincount(label)
+    members = np.argsort(label, kind="stable")
+    firsts = np.cumsum(sizes) - sizes
+    return [
+        members[firsts[sizes == size][:, None] + np.arange(size)]
+        for size in np.flatnonzero(np.bincount(sizes))
+    ]
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (count, size, size) stack of the diagonal blocks of ``a`` on the rows of ``idx``."""
+    return a[idx[:, :, None], idx[:, None, :]]
+
+
+def block_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a Hermitian float matrix, one batched ``eigh`` per block size.
+
+    The blocks are those of :func:`connected_blocks`. The eigenvalues come
+    out in ascending order, and each eigenvector is scattered back into its
+    column of an n x n array, zero off its block.
+    """
+    n = a.shape[0]
+    parts = [(idx, *np.linalg.eigh(_gather(a, idx))) for idx in connected_blocks(a)]
+    vals = np.concatenate([w.ravel() for _, w, _ in parts]) if parts else np.zeros(0)
+    order = np.argsort(vals, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)
+    vecs = np.zeros((n, n), dtype=np.result_type(a.dtype, float))
+    start = 0
+    for idx, _, v in parts:
+        vecs[idx[:, :, None], column[start:start + idx.size].reshape(idx.shape)[:, None, :]] = v
+        start += idx.size
+    return vals[order], vecs
+
+
 def is_exactly_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 
@@ -111,9 +183,8 @@ def is_exactly_zero(a: np.ndarray) -> bool:
 def is_diagonal(a: np.ndarray) -> bool:
     if a.shape[0] != a.shape[1]:
         return False
-    return all(
-        a[i, j] == 0 for i in range(a.shape[0]) for j in range(a.shape[1]) if i != j
-    )
+    rows, cols = np.nonzero(a)
+    return bool(np.array_equal(rows, cols))
 
 
 def frac_sqrt(x) -> Fraction:
@@ -259,7 +330,7 @@ def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
         if rank == m:
             return exact_zeros((m, 0))
         if is_diagonal_rectangular(a):
-            rows = [i for i in range(m) if all(a[i, j] == 0 for j in range(a.shape[1]))]
+            rows = np.setdiff1d(np.arange(m), np.nonzero(a)[0])
             out = exact_zeros((m, len(rows)))
             for j, i in enumerate(rows):
                 out[i, j] = Fraction(1)
@@ -274,16 +345,8 @@ def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
 
 def is_diagonal_rectangular(a: np.ndarray) -> bool:
     """True when every row has at most one nonzero entry and columns don't collide."""
-    seen = set()
-    for i in range(a.shape[0]):
-        nz = [j for j in range(a.shape[1]) if a[i, j] != 0]
-        if len(nz) > 1:
-            return False
-        if nz:
-            if nz[0] in seen:
-                return False
-            seen.add(nz[0])
-    return True
+    rows, cols = np.nonzero(a)
+    return len(np.unique(rows)) == len(rows) and len(np.unique(cols)) == len(cols)
 
 
 def exact_rank(a: np.ndarray) -> int:

@@ -44,6 +44,7 @@ from ._linalg import (
     ExactnessError,
     Scalars,
     adjoint,
+    block_eigh,
     is_exact_array,
     is_exactly_zero,
     max_abs,
@@ -484,12 +485,13 @@ class MultiplierMatrix:
     ``terms[k]``, at target block ``targets[k]`` of source block
     ``sources[k]``; the weight is sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}).
     The plan runs source by source, and pairs whose target lies beyond the
-    window are left out of it. ``gram`` is M_theta M_theta^* on the window,
-    formed from Theta Theta^* through the plan; the dense ``matrix`` is
-    scattered through the same plan only when it is read. ``exact_window``
-    is set when no Taylor mass was discarded: the window's degree is at
-    least ``source_degree`` plus the top Taylor degree. ``discarded_mass``
-    bounds the squared column mass of the pairs left out.
+    window are left out of it. ``gram`` is M_theta M_theta^* on the window:
+    each source adds the nonzero entries of Theta Theta^*, moved through the
+    plan and weighted. The dense ``matrix`` is scattered through the same
+    plan only when it is read. ``exact_window`` is set when no Taylor mass
+    was discarded: the window's degree is at least ``source_degree`` plus
+    the top Taylor degree. ``discarded_mass`` bounds the squared column
+    mass of the pairs left out.
     """
 
     taylor: TaylorCoefficients
@@ -524,8 +526,11 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     beyond the window are discarded and their mass recorded. The Gram is
     sum_beta W_beta P_beta (Theta Theta^*) P_beta^* W_beta, with P_beta moving
     Taylor label gamma to target block beta + gamma and W_beta the weights:
-    one product of the Taylor stack with itself, gathered and scattered once
-    per source label.
+    one product of the Taylor stack with itself, whose nonzero entries each
+    source label adds at its own targets, in source order. Theta Theta^* is
+    as sparse as the grading makes it (on the graded models often
+    diagonal), so a source costs its share of those entries, not a dense
+    block.
     """
     taylor, pick, kernel, window = cfd.taylor, cfd.pick_factor, cfd.kernel, dil.window
     coeffs = taylor.coefficients
@@ -555,20 +560,25 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
         peak = np.abs(to_float_array(coeffs)).max(axis=(1, 2), initial=0.0)
         discarded = float(np.max(ratio * peak[lost_terms] ** 2))
 
-    # coordinates of the plan: r rows per target block, r rows of Theta per Taylor label
-    fiber = np.arange(r)
-    rows = (targets[:, None] * r + fiber).ravel()
-    cols = (terms[:, None] * r + fiber).ravel()
-    scale = np.repeat(weights, r)
+    # within one source the targets are distinct, so one fancy-indexed add per source; products enter as
+    # p * (w_a * w_b), source by source, so the Gram has the bits of the dense per-source blocks
     theta = coeffs.reshape(n_terms * r, dom)
     products = theta @ theta.conj().T
+    left, right = np.nonzero(products)
+    values = products[left, right]
+    left_term, left_fiber = np.divmod(left, r)
+    right_term, right_fiber = np.divmod(right, r)
     gram = scalars.zeros((window.dim, window.dim), products.dtype)
-    # one block of the sum per source label, gathered and scattered in 2-d (flat index arrays cost page faults)
-    cuts = r * np.searchsorted(sources, np.arange(1, len(source.labels)))
-    for at_rows, at_cols, w in zip(np.split(rows, cuts), np.split(cols, cuts), np.split(scale, cuts)):
-        block = products[np.ix_(at_cols, at_cols)]
-        block *= np.multiply.outer(w, w)
-        gram[np.ix_(at_rows, at_rows)] += block
+    slot = np.empty(n_terms, dtype=int)
+    cuts = np.searchsorted(sources, np.arange(1, len(source.labels)))
+    for at_terms, at_targets, w in zip(np.split(terms, cuts), np.split(targets, cuts), np.split(weights, cuts)):
+        slot.fill(-1)
+        slot[at_terms] = np.arange(len(at_terms))
+        a, b = slot[left_term], slot[right_term]
+        keep = (a >= 0) & (b >= 0)
+        a, b = a[keep], b[keep]
+        rows, cols = at_targets[a] * r + left_fiber[keep], at_targets[b] * r + right_fiber[keep]
+        gram[rows, cols] += values[keep] * (w[a] * w[b])
     return MultiplierMatrix(
         taylor=taylor,
         source=source,
@@ -657,15 +667,16 @@ def k_inner_subspace(cfd: CharFnData) -> KInnerData:
     """The constants on which M_theta is isometric, and their shift residual.
 
     ``basis`` spans the eigenvectors of G = sum_gamma theta_gamma^* theta_gamma / k_gamma
-    with eigenvalue >= 1 - ISOMETRY_TOL (EmptyKInnerError if there is none). ``shift_residual``
-    is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
+    with eigenvalue >= 1 - ISOMETRY_TOL (EmptyKInnerError if there is none),
+    from one ``eigh`` per block size of G's connected blocks (``block_eigh``).
+    ``shift_residual`` is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """
     space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
     stack = to_float_array(cfd.taylor.coefficients)
     inv_k = 1.0 / space.lift(cfd.kernel)[:, None, None]
     gram = stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)
-    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
+    vals, vecs = block_eigh((gram + gram.conj().T) / 2)
     top = float(vals.max(initial=0.0))
     sel = vals >= 1.0 - ISOMETRY_TOL
     if not sel.any():

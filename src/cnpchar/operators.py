@@ -411,14 +411,13 @@ def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> n
 
 
 def compress(t: OperatorTuple, basis: np.ndarray) -> OperatorTuple:
-    """Compression P* T_i P to the span of orthonormal basis columns.
+    """Compression P* T_i P of ``t.to_float()`` to the span of orthonormal basis columns.
 
     Checks co-invariance ||(I - PP*) T_i* P|| <= COINVARIANCE_TOL and only
     warns on violation (invariant complements are legitimately compressed
     too); the nilpotency bound is inherited only when the check passes.
     """
-    if t.exact:
-        raise ExactnessError("compress expects a float-mode tuple; call to_float() first")
+    t = t.to_float()
     basis = np.asarray(basis)
     n = t.size
     if basis.ndim != 2 or basis.shape[0] != n:
@@ -427,7 +426,7 @@ def compress(t: OperatorTuple, basis: np.ndarray) -> OperatorTuple:
     if gram_gap > 1e-8:
         raise ValueError(f"non-orthonormal basis: Gram deviation {gram_gap:.3e}")
     proj_out = np.eye(n) - basis @ basis.conj().T
-    residuals = [spectral_norm(proj_out @ adjoint(m, t.weights) @ basis) for m in t.mats]
+    residuals = [spectral_norm(proj_out @ m.conj().T @ basis) for m in t.mats]
     co_invariant = max(residuals) <= COINVARIANCE_TOL
     if not co_invariant:
         warnings.warn(

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cnpchar._linalg import adjoint, is_exactly_zero, max_abs, polar_orthogonal, to_float_array
+from cnpchar._linalg import adjoint, connected_blocks, is_exactly_zero, max_abs, polar_orthogonal, to_float_array
 from cnpchar.charfn import (
     CharFnBuildError,
     EmptyKInnerError,
@@ -567,6 +568,36 @@ def _dense_multiplier_reference(cfd, source_degree, target_degree):
     return matrix, discarded
 
 
+def _per_source_gram(mult):
+    """M_theta M_theta^* from ``mult``'s plan, one dense block of Theta Theta^* per source label.
+
+    Each source gathers the rows and columns of its Taylor labels, weights the
+    block by the outer product of its weights and adds it at its targets.
+    """
+    coeffs = mult.taylor.coefficients
+    n_terms, r, dom = coeffs.shape
+    fiber = np.arange(r)
+    rows = (mult.targets[:, None] * r + fiber).ravel()
+    cols = (mult.terms[:, None] * r + fiber).ravel()
+    scale = np.repeat(mult.weights, r)
+    theta = coeffs.reshape(n_terms * r, dom)
+    products = theta @ theta.conj().T
+    gram = mult.taylor.scalars.zeros((mult.window.dim, mult.window.dim), products.dtype)
+    cuts = r * np.searchsorted(mult.sources, np.arange(1, len(mult.source.labels)))
+    for at_rows, at_cols, w in zip(np.split(rows, cuts), np.split(cols, cuts), np.split(scale, cuts)):
+        block = products[np.ix_(at_cols, at_cols)]
+        block *= np.multiply.outer(w, w)
+        gram[np.ix_(at_rows, at_rows)] += block
+    return gram
+
+
+@functools.cache
+def _wide_charfn():
+    """Theta of the wide window: Bergman m = 2 through Drury-Arveson in d = 3, model degree 1, caps 12."""
+    k, s = bergman_kernel(2, 3, 32), drury_arveson_kernel(3, 32)
+    return charfn_of(model_tuple(k, 3, 1, mode="float"), factor_through_pick(k, s), support_cap=12, constant_cap=12)
+
+
 def _windows(cfd, source_degree):
     """The exact window, and one that cuts the top half of theta's degrees."""
     top = cfd.taylor.max_degree
@@ -602,13 +633,31 @@ class TestMultiplierPlan:
 
     def test_wide_window(self):
         """Bergman m = 2 through Drury-Arveson in d = 3 at cap 12: 816 x 9,260 when dense."""
-        k, s = bergman_kernel(2, 3, 32), drury_arveson_kernel(3, 32)
-        cfd = charfn_of(model_tuple(k, 3, 1, mode="float"), factor_through_pick(k, s), support_cap=12, constant_cap=12)
+        cfd = _wide_charfn()
         mult, _ = multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)
         dense, discarded = _dense_multiplier_reference(cfd, 3, 3 + cfd.taylor.max_degree)
         assert dense.shape == (816, 9260) and discarded == mult.discarded_mass == 0.0
         assert max_abs(mult.gram - dense @ dense.T) <= 1e-15
         assert np.array_equal(mult.matrix, dense)
+
+    @pytest.mark.parametrize("name", ["k2_da_d2_n2_c", "wide", "two_cells_exact"])
+    def test_gram_equals_per_source_blocks_bit_for_bit(self, name):
+        """The Gram from the nonzero Taylor products equals the one from a dense block per source, sign bits included."""
+        cfd = _wide_charfn() if name == "wide" else _preset_charfn(name)
+        source_degree = 3 if name == "wide" else configuration(name.removesuffix("_exact")).source_degree
+        for target_degree in (source_degree + cfd.taylor.max_degree, source_degree + cfd.taylor.max_degree // 2):
+            mult, _ = multiplier_on(cfd, source_degree, target_degree)
+            expected = _per_source_gram(mult)
+            assert mult.gram.dtype == expected.dtype
+            if cfd.exact:
+                assert all(x == y and type(x) is type(y) for x, y in zip(mult.gram.flat, expected.flat))
+                continue
+            assert np.array_equal(mult.gram, expected)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(mult.gram)), np.signbit(part(expected)))
+        if name == "k2_da_d2_n2_c":
+            theta = to_float_array(cfd.taylor.coefficients).reshape(-1, cfd.domain_dim)
+            assert max(len(b[0]) for b in connected_blocks(theta @ theta.conj().T)) > 1
 
     def test_dense_matrix_built_only_on_request(self, monkeypatch):
         from cnpchar import charfn

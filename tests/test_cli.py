@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -534,6 +537,16 @@ class TestSuite:
 
     def test_unknown_configuration_exits_two(self):
         assert main(["suite", "--configs", "nope"]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing the command line loads no scipy module, whose import alone outweighs a small run."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, cnpchar.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # coefficient strings a spec file may hold, well-formed or not

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from cnpchar.operators import (
     purity_check,
     quadratic_form_certificate,
     random_coinvariant_compression,
+    tuple_from_spec,
 )
 from cnpchar.series import (
     bergman_kernel,
@@ -279,6 +282,15 @@ class TestCompress:
         basis[0, 0] = 1.0
         tc = compress(t, basis)
         assert max_abs(tc.mats[0]) == 0 and max_abs(tc.mats[1]) == 0
+
+    def test_weighted_float_tuple_is_rescaled_first(self):
+        """A float tuple given on a weighted basis is compressed as its orthonormal form, not as its raw matrices."""
+        with open(Path(__file__).parent / "specs" / "jordan_weighted_float.json") as fh:
+            t = tuple_from_spec(json.load(fh))
+        assert t.weights is not None
+        tc = compress(t, np.eye(2))
+        assert tc.weights is None
+        assert np.array_equal(tc.mats[0], t.to_float().mats[0])
 
     def test_rejects_non_orthonormal(self):
         t = jordan_cell()
