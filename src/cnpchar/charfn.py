@@ -75,7 +75,6 @@ ISOMETRY_TOL = 1e-9
 SHIFT_CHECK_DEGREE = 3
 GRAM_MISMATCH_TOL = 1e-6
 PARTITION_TOL = 1e-8
-COINCIDENCE_STARTS = 8
 COINCIDENCE_ITERATIONS = 60
 
 
@@ -804,20 +803,22 @@ def functional_model(
     return OperatorTuple(mats, None, None, t.nilpotency_bound, cfd.kernel), equality
 
 
-def coincidence_residual(cfd_a: CharFnData, cfd_b: CharFnData, rng: np.random.Generator) -> float:
-    """How far the two Taylor families are from a constant-unitary match.
+def coincidence_residual(cfd_a: CharFnData, cfd_b: CharFnData) -> tuple[float, float]:
+    """(lower, upper) bounds on the mismatch of the two Taylor families under constant unitaries.
 
-    Coincidence of characteristic functions is operationalized as the
-    existence of unitaries U2 (on Ran Defect coordinates) and U1 (on the
-    domain) with theta'_gamma = U2 theta_gamma U1 for every gamma. The
-    bilinear orthogonal Procrustes problem is solved by alternating polar
-    updates from the identity, a polar guess and COINCIDENCE_STARTS random
-    starts drawn from ``rng``, COINCIDENCE_ITERATIONS each; the returned
-    value is the best relative Frobenius mismatch (inf for incompatible
-    shapes).
+    The families coincide when unitaries U2 (on Ran Defect coordinates) and
+    U1 (on the domain) give theta'_gamma = U2 theta_gamma U1 for every gamma;
+    both bounds are relative Frobenius mismatches ((inf, inf) for
+    incompatible shapes). A match keeps each coefficient's singular values,
+    so by von Neumann's trace inequality no U2, U1 beat the lower bound, the
+    root of sum_gamma ||sigma(A_gamma) - sigma(B_gamma)||^2. The upper is the
+    best that alternating polar updates reach from the identity and a polar
+    guess, COINCIDENCE_ITERATIONS each, stopping within 1e-13 of the lower
+    bound. A small upper bound certifies coincidence, a large lower bound
+    certifies distinct functions, and a pair between certifies neither.
     """
     if cfd_a.fiber_dim != cfd_b.fiber_dim or cfd_a.domain_dim != cfd_b.domain_dim:
-        return float("inf")
+        return float("inf"), float("inf")
     if tuple(cfd_a.kernel.coefficients) != tuple(cfd_b.kernel.coefficients):
         raise ValueError("coincidence comparison requires the same kernel")
     space = BlockSpace(sorted(set(cfd_a.taylor) | set(cfd_b.taylor), key=lambda g: (degree(g), g)), 1)
@@ -837,27 +838,24 @@ def coincidence_residual(cfd_a: CharFnData, cfd_b: CharFnData, rng: np.random.Ge
         # sum over the labels in order, from 0, as the scalar sum adds them
         return np.add.accumulate(np.concatenate([np.zeros_like(products[:1]), products]), axis=0)[-1]
 
-    def residual(u2, u1):
+    def mismatch(gaps):
         total = 0.0
-        for gap in u2 @ stack_a @ u1 - stack_b:
+        for gap in gaps:
             total += np.linalg.norm(gap) ** 2
-        return float(np.sqrt(total)) / scale
+        return float(np.sqrt(total) / scale)
 
+    lower = mismatch(np.linalg.svd(stack_a, compute_uv=False) - np.linalg.svd(stack_b, compute_uv=False))
     candidates = [np.eye(r)]
     guess = label_sum(stack_b @ stack_a.conj().swapaxes(-1, -2))
     if np.linalg.norm(guess) > 1e-12:
         candidates.append(polar_orthogonal(guess))
-    for _ in range(COINCIDENCE_STARTS):
-        candidates.append(polar_orthogonal(rng.standard_normal((r, r))))
     best = float("inf")
     for u2 in candidates:
         u1 = np.eye(dom)
         for _ in range(COINCIDENCE_ITERATIONS):
             u1 = polar_orthogonal(label_sum((u2 @ stack_a).conj().swapaxes(-1, -2) @ stack_b))
             u2 = polar_orthogonal(label_sum(stack_b @ (stack_a @ u1).conj().swapaxes(-1, -2)))
-            current = residual(u2, u1)
-            if current < best:
-                best = current
-            if best < 1e-13:
-                return best
-    return best
+            best = min(best, mismatch(u2 @ stack_a @ u1 - stack_b))
+            if best - lower < 1e-13:
+                return lower, best
+    return lower, best

@@ -324,6 +324,8 @@ def _configuration_from_args(args) -> Configuration:
 
 
 def cmd_charfn(args) -> int:
+    if args.charfn_cmd == "build":
+        _refuse_flags(args, "charfn build", {"--tol": "tol", "--seed": "seed"})
     config = _configuration_from_args(args)
     if args.mode == "exact":
         config = _exact_variant(config)

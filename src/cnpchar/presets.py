@@ -444,7 +444,7 @@ def run_alignment_check(seed: int = 0) -> CheckResult:
 
 
 def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
-    """Conjugated tuples must coincide; distinct Jordan structures must not."""
+    """Conjugates coincide (reported upper bound <= 1e-6); distinct Jordan structures do not (lower >= 1e-3)."""
     rec = _Recorder()
     with rec.timing("coincidence_conjugated"):
         fac = _factorization("bergman2", "da", 1)
@@ -457,8 +457,8 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
         )
         cfd = build_charfn(defect_data(t, kernel, da), fac, support_cap=5, constant_cap=10)
         cfd_conj = build_charfn(defect_data(conjugated, kernel, da), fac, support_cap=5, constant_cap=10)
-        res = coincidence_residual(cfd, cfd_conj, config_rng(seed, "coincidence-solve"))
-        rec.checks.append(_check("coincidence_conjugated", res, 1e-6))
+        _, upper = coincidence_residual(cfd, cfd_conj)
+        rec.checks.append(_check("coincidence_conjugated", upper, 1e-6))
 
     with rec.timing("coincidence_distinct"):
         jordan = configuration("two_cells")
@@ -469,7 +469,6 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
         kernel, pick, fac = jordan.kernel, jordan.pick_factor, jordan.factorization
         cfd_a = build_charfn(defect_data(jordan.ops, kernel, pick), fac, support_cap=6, constant_cap=6)
         cfd_b = build_charfn(defect_data(other, kernel, pick), fac, support_cap=6, constant_cap=6)
-        res_distinct = coincidence_residual(cfd_a, cfd_b, config_rng(seed, "coincidence-distinct"))
-        verdict = "pass" if res_distinct >= 1e-3 else "fail"
-        rec.checks.append(CheckResult("coincidence_distinct", verdict, float(res_distinct), None, 0.0))
+        lower, _ = coincidence_residual(cfd_a, cfd_b)
+        rec.checks.append(CheckResult("coincidence_distinct", "pass" if lower >= 1e-3 else "fail", lower, None, 0.0))
     return rec.results()

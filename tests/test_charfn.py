@@ -33,7 +33,7 @@ from cnpchar.operators import (
     model_tuple,
     random_coinvariant_compression,
 )
-from cnpchar.presets import SUITE_CONFIGS, configuration, run_configuration_checks
+from cnpchar.presets import SUITE_CONFIGS, config_rng, configuration, run_configuration_checks
 from cnpchar.series import (
     RealSeries,
     bergman_kernel,
@@ -829,8 +829,8 @@ class TestAlignment:
             align_factorizations(cfd1, broken, [[0.3], [0.1 + 0.2j]], source_degree=12)
 
 
-def _coincidence_reference(cfd_a, cfd_b, rng, starts=8, iterations=60):
-    """``coincidence_residual`` with each label sum a Python ``sum`` of per-label products."""
+def _coincidence_reference(cfd_a, cfd_b, iterations=60):
+    """``coincidence_residual`` with each label sum a Python ``sum`` of per-label products or SVDs."""
     space = BlockSpace(sorted(set(cfd_a.taylor) | set(cfd_b.taylor), key=lambda g: (degree(g), g)), 1)
     r, dom = cfd_a.fiber_dim, cfd_a.domain_dim
 
@@ -849,12 +849,14 @@ def _coincidence_reference(cfd_a, cfd_b, rng, starts=8, iterations=60):
             total += np.linalg.norm(u2 @ ma @ u1 - mb) ** 2
         return float(np.sqrt(total)) / scale
 
+    total = 0.0
+    for ma, mb in zip(stack_a, stack_b):
+        total += np.linalg.norm(np.linalg.svd(ma, compute_uv=False) - np.linalg.svd(mb, compute_uv=False)) ** 2
+    lower = float(np.sqrt(total)) / scale
     candidates = [np.eye(r)]
     guess = sum(mb @ ma.conj().T for ma, mb in zip(stack_a, stack_b))
     if np.linalg.norm(guess) > 1e-12:
         candidates.append(polar_orthogonal(guess))
-    for _ in range(starts):
-        candidates.append(polar_orthogonal(rng.standard_normal((r, r))))
     best = float("inf")
     for u2 in candidates:
         u1 = np.eye(dom)
@@ -862,9 +864,18 @@ def _coincidence_reference(cfd_a, cfd_b, rng, starts=8, iterations=60):
             u1 = polar_orthogonal(sum((u2 @ ma).conj().T @ mb for ma, mb in zip(stack_a, stack_b)))
             u2 = polar_orthogonal(sum(mb @ (ma @ u1).conj().T for ma, mb in zip(stack_a, stack_b)))
             best = min(best, residual(u2, u1))
-            if best < 1e-13:
-                return best
-    return best
+            if best - lower < 1e-13:
+                return lower, best
+    return lower, best
+
+
+def _conjugated_pair(w):
+    """The charfns of the Bergman 2 model tuple in d = 1 and of its conjugate by ``w``, both through DA."""
+    k = bergman_kernel(2, 1, 48)
+    fac = factor_through_pick(k, drury_arveson_kernel(1, 48))
+    t = model_tuple(k, 1, 2, mode="float")
+    conj = OperatorTuple(tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, k)
+    return charfn_of(t, fac, support_cap=5, constant_cap=10), charfn_of(conj, fac, support_cap=5, constant_cap=10)
 
 
 class TestFunctionalModelAndCoincidence:
@@ -876,29 +887,23 @@ class TestFunctionalModelAndCoincidence:
         assert max(intertwining_residuals(dil)) < 1e-9
 
     def test_conjugated_tuples_coincide(self):
-        k = bergman_kernel(2, 1, 48)
-        fac = factor_through_pick(k, drury_arveson_kernel(1, 48))
-        t = model_tuple(k, 1, 2, mode="float")
-        w = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))[0]
-        conj = OperatorTuple(
-            tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, k
-        )
-        cfd_a = charfn_of(t, fac, support_cap=5, constant_cap=10)
-        cfd_b = charfn_of(conj, fac, support_cap=5, constant_cap=10)
-        res = coincidence_residual(cfd_a, cfd_b, np.random.default_rng(0))
-        assert res < 1e-6
+        """A random conjugation and the suite's at seeds 0, 3 and 5: a small upper bound above the certified lower one."""
+        rngs = [np.random.default_rng(19)] + [config_rng(seed, "coincidence") for seed in (0, 3, 5)]
+        for rng in rngs:
+            lower, upper = coincidence_residual(*_conjugated_pair(np.linalg.qr(rng.standard_normal((3, 3)))[0]))
+            assert lower <= upper + 1e-15
+            assert upper < 1e-6
 
     def test_stacked_label_sums_match_the_per_label_loop(self):
-        """On the two_cells pair of the suite, the stacked sums give the per-label loop's residual bit for bit."""
+        """On the two_cells pair of the suite, the stacked sums give the per-label loop's bounds bit for bit."""
         jordan = configuration("two_cells")
         chain = np.zeros((4, 4))
         chain[1, 0] = chain[2, 1] = 1.0
         other = OperatorTuple((chain,), None, None, 3, jordan.kernel)
         cfd_a, cfd_b = (charfn_of(t, jordan.factorization, support_cap=6, constant_cap=6) for t in (jordan.ops, other))
-        for seed in range(2):
-            got = coincidence_residual(cfd_a, cfd_b, np.random.default_rng(seed))
-            assert got == _coincidence_reference(cfd_a, cfd_b, np.random.default_rng(seed))
-            assert got >= 1e-3
+        lower, upper = coincidence_residual(cfd_a, cfd_b)
+        assert (lower, upper) == _coincidence_reference(cfd_a, cfd_b)
+        assert lower >= 1e-3
 
     def test_distinct_jordan_structures_do_not_coincide(self):
         k = szego_kernel(1, 24)
@@ -913,5 +918,22 @@ class TestFunctionalModelAndCoincidence:
         t_b = OperatorTuple((chain,), None, None, 3, k)
         cfd_a = charfn_of(t_a, fac, support_cap=6, constant_cap=6)
         cfd_b = charfn_of(t_b, fac, support_cap=6, constant_cap=6)
-        res = coincidence_residual(cfd_a, cfd_b, np.random.default_rng(0))
-        assert res >= 1e-3
+        lower, upper = coincidence_residual(cfd_a, cfd_b)
+        assert 1e-3 <= lower <= upper + 1e-15
+
+    def test_equal_singular_values_certify_neither_verdict(self):
+        """Each label's singular values agree, so the lower bound is 0; no unitary pair matches both labels.
+
+        A_1 + A_2 = I is unitary, but B_1 + B_2 is not, and U2 (A_1 + A_2) U1 is
+        always unitary; so the upper bound stays well above 0.
+        """
+        jordan = configuration("two_cells")
+        cfd = charfn_of(jordan.ops, jordan.factorization, support_cap=6, constant_cap=6)
+        e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        a = _clone_with_taylor(cfd, {(1,): e11, (2,): e22})
+        b = _clone_with_taylor(cfd, {(1,): e11, (2,): np.full((2, 2), 0.5)})
+        lower, upper = coincidence_residual(a, b)
+        assert lower < 1e-3 and upper > 1e-6
+        assert lower <= upper + 1e-15
+        # the search runs to its end here, so this also pins the stacked sums of every iteration
+        assert (lower, upper) == _coincidence_reference(a, b)

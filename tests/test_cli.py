@@ -469,13 +469,14 @@ class TestCommonFlags:
             (["kernel", "cnp", "--spec", SZEGO], ["--seed", "7"]),
             (["kernel", "quotient", "--num", SZEGO, "--den", SZEGO], ["--seed", "7"]),
             (["kernel", "factor", "--spec", SZEGO, "--cnp-factor", SZEGO], ["--seed", "7"]),
+            (["charfn", "build", "--preset", "jordan"], ["--tol", "0.5", "--seed", "7"]),
         ],
-        ids=["impossibility", "info_tol", "info_seed", "cnp", "quotient", "factor"],
+        ids=["impossibility", "info_tol", "info_seed", "cnp", "quotient", "factor", "charfn_build"],
     )
     def test_seed_and_tol_where_unused_exit_two(self, argv, flags, capsys):
         assert main(argv + flags) == 2
         named = [f for f in flags if f.startswith("--")]
-        source = " ".join(argv[:2]) if argv[0] == "kernel" else argv[0]
+        source = " ".join(argv[:2]) if argv[0] in ("kernel", "charfn") else argv[0]
         assert f"{', '.join(named)} cannot be combined with {source}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -666,7 +667,8 @@ class TestFuzzCharfnFlags:
         d = 1 from ``--d`` and ``--model-degree``. A negative seed, a tolerance
         that is not finite and > 0, and a dimension other than 1 exit 2, and
         so does a preset given with ``--d``, ``--model-degree``,
-        ``--degree-cap`` or ``--N``.
+        ``--degree-cap`` or ``--N``. ``build`` reads neither ``--tol`` nor
+        ``--seed`` and exits 2 on either.
         """
         if preset is None:
             kernel = str(Path(__file__).parent / "specs" / "szego_d1.json")
@@ -689,4 +691,6 @@ class TestFuzzCharfnFlags:
         if preset is not None and (d, model_degree, degree_cap, truncation) != (None,) * 4:
             assert code == 2
         if preset is None and d != 1:
+            assert code == 2
+        if command == "build" and (tol, seed) != (None, None):
             assert code == 2
