@@ -5,8 +5,12 @@ and prints one line per check. Exit codes: 0 all checks passed (or
 certificate-only), 1 at least one verified failure, 2 malformed input or
 usage error. Randomness is controlled by --seed and recorded in the report,
 so residuals are reproducible; reports are byte-identical across runs
-except for the elapsed fields. A flag the command would ignore, and an
-output path that cannot be written, exit 2 before any check runs.
+except for the elapsed fields.
+
+Before any check runs, exit 2 comes from a negative --seed or --N, a --tol
+that is not finite and > 0, an output path that cannot be written, and a
+flag that ``IGNORED`` lists for the command or for its tuple source:
+--preset fixes the whole configuration, --tuple the tuple and its degree.
 """
 
 from __future__ import annotations
@@ -91,6 +95,22 @@ class InputError(Exception):
     """Bad user input: malformed spec files, unknown presets (exit code 2)."""
 
 
+# The flags each leaf command, and each tuple source of ``charfn``, ignores:
+# ``main`` refuses any of them that is given, the command's row first.
+IGNORED = {
+    "kernel info": ("--tol", "--seed"),
+    "kernel cnp": ("--seed",),
+    "kernel quotient": ("--seed",),
+    "kernel factor": ("--seed",),
+    "charfn build": ("--tol", "--seed"),
+    "charfn verify": (),
+    "impossibility": ("--N", "--tol", "--seed"),
+    "suite": ("--N",),
+    "--preset": ("--N", "--degree-cap", "--d", "--model-degree", "--tuple", "--kernel", "--cnp-factor"),
+    "--tuple": ("--d", "--model-degree"),
+}
+
+
 def _load_kernel(path: str, truncation: Optional[int]) -> KernelSeries:
     try:
         with open(path) as fh:
@@ -171,10 +191,9 @@ def _certificate(name: str, payload_ok: bool, residual=None, exact=None) -> Chec
 
 
 def cmd_kernel(args) -> int:
-    unused = {"--seed": "seed", "--tol": "tol"} if args.kernel_cmd == "info" else {"--seed": "seed"}
-    _refuse_flags(args, f"kernel {args.kernel_cmd}", unused)
     k = _load_kernel(args.spec, args.N) if args.spec else None
     tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
+    config = {"command": f"kernel {args.kernel_cmd}", "spec": args.spec}
     if args.kernel_cmd == "info":
         b = reciprocal_complement(k)
         adm = admissibility_report(k)
@@ -183,27 +202,18 @@ def cmd_kernel(args) -> int:
         print(f"ratio_sup: {_scalar_to_string(adm.ratio_sup)}")
         print(f"partial_sum_bound: {_scalar_to_string(adm.partial_sum_bound)}")
         print(f"admissibility: {adm.verdict}")
-        checks = [CheckResult("kernel_info", "certificate-only", None, k.exact, 0.0)]
-        report = _report(
-            {"command": "kernel info", "spec": args.spec},
-            _environment("exact" if k.exact else "float", truncation=k.truncation),
-            checks,
-        )
-        return _finish(report, args.out)
-    if args.kernel_cmd == "cnp":
+        check = CheckResult("kernel_info", "certificate-only", None, k.exact, 0.0)
+        exact, truncation = k.exact, k.truncation
+    elif args.kernel_cmd == "cnp":
         cert = is_complete_pick(k, tol)
         print(
             f"complete Nevanlinna-Pick up to degree {cert.holds_up_to}: "
             f"{'yes' if cert.holds else f'no (first negative at n={cert.first_negative})'}"
         )
-        checks = [_certificate("complete_pick", cert.holds, exact=k.exact)]
-        report = _report(
-            {"command": "kernel cnp", "spec": args.spec, "first_negative": cert.first_negative},
-            _environment("exact" if k.exact else "float", truncation=k.truncation),
-            checks,
-        )
-        return _finish(report, args.out)
-    if args.kernel_cmd == "quotient":
+        config["first_negative"] = cert.first_negative
+        check = _certificate("complete_pick", cert.holds, exact=k.exact)
+        exact, truncation = k.exact, k.truncation
+    elif args.kernel_cmd == "quotient":
         num = _load_kernel(args.num, args.N)
         den = _load_kernel(args.den, args.N)
         if num.dim != den.dim:
@@ -215,63 +225,41 @@ def cmd_kernel(args) -> int:
             f"non-negative up to degree {cert.holds_up_to}: "
             f"{'yes' if cert.holds else f'no (first negative at n={cert.first_negative})'}"
         )
-        checks = [_certificate("positive_quotient", cert.holds, exact=q.exact)]
-        report = _report(
-            {"command": "kernel quotient", "num": args.num, "den": args.den,
-             "first_negative": cert.first_negative},
-            _environment("exact" if q.exact else "float", truncation=cert.holds_up_to),
-            checks,
-        )
-        return _finish(report, args.out)
-    if args.kernel_cmd == "factor":
+        config = {"command": "kernel quotient", "num": args.num, "den": args.den,
+                  "first_negative": cert.first_negative}
+        check = _certificate("positive_quotient", cert.holds, exact=q.exact)
+        exact, truncation = q.exact, cert.holds_up_to
+    else:
         s = _load_kernel(args.cnp_factor, args.N)
+        config["factor"] = args.cnp_factor
+        exact = k.exact
         try:
             fac = factor_through_pick(k, s, tol)
         except (FactorizationError, ValueError) as exc:
             print(f"factorization failed: {exc}")
-            checks = [_certificate("factorization", False)]
-            report = _report(
-                {"command": "kernel factor", "spec": args.spec, "factor": args.cnp_factor,
-                 "error": str(exc)},
-                _environment("exact" if k.exact else "float", truncation=k.truncation),
-                checks,
-            )
-            return _finish(report, args.out)
-        print("positive part:", [_scalar_to_string(c) for c in fac.positive_part.coefficients])
-        checks = [_certificate("factorization", True, exact=k.exact and s.exact)]
-        report = _report(
-            {"command": "kernel factor", "spec": args.spec, "factor": args.cnp_factor},
-            _environment("exact" if k.exact else "float", truncation=fac.truncation),
-            checks,
-        )
-        return _finish(report, args.out)
-    raise InputError(f"unknown kernel subcommand {args.kernel_cmd}")
+            config["error"] = str(exc)
+            check, truncation = _certificate("factorization", False), k.truncation
+        else:
+            print("positive part:", [_scalar_to_string(c) for c in fac.positive_part.coefficients])
+            check = _certificate("factorization", True, exact=k.exact and s.exact)
+            truncation = fac.truncation
+    environment = _environment("exact" if exact else "float", truncation=truncation)
+    return _finish(_report(config, environment, [check]), args.out)
 
 
 # ---------------------------------------------------------------------------
 # charfn subcommands
 
 
-def _refuse_flags(args, source: str, flags: dict) -> None:
-    """InputError naming each of ``flags`` (flag -> attribute) that was given: ``source`` fixes what it sets."""
-    given = [flag for flag, attr in flags.items() if getattr(args, attr) is not None]
-    if given:
-        raise InputError(f"{', '.join(given)} cannot be combined with {source}")
-
-
 def _configuration_from_args(args) -> Configuration:
-    model_flags = {"--d": "d", "--model-degree": "model_degree"}
     if args.preset:
-        _refuse_flags(args, "--preset", {"--N": "N", "--degree-cap": "degree_cap", **model_flags})
         try:
-            config = presets.configuration(args.preset)
+            return presets.configuration(args.preset)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        return config
-    if args.tuple_spec:
+    if args.tuple:
         if not (args.kernel and args.cnp_factor):
             raise InputError("--tuple needs --kernel and --cnp-factor")
-        _refuse_flags(args, "--tuple", model_flags)
     elif not (args.kernel and args.cnp_factor and args.d is not None and args.model_degree is not None):
         raise InputError(
             "either --preset, --tuple, or all of --kernel/--cnp-factor/--d/--model-degree are required"
@@ -279,21 +267,21 @@ def _configuration_from_args(args) -> Configuration:
     elif args.d < 1 or args.model_degree < 0:
         raise InputError("--d must be >= 1 and --model-degree >= 0")
     kernel = _load_kernel(args.kernel, args.N)
-    if not args.tuple_spec and args.d != kernel.dim:
+    if not args.tuple and args.d != kernel.dim:
         raise InputError(f"--d is {args.d}, the kernel dimension is {kernel.dim}")
-    if not args.tuple_spec and args.model_degree > kernel.truncation:
+    if not args.tuple and args.model_degree > kernel.truncation:
         raise InputError(f"--model-degree {args.model_degree} exceeds the truncation {kernel.truncation}")
     pick = _load_kernel(args.cnp_factor, args.N)
     try:
         fac = factor_through_pick(kernel, pick)
     except (FactorizationError, ValueError) as exc:
         raise InputError(f"invalid factorization: {exc}") from exc
-    if args.tuple_spec:
+    if args.tuple:
         try:
-            with open(args.tuple_spec) as fh:
+            with open(args.tuple) as fh:
                 t = tuple_from_spec(json.load(fh))
         except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise InputError(f"cannot read tuple spec {args.tuple_spec}: {exc}") from exc
+            raise InputError(f"cannot read tuple spec {args.tuple}: {exc}") from exc
         if t.num_vars != kernel.dim:
             raise InputError(f"the tuple has {t.num_vars} operators, the kernel dimension is {kernel.dim}")
         if t.weights is not None:
@@ -324,8 +312,6 @@ def _configuration_from_args(args) -> Configuration:
 
 
 def cmd_charfn(args) -> int:
-    if args.charfn_cmd == "build":
-        _refuse_flags(args, "charfn build", {"--tol": "tol", "--seed": "seed"})
     config = _configuration_from_args(args)
     if args.mode == "exact":
         config = _exact_variant(config)
@@ -365,17 +351,11 @@ def _exact_variant(config: Configuration) -> Configuration:
     t = config.ops
     if any(np.iscomplexobj(m) for m in t.mats):
         raise InputError("exact mode needs rational matrix entries")
-    mats = []
-    for m in np.asarray(t.mats, dtype=object):
-        exact = np.empty(m.shape, dtype=object)
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                value = Fraction(m[i, j]).limit_denominator(10**9)
-                if abs(float(value) - float(m[i, j])) > 1e-12:
-                    raise InputError("exact mode needs rational matrix entries")
-                exact[i, j] = value
-        mats.append(exact)
-    ops = OperatorTuple(tuple(mats), None, t.basis_labels, t.nilpotency_bound, t.kernel)
+    stack = np.asarray(t.mats, dtype=object)
+    exact = np.frompyfunc(lambda x: Fraction(x).limit_denominator(10**9), 1, 1)(stack)
+    if np.any(np.abs(exact.astype(float) - stack.astype(float)) > 1e-12):
+        raise InputError("exact mode needs rational matrix entries")
+    ops = OperatorTuple(tuple(exact), None, t.basis_labels, t.nilpotency_bound, t.kernel)
     return replace(config, ops=ops)
 
 
@@ -390,18 +370,11 @@ def _build_checks(config: Configuration) -> tuple[list[CheckResult], Optional[Ch
         dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
     )
     elapsed = time.perf_counter() - t0
-    block = max(
-        v for k, v in cfd.diagnostics.items() if not isinstance(v, bool)
-    )
+    block = max(v for v in cfd.diagnostics.values() if not isinstance(v, bool))
+    verdict = "pass" if block <= presets.TOL_BLOCK else "fail"
     return [
         CheckResult("purity", "pass", dd.purity_residual, dd.purity_exact, elapsed),
-        CheckResult(
-            "construction_identities",
-            "pass" if block <= presets.TOL_BLOCK else "fail",
-            float(block),
-            cfd.exact or None,
-            elapsed,
-        ),
+        CheckResult("construction_identities", verdict, float(block), cfd.exact or None, elapsed),
     ], cfd
 
 
@@ -410,7 +383,6 @@ def _build_checks(config: Configuration) -> tuple[list[CheckResult], Optional[Ch
 
 
 def cmd_impossibility(args) -> int:
-    _refuse_flags(args, "impossibility", {"--N": "N", "--tol": "tol", "--seed": "seed"})
     m, n, n_max = args.m, args.n, args.N_max
     if m < 1 or n < 1:
         raise InputError("m and n must be >= 1")
@@ -432,27 +404,16 @@ def cmd_impossibility(args) -> int:
             first_violation = base
     elapsed = time.perf_counter() - t0
     checks = [
-        CheckResult("closed_form_agreement", "pass" if agreement <= 1e-12 else "fail",
-                    agreement, True, elapsed),
-        CheckResult(
-            "first_violation",
-            "certificate-only",
-            None if first_violation is None else float(first_violation),
-            None,
-            0.0,
-        ),
+        CheckResult("closed_form_agreement", "pass" if agreement <= 1e-12 else "fail", agreement, True, elapsed),
+        CheckResult("first_violation", "certificate-only",
+                    None if first_violation is None else float(first_violation), None, 0.0),
     ]
     if first_violation is None:
         print(f"m={m}, n={n}: no violation for any window base degree up to {n_max}")
     else:
         print(f"m={m}, n={n}: first violation at base degree N={first_violation}")
-    report = _report(
-        {"command": "impossibility", "m": m, "n": n, "N_max": n_max,
-         "first_violation": first_violation},
-        _environment("exact", window=n_max + 2),
-        checks,
-    )
-    return _finish(report, args.out)
+    config = {"command": "impossibility", "m": m, "n": n, "N_max": n_max, "first_violation": first_violation}
+    return _finish(_report(config, _environment("exact", window=n_max + 2), checks), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +421,15 @@ def cmd_impossibility(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    _refuse_flags(args, "suite", {"--N": "N"})
     seed = 0 if args.seed is None else args.seed
     tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
     names = args.configs.split(",") if args.configs else list(presets.SUITE_CONFIGS)
     unknown = [n for n in names if n not in presets.CONFIG_NAMES]
     if unknown:
         raise InputError(f"unknown configurations: {', '.join(unknown)}")
+    twice = sorted({n for n in names if names.count(n) > 1})
+    if twice:
+        raise InputError(f"configurations named more than once: {', '.join(twice)}")
 
     all_checks = [
         replace(check, name=f"{name}/{check.name}")
@@ -513,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(pq)
     pf = ksub.add_parser("factor")
     pf.add_argument("--spec", required=True)
-    pf.add_argument("--cnp-factor", required=True, dest="cnp_factor")
+    pf.add_argument("--cnp-factor", required=True)
     _common_flags(pf)
     kernel.set_defaults(func=cmd_kernel)
 
@@ -521,20 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
     charfn.add_argument("charfn_cmd", choices=["build", "verify"])
     charfn.add_argument("--preset", help=f"one of: {', '.join(presets.CONFIG_NAMES)}")
     charfn.add_argument("--kernel", help="kernel spec JSON (with --cnp-factor, --d, --model-degree)")
-    charfn.add_argument("--cnp-factor", dest="cnp_factor")
-    charfn.add_argument("--tuple", dest="tuple_spec", help="operator tuple spec JSON")
+    charfn.add_argument("--cnp-factor")
+    charfn.add_argument("--tuple", help="operator tuple spec JSON")
     charfn.add_argument("--d", type=int)
-    charfn.add_argument("--model-degree", type=int, dest="model_degree")
-    charfn.add_argument("--degree-cap", type=int, dest="degree_cap")
+    charfn.add_argument("--model-degree", type=int)
+    charfn.add_argument("--degree-cap", type=int)
     charfn.add_argument("--mode", choices=["exact", "float"], default="float")
-    charfn.add_argument("--dump-theta", dest="dump_theta")
+    charfn.add_argument("--dump-theta")
     _common_flags(charfn)
     charfn.set_defaults(func=cmd_charfn)
 
     imp = sub.add_parser("impossibility", help="sweep the obstruction for k_m through k_n")
     imp.add_argument("--m", type=int, required=True)
     imp.add_argument("--n", type=int, required=True)
-    imp.add_argument("--N-max", type=int, default=20, dest="N_max")
+    imp.add_argument("--N-max", type=int, default=20)
     _common_flags(imp)
     imp.set_defaults(func=cmd_impossibility)
 
@@ -546,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--N", type=int, default=None, help="series truncation override")
+    p.add_argument("--N", type=int, help="series truncation override")
     p.add_argument("--tol", type=float, help=f"composite tolerance (default {presets.TOL_COMPOSITE})")
     p.add_argument("--seed", type=int, help="seed of the sample points (default 0)")
     p.add_argument("--out", help="write the JSON run report here")
@@ -560,8 +523,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise InputError(f"--tol must be finite and > 0, got {args.tol}")
+        if args.N is not None and args.N < 0:
+            raise InputError(f"--N must be >= 0, got {args.N}")
         _check_writable(args.out, "report")
         _check_writable(getattr(args, "dump_theta", None), "theta coefficients")
+        leaf = getattr(args, f"{args.command}_cmd", None)
+        source = next((f for f in ("--preset", "--tuple") if getattr(args, f[2:], None)), None)
+        for row in (f"{args.command} {leaf}" if leaf else args.command, source):
+            given = [f for f in IGNORED.get(row, ()) if getattr(args, f[2:].replace("-", "_"), None) is not None]
+            if given:
+                raise InputError(f"{', '.join(given)} cannot be combined with {row}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnpchar.cli import REPORT_SCHEMA, main
+from cnpchar.cli import IGNORED, REPORT_SCHEMA, build_parser, main
 
 
 @pytest.fixture()
@@ -24,6 +24,7 @@ def specs(tmp_path):
         "k3": {"kind": "bergman", "m": 3, "d": 1, "truncation": 32},
         "dirichlet": {"kind": "dirichlet", "d": 1, "truncation": 50},
         "szego": {"kind": "szego", "d": 1, "truncation": 32},
+        "geometric": {"kind": "coeffs", "a": [1, 0.5, 0.25, 0.125], "d": 1},
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(spec))
@@ -41,6 +42,51 @@ def read_report(path):
 
 
 class TestKernelCommands:
+    @pytest.mark.parametrize(
+        "argv, code, config, caps, check",
+        [
+            (["info", "--spec", "dirichlet", "--N", "6"], 0,
+             {"command": "kernel info", "spec": "dirichlet"},
+             ("exact", 6), ("kernel_info", "certificate-only", True)),
+            (["cnp", "--spec", "bergman_m2"], 1,
+             {"command": "kernel cnp", "spec": "bergman_m2", "first_negative": 2},
+             ("exact", 32), ("complete_pick", "fail", True)),
+            (["cnp", "--spec", "geometric"], 0,
+             {"command": "kernel cnp", "spec": "geometric", "first_negative": None},
+             ("float", 3), ("complete_pick", "pass", False)),
+            (["quotient", "--num", "k3", "--den", "k1"], 0,
+             {"command": "kernel quotient", "num": "k3", "den": "k1", "first_negative": None},
+             ("exact", 32), ("positive_quotient", "pass", True)),
+            (["factor", "--spec", "bergman_m2", "--cnp-factor", "k1"], 0,
+             {"command": "kernel factor", "spec": "bergman_m2", "factor": "k1"},
+             ("exact", 32), ("factorization", "pass", True)),
+            (["factor", "--spec", "dirichlet", "--cnp-factor", "k1"], 1,
+             {"command": "kernel factor", "spec": "dirichlet", "factor": "k1",
+              "error": "not a factorization: quotient coefficient at degree 1 is negative"},
+             ("exact", 50), ("factorization", "fail", None)),
+        ],
+        ids=["info", "cnp_fail", "cnp_float", "quotient", "factor", "factor_fail"],
+    )
+    def test_report_is_pinned(self, specs, tmp_path, capsys, argv, code, config, caps, check):
+        """The whole report of each kernel command, ``elapsed`` apart: config, environment and checks."""
+        out = tmp_path / "r.json"
+        argv = [specs.get(a, a) for a in argv]
+        assert main(["kernel", *argv, "--out", str(out)]) == code
+        report = read_report(out)
+        assert report["checks"][0].pop("elapsed") == 0.0
+        (mode, truncation), (name, verdict, exact) = caps, check
+        assert report == {
+            "schema_version": 1,
+            "config": {key: specs.get(value, value) for key, value in config.items()},
+            "environment": {
+                "mode": mode,
+                "seed": None,
+                "caps": {"truncation": truncation},
+                "tolerances": {"single_step": 1e-10, "composite": 1e-8, "block": 1e-9},
+            },
+            "checks": [{"name": name, "verdict": verdict, "residual": None, "exact": exact}],
+        }
+
     def test_cnp_failure_exits_one(self, specs, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main(["kernel", "cnp", "--spec", specs["bergman_m2"], "--out", str(out)])
@@ -408,9 +454,12 @@ class TestCharFnCommands:
         [
             (["--preset", "jordan"], ["--N", "16", "--d", "1"]),
             (["--preset", "jordan"], ["--degree-cap", "3"]),
+            (["--preset", "jordan"], ["--tuple", str(Path(__file__).parent / "specs" / "scalar_half.json")]),
+            (["--preset", "jordan"], ["--kernel", "szego_d1.json", "--cnp-factor", "szego_d1.json"]),
             (["--tuple", str(Path(__file__).parent / "specs" / "scalar_half.json")], ["--model-degree", "2"]),
         ],
-        ids=["preset_truncation_and_dimension", "preset_degree_cap", "tuple_model_degree"],
+        ids=["preset_truncation_and_dimension", "preset_degree_cap", "preset_tuple", "preset_kernel",
+             "tuple_model_degree"],
     )
     def test_flags_a_source_fixes_exit_two(self, source, flags, capsys):
         szego = str(Path(__file__).parent / "specs" / "szego_d1.json")
@@ -425,8 +474,8 @@ class TestCommonFlags:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0"]],
-        ids=["negative_seed", "nan_tol", "inf_tol", "negative_tol", "zero_tol"],
+        [["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0"], ["--N", "-1"]],
+        ids=["negative_seed", "nan_tol", "inf_tol", "negative_tol", "zero_tol", "negative_truncation"],
     )
     @pytest.mark.parametrize(
         "argv",
@@ -488,6 +537,24 @@ class TestCommonFlags:
         assert main(argv + ["--N", "5"]) == 2
         assert f"--N cannot be combined with {argv[0]}" in capsys.readouterr().err
 
+    def test_every_leaf_command_has_a_row(self):
+        """A command added to the parser without a row of ignored flags fails here."""
+
+        def leaves(parser, prefix=""):
+            (action,) = [a for a in parser._actions if a.choices and not a.option_strings]
+            if isinstance(action.choices, dict):
+                for name, child in action.choices.items():
+                    has_leaves = any(a.choices and not a.option_strings for a in child._actions)
+                    yield from leaves(child, f"{prefix}{name} ") if has_leaves else [prefix + name]
+            else:
+                yield from (prefix + name for name in action.choices)
+
+        assert sorted(leaves(build_parser())) == sorted(set(IGNORED) - {"--preset", "--tuple"})
+
+    def test_command_row_before_source_row(self, capsys):
+        assert main(["charfn", "build", "--preset", "jordan", "--tol", "0.5", "--N", "4"]) == 2
+        assert "error: --tol cannot be combined with charfn build" in capsys.readouterr().err
+
 
 class TestImpossibility:
     def test_first_violation_m2_n2(self, tmp_path, capsys):
@@ -538,6 +605,15 @@ class TestSuite:
 
     def test_unknown_configuration_exits_two(self):
         assert main(["suite", "--configs", "nope"]) == 2
+
+    def test_repeated_configuration_exits_two(self, monkeypatch, capsys):
+        """A name given twice exits 2 before any configuration runs."""
+        from cnpchar import cli
+
+        monkeypatch.setattr(cli, "run_configuration_checks", lambda *a, **k: pytest.fail("a configuration ran"))
+        assert main(["suite", "--configs", "jordan,k2_da_d1_n1,jordan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configurations named more than once: jordan" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():
