@@ -76,6 +76,59 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+def nonzero_index(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``np.nonzero(a)``, read from the flat pattern ``a != 0``, which numpy scans many times faster on a sparse array."""
+    return np.unravel_index(np.flatnonzero(a != 0), a.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class NonzeroEntries:
+    """A matrix and its nonzero entries, read once: the row, column and value of each, in row-major order."""
+
+    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "NonzeroEntries":
+        rows, cols = nonzero_index(a)
+        return cls(a, rows, cols, a[rows, cols])
+
+    @property
+    def adjoint(self) -> "NonzeroEntries":
+        """The conjugate transpose, its entries read from these ones, in its column-major order."""
+        return NonzeroEntries(self.matrix.conj().T, self.cols, self.rows, self.values.conj())
+
+
+def sparse_product(a: NonzeroEntries, b: NonzeroEntries) -> np.ndarray:
+    """The matrix product of ``a`` and ``b``, from the nonzero pairs of both factors when they are few.
+
+    Every nonzero a[i, k] pairs with every nonzero b[k, j]. When there are at
+    most as many pairs as entries in the (m, n) product, each pair's product
+    is added at (i, j) in a fixed order (a's entries in turn, each with b's
+    in row-major order) into zeros of the arithmetic, so the work is linear
+    in the pairs and the output. Otherwise the result is
+    ``a.matrix @ b.matrix`` unchanged. Fraction object arrays take the same
+    path and give equal Fractions.
+    """
+    (m, inner), n = a.matrix.shape, b.matrix.shape[1]
+    per_row = np.bincount(b.rows, minlength=inner)
+    counts = per_row[a.cols]
+    total = int(counts.sum())
+    if total > m * n:
+        return a.matrix @ b.matrix
+    left = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    right = np.argsort(b.rows, kind="stable")[(np.cumsum(per_row) - per_row)[a.cols[left]] + offsets]
+    if is_exact_array(a.matrix) or is_exact_array(b.matrix):
+        out = exact_zeros((m, n))
+    else:
+        out = np.zeros((m, n), dtype=np.result_type(a.matrix, b.matrix))
+    np.add.at(out.reshape(-1), a.rows[left] * n + b.cols[right], a.values[left] * b.values[right])
+    return out
+
+
 def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
@@ -118,16 +171,22 @@ def connected_blocks(a: np.ndarray) -> list[np.ndarray]:
     of the list is a (count, size) integer array holding one component per
     row, indices ascending inside a row and rows ordered by their first
     index; the entries run by ascending size. Permuted to these blocks, the
-    matrix is block-diagonal. Found by label propagation on a boolean copy
-    of the pattern: every index hooks to its smallest linked index, pointer
-    jumping takes each to the root of its tree, and the trees are contracted
-    to one index each until no two are linked, O(log n) rounds.
+    matrix is block-diagonal. An index linked to no other is a block of its
+    own; the rest are found by label propagation on a boolean copy of their
+    pattern: every index hooks to its smallest linked index, pointer jumping
+    takes each to the root of its tree, and the trees are contracted to one
+    index each until no two are linked, O(log n) rounds.
     """
     n = a.shape[0]
     linked = a != 0
     linked |= linked.T
+    np.fill_diagonal(linked, False)
+    rest = np.flatnonzero(linked.any(axis=1))
+    if len(rest) < n:
+        linked = linked[rest[:, None], rest]
     np.fill_diagonal(linked, True)
-    label = np.arange(n)
+    label = np.arange(len(rest))  # the (contracted) index of each index of rest
+    head = rest  # the smallest index under each contracted index, ascending
     while linked.size:
         parent = np.argmax(linked, axis=1)  # the smallest linked index, at most the index itself
         while not np.array_equal(up := parent[parent], parent):
@@ -136,17 +195,19 @@ def connected_blocks(a: np.ndarray) -> list[np.ndarray]:
         if root.all():
             break
         group = (np.cumsum(root) - 1)[parent]  # trees numbered in the order of their roots
-        label = group[label]
+        label, head = group[label], head[root]
         order = np.argsort(group, kind="stable")
         starts = np.searchsorted(group[order], np.arange(np.count_nonzero(root)))
         linked = np.logical_or.reduceat(linked[order], starts, axis=0)
         linked = np.logical_or.reduceat(linked[:, order], starts, axis=1)
-    sizes = np.bincount(label)
-    members = np.argsort(label, kind="stable")
+    key = np.arange(n)  # each index's block, named by its smallest index
+    key[rest] = head[label]
+    sizes = np.bincount(key, minlength=n)
+    members = np.argsort(key, kind="stable")
     firsts = np.cumsum(sizes) - sizes
     return [
         members[firsts[sizes == size][:, None] + np.arange(size)]
-        for size in np.flatnonzero(np.bincount(sizes))
+        for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1
     ]
 
 

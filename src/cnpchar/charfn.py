@@ -42,16 +42,19 @@ from ._linalg import (
     EXACT,
     FLOAT,
     ExactnessError,
+    NonzeroEntries,
     Scalars,
     adjoint,
     block_eigh,
     is_exact_array,
     is_exactly_zero,
     max_abs,
+    nonzero_index,
     orth_complement_of_range,
     point_stack,
     polar_orthogonal,
     psd_root,
+    sparse_product,
     spectral_norm,
     to_float_array,
 )
@@ -117,6 +120,23 @@ class TaylorCoefficients(Mapping):
     @property
     def scalars(self) -> Scalars:
         return EXACT if is_exact_array(self.coefficients) else FLOAT
+
+    @functools.cached_property
+    def entries(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The nonzero entries as rounds of (labels, slots, values), a slot being a flat index into r x dom.
+
+        Round k holds the k-th entry of every slot that has more than k, the
+        labels of a slot ascending over the rounds, so no slot occurs twice
+        in one round.
+        """
+        labels, rows, cols = nonzero_index(self.coefficients)
+        slots = rows * self.coefficients.shape[2] + cols
+        order = np.argsort(slots, kind="stable")  # by slot, labels ascending within one
+        rank = np.arange(len(order)) - np.searchsorted(slots[order], slots[order])  # the place in its slot
+        rounds = order[np.argsort(rank, kind="stable")]
+        cuts = np.searchsorted(np.sort(rank), np.arange(1, rank.max(initial=0) + 1))
+        values = self.coefficients[labels, rows, cols]
+        return [(labels[k], slots[k], values[k]) for k in np.split(rounds, cuts)]
 
 
 @dataclass(eq=False)
@@ -279,15 +299,17 @@ def build_charfn(
     eye_e = sc.eye(e_space.dim)
     rel1 = row_gram + b_block @ b_block.conj().T - eye_row
     rel2 = embedding @ row + d_block @ b_block.conj().T
-    rel3 = embedding @ embedding.conj().T + d_block @ d_block.conj().T - eye_e
+    e_entries, d_entries = NonzeroEntries.of(embedding), NonzeroEntries.of(d_block)
+    rel3 = sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_entries, d_entries.adjoint) - eye_e
     diagnostics["block_relation_row"] = spectral_norm(rel1)
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
     diagnostics["block_relation_e"] = spectral_norm(rel3)
     u_full = np.vstack([np.hstack([row.conj().T, b_block]), np.hstack([embedding, d_block])])
     eye_full = sc.eye(n + p + q_h)
     eye_target = sc.eye(row_space.dim + e_space.dim)
-    diagnostics["unitary_gram"] = spectral_norm(u_full.conj().T @ u_full - eye_full)
-    diagnostics["unitary_cogram"] = spectral_norm(u_full @ u_full.conj().T - eye_target)
+    u_entries = NonzeroEntries.of(u_full)
+    diagnostics["unitary_gram"] = spectral_norm(sparse_product(u_entries.adjoint, u_entries) - eye_full)
+    diagnostics["unitary_cogram"] = spectral_norm(sparse_product(u_entries, u_entries.adjoint) - eye_target)
 
     # theta_gamma = sqrt(g_gamma) D_gamma
     #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha,
@@ -295,7 +317,7 @@ def build_charfn(
     # entries start at -0.0, the exact additive identity, so a first term
     # enters unchanged, sign of zero included.
     a = BlockSpace(labels.labels[:n_betas], r).lift(kernel, sc)
-    exps = np.array(labels.labels, dtype=int).reshape(-1, t.num_vars)
+    exps = labels.exponents
     sums = (exps[b_pos, None, :] + exps[None, :n_betas, :]).reshape(-1, t.num_vars)
     gammas = np.concatenate([exps[g_pos], sums])
     first = np.unique(np.ravel_multi_index(gammas.T, gammas.max(axis=0, initial=0) + 1), return_index=True)[1]
@@ -368,15 +390,22 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
 def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     """sum_gamma theta_gamma point^gamma at a (d,) point or a (P, d) stack: (r, dom) or (P, r, dom).
 
-    One broadcast matmul (P, 1, L) @ (L, r dom), which rounds like the
-    vector-matrix product of a single point; a stacked gemm would not.
+    Only the nonzero entries of the Taylor stack are read
+    (``TaylorCoefficients.entries``): each entry of the result is the sum
+    of monomial x coefficient over its nonzero coefficients, labels in
+    ascending order, from zero. Every point runs the same sums, so a single
+    point and a stack agree bit for bit, and the work is linear in the
+    nonzero entries.
     """
     pts, single = point_stack(points)
     taylor = cfd.taylor
     sp = taylor.scalars.at(pts)
-    coeffs = sp.array(taylor.coefficients).reshape(len(taylor), -1)
     monomials = sp.monomial(taylor.space.monomials(pts))
-    out = (monomials[:, None, :] @ coeffs).reshape(len(pts), *taylor.coefficients.shape[1:])
+    _, r, dom = taylor.coefficients.shape
+    out = sp.zeros((len(pts), r * dom), complex)
+    for labels, slots, values in taylor.entries:
+        out[:, slots] += monomials[:, labels] * sp.array(values)
+    out = out.reshape(len(pts), r, dom)
     return out[0] if single else out
 
 
@@ -439,7 +468,7 @@ def inverse_identity_residual(cfd: CharFnData, points: Sequence[Point]) -> float
     k_adj = operator_series(t, cfd.kernel, points).conj().swapaxes(-1, -2)
     coeffs = b * FLOAT.monomial(space.monomials(points))
     labels, powers = t.powers(int(space.degrees.max(initial=0)))
-    wanted = labels.positions(np.array(space.labels, dtype=int).reshape(-1, t.num_vars))
+    wanted = labels.positions(space.exponents.reshape(-1, t.num_vars))
     adjoints = to_float_array(adjoint(powers[wanted]))
     # Z(z) R^* term by term in label order, as a scalar sum would add them
     zr = 0
@@ -542,8 +571,8 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), dom)
 
     # every (source label, Taylor label) pair, source by source; the window holds every degree <= target_degree
-    gammas = np.array(taylor.space.labels, dtype=int).reshape(n_terms, kernel.dim)
-    ends = np.array(source.labels)[:, None, :] + gammas[None, :, :]
+    gammas = taylor.space.exponents.reshape(n_terms, kernel.dim)
+    ends = source.exponents[:, None, :] + gammas[None, :, :]
     inside = source.degrees[:, None] + taylor.space.degrees[None, :] <= target_degree
     sources, terms = np.nonzero(inside)
     targets = window.positions(ends[inside])
@@ -562,12 +591,10 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     # within one source the targets are distinct, so one fancy-indexed add per source; products enter as
     # p * (w_a * w_b), source by source, so the Gram has the bits of the dense per-source blocks
     theta = coeffs.reshape(n_terms * r, dom)
-    products = theta @ theta.conj().T
-    left, right = np.nonzero(products)
-    values = products[left, right]
-    left_term, left_fiber = np.divmod(left, r)
-    right_term, right_fiber = np.divmod(right, r)
-    gram = scalars.zeros((window.dim, window.dim), products.dtype)
+    products = NonzeroEntries.of(theta @ theta.conj().T)
+    left_term, left_fiber = np.divmod(products.rows, r)
+    right_term, right_fiber = np.divmod(products.cols, r)
+    gram = scalars.zeros((window.dim, window.dim), products.values.dtype)
     slot = np.empty(n_terms, dtype=int)
     cuts = np.searchsorted(sources, np.arange(1, len(source.labels)))
     for at_terms, at_targets, w in zip(np.split(terms, cuts), np.split(targets, cuts), np.split(weights, cuts)):
@@ -577,7 +604,7 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
         keep = (a >= 0) & (b >= 0)
         a, b = a[keep], b[keep]
         rows, cols = at_targets[a] * r + left_fiber[keep], at_targets[b] * r + right_fiber[keep]
-        gram[rows, cols] += values[keep] * (w[a] * w[b])
+        gram[rows, cols] += products.values[keep] * (w[a] * w[b])
     return MultiplierMatrix(
         taylor=taylor,
         source=source,
@@ -668,13 +695,15 @@ def k_inner_subspace(cfd: CharFnData) -> KInnerData:
     ``basis`` spans the eigenvectors of G = sum_gamma theta_gamma^* theta_gamma / k_gamma
     with eigenvalue >= 1 - ISOMETRY_TOL (EmptyKInnerError if there is none),
     from one ``eigh`` per block size of G's connected blocks (``block_eigh``).
+    G is formed from the nonzero pairs of the Taylor stack (``sparse_product``).
     ``shift_residual`` is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """
     space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
     stack = to_float_array(cfd.taylor.coefficients)
     inv_k = 1.0 / space.lift(cfd.kernel)[:, None, None]
-    gram = stack.reshape(-1, dom).conj().T @ (stack * inv_k).reshape(-1, dom)
+    theta = NonzeroEntries.of(stack.reshape(-1, dom))
+    gram = sparse_product(theta.adjoint, NonzeroEntries.of((stack * inv_k).reshape(-1, dom)))
     vals, vecs = block_eigh((gram + gram.conj().T) / 2)
     top = float(vals.max(initial=0.0))
     sel = vals >= 1.0 - ISOMETRY_TOL

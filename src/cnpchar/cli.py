@@ -182,8 +182,8 @@ def _environment(mode: str, seed: Optional[int] = None, **caps) -> dict:
     }
 
 
-def _certificate(name: str, payload_ok: bool, residual=None, exact=None) -> CheckResult:
-    return CheckResult(name, "pass" if payload_ok else "fail", residual, exact, 0.0)
+def _certificate(name: str, payload_ok: bool, exact=None) -> CheckResult:
+    return CheckResult(name, "pass" if payload_ok else "fail", None, exact, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,11 @@ def cmd_impossibility(args) -> int:
 def cmd_suite(args) -> int:
     seed = 0 if args.seed is None else args.seed
     tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
-    names = args.configs.split(",") if args.configs else list(presets.SUITE_CONFIGS)
+    names = list(presets.SUITE_CONFIGS) if args.configs is None else args.configs.split(",")
+    if args.configs == "":
+        raise InputError("--configs is empty: name at least one configuration")
+    if "" in names:
+        raise InputError(f"--configs has an empty configuration name: {args.configs!r}")
     unknown = [n for n in names if n not in presets.CONFIG_NAMES]
     if unknown:
         raise InputError(f"unknown configurations: {', '.join(unknown)}")
@@ -438,7 +442,7 @@ def cmd_suite(args) -> int:
             presets.configuration(name), seed=seed, composite_tol=tol
         )[0]
     ]
-    if not args.configs:
+    if args.configs is None:
         all_checks.append(presets.run_alignment_check(seed=seed))
         all_checks.extend(presets.run_coincidence_checks(seed=seed))
     passed = sum(1 for c in all_checks if c.verdict == "pass")

@@ -142,6 +142,13 @@ class BlockSpace:
         self.degrees = np.array([degree(lab) for lab in self.labels], dtype=int)
 
     @functools.cached_property
+    def exponents(self) -> np.ndarray:
+        """The labels as one read-only (L, d) integer array, (0, 0) when there are none."""
+        out = np.array(self.labels, dtype=int).reshape(len(self.labels), len(self.labels[0]) if self.labels else 0)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
     def _multinomials(self) -> np.ndarray:
         return np.array([multinomial(lab) for lab in self.labels], dtype=object)
 
@@ -153,7 +160,7 @@ class BlockSpace:
         """The label index of each row of an (n, d) integer array of exponents, or -1 for a row that is not a label."""
         if not self.labels:
             return np.full(len(exponents), -1)
-        labels = np.array(self.labels, dtype=int)
+        labels = self.exponents
         dims = np.maximum(labels.max(axis=0), exponents.max(axis=0, initial=0)) + 1
         keys, wanted = np.ravel_multi_index(labels.T, dims), np.ravel_multi_index(exponents.T, dims)
         order = np.argsort(keys)
@@ -162,7 +169,7 @@ class BlockSpace:
 
     def shift(self, alpha: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
         """(low, high): the index of each label gamma whose gamma + alpha is a label, in order, and of gamma + alpha."""
-        high = self.positions(np.array(self.labels, dtype=int).reshape(-1, len(alpha)) + alpha)
+        high = self.positions(self.exponents.reshape(-1, len(alpha)) + alpha)
         low = np.flatnonzero(high >= 0)
         return low, high[low]
 
@@ -191,10 +198,7 @@ class BlockSpace:
         coordinates are written in real arithmetic (see ``complex_array``).
         """
         pts, single = point_stack(points)
-        if self.labels:
-            exps = np.array(self.labels, dtype=int).T
-        else:
-            exps = np.zeros((len(pts[0]) if pts else 0, 0), dtype=int)
+        exps = self.exponents.T if self.labels else np.zeros((len(pts[0]) if pts else 0, 0), dtype=int)
         exact = EXACT.at(pts).exact
         columns = [
             _column_powers([pt[j] for pt in pts], int(e.max(initial=0)), exact)[:, e] for j, e in enumerate(exps)

@@ -3,9 +3,9 @@
 Every identity the suite checks at sample points is evaluated over the whole
 stack of points at once. The functions below are the per-point loops from
 before that change, kept as test-only references: monomials from
-``monomial_value``, kernel values by scalar Horner, theta by a vector-matrix
-``tensordot`` per point and one spectral norm per point. The batched
-residuals must equal them bit for bit.
+``monomial_value``, kernel values by scalar Horner, theta by a sum over the
+nonzero Taylor entries per point and one spectral norm per point. The
+batched residuals must equal them bit for bit.
 """
 
 from fractions import Fraction
@@ -71,6 +71,18 @@ def _kernel_value_reference(kernel, z, w):
 
 
 def _theta_reference(cfd, point):
+    """theta at one point: each entry sums monomial x coefficient over its nonzero coefficients, labels ascending."""
+    sp = cfd.ops.scalars.at(point)
+    monomials = sp.monomial(_monomials_reference(cfd.taylor.space, point))
+    coeffs = sp.array(cfd.taylor.coefficients)
+    out = sp.zeros(coeffs.shape[1:], complex)
+    for label, i, j in zip(*np.nonzero(coeffs)):
+        out[i, j] += monomials[label] * coeffs[label, i, j]
+    return out
+
+
+def _theta_tensordot(cfd, point):
+    """theta at one point as one dense vector-matrix ``tensordot``, the form before the sums over nonzero entries."""
     sp = cfd.ops.scalars.at(point)
     monomials = _monomials_reference(cfd.taylor.space, point)
     return np.tensordot(sp.monomial(monomials), sp.array(cfd.taylor.coefficients), axes=1)
@@ -190,8 +202,10 @@ class TestBatchedEqualsPerPoint:
         taylor, gap = evaluation_gap(cfd, points[:5])
         refs = [_evaluation_gap_reference(cfd, z) for z in points[:5]]
         assert gap == max(g for _, g in refs)
-        for got, (ref, _) in zip(taylor, refs):
+        for got, (ref, _), z in zip(taylor, refs, points):
             assert np.array_equal(got, ref)
+            dense = np.asarray(_theta_tensordot(cfd, z), dtype=complex)
+            assert max_abs(np.asarray(ref, dtype=complex) - dense) <= 1e-15 * max_abs(dense)
 
     def test_kernel_vector_gap(self, built):
         _, dil, points, _ = built

@@ -606,6 +606,23 @@ class TestSuite:
     def test_unknown_configuration_exits_two(self):
         assert main(["suite", "--configs", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "configs, message",
+        [
+            ("", "--configs is empty"),
+            ("jordan,", "--configs has an empty configuration name: 'jordan,'"),
+        ],
+        ids=["empty_list", "empty_name"],
+    )
+    def test_empty_configuration_exits_two(self, configs, message, monkeypatch, capsys):
+        """An empty list, or an empty name in one, exits 2 with a message that says so before any configuration runs."""
+        from cnpchar import cli
+
+        monkeypatch.setattr(cli, "run_configuration_checks", lambda *a, **k: pytest.fail("a configuration ran"))
+        assert main(["suite", "--configs", configs]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_repeated_configuration_exits_two(self, monkeypatch, capsys):
         """A name given twice exits 2 before any configuration runs."""
         from cnpchar import cli

@@ -7,7 +7,6 @@ from pathlib import Path
 KEPT = {
     # optional inputs: absent means "none given" or "derive it"
     "_linalg.adjoint.weights",
-    "cli._certificate.residual",
     "cli._certificate.exact",
     "cli._environment.seed",
     "cli.main.argv",

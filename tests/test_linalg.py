@@ -1,11 +1,20 @@
-"""The spectral norm helper (max |eigenvalue| on Hermitian input, the top singular value otherwise) and the block helpers."""
+"""The spectral norm helper (max |eigenvalue| on Hermitian input, the top singular value otherwise), the block helpers and the sparse product."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cnpchar._linalg import block_eigh, connected_blocks, is_diagonal, is_diagonal_rectangular, spectral_norm
+from cnpchar._linalg import (
+    NonzeroEntries,
+    block_eigh,
+    connected_blocks,
+    is_diagonal,
+    is_diagonal_rectangular,
+    nonzero_index,
+    sparse_product,
+    spectral_norm,
+)
 
 RNG = np.random.default_rng(11)
 _REAL = RNG.standard_normal((7, 7))
@@ -156,3 +165,105 @@ def test_exact_diagonal_tests_match_entry_by_entry_loops():
         square = a.shape[0] == a.shape[1]
         assert is_diagonal(a) == (square and all(a[i, j] == 0 for i in range(shape[0]) for j in range(shape[1]) if i != j))
         assert is_diagonal_rectangular(a) == _loop_is_diagonal_rectangular(a)
+
+
+def _connected_blocks_reference(a):
+    """connected_blocks as it was before isolated indices were set aside: the contraction loop over every index."""
+    n = a.shape[0]
+    linked = a != 0
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    label = np.arange(n)
+    while linked.size:
+        parent = np.argmax(linked, axis=1)
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        root = parent == np.arange(len(parent))
+        if root.all():
+            break
+        group = (np.cumsum(root) - 1)[parent]
+        label = group[label]
+        order = np.argsort(group, kind="stable")
+        starts = np.searchsorted(group[order], np.arange(np.count_nonzero(root)))
+        linked = np.logical_or.reduceat(linked[order], starts, axis=0)
+        linked = np.logical_or.reduceat(linked[:, order], starts, axis=1)
+    sizes = np.bincount(label)
+    members = np.argsort(label, kind="stable")
+    firsts = np.cumsum(sizes) - sizes
+    return [members[firsts[sizes == size][:, None] + np.arange(size)] for size in np.flatnonzero(np.bincount(sizes))]
+
+
+@pytest.mark.parametrize("density", [0.0, 0.002, 0.02, 0.1, 0.4, 1.0])
+def test_connected_blocks_match_the_contraction_over_every_index(density):
+    """Same blocks, order and dtype as the loop over every index, down to patterns where almost every index is isolated."""
+    rng = np.random.default_rng(int(density * 1000))
+    for _ in range(60):
+        n = int(rng.integers(0, 60))
+        a = (rng.random((n, n)) < density) * rng.standard_normal((n, n))
+        if rng.random() < 0.5:
+            a[np.diag_indices(n)] = rng.standard_normal(n) * (rng.random(n) < 0.5)
+        got, want = connected_blocks(a), _connected_blocks_reference(a)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _sparse(rng, shape, density, dtype):
+    a = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype == complex else 0)
+    return a * (rng.random(shape) < density)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sparse_product_matches_matmul_within_rounding(dtype):
+    """Sparse factors, plain and adjoint, agree with ``@`` to a few ulps of |a| @ |b|."""
+    rng = np.random.default_rng(21)
+    eps = np.finfo(float).eps
+    for m, k, n, density in [(40, 30, 50, 0.05), (60, 60, 60, 0.02), (25, 80, 10, 0.1), (1, 1, 1, 1.0)]:
+        a, b = _sparse(rng, (m, k), density, dtype), _sparse(rng, (k, n), density, dtype)
+        ea, eb = NonzeroEntries.of(a), NonzeroEntries.of(b)
+        assert int((np.abs(a) > 0).sum(axis=0) @ (np.abs(b) > 0).sum(axis=1)) <= m * n  # the pair side
+        for got, want, bound in [
+            (sparse_product(ea, eb), a @ b, np.abs(a) @ np.abs(b)),
+            (sparse_product(ea.adjoint, ea), a.conj().T @ a, np.abs(a).T @ np.abs(a)),
+            (sparse_product(ea, ea.adjoint), a @ a.conj().T, np.abs(a) @ np.abs(a).T),
+        ]:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.all(np.abs(got - want) <= 4 * eps * bound)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_factors_take_matmul_bit_for_bit(dtype):
+    """Beyond the pair bound the product is ``a @ b`` itself, as in a 300 x 300 dense product."""
+    rng = np.random.default_rng(22)
+    for m, k, n in [(300, 300, 300), (7, 5, 6)]:
+        a, b = _sparse(rng, (m, k), 1.0, dtype), _sparse(rng, (k, n), 1.0, dtype)
+        ea = NonzeroEntries.of(a)
+        assert np.array_equal(sparse_product(ea, NonzeroEntries.of(b)), a @ b)
+        assert np.array_equal(sparse_product(ea.adjoint, ea), a.conj().T @ a)
+
+
+def test_exact_factors_give_equal_fractions():
+    rng = np.random.default_rng(23)
+    to_fraction = np.vectorize(lambda x: Fraction(int(x), 3), otypes=[object])
+    for density in (0.1, 1.0):
+        a = to_fraction(rng.integers(-4, 5, (9, 7)) * (rng.random((9, 7)) < density))
+        b = to_fraction(rng.integers(-4, 5, (7, 8)) * (rng.random((7, 8)) < density))
+        ea = NonzeroEntries.of(a)
+        for got, want in [(sparse_product(ea, NonzeroEntries.of(b)), a @ b), (sparse_product(ea.adjoint, ea), a.T @ a)]:
+            assert got.dtype == object and got.shape == want.shape
+            assert all(isinstance(x, Fraction) and x == y for x, y in zip(got.flat, want.flat))
+
+
+@pytest.mark.parametrize("shapes", [((0, 3), (3, 4)), ((3, 0), (0, 4)), ((3, 4), (4, 0)), ((4, 5), (5, 6))])
+def test_empty_and_zero_factors(shapes):
+    a, b = np.zeros(shapes[0]), np.zeros(shapes[1])
+    got = sparse_product(NonzeroEntries.of(a), NonzeroEntries.of(b))
+    assert got.shape == (shapes[0][0], shapes[1][1]) and not got.any()
+
+
+def test_nonzero_index_is_np_nonzero():
+    rng = np.random.default_rng(24)
+    for shape in [(0,), (5,), (4, 6), (3, 1, 7), (0, 4)]:
+        a = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+        got, want = nonzero_index(a), np.nonzero(a)
+        assert len(got) == len(want) and all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
