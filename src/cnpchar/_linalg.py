@@ -10,10 +10,12 @@ are numpy float/complex arrays in orthonormal bases. Exact matrices are
 object arrays of ``fractions.Fraction`` (or int), optionally in an
 orthogonal-but-not-normalized basis whose squared norms are carried
 separately as ``weights``; adjoints then pick up the weight ratios. Exact
-arrays support only the spectral operations that stay rational, namely
-square roots, ranges and pseudo-inverses of diagonal matrices with
-perfect-square entries. Anything else raises :class:`ExactnessError`,
-signalling that float arithmetic is the right backend for that computation.
+arrays support only the spectral steps that stay rational, on coordinate
+matrices, which hold at most one nonzero entry in each row and column:
+roots, range bases and pseudo-inverses of diagonal ones with perfect-square
+entries, and complements of the range of any. Anything else raises
+:class:`ExactnessError`, signalling that float arithmetic is the right
+backend for that computation.
 """
 
 from __future__ import annotations
@@ -241,11 +243,17 @@ def is_exactly_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 
 
-def is_diagonal(a: np.ndarray) -> bool:
-    if a.shape[0] != a.shape[1]:
-        return False
-    rows, cols = np.nonzero(a)
-    return bool(np.array_equal(rows, cols))
+def is_coordinate(a: np.ndarray) -> bool:
+    """True when no row and no column of the nonzero pattern of ``a`` holds two entries."""
+    rows, cols = nonzero_index(a)
+    return bool(np.bincount(rows).max(initial=0) <= 1 and np.bincount(cols).max(initial=0) <= 1)
+
+
+def minus_identity(a: np.ndarray) -> np.ndarray:
+    """``a - eye`` bit for bit, with no identity formed: x - 0 is x for every float, signed zeros included."""
+    out = a.copy()
+    out[np.diag_indices_from(out)] -= 1
+    return out
 
 
 def frac_sqrt(x) -> Fraction:
@@ -285,8 +293,7 @@ class Scalars:
         if not self.exact:
             return np.eye(n, dtype=dtype)
         out = exact_zeros((n, n))
-        for i in range(n):
-            out[i, i] = Fraction(1)
+        out[np.diag_indices(n)] = Fraction(1)
         return out
 
     def sqrt(self, x):
@@ -341,20 +348,14 @@ def psd_root(a_sq: np.ndarray) -> PsdRoot:
     positivity; non-positive eigenvalues contribute nothing to the root.
     """
     if is_exact_array(a_sq):
-        if not is_diagonal(a_sq):
+        diag = a_sq.diagonal()
+        if np.count_nonzero(a_sq) != np.count_nonzero(diag):
             raise ExactnessError("exact matrix roots need a diagonal matrix")
-        n = a_sq.shape[0]
-        root = exact_zeros((n, n))
-        pinv = exact_zeros((n, n))
-        cols = [i for i in range(n) if a_sq[i, i] > 0]
-        basis = exact_zeros((n, len(cols)))
-        for j, i in enumerate(cols):
-            r = frac_sqrt(a_sq[i, i])
-            root[i, i] = r
-            pinv[i, i] = 1 / r
-            basis[i, j] = Fraction(1)
-        lo = min((float(a_sq[i, i]) for i in range(n)), default=math.inf)
-        return PsdRoot(root, pinv, basis, lo)
+        n, pos = len(diag), np.flatnonzero(diag > 0)
+        root, pinv = exact_zeros((n, n)), exact_zeros((n, n))
+        root[pos, pos] = roots = EXACT.roots(diag[pos])
+        pinv[pos, pos] = 1 / roots
+        return PsdRoot(root, pinv, EXACT.eye(n)[:, pos], min(map(float, diag), default=math.inf))
     sym = (a_sq + a_sq.conj().T) / 2
     vals, vecs = np.linalg.eigh(sym)
     keep = vals > RANK_CUTOFF * max(1.0, float(vals.max(initial=0.0)))
@@ -384,53 +385,20 @@ def range_basis(a: np.ndarray) -> np.ndarray:
 
 
 def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of Ran(a), rank cut at RANK_CUTOFF."""
+    """Orthonormal basis (columns) of the orthogonal complement of Ran(a), rank cut at RANK_CUTOFF.
+
+    An exact ``a`` must be a coordinate matrix; its complement is one unit column per zero row.
+    """
     m = a.shape[0]
     if is_exact_array(a):
-        rank = exact_rank(a)
-        if rank == m:
-            return exact_zeros((m, 0))
-        if is_diagonal_rectangular(a):
-            rows = np.setdiff1d(np.arange(m), np.nonzero(a)[0])
-            out = exact_zeros((m, len(rows)))
-            for j, i in enumerate(rows):
-                out[i, j] = Fraction(1)
-            return out
-        raise ExactnessError("exact complement needs full rank or diagonal structure")
+        if not is_coordinate(a):
+            raise ExactnessError("exact complements need a coordinate matrix")
+        return EXACT.eye(m)[:, np.bincount(nonzero_index(a)[0], minlength=m) == 0]
     if a.shape[1] == 0:
         return np.eye(m)
     u, s, _ = np.linalg.svd(a, full_matrices=True)
     rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
     return u[:, rank:]
-
-
-def is_diagonal_rectangular(a: np.ndarray) -> bool:
-    """True when every row has at most one nonzero entry and columns don't collide."""
-    rows, cols = np.nonzero(a)
-    return len(np.unique(rows)) == len(rows) and len(np.unique(cols)) == len(cols)
-
-
-def exact_rank(a: np.ndarray) -> int:
-    """Rank over the rationals, by Gaussian elimination."""
-    rows = [list(r) for r in a.tolist()]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    col = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, m):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def polar_orthogonal(a: np.ndarray) -> np.ndarray:

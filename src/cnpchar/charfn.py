@@ -49,6 +49,7 @@ from ._linalg import (
     is_exact_array,
     is_exactly_zero,
     max_abs,
+    minus_identity,
     nonzero_index,
     orth_complement_of_range,
     point_stack,
@@ -295,21 +296,17 @@ def build_charfn(
     d_block = np.hstack([-(range_unitary @ (row @ row_defect_basis)), -complement_basis])
 
     # block unitarity of U = [[R*, B], [P, D]]
-    eye_row = sc.eye(row_space.dim)
-    eye_e = sc.eye(e_space.dim)
-    rel1 = row_gram + b_block @ b_block.conj().T - eye_row
+    rel1 = minus_identity(row_gram + b_block @ b_block.conj().T)
     rel2 = embedding @ row + d_block @ b_block.conj().T
     e_entries, d_entries = NonzeroEntries.of(embedding), NonzeroEntries.of(d_block)
-    rel3 = sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_entries, d_entries.adjoint) - eye_e
+    rel3 = minus_identity(sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_entries, d_entries.adjoint))
     diagnostics["block_relation_row"] = spectral_norm(rel1)
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
     diagnostics["block_relation_e"] = spectral_norm(rel3)
     u_full = np.vstack([np.hstack([row.conj().T, b_block]), np.hstack([embedding, d_block])])
-    eye_full = sc.eye(n + p + q_h)
-    eye_target = sc.eye(row_space.dim + e_space.dim)
     u_entries = NonzeroEntries.of(u_full)
-    diagnostics["unitary_gram"] = spectral_norm(sparse_product(u_entries.adjoint, u_entries) - eye_full)
-    diagnostics["unitary_cogram"] = spectral_norm(sparse_product(u_entries, u_entries.adjoint) - eye_target)
+    diagnostics["unitary_gram"] = spectral_norm(minus_identity(sparse_product(u_entries.adjoint, u_entries)))
+    diagnostics["unitary_cogram"] = spectral_norm(minus_identity(sparse_product(u_entries, u_entries.adjoint)))
 
     # theta_gamma = sqrt(g_gamma) D_gamma
     #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha,
@@ -655,7 +652,7 @@ def factorization_residual(
     )
     mask = window.degree_mask(restricted_degree)
     v = dil.matrix[mask]
-    sub = v @ v.conj().T + mult.gram[np.ix_(mask, mask)] - window.scalars.eye(v.shape[0])
+    sub = minus_identity(v @ v.conj().T + mult.gram[np.ix_(mask, mask)])
     exact_zero = bool(window.scalars.exact and is_exactly_zero(sub))
     return FactorizationResidual(
         restricted=spectral_norm(sub),

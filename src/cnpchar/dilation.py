@@ -215,7 +215,7 @@ def associated_tuple_test(
     t: OperatorTuple,
     kernel: KernelSeries,
     form_kernel: KernelSeries,
-    window_degree: Optional[int] = None,
+    window_degree: int,
 ) -> AssociatedTupleCertificate:
     """Evaluate the 1/l-contraction form of the tuple restricted to Ker V^*.
 
@@ -230,10 +230,6 @@ def associated_tuple_test(
     """
     t = t.to_float()
     bound = t.nilpotency_bound
-    if window_degree is None:
-        if bound is None:
-            raise ValueError("window_degree is required for tuples without a nilpotency bound")
-        window_degree = bound + 3
     if bound is not None and window_degree < bound:
         raise ValueError(
             f"window degree {window_degree} below the nilpotency bound {bound}: "

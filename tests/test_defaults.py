@@ -10,7 +10,6 @@ KEPT = {
     "cli._certificate.exact",
     "cli._environment.seed",
     "cli.main.argv",
-    "dilation.associated_tuple_test.window_degree",
     "operators.OperatorTuple.weights",
     "operators.OperatorTuple.basis_labels",
     "operators.OperatorTuple.nilpotency_bound",

@@ -1,17 +1,27 @@
-"""The spectral norm helper (max |eigenvalue| on Hermitian input, the top singular value otherwise), the block helpers and the sparse product."""
+"""The spectral norm helper (max |eigenvalue| on Hermitian input, the top singular value otherwise), the block helpers and the sparse product.
 
+Also the exact spectral steps on coordinate matrices and ``minus_identity``.
+"""
+
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cnpchar._linalg import (
+    EXACT,
+    ExactnessError,
     NonzeroEntries,
     block_eigh,
     connected_blocks,
-    is_diagonal,
-    is_diagonal_rectangular,
+    exact_zeros,
+    frac_sqrt,
+    is_coordinate,
+    minus_identity,
     nonzero_index,
+    orth_complement_of_range,
+    psd_root,
     sparse_product,
     spectral_norm,
 )
@@ -156,15 +166,132 @@ def _loop_is_diagonal_rectangular(a):
 
 
 def test_exact_diagonal_tests_match_entry_by_entry_loops():
-    """The array forms of is_diagonal and is_diagonal_rectangular agree with the entry loops on Fraction arrays."""
+    """The coordinate-matrix test agrees with the entry loop on Fraction arrays."""
     rng = np.random.default_rng(8)
     for _ in range(200):
         shape = tuple(rng.integers(1, 5, size=2))
         dense = rng.integers(-1, 2, size=shape) * (rng.random(shape) < 0.3)
         a = np.vectorize(Fraction, otypes=[object])(dense)
-        square = a.shape[0] == a.shape[1]
-        assert is_diagonal(a) == (square and all(a[i, j] == 0 for i in range(shape[0]) for j in range(shape[1]) if i != j))
-        assert is_diagonal_rectangular(a) == _loop_is_diagonal_rectangular(a)
+        assert is_coordinate(a) == _loop_is_diagonal_rectangular(a)
+
+
+def _fractions(rows):
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object).reshape(len(rows), -1)
+
+
+def _coordinate(rng, m, n):
+    """A random m x n Fraction coordinate matrix: nonzeros at a random matching of rows to columns."""
+    k = int(rng.integers(0, min(m, n) + 1))
+    a = exact_zeros((m, n))
+    values = [Fraction(int(rng.integers(-8, 9)) or 1, int(rng.integers(1, 9))) for _ in range(k)]
+    a[rng.permutation(m)[:k], rng.permutation(n)[:k]] = values
+    return a
+
+
+def _complement_reference(a):
+    """The exact complement as it was before coordinate matrices: a rank by Gaussian elimination, then the zero rows."""
+    m = a.shape[0]
+    rows, rank = [list(r) for r in a.tolist()], 0
+    for col in range(a.shape[1]):
+        pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, m):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    if rank == m:
+        return exact_zeros((m, 0))
+    if not _loop_is_diagonal_rectangular(a):
+        raise ExactnessError("exact complement needs full rank or diagonal structure")
+    free = [i for i in range(m) if all(x == 0 for x in a[i])]
+    out = exact_zeros((m, len(free)))
+    for j, i in enumerate(free):
+        out[i, j] = Fraction(1)
+    return out
+
+
+def _same_fractions(got, want):
+    return got.shape == want.shape and all(type(x) is type(y) and x == y for x, y in zip(got.flat, want.flat))
+
+
+def test_exact_complement_is_a_unit_column_per_zero_row():
+    a = _fractions([[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, 0]])
+    want = _fractions([[1, 0], [0, 0], [0, 1], [0, 0]])
+    assert _same_fractions(orth_complement_of_range(a), want)
+    assert _same_fractions(orth_complement_of_range(exact_zeros((2, 0))), EXACT.eye(2))
+
+
+def test_exact_complement_of_a_full_rank_coordinate_matrix_is_empty():
+    a = _fractions([[0, 0, 2, 0], [-1, 0, 0, 0], [0, 0, 0, Fraction(1, 3)]])
+    assert orth_complement_of_range(a).shape == (3, 0)
+
+
+@pytest.mark.parametrize("rows", [[[1, 1]], [[1], [1]], [[1, 1], [0, 1]]])
+def test_exact_complement_refuses_other_patterns(rows):
+    """Full row rank is not enough: [[1, 1]] is refused like every other matrix that is not a coordinate one."""
+    with pytest.raises(ExactnessError):
+        orth_complement_of_range(_fractions(rows))
+
+
+def test_exact_complement_matches_the_elimination():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        a = _coordinate(rng, int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+        assert _same_fractions(orth_complement_of_range(a), _complement_reference(a))
+
+
+def _psd_root_reference(a_sq):
+    """The exact root, pseudo-inverse, basis and minimum eigenvalue of a diagonal matrix, entry by entry."""
+    n = a_sq.shape[0]
+    root, pinv = exact_zeros((n, n)), exact_zeros((n, n))
+    cols = [i for i in range(n) if a_sq[i, i] > 0]
+    basis = exact_zeros((n, len(cols)))
+    for j, i in enumerate(cols):
+        r = frac_sqrt(a_sq[i, i])
+        root[i, i], pinv[i, i], basis[i, j] = r, 1 / r, Fraction(1)
+    return root, pinv, basis, min((float(a_sq[i, i]) for i in range(n)), default=float("inf"))
+
+
+def test_exact_psd_root_matches_the_entry_loop():
+    rng = np.random.default_rng(10)
+    for _ in range(100):
+        n = int(rng.integers(0, 7))
+        a_sq = exact_zeros((n, n))
+        sign = rng.choice([0, 1, 1, -1], size=n)  # zeros, and negatives that the root skips
+        a_sq[np.diag_indices(n)] = [Fraction(int(rng.integers(0, 6)), int(rng.integers(1, 6))) ** 2 * int(x) for x in sign]
+        got, (root, pinv, basis, lo) = psd_root(a_sq), _psd_root_reference(a_sq)
+        assert all(_same_fractions(x, y) for x, y in [(got.root, root), (got.pinv, pinv), (got.basis, basis)])
+        assert got.min_eigenvalue == lo
+
+
+@pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]]])
+def test_exact_psd_root_refuses_non_squares_and_off_diagonal_entries(rows):
+    with pytest.raises(ExactnessError):
+        psd_root(_fractions(rows))
+
+
+def _bits(a):
+    """Each entry's type and its real and imaginary parts with their signs, so that 0.0 and -0.0 differ."""
+    parts = [(type(x), complex(x)) for x in a.flat]
+    return [(t, z.real, z.imag, math.copysign(1, z.real), math.copysign(1, z.imag)) for t, z in parts]
+
+
+def test_minus_identity_is_a_minus_eye_bit_for_bit():
+    rng = np.random.default_rng(12)
+    real = rng.standard_normal((5, 5)) * (rng.random((5, 5)) < 0.5)
+    real[rng.random((5, 5)) < 0.5] *= -1.0  # flips the sign of some zeros
+    real[0, 0], real[1, 1], real[2, 3] = -0.0, 0.0, -0.0
+    cplx = real + 1j * real[::-1]
+    cplx[3, 3] = complex(-0.0, -0.0)
+    mixed = np.vectorize(Fraction, otypes=[object])(rng.integers(-3, 4, (4, 4)))
+    mixed[0, 1], mixed[2, 2], mixed[3, 3] = -0.0, 0.0, -0.0
+    for a, eye in [(real, np.eye(5)), (cplx, np.eye(5)), (mixed, EXACT.eye(4))]:
+        before = _bits(a)
+        got = minus_identity(a)
+        assert got.dtype == (a - eye).dtype and _bits(got) == _bits(a - eye)
+        assert _bits(a) == before
 
 
 def _connected_blocks_reference(a):

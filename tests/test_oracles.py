@@ -10,6 +10,15 @@ for Dirichlet and their product for DA*Dirichlet, not from their truncated
 series; theta comes from its Taylor coefficients at kernel truncation 64 and
 caps 40. A complex point also checks that no step of the construction drops
 imaginary parts.
+
+For a 2 x 2 Jordan block J = lambda I + c N, with N^2 = 0 and k summed as
+f(<z, w>), the partition V V^* + M_theta M_theta^* = I reads
+
+    Q theta(z) theta(w)^* Q^* = (k(z,w) P - Defect f(conj(z) J)^* f(conj(w) J) Defect) / s(z,w)
+
+in the basis Q of Ran Defect, with P = Q Q^* and
+f(x J) = f(x lambda) I + x c f'(x lambda) N. The defect has rank 2 there,
+so these are the oracles for a non-normal tuple beyond a scalar point.
 """
 
 import numpy as np
@@ -79,6 +88,11 @@ def dadir2():
 def power(m):
     """t -> (1 - t)^(-m)."""
     return lambda t: (1 - t) ** (-m)
+
+
+def power_slope(m):
+    """t -> m (1 - t)^(-m - 1), the derivative of power(m)."""
+    return lambda t: m * (1 - t) ** (-m - 1)
 
 
 def dirichlet_sum(t):
@@ -152,6 +166,36 @@ def test_dilation_isometry_and_block_unitarity(case):
     assert build_dilation(dd, CAP).isometry_residual <= TOL
     assert cfd.diagnostics["unitary_gram"] <= TOL
     assert cfd.diagnostics["unitary_cogram"] <= TOL
+
+
+# name -> (kernel k, CNP factor s, k summed in closed form, its derivative, s summed, lambda, c)
+JORDAN_CASES = {
+    "szego_jordan": (szego, szego, power(1), power_slope(1), power(1), 0.3, 0.5),
+    "szego_jordan_complex": (szego, szego, power(1), power_slope(1), power(1), 0.3 + 0.4j, 0.4),
+    "bergman2_szego_jordan": (bergman2, szego, power(2), power_slope(2), power(1), 0.3, 0.3),
+    "bergman2_szego_jordan_complex": (bergman2, szego, power(2), power_slope(2), power(1), 0.2 + 0.2j, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JORDAN_CASES))
+def test_jordan_block_identity_closed_form(name):
+    kernel, pick, k_sum, k_slope, s_sum, lam, c = JORDAN_CASES[name]
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    dd, cfd = scalar_point([lam * np.eye(2) + c * nil], kernel(), pick())
+    q, defect = dd.ran_defect_basis, dd.defect
+    assert q.shape == (2, 2)
+
+    def f(x):
+        """k's closed form at the operator x J."""
+        return k_sum(x * lam) * np.eye(2) + x * c * k_slope(x * lam) * nil
+
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((2, 20, 1)) + 1j * rng.standard_normal((2, 20, 1))
+    zs, ws = 0.3 * v / np.abs(v)
+    for z, w, tz, tw in zip(zs, ws, theta_taylor_at(cfd, zs), theta_taylor_at(cfd, ws)):
+        t = inner(z, w)
+        expected = (k_sum(t) * q @ q.conj().T - defect @ f(np.conj(z[0])).conj().T @ f(np.conj(w[0])) @ defect) / s_sum(t)
+        assert np.abs(q @ tz @ tw.conj().T @ q.conj().T - expected).max() <= TOL
 
 
 def test_projection_partition_at_a_complex_point():
