@@ -47,11 +47,12 @@ def exact_zeros(shape) -> np.ndarray:
 def to_float_array(a: np.ndarray) -> np.ndarray:
     if not is_exact_array(a):
         return a
-    return a.astype(np.float64) if _exact_is_real(a) else a.astype(np.complex128)
+    return a.astype(np.complex128 if holds_complex(a) else np.float64)
 
 
-def _exact_is_real(a: np.ndarray) -> bool:
-    return all(not isinstance(x, complex) for x in a.flat)
+def holds_complex(a: np.ndarray) -> bool:
+    """Whether an array has a complex entry: from its dtype, or scalar by scalar on an object array."""
+    return a.dtype == complex or (a.dtype == object and any(isinstance(x, complex) for x in a.flat))
 
 
 def adjoint(a: np.ndarray, weights=None) -> np.ndarray:
@@ -267,15 +268,25 @@ def frac_sqrt(x) -> Fraction:
     return Fraction(pn, pd)
 
 
-def point_stack(points) -> tuple[list, bool]:
-    """(the points, single) of a (d,) point or a (P, d) stack of points.
+def point_stack(points) -> tuple[np.ndarray, bool]:
+    """(the points as one (P, d) array, single) of a (d,) point or a (P, d) stack of points.
 
-    A single point becomes a stack of one and is flagged, so callers can
-    return its (unstacked) result; an empty sequence is an empty stack.
-    Coordinates keep their scalar types.
+    A float64 or complex128 array, or rows that are all arrays of one of those
+    dtypes, keeps its dtype, which decides the arithmetic once; anything else
+    (Python scalars, ``Fraction``s, rows of mixed dtypes) becomes an object
+    array of each coordinate's own scalar, for the per-scalar rules. A single
+    point becomes a flagged stack of one, an empty sequence a (0, 0) stack.
     """
     single = len(points) > 0 and np.ndim(points) == 1
-    return ([points] if single else list(points)), single
+    rows = [points] if single else points
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype in (float, complex):
+        return rows, single
+    kinds = {getattr(row, "dtype", None) for row in rows}
+    if len(kinds) == 1 and kinds.pop() in (float, complex):
+        return np.stack(rows), single
+    out = np.empty((len(rows), len(rows[0]) if len(rows) else 0), dtype=object)
+    out[...] = [list(row) for row in rows]
+    return out, single
 
 
 @dataclass(frozen=True)
@@ -315,10 +326,10 @@ class Scalars:
         return a if self.exact else to_float_array(np.asarray(a))
 
     def at(self, points) -> "Scalars":
-        """The arithmetic at a point or a stack of points: exact only if every coordinate is rational."""
-        if self.exact and all(isinstance(p, (Fraction, int)) for pt in point_stack(points)[0] for p in pt):
-            return self
-        return FLOAT
+        """The arithmetic at a point or a stack of points: exact only on an object stack of rationals."""
+        pts = point_stack(points)[0]
+        exact = self.exact and pts.dtype == object and all(isinstance(p, (Fraction, int)) for p in pts.flat)
+        return self if exact else FLOAT
 
 
 EXACT = Scalars(True)

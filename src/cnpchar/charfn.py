@@ -69,8 +69,6 @@ from .multiindex import (
 from .operators import PSD_TOL, DefectData, OperatorTuple, operator_series
 from .series import KernelFactorization, KernelSeries, reciprocal_complement
 
-Point = Sequence
-
 # largest ||u Gamma - embedding|| for which the range identification u is well defined
 IDENTITY_TOL = 1e-8
 # the settings of k_inner_subspace, align_factorizations, functional_model
@@ -406,7 +404,7 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     return out[0] if single else out
 
 
-def _scaled_blocks(space: BlockSpace, series, points: list, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
+def _scaled_blocks(space: BlockSpace, series, points: np.ndarray, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
     """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha."""
     roots = sp.roots(space.lift(series, sp))
     weights = roots * sp.monomial(space.monomials(points))
@@ -436,17 +434,19 @@ def evaluation_gap(cfd: CharFnData, points) -> tuple[np.ndarray, float]:
 
 def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
     """max over (z, w) of || s(z,w) theta(z) theta(w)* - k(z,w) I + Q* Defect k_z(T)* k_w(T) Defect Q ||."""
-    zs, ws = [z for z, _ in pairs], [w for _, w in pairs]
-    if not zs:
+    if not len(pairs):
         return 0.0
-    t, m = cfd.ops, len(zs)
+    t, m = cfd.ops, len(pairs)
+    # the z's, then the w's, as one stack of rows: a float side and a complex side keep their own rules
+    both = point_stack([p for side in zip(*pairs) for p in side])[0]
+    zs, ws = both[:m], both[m:]
     q = to_float_array(cfd.defect.ran_defect_basis)
     delta = to_float_array(cfd.defect.defect)
-    theta = np.asarray(theta_taylor_at(cfd, zs + ws), dtype=complex)
+    theta = np.asarray(theta_taylor_at(cfd, both), dtype=complex)
     tz, tw = theta[:m], theta[m:]
     s_val = np.asarray(cfd.pick_factor.evaluate(zs, ws, truncated=True).value, dtype=complex)
     k_val = np.asarray(cfd.kernel.evaluate(zs, ws, truncated=True).value, dtype=complex)
-    series = operator_series(t, cfd.kernel, zs + ws)
+    series = operator_series(t, cfd.kernel, both)
     kz_adj, kw = series[:m].conj().swapaxes(-1, -2), series[m:]
     mid = q.conj().T @ delta @ kz_adj @ kw @ delta @ q
     eye = np.eye(cfd.fiber_dim)
@@ -454,7 +454,7 @@ def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
     return spectral_norm(gap)
 
 
-def inverse_identity_residual(cfd: CharFnData, points: Sequence[Point]) -> float:
+def inverse_identity_residual(cfd: CharFnData, points: Sequence) -> float:
     """max over z of || g_z(T)^* - k_z(T)^* (I - Z(z) R^*) ||."""
     if not len(points):
         return 0.0
@@ -474,7 +474,7 @@ def inverse_identity_residual(cfd: CharFnData, points: Sequence[Point]) -> float
     return spectral_norm(g_adj - k_adj @ (np.eye(t.size) - zr))
 
 
-def row_symbol_margin(cfd: CharFnData, points: Sequence[Point]):
+def row_symbol_margin(cfd: CharFnData, points: Sequence):
     """(min of 1 - sum b_alpha |z^alpha|^2, max mismatch against 1/s(z,z)) over points.
 
     The quantity is the squared-norm defect of the scalar row Z(z); strict
@@ -741,7 +741,7 @@ class AlignmentData:
 def align_factorizations(
     cfd1: CharFnData,
     cfd2: CharFnData,
-    points: Sequence[Point],
+    points: Sequence,
     source_degree: int = 16,
 ) -> AlignmentData:
     """Check that two factorizations of one kernel give the same I - V V^* at sampled points.
@@ -768,12 +768,13 @@ def align_factorizations(
     for z in points:
         if sum(abs(complex(p)) ** 2 for p in z) >= 1:
             raise ValueError("sample point on or outside the unit sphere")
+    pts = point_stack(points)[0]
 
     def family(cfd: CharFnData) -> np.ndarray:
         # columns k_z (x) theta(z)^* e_a, point by point and a = 0..r-1 within a point
         window = MonomialWindow(cfd.pick_factor, cfd.domain_dim, source_degree)
-        fibers = np.asarray(theta_taylor_at(cfd, points), dtype=complex).conj().reshape(-1, cfd.domain_dim)
-        return window.kernel_vector([z for z in points for _ in range(r)], fibers).T
+        fibers = np.asarray(theta_taylor_at(cfd, pts), dtype=complex).conj().reshape(-1, cfd.domain_dim)
+        return window.kernel_vector(np.repeat(pts, r, axis=0), fibers).T
 
     fam1, fam2 = family(cfd1), family(cfd2)
     gram1 = fam1.conj().T @ fam1
@@ -789,10 +790,8 @@ def align_factorizations(
     #     - <k_w(T) Defect Q e_a, k_z(T) Defect Q e_b>
     t, m = cfd1.ops, len(points)
     dq = to_float_array(cfd1.defect.defect) @ to_float_array(cfd1.defect.ran_defect_basis)
-    series = operator_series(t, cfd1.kernel, points).astype(complex) @ dq
-    k_val = cfd1.kernel.evaluate(
-        [zi for zi in points for _ in range(m)], [zj for _ in range(m) for zj in points], truncated=True
-    ).value
+    series = operator_series(t, cfd1.kernel, pts).astype(complex) @ dq
+    k_val = cfd1.kernel.evaluate(np.repeat(pts, m, axis=0), np.tile(pts, (m, 1)), truncated=True).value
     k_val = np.asarray(k_val, dtype=complex).reshape(m, m)
     blocks = k_val[:, :, None, None] * np.eye(r) - series.conj().swapaxes(-1, -2)[:, None] @ series[None, :]
     gram_ref = blocks.transpose(0, 2, 1, 3).reshape(m * r, m * r)

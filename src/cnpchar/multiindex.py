@@ -100,19 +100,22 @@ def monomial_value(point, alpha: MultiIndex):
     return out
 
 
-def _column_powers(column: Sequence, top: int, exact: bool) -> np.ndarray:
-    """The powers p**k, k = 0..top, of every p in ``column``: shape (len(column), top + 1), each its scalar ``p**k``.
+def _column_powers(column: np.ndarray, top: int, exact: bool) -> np.ndarray:
+    """The powers p**k, k = 0..top, of every p in one column of a point stack: shape (len(column), top + 1).
 
-    Exact: an object array of the exact powers. Otherwise complex, with one
-    power call over the column per scalar type: ``np.complex128``
-    coordinates through ``np.power``, the power their scalar ``**`` runs, and
-    real ones (``float``, ``np.float64``) through ``np.float_power``, which
-    runs the libm ``pow`` of ``float.__pow__``. Any other coordinate (a
-    Python ``complex``, whose power can differ in the sign of a zero part, or
-    an int or ``Fraction`` among floats) takes its own ``**``, rounded after.
+    Complex128 runs ``np.power`` (what its scalar ``**`` runs), float64
+    ``np.float_power`` (the libm ``pow`` of ``float.__pow__``), both complex.
+    An object column is exact, or takes those rules scalar by scalar for
+    ``np.complex128`` and real (``float``, ``np.float64``) scalars, and its
+    own ``**``, rounded after, for any other (a Python ``complex``, whose
+    power can differ in the sign of a zero part, or an int or ``Fraction``).
     """
     ks = np.arange(top + 1)
-    col = np.array(column, dtype=object).reshape(len(column), 1)
+    col = column.reshape(len(column), 1)
+    if column.dtype == complex:
+        return np.power(col, ks)
+    if column.dtype == float:
+        return np.float_power(col, ks).astype(complex)
     if exact:
         return col**ks
     out = np.empty((len(column), top + 1), dtype=complex)
@@ -191,25 +194,30 @@ class BlockSpace:
     def monomials(self, points) -> np.ndarray:
         """point^gamma for every label, at a (d,) point or a (P, d) stack: shape (L,) or (P, L).
 
-        An object array when every coordinate of every point is rational, else
+        An object array when the stack is exact (``Scalars.at``), else
         complex, equal to ``monomial_value`` entry by entry. Each coordinate's
-        powers come from its column of points (``_column_powers``), each entry
-        with the powers of its own scalar type, and the products over
-        coordinates are written in real arithmetic (see ``complex_array``).
+        powers come from its column (``_column_powers``). The products over
+        coordinates run in real arithmetic (see ``complex_array``), in place,
+        on contiguous gathers of each column's real and imaginary powers.
         """
         pts, single = point_stack(points)
-        exps = self.exponents.T if self.labels else np.zeros((len(pts[0]) if pts else 0, 0), dtype=int)
-        exact = EXACT.at(pts).exact
-        columns = [
-            _column_powers([pt[j] for pt in pts], int(e.max(initial=0)), exact)[:, e] for j, e in enumerate(exps)
-        ]
-        if exact:
-            out = np.ones((len(pts), len(self.labels)), dtype=int).astype(object)
-            for x in columns:
-                out = out * x
-        else:
-            re, im = np.ones((len(pts), len(self.labels))), np.zeros((len(pts), len(self.labels)))
-            for x in columns:
-                re, im = re * x.real - im * x.imag, re * x.imag + im * x.real
-            out = complex_array(re, im)
+        count, size, exps = len(pts), len(self.labels), self.exponents.T
+        pts = pts.reshape(count, -1 if count else len(exps))
+        if EXACT.at(pts).exact:
+            out = np.ones((count, size), dtype=int).astype(object)
+            for j, e in enumerate(exps):
+                out = out * _column_powers(pts[:, j], int(e.max(initial=0)), True)[:, e]
+            return out[0] if single else out
+        re, im = np.ones((count, size)), np.zeros((count, size))
+        t = np.empty((count, size))
+        for j, e in enumerate(exps):
+            powers = _column_powers(pts[:, j], int(e.max(initial=0)), False)
+            xr, xi = powers.real[:, e], powers.imag[:, e]
+            np.multiply(re, xi, out=t)
+            xi *= im
+            re *= xr
+            re -= xi
+            im *= xr
+            im += t  # im * x.real + re * x.imag: one addition, either order
+        out = complex_array(re, im)
         return out[0] if single else out

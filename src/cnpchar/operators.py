@@ -36,6 +36,7 @@ from ._linalg import (
     ExactnessError,
     Scalars,
     adjoint,
+    holds_complex,
     is_exact_array,
     is_exactly_zero,
     max_abs,
@@ -392,7 +393,7 @@ def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> n
     tuple.
     """
     pts, single = point_stack(points)
-    if any(len(p) != t.num_vars for p in pts):
+    if len(pts) and pts.shape[1] != t.num_vars:
         raise ValueError("dimension mismatch")
     sc = t.scalars.at(pts)
     space, powers = _graded_space(t, series)
@@ -403,7 +404,7 @@ def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> n
 
     zero = sc.zeros((len(pts), t.size, t.size), complex)
     total, _ = _graded_sum(t, series, space, sc, term, zero)
-    if not sc.exact and not any(isinstance(x, complex) for p in pts for x in np.asarray(p).flat):
+    if not sc.exact and not holds_complex(pts):
         # real points, real tuple: keep the result real when it is
         if np.allclose(total.imag, 0.0):
             total = total.real

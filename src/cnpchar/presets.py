@@ -270,8 +270,8 @@ class _Recorder:
         return [replace(c, elapsed=self._spent.get(c.name, 0.0)) for c in self.checks]
 
 
-def sample_points(rng: np.random.Generator, count: int, dim: int, scale: float = 0.5):
-    """Complex points in the ball of radius ``scale``, seeded.
+def sample_points(rng: np.random.Generator, count: int, dim: int, scale: float = 0.5) -> np.ndarray:
+    """A (count, dim) complex128 stack of points in the ball of radius ``scale``, seeded.
 
     Each point draws its 2 dim normals (the real parts, then the imaginary
     parts) and then its radius factor in [0.3, 1). The scaling v / |v| *
@@ -283,7 +283,7 @@ def sample_points(rng: np.random.Generator, count: int, dim: int, scale: float =
     x = np.array([normals for normals, _ in draws]).reshape(count, 2 * dim)
     v = x[:, :dim] + 1j * x[:, dim:]
     sq = v.real[:, None, :] @ v.real[:, :, None] + v.imag[:, None, :] @ v.imag[:, :, None]
-    return list(v / np.sqrt(sq[:, 0]) * scale * np.array([factor for _, factor in draws])[:, None])
+    return v / np.sqrt(sq[:, 0]) * scale * np.array([factor for _, factor in draws])[:, None]
 
 
 def config_rng(seed: int, name: str) -> np.random.Generator:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._linalg import complex_array, point_stack
+from ._linalg import EXACT, complex_array, holds_complex, point_stack
 from .multiindex import MultiIndex, degree, multinomial
 
 Scalar = Union[Fraction, int, float]
@@ -166,9 +166,11 @@ class KernelSeries(RealSeries):
         ws = point_stack(w)[0]
         if len(zs) != len(ws):
             raise ValueError("point stacks differ in length")
-        if any(len(p) != self.dim for p in zs + ws):
+        if not len(zs):
+            zs = ws = np.zeros((0, self.dim))
+        if zs.shape[1] != self.dim or ws.shape[1] != self.dim:
             raise ValueError("point dimension mismatch")
-        if zs and _norms_sq(zs + ws).max() >= 1:
+        if max(_norms_sq(zs).max(initial=0), _norms_sq(ws).max(initial=0)) >= 1:
             raise ValueError("point on or outside the unit sphere")
         t = _inner_products(zs, ws)
         coeffs = self.coefficients if t.dtype == object else self.floats.coefficients
@@ -196,34 +198,33 @@ class KernelSeries(RealSeries):
         return KernelValue(value[0], float(tail[0])) if single else KernelValue(value, tail)
 
 
-def _norms_sq(points: list) -> np.ndarray:
+def _norms_sq(points: np.ndarray) -> np.ndarray:
     """|p|^2 of each point of a stack, as sum(abs(complex(x)) ** 2 for x in p) gives it.
 
     The moduli go through the libm ``hypot`` of ``abs(complex)``, the squares
     through the libm ``pow`` of ``float.__pow__``, and the sum runs in
     coordinate order.
     """
-    x = np.array(points, dtype=complex)
+    x = points.astype(complex)
     return np.cumsum(np.float_power(np.hypot(x.real, x.imag), 2), axis=1)[:, -1]
 
 
-def _inner_products(zs: list, ws: list) -> np.ndarray:
-    """<z, w> = sum_i z_i conj(w_i) for each pair, added in coordinate order as the scalar sum does.
+def _inner_products(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """<z, w> = sum_i z_i conj(w_i) for each pair of two stacks, added in coordinate order as the scalar sum does.
 
-    Exact (object) when every coordinate is rational, float when none is
-    complex, else complex with each product written in real arithmetic.
+    Exact (object) when both stacks are exact, float when neither holds a
+    complex coordinate, else complex with each product written in real
+    arithmetic.
     """
-    coords = [p for pt in zs + ws for p in pt]
-    if all(_is_exact(p) for p in coords):
-        terms = np.array(zs, dtype=object) * np.conjugate(np.array(ws, dtype=object))
-    elif not any(isinstance(p, complex) for p in coords):
-        terms = np.array(zs, dtype=float) * np.array(ws, dtype=float)
+    if EXACT.at(zs).exact and EXACT.at(ws).exact:
+        terms = zs * np.conjugate(ws)
+    elif not (holds_complex(zs) or holds_complex(ws)):
+        terms = zs.astype(float) * ws.astype(float)
     else:
-        za, wa = np.array(zs, dtype=complex), np.conjugate(np.array(ws, dtype=complex))
+        za, wa = zs.astype(complex), np.conjugate(ws.astype(complex))
         terms = complex_array(
             za.real * wa.real - za.imag * wa.imag, za.real * wa.imag + za.imag * wa.real
         )
-    terms = terms.reshape(len(zs), -1)
     out = terms[:, 0]
     for j in range(1, terms.shape[1]):
         out = out + terms[:, j]

@@ -21,6 +21,7 @@ from cnpchar.charfn import (
     inverse_identity_residual,
     pointwise_identity_residual,
     row_symbol_margin,
+    theta_taylor_at,
 )
 from cnpchar.dilation import MonomialWindow, build_dilation, kernel_vector_gap
 from cnpchar.multiindex import BlockSpace, monomial_value
@@ -219,6 +220,20 @@ class TestBatchedEqualsPerPoint:
         vecs = dil.window.kernel_vector(points, fibers)
         for got, z, f in zip(vecs, points, fibers):
             assert np.array_equal(got, _kernel_vector_reference(dil.window, z, f))
+
+    def test_typed_stacks_equal_their_rows_and_their_points(self, built):
+        """An ndarray stack, the same rows as a list and each point alone give the same bits, complex or real."""
+        cfd, dil, points, _ = built
+        fibers = np.random.default_rng(5).standard_normal((len(points), dil.fiber_dim))
+        for stack in (points, points.real.copy()):
+            assert isinstance(stack, np.ndarray) and stack.shape == (12, cfd.ops.num_vars)
+            for form in (lambda p: operator_series(cfd.ops, cfd.kernel, p), lambda p: theta_taylor_at(cfd, p)):
+                got = form(stack)
+                assert got.tobytes() == form(list(stack)).tobytes()
+                assert got.tobytes() == np.array([form(p) for p in stack]).tobytes()
+            got = dil.window.kernel_vector(stack, fibers)
+            assert got.tobytes() == dil.window.kernel_vector(list(stack), fibers).tobytes()
+            assert got.tobytes() == np.array([dil.window.kernel_vector(p, f) for p, f in zip(stack, fibers)]).tobytes()
 
     def test_single_point_forms(self, built):
         """A (d,) point gives the unstacked result of a stack of one."""

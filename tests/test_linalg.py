@@ -1,6 +1,7 @@
 """The spectral norm helper (max |eigenvalue| on Hermitian input, the top singular value otherwise), the block helpers and the sparse product.
 
-Also the exact spectral steps on coordinate matrices and ``minus_identity``.
+Also the exact spectral steps on coordinate matrices, ``minus_identity``
+and the point stacks whose dtype decides their arithmetic.
 """
 
 import math
@@ -11,16 +12,19 @@ import pytest
 
 from cnpchar._linalg import (
     EXACT,
+    FLOAT,
     ExactnessError,
     NonzeroEntries,
     block_eigh,
     connected_blocks,
     exact_zeros,
     frac_sqrt,
+    holds_complex,
     is_coordinate,
     minus_identity,
     nonzero_index,
     orth_complement_of_range,
+    point_stack,
     psd_root,
     sparse_product,
     spectral_norm,
@@ -394,3 +398,51 @@ def test_nonzero_index_is_np_nonzero():
         a = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
         got, want = nonzero_index(a), np.nonzero(a)
         assert len(got) == len(want) and all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestPointStack:
+    """One (P, d) array per stack: float64 and complex128 stay typed, anything else keeps its scalars."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_typed_array_is_the_stack(self, dtype):
+        a = np.arange(6, dtype=dtype).reshape(3, 2)
+        pts, single = point_stack(a)
+        assert pts is a and not single
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rows_of_one_dtype_stack_in_it(self, dtype):
+        rows = [np.arange(2, dtype=dtype), -np.ones(2, dtype=dtype)]
+        pts, single = point_stack(rows)
+        assert pts.dtype == dtype and pts.shape == (2, 2) and not single
+        assert pts.tobytes() == np.array(rows).tobytes()
+
+    def test_rows_of_mixed_dtypes_keep_each_scalar(self):
+        pts, _ = point_stack([np.array([0.5, -0.25]), np.array([0.5j, 1 - 2j])])
+        assert pts.dtype == object and pts.shape == (2, 2)
+        assert [type(x) for x in pts.flat] == [np.float64, np.float64, np.complex128, np.complex128]
+
+    def test_python_scalars_and_fractions_keep_each_scalar(self):
+        pts, _ = point_stack([[0.5, 1j], [Fraction(1, 3), 2]])
+        assert pts.dtype == object and [type(x) for x in pts.flat] == [float, complex, Fraction, int]
+        # other dtypes are not typed stacks: their numpy scalars stay as they are
+        assert [type(x) for x in point_stack(np.array([[1, 2]]))[0].flat] == [np.int64, np.int64]
+
+    def test_a_single_point_is_a_flagged_stack_of_one(self):
+        pts, single = point_stack(np.array([0.5, 0.25j]))
+        assert single and pts.shape == (1, 2) and pts.dtype == complex
+        pts, single = point_stack([Fraction(1, 2), 0.25])
+        assert single and pts.shape == (1, 2) and pts.dtype == object
+
+    def test_empty_stacks(self):
+        pts, single = point_stack([])
+        assert pts.shape == (0, 0) and pts.dtype == object and not single
+        pts, single = point_stack(np.zeros((0, 3), dtype=complex))
+        assert pts.shape == (0, 3) and pts.dtype == complex and not single
+
+    def test_the_dtype_decides_the_arithmetic(self):
+        assert EXACT.at([[Fraction(1, 2), 3]]) is EXACT and EXACT.at([Fraction(1, 2)]) is EXACT
+        assert FLOAT.at([[Fraction(1, 2), 3]]) is FLOAT
+        for points in (np.array([[0.5]]), np.array([[1]]), [[Fraction(1, 2), 0.5]], [np.float64(0.5)]):
+            assert EXACT.at(points) is FLOAT
+        assert not holds_complex(np.zeros((2, 2))) and holds_complex(np.zeros((2, 2), dtype=complex))
+        assert holds_complex(point_stack([[0.5, 1j]])[0]) and not holds_complex(point_stack([[0.5, 1]])[0])

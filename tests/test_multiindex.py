@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cnpchar._linalg import EXACT, FLOAT
+from cnpchar._linalg import EXACT, FLOAT, complex_array, point_stack
 from cnpchar.multiindex import (
     BlockSpace,
+    _column_powers,
     add,
     compositions,
     count_up_to_degree,
@@ -212,6 +213,48 @@ def test_block_space_monomials_of_numpy_points_match_monomial_value_bitwise(d):
         assert stack.dtype == complex and (stack + 0.0).tobytes() == (expected + 0.0).tobytes()
     single = np.array([monomial_value(complex_points[0], lab) for lab in space.labels], dtype=complex)
     assert (space.monomials(complex_points[0]) + 0.0).tobytes() == (single + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_space_monomials_of_a_typed_stack_equal_its_rows_and_its_points_bitwise(d):
+    """An ndarray stack, the same rows as a list and each point alone give the same bits."""
+    rng = np.random.default_rng(20 + d)
+    space = BlockSpace(enumerate_up_to_degree(d, 12), 1)
+    cplx = 0.4 * (rng.standard_normal((15, d)) + 1j * rng.standard_normal((15, d))) / d
+    for stack in (cplx, cplx.real.copy()):
+        got = space.monomials(stack)
+        assert got.dtype == complex and got.shape == (15, len(space.labels))
+        assert got.tobytes() == space.monomials(list(stack)).tobytes()
+        assert got.tobytes() == np.array([space.monomials(p) for p in stack]).tobytes()
+
+
+def _monomial_product_reference(space, points):
+    """The product over coordinates as one expression per step, each step allocating fresh temporaries."""
+    pts = point_stack(points)[0]
+    re, im = np.ones((len(pts), len(space.labels))), np.zeros((len(pts), len(space.labels)))
+    for j, e in enumerate(space.exponents.T):
+        x = _column_powers(pts[:, j], int(e.max(initial=0)), False)[:, e]
+        re, im = re * x.real - im * x.imag, re * x.imag + im * x.real
+    return complex_array(re, im)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_in_place_monomial_product_matches_the_fresh_temporaries_bitwise(d):
+    """The in-place product gives the expression's bits, signed zeros included, on every kind of stack."""
+    rng = np.random.default_rng(40 + d)
+    space = BlockSpace(enumerate_up_to_degree(d, 9), 1)
+    cplx = 0.4 * (rng.standard_normal((12, d)) + 1j * rng.standard_normal((12, d))) / d
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), -0.5, 0.5j, -0.5j]
+    cplx[: len(zeros), 0], cplx[: len(zeros), -1] = zeros, zeros[::-1]
+    real = cplx.real.copy()
+    python = [[complex(x) for x in row] for row in cplx[:4]] + [[float(x) for x in row] for row in real[:4]]
+    signed = 0
+    for points in (cplx, real, list(cplx[:3]) + list(real[:3]), python):
+        got = space.monomials(points)
+        assert got.tobytes() == _monomial_product_reference(space, points).tobytes()
+        parts = np.concatenate([got.real.ravel(), got.imag.ravel()])
+        signed += np.count_nonzero(np.signbit(parts[parts == 0]))
+    assert signed > 0
 
 
 @st.composite

@@ -19,6 +19,10 @@ f(<z, w>), the partition V V^* + M_theta M_theta^* = I reads
 in the basis Q of Ran Defect, with P = Q Q^* and
 f(x J) = f(x lambda) I + x c f'(x lambda) N. The defect has rank 2 there,
 so these are the oracles for a non-normal tuple beyond a scalar point.
+
+The same identity holds for the direct sum T = diag(lambda_1, lambda_2) of
+two scalar points, with f(x T) = diag(f(x lambda_1), f(x lambda_2)), and
+its defect is diagonal of rank 2.
 """
 
 import numpy as np
@@ -177,18 +181,15 @@ JORDAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(JORDAN_CASES))
-def test_jordan_block_identity_closed_form(name):
-    kernel, pick, k_sum, k_slope, s_sum, lam, c = JORDAN_CASES[name]
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    dd, cfd = scalar_point([lam * np.eye(2) + c * nil], kernel(), pick())
+def _assert_defect_identity(mat, kernel, pick, k_sum, s_sum, f):
+    """Q theta(z) theta(w)^* Q^* = (k(z,w) P - Defect f(conj(z) T)^* f(conj(w) T) Defect) / s(z,w) at 20 pairs.
+
+    ``f(x)`` is k's closed form at the operator x T, for the 2 x 2 matrix T
+    ``mat``, whose defect must have rank 2.
+    """
+    dd, cfd = scalar_point([mat], kernel, pick)
     q, defect = dd.ran_defect_basis, dd.defect
     assert q.shape == (2, 2)
-
-    def f(x):
-        """k's closed form at the operator x J."""
-        return k_sum(x * lam) * np.eye(2) + x * c * k_slope(x * lam) * nil
-
     rng = np.random.default_rng(0)
     v = rng.standard_normal((2, 20, 1)) + 1j * rng.standard_normal((2, 20, 1))
     zs, ws = 0.3 * v / np.abs(v)
@@ -196,6 +197,31 @@ def test_jordan_block_identity_closed_form(name):
         t = inner(z, w)
         expected = (k_sum(t) * q @ q.conj().T - defect @ f(np.conj(z[0])).conj().T @ f(np.conj(w[0])) @ defect) / s_sum(t)
         assert np.abs(q @ tz @ tw.conj().T @ q.conj().T - expected).max() <= TOL
+
+
+@pytest.mark.parametrize("name", sorted(JORDAN_CASES))
+def test_jordan_block_identity_closed_form(name):
+    kernel, pick, k_sum, k_slope, s_sum, lam, c = JORDAN_CASES[name]
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def f(x):
+        return k_sum(x * lam) * np.eye(2) + x * c * k_slope(x * lam) * nil
+
+    _assert_defect_identity(lam * np.eye(2) + c * nil, kernel(), pick(), k_sum, s_sum, f)
+
+
+# name -> (kernel k, CNP factor s, k summed in closed form, s summed, (lambda_1, lambda_2))
+DIAGONAL_CASES = {
+    "szego_diagonal": (szego, szego, power(1), power(1), (0.5, 0.3 + 0.4j)),
+    "bergman2_szego_diagonal": (bergman2, szego, power(2), power(1), (0.3, -0.2j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
+def test_direct_sum_of_scalar_points_closed_form(name):
+    kernel, pick, k_sum, s_sum, lam = DIAGONAL_CASES[name]
+    lam = np.array(lam)
+    _assert_defect_identity(np.diag(lam), kernel(), pick(), k_sum, s_sum, lambda x: np.diag(k_sum(x * lam)))
 
 
 def test_projection_partition_at_a_complex_point():

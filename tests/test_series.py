@@ -584,6 +584,27 @@ class TestEvaluateStack:
             assert _bits(value) == _bits(single.value) == _bits(_fraction_horner_reference(kernel, z, w))
             assert tail == single.tail_bound
 
+    def test_typed_stacks_equal_their_rows_and_their_pairs_bitwise(self):
+        """An ndarray stack, the same rows as a list and each pair alone give the same bits, value and tail."""
+        kernel = cauchy_product(drury_arveson_kernel(2, 48), dirichlet_kernel(2, 48))
+        rng = np.random.default_rng(9)
+        zs = 0.15 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+        ws = 0.15 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+        for z_stack, w_stack in ((zs, ws), (zs.real.copy(), ws.real.copy()), (zs.real.copy(), ws)):
+            got = kernel.evaluate(z_stack, w_stack)
+            rows = kernel.evaluate(list(z_stack), list(w_stack))
+            pairs = [kernel.evaluate(z, w) for z, w in zip(z_stack, w_stack)]
+            assert got.value.tobytes() == rows.value.tobytes()
+            assert got.value.tobytes() == np.array([p.value for p in pairs], dtype=got.value.dtype).tobytes()
+            assert got.tail_bound.tobytes() == rows.tail_bound.tobytes()
+            assert got.tail_bound.tobytes() == np.array([p.tail_bound for p in pairs]).tobytes()
+
+    def test_empty_stacks_give_empty_values(self):
+        kernel = szego_kernel(2, 10)
+        for empty in ([], np.zeros((0, 2), dtype=complex)):
+            value, tail = kernel.evaluate(empty, empty)
+            assert value.shape == tail.shape == (0,)
+
     def test_rejects_stacks_of_different_lengths(self):
         with pytest.raises(ValueError, match="length"):
             szego_kernel(1, 10).evaluate([[0.1], [0.2]], [[0.1]])
