@@ -42,7 +42,7 @@ print("defect^2 =", [[str(x) for x in row] for row in dd.defect_sq.tolist()])
 dil = build_dilation(dd, target_degree=5)
 print("V columns:", dil.matrix[:3].tolist())
 
-cfd = build_charfn(dd, fac)
+cfd = build_charfn(dd, fac, support_cap=4, constant_cap=4)
 print("\nTaylor support of theta:", sorted(cfd.taylor))
 print("theta_2 =", cfd.taylor[(2,)].tolist())
 # theta at a rational point stays exact; the gap to the direct formula is 0

@@ -34,7 +34,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -194,8 +194,8 @@ class CharFnData:
 def build_charfn(
     defect: DefectData,
     factorization: KernelFactorization,
-    support_cap: Optional[int] = None,
-    constant_cap: Optional[int] = None,
+    support_cap: int,
+    constant_cap: int,
 ) -> CharFnData:
     """Run the whole block construction and return its data.
 
@@ -204,8 +204,8 @@ def build_charfn(
     basis of Ran Defect; one for another kernel or pick factor raises
     ValueError. ``support_cap`` bounds the degrees of the row-contraction
     labels (nonzero b coefficients of the CNP factor), ``constant_cap`` the
-    labels of E (nonzero g coefficients); both default to nilpotency degree
-    + 3. Raises NotPureError for impure tuples, CharFnBuildError when the row
+    labels of E (nonzero g coefficients); ``presets.Configuration`` sizes
+    both. Raises NotPureError for impure tuples, CharFnBuildError when the row
     defect fails positivity ("R is not a contraction") or when the range
     identification u is ill-defined.
     """
@@ -220,11 +220,6 @@ def build_charfn(
     if t.weights is not None:
         raise ExactnessError("the tuple must be given on an orthonormal basis")
     bound = t.nilpotency_bound
-    if support_cap is None or constant_cap is None:
-        if bound is None:
-            raise ValueError("caps are required for tuples without a nilpotency bound")
-        support_cap = support_cap if support_cap is not None else bound + 3
-        constant_cap = constant_cap if constant_cap is not None else bound + 3
     b_s = reciprocal_complement(pick)
     if b_s.truncation < support_cap or g.truncation < constant_cap:
         raise ValueError("series truncation below the requested caps")
@@ -742,7 +737,7 @@ def align_factorizations(
     cfd1: CharFnData,
     cfd2: CharFnData,
     points: Sequence,
-    source_degree: int = 16,
+    source_degree: int,
 ) -> AlignmentData:
     """Check that two factorizations of one kernel give the same I - V V^* at sampled points.
 

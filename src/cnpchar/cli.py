@@ -287,28 +287,13 @@ def _configuration_from_args(args) -> Configuration:
         if t.weights is not None:
             t = t.to_float()
         name = "custom_tuple"
-        bound = t.nilpotency_bound if t.nilpotency_bound is not None else 9
     else:
         t = model_tuple(kernel, args.d, args.model_degree, mode="float")
         name = f"custom_d{args.d}_n{args.model_degree}"
-        bound = args.model_degree
-    support_cap, constant_cap = presets.default_caps(pick, t.num_vars, bound)
-    if args.degree_cap is not None:
-        support_cap = constant_cap = args.degree_cap
-    truncation = min(reciprocal_complement(pick).truncation, fac.positive_part.truncation)
-    if not all(1 <= cap <= truncation for cap in (support_cap, constant_cap)):
-        raise InputError(
-            f"degree caps {support_cap}, {constant_cap} outside 1..{truncation}, the series truncation"
-        )
-    return Configuration(
-        name=name,
-        dim=t.num_vars,
-        factorization=fac,
-        ops=t,
-        support_cap=support_cap,
-        constant_cap=constant_cap,
-        source_degree=bound + 2,
-    )
+    try:
+        return Configuration(name=name, factorization=fac, ops=t, degree_cap=args.degree_cap)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_charfn(args) -> int:

@@ -2,9 +2,11 @@
 
 A configuration bundles a kernel factorization with a concrete pure tuple
 (a graded multiplication model, a seeded co-invariant compression of one, or
-a hand-built nilpotent tuple) plus the degree windows every construction
-step should use. The same configurations drive the command-line suite and
-the acceptance tests, so residuals reported by either are comparable.
+a hand-built nilpotent tuple). It works out the degree windows every
+construction step reads from that tuple and the CNP factor, by one rule
+(``Configuration``); the command line builds its custom configurations the
+same way. The same configurations drive the command-line suite and the
+acceptance tests, so residuals reported by either are comparable.
 
 All randomness (sample points, compression seeds, conjugating orthogonals)
 is drawn from generators seeded by the suite seed and the configuration
@@ -58,19 +60,52 @@ from .series import (
 TRUNCATION = 48
 
 
+# The depth nu assumed for a tuple that states no nilpotency bound. ROADMAP
+# item 1 replaces it with a depth sized from a tail bound of the tuple.
+ASSUMED_DEGREE = 9
+
+
 @dataclass(eq=False)
 class Configuration:
-    """One entry of the verification matrix."""
+    """One entry of the verification matrix, with the degree windows its construction reads.
+
+    The windows come from one rule, set once from the tuple and the factor.
+    With nu the tuple's nilpotency bound (``ASSUMED_DEGREE`` when it states
+    none), the source degree is nu + 2 and the windows are deep enough for
+    1e-8 pointwise residuals at the sample radii. The row-support window only
+    needs nu + 3 when the pick factor's b-sequence is finitely supported
+    below that; infinitely supported factors (Dirichlet-like) need the tail
+    of b_n |z|^(2n) below tolerance. The constant window bounds the g-tail
+    the same way, and quotient coefficients can grow polynomially (g_n = n + 1
+    for the cubed kernel through DA), so the windows and the sample radii are
+    sized together: with |z| |w| <= 0.24 a depth-16 tail of (n+1) t^n stays
+    under 1e-9, an order below the composite tolerance. The deep windows are
+    16 at d = 1 and 14 above. ``degree_cap``, when set, replaces both caps.
+    A cap outside 1..the series truncation raises ValueError.
+    """
 
     name: str
-    dim: int
     factorization: KernelFactorization
     ops: OperatorTuple
-    support_cap: int
-    constant_cap: int
-    source_degree: int
     sample_scale: float = 0.5
     description: str = ""
+    degree_cap: Optional[int] = None
+
+    def __post_init__(self):
+        self.dim = self.ops.num_vars
+        nu = ASSUMED_DEGREE if self.ops.nilpotency_bound is None else self.ops.nilpotency_bound
+        b = reciprocal_complement(self.pick_factor)
+        deep = 16 if self.dim == 1 else 14
+        self.support_cap = nu + 3 if b.last_nonzero <= nu + 3 else deep
+        self.constant_cap = deep
+        if self.degree_cap is not None:
+            self.support_cap = self.constant_cap = self.degree_cap
+        self.source_degree = nu + 2
+        truncation = min(b.truncation, self.factorization.positive_part.truncation)
+        if not all(1 <= cap <= truncation for cap in (self.support_cap, self.constant_cap)):
+            raise ValueError(
+                f"degree caps {self.support_cap}, {self.constant_cap} outside 1..{truncation}, the series truncation"
+            )
 
     @property
     def kernel(self) -> KernelSeries:
@@ -110,41 +145,15 @@ def _factorization(k_kind: str, s_kind: str, dim: int) -> KernelFactorization:
     return factor_through_pick(_kernel_named(k_kind, dim), _kernel_named(s_kind, dim))
 
 
-def default_caps(pick: KernelSeries, dim: int, nilpotency_bound: int) -> tuple[int, int]:
-    """Degree windows deep enough for 1e-8 pointwise residuals at the sample radii.
-
-    The row-support window only needs the nilpotency degree when the pick
-    factor's b-sequence is finitely supported below it; infinitely supported
-    factors (Dirichlet-like) need the tail of b_n |z|^(2n) below tolerance.
-    The constant window bounds the g-tail the same way, and quotient
-    coefficients can grow polynomially (g_n = n + 1 for the cubed kernel
-    through DA), so the windows and the sample radii below are sized
-    together: with |z| |w| <= 0.24 a depth-16 tail of (n+1) t^n stays under
-    1e-9, an order below the composite tolerance.
-    """
-    b = reciprocal_complement(pick)
-    shallow = nilpotency_bound + 3
-    deep = 16 if dim == 1 else 14
-    support_cap = shallow if b.last_nonzero <= shallow else deep
-    return support_cap, deep
-
-
 def _model_config(name, k_kind, s_kind, dim, model_degree, compress_seed) -> Configuration:
     fac = _factorization(k_kind, s_kind, dim)
-    kernel, pick = fac.kernel, fac.pick_factor
-    t = model_tuple(kernel, dim, model_degree, mode="float")
+    t = model_tuple(fac.kernel, dim, model_degree, mode="float")
     if compress_seed is not None:
         t = random_coinvariant_compression(t, np.random.default_rng(compress_seed))
-    bound = t.nilpotency_bound or model_degree
-    support_cap, constant_cap = default_caps(pick, dim, bound)
     return Configuration(
         name=name,
-        dim=dim,
         factorization=fac,
         ops=t,
-        support_cap=support_cap,
-        constant_cap=constant_cap,
-        source_degree=bound + 2,
         sample_scale=0.45 if dim >= 2 else 0.48,
         description="" if compress_seed is None else "random co-invariant compression",
     )
@@ -153,16 +162,7 @@ def _model_config(name, k_kind, s_kind, dim, model_degree, compress_seed) -> Con
 def _szego_config(name, tuple_for, description) -> Configuration:
     """A hand-built tuple for the Szego kernel factored through itself."""
     fac = _factorization("szego", "szego", 1)
-    return Configuration(
-        name=name,
-        dim=1,
-        factorization=fac,
-        ops=tuple_for(fac.kernel),
-        support_cap=4,
-        constant_cap=4,
-        source_degree=3,
-        description=description,
-    )
+    return Configuration(name=name, factorization=fac, ops=tuple_for(fac.kernel), description=description)
 
 
 def _two_cells(kernel: KernelSeries) -> OperatorTuple:

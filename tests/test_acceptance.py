@@ -197,7 +197,7 @@ def test_criterion_09_projection_partition(matrix):
         t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
         fac = factor_through_pick(k, k)
         dd = defect_data(t, k, k)
-        cfd = build_charfn(dd, fac)
+        cfd = build_charfn(dd, fac, support_cap=4, constant_cap=4)
         dil = build_dilation(dd, 5)
         mult = build_multiplier(cfd, dil, 3)
         fr = factorization_residual(cfd, dil, mult)

@@ -72,7 +72,7 @@ def jordan_exact():
     t = model_tuple(k, 1, 1, mode="exact")
     t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
     fac = factor_through_pick(k, k)
-    return charfn_of(t, fac), t, k, fac
+    return charfn_of(t, fac, support_cap=4, constant_cap=4), t, k, fac
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +181,7 @@ class TestDegenerateCase:
         k = drury_arveson_kernel(2, 24)
         fac = factor_through_pick(k, k)
         t = model_tuple(k, 2, 2, mode="float")
-        cfd = charfn_of(t, fac)
+        cfd = charfn_of(t, fac, support_cap=5, constant_cap=5)
         assert [lab for lab in cfd.g_support.labels] == [(0, 0)]
         assert cfd.complement_basis.shape[1] == 0
         assert cfd.g_support.dim == cfd.fiber_dim
@@ -211,13 +211,6 @@ class TestBuildDiagnostics:
         with pytest.raises(NotPureError):
             build_charfn(dd, fac, support_cap=4, constant_cap=4)
 
-    def test_requires_caps_without_nilpotency(self):
-        k = szego_kernel(1, 24)
-        fac = factor_through_pick(k, k)
-        t = OperatorTuple((np.array([[0.5]]),), None, None, None, k)
-        with pytest.raises(ValueError, match="caps"):
-            charfn_of(t, fac)
-
     def test_row_contraction_failure_detected(self):
         # a non-contraction cannot be a 1/s-contraction either: defect_data
         # rejects it, so build_charfn never reaches the row construction
@@ -232,7 +225,7 @@ def jordan_pair():
     k = szego_kernel(1, 48)
     mat = np.zeros((5, 5))
     mat[1, 0] = mat[3, 2] = mat[4, 3] = 1.0
-    return OperatorTuple((mat,), None, None, 2, k), factor_through_pick(k, k), {}
+    return OperatorTuple((mat,), None, None, 2, k), factor_through_pick(k, k), {"support_cap": 5, "constant_cap": 5}
 
 
 def preset_inputs(name):

@@ -438,11 +438,13 @@ class TestCharFnCommands:
             (["--d", "1", "--model-degree", "1", "--degree-cap", "40"], "degree caps 40, 40 outside 1..32"),
             (["--d", "1", "--model-degree", "1", "--N", "16"], "exceeds the kernel truncation 16"),
             (["--d", "1", "--model-degree", "2", "--N", "1"], "--model-degree 2 exceeds the truncation 1"),
+            (["--d", "1", "--model-degree", "2", "--N", "4"], "degree caps 5, 16 outside 1..4"),
             (["--d", "2", "--model-degree", "1"], "--d is 2, the kernel dimension is 1"),
             (["--d", "0", "--model-degree", "0"], "--d must be >= 1"),
         ],
         ids=["negative_model_degree", "degree_cap_beyond_truncation", "window_beyond_truncation",
-             "model_degree_beyond_truncation", "dimension_other_than_the_kernel", "zero_dimension"],
+             "model_degree_beyond_truncation", "plan_beyond_truncation", "dimension_other_than_the_kernel",
+             "zero_dimension"],
     )
     def test_bad_model_flags_exit_two(self, specs, flags, message, capsys):
         args = ["charfn", "verify", "--kernel", specs["bergman_m2"], "--cnp-factor", specs["k1"]]

@@ -19,6 +19,7 @@ KEPT = {
     "operators.quadratic_form_certificate.window_degree",
     "presets._check.exact",
     "presets.Configuration.description",
+    "presets.Configuration.degree_cap",
     # the arithmetic: exact or float, both in use
     "_linalg.Scalars.zeros.dtype",
     "_linalg.Scalars.eye.dtype",
@@ -26,9 +27,6 @@ KEPT = {
     "multiindex.BlockSpace.lift.scalars",
     "operators.model_tuple.mode",
     # depths and sizes that callers set to other values
-    "charfn.build_charfn.support_cap",
-    "charfn.build_charfn.constant_cap",
-    "charfn.align_factorizations.source_degree",
     "operators.random_coinvariant_compression.num_seeds",
     "presets.Configuration.sample_scale",
     "presets.sample_points.scale",

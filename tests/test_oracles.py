@@ -22,7 +22,10 @@ so these are the oracles for a non-normal tuple beyond a scalar point.
 
 The same identity holds for the direct sum T = diag(lambda_1, lambda_2) of
 two scalar points, with f(x T) = diag(f(x lambda_1), f(x lambda_2)), and
-its defect is diagonal of rank 2.
+its defect is diagonal of rank 2. In d variables x J reads sum_i x_i T_i:
+for the commuting Drury-Arveson pair T_i = lambda_i I + c_i N,
+f(sum_i x_i T_i) = f(mu) I + eta f'(mu) N with mu = sum_i x_i lambda_i and
+eta = sum_i x_i c_i.
 """
 
 import numpy as np
@@ -181,21 +184,22 @@ JORDAN_CASES = {
 }
 
 
-def _assert_defect_identity(mat, kernel, pick, k_sum, s_sum, f):
+def _assert_defect_identity(mats, kernel, pick, k_sum, s_sum, f):
     """Q theta(z) theta(w)^* Q^* = (k(z,w) P - Defect f(conj(z) T)^* f(conj(w) T) Defect) / s(z,w) at 20 pairs.
 
-    ``f(x)`` is k's closed form at the operator x T, for the 2 x 2 matrix T
-    ``mat``, whose defect must have rank 2.
+    ``f(x)`` is k's closed form at the operator sum_i x_i T_i, for the tuple
+    ``mats`` of d commuting 2 x 2 matrices, whose defect must have rank 2;
+    it receives the conjugated point x = conj(z).
     """
-    dd, cfd = scalar_point([mat], kernel, pick)
+    dd, cfd = scalar_point(mats, kernel, pick)
     q, defect = dd.ran_defect_basis, dd.defect
     assert q.shape == (2, 2)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((2, 20, 1)) + 1j * rng.standard_normal((2, 20, 1))
-    zs, ws = 0.3 * v / np.abs(v)
+    v = rng.standard_normal((2, 20, len(mats))) + 1j * rng.standard_normal((2, 20, len(mats)))
+    zs, ws = 0.3 * v / np.linalg.norm(v, axis=-1, keepdims=True)
     for z, w, tz, tw in zip(zs, ws, theta_taylor_at(cfd, zs), theta_taylor_at(cfd, ws)):
         t = inner(z, w)
-        expected = (k_sum(t) * q @ q.conj().T - defect @ f(np.conj(z[0])).conj().T @ f(np.conj(w[0])) @ defect) / s_sum(t)
+        expected = (k_sum(t) * q @ q.conj().T - defect @ f(np.conj(z)).conj().T @ f(np.conj(w)) @ defect) / s_sum(t)
         assert np.abs(q @ tz @ tw.conj().T @ q.conj().T - expected).max() <= TOL
 
 
@@ -205,9 +209,9 @@ def test_jordan_block_identity_closed_form(name):
     nil = np.array([[0.0, 1.0], [0.0, 0.0]])
 
     def f(x):
-        return k_sum(x * lam) * np.eye(2) + x * c * k_slope(x * lam) * nil
+        return k_sum(x[0] * lam) * np.eye(2) + x[0] * c * k_slope(x[0] * lam) * nil
 
-    _assert_defect_identity(lam * np.eye(2) + c * nil, kernel(), pick(), k_sum, s_sum, f)
+    _assert_defect_identity([lam * np.eye(2) + c * nil], kernel(), pick(), k_sum, s_sum, f)
 
 
 # name -> (kernel k, CNP factor s, k summed in closed form, s summed, (lambda_1, lambda_2))
@@ -221,7 +225,28 @@ DIAGONAL_CASES = {
 def test_direct_sum_of_scalar_points_closed_form(name):
     kernel, pick, k_sum, s_sum, lam = DIAGONAL_CASES[name]
     lam = np.array(lam)
-    _assert_defect_identity(np.diag(lam), kernel(), pick(), k_sum, s_sum, lambda x: np.diag(k_sum(x * lam)))
+    _assert_defect_identity([np.diag(lam)], kernel(), pick(), k_sum, s_sum, lambda x: np.diag(k_sum(x[0] * lam)))
+
+
+# name -> (lambda, c) of the commuting pair T_i = lambda_i I + c_i N through DA_2 (k = s = DA)
+DA_PAIR_CASES = {
+    "da2_jordan_pair": ((0.3, 0.4), (0.3, 0.2)),
+    "da2_jordan_pair_complex": ((0.3j, 0.4 - 0.1j), (0.2, 0.3j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DA_PAIR_CASES))
+def test_commuting_da_jordan_pair_closed_form(name):
+    """f(sum x_i T_i) = f(mu) I + eta f'(mu) N, with mu = sum x_i lambda_i and eta = sum x_i c_i."""
+    lam, c = (np.array(v) for v in DA_PAIR_CASES[name])
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    k_sum, k_slope = power(1), power_slope(1)
+
+    def f(x):
+        mu, eta = x @ lam, x @ c
+        return k_sum(mu) * np.eye(2) + eta * k_slope(mu) * nil
+
+    _assert_defect_identity([l * np.eye(2) + ci * nil for l, ci in zip(lam, c)], da2(), da2(), k_sum, k_sum, f)
 
 
 def test_projection_partition_at_a_complex_point():

@@ -9,6 +9,7 @@ import pytest
 from cnpchar import charfn, presets, series
 from cnpchar.cli import main
 from cnpchar.dilation import MonomialWindow
+from cnpchar.operators import OperatorTuple
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +138,73 @@ def test_sample_points_match_the_per_point_loop_bitwise(dim):
             expected = _sample_points_reference(presets.config_rng(seed, "points"), count, dim, 0.4)
             assert len(got) == count
             assert all(p.shape == (dim,) and p.tobytes() == q.tobytes() for p, q in zip(got, expected))
+
+
+# name -> (support_cap, constant_cap, source_degree, sample_scale, dim). The model rows are the windows the
+# suite has always used; the Szego presets read the same rule, so their constant window is the deep one.
+WINDOWS = {
+    "jordan": (4, 16, 3, 0.5, 1),
+    "two_cells": (4, 16, 3, 0.5, 1),
+    "nonpure": (12, 16, 11, 0.5, 1),
+    "k2_da_d1_n1": (4, 16, 3, 0.48, 1),
+    "k2_da_d1_n2": (5, 16, 4, 0.48, 1),
+    "k2_da_d1_n3": (6, 16, 5, 0.48, 1),
+    "k2_da_d2_n1": (4, 14, 3, 0.45, 2),
+    "k2_da_d2_n2": (5, 14, 4, 0.45, 2),
+    "k2_da_d2_n3": (6, 14, 5, 0.45, 2),
+    "k3_da_d1_n1": (4, 16, 3, 0.48, 1),
+    "k3_da_d1_n2": (5, 16, 4, 0.48, 1),
+    "k3_da_d2_n1": (4, 14, 3, 0.45, 2),
+    "dadir_da_d1_n2": (5, 16, 4, 0.48, 1),
+    "dadir_da_d2_n1": (4, 14, 3, 0.45, 2),
+    "dadir_dir_d1_n1": (16, 16, 3, 0.48, 1),
+    "k2_da_d1_n3_c": (6, 16, 5, 0.48, 1),
+    "k2_da_d2_n2_c": (5, 14, 4, 0.45, 2),
+    "k3_da_d1_n2_c": (5, 16, 4, 0.48, 1),
+    "dadir_da_d1_n2_c": (5, 16, 4, 0.48, 1),
+}
+
+
+def _windows(config):
+    return config.support_cap, config.constant_cap, config.source_degree, config.sample_scale, config.dim
+
+
+def test_window_table_names_every_configuration():
+    assert tuple(WINDOWS) == presets.CONFIG_NAMES
+
+
+@pytest.mark.parametrize("name", presets.CONFIG_NAMES)
+def test_windows_of_each_configuration(name):
+    assert _windows(presets.configuration(name)) == WINDOWS[name]
+
+
+@pytest.mark.parametrize("name", ["jordan", "k2_da_d2_n2", "dadir_dir_d1_n1"])
+def test_degree_cap_replaces_both_caps(name):
+    config = replace(presets.configuration(name), degree_cap=7)
+    assert _windows(config) == (7, 7) + WINDOWS[name][2:]
+
+
+def test_boundless_tuple_is_sized_at_the_assumed_degree():
+    fac = presets._factorization("szego", "szego", 1)
+    t = OperatorTuple((np.array([[0.5]]),), None, None, None, fac.kernel)
+    config = presets.Configuration("scalar_half", fac, t)
+    assert presets.ASSUMED_DEGREE == 9
+    assert _windows(config) == (12, 16, 11, 0.5, 1)
+
+
+@pytest.mark.parametrize("name", ["two_cells", "k2_da_d2_n2_c"])
+@pytest.mark.parametrize("degree_cap", [None, 6])
+def test_new_tuple_keeps_the_cap_and_the_rule(name, degree_cap):
+    """``replace(config, ops=...)``, as the command line does for another arithmetic, reruns the one rule."""
+    config = replace(presets.configuration(name), degree_cap=degree_cap)
+    moved = replace(config, ops=replace(config.ops))
+    assert moved.ops is not config.ops
+    assert moved.degree_cap == degree_cap
+    assert _windows(moved) == _windows(config)
+    assert _windows(moved)[2:] == WINDOWS[name][2:]
+
+
+@pytest.mark.parametrize("degree_cap", [0, 49])
+def test_cap_outside_the_truncation_raises(degree_cap):
+    with pytest.raises(ValueError, match=f"degree caps {degree_cap}, {degree_cap} outside 1..48, the series truncation"):
+        replace(presets.configuration("jordan"), degree_cap=degree_cap)

@@ -1,8 +1,10 @@
 """The report oracle, pinned: verdicts and exact residuals of fixed command lines.
 
-Each file in ``tests/golden/`` holds one ``cnpchar`` command line and, for
-every check its report lists, the ``name``, ``verdict`` and ``exact`` fields,
-plus the ``residual`` of every check flagged exact. The suite's file pins its
+Each file in ``tests/golden/`` holds one ``cnpchar`` command line, the
+``environment.caps`` its report echoes (the degree windows of a ``charfn``
+run, integers that no BLAS can move), and, for every check its report
+lists, the ``name``, ``verdict`` and ``exact`` fields, plus the ``residual``
+of every check flagged exact. The suite's file pins its
 255 checks this way, which gives its (name, verdict) pairs. The wide file
 runs the benchmark's ``wide`` command line on the spec files under
 ``perfbench/specs``, read from the repository root. The scalar file runs
@@ -18,7 +20,8 @@ Float residuals are not pinned: their last bits depend on the BLAS library
 and its threading, so they are held only through their verdicts.
 
 To re-pin after a deliberate report change, run the command line with
-``--out`` and copy those fields of each check into its golden file.
+``--out`` and copy its caps and those fields of each check into its golden
+file.
 """
 
 import json
@@ -44,6 +47,7 @@ def test_report_matches_golden(path, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(golden["argv"] + ["--out", str(out)]) == 0
     report = json.loads(out.read_text())
+    assert report["environment"]["caps"] == golden["caps"]
     assert [pinned(c) for c in report["checks"]] == golden["checks"]
 
 
