@@ -34,7 +34,6 @@ from .multiindex import (
     MultiIndex,
     enumerate_up_to_degree,
     multinomial,
-    subtract,
 )
 from .operators import (
     OperatorTuple,

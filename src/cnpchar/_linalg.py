@@ -3,7 +3,8 @@
 Every computation runs in one of two arithmetics, ``EXACT`` or ``FLOAT``
 (:class:`Scalars`), and every choice that depends on which one is made here:
 zeros and identities, square roots, how a monomial or an array enters the
-arithmetic, and whether an evaluation point keeps exactness. The one
+arithmetic, and how points enter it: a stack of rational points stays
+exact, any other is one complex128 array (:func:`point_stack`). The one
 exception is a series' coefficients, which enter through
 ``multiindex.BlockSpace.lift`` in the arithmetic it is given. Float matrices
 are numpy float/complex arrays in orthonormal bases. Exact matrices are
@@ -271,19 +272,23 @@ def frac_sqrt(x) -> Fraction:
 def point_stack(points) -> tuple[np.ndarray, bool]:
     """(the points as one (P, d) array, single) of a (d,) point or a (P, d) stack of points.
 
-    A float64 or complex128 array, or rows that are all arrays of one of those
-    dtypes, keeps its dtype, which decides the arithmetic once; anything else
-    (Python scalars, ``Fraction``s, rows of mixed dtypes) becomes an object
-    array of each coordinate's own scalar, for the per-scalar rules. A single
-    point becomes a flagged stack of one, an empty sequence a (0, 0) stack.
+    A stack comes out as one of two kinds. When every coordinate is a
+    ``Fraction`` or an int it stays exact, as an object array; anything else
+    (float64 or complex128 arrays, Python floats or complexes, rows of mixed
+    dtypes) becomes one complex128 array, converted once, since a real point
+    is a complex point with zero imaginary parts. A 2-D complex128 array
+    comes back without a copy and rows of complex128 arrays are stacked. A
+    single point becomes a flagged stack of one, an empty sequence a (0, 0)
+    exact stack.
     """
     single = len(points) > 0 and np.ndim(points) == 1
     rows = [points] if single else points
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype in (float, complex):
-        return rows, single
-    kinds = {getattr(row, "dtype", None) for row in rows}
-    if len(kinds) == 1 and kinds.pop() in (float, complex):
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype != object:
+        return rows.astype(complex, copy=False), single
+    if len(rows) and all(getattr(row, "dtype", None) == complex for row in rows):
         return np.stack(rows), single
+    if not all(isinstance(x, (Fraction, int)) for row in rows for x in row):
+        return np.asarray(rows, dtype=complex), single
     out = np.empty((len(rows), len(rows[0]) if len(rows) else 0), dtype=object)
     out[...] = [list(row) for row in rows]
     return out, single
@@ -326,10 +331,8 @@ class Scalars:
         return a if self.exact else to_float_array(np.asarray(a))
 
     def at(self, points) -> "Scalars":
-        """The arithmetic at a point or a stack of points: exact only on an object stack of rationals."""
-        pts = point_stack(points)[0]
-        exact = self.exact and pts.dtype == object and all(isinstance(p, (Fraction, int)) for p in pts.flat)
-        return self if exact else FLOAT
+        """The arithmetic at a point or a stack of points: exact only on an exact stack, read from its dtype."""
+        return self if self.exact and point_stack(points)[0].dtype == object else FLOAT
 
 
 EXACT = Scalars(True)

@@ -67,7 +67,7 @@ from .multiindex import (
     enumerate_up_to_degree,
 )
 from .operators import PSD_TOL, DefectData, OperatorTuple, operator_series
-from .series import KernelFactorization, KernelSeries, reciprocal_complement
+from .series import KernelFactorization, KernelSeries, norms_sq, reciprocal_complement
 
 # largest ||u Gamma - embedding|| for which the range identification u is well defined
 IDENTITY_TOL = 1e-8
@@ -432,7 +432,7 @@ def pointwise_identity_residual(cfd: CharFnData, pairs: Sequence) -> float:
     if not len(pairs):
         return 0.0
     t, m = cfd.ops, len(pairs)
-    # the z's, then the w's, as one stack of rows: a float side and a complex side keep their own rules
+    # the z's, then the w's, as one stack of rows
     both = point_stack([p for side in zip(*pairs) for p in side])[0]
     zs, ws = both[:m], both[m:]
     q = to_float_array(cfd.defect.ran_defect_basis)
@@ -760,10 +760,9 @@ def align_factorizations(
     r = cfd1.fiber_dim
     if cfd2.fiber_dim != r:
         raise ValueError("defect ranks differ")
-    for z in points:
-        if sum(abs(complex(p)) ** 2 for p in z) >= 1:
-            raise ValueError("sample point on or outside the unit sphere")
     pts = point_stack(points)[0]
+    if len(pts) and norms_sq(pts).max() >= 1:
+        raise ValueError("sample point on or outside the unit sphere")
 
     def family(cfd: CharFnData) -> np.ndarray:
         # columns k_z (x) theta(z)^* e_a, point by point and a = 0..r-1 within a point

@@ -348,19 +348,18 @@ def _build_checks(config: Configuration) -> tuple[list[CheckResult], Optional[Ch
     """The purity check and, for a pure tuple only, the construction identities and theta."""
     t0 = time.perf_counter()
     dd = defect_data(config.ops, config.kernel, config.pick_factor)
+    verdict = "pass" if dd.pure else "fail"
+    purity = CheckResult("purity", verdict, dd.purity_residual, dd.purity_exact, time.perf_counter() - t0)
     if not dd.pure:
-        elapsed = time.perf_counter() - t0
-        return [CheckResult("purity", "fail", dd.purity_residual, dd.purity_exact, elapsed)], None
+        return [purity], None
+    t0 = time.perf_counter()
     cfd = build_charfn(
         dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
     )
     elapsed = time.perf_counter() - t0
     block = max(v for v in cfd.diagnostics.values() if not isinstance(v, bool))
     verdict = "pass" if block <= presets.TOL_BLOCK else "fail"
-    return [
-        CheckResult("purity", "pass", dd.purity_residual, dd.purity_exact, elapsed),
-        CheckResult("construction_identities", verdict, float(block), cfd.exact or None, elapsed),
-    ], cfd
+    return [purity, CheckResult("construction_identities", verdict, float(block), cfd.exact or None, elapsed)], cfd
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._linalg import EXACT, FLOAT, Scalars, complex_array, point_stack
+from ._linalg import FLOAT, Scalars, complex_array, point_stack
 
 MultiIndex = tuple[int, ...]
 
@@ -67,20 +67,6 @@ def multinomial(alpha: MultiIndex) -> int:
     return out
 
 
-def subtract(alpha: MultiIndex, gamma: MultiIndex) -> Optional[MultiIndex]:
-    """Componentwise alpha - gamma, or None when the result leaves Z^d_+.
-
-    None encodes the convention that coefficient sequences vanish off the
-    positive cone; callers treat it as coefficient zero.
-    """
-    if len(alpha) != len(gamma):
-        raise ValueError(f"dimension mismatch: {len(alpha)} vs {len(gamma)}")
-    diff = tuple(a - g for a, g in zip(alpha, gamma))
-    if any(x < 0 for x in diff):
-        return None
-    return diff
-
-
 def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     if len(alpha) != len(beta):
         raise ValueError(f"dimension mismatch: {len(alpha)} vs {len(beta)}")
@@ -100,32 +86,13 @@ def monomial_value(point, alpha: MultiIndex):
     return out
 
 
-def _column_powers(column: np.ndarray, top: int, exact: bool) -> np.ndarray:
+def _column_powers(column: np.ndarray, top: int) -> np.ndarray:
     """The powers p**k, k = 0..top, of every p in one column of a point stack: shape (len(column), top + 1).
 
-    Complex128 runs ``np.power`` (what its scalar ``**`` runs), float64
-    ``np.float_power`` (the libm ``pow`` of ``float.__pow__``), both complex.
-    An object column is exact, or takes those rules scalar by scalar for
-    ``np.complex128`` and real (``float``, ``np.float64``) scalars, and its
-    own ``**``, rounded after, for any other (a Python ``complex``, whose
-    power can differ in the sign of a zero part, or an int or ``Fraction``).
+    ``np.power``: on a complex128 column what its scalar ``**`` runs, on an
+    exact column each scalar's own ``**``.
     """
-    ks = np.arange(top + 1)
-    col = column.reshape(len(column), 1)
-    if column.dtype == complex:
-        return np.power(col, ks)
-    if column.dtype == float:
-        return np.float_power(col, ks).astype(complex)
-    if exact:
-        return col**ks
-    out = np.empty((len(column), top + 1), dtype=complex)
-    cplx = np.array([type(p) is np.complex128 for p in column], dtype=bool)
-    real = np.array([type(p) in (float, np.float64) for p in column], dtype=bool)
-    other = ~(cplx | real)
-    out[cplx] = np.power(col[cplx].astype(complex), ks)
-    out[real] = np.float_power(col[real].astype(float), ks)
-    out[other] = (col[other] ** ks).astype(complex)
-    return out
+    return np.power(column.reshape(len(column), 1), np.arange(top + 1))
 
 
 class BlockSpace:
@@ -194,8 +161,9 @@ class BlockSpace:
     def monomials(self, points) -> np.ndarray:
         """point^gamma for every label, at a (d,) point or a (P, d) stack: shape (L,) or (P, L).
 
-        An object array when the stack is exact (``Scalars.at``), else
-        complex, equal to ``monomial_value`` entry by entry. Each coordinate's
+        An object array when the stack is exact (rational, see
+        ``point_stack``), else complex, equal entry by entry to
+        ``monomial_value`` at the complex128 view of the point. Each coordinate's
         powers come from its column (``_column_powers``). The products over
         coordinates run in real arithmetic (see ``complex_array``), in place,
         on contiguous gathers of each column's real and imaginary powers.
@@ -203,15 +171,15 @@ class BlockSpace:
         pts, single = point_stack(points)
         count, size, exps = len(pts), len(self.labels), self.exponents.T
         pts = pts.reshape(count, -1 if count else len(exps))
-        if EXACT.at(pts).exact:
+        if pts.dtype == object:
             out = np.ones((count, size), dtype=int).astype(object)
             for j, e in enumerate(exps):
-                out = out * _column_powers(pts[:, j], int(e.max(initial=0)), True)[:, e]
+                out = out * _column_powers(pts[:, j], int(e.max(initial=0)))[:, e]
             return out[0] if single else out
         re, im = np.ones((count, size)), np.zeros((count, size))
         t = np.empty((count, size))
         for j, e in enumerate(exps):
-            powers = _column_powers(pts[:, j], int(e.max(initial=0)), False)
+            powers = _column_powers(pts[:, j], int(e.max(initial=0)))
             xr, xi = powers.real[:, e], powers.imag[:, e]
             np.multiply(re, xi, out=t)
             xi *= im

@@ -36,7 +36,6 @@ from ._linalg import (
     ExactnessError,
     Scalars,
     adjoint,
-    holds_complex,
     is_exact_array,
     is_exactly_zero,
     max_abs,
@@ -390,7 +389,7 @@ def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> n
     once and stopped at the truncation: finite (hence exact) for nilpotent
     tuples, and a stack raises ConvergenceError when any point's last
     increment exceeds STOP_TOL. Exact only at rational points of an exact
-    tuple.
+    tuple; complex at any other points, real ones and real tuples included.
     """
     pts, single = point_stack(points)
     if len(pts) and pts.shape[1] != t.num_vars:
@@ -404,10 +403,6 @@ def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> n
 
     zero = sc.zeros((len(pts), t.size, t.size), complex)
     total, _ = _graded_sum(t, series, space, sc, term, zero)
-    if not sc.exact and not holds_complex(pts):
-        # real points, real tuple: keep the result real when it is
-        if np.allclose(total.imag, 0.0):
-            total = total.real
     return total[0] if single else total
 
 
@@ -445,18 +440,16 @@ def compress(t: OperatorTuple, basis: np.ndarray) -> OperatorTuple:
     )
 
 
-def random_coinvariant_compression(
-    t: OperatorTuple, rng: np.random.Generator, num_seeds: int = 1
-) -> OperatorTuple:
-    """Compression to the adjoint-invariant subspace generated by random vectors.
+def random_coinvariant_compression(t: OperatorTuple, rng: np.random.Generator) -> OperatorTuple:
+    """Compression to the adjoint-invariant subspace generated by one random vector.
 
-    The span of {T^{*alpha} v} over the seed vectors v is invariant for every
+    The span of {T^{*alpha} v} for the seed vector v is invariant for every
     adjoint, hence co-invariant for the tuple, so the compression of a pure
     tuple stays pure.
     """
     t = t.to_float()
     n = t.size
-    vecs = rng.standard_normal((n, num_seeds))
+    vecs = rng.standard_normal((n, 1))
     basis = range_basis(vecs)
     while True:
         extended = [basis]
@@ -579,13 +572,12 @@ def quadratic_form_certificate(
     base_degree: int,
     labels: Sequence,
     *,
-    window_degree: Optional[int] = None,
+    window_degree: int,
 ) -> list:
     """Values of the contraction form of ``form_kernel`` at the monomials z^gamma of a co-invariant window.
 
     The window is the multiplication model of ``kernel`` up to
-    ``window_degree`` (by default the larger of base_degree + 2 and the
-    labels' top degree). With P the projection onto monomials of degree
+    ``window_degree``. With P the projection onto monomials of degree
     above ``base_degree`` and b from ``form_kernel``, the form
     I - sum_{alpha != 0} b_alpha M^alpha P M^{alpha *} is diagonal on
     monomials, and its entry at gamma is the last value of
@@ -597,14 +589,11 @@ def quadratic_form_certificate(
     if kernel.dim != form_kernel.dim:
         raise ValueError("kernel dimensions differ")
     degrees = [_label_degree(v, kernel.dim) for v in labels]
-    window = window_degree
-    if window is None:
-        window = max([base_degree + 2] + [n for n in degrees if n is not None])
-    if window > kernel.truncation:
+    if window_degree > kernel.truncation:
         raise ValueError("model degree exceeds the kernel truncation")
     for v, n in zip(labels, degrees):
-        if n is None or n > window:
-            raise ValueError(f"test vector {v!r} is not a label of the window of degree {window}")
+        if n is None or n > window_degree:
+            raise ValueError(f"test vector {v!r} is not a label of the window of degree {window_degree}")
     return [
         contraction_diagonal(kernel, form_kernel, n, max(0, min(n - base_degree - 1, form_kernel.truncation)))[-1]
         for n in degrees

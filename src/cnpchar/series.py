@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._linalg import EXACT, complex_array, holds_complex, point_stack
+from ._linalg import complex_array, point_stack
 from .multiindex import MultiIndex, degree, multinomial
 
 Scalar = Union[Fraction, int, float]
@@ -85,10 +85,8 @@ class RealSeries:
             raise ValueError(f"degree {n} beyond truncation {self.truncation}")
         return self.coefficients[n]
 
-    def coeff(self, alpha: Optional[MultiIndex]):
-        """Multi-index lift c_alpha = c_|alpha| * multinomial(alpha); 0 off the cone."""
-        if alpha is None:
-            return 0
+    def coeff(self, alpha: MultiIndex):
+        """Multi-index lift c_alpha = c_|alpha| * multinomial(alpha)."""
         if len(alpha) != self.dim:
             raise ValueError(f"multi-index dimension {len(alpha)} != {self.dim}")
         return self.coeff_1d(degree(alpha)) * multinomial(alpha)
@@ -154,9 +152,10 @@ class KernelSeries(RealSeries):
 
         For (d,) points the value and the tail bound are scalars; for two
         (P, d) stacks they are (P,) arrays, pair by pair. The sum runs Horner
-        over the exact coefficients when every coordinate is rational, else
-        over the float view, with complex products in real arithmetic so that
-        each pair rounds as a scalar evaluation would. The tail bound is a
+        over the exact coefficients when both stacks are exact (every
+        coordinate rational), else over the float view at the complex128
+        points, with complex products in real arithmetic so that each pair
+        rounds as a scalar evaluation would. The tail bound is a
         geometric estimate from the largest observed coefficient ratio; it is
         heuristic in that ratios beyond the truncation are assumed not to
         exceed the observed maximum. With ``truncated=True`` the partial sum
@@ -167,22 +166,22 @@ class KernelSeries(RealSeries):
         if len(zs) != len(ws):
             raise ValueError("point stacks differ in length")
         if not len(zs):
-            zs = ws = np.zeros((0, self.dim))
+            zs = ws = np.zeros((0, self.dim), complex)
         if zs.shape[1] != self.dim or ws.shape[1] != self.dim:
             raise ValueError("point dimension mismatch")
-        if max(_norms_sq(zs).max(initial=0), _norms_sq(ws).max(initial=0)) >= 1:
+        if max(norms_sq(zs).max(initial=0), norms_sq(ws).max(initial=0)) >= 1:
             raise ValueError("point on or outside the unit sphere")
         t = _inner_products(zs, ws)
-        coeffs = self.coefficients if t.dtype == object else self.floats.coefficients
-        if t.dtype == complex:
+        if t.dtype == object:
+            value = np.full(len(t), self.coefficients[-1], dtype=object)
+            for a in reversed(self.coefficients[:-1]):
+                value = value * t + a
+        else:
+            coeffs = self.floats.coefficients
             vr, vi = np.full(len(t), coeffs[-1]), np.zeros(len(t))
             for a in reversed(coeffs[:-1]):
                 vr, vi = vr * t.real - vi * t.imag + a, vr * t.imag + vi * t.real
             value = complex_array(vr, vi)
-        else:
-            value = np.full(len(t), coeffs[-1], dtype=t.dtype)
-            for a in reversed(coeffs[:-1]):
-                value = value * t + a
         if truncated:
             tail = np.zeros(len(t))
         else:
@@ -198,7 +197,7 @@ class KernelSeries(RealSeries):
         return KernelValue(value[0], float(tail[0])) if single else KernelValue(value, tail)
 
 
-def _norms_sq(points: np.ndarray) -> np.ndarray:
+def norms_sq(points: np.ndarray) -> np.ndarray:
     """|p|^2 of each point of a stack, as sum(abs(complex(x)) ** 2 for x in p) gives it.
 
     The moduli go through the libm ``hypot`` of ``abs(complex)``, the squares
@@ -212,14 +211,11 @@ def _norms_sq(points: np.ndarray) -> np.ndarray:
 def _inner_products(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """<z, w> = sum_i z_i conj(w_i) for each pair of two stacks, added in coordinate order as the scalar sum does.
 
-    Exact (object) when both stacks are exact, float when neither holds a
-    complex coordinate, else complex with each product written in real
-    arithmetic.
+    Exact (object) when both stacks are exact, else complex with each
+    product written in real arithmetic.
     """
-    if EXACT.at(zs).exact and EXACT.at(ws).exact:
+    if zs.dtype == object and ws.dtype == object:
         terms = zs * np.conjugate(ws)
-    elif not (holds_complex(zs) or holds_complex(ws)):
-        terms = zs.astype(float) * ws.astype(float)
     else:
         za, wa = zs.astype(complex), np.conjugate(ws.astype(complex))
         terms = complex_array(

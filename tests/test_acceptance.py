@@ -220,7 +220,7 @@ def test_criterion_10_impossibility_sweep():
                     assert value == closed, (m, n, base)
         # first violation for (m, n) = (2, 2) at N = 0
         value = quadratic_form_certificate(
-            bergman_kernel(2, 1, 26), bergman_kernel(2, 1, 26), 0, [(2,)]
+            bergman_kernel(2, 1, 26), bergman_kernel(2, 1, 26), 0, [(2,)], window_degree=2
         )[0]
         assert value == Fraction(-1, 3)
         # no violation for n = 1 up to N = 50

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cnpchar._linalg import adjoint, max_abs, to_float_array
+from cnpchar._linalg import adjoint, max_abs, point_stack, to_float_array
 from cnpchar.charfn import (
     align_factorizations,
     build_charfn,
@@ -299,3 +299,35 @@ def test_rational_stack_stays_exact():
     monomials = BlockSpace(t.basis_labels, 1).monomials(points)
     assert monomials.dtype == object
     assert [list(row) for row in monomials] == [[monomial_value(z, lab) for lab in t.basis_labels] for z in points]
+
+
+def test_sample_points_are_the_complex_stack_they_run_as():
+    """sample_points gives complex128; point_stack hands the array back uncopied and stacks the pairs' rows unconverted."""
+    rng = config_rng(5, "k2_da_d2_n2")
+    points, others = sample_points(rng, 6, 2), sample_points(rng, 6, 2)
+    assert points.dtype == complex and point_stack(points)[0] is points
+    rows = [p for side in zip(*zip(points, others)) for p in side]  # as pointwise_identity_residual builds them
+    both = point_stack(rows)[0]
+    assert both.dtype == complex and both.tobytes() == np.concatenate([points, others]).tobytes()
+
+
+def test_real_and_python_points_run_as_their_complex_view(built):
+    """Float64 stacks, rows of Python floats and mixed float/complex rows give their complex128 view's bits.
+
+    Rational stacks stay exact: their monomials and kernel values are Fractions.
+    """
+    cfd, _, points, _ = built
+    real = points.real.copy()
+    python = [[float(x) for x in row] for row in real]
+    mixed = list(real[:6]) + list(points[6:])
+    space, t, k = cfd.taylor.space, cfd.ops, cfd.kernel
+    for stack in (real, python, mixed):
+        view = np.array(stack, dtype=complex)
+        assert space.monomials(stack).tobytes() == space.monomials(view).tobytes()
+        assert operator_series(t, k, stack).tobytes() == operator_series(t, k, view).tobytes()
+        got, want = k.evaluate(stack, stack[::-1]), k.evaluate(view, view[::-1])
+        assert got.value.tobytes() == want.value.tobytes() and got.tail_bound.tobytes() == want.tail_bound.tobytes()
+        assert theta_taylor_at(cfd, stack).tobytes() == theta_taylor_at(cfd, view).tobytes()
+    rational = [[Fraction(1, 4)] * t.num_vars, [Fraction(-1, 3)] + [0] * (t.num_vars - 1)]
+    assert all(isinstance(x, (Fraction, int)) for x in space.monomials(rational).flat)
+    assert all(isinstance(v, Fraction) for v in k.evaluate(rational, rational, truncated=True).value)

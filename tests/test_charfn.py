@@ -814,6 +814,14 @@ class TestAlignment:
         with pytest.raises(ValueError, match="mismatched"):
             align_factorizations(cfd1, cfd_other, [[0.1]], source_degree=8)
 
+    def test_points_on_or_outside_the_sphere_rejected(self, two_factorizations):
+        """|z|^2 = 1 exactly, from a complex, a real and a rational point, and beyond it; no points at all pass."""
+        _, _, cfd1, _ = two_factorizations
+        for points in ([[0.3], [0.6 + 0.8j]], [[1.0]], [[Fraction(-1)]], [[1.5j]]):
+            with pytest.raises(ValueError, match="^sample point on or outside the unit sphere$"):
+                align_factorizations(cfd1, cfd1, points, source_degree=8)
+        assert align_factorizations(cfd1, cfd1, [], source_degree=8).gram_residual == 0.0
+
     def test_gram_mismatch_rejected(self, two_factorizations):
         t, k, cfd1, cfd2 = two_factorizations
         shrunk = {g: 0.7 * np.asarray(m, dtype=float) for g, m in cfd2.taylor.items()}

@@ -211,6 +211,22 @@ class TestCharFnCommands:
         assert len(calls) == 1
         assert json.loads(dump.read_text())["fiber_dim"] == 2
 
+    def test_build_times_purity_apart_from_the_construction(self, tmp_path, monkeypatch):
+        """Purity's elapsed excludes build_charfn's time; construction_identities' includes it."""
+        import time
+
+        from cnpchar import charfn, cli
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return charfn.build_charfn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_charfn", slow)
+        out = tmp_path / "r.json"
+        assert main(["charfn", "build", "--preset", "jordan", "--out", str(out)]) == 0
+        elapsed = {c["name"]: c["elapsed"] for c in read_report(out)["checks"]}
+        assert elapsed["purity"] < 0.05 <= elapsed["construction_identities"]
+
     @pytest.mark.parametrize("preset", ["jordan", "two_cells"])
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_exact_mode_jordan(self, tmp_path, command, preset):

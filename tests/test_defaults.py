@@ -16,7 +16,6 @@ KEPT = {
     "operators.OperatorTuple.kernel",
     "operators.conjugated_sum.middle",
     "operators.defect_data.pick_factor",
-    "operators.quadratic_form_certificate.window_degree",
     "presets._check.exact",
     "presets.Configuration.description",
     "presets.Configuration.degree_cap",
@@ -27,7 +26,6 @@ KEPT = {
     "multiindex.BlockSpace.lift.scalars",
     "operators.model_tuple.mode",
     # depths and sizes that callers set to other values
-    "operators.random_coinvariant_compression.num_seeds",
     "presets.Configuration.sample_scale",
     "presets.sample_points.scale",
     "series.bergman_kernel.truncation",

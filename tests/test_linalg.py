@@ -401,36 +401,48 @@ def test_nonzero_index_is_np_nonzero():
 
 
 class TestPointStack:
-    """One (P, d) array per stack: float64 and complex128 stay typed, anything else keeps its scalars."""
+    """One (P, d) array per stack, of two kinds: exact when every coordinate is rational, else complex128."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_a_typed_array_is_the_stack(self, dtype):
+        """A complex128 array is the stack itself, a float64 one its complex128 view."""
         a = np.arange(6, dtype=dtype).reshape(3, 2)
         pts, single = point_stack(a)
-        assert pts is a and not single
+        assert pts.dtype == complex and pts.tobytes() == a.astype(complex).tobytes() and not single
+        assert (pts is a) == (dtype is complex)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_rows_of_one_dtype_stack_in_it(self, dtype):
         rows = [np.arange(2, dtype=dtype), -np.ones(2, dtype=dtype)]
         pts, single = point_stack(rows)
-        assert pts.dtype == dtype and pts.shape == (2, 2) and not single
-        assert pts.tobytes() == np.array(rows).tobytes()
+        assert pts.dtype == complex and pts.shape == (2, 2) and not single
+        assert pts.tobytes() == np.array(rows, dtype=complex).tobytes()
 
-    def test_rows_of_mixed_dtypes_keep_each_scalar(self):
-        pts, _ = point_stack([np.array([0.5, -0.25]), np.array([0.5j, 1 - 2j])])
-        assert pts.dtype == object and pts.shape == (2, 2)
-        assert [type(x) for x in pts.flat] == [np.float64, np.float64, np.complex128, np.complex128]
+    def test_anything_not_rational_is_one_complex128_array(self):
+        """Mixed rows, Python scalars, a Fraction beside a float and int64 arrays convert once, value by value."""
+        cases = [
+            [np.array([0.5, -0.25]), np.array([0.5j, 1 - 2j])],
+            [[0.5, 1j], [Fraction(1, 3), 2]],
+            [[Fraction(1, 3), -0.0]],
+            np.array([[1, 2]]),
+            np.array([[Fraction(1, 2), 0.5]], dtype=object),
+        ]
+        for points in cases:
+            pts, single = point_stack(points)
+            want = np.array([[complex(x) for x in row] for row in points])
+            assert pts.dtype == complex and not single and pts.tobytes() == want.tobytes()
 
-    def test_python_scalars_and_fractions_keep_each_scalar(self):
-        pts, _ = point_stack([[0.5, 1j], [Fraction(1, 3), 2]])
-        assert pts.dtype == object and [type(x) for x in pts.flat] == [float, complex, Fraction, int]
-        # other dtypes are not typed stacks: their numpy scalars stay as they are
-        assert [type(x) for x in point_stack(np.array([[1, 2]]))[0].flat] == [np.int64, np.int64]
+    def test_rational_points_stay_exact(self):
+        pts, single = point_stack([[Fraction(1, 3), 2], [0, Fraction(-1, 2)]])
+        assert pts.dtype == object and not single
+        assert [type(x) for x in pts.flat] == [Fraction, int, int, Fraction]
 
     def test_a_single_point_is_a_flagged_stack_of_one(self):
         pts, single = point_stack(np.array([0.5, 0.25j]))
         assert single and pts.shape == (1, 2) and pts.dtype == complex
         pts, single = point_stack([Fraction(1, 2), 0.25])
+        assert single and pts.shape == (1, 2) and pts.dtype == complex
+        pts, single = point_stack([Fraction(1, 2), 3])
         assert single and pts.shape == (1, 2) and pts.dtype == object
 
     def test_empty_stacks(self):
@@ -445,4 +457,4 @@ class TestPointStack:
         for points in (np.array([[0.5]]), np.array([[1]]), [[Fraction(1, 2), 0.5]], [np.float64(0.5)]):
             assert EXACT.at(points) is FLOAT
         assert not holds_complex(np.zeros((2, 2))) and holds_complex(np.zeros((2, 2), dtype=complex))
-        assert holds_complex(point_stack([[0.5, 1j]])[0]) and not holds_complex(point_stack([[0.5, 1]])[0])
+        assert holds_complex(point_stack([[0.5, 1]])[0]) and not holds_complex(point_stack([[Fraction(1, 2), 1]])[0])
