@@ -3,9 +3,11 @@
 Every command writes a JSON run report (schema below) to --out when given
 and prints one line per check. Exit codes: 0 all checks passed (or
 certificate-only), 1 at least one verified failure, 2 malformed input or
-usage error. Randomness is controlled by --seed and recorded in the report,
-so residuals are reproducible; reports are byte-identical across runs
-except for the elapsed fields.
+usage error; ``main`` returns it, but a usage error leaves ``main`` as
+argparse's ``SystemExit(2)`` (--help as ``SystemExit(0)``). The parser is
+built at the first ``main`` call and reused, so repeated calls in one
+process do not depend on their order. --seed sets all randomness and is
+recorded, so reports are byte-identical across runs but for elapsed fields.
 
 Before any check runs, exit 2 comes from a negative --seed or --N, a --tol
 that is not finite and > 0, an output path that cannot be written, and a
@@ -16,6 +18,7 @@ flag that ``IGNORED`` lists for the command or for its tuple source:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -444,6 +447,7 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cnpchar",
@@ -504,8 +508,7 @@ def _common_flags(p: argparse.ArgumentParser):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")

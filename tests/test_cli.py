@@ -651,6 +651,82 @@ class TestSuite:
         assert out == "" and "configurations named more than once: jordan" in err
 
 
+def _blanked_report(argv, out):
+    """The report of one ``main`` run with every ``elapsed`` field set to 0."""
+    main(argv + ["--out", str(out)])
+    report = read_report(out)
+    for check in report["checks"]:
+        check["elapsed"] = 0.0
+    return report
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; later calls reuse it and do not depend on their order."""
+
+    def test_three_command_lines_build_one_parser(self, monkeypatch, capsys):
+        import argparse
+
+        build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        spec = Path(__file__).parent / "specs" / "szego_d1.json"
+        for argv in (
+            ["impossibility", "--m", "2", "--n", "2", "--N-max", "5"],
+            ["kernel", "info", "--spec", str(spec)],
+            ["charfn", "build", "--preset", "jordan"],
+        ):
+            assert main(argv) == 0
+        assert len(built) == 9  # the top parser, kernel and its 4 leaves, charfn, impossibility, suite
+        assert build_parser() is build_parser()
+
+    def test_reports_do_not_depend_on_call_order(self, specs, tmp_path, capsys):
+        """Usage errors, --help and other commands between calls leave every report as its golden or lone run."""
+        from test_report_oracle import GOLDEN, pinned
+
+        quotient = ["kernel", "quotient", "--num", specs["k3"], "--den", specs["k1"]]
+        build_parser.cache_clear()
+        alone = _blanked_report(quotient, tmp_path / "alone.json")
+        build_parser.cache_clear()
+        shared = build_parser()
+        assert _blanked_report(quotient, tmp_path / "first.json") == alone
+        with pytest.raises(SystemExit) as usage:
+            main(["impossibility", "--m", "x"])
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as help_:
+            main(["--help"])
+        assert help_.value.code == 0
+        for path in GOLDEN:
+            golden = json.loads(path.read_text())
+            report = _blanked_report(golden["argv"], tmp_path / f"{path.stem}.json")
+            assert report["environment"]["caps"] == golden["caps"], path.stem
+            assert [pinned(c) for c in report["checks"]] == golden["checks"], path.stem
+        assert _blanked_report(quotient, tmp_path / "last.json") == alone
+        assert build_parser() is shared
+
+    def test_sweep_in_one_process_matches_each_line_alone(self, monkeypatch, tmp_path, capsys):
+        """The benchmark's 16 sweep command lines give the same reports on one parser as each on its own."""
+        import importlib
+
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            lines = importlib.import_module("workloads").command_lines("sweep", 0)
+        finally:
+            sys.modules.pop("workloads", None)
+        assert len(lines) == 16
+        build_parser.cache_clear()
+        together = [_blanked_report(argv, tmp_path / f"together-{i}.json") for i, argv in enumerate(lines)]
+        for i, argv in enumerate(lines):
+            build_parser.cache_clear()
+            assert _blanked_report(argv, tmp_path / f"alone-{i}.json") == together[i], argv
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Importing the command line loads no scipy module, whose import alone outweighs a small run."""
     src = Path(__file__).resolve().parent.parent / "src"
