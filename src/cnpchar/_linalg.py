@@ -16,7 +16,9 @@ matrices, which hold at most one nonzero entry in each row and column:
 roots, range bases and pseudo-inverses of diagonal ones with perfect-square
 entries, and complements of the range of any. Anything else raises
 :class:`ExactnessError`, signalling that float arithmetic is the right
-backend for that computation.
+backend for that computation. Float spectral steps read a matrix's
+structure once, as its nonzero entries (:class:`NonzeroEntries`), from
+which the norm and the blocks of a sparse Gram follow.
 """
 
 from __future__ import annotations
@@ -143,21 +145,27 @@ def spectral_norm(a: np.ndarray) -> float:
     """The operator 2-norm of a matrix, or the largest over a stack of matrices.
 
     Each matrix takes max |eigenvalue| when it is exactly Hermitian, else its
-    top singular value. A single Hermitian matrix is split into the connected
-    blocks of its nonzero pattern (:func:`connected_blocks`) and runs one
-    batched ``eigvalsh`` per block size; a diagonal matrix is the case of
-    blocks of size 1, and a matrix of one block gives ``eigvalsh``'s value
-    bit for bit. A stack runs one batched ``eigvalsh`` over its Hermitian
-    matrices and one batched ``svd`` over the others; a stack of one kind is
-    passed to LAPACK as it is, without a copy.
+    top singular value. A single square matrix is read once, as its nonzero
+    entries: Hermitian when each equals the conjugate of its mirror. With
+    nothing off the diagonal the norm is max |d_i|, no LAPACK call, bit for
+    bit ``eigvalsh`` on 1 x 1 blocks (a NaN diagonal is not Hermitian).
+    Otherwise each block size of :func:`connected_blocks` runs one batched
+    ``eigvalsh``; one block gives ``eigvalsh``'s value bit for bit. A stack
+    runs one batched ``eigvalsh`` over its Hermitian matrices and one
+    batched ``svd`` over the others, passed as they are when of one kind.
     """
     if a.size == 0:
         return 0.0
     stack = to_float_array(a).reshape(-1, *a.shape[-2:])
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        entries = NonzeroEntries.of(stack[0])
+        if not np.array_equal(entries.values, entries.matrix[entries.cols, entries.rows].conj()):
+            return float(np.linalg.svd(stack, compute_uv=False).max())
+        if np.array_equal(entries.rows, entries.cols):
+            return float(np.abs(entries.values).max(initial=0.0))
+        blocks = connected_blocks(entries)
+        return max(float(np.abs(np.linalg.eigvalsh(_gather(entries.matrix, idx))).max()) for idx in blocks)
     herm = a.shape[-1] == a.shape[-2] and np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
-    if np.all(herm) and a.ndim == 2:
-        matrix = stack[0]
-        return max(float(np.abs(np.linalg.eigvalsh(_gather(matrix, idx))).max()) for idx in connected_blocks(matrix))
     if np.all(herm):
         return float(np.abs(np.linalg.eigvalsh(stack)).max())
     if not np.any(herm):
@@ -168,46 +176,32 @@ def spectral_norm(a: np.ndarray) -> float:
     )
 
 
-def connected_blocks(a: np.ndarray) -> list[np.ndarray]:
-    """The connected components of a square matrix's nonzero pattern, grouped by size.
+def connected_blocks(entries: NonzeroEntries) -> list[np.ndarray]:
+    """The connected components of a square matrix's nonzero pattern, read from its entries, grouped by size.
 
     Indices i and j are linked when a[i, j] or a[j, i] is nonzero. Each entry
     of the list is a (count, size) integer array holding one component per
     row, indices ascending inside a row and rows ordered by their first
     index; the entries run by ascending size. Permuted to these blocks, the
-    matrix is block-diagonal. An index linked to no other is a block of its
-    own; the rest are found by label propagation on a boolean copy of their
-    pattern: every index hooks to its smallest linked index, pointer jumping
-    takes each to the root of its tree, and the trees are contracted to one
-    index each until no two are linked, O(log n) rounds.
+    matrix is block-diagonal. The components come from label propagation
+    over the (row, column) list: every index starts as its own label, each
+    entry hooks the larger label of its two ends to the smaller
+    (``np.minimum.at``), and pointer jumping takes each label to its root,
+    until no entry joins two labels, O(nnz) per round. Each component ends
+    labelled by its smallest index.
     """
-    n = a.shape[0]
-    linked = a != 0
-    linked |= linked.T
-    np.fill_diagonal(linked, False)
-    rest = np.flatnonzero(linked.any(axis=1))
-    if len(rest) < n:
-        linked = linked[rest[:, None], rest]
-    np.fill_diagonal(linked, True)
-    label = np.arange(len(rest))  # the (contracted) index of each index of rest
-    head = rest  # the smallest index under each contracted index, ascending
-    while linked.size:
-        parent = np.argmax(linked, axis=1)  # the smallest linked index, at most the index itself
-        while not np.array_equal(up := parent[parent], parent):
-            parent = up
-        root = parent == np.arange(len(parent))
-        if root.all():
+    n = entries.matrix.shape[0]
+    label, ends = np.arange(n), np.stack([entries.rows, entries.cols])
+    while True:
+        pair = label[ends]
+        low, high = pair.min(axis=0), pair.max(axis=0)
+        if np.array_equal(low, high):
             break
-        group = (np.cumsum(root) - 1)[parent]  # trees numbered in the order of their roots
-        label, head = group[label], head[root]
-        order = np.argsort(group, kind="stable")
-        starts = np.searchsorted(group[order], np.arange(np.count_nonzero(root)))
-        linked = np.logical_or.reduceat(linked[order], starts, axis=0)
-        linked = np.logical_or.reduceat(linked[:, order], starts, axis=1)
-    key = np.arange(n)  # each index's block, named by its smallest index
-    key[rest] = head[label]
-    sizes = np.bincount(key, minlength=n)
-    members = np.argsort(key, kind="stable")
+        np.minimum.at(label, high, low)
+        while not np.array_equal(up := label[label], label):
+            label = up
+    sizes = np.bincount(label, minlength=n)
+    members = np.argsort(label, kind="stable")
     firsts = np.cumsum(sizes) - sizes
     return [
         members[firsts[sizes == size][:, None] + np.arange(size)]
@@ -228,7 +222,7 @@ def block_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column of an n x n array, zero off its block.
     """
     n = a.shape[0]
-    parts = [(idx, *np.linalg.eigh(_gather(a, idx))) for idx in connected_blocks(a)]
+    parts = [(idx, *np.linalg.eigh(_gather(a, idx))) for idx in connected_blocks(NonzeroEntries.of(a))]
     vals = np.concatenate([w.ravel() for _, w, _ in parts]) if parts else np.zeros(0)
     order = np.argsort(vals, kind="stable")
     column = np.empty(n, dtype=int)

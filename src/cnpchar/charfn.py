@@ -65,6 +65,7 @@ from .multiindex import (
     count_up_to_degree,
     degree,
     enumerate_up_to_degree,
+    graded_space,
 )
 from .operators import PSD_TOL, DefectData, OperatorTuple, operator_series
 from .series import KernelFactorization, KernelSeries, norms_sq, reciprocal_complement
@@ -236,9 +237,13 @@ def build_charfn(
 
     # every T^alpha read below, the betas first; zero above the nilpotency degree
     beta_top = min(bound if bound is not None else max(support_cap, constant_cap), kernel.truncation)
-    labels, powers = t.powers(max(support_cap, constant_cap, beta_top))
-    b_pos = np.array([i for i, m in enumerate(labels.degrees) if 1 <= m <= support_cap and b_s.coeff_1d(m)], dtype=int)
-    g_pos = np.array([i for i, m in enumerate(labels.degrees) if m <= constant_cap and g.coeff_1d(m)], dtype=int)
+    top = max(support_cap, constant_cap, beta_top)
+    labels, powers = t.powers(top)
+    # the labels whose degree carries a nonzero b (1..support_cap) or g (0..constant_cap) coefficient
+    b_mask, g_mask = np.zeros((2, top + 1), dtype=bool)
+    b_mask[1 : support_cap + 1] = np.array(b_s.coefficients[1 : support_cap + 1]) != 0
+    g_mask[: constant_cap + 1] = np.array(g.coefficients[: constant_cap + 1]) != 0
+    b_pos, g_pos = np.flatnonzero(b_mask[labels.degrees]), np.flatnonzero(g_mask[labels.degrees])
     row_space = BlockSpace([labels.labels[i] for i in b_pos], n)
     e_space = BlockSpace([labels.labels[i] for i in g_pos], r)
     root_g = sc.roots(e_space.lift(g, sc))
@@ -306,14 +311,15 @@ def build_charfn(
     # summed in place over the labels in order of first appearance. Float
     # entries start at -0.0, the exact additive identity, so a first term
     # enters unchanged, sign of zero included.
-    a = BlockSpace(labels.labels[:n_betas], r).lift(kernel, sc)
+    a = graded_space(t.num_vars, beta_top).lift(kernel, sc)
     exps = labels.exponents
     sums = (exps[b_pos, None, :] + exps[None, :n_betas, :]).reshape(-1, t.num_vars)
     gammas = np.concatenate([exps[g_pos], sums])
     first = np.unique(np.ravel_multi_index(gammas.T, gammas.max(axis=0, initial=0) + 1), return_index=True)[1]
     gamma_space = BlockSpace([tuple(x) for x in gammas[np.sort(first)].tolist()], r)
     targets = gamma_space.positions(sums).reshape(len(b_pos), n_betas)
-    stack = -sc.zeros((len(gamma_space.labels), r, p + q_h), t.dtype)
+    stack = sc.zeros((len(gamma_space.labels), r, p + q_h), t.dtype)
+    np.negative(stack, out=stack)
     stack[: len(g_pos)] += root_g[:, None, None] * d_block.reshape(len(g_pos), r, p + q_h)  # the g labels lead
     for alpha_targets, scale, block in zip(targets, root_b, b_block.reshape(len(b_pos), n, p + q_h)):
         for target, a_beta, rows in zip(alpha_targets, a, defect_rows):
@@ -560,7 +566,7 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
         raise ValueError("the dilation is not built from this characteristic function's defect data")
     if kernel.truncation < source_degree + max_deg or pick.truncation < source_degree:
         raise ValueError("kernel truncation too small for the requested windows")
-    source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), dom)
+    source = BlockSpace(graded_space(kernel.dim, source_degree), dom)
 
     # every (source label, Taylor label) pair, source by source; the window holds every degree <= target_degree
     gammas = taylor.space.exponents.reshape(n_terms, kernel.dim)

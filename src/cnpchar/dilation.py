@@ -36,7 +36,7 @@ from ._linalg import (
     spectral_norm,
     to_float_array,
 )
-from .multiindex import BlockSpace, enumerate_up_to_degree, unit
+from .multiindex import BlockSpace, graded_space, unit
 from .operators import (
     PSD_TOL,
     DefectData,
@@ -56,9 +56,10 @@ class MonomialWindow(BlockSpace):
     """The truncated space H_k^{<=degree} (x) C^r in the normalized monomial basis.
 
     A block space with one block of size r = ``block_dim`` per monomial
-    label of degree <= ``max_degree``, in graded label order. ``coefficients``
-    holds the kernel's lifts a_alpha over the labels in the arithmetic
-    ``scalars``, lifted once at construction.
+    label of degree <= ``max_degree``, in graded label order, over the label
+    tables of ``graded_space``. ``coefficients`` holds the kernel's lifts
+    a_alpha over the labels in the arithmetic ``scalars``, lifted once at
+    construction.
     """
 
     def __init__(
@@ -68,7 +69,7 @@ class MonomialWindow(BlockSpace):
             raise WindowError(
                 f"window degree {max_degree} exceeds the kernel truncation {kernel.truncation}"
             )
-        super().__init__(enumerate_up_to_degree(kernel.dim, max_degree), fiber_dim)
+        super().__init__(graded_space(kernel.dim, max_degree), fiber_dim)
         self.kernel = kernel
         self.max_degree = max_degree
         self.scalars = scalars

@@ -101,15 +101,22 @@ class BlockSpace:
     Coordinates are grouped by label in the order given; ``block(label)`` is
     the slice of that label's coordinates. ``degrees``, ``lift`` and
     ``monomials`` give |label|, a series' lifted coefficients and a point's
-    monomials for all labels at once, in label order.
+    monomials for all labels at once, in label order. The label tables
+    (``index``, ``degrees``, ``exponents``, the multinomials, the sorted keys
+    of ``positions``) are built once, read-only; a space built over another
+    one, such as ``graded_space``, shares them.
     """
 
-    def __init__(self, labels: Sequence[MultiIndex], block_dim: int):
-        self.labels = tuple(labels)
+    def __init__(self, labels: Sequence[MultiIndex] | BlockSpace, block_dim: int):
+        if isinstance(labels, BlockSpace):
+            self.__dict__.update(labels.__dict__)
+        else:
+            self.labels = tuple(labels)
+            self.index = {lab: i for i, lab in enumerate(self.labels)}
+            self.degrees = np.array([degree(lab) for lab in self.labels], dtype=int)
+            self.degrees.setflags(write=False)
         self.block_dim = block_dim
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels) * block_dim
-        self.degrees = np.array([degree(lab) for lab in self.labels], dtype=int)
 
     @functools.cached_property
     def exponents(self) -> np.ndarray:
@@ -120,7 +127,17 @@ class BlockSpace:
 
     @functools.cached_property
     def _multinomials(self) -> np.ndarray:
-        return np.array([multinomial(lab) for lab in self.labels], dtype=object)
+        """``multinomial`` of every label, as exact ints: |label|! // prod label_i!."""
+        factorials = np.array([math.factorial(k) for k in range(self.degrees.max(initial=0) + 1)], dtype=object)
+        return factorials[self.degrees] // factorials[self.exponents].prod(axis=1)
+
+    @functools.cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(the largest exponent + 1 of each coordinate, the labels' ravelled keys ascending, the label of each key)."""
+        dims = self.exponents.max(axis=0) + 1
+        keys = np.ravel_multi_index(self.exponents.T, dims)
+        order = np.argsort(keys)
+        return dims, keys[order], order
 
     def block(self, label: MultiIndex) -> slice:
         i = self.index[label]
@@ -130,12 +147,11 @@ class BlockSpace:
         """The label index of each row of an (n, d) integer array of exponents, or -1 for a row that is not a label."""
         if not self.labels:
             return np.full(len(exponents), -1)
-        labels = self.exponents
-        dims = np.maximum(labels.max(axis=0), exponents.max(axis=0, initial=0)) + 1
-        keys, wanted = np.ravel_multi_index(labels.T, dims), np.ravel_multi_index(exponents.T, dims)
-        order = np.argsort(keys)
-        found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
-        return np.where(keys[found] == wanted, found, -1)
+        dims, keys, order = self._keys
+        wanted = np.ravel_multi_index(exponents.T, dims, mode="clip")
+        at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        found = (keys[at] == wanted) & np.all((exponents >= 0) & (exponents < dims), axis=1)
+        return np.where(found, order[at], -1)
 
     def shift(self, alpha: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
         """(low, high): the index of each label gamma whose gamma + alpha is a label, in order, and of gamma + alpha."""
@@ -189,3 +205,12 @@ class BlockSpace:
             im += t  # im * x.real + re * x.imag: one addition, either order
         out = complex_array(re, im)
         return out[0] if single else out
+
+
+@functools.cache
+def graded_space(dim: int, max_degree: int) -> BlockSpace:
+    """The space of ``enumerate_up_to_degree(dim, max_degree)`` in blocks of size 1, built once with every table filled."""
+    space = BlockSpace(enumerate_up_to_degree(dim, max_degree), 1)
+    for table in (space._multinomials, *space._keys):
+        table.setflags(write=False)
+    return space

@@ -51,7 +51,7 @@ from .multiindex import (
     BlockSpace,
     count_up_to_degree,
     degree,
-    enumerate_up_to_degree,
+    graded_space,
     unit,
 )
 from .series import (
@@ -97,7 +97,8 @@ class OperatorTuple:
     means the basis is orthonormal. ``basis_labels`` names basis vectors by
     multi-indices for graded models. ``nilpotency_bound`` is a degree nu with
     T^alpha = 0 whenever |alpha| > nu, when one is known; it makes all
-    operator series finite and exact.
+    operator series finite and exact. ``mats`` are copied at construction
+    and read-only, so the power stack the tuple keeps cannot go stale.
     """
 
     mats: tuple
@@ -107,11 +108,12 @@ class OperatorTuple:
     kernel: Optional[KernelSeries] = None
 
     def __post_init__(self):
-        self.mats = tuple(np.asarray(m) for m in self.mats)
+        self.mats = tuple(np.array(m) for m in self.mats)
         if not self.mats:
             raise ValueError("empty tuple")
         n = self.mats[0].shape[0]
         for m in self.mats:
+            m.setflags(write=False)
             if m.shape != (n, n):
                 raise ValueError("tuple entries must be square matrices of equal size")
         if self.weights is not None:
@@ -119,6 +121,7 @@ class OperatorTuple:
             if self.weights.shape != (n,):
                 raise ValueError("weights must match the matrix size")
         self._check_commutation()
+        self._powers = self.scalars.zeros((0, self.size, self.size))  # the largest power stack built so far
 
     def _check_commutation(self):
         scale = max(1.0, max(spectral_norm(m) for m in self.mats) ** 2)
@@ -160,16 +163,21 @@ class OperatorTuple:
         """Every T^alpha with |alpha| <= top: (their labels in graded order, an (L, n, n) stack).
 
         T^alpha = T_i T^(alpha - e_i), with i the first nonzero entry of
-        alpha, and T^alpha = 0 above the nilpotency bound.
+        alpha, and T^alpha = 0 above the nilpotency bound. The stack is built
+        once, read-only, for the largest ``top`` asked so far; a smaller one
+        gets a view of its first L matrices.
         """
-        space = BlockSpace(enumerate_up_to_degree(self.num_vars, top), 1)
-        stack = self.scalars.zeros((len(space.labels), self.size, self.size), self.dtype)
-        stack[0] = self.identity()
-        bound = top if self.nilpotency_bound is None else min(top, self.nilpotency_bound)
-        for j, alpha in enumerate(space.labels[1 : count_up_to_degree(self.num_vars, bound)], 1):
-            i = next(k for k, a in enumerate(alpha) if a > 0)
-            stack[j] = self.mats[i] @ stack[space.index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]]
-        return space, stack
+        space = graded_space(self.num_vars, top)
+        if len(self._powers) < len(space.labels):
+            stack = self.scalars.zeros((len(space.labels), self.size, self.size), self.dtype)
+            stack[0] = self.identity()
+            bound = top if self.nilpotency_bound is None else min(top, self.nilpotency_bound)
+            for j, alpha in enumerate(space.labels[1 : count_up_to_degree(self.num_vars, bound)], 1):
+                i = next(k for k, a in enumerate(alpha) if a > 0)
+                stack[j] = self.mats[i] @ stack[space.index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]]
+            stack.setflags(write=False)
+            self._powers = stack
+        return space, self._powers[: len(space.labels)]
 
     def to_float(self) -> "OperatorTuple":
         """Re-express in the orthonormalized basis with float entries; a float tuple with weights is rescaled too."""
@@ -190,7 +198,7 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
     """
     if degree_cut > kernel.truncation:
         raise ValueError("model degree exceeds the kernel truncation")
-    space = BlockSpace(enumerate_up_to_degree(dim, degree_cut), 1)
+    space = graded_space(dim, degree_cut)
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     sc = EXACT if mode == "exact" else FLOAT
@@ -207,7 +215,7 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
 # graded operator series
 
 
-def _graded_space(t: OperatorTuple, series: RealSeries) -> tuple[BlockSpace, np.ndarray]:
+def _graded_powers(t: OperatorTuple, series: RealSeries) -> tuple[BlockSpace, np.ndarray]:
     """The labels of a graded walk up to its last degree, and their powers: ``t.powers`` of that degree.
 
     That degree is the first of the truncation, the nilpotency bound and the
@@ -219,7 +227,7 @@ def _graded_space(t: OperatorTuple, series: RealSeries) -> tuple[BlockSpace, np.
 
 
 def _graded_sum(t: OperatorTuple, series: RealSeries, space: BlockSpace, scalars: Scalars, term, zero):
-    """sum of term(i, c_i) over the labels ``space`` of ``_graded_space(t, series)``, degree by degree.
+    """sum of term(i, c_i) over the labels ``space`` of ``_graded_powers(t, series)``, degree by degree.
 
     c = space.lift(series, scalars), and a label with c_i = 0 is skipped.
     The walk stops at the truncation. Without a nilpotency bound, a walk
@@ -247,7 +255,7 @@ def conjugated_sum(t: OperatorTuple, series: RealSeries, middle: Optional[np.nda
 
     Summed and stopped at the truncation by ``_graded_sum``; returns (total, exact_stop).
     """
-    space, powers = _graded_space(t, series)
+    space, powers = _graded_powers(t, series)
 
     def term(i, c):
         p = powers[i]
@@ -395,7 +403,7 @@ def operator_series(t: OperatorTuple, series: RealSeries, points: Sequence) -> n
     if len(pts) and pts.shape[1] != t.num_vars:
         raise ValueError("dimension mismatch")
     sc = t.scalars.at(pts)
-    space, powers = _graded_space(t, series)
+    space, powers = _graded_powers(t, series)
     conj = np.conjugate(space.monomials(pts))
 
     def term(i, c):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cnpchar._linalg import adjoint, connected_blocks, is_exactly_zero, max_abs, polar_orthogonal, to_float_array
+from cnpchar._linalg import NonzeroEntries, adjoint, connected_blocks, is_exactly_zero, max_abs, polar_orthogonal, to_float_array
 from cnpchar.charfn import (
     CharFnBuildError,
     EmptyKInnerError,
@@ -406,6 +406,14 @@ def _taylor_reference(cfd):
     return {lab: m for lab, m in taylor.items() if any(x != 0 for x in np.asarray(m).flat)}
 
 
+def _supports_reference(cfd):
+    """(b labels, g labels) as build_charfn picked them by a loop reading one coefficient per label, in graded order."""
+    b_s, g = reciprocal_complement(cfd.pick_factor), cfd.factorization.positive_part
+    labels = enumerate_up_to_degree(cfd.ops.num_vars, max(cfd.support_cap, cfd.constant_cap))
+    b = [lab for lab in labels if 1 <= degree(lab) <= cfd.support_cap and b_s.coeff_1d(degree(lab))]
+    return b, [lab for lab in labels if degree(lab) <= cfd.constant_cap and g.coeff_1d(degree(lab))]
+
+
 # non-nilpotent scalar points in d = 2, real and complex: (kernel, CNP factor, point), at truncation 48 and caps 8
 SCALAR_POINTS = {
     "dadir_dir_d2_point": (
@@ -435,6 +443,7 @@ class TestTaylorCoefficients:
     def test_stack_equals_label_by_label_sums(self, name):
         cfd = _scalar_point_charfn(name) if name in SCALAR_POINTS else _preset_charfn(name)
         assert cfd.exact == name.endswith("_exact")
+        assert (list(cfd.b_support.labels), list(cfd.g_support.labels)) == _supports_reference(cfd)
         reference = _taylor_reference(cfd)
         assert list(cfd.taylor) == list(reference)
         assert len(cfd.taylor) == len(reference)
@@ -650,7 +659,7 @@ class TestMultiplierPlan:
                 assert np.array_equal(np.signbit(part(mult.gram)), np.signbit(part(expected)))
         if name == "k2_da_d2_n2_c":
             theta = to_float_array(cfd.taylor.coefficients).reshape(-1, cfd.domain_dim)
-            assert max(len(b[0]) for b in connected_blocks(theta @ theta.conj().T)) > 1
+            assert max(len(b[0]) for b in connected_blocks(NonzeroEntries.of(theta @ theta.conj().T))) > 1
 
     def test_dense_matrix_built_only_on_request(self, monkeypatch):
         from cnpchar import charfn

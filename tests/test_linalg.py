@@ -1,15 +1,21 @@
 """The spectral norm helper (max |eigenvalue| on Hermitian input, the top singular value otherwise), the block helpers and the sparse product.
 
 Also the exact spectral steps on coordinate matrices, ``minus_identity``
-and the point stacks whose dtype decides their arithmetic.
+and the point stacks whose dtype decides their arithmetic. The norm and the
+blocks, which read a matrix's nonzero entries once, are checked bit for bit
+against the dense versions they replaced.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cnpchar import _linalg
 from cnpchar._linalg import (
     EXACT,
     FLOAT,
@@ -110,7 +116,7 @@ def _planted_blocks(rng, sizes, dtype):
 def test_connected_blocks_find_permuted_blocks(dtype):
     """A permuted block-diagonal Hermitian matrix gives back its blocks, grouped by size, indices ascending."""
     a, planted = _planted_blocks(np.random.default_rng(2), [3, 1, 4, 1, 3, 2], dtype)
-    found = connected_blocks(a)
+    found = connected_blocks(NonzeroEntries.of(a))
     assert [g.shape[1] for g in found] == [1, 2, 3, 4]
     assert sorted(tuple(row) for g in found for row in g.tolist()) == sorted(planted)
     for g in found:
@@ -125,9 +131,9 @@ def test_connected_blocks_link_through_chains_and_one_sided_entries():
     order = np.random.default_rng(4).permutation(n)
     path = np.zeros((n, n))
     path[order[:-1], order[1:]] = 1.0
-    assert [g.tolist() for g in connected_blocks(path)] == [[list(range(n))]]
-    assert [g.tolist() for g in connected_blocks(np.zeros((3, 3)))] == [[[0], [1], [2]]]
-    assert connected_blocks(np.zeros((0, 0))) == []
+    assert [g.tolist() for g in connected_blocks(NonzeroEntries.of(path))] == [[list(range(n))]]
+    assert [g.tolist() for g in connected_blocks(NonzeroEntries.of(np.zeros((3, 3))))] == [[[0], [1], [2]]]
+    assert connected_blocks(NonzeroEntries.of(np.zeros((0, 0)))) == []
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -136,14 +142,14 @@ def test_diagonal_norm_is_eigvalsh_bit_for_bit(dtype):
     d = rng.standard_normal(40)
     d[::7] = 0.0
     a = np.diag(d).astype(dtype)
-    assert [g.shape for g in connected_blocks(a)] == [(40, 1)]
+    assert [g.shape for g in connected_blocks(NonzeroEntries.of(a))] == [(40, 1)]
     assert spectral_norm(a) == np.abs(np.linalg.eigvalsh(a)).max()
 
 
 @pytest.mark.parametrize("name", ["real_symmetric", "complex_hermitian", "rank_deficient_psd"])
 def test_single_block_norm_is_eigvalsh_bit_for_bit(name):
     a = HERMITIAN[name]
-    assert [g.tolist() for g in connected_blocks(a)] == [[list(range(a.shape[0]))]]
+    assert [g.tolist() for g in connected_blocks(NonzeroEntries.of(a))] == [[list(range(a.shape[0]))]]
     assert spectral_norm(a) == np.abs(np.linalg.eigvalsh(a)).max()
 
 
@@ -333,7 +339,7 @@ def test_connected_blocks_match_the_contraction_over_every_index(density):
         a = (rng.random((n, n)) < density) * rng.standard_normal((n, n))
         if rng.random() < 0.5:
             a[np.diag_indices(n)] = rng.standard_normal(n) * (rng.random(n) < 0.5)
-        got, want = connected_blocks(a), _connected_blocks_reference(a)
+        got, want = connected_blocks(NonzeroEntries.of(a)), _connected_blocks_reference(a)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -458,3 +464,125 @@ class TestPointStack:
             assert EXACT.at(points) is FLOAT
         assert not holds_complex(np.zeros((2, 2))) and holds_complex(np.zeros((2, 2), dtype=complex))
         assert holds_complex(point_stack([[0.5, 1]])[0]) and not holds_complex(point_stack([[Fraction(1, 2), 1]])[0])
+
+
+def _dense_connected_blocks(a):
+    """connected_blocks as it was before it read the entry list: label propagation on a dense boolean copy of the pattern."""
+    n = a.shape[0]
+    linked = a != 0
+    linked |= linked.T
+    np.fill_diagonal(linked, False)
+    rest = np.flatnonzero(linked.any(axis=1))
+    if len(rest) < n:
+        linked = linked[rest[:, None], rest]
+    np.fill_diagonal(linked, True)
+    label, head = np.arange(len(rest)), rest
+    while linked.size:
+        parent = np.argmax(linked, axis=1)
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        root = parent == np.arange(len(parent))
+        if root.all():
+            break
+        group = (np.cumsum(root) - 1)[parent]
+        label, head = group[label], head[root]
+        order = np.argsort(group, kind="stable")
+        starts = np.searchsorted(group[order], np.arange(np.count_nonzero(root)))
+        linked = np.logical_or.reduceat(linked[order], starts, axis=0)
+        linked = np.logical_or.reduceat(linked[:, order], starts, axis=1)
+    key = np.arange(n)
+    key[rest] = head[label]
+    sizes = np.bincount(key, minlength=n)
+    members = np.argsort(key, kind="stable")
+    firsts = np.cumsum(sizes) - sizes
+    return [members[firsts[sizes == size][:, None] + np.arange(size)] for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
+
+
+def _dense_spectral_norm(a):
+    """spectral_norm as it was before it read the entry list: a dense Hermitian test, then LAPACK on the dense blocks."""
+    if a.size == 0:
+        return 0.0
+    stack = a.reshape(-1, *a.shape[-2:])
+    herm = a.shape[-1] == a.shape[-2] and np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.all(herm) and a.ndim == 2:
+        m = stack[0]
+        return max(float(np.abs(np.linalg.eigvalsh(m[b[:, :, None], b[:, None, :]])).max()) for b in _dense_connected_blocks(m))
+    if np.all(herm):
+        return float(np.abs(np.linalg.eigvalsh(stack)).max())
+    if not np.any(herm):
+        return float(np.linalg.svd(stack, compute_uv=False).max())
+    return max(float(np.abs(np.linalg.eigvalsh(stack[herm])).max()), float(np.linalg.svd(stack[~herm], compute_uv=False).max()))
+
+
+def _same_float(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+_SIGNED_ZERO_AND_INF = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_SIGNED_ZERO_AND_INF, _FINITE), min_size=1, max_size=12), st.lists(st.sampled_from([0.0, -0.0]), min_size=12, max_size=12), st.booleans())
+def test_zero_and_diagonal_norms_match_the_dense_norm_bit_for_bit(diagonal, imag_zeros, cplx):
+    """A real diagonal (zeros of either sign and infinities included) skips LAPACK and keeps eigvalsh's bits."""
+    d = np.array(diagonal) + (np.array(imag_zeros[: len(diagonal)]) * 1j if cplx else 0)
+    for a in (np.diag(d), np.zeros_like(np.diag(d))):
+        assert _same_float(spectral_norm(a), _dense_spectral_norm(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12), st.integers(0, 11), st.floats(-1e3, 1e3).filter(bool))
+def test_complex_diagonal_with_imaginary_parts_is_the_dense_svd_norm(real, at, imag):
+    """A diagonal entry with a nonzero imaginary part makes the matrix non-Hermitian: it keeps the svd norm."""
+    d = np.array(real, dtype=complex)
+    d[at % len(d)] += 1j * imag
+    assert _same_float(spectral_norm(np.diag(d)), _dense_spectral_norm(np.diag(d)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8), st.integers(0, 2**32 - 1), st.sampled_from([float, complex]))
+def test_permuted_blocks_non_hermitian_and_stacked_norms_match_the_dense_norm(sizes, seed, dtype):
+    rng = np.random.default_rng(seed)
+    a, _ = _planted_blocks(rng, sizes, dtype)
+    skew = a * (rng.random(a.shape) < 0.5)  # drops one side of some pairs: not Hermitian
+    for m in (a, skew, np.stack([a, skew]), np.stack([a, a.T.conj()])):
+        assert _same_float(spectral_norm(m), _dense_spectral_norm(m))
+
+
+@given(st.lists(_FINITE, min_size=1, max_size=8), st.integers(0, 7))
+def test_nan_diagonal_still_raises(diagonal, at):
+    d = np.array(diagonal)
+    d[at % len(d)] = math.nan
+    for norm in (spectral_norm, _dense_spectral_norm):
+        with pytest.raises(np.linalg.LinAlgError):
+            norm(np.diag(d))
+
+
+@st.composite
+def _patterns(draw):
+    """A random square pattern up to 40 x 40 (symmetric or not), its density drawn too, with random values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, density = draw(st.integers(0, 40)), draw(st.sampled_from([0.0, 0.01, 0.03, 0.08, 0.3, 1.0]))
+    a = (rng.random((n, n)) < density) * rng.standard_normal((n, n))
+    return a + a.T if draw(st.booleans()) else a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patterns())
+def test_connected_blocks_from_the_entries_match_the_dense_blocks(a):
+    got, want = connected_blocks(NonzeroEntries.of(a)), _dense_connected_blocks(a)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_patterns())
+def test_block_eigh_matches_the_dense_blocks(a):
+    """block_eigh over the entry-list blocks gives what it gave over the dense blocks, bit for bit."""
+    a = a + a.T
+    got = block_eigh(a)
+    with mock.patch.object(_linalg, "connected_blocks", lambda entries: _dense_connected_blocks(entries.matrix)):
+        want = block_eigh(a)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -16,6 +16,7 @@ from cnpchar.multiindex import (
     count_up_to_degree,
     degree,
     enumerate_up_to_degree,
+    graded_space,
     monomial_value,
     multinomial,
     unit,
@@ -279,3 +280,39 @@ def test_positions_and_shift_match_brute_force(case):
     pairs = [(i, labels.index(add(lab, alpha))) for i, lab in enumerate(labels) if add(lab, alpha) in labels]
     low, high = space.shift(alpha)
     assert list(zip(low.tolist(), high.tolist())) == pairs
+
+
+@pytest.mark.parametrize("d, top, block_dim", [(1, 7, 1), (2, 4, 3), (3, 5, 2)])
+def test_shared_graded_tables_equal_a_fresh_space(d, top, block_dim):
+    """A space over ``graded_space`` reads the tables of a fresh space over the same labels, shared and read-only."""
+    shared, fresh = BlockSpace(graded_space(d, top), block_dim), BlockSpace(enumerate_up_to_degree(d, top), block_dim)
+    assert shared.labels == fresh.labels and shared.index == fresh.index
+    assert (shared.block_dim, shared.dim) == (fresh.block_dim, fresh.dim) == (block_dim, len(fresh.labels) * block_dim)
+    for name in ("degrees", "exponents", "_multinomials"):
+        got, want = getattr(shared, name), getattr(fresh, name)
+        assert got is getattr(graded_space(d, top), name) and not got.flags.writeable
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [type(m) for m in shared._multinomials] == [int] * len(shared.labels)
+    assert shared._multinomials.tolist() == [multinomial(lab) for lab in shared.labels]
+    rows = np.array(enumerate_up_to_degree(d, top + 2), dtype=int)
+    assert np.array_equal(shared.positions(rows), fresh.positions(rows))
+    assert graded_space(d, top) is graded_space(d, top)
+
+
+def test_positions_miss_rows_past_the_labels_and_rows_that_are_not_labels():
+    space = BlockSpace([(2, 0), (0, 1), (1, 1)], 1)  # exponents up to (2, 1)
+    rows = np.array([[0, 1], [3, 0], [0, 2], [1, 0], [1, 1], [2, 0], [9, 9], [2, 1], [0, 0]])
+    assert space.positions(rows).tolist() == [1, -1, -1, -1, 2, 0, -1, -1, -1]
+    assert space.positions(np.zeros((0, 2), dtype=int)).tolist() == []
+    graded = graded_space(2, 2)
+    assert graded.positions(np.array([[3, 0], [1, 2], [2, 0]])).tolist() == [-1, -1, graded.index[(2, 0)]]
+
+
+def test_enumerate_up_to_degree_returns_a_fresh_list():
+    """Editing the list it returns changes neither the next list nor the shared graded labels."""
+    first = enumerate_up_to_degree(2, 3)
+    assert isinstance(first, list) and first == list(graded_space(2, 3).labels)
+    first[0] = (9, 9)
+    first.append((4, 4))
+    graded = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+    assert enumerate_up_to_degree(2, 3) == list(graded_space(2, 3).labels) == graded

@@ -154,6 +154,29 @@ class TestPowers:
         assert max_abs(stack[labels.index[(3, 0)]]) == 0
         assert max_abs(stack[labels.index[(2, 2)]]) == 0
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_kept_stack_serves_every_top_as_a_fresh_tuple_would(self, mode):
+        """Tops above, at and below the nilpotency bound (2), in any order, read the stack a fresh tuple builds."""
+        t = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode=mode)
+        for top in (4, 1, 2, 0, 3, 6, 5):
+            labels, stack = t.powers(top)
+            fresh_labels, fresh = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode=mode).powers(top)
+            assert labels.labels == fresh_labels.labels
+            _same(stack, fresh)
+            assert not stack.flags.writeable
+
+    def test_matrices_are_read_only_copies(self):
+        """An edit of the caller's array never reaches the tuple, and the tuple's own arrays refuse edits."""
+        m = np.array([[0.0, 0.0], [0.5, 0.0]])
+        t = OperatorTuple((m,), nilpotency_bound=1)
+        before = t.powers(2)[1].copy()
+        m[1, 0] = 0.25
+        assert t.mats[0][1, 0] == 0.5 and np.array_equal(t.powers(2)[1], before)
+        with pytest.raises(ValueError):
+            t.mats[0][1, 0] = 0.25
+        with pytest.raises(ValueError):
+            t.powers(1)[1][0, 0, 0] = 1.0
+
     def test_power_respects_commutation(self):
         t = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode="float")
         labels, stack = t.powers(2)
