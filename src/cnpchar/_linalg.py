@@ -17,8 +17,13 @@ roots, range bases and pseudo-inverses of diagonal ones with perfect-square
 entries, and complements of the range of any. Anything else raises
 :class:`ExactnessError`, signalling that float arithmetic is the right
 backend for that computation. Float spectral steps read a matrix's
-structure once, as its nonzero entries (:class:`NonzeroEntries`), from
-which the norm and the blocks of a sparse Gram follow.
+structure once, as its entries (:class:`Entries`), from which the norm and
+the blocks of a sparse Gram follow. A product of sparse factors that is
+large against its nonzero pairs stays entries: one slot per position that a
+pair reaches (:func:`sparse_product`). Sums, ``minus_identity``,
+``hermitian_part``, ``spectral_norm`` and ``block_eigh`` read those slots
+with the bits the dense matrix would hold, and no dense array of the
+product's size is formed.
 """
 
 from __future__ import annotations
@@ -87,38 +92,140 @@ def nonzero_index(a: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.unravel_index(np.flatnonzero(a != 0), a.shape)
 
 
-@dataclass(frozen=True, eq=False)
-class NonzeroEntries:
-    """A matrix and its nonzero entries, read once: the row, column and value of each, in row-major order."""
+def _zeros(count: int, dtype) -> np.ndarray:
+    return exact_zeros(count) if dtype == object else np.zeros(count, dtype=dtype)
 
-    matrix: np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class Entries:
+    """A matrix held as entries: the row, column and value of each, at most one per position, row-major.
+
+    ``of`` reads a formed matrix once, as its nonzero entries, and keeps the
+    matrix as ``dense``. Entries built without one (``grid``, the pairs path
+    of ``sparse_product``, sums, ``hermitian_part`` and ``minus_identity``)
+    hold slots: one per position that some term reached, whose value may be
+    a zero of either sign, while every other position holds +0. Their sums
+    give, on every slot, the bits of the same sum of the dense matrices, and
+    a sum with a dense array is that array's sum with ``matrix``. The
+    adjoint lists the same entries in its column-major order and serves
+    only as a factor.
+    """
+
+    shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+    dense: np.ndarray | None
+
+    __array_ufunc__ = None  # an array plus entries is the entries' __radd__
 
     @classmethod
-    def of(cls, a: np.ndarray) -> "NonzeroEntries":
+    def of(cls, a: np.ndarray) -> "Entries":
         rows, cols = nonzero_index(a)
-        return cls(a, rows, cols, a[rows, cols])
+        return cls(a.shape, rows, cols, a[rows, cols], a)
+
+    @classmethod
+    def grid(cls, blocks: list[list["Entries"]]) -> "Entries":
+        """The block matrix with these blocks, given by rows of blocks, as slots, with no dense matrix formed."""
+        tops = np.cumsum([0] + [row[0].shape[0] for row in blocks])
+        lefts = np.cumsum([0] + [block.shape[1] for block in blocks[0]])
+        parts = [(block, tops[i], lefts[j]) for i, row in enumerate(blocks) for j, block in enumerate(row)]
+        rows = np.concatenate([block.rows + top for block, top, _ in parts])
+        cols = np.concatenate([block.cols + left for block, _, left in parts])
+        order = np.argsort(rows * lefts[-1] + cols)
+        values = np.concatenate([block.values for block, _, _ in parts])
+        return cls((int(tops[-1]), int(lefts[-1])), rows[order], cols[order], values[order], None)
 
     @property
-    def adjoint(self) -> "NonzeroEntries":
+    def matrix(self) -> np.ndarray:
+        """The dense matrix: ``dense``, or zeros of the entries' arithmetic with the values scattered in."""
+        if self.dense is not None:
+            return self.dense
+        out = _zeros(self.shape[0] * self.shape[1], self.values.dtype).reshape(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    @property
+    def adjoint(self) -> "Entries":
         """The conjugate transpose, its entries read from these ones, in its column-major order."""
-        return NonzeroEntries(self.matrix.conj().T, self.cols, self.rows, self.values.conj())
+        dense = None if self.dense is None else self.dense.conj().T
+        return Entries(self.shape[::-1], self.cols, self.rows, self.values.conj(), dense)
+
+    def nonzero(self) -> "Entries":
+        """The entries whose value is not zero."""
+        if self.dense is not None:
+            return self
+        keep = self.values != 0
+        return Entries(self.shape, self.rows[keep], self.cols[keep], self.values[keep], None)
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The values at these positions: read from ``dense``, or found among the slots, 0 where there is none."""
+        if self.dense is not None:
+            return self.dense[rows, cols]
+        keys, wanted = self.rows * self.shape[1] + self.cols, rows * self.shape[1] + cols
+        found = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        return np.where(keys[found] == wanted, self.values[found], 0)
+
+    def __add__(self, other: "Entries | np.ndarray") -> "Entries | np.ndarray":
+        if isinstance(other, np.ndarray):
+            return self.matrix + other
+        (rows, cols), (at, other_at) = _slot_union(self.shape, (self.rows, self.cols), (other.rows, other.cols))
+        values = _spread(self.values, at, len(rows)) + _spread(other.values, other_at, len(rows))
+        return Entries(self.shape, rows, cols, values, None)
+
+    __radd__ = __add__
 
 
-def sparse_product(a: NonzeroEntries, b: NonzeroEntries) -> np.ndarray:
-    """The matrix product of ``a`` and ``b``, from the nonzero pairs of both factors when they are few.
+def _slot_union(shape, *positions) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """((rows, cols) of the union of several (rows, cols) position lists, row-major; where each list's positions sit in it)."""
+    keys = np.concatenate([rows * shape[1] + cols for rows, cols in positions])
+    slots, where = np.unique(keys, return_inverse=True)
+    return np.divmod(slots, shape[1]), np.split(where, np.cumsum([len(rows) for rows, _ in positions])[:-1])
 
-    Every nonzero a[i, k] pairs with every nonzero b[k, j]. When there are at
-    most as many pairs as entries in the (m, n) product, each pair's product
-    is added at (i, j) in a fixed order (a's entries in turn, each with b's
-    in row-major order) into zeros of the arithmetic, so the work is linear
-    in the pairs and the output. Otherwise the result is
-    ``a.matrix @ b.matrix`` unchanged. Fraction object arrays take the same
-    path and give equal Fractions.
+
+def _spread(values: np.ndarray, where: np.ndarray, count: int) -> np.ndarray:
+    """``values`` placed at ``where`` in ``count`` slots of zeros of their arithmetic."""
+    out = _zeros(count, values.dtype)
+    out[where] = values
+    return out
+
+
+def hermitian_part(a: np.ndarray | Entries) -> np.ndarray | Entries:
+    """(a + a*) / 2 of a square matrix, dense or as entries: the same bits on every position.
+
+    Entries give slots on the union of their positions and their mirrors;
+    an absent mirror enters as the conjugate of +0, as it does densely.
     """
-    (m, inner), n = a.matrix.shape, b.matrix.shape[1]
+    if isinstance(a, np.ndarray):
+        return (a + a.conj().T) / 2
+    (rows, cols), (at, mirror_at) = _slot_union(a.shape, (a.rows, a.cols), (a.cols, a.rows))
+    mirror = _zeros(len(rows), a.values.dtype).conj()
+    mirror[mirror_at] = a.values.conj()
+    return Entries(a.shape, rows, cols, (_spread(a.values, at, len(rows)) + mirror) / 2, None)
+
+
+# the pairs path of sparse_product keeps its sums as slot entries when the
+# product has more than SLOT_SPAN positions for each pair plus SLOT_PAIRS:
+# below that the dense (m, n) array costs less than the entry bookkeeping
+SLOT_SPAN = 64
+SLOT_PAIRS = 256
+
+
+def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
+    """The matrix product of ``a`` and ``b``, from the entry pairs of both factors when they are few.
+
+    Every entry a[i, k] pairs with every entry b[k, j]. When there are more
+    pairs than positions in the (m, n) product, it is ``a.matrix @
+    b.matrix``. Otherwise one ``np.add.at`` adds each pair's product, in a
+    fixed order (a's entries in turn, each with b's in row-major order),
+    into zeros of the arithmetic, so the work is linear in the pairs: one
+    zero per position of a dense (m, n) array, or, when the product is large
+    against its pairs (``SLOT_SPAN``, ``SLOT_PAIRS``), one per slot of
+    ``Entries``, a slot for each position that a pair reaches, with no
+    (m, n) array. Both hold the same bits on every position. Fraction object
+    arrays take the same paths and give equal Fractions.
+    """
+    (m, inner), n = a.shape, b.shape[1]
     per_row = np.bincount(b.rows, minlength=inner)
     counts = per_row[a.cols]
     total = int(counts.sum())
@@ -127,12 +234,15 @@ def sparse_product(a: NonzeroEntries, b: NonzeroEntries) -> np.ndarray:
     left = np.repeat(np.arange(len(counts)), counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     right = np.argsort(b.rows, kind="stable")[(np.cumsum(per_row) - per_row)[a.cols[left]] + offsets]
-    if is_exact_array(a.matrix) or is_exact_array(b.matrix):
-        out = exact_zeros((m, n))
-    else:
-        out = np.zeros((m, n), dtype=np.result_type(a.matrix, b.matrix))
-    np.add.at(out.reshape(-1), a.rows[left] * n + b.cols[right], a.values[left] * b.values[right])
-    return out
+    positions, dtype = a.rows[left] * n + b.cols[right], np.result_type(a.values, b.values)
+    if m * n <= SLOT_SPAN * (total + SLOT_PAIRS):
+        out = _zeros(m * n, dtype)
+        np.add.at(out, positions, a.values[left] * b.values[right])
+        return out.reshape(m, n)
+    slots, where = np.unique(positions, return_inverse=True)
+    values = _zeros(len(slots), dtype)
+    np.add.at(values, where, a.values[left] * b.values[right])
+    return Entries((m, n), slots // n, slots % n, values, None)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -141,30 +251,33 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(to_float_array(a))))
 
 
-def spectral_norm(a: np.ndarray) -> float:
+def spectral_norm(a: np.ndarray | Entries) -> float:
     """The operator 2-norm of a matrix, or the largest over a stack of matrices.
 
     Each matrix takes max |eigenvalue| when it is exactly Hermitian, else its
-    top singular value. A single square matrix is read once, as its nonzero
-    entries: Hermitian when each equals the conjugate of its mirror. With
-    nothing off the diagonal the norm is max |d_i|, no LAPACK call, bit for
-    bit ``eigvalsh`` on 1 x 1 blocks (a NaN diagonal is not Hermitian).
-    Otherwise each block size of :func:`connected_blocks` runs one batched
-    ``eigvalsh``; one block gives ``eigvalsh``'s value bit for bit. A stack
-    runs one batched ``eigvalsh`` over its Hermitian matrices and one
-    batched ``svd`` over the others, passed as they are when of one kind.
+    top singular value; an all-zero input of any shape is 0.0 with no LAPACK
+    call. A single square matrix is read as entries: a dense one once, as
+    its nonzero entries, slot entries (``Entries``) as they are, with no
+    dense matrix formed unless the ``svd`` needs it. It is Hermitian when
+    each nonzero entry equals the conjugate of its mirror, an absent mirror
+    counting as 0. With nothing off the diagonal the norm is max |d_i|, no
+    LAPACK call, bit for bit ``eigvalsh`` on 1 x 1 blocks (a NaN is not
+    Hermitian). Otherwise each block size of :func:`connected_blocks` runs
+    one batched ``eigvalsh`` on blocks gathered with their zeros of either
+    sign; one block gives ``eigvalsh``'s value bit for bit. Slot entries thus
+    give the bits of the matrix they stand for. A stack runs one batched
+    ``eigvalsh`` over its Hermitian matrices and one batched ``svd`` over the
+    others, passed as they are when of one kind.
     """
+    if isinstance(a, Entries):
+        return _square_norm(Entries(a.shape, a.rows, a.cols, to_float_array(a.values), None))
     if a.size == 0:
         return 0.0
     stack = to_float_array(a).reshape(-1, *a.shape[-2:])
     if a.ndim == 2 and a.shape[0] == a.shape[1]:
-        entries = NonzeroEntries.of(stack[0])
-        if not np.array_equal(entries.values, entries.matrix[entries.cols, entries.rows].conj()):
-            return float(np.linalg.svd(stack, compute_uv=False).max())
-        if np.array_equal(entries.rows, entries.cols):
-            return float(np.abs(entries.values).max(initial=0.0))
-        blocks = connected_blocks(entries)
-        return max(float(np.abs(np.linalg.eigvalsh(_gather(entries.matrix, idx))).max()) for idx in blocks)
+        return _square_norm(Entries.of(stack[0]))
+    if not stack.any():
+        return 0.0
     herm = a.shape[-1] == a.shape[-2] and np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
     if np.all(herm):
         return float(np.abs(np.linalg.eigvalsh(stack)).max())
@@ -176,7 +289,17 @@ def spectral_norm(a: np.ndarray) -> float:
     )
 
 
-def connected_blocks(entries: NonzeroEntries) -> list[np.ndarray]:
+def _square_norm(entries: Entries) -> float:
+    """``spectral_norm`` of a square float matrix given as row-major entries."""
+    nonzero = entries.nonzero()
+    if not np.array_equal(nonzero.values, entries.at(nonzero.cols, nonzero.rows).conj()):
+        return float(np.linalg.svd(entries.matrix[None], compute_uv=False).max())
+    if np.array_equal(nonzero.rows, nonzero.cols):
+        return float(np.abs(nonzero.values).max(initial=0.0))
+    return max(float(np.abs(np.linalg.eigvalsh(_gather(entries, idx))).max()) for idx in connected_blocks(nonzero))
+
+
+def connected_blocks(entries: Entries) -> list[np.ndarray]:
     """The connected components of a square matrix's nonzero pattern, read from its entries, grouped by size.
 
     Indices i and j are linked when a[i, j] or a[j, i] is nonzero. Each entry
@@ -190,7 +313,7 @@ def connected_blocks(entries: NonzeroEntries) -> list[np.ndarray]:
     until no entry joins two labels, O(nnz) per round. Each component ends
     labelled by its smallest index.
     """
-    n = entries.matrix.shape[0]
+    n = entries.shape[0]
     label, ends = np.arange(n), np.stack([entries.rows, entries.cols])
     while True:
         pair = label[ends]
@@ -209,28 +332,45 @@ def connected_blocks(entries: NonzeroEntries) -> list[np.ndarray]:
     ]
 
 
-def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The (count, size, size) stack of the diagonal blocks of ``a`` on the rows of ``idx``."""
-    return a[idx[:, :, None], idx[:, None, :]]
+def _gather(entries: Entries, idx: np.ndarray) -> np.ndarray:
+    """The (count, size, size) stack of the diagonal blocks on the rows of ``idx``: from ``dense``, or from every slot inside a block."""
+    if entries.dense is not None:
+        return entries.dense[idx[:, :, None], idx[:, None, :]]
+    count, size = idx.shape
+    block, place = np.full(entries.shape[0], -1), np.zeros(entries.shape[0], dtype=int)
+    block[idx], place[idx] = np.arange(count)[:, None], np.arange(size)
+    rows, cols = entries.rows, entries.cols
+    inside = (block[rows] >= 0) & (block[rows] == block[cols])
+    out = np.zeros((count, size, size), dtype=entries.values.dtype)
+    out[block[rows[inside]], place[rows[inside]], place[cols[inside]]] = entries.values[inside]
+    return out
 
 
-def block_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a Hermitian float matrix, one batched ``eigh`` per block size.
+def block_eigh(a: np.ndarray | Entries, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of a Hermitian float matrix, ascending, and the eigenvectors of those at or above ``floor``.
 
-    The blocks are those of :func:`connected_blocks`. The eigenvalues come
-    out in ascending order, and each eigenvector is scattered back into its
-    column of an n x n array, zero off its block.
+    The matrix is dense or given as entries (``Entries``); one batched
+    ``eigh`` runs per block size of :func:`connected_blocks`, on blocks
+    gathered with their zeros of either sign. The kept eigenvectors are the
+    columns of an (n, kept) array, zero off their blocks, in the order of
+    their eigenvalues: the columns at or above ``floor`` of ``np.linalg.eigh``
+    of the matrix, with no n x n array formed.
     """
-    n = a.shape[0]
-    parts = [(idx, *np.linalg.eigh(_gather(a, idx))) for idx in connected_blocks(NonzeroEntries.of(a))]
+    entries = a if isinstance(a, Entries) else Entries.of(a)
+    n = entries.shape[0]
+    parts = [(idx, *np.linalg.eigh(_gather(entries, idx))) for idx in connected_blocks(entries.nonzero())]
     vals = np.concatenate([w.ravel() for _, w, _ in parts]) if parts else np.zeros(0)
     order = np.argsort(vals, kind="stable")
-    column = np.empty(n, dtype=int)
-    column[order] = np.arange(n)
-    vecs = np.zeros((n, n), dtype=np.result_type(a.dtype, float))
+    kept = order[vals[order] >= floor]
+    column = np.full(n, -1)
+    column[kept] = np.arange(len(kept))
+    # Fortran order, as a column selection of the n x n eigenvectors was: products with it keep their bits
+    vecs = np.zeros((n, len(kept)), dtype=np.result_type(entries.values.dtype, float), order="F")
     start = 0
     for idx, _, v in parts:
-        vecs[idx[:, :, None], column[start:start + idx.size].reshape(idx.shape)[:, None, :]] = v
+        at = column[start:start + idx.size].reshape(idx.shape)
+        block, k = np.nonzero(at >= 0)
+        vecs[idx[block], at[block, k][:, None]] = v[block, :, k]
         start += idx.size
     return vals[order], vecs
 
@@ -245,8 +385,17 @@ def is_coordinate(a: np.ndarray) -> bool:
     return bool(np.bincount(rows).max(initial=0) <= 1 and np.bincount(cols).max(initial=0) <= 1)
 
 
-def minus_identity(a: np.ndarray) -> np.ndarray:
-    """``a - eye`` bit for bit, with no identity formed: x - 0 is x for every float, signed zeros included."""
+def minus_identity(a: np.ndarray | Entries) -> np.ndarray | Entries:
+    """``a - eye`` bit for bit, with no identity formed: x - 0 is x for every float, signed zeros included.
+
+    Entries stay entries, as slots, with one on every diagonal position.
+    """
+    if isinstance(a, Entries):
+        diagonal = np.arange(a.shape[0])
+        (rows, cols), (at, on) = _slot_union(a.shape, (a.rows, a.cols), (diagonal, diagonal))
+        values = _spread(a.values, at, len(rows))
+        values[on] -= 1
+        return Entries(a.shape, rows, cols, values, None)
     out = a.copy()
     out[np.diag_indices_from(out)] -= 1
     return out
@@ -364,8 +513,7 @@ def psd_root(a_sq: np.ndarray) -> PsdRoot:
         root[pos, pos] = roots = EXACT.roots(diag[pos])
         pinv[pos, pos] = 1 / roots
         return PsdRoot(root, pinv, EXACT.eye(n)[:, pos], min(map(float, diag), default=math.inf))
-    sym = (a_sq + a_sq.conj().T) / 2
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(hermitian_part(a_sq))
     keep = vals > RANK_CUTOFF * max(1.0, float(vals.max(initial=0.0)))
     roots = np.where(keep, np.sqrt(np.clip(vals, 0.0, None)), 0.0)
     inv = np.where(keep, 1.0 / np.where(roots == 0, 1.0, roots), 0.0)
@@ -375,9 +523,7 @@ def psd_root(a_sq: np.ndarray) -> PsdRoot:
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
-    sym = to_float_array(a)
-    sym = (sym + sym.conj().T) / 2
-    return float(np.linalg.eigvalsh(sym).min())
+    return float(np.linalg.eigvalsh(hermitian_part(to_float_array(a))).min())
 
 
 def range_basis(a: np.ndarray) -> np.ndarray:
@@ -388,14 +534,23 @@ def range_basis(a: np.ndarray) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
-    return u[:, :rank]
+    return u[:, :_rank(s)]
+
+
+def _rank(s: np.ndarray) -> int:
+    """How many of the descending singular values ``s`` exceed RANK_CUTOFF * max(1, the largest)."""
+    return int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
 
 
 def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of Ran(a), rank cut at RANK_CUTOFF.
 
     An exact ``a`` must be a coordinate matrix; its complement is one unit column per zero row.
+    A float ``a`` of rank k = min(m, its columns) whose nonzero rows are its
+    first k has the unit columns e_k ... e_{m-1}, with no m x m SVD: they
+    are the trailing columns of LAPACK's full U there. (With more columns
+    than nonzero rows, LAPACK may rotate some of them among themselves.)
+    Any other ``a`` takes its complement from that SVD.
     """
     m = a.shape[0]
     if is_exact_array(a):
@@ -404,9 +559,12 @@ def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
         return EXACT.eye(m)[:, np.bincount(nonzero_index(a)[0], minlength=m) == 0]
     if a.shape[1] == 0:
         return np.eye(m)
+    live = (a != 0).any(axis=1)
+    k = int(np.count_nonzero(live))
+    if k == min(a.shape) and live[:k].all() and _rank(np.linalg.svd(a[:k], compute_uv=False)) == k:
+        return np.eye(m, dtype=np.result_type(a.dtype, float))[:, k:]
     u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
-    return u[:, rank:]
+    return u[:, _rank(s):]
 
 
 def polar_orthogonal(a: np.ndarray) -> np.ndarray:

@@ -42,10 +42,11 @@ from ._linalg import (
     EXACT,
     FLOAT,
     ExactnessError,
-    NonzeroEntries,
+    Entries,
     Scalars,
     adjoint,
     block_eigh,
+    hermitian_part,
     is_exact_array,
     is_exactly_zero,
     max_abs,
@@ -209,6 +210,13 @@ def build_charfn(
     both. Raises NotPureError for impure tuples, CharFnBuildError when the row
     defect fails positivity ("R is not a contraction") or when the range
     identification u is ill-defined.
+
+    E's labels are the graded space of degree <= ``constant_cap``, tables
+    shared, when g has no zero coefficient up to it. The block unitarity of
+    U is read from entries: U's are assembled from those of R*, B, P and D
+    (``Entries.grid``), and the E-side Gram P P* + D D* and U's two Grams
+    are sparse products, whose norms past the identity read their slots
+    when they are large (``_linalg.sparse_product``); no dense U is formed.
     """
     kernel = factorization.kernel
     pick = factorization.pick_factor
@@ -245,7 +253,9 @@ def build_charfn(
     g_mask[: constant_cap + 1] = np.array(g.coefficients[: constant_cap + 1]) != 0
     b_pos, g_pos = np.flatnonzero(b_mask[labels.degrees]), np.flatnonzero(g_mask[labels.degrees])
     row_space = BlockSpace([labels.labels[i] for i in b_pos], n)
-    e_space = BlockSpace([labels.labels[i] for i in g_pos], r)
+    # E holds every graded label of degree <= constant_cap when g has no zero coefficient there
+    g_full = g_mask[: constant_cap + 1].all()
+    e_space = BlockSpace(graded_space(t.num_vars, constant_cap) if g_full else [labels.labels[i] for i in g_pos], r)
     root_g = sc.roots(e_space.lift(g, sc))
     root_b = sc.roots(row_space.lift(b_s, sc))
 
@@ -293,18 +303,17 @@ def build_charfn(
     b_block = np.hstack([row_defect @ row_defect_basis, sc.zeros((row_space.dim, q_h))])
     d_block = np.hstack([-(range_unitary @ (row @ row_defect_basis)), -complement_basis])
 
-    # block unitarity of U = [[R*, B], [P, D]]
+    # block unitarity of U = [[R*, B], [P, D]]; the E-side Grams and U's own are read from entries
     rel1 = minus_identity(row_gram + b_block @ b_block.conj().T)
     rel2 = embedding @ row + d_block @ b_block.conj().T
-    e_entries, d_entries = NonzeroEntries.of(embedding), NonzeroEntries.of(d_block)
+    e_entries, d_entries = Entries.of(embedding), Entries.of(d_block)
     rel3 = minus_identity(sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_entries, d_entries.adjoint))
     diagnostics["block_relation_row"] = spectral_norm(rel1)
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
     diagnostics["block_relation_e"] = spectral_norm(rel3)
-    u_full = np.vstack([np.hstack([row.conj().T, b_block]), np.hstack([embedding, d_block])])
-    u_entries = NonzeroEntries.of(u_full)
-    diagnostics["unitary_gram"] = spectral_norm(minus_identity(sparse_product(u_entries.adjoint, u_entries)))
-    diagnostics["unitary_cogram"] = spectral_norm(minus_identity(sparse_product(u_entries, u_entries.adjoint)))
+    u = Entries.grid([[Entries.of(row.conj().T), Entries.of(b_block)], [e_entries, d_entries]])
+    diagnostics["unitary_gram"] = spectral_norm(minus_identity(sparse_product(u.adjoint, u)))
+    diagnostics["unitary_cogram"] = spectral_norm(minus_identity(sparse_product(u, u.adjoint)))
 
     # theta_gamma = sqrt(g_gamma) D_gamma
     #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha,
@@ -589,7 +598,7 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     # within one source the targets are distinct, so one fancy-indexed add per source; products enter as
     # p * (w_a * w_b), source by source, so the Gram has the bits of the dense per-source blocks
     theta = coeffs.reshape(n_terms * r, dom)
-    products = NonzeroEntries.of(theta @ theta.conj().T)
+    products = Entries.of(theta @ theta.conj().T)
     left_term, left_fiber = np.divmod(products.rows, r)
     right_term, right_fiber = np.divmod(products.cols, r)
     gram = scalars.zeros((window.dim, window.dim), products.values.dtype)
@@ -692,24 +701,24 @@ def k_inner_subspace(cfd: CharFnData) -> KInnerData:
 
     ``basis`` spans the eigenvectors of G = sum_gamma theta_gamma^* theta_gamma / k_gamma
     with eigenvalue >= 1 - ISOMETRY_TOL (EmptyKInnerError if there is none),
-    from one ``eigh`` per block size of G's connected blocks (``block_eigh``).
-    G is formed from the nonzero pairs of the Taylor stack (``sparse_product``).
+    from one ``eigh`` per block size of G's connected blocks (``block_eigh``),
+    which forms only the kept eigenvectors. G and (G + G*) / 2 are formed from
+    the nonzero pairs of the Taylor stack (``sparse_product``), as slot
+    entries when they are large, with no dense n x n array.
     ``shift_residual`` is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """
     space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
     stack = to_float_array(cfd.taylor.coefficients)
     inv_k = 1.0 / space.lift(cfd.kernel)[:, None, None]
-    theta = NonzeroEntries.of(stack.reshape(-1, dom))
-    gram = sparse_product(theta.adjoint, NonzeroEntries.of((stack * inv_k).reshape(-1, dom)))
-    vals, vecs = block_eigh((gram + gram.conj().T) / 2)
+    theta = Entries.of(stack.reshape(-1, dom))
+    gram = sparse_product(theta.adjoint, Entries.of((stack * inv_k).reshape(-1, dom)))
+    vals, basis = block_eigh(hermitian_part(gram), 1.0 - ISOMETRY_TOL)
     top = float(vals.max(initial=0.0))
-    sel = vals >= 1.0 - ISOMETRY_TOL
-    if not sel.any():
+    if not basis.shape[1]:
         raise EmptyKInnerError(
             f"empty k-inner space: largest Gram eigenvalue 1 - {1.0 - top:.3e} is below 1 - {ISOMETRY_TOL:g}"
         )
-    basis = vecs[:, sel]
     proj = stack @ basis
     worst = 0.0
     for alpha in enumerate_up_to_degree(cfd.kernel.dim, SHIFT_CHECK_DEGREE)[1:]:

@@ -1,11 +1,14 @@
 import dataclasses
 import functools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cnpchar._linalg import NonzeroEntries, adjoint, connected_blocks, is_exactly_zero, max_abs, polar_orthogonal, to_float_array
+from cnpchar import _linalg
+from cnpchar._linalg import Entries, adjoint, connected_blocks, is_exactly_zero, max_abs, polar_orthogonal, to_float_array
 from cnpchar.charfn import (
     CharFnBuildError,
     EmptyKInnerError,
@@ -24,7 +27,7 @@ from cnpchar.charfn import (
     theta_taylor_at,
 )
 from cnpchar.dilation import MonomialWindow, build_dilation, intertwining_residuals
-from cnpchar.multiindex import BlockSpace, add, degree, enumerate_up_to_degree
+from cnpchar.multiindex import BlockSpace, add, degree, enumerate_up_to_degree, graded_space
 from cnpchar.operators import (
     NotContractionError,
     NotPureError,
@@ -202,6 +205,28 @@ class TestBuildDiagnostics:
             "unitary_cogram",
         ):
             assert cfd.diagnostics[name] < 1e-10, name
+
+    @pytest.mark.parametrize("name", ["wide", "k2_da_d2_n2_c", "dadir_dir_d1_n1", "two_cells", "two_cells_exact"])
+    def test_slot_grams_give_the_dense_bits(self, name):
+        """The block-unitarity norms and the k-inner space read from slot entries equal the dense path's, bit for bit."""
+        runs = []
+        for constants in ({"SLOT_SPAN": math.inf}, {"SLOT_SPAN": 0, "SLOT_PAIRS": 0}):
+            with mock.patch.multiple(_linalg, **constants):
+                cfd = _wide_charfn.__wrapped__() if name == "wide" else _preset_charfn(name)
+                ki = k_inner_subspace(cfd)
+            runs.append((cfd.diagnostics, ki.basis.tobytes(order="A"), ki.gram_eigenvalues.tobytes(), ki.shift_residual))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", ["wide", "k2_da_d2_n2", "two_cells_exact", "dadir_dir_d1_n1"])
+    def test_e_space_shares_the_graded_tables_when_g_has_no_zero(self, name):
+        cfd = _wide_charfn() if name == "wide" else _preset_charfn(name)
+        g = cfd.factorization.positive_part
+        graded = graded_space(cfd.ops.num_vars, cfd.constant_cap)
+        full = all(g.coeff_1d(k) != 0 for k in range(cfd.constant_cap + 1))
+        assert list(cfd.g_support.labels) == _supports_reference(cfd)[1]
+        assert cfd.g_support.block_dim == cfd.fiber_dim
+        assert (cfd.g_support.index is graded.index and cfd.g_support.degrees is graded.degrees) == full
+        assert full == (name != "two_cells_exact")  # g = 1 through Szego
 
     def test_rejects_impure(self):
         k = szego_kernel(1, 24)
@@ -659,7 +684,7 @@ class TestMultiplierPlan:
                 assert np.array_equal(np.signbit(part(mult.gram)), np.signbit(part(expected)))
         if name == "k2_da_d2_n2_c":
             theta = to_float_array(cfd.taylor.coefficients).reshape(-1, cfd.domain_dim)
-            assert max(len(b[0]) for b in connected_blocks(NonzeroEntries.of(theta @ theta.conj().T))) > 1
+            assert max(len(b[0]) for b in connected_blocks(Entries.of(theta @ theta.conj().T))) > 1
 
     def test_dense_matrix_built_only_on_request(self, monkeypatch):
         from cnpchar import charfn

@@ -737,6 +737,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_charfn_verify_never_imports_numpy_ma(tmp_path):
+    """A plain ``np.unique`` imports ``numpy.ma`` on its first call, about 9 ms of a short run; no code path of a run calls one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["charfn", "verify", "--preset", "jordan", "--out", str(tmp_path / "report.json")]
+    probe = f"import sys; from cnpchar.cli import main; code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
 # coefficient strings a spec file may hold, well-formed or not
 _SCALARS = ["1", "1/1", "1/2", "3/4", "2", "0.5", "1e3", "inf", "-inf", "nan", "1/0", "-1", "0", "1/2/3", "x"]
 

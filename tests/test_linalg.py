@@ -1,9 +1,10 @@
 """The spectral norm helper (max |eigenvalue| on Hermitian input, the top singular value otherwise), the block helpers and the sparse product.
 
-Also the exact spectral steps on coordinate matrices, ``minus_identity``
-and the point stacks whose dtype decides their arithmetic. The norm and the
-blocks, which read a matrix's nonzero entries once, are checked bit for bit
-against the dense versions they replaced.
+Also the exact spectral steps on coordinate matrices, ``minus_identity``,
+the complement of a range and the point stacks whose dtype decides their
+arithmetic. The norm, the blocks and the eigendecomposition, which read a
+matrix's entries, and the slot entries of a sparse product are checked bit
+for bit against the dense versions they replaced.
 """
 
 import math
@@ -20,11 +21,12 @@ from cnpchar._linalg import (
     EXACT,
     FLOAT,
     ExactnessError,
-    NonzeroEntries,
+    Entries,
     block_eigh,
     connected_blocks,
     exact_zeros,
     frac_sqrt,
+    hermitian_part,
     holds_complex,
     is_coordinate,
     minus_identity,
@@ -34,6 +36,7 @@ from cnpchar._linalg import (
     psd_root,
     sparse_product,
     spectral_norm,
+    to_float_array,
 )
 
 RNG = np.random.default_rng(11)
@@ -116,7 +119,7 @@ def _planted_blocks(rng, sizes, dtype):
 def test_connected_blocks_find_permuted_blocks(dtype):
     """A permuted block-diagonal Hermitian matrix gives back its blocks, grouped by size, indices ascending."""
     a, planted = _planted_blocks(np.random.default_rng(2), [3, 1, 4, 1, 3, 2], dtype)
-    found = connected_blocks(NonzeroEntries.of(a))
+    found = connected_blocks(Entries.of(a))
     assert [g.shape[1] for g in found] == [1, 2, 3, 4]
     assert sorted(tuple(row) for g in found for row in g.tolist()) == sorted(planted)
     for g in found:
@@ -131,9 +134,9 @@ def test_connected_blocks_link_through_chains_and_one_sided_entries():
     order = np.random.default_rng(4).permutation(n)
     path = np.zeros((n, n))
     path[order[:-1], order[1:]] = 1.0
-    assert [g.tolist() for g in connected_blocks(NonzeroEntries.of(path))] == [[list(range(n))]]
-    assert [g.tolist() for g in connected_blocks(NonzeroEntries.of(np.zeros((3, 3))))] == [[[0], [1], [2]]]
-    assert connected_blocks(NonzeroEntries.of(np.zeros((0, 0)))) == []
+    assert [g.tolist() for g in connected_blocks(Entries.of(path))] == [[list(range(n))]]
+    assert [g.tolist() for g in connected_blocks(Entries.of(np.zeros((3, 3))))] == [[[0], [1], [2]]]
+    assert connected_blocks(Entries.of(np.zeros((0, 0)))) == []
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -142,21 +145,21 @@ def test_diagonal_norm_is_eigvalsh_bit_for_bit(dtype):
     d = rng.standard_normal(40)
     d[::7] = 0.0
     a = np.diag(d).astype(dtype)
-    assert [g.shape for g in connected_blocks(NonzeroEntries.of(a))] == [(40, 1)]
+    assert [g.shape for g in connected_blocks(Entries.of(a))] == [(40, 1)]
     assert spectral_norm(a) == np.abs(np.linalg.eigvalsh(a)).max()
 
 
 @pytest.mark.parametrize("name", ["real_symmetric", "complex_hermitian", "rank_deficient_psd"])
 def test_single_block_norm_is_eigvalsh_bit_for_bit(name):
     a = HERMITIAN[name]
-    assert [g.tolist() for g in connected_blocks(NonzeroEntries.of(a))] == [[list(range(a.shape[0]))]]
+    assert [g.tolist() for g in connected_blocks(Entries.of(a))] == [[list(range(a.shape[0]))]]
     assert spectral_norm(a) == np.abs(np.linalg.eigvalsh(a)).max()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_block_eigh_is_an_ascending_eigendecomposition(dtype):
     a, _ = _planted_blocks(np.random.default_rng(6), [2, 1, 3, 2, 1, 4], dtype)
-    w, v = block_eigh(a)
+    w, v = block_eigh(a, -np.inf)
     n = a.shape[0]
     assert w.shape == (n,) and v.shape == (n, n) and np.all(np.diff(w) >= 0)
     assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-14
@@ -339,7 +342,7 @@ def test_connected_blocks_match_the_contraction_over_every_index(density):
         a = (rng.random((n, n)) < density) * rng.standard_normal((n, n))
         if rng.random() < 0.5:
             a[np.diag_indices(n)] = rng.standard_normal(n) * (rng.random(n) < 0.5)
-        got, want = connected_blocks(NonzeroEntries.of(a)), _connected_blocks_reference(a)
+        got, want = connected_blocks(Entries.of(a)), _connected_blocks_reference(a)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -357,7 +360,7 @@ def test_sparse_product_matches_matmul_within_rounding(dtype):
     eps = np.finfo(float).eps
     for m, k, n, density in [(40, 30, 50, 0.05), (60, 60, 60, 0.02), (25, 80, 10, 0.1), (1, 1, 1, 1.0)]:
         a, b = _sparse(rng, (m, k), density, dtype), _sparse(rng, (k, n), density, dtype)
-        ea, eb = NonzeroEntries.of(a), NonzeroEntries.of(b)
+        ea, eb = Entries.of(a), Entries.of(b)
         assert int((np.abs(a) > 0).sum(axis=0) @ (np.abs(b) > 0).sum(axis=1)) <= m * n  # the pair side
         for got, want, bound in [
             (sparse_product(ea, eb), a @ b, np.abs(a) @ np.abs(b)),
@@ -374,8 +377,8 @@ def test_dense_factors_take_matmul_bit_for_bit(dtype):
     rng = np.random.default_rng(22)
     for m, k, n in [(300, 300, 300), (7, 5, 6)]:
         a, b = _sparse(rng, (m, k), 1.0, dtype), _sparse(rng, (k, n), 1.0, dtype)
-        ea = NonzeroEntries.of(a)
-        assert np.array_equal(sparse_product(ea, NonzeroEntries.of(b)), a @ b)
+        ea = Entries.of(a)
+        assert np.array_equal(sparse_product(ea, Entries.of(b)), a @ b)
         assert np.array_equal(sparse_product(ea.adjoint, ea), a.conj().T @ a)
 
 
@@ -385,8 +388,8 @@ def test_exact_factors_give_equal_fractions():
     for density in (0.1, 1.0):
         a = to_fraction(rng.integers(-4, 5, (9, 7)) * (rng.random((9, 7)) < density))
         b = to_fraction(rng.integers(-4, 5, (7, 8)) * (rng.random((7, 8)) < density))
-        ea = NonzeroEntries.of(a)
-        for got, want in [(sparse_product(ea, NonzeroEntries.of(b)), a @ b), (sparse_product(ea.adjoint, ea), a.T @ a)]:
+        ea = Entries.of(a)
+        for got, want in [(sparse_product(ea, Entries.of(b)), a @ b), (sparse_product(ea.adjoint, ea), a.T @ a)]:
             assert got.dtype == object and got.shape == want.shape
             assert all(isinstance(x, Fraction) and x == y for x, y in zip(got.flat, want.flat))
 
@@ -394,7 +397,7 @@ def test_exact_factors_give_equal_fractions():
 @pytest.mark.parametrize("shapes", [((0, 3), (3, 4)), ((3, 0), (0, 4)), ((3, 4), (4, 0)), ((4, 5), (5, 6))])
 def test_empty_and_zero_factors(shapes):
     a, b = np.zeros(shapes[0]), np.zeros(shapes[1])
-    got = sparse_product(NonzeroEntries.of(a), NonzeroEntries.of(b))
+    got = sparse_product(Entries.of(a), Entries.of(b))
     assert got.shape == (shapes[0][0], shapes[1][1]) and not got.any()
 
 
@@ -571,7 +574,7 @@ def _patterns(draw):
 @settings(max_examples=200, deadline=None)
 @given(_patterns())
 def test_connected_blocks_from_the_entries_match_the_dense_blocks(a):
-    got, want = connected_blocks(NonzeroEntries.of(a)), _dense_connected_blocks(a)
+    got, want = connected_blocks(Entries.of(a)), _dense_connected_blocks(a)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -582,7 +585,288 @@ def test_connected_blocks_from_the_entries_match_the_dense_blocks(a):
 def test_block_eigh_matches_the_dense_blocks(a):
     """block_eigh over the entry-list blocks gives what it gave over the dense blocks, bit for bit."""
     a = a + a.T
-    got = block_eigh(a)
+    got = block_eigh(a, -np.inf)
     with mock.patch.object(_linalg, "connected_blocks", lambda entries: _dense_connected_blocks(entries.matrix)):
-        want = block_eigh(a)
+        want = block_eigh(a, -np.inf)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _dense_sparse_product(a, b):
+    """sparse_product as it was before slot entries: the pairs added into a dense zero matrix in order, or a @ b beyond m * n pairs."""
+    (m, inner), n = a.shape, b.shape[1]
+    a_rows, a_cols = np.nonzero(a)
+    b_rows, b_cols = np.nonzero(b)
+    per_row = np.bincount(b_rows, minlength=inner)
+    counts = per_row[a_cols]
+    total = int(counts.sum())
+    if total > m * n:
+        return a @ b
+    left = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    right = np.argsort(b_rows, kind="stable")[(np.cumsum(per_row) - per_row)[a_cols[left]] + offsets]
+    out = exact_zeros((m, n)) if a.dtype == object else np.zeros((m, n), dtype=np.result_type(a, b))
+    np.add.at(out.reshape(-1), a_rows[left] * n + b_cols[right], a[a_rows, a_cols][left] * b[b_rows, b_cols][right])
+    return out
+
+
+def _dense_block_eigh(a):
+    """block_eigh as it was before it kept only some columns: every eigenvector scattered into an n x n array."""
+    n = a.shape[0]
+    parts = [(idx, *np.linalg.eigh(a[idx[:, :, None], idx[:, None, :]])) for idx in _dense_connected_blocks(a)]
+    vals = np.concatenate([w.ravel() for _, w, _ in parts]) if parts else np.zeros(0)
+    order = np.argsort(vals, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)
+    vecs = np.zeros((n, n), dtype=np.result_type(a.dtype, float))
+    start = 0
+    for idx, _, v in parts:
+        vecs[idx[:, :, None], column[start:start + idx.size].reshape(idx.shape)[:, None, :]] = v
+        start += idx.size
+    return vals[order], vecs
+
+
+def _norm_or_error(norm, a):
+    try:
+        return np.float64(norm(a)).tobytes()
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+_ALWAYS_SLOTS = {"SLOT_SPAN": 0, "SLOT_PAIRS": 0}
+
+
+@st.composite
+def _factors(draw, square=False):
+    """(a, b): sparse real, complex or Fraction factors of one inner size; some pair sums cancel to zero and NaN is drawn too.
+
+    A copy of one column of ``a`` with its sign flipped, over a copy of the
+    matching row of ``b``, makes those pairs cancel exactly; tiny values
+    make products that round to zero.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["real", "complex", "fraction"]))
+    m, inner = draw(st.integers(1, 14)), draw(st.integers(1, 10))
+    n = m if square else draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+
+    def sparse(shape):
+        x = rng.standard_normal(shape) * (rng.random(shape) < density)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(shape) * (rng.random(shape) < 0.5) * (x != 0)
+        if kind == "fraction":
+            x = np.vectorize(lambda v: Fraction(int(round(4 * v.real))) / 3, otypes=[object])(x)
+        return x
+
+    a, b = sparse((m, inner)), sparse((inner, n))
+    if inner > 1 and draw(st.booleans()):
+        a[:, -1], b[-1] = -a[:, 0], b[0]
+    if kind != "fraction" and draw(st.booleans()):
+        a[rng.integers(m), rng.integers(inner)] = 1e-200
+        b[rng.integers(inner), rng.integers(n)] = -1e-200
+    if kind != "fraction" and draw(st.integers(0, 9)) == 0:
+        a[rng.integers(m), rng.integers(inner)] = math.nan
+    return a, b
+
+
+def _same_entries(got, want):
+    """The same dtype and, entry by entry, equal Fractions or the same float bits, signs of zeros included."""
+    if want.dtype == object:
+        return got.dtype == object and _same_fractions(got, want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors())
+def test_slot_entries_hold_the_dense_product_bits(factors):
+    """Every slot holds what the dense accumulation holds there; the positions without a slot hold +0 there."""
+    a, b = factors
+    with mock.patch.multiple(_linalg, **_ALWAYS_SLOTS):
+        got = sparse_product(Entries.of(a), Entries.of(b))
+    want = _dense_sparse_product(a, b)
+    if isinstance(got, np.ndarray):  # more pairs than positions: the dense product itself
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=a.dtype != object)
+        return
+    keys = got.rows * got.shape[1] + got.cols
+    assert got.dense is None and np.all(np.diff(keys) > 0)
+    reached = (to_float_array(a) != 0).astype(int) @ (to_float_array(b) != 0).astype(int) > 0
+    assert np.array_equal(np.flatnonzero(reached), keys)
+    assert _same_entries(got.matrix, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors(square=True))
+def test_entry_norms_match_the_dense_norm_bit_for_bit(factors):
+    """spectral_norm(minus_identity(...)) of products, Grams and sums as slot entries, against the dense chain.
+
+    Products of two factors are mostly not Hermitian (the svd of the dense
+    matrix); Grams are, unless a NaN entered (svd, which raises).
+    """
+    a, b = factors
+    ea, eb = Entries.of(a), Entries.of(b)
+    cases = [
+        ((ea, eb), _dense_sparse_product(a, b)),
+        ((ea, ea.adjoint), _dense_sparse_product(a, a.conj().T)),
+        ((eb.adjoint, eb), _dense_sparse_product(b.conj().T, b)),
+    ]
+    with mock.patch.multiple(_linalg, **_ALWAYS_SLOTS):
+        got = [sparse_product(*pair) for pair, _ in cases]
+        got.append(got[1] + got[2] if got[1].shape == got[2].shape else got[1])
+    want = [dense for _, dense in cases]
+    want.append(want[1] + want[2] if want[1].shape == want[2].shape else want[1])
+    for g, w in zip(got, want):
+        assert _same_entries(minus_identity(g).matrix if isinstance(g, Entries) else minus_identity(g), minus_identity(w))
+        assert _norm_or_error(spectral_norm, minus_identity(g)) == _norm_or_error(
+            _dense_spectral_norm, to_float_array(minus_identity(w))
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors(), st.floats(0.0, 1.0))
+def test_entry_eigh_matches_the_dense_eigh_bit_for_bit(factors, quantile):
+    """block_eigh of the Hermitian part of a slot Gram gives the dense eigenvalues and the kept dense eigenvectors, bits and layout."""
+    a = to_float_array(factors[0])
+    assert a.dtype != object
+    if np.isnan(a).any():
+        return
+    ea = Entries.of(a)
+    with mock.patch.multiple(_linalg, **_ALWAYS_SLOTS):
+        gram = sparse_product(ea.adjoint, ea)
+    dense = hermitian_part(_dense_sparse_product(a.conj().T, a))
+    sym = hermitian_part(gram)
+    assert _same_entries(sym.matrix if isinstance(sym, Entries) else sym, dense)
+    want_vals, want_vecs = _dense_block_eigh(dense)
+    floor = float(np.quantile(want_vals, quantile))
+    vals, vecs = block_eigh(sym, floor)
+    kept = want_vecs[:, want_vals >= floor]
+    assert vals.tobytes() == want_vals.tobytes()
+    assert vecs.shape == kept.shape and vecs.tobytes(order="A") == kept.tobytes(order="A")
+    assert vecs.flags.f_contiguous == kept.flags.f_contiguous
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_part_of_entries_is_the_dense_one_bit_for_bit(dtype):
+    """Mirrors that are absent enter as the conjugate of +0, so imaginary parts of -0.0 keep their sign as they do densely."""
+    rng = np.random.default_rng(35)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        a = _sparse(rng, (n, n), 0.3, dtype) + 0.0  # no -0.0 off the pattern
+        if dtype is complex:
+            a.imag[(a.real != 0) & (rng.random((n, n)) < 0.5)] = -0.0
+        got = hermitian_part(Entries.of(a))
+        assert isinstance(got, Entries) and _same_entries(got.matrix, hermitian_part(a))
+
+
+def _permutation_like(rng, n, extra, dtype):
+    """A signed permutation matrix plus ``extra`` small entries: the pattern of the block unitary U."""
+    u = np.zeros((n, n), dtype=dtype)
+    u[np.arange(n), rng.permutation(n)] = rng.choice([-1.0, 1.0], n)
+    u[rng.integers(0, n, extra), rng.integers(0, n, extra)] += 0.1 * rng.standard_normal(extra)
+    return u
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_large_sparse_grams_stay_entries_and_small_ones_dense(dtype):
+    """At 300 x 300 with one entry per row the Grams are slot entries, at 17 x 17 dense arrays; both norms are the dense ones."""
+    rng = np.random.default_rng(31)
+    for n, kind in [(300, Entries), (17, np.ndarray)]:
+        u = _permutation_like(rng, n, 6, dtype)
+        eu = Entries.of(u)
+        for got, want in [
+            (sparse_product(eu.adjoint, eu), _dense_sparse_product(u.conj().T, u)),
+            (sparse_product(eu, eu.adjoint), _dense_sparse_product(u, u.conj().T)),
+        ]:
+            assert isinstance(got, kind)
+            assert _norm_or_error(spectral_norm, minus_identity(got)) == _norm_or_error(_dense_spectral_norm, minus_identity(want))
+            vals, vecs = block_eigh(hermitian_part(got), 1.0 - 1e-9)
+            want_vals, want_vecs = _dense_block_eigh(hermitian_part(want))
+            assert vals.tobytes() == want_vals.tobytes()
+            assert vecs.tobytes(order="A") == want_vecs[:, want_vals >= 1.0 - 1e-9].tobytes(order="A")
+
+
+def test_grid_is_the_block_matrix():
+    rng = np.random.default_rng(32)
+    blocks = [[_sparse(rng, (3, 4), 0.3, float), _sparse(rng, (3, 2), 0.5, complex)], [_sparse(rng, (5, 4), 0.2, float), np.zeros((5, 2))]]
+    got = Entries.grid([[Entries.of(x) for x in row] for row in blocks])
+    want = Entries.of(np.vstack([np.hstack(row) for row in blocks]))
+    assert got.shape == (8, 6) and got.dense is None
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in [(got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)])
+
+
+def test_sums_with_dense_arrays_are_dense():
+    rng = np.random.default_rng(33)
+    a = _permutation_like(rng, 200, 3, float)
+    ea = Entries.of(a)
+    slots = sparse_product(ea, ea.adjoint)
+    dense = a @ a.T
+    assert isinstance(slots, Entries)
+    for got in (slots + dense, dense + slots):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, slots.matrix + dense)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("LAPACK called")
+
+
+@pytest.mark.parametrize("shape", [(455, 4), (455, 12), (20, 4, 4), (6, 6), (3, 1, 5), (4, 4, 4, 4)])
+@pytest.mark.parametrize("dtype", [float, complex, object])
+def test_zero_input_norm_is_zero_without_lapack(shape, dtype):
+    a = exact_zeros(shape) if dtype == object else np.zeros(shape, dtype=dtype)
+    if dtype is float:
+        a[..., 0] = -0.0
+    with mock.patch.object(np.linalg, "svd", _refuse), mock.patch.object(np.linalg, "eigvalsh", _refuse):
+        assert _same_float(spectral_norm(a), 0.0)
+    assert _same_float(_dense_spectral_norm(to_float_array(a)), 0.0)
+
+
+def _full_svd_complement(a):
+    """The complement as the full SVD gives it: LAPACK's U past the rank."""
+    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    return u[:, int(np.sum(s > _linalg.RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0))):]
+
+
+def _counting_svd(calls):
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(kwargs.get("full_matrices", True) and kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    return counted
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6), st.sampled_from([float, complex]))
+def test_prefix_complement_is_the_svd_complement_bit_for_bit(seed, m, cols, dtype):
+    """Nonzero rows that are the first k = min(m, cols), of rank k: the unit columns e_k ... e_{m-1}, LAPACK's full U there, with no full SVD."""
+    rng = np.random.default_rng(seed)
+    k = min(m, cols)
+    a = np.zeros((m, cols), dtype=dtype)
+    a[:k] = _sparse(rng, (k, cols), 1.0, dtype)
+    calls = []
+    with mock.patch.object(np.linalg, "svd", _counting_svd(calls)):
+        got = orth_complement_of_range(a)
+    want = _full_svd_complement(a)
+    assert not any(calls) and want.shape == (m, m - k)
+    assert got.dtype == want.dtype and got.tobytes(order="A") == want.tobytes(order="A")
+
+
+@pytest.mark.parametrize("case", ["gap", "rank_deficient", "late_row", "more_columns", "zero"])
+def test_other_complements_take_the_full_svd(case):
+    rng = np.random.default_rng(34)
+    a = np.zeros((9, 3))
+    a[:3] = rng.standard_normal((3, 3))
+    if case == "gap":
+        a[1] = 0.0  # nonzero rows 0 and 2: not a prefix
+    elif case == "rank_deficient":
+        a[2] = a[0] + a[1]
+    elif case == "late_row":
+        a[8, 1] = 1e-300
+    elif case == "more_columns":
+        a[2] = 0.0  # two nonzero rows under three columns: LAPACK may rotate e_2 with the null space
+    else:
+        a[:] = 0.0
+    calls = []
+    with mock.patch.object(np.linalg, "svd", _counting_svd(calls)):
+        got = orth_complement_of_range(a)
+    assert any(calls)
+    assert got.tobytes(order="A") == _full_svd_complement(a).tobytes(order="A")
