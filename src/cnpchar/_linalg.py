@@ -23,7 +23,9 @@ large against its nonzero pairs stays entries: one slot per position that a
 pair reaches (:func:`sparse_product`). Sums, ``minus_identity``,
 ``hermitian_part``, ``spectral_norm`` and ``block_eigh`` read those slots
 with the bits the dense matrix would hold, and no dense array of the
-product's size is formed.
+product's size is formed. Every sum whose order fixes its bits is one
+ordered scatter-add (:func:`scatter_add`), in parts whose temporaries each
+caller bounds by its output's size.
 """
 
 from __future__ import annotations
@@ -204,6 +206,20 @@ def hermitian_part(a: np.ndarray | Entries) -> np.ndarray | Entries:
     return Entries(a.shape, rows, cols, (_spread(a.values, at, len(rows)) + mirror) / 2, None)
 
 
+def scatter_add(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out`` after ``for s, v in zip(slots, values): out[s] += v``, in place, bit for bit but a NaN's sign.
+
+    One ``np.add.at`` (numpy's fast path) over the flat positions of the rows of the C-contiguous
+    ``out``, ``Fraction`` object arrays included; calls in turn continue the order, so callers pass parts.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous output")
+    width, slots = math.prod(out.shape[1:]), np.asarray(slots, dtype=np.intp)
+    positions = slots if width == 1 else (slots[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), positions, np.reshape(values, -1))
+    return out
+
+
 # the pairs path of sparse_product keeps its sums as slot entries when the
 # product has more than SLOT_SPAN positions for each pair plus SLOT_PAIRS:
 # below that the dense (m, n) array costs less than the entry bookkeeping
@@ -216,8 +232,8 @@ def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
 
     Every entry a[i, k] pairs with every entry b[k, j]. When there are more
     pairs than positions in the (m, n) product, it is ``a.matrix @
-    b.matrix``. Otherwise one ``np.add.at`` adds each pair's product, in a
-    fixed order (a's entries in turn, each with b's in row-major order),
+    b.matrix``. Otherwise one ``scatter_add`` adds each pair's product, in
+    a fixed order (a's entries in turn, each with b's in row-major order),
     into zeros of the arithmetic, so the work is linear in the pairs: one
     zero per position of a dense (m, n) array, or, when the product is large
     against its pairs (``SLOT_SPAN``, ``SLOT_PAIRS``), one per slot of
@@ -236,12 +252,9 @@ def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
     right = np.argsort(b.rows, kind="stable")[(np.cumsum(per_row) - per_row)[a.cols[left]] + offsets]
     positions, dtype = a.rows[left] * n + b.cols[right], np.result_type(a.values, b.values)
     if m * n <= SLOT_SPAN * (total + SLOT_PAIRS):
-        out = _zeros(m * n, dtype)
-        np.add.at(out, positions, a.values[left] * b.values[right])
-        return out.reshape(m, n)
+        return scatter_add(_zeros(m * n, dtype), positions, a.values[left] * b.values[right]).reshape(m, n)
     slots, where = np.unique(positions, return_inverse=True)
-    values = _zeros(len(slots), dtype)
-    np.add.at(values, where, a.values[left] * b.values[right])
+    values = scatter_add(_zeros(len(slots), dtype), where, a.values[left] * b.values[right])
     return Entries((m, n), slots // n, slots % n, values, None)
 
 
@@ -562,7 +575,7 @@ def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
     live = (a != 0).any(axis=1)
     k = int(np.count_nonzero(live))
     if k == min(a.shape) and live[:k].all() and _rank(np.linalg.svd(a[:k], compute_uv=False)) == k:
-        return np.eye(m, dtype=np.result_type(a.dtype, float))[:, k:]
+        return np.eye(m, m - k, -k, dtype=np.result_type(a.dtype, float))
     u, s, _ = np.linalg.svd(a, full_matrices=True)
     return u[:, _rank(s):]
 

@@ -56,6 +56,7 @@ from ._linalg import (
     point_stack,
     polar_orthogonal,
     psd_root,
+    scatter_add,
     sparse_product,
     spectral_norm,
     to_float_array,
@@ -123,21 +124,10 @@ class TaylorCoefficients(Mapping):
         return EXACT if is_exact_array(self.coefficients) else FLOAT
 
     @functools.cached_property
-    def entries(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The nonzero entries as rounds of (labels, slots, values), a slot being a flat index into r x dom.
-
-        Round k holds the k-th entry of every slot that has more than k, the
-        labels of a slot ascending over the rounds, so no slot occurs twice
-        in one round.
-        """
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries as (labels, slots, values), a slot being a flat index into r x dom, labels ascending."""
         labels, rows, cols = nonzero_index(self.coefficients)
-        slots = rows * self.coefficients.shape[2] + cols
-        order = np.argsort(slots, kind="stable")  # by slot, labels ascending within one
-        rank = np.arange(len(order)) - np.searchsorted(slots[order], slots[order])  # the place in its slot
-        rounds = order[np.argsort(rank, kind="stable")]
-        cuts = np.searchsorted(np.sort(rank), np.arange(1, rank.max(initial=0) + 1))
-        values = self.coefficients[labels, rows, cols]
-        return [(labels[k], slots[k], values[k]) for k in np.split(rounds, cuts)]
+        return labels, rows * self.coefficients.shape[2] + cols, self.coefficients[labels, rows, cols]
 
 
 @dataclass(eq=False)
@@ -398,19 +388,20 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     Only the nonzero entries of the Taylor stack are read
     (``TaylorCoefficients.entries``): each entry of the result is the sum
     of monomial x coefficient over its nonzero coefficients, labels in
-    ascending order, from zero. Every point runs the same sums, so a single
-    point and a stack agree bit for bit, and the work is linear in the
-    nonzero entries.
+    ascending order, from zero: one ordered ``scatter_add`` in parts of r x
+    dom entries, so no temporary outgrows the result. Every point runs the
+    same sums, so a single point and a stack agree bit for bit.
     """
     pts, single = point_stack(points)
     taylor = cfd.taylor
     sp = taylor.scalars.at(pts)
-    monomials = sp.monomial(taylor.space.monomials(pts))
+    monomials = sp.monomial(taylor.space.monomials(pts)).T
     _, r, dom = taylor.coefficients.shape
-    out = sp.zeros((len(pts), r * dom), complex)
-    for labels, slots, values in taylor.entries:
-        out[:, slots] += monomials[:, labels] * sp.array(values)
-    out = out.reshape(len(pts), r, dom)
+    labels, slots, values = taylor.entries
+    out = sp.zeros((r * dom, len(pts)), complex)
+    for at in (slice(k, k + r * dom) for k in range(0, len(slots), r * dom)):
+        scatter_add(out, slots[at], monomials[labels[at]] * sp.array(values[at])[:, None])
+    out = np.ascontiguousarray(out.T).reshape(len(pts), r, dom)  # C order: a strided view's products round otherwise
     return out[0] if single else out
 
 
@@ -497,10 +488,8 @@ def row_symbol_margin(cfd: CharFnData, points: Sequence):
     space = cfd.b_support
     b = space.lift(reciprocal_complement(cfd.pick_factor))
     monomials = FLOAT.monomial(space.monomials(points))
-    total = 0
-    for c, m in zip(b, monomials.T):
-        total = total + c * np.hypot(m.real, m.imag) ** 2
-    value = 1.0 - total
+    squares = b[:, None] * np.hypot(monomials.real, monomials.imag).T ** 2  # summed in label order, from 0
+    value = 1.0 - scatter_add(np.zeros((1, len(monomials))), np.zeros(len(b), dtype=int), squares)[0]
     s_val = np.asarray(cfd.pick_factor.evaluate(points, points, truncated=True).value, dtype=complex)
     mismatch = np.abs(value - 1.0 / np.hypot(s_val.real, s_val.imag))
     return value.min(), mismatch.max()
@@ -520,13 +509,12 @@ class MultiplierMatrix:
     ``terms[k]``, at target block ``targets[k]`` of source block
     ``sources[k]``; the weight is sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}).
     The plan runs source by source, and pairs whose target lies beyond the
-    window are left out of it. ``gram`` is M_theta M_theta^* on the window:
-    each source adds the nonzero entries of Theta Theta^*, moved through the
-    plan and weighted. The dense ``matrix`` is scattered through the same
-    plan only when it is read. ``exact_window`` is set when no Taylor mass
-    was discarded: the window's degree is at least ``source_degree`` plus
-    the top Taylor degree. ``discarded_mass`` bounds the squared column
-    mass of the pairs left out.
+    window are left out of it. ``gram`` is M_theta M_theta^* on the window
+    (``build_multiplier``); the dense ``matrix`` is scattered through the
+    same plan only when it is read. ``exact_window`` is set when no Taylor
+    mass was discarded: the window's degree is at least ``source_degree``
+    plus the top Taylor degree. ``discarded_mass`` bounds the squared
+    column mass of the pairs left out.
     """
 
     taylor: TaylorCoefficients
@@ -562,10 +550,8 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     sum_beta W_beta P_beta (Theta Theta^*) P_beta^* W_beta, with P_beta moving
     Taylor label gamma to target block beta + gamma and W_beta the weights:
     one product of the Taylor stack with itself, whose nonzero entries each
-    source label adds at its own targets, in source order. Theta Theta^* is
-    as sparse as the grading makes it (on the graded models often
-    diagonal), so a source costs its share of those entries, not a dense
-    block.
+    source label adds at its own targets by one ordered ``scatter_add``, in
+    source order, so a source costs the entries it reaches, not a dense block.
     """
     taylor, pick, kernel, window = cfd.taylor, cfd.pick_factor, cfd.kernel, dil.window
     coeffs = taylor.coefficients
@@ -595,23 +581,22 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
         peak = np.abs(to_float_array(coeffs)).max(axis=(1, 2), initial=0.0)
         discarded = float(np.max(ratio * peak[lost_terms] ** 2))
 
-    # within one source the targets are distinct, so one fancy-indexed add per source; products enter as
-    # p * (w_a * w_b), source by source, so the Gram has the bits of the dense per-source blocks
+    # a source reaches the Taylor labels of degree <= target_degree - its own, so the products it adds are a
+    # prefix once sorted by the higher degree of their two labels; they enter as p * (w_a * w_b) at its
+    # places of the Taylor rows, distinct in one source, so the Gram has the bits of the per-source blocks
     theta = coeffs.reshape(n_terms * r, dom)
     products = Entries.of(theta @ theta.conj().T)
-    left_term, left_fiber = np.divmod(products.rows, r)
-    right_term, right_fiber = np.divmod(products.cols, r)
-    gram = scalars.zeros((window.dim, window.dim), products.values.dtype)
-    slot = np.empty(n_terms, dtype=int)
-    cuts = np.searchsorted(sources, np.arange(1, len(source.labels)))
-    for at_terms, at_targets, w in zip(np.split(terms, cuts), np.split(targets, cuts), np.split(weights, cuts)):
-        slot.fill(-1)
-        slot[at_terms] = np.arange(len(at_terms))
-        a, b = slot[left_term], slot[right_term]
-        keep = (a >= 0) & (b >= 0)
-        a, b = a[keep], b[keep]
-        rows, cols = at_targets[a] * r + left_fiber[keep], at_targets[b] * r + right_fiber[keep]
-        gram[rows, cols] += products.values[keep] * (w[a] * w[b])
+    reach = np.maximum(*taylor.space.degrees[[products.rows // r, products.cols // r]])
+    order = np.argsort(reach, kind="stable")
+    rows, cols, values = products.rows[order], products.cols[order], products.values[order]
+    ends = np.searchsorted(reach[order], target_degree - source.degrees, side="right")
+    # per source, the Gram row of each row (label, fiber) of the Taylor stack, and its weight
+    place, scale = np.zeros((*inside.shape, r), dtype=int), scalars.zeros(inside.shape, weights.dtype)
+    place[inside], scale[inside] = targets[:, None] * r + np.arange(r), weights
+    gram = scalars.zeros((window.dim, window.dim), values.dtype)
+    for at, w, end in zip(place.reshape(len(place), -1), np.repeat(scale, r, axis=1), ends):
+        row, col = rows[:end], cols[:end]
+        scatter_add(gram.reshape(-1), at[row] * window.dim + at[col], values[:end] * (w[row] * w[col]))
     return MultiplierMatrix(
         taylor=taylor,
         source=source,
@@ -870,7 +855,7 @@ def coincidence_residual(cfd_a: CharFnData, cfd_b: CharFnData) -> tuple[float, f
 
     def label_sum(products):
         # sum over the labels in order, from 0, as the scalar sum adds them
-        return np.add.accumulate(np.concatenate([np.zeros_like(products[:1]), products]), axis=0)[-1]
+        return scatter_add(np.zeros_like(products[:1]), np.zeros(len(products), dtype=int), products)[0]
 
     def mismatch(gaps):
         total = 0.0

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from cnpchar import _linalg
-from cnpchar._linalg import Entries, adjoint, connected_blocks, is_exactly_zero, max_abs, polar_orthogonal, to_float_array
+from cnpchar._linalg import (
+    Entries,
+    adjoint,
+    connected_blocks,
+    is_exactly_zero,
+    max_abs,
+    point_stack,
+    polar_orthogonal,
+    to_float_array,
+)
 from cnpchar.charfn import (
     CharFnBuildError,
     EmptyKInnerError,
@@ -327,6 +336,30 @@ class TestThetaEvaluation:
         assert 0.0 < gap <= 1e-10
         assert np.array_equal(taylor_sum, theta_taylor_at(cfd, z))
 
+    @pytest.mark.parametrize("name", ["k2_da_d2_n2_c", "wide", "jordan_exact"])
+    def test_taylor_sum_is_the_per_label_sum_bit_for_bit(self, name, request):
+        """theta at a stack and at each point alone equals the label-by-label sum, sign bits included (equal Fractions exactly)."""
+        if name == "jordan_exact":
+            cfd = request.getfixturevalue("jordan_exact")[0]
+            points = [[Fraction(1, 3)], [Fraction(-2, 5)], [Fraction(0)], [Fraction(7, 9)]]
+        else:
+            cfd = _wide_charfn() if name == "wide" else _preset_charfn(name)
+            points = sample_points(np.random.default_rng(41), 12, cfd.kernel.dim)
+        _, r, dom = cfd.taylor.coefficients.shape
+        nonzero = np.count_nonzero(cfd.taylor.coefficients)
+        if name == "k2_da_d2_n2_c":  # several parts of r x dom entries, and slots with many labels each
+            per_slot = np.count_nonzero(cfd.taylor.coefficients, axis=0)
+            assert (nonzero, np.count_nonzero(per_slot), per_slot.max()) == (205, 124, 10) and nonzero > r * dom
+        want = _theta_reference(cfd, points)
+        got = theta_taylor_at(cfd, points)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+        singles = np.stack([theta_taylor_at(cfd, z) for z in points])
+        for value in (got, singles):
+            if cfd.exact:
+                assert all(type(x) is type(y) and x == y for x, y in zip(value.flat, want.flat))
+            else:
+                assert value.tobytes() == want.tobytes()
+
     def test_cap_stability(self):
         """Taylor coefficients do not move when the windows grow; new domain
         columns attached by a larger window are zero at retained degrees."""
@@ -341,6 +374,19 @@ class TestThetaEvaluation:
             bigger = large.taylor[gamma]
             assert max_abs(np.asarray(bigger)[:, :dom_small] - np.asarray(coeff)) < 1e-12
             assert max_abs(np.asarray(bigger)[:, dom_small:]) < 1e-12
+
+
+def _theta_reference(cfd, points):
+    """theta as a label-by-label sum: at each point, the nonzero coefficients in ascending label order, from zero."""
+    pts = point_stack(points)[0]
+    sp = cfd.taylor.scalars.at(pts)
+    monomials = sp.monomial(cfd.taylor.space.monomials(pts))
+    coeffs = cfd.taylor.coefficients
+    out = sp.zeros((len(pts), *coeffs.shape[1:]), complex)
+    for label, coeff in enumerate(coeffs):
+        rows, cols = np.nonzero(coeff)
+        out[:, rows, cols] += monomials[:, label, None] * sp.array(coeff[rows, cols])
+    return out
 
 
 FRACTION_ARITHMETIC = (

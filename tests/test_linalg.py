@@ -34,6 +34,7 @@ from cnpchar._linalg import (
     orth_complement_of_range,
     point_stack,
     psd_root,
+    scatter_add,
     sparse_product,
     spectral_norm,
     to_float_array,
@@ -848,6 +849,7 @@ def test_prefix_complement_is_the_svd_complement_bit_for_bit(seed, m, cols, dtyp
     want = _full_svd_complement(a)
     assert not any(calls) and want.shape == (m, m - k)
     assert got.dtype == want.dtype and got.tobytes(order="A") == want.tobytes(order="A")
+    assert got.flags.c_contiguous and got.flags.owndata  # formed at its own size, not a view of an m x m identity
 
 
 @pytest.mark.parametrize("case", ["gap", "rank_deficient", "late_row", "more_columns", "zero"])
@@ -870,3 +872,66 @@ def test_other_complements_take_the_full_svd(case):
         got = orth_complement_of_range(a)
     assert any(calls)
     assert got.tobytes(order="A") == _full_svd_complement(a).tobytes(order="A")
+
+
+# signed zeros, inf, NaN and terms whose sum depends on its order, (1e16 + 1) - 1e16 against (1e16 - 1e16) + 1
+_SCATTER_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, 1e16, -1e16, 0.1, 0.2, 0.3]), st.floats(-1e300, 1e300)
+)
+
+
+@st.composite
+def _scatter_cases(draw):
+    """(out, parts of (slots, values)) with repeated slots, empty parts, signed zeros, inf and NaN, in one arithmetic."""
+    kind = draw(st.sampled_from(["float", "complex", "fraction"]))
+    rows, tail = draw(st.integers(1, 6)), draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    if kind == "fraction":
+        scalar = st.fractions(max_denominator=50).map(lambda f: Fraction(f.numerator, f.denominator))
+    elif kind == "float":
+        scalar = _SCATTER_FLOATS
+    else:
+        scalar = st.builds(complex, _SCATTER_FLOATS, _SCATTER_FLOATS)
+
+    def array(count):
+        values = draw(st.lists(scalar, min_size=count * math.prod(tail), max_size=count * math.prod(tail)))
+        return np.array(values, dtype={"float": float, "complex": complex, "fraction": object}[kind]).reshape(count, *tail)
+
+    out = array(rows)
+    slots = draw(st.lists(st.integers(0, rows - 1), max_size=12))
+    values = array(len(slots))
+    cuts = sorted(draw(st.lists(st.integers(0, len(slots)), max_size=4)))
+    bounds = list(zip([0] + cuts, cuts + [len(slots)]))
+    return out, [(np.array(slots[a:b], dtype=int), values[a:b]) for a, b in bounds]
+
+
+def _same_bits_or_nan(got, want):
+    """The same dtype and float bits, signs of zeros included, and NaN at the same places: IEEE leaves a NaN's sign
+    and payload open, and numpy's array and scalar loops pick them differently (inf + -inf + nan gives either)."""
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    parts = [(got.real, want.real), (got.imag, want.imag)] if got.dtype == complex else [(got, want)]
+    for x, y in parts:
+        nan = np.isnan(x)
+        if not np.array_equal(nan, np.isnan(y)) or x[~nan].tobytes() != y[~nan].tobytes():
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scatter_cases())
+def test_scatter_add_is_the_ordered_loop_bit_for_bit(case):
+    """Parts in turn add each value into its row in list order, as the loop ``out[s] += v`` does, from the row's own value."""
+    out, parts = case
+    want = out.copy()
+    for slots, values in parts:
+        for slot, value in zip(slots, values):
+            want[slot] += value
+    for slots, values in parts:
+        assert scatter_add(out, slots, values) is out
+    assert _same_fractions(out, want) if want.dtype == object else _same_bits_or_nan(out, want)
+
+
+def test_scatter_add_refuses_a_strided_output():
+    """A strided view would take the sums in a flat copy and lose them."""
+    with pytest.raises(ValueError):
+        scatter_add(np.zeros((5, 4)).T, np.array([3, 0]), np.ones((2, 5)))
