@@ -20,7 +20,9 @@ backend for that computation. Float spectral steps read a matrix's
 structure once, as its entries (:class:`Entries`), from which the norm and
 the blocks of a sparse Gram follow. A product of sparse factors that is
 large against its nonzero pairs stays entries: one slot per position that a
-pair reaches (:func:`sparse_product`). Sums, ``minus_identity``,
+pair reaches (:func:`sparse_product`), and so can any ordered sum of terms
+at positions (:func:`ordered_sum`), as the multiplier Gram does when its
+slots take less memory than the dense array. Sums, ``minus_identity``,
 ``hermitian_part``, ``spectral_norm`` and ``block_eigh`` read those slots
 with the bits the dense matrix would hold, and no dense array of the
 product's size is formed. Every sum whose order fixes its bits is one
@@ -31,6 +33,7 @@ caller bounds by its output's size.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,8 +106,8 @@ class Entries:
     """A matrix held as entries: the row, column and value of each, at most one per position, row-major.
 
     ``of`` reads a formed matrix once, as its nonzero entries, and keeps the
-    matrix as ``dense``. Entries built without one (``grid``, the pairs path
-    of ``sparse_product``, sums, ``hermitian_part`` and ``minus_identity``)
+    matrix as ``dense``. Entries built without one (``grid``,
+    ``ordered_sum``, sums, ``hermitian_part`` and ``minus_identity``)
     hold slots: one per position that some term reached, whose value may be
     a zero of either sign, while every other position holds +0. Their sums
     give, on every slot, the bits of the same sum of the dense matrices, and
@@ -227,12 +230,40 @@ SLOT_SPAN = 64
 SLOT_PAIRS = 256
 
 
+def ordered_sum(
+    shape, dtype, sizes, keys: Callable[[int], np.ndarray], terms: Callable[[int], np.ndarray], slots: bool
+) -> np.ndarray | Entries:
+    """The (m, n) sum of terms at flat positions, given in parts, from zeros of ``dtype``: one ``scatter_add`` a part.
+
+    Part i, one of ``len(sizes)`` (at least one), has ``sizes[i]`` terms;
+    ``keys(i)`` gives their flat positions and ``terms(i)`` their values, so
+    every position gets its terms in list order, part after part. With
+    ``slots`` the sum is ``Entries`` holding slots, one per position that
+    some key reaches, and every part's keys are formed before the first
+    part's terms; a key then costs 16 bytes, its position and its slot.
+    Otherwise it is the dense (m, n) array, and no key is kept past its
+    part. Both hold the same bits on every position, and at most one part
+    of terms is held at a time.
+    """
+    m, n = shape
+    if not slots:
+        out = _zeros(m * n, dtype)
+        for i in range(len(sizes)):
+            scatter_add(out, keys(i), terms(i))
+        return out.reshape(m, n)
+    reached, where = np.unique(np.concatenate([keys(i) for i in range(len(sizes))]), return_inverse=True)
+    out = _zeros(len(reached), dtype)
+    for i, at in enumerate(np.split(where, np.cumsum(sizes)[:-1])):
+        scatter_add(out, at, terms(i))
+    return Entries(shape, reached // n, reached % n, out, None)
+
+
 def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
     """The matrix product of ``a`` and ``b``, from the entry pairs of both factors when they are few.
 
     Every entry a[i, k] pairs with every entry b[k, j]. When there are more
     pairs than positions in the (m, n) product, it is ``a.matrix @
-    b.matrix``. Otherwise one ``scatter_add`` adds each pair's product, in
+    b.matrix``. Otherwise :func:`ordered_sum` adds each pair's product, in
     a fixed order (a's entries in turn, each with b's in row-major order),
     into zeros of the arithmetic, so the work is linear in the pairs: one
     zero per position of a dense (m, n) array, or, when the product is large
@@ -250,12 +281,14 @@ def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
     left = np.repeat(np.arange(len(counts)), counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     right = np.argsort(b.rows, kind="stable")[(np.cumsum(per_row) - per_row)[a.cols[left]] + offsets]
-    positions, dtype = a.rows[left] * n + b.cols[right], np.result_type(a.values, b.values)
-    if m * n <= SLOT_SPAN * (total + SLOT_PAIRS):
-        return scatter_add(_zeros(m * n, dtype), positions, a.values[left] * b.values[right]).reshape(m, n)
-    slots, where = np.unique(positions, return_inverse=True)
-    values = scatter_add(_zeros(len(slots), dtype), where, a.values[left] * b.values[right])
-    return Entries((m, n), slots // n, slots % n, values, None)
+    return ordered_sum(
+        (m, n),
+        np.result_type(a.values, b.values),
+        [total],
+        lambda _: a.rows[left] * n + b.cols[right],
+        lambda _: a.values[left] * b.values[right],
+        m * n > SLOT_SPAN * (total + SLOT_PAIRS),
+    )
 
 
 def max_abs(a: np.ndarray) -> float:

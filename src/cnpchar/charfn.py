@@ -52,6 +52,7 @@ from ._linalg import (
     max_abs,
     minus_identity,
     nonzero_index,
+    ordered_sum,
     orth_complement_of_range,
     point_stack,
     polar_orthogonal,
@@ -136,6 +137,8 @@ class CharFnData:
 
     ``defect`` is the DefectData the blocks were built from: the tuple, its
     defects and the basis of Ran Defect that theta's rows are written in.
+    The complement of Ran P in E is not stored: it is read back from D =
+    [-u R Q_R, -complement] (``complement_basis``).
     ``taylor`` holds the Taylor coefficients of theta, which every later
     step reads. ``diagnostics`` records the residuals of every defining
     identity checked during the build.
@@ -147,7 +150,6 @@ class CharFnData:
     g_support: BlockSpace
     embedding: np.ndarray
     range_unitary: np.ndarray
-    complement_basis: np.ndarray
     row_contraction: np.ndarray
     row_defect: np.ndarray
     row_defect_basis: np.ndarray
@@ -180,7 +182,12 @@ class CharFnData:
 
     @property
     def domain_dim(self) -> int:
-        return self.row_defect_basis.shape[1] + self.complement_basis.shape[1]
+        return self.d_block.shape[1]
+
+    @property
+    def complement_basis(self) -> np.ndarray:
+        """The unit columns that complement Ran P in E: D's trailing columns, negated back, bit for bit."""
+        return -self.d_block[:, self.row_defect_basis.shape[1] :]
 
 
 def build_charfn(
@@ -291,7 +298,11 @@ def build_charfn(
     p = row_defect_basis.shape[1]
     q_h = complement_basis.shape[1]
     b_block = np.hstack([row_defect @ row_defect_basis, sc.zeros((row_space.dim, q_h))])
-    d_block = np.hstack([-(range_unitary @ (row @ row_defect_basis)), -complement_basis])
+    # D = [-u R Q_R, -complement], negated into its place
+    outer = range_unitary @ (row @ row_defect_basis)
+    d_block = np.empty((e_space.dim, p + q_h), dtype=np.result_type(outer, complement_basis))
+    np.negative(outer, out=d_block[:, :p])
+    np.negative(complement_basis, out=d_block[:, p:])
 
     # block unitarity of U = [[R*, B], [P, D]]; the E-side Grams and U's own are read from entries
     rel1 = minus_identity(row_gram + b_block @ b_block.conj().T)
@@ -307,9 +318,10 @@ def build_charfn(
 
     # theta_gamma = sqrt(g_gamma) D_gamma
     #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha,
-    # summed in place over the labels in order of first appearance. Float
-    # entries start at -0.0, the exact additive identity, so a first term
-    # enters unchanged, sign of zero included.
+    # summed in place over the labels in order of first appearance. The g
+    # labels lead and start at their first term; the others start at -0.0,
+    # the exact additive identity, so a first term enters unchanged, sign of
+    # zero included.
     a = graded_space(t.num_vars, beta_top).lift(kernel, sc)
     exps = labels.exponents
     sums = (exps[b_pos, None, :] + exps[None, :n_betas, :]).reshape(-1, t.num_vars)
@@ -318,8 +330,8 @@ def build_charfn(
     gamma_space = BlockSpace([tuple(x) for x in gammas[np.sort(first)].tolist()], r)
     targets = gamma_space.positions(sums).reshape(len(b_pos), n_betas)
     stack = sc.zeros((len(gamma_space.labels), r, p + q_h), t.dtype)
-    np.negative(stack, out=stack)
-    stack[: len(g_pos)] += root_g[:, None, None] * d_block.reshape(len(g_pos), r, p + q_h)  # the g labels lead
+    np.negative(stack[len(g_pos) :], out=stack[len(g_pos) :])
+    np.multiply(root_g[:, None, None], d_block.reshape(len(g_pos), r, p + q_h), out=stack[: len(g_pos)])
     for alpha_targets, scale, block in zip(targets, root_b, b_block.reshape(len(b_pos), n, p + q_h)):
         for target, a_beta, rows in zip(alpha_targets, a, defect_rows):
             stack[target] += (a_beta * scale) * (rows @ block)
@@ -333,7 +345,6 @@ def build_charfn(
         g_support=e_space,
         embedding=embedding,
         range_unitary=range_unitary,
-        complement_basis=complement_basis,
         row_contraction=row,
         row_defect=row_defect,
         row_defect_basis=row_defect_basis,
@@ -510,11 +521,14 @@ class MultiplierMatrix:
     ``sources[k]``; the weight is sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}).
     The plan runs source by source, and pairs whose target lies beyond the
     window are left out of it. ``gram`` is M_theta M_theta^* on the window
-    (``build_multiplier``); the dense ``matrix`` is scattered through the
-    same plan only when it is read. ``exact_window`` is set when no Taylor
-    mass was discarded: the window's degree is at least ``source_degree``
-    plus the top Taylor degree. ``discarded_mass`` bounds the squared
-    column mass of the pairs left out.
+    (``build_multiplier``): slot entries (``Entries``, one slot per position
+    some source reaches) when they take less memory than the dense window x
+    window array, else that array, with the same bits on every position. The
+    dense ``matrix`` of M_theta is scattered through the same plan only when
+    it is read. ``exact_window`` is set when no Taylor mass was discarded:
+    the window's degree is at least ``source_degree`` plus the top Taylor
+    degree. ``discarded_mass`` bounds the squared column mass of the pairs
+    left out.
     """
 
     taylor: TaylorCoefficients
@@ -524,7 +538,7 @@ class MultiplierMatrix:
     terms: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    gram: np.ndarray
+    gram: np.ndarray | Entries
     source_degree: int
     exact_window: bool
     discarded_mass: float
@@ -552,6 +566,10 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     one product of the Taylor stack with itself, whose nonzero entries each
     source label adds at its own targets by one ordered ``scatter_add``, in
     source order, so a source costs the entries it reaches, not a dense block.
+    The sum is ``_linalg.ordered_sum``: slot entries when they are the
+    smaller form, 16 bytes for each entry a source adds against the
+    itemsize of each dense window x window position, else the dense array.
+    Either way the values are formed one source at a time.
     """
     taylor, pick, kernel, window = cfd.taylor, cfd.pick_factor, cfd.kernel, dil.window
     coeffs = taylor.coefficients
@@ -593,10 +611,19 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     # per source, the Gram row of each row (label, fiber) of the Taylor stack, and its weight
     place, scale = np.zeros((*inside.shape, r), dtype=int), scalars.zeros(inside.shape, weights.dtype)
     place[inside], scale[inside] = targets[:, None] * r + np.arange(r), weights
-    gram = scalars.zeros((window.dim, window.dim), values.dtype)
-    for at, w, end in zip(place.reshape(len(place), -1), np.repeat(scale, r, axis=1), ends):
-        row, col = rows[:end], cols[:end]
-        scatter_add(gram.reshape(-1), at[row] * window.dim + at[col], values[:end] * (w[row] * w[col]))
+    place, scale = place.reshape(len(place), -1), np.repeat(scale, r, axis=1)
+
+    def positions_of(s):
+        at, end = place[s], ends[s]
+        return at[rows[:end]] * window.dim + at[cols[:end]]
+
+    def products_of(s):
+        w, end = scale[s], ends[s]
+        return values[:end] * (w[rows[:end]] * w[cols[:end]])
+
+    # slots when they are the smaller form: 16 bytes a key against a dense position's itemsize
+    slots = 16 * int(ends.sum()) < values.itemsize * window.dim**2
+    gram = ordered_sum((window.dim, window.dim), values.dtype, ends, positions_of, products_of, slots)
     return MultiplierMatrix(
         taylor=taylor,
         source=source,
@@ -634,7 +661,10 @@ def factorization_residual(
 ) -> FactorizationResidual:
     """V V^* + M_theta M_theta^* - I on the exact degree range, M_theta M_theta^* read from ``mult.gram``.
 
-    ``mult`` must be built on ``dil``'s window. No dense M_theta is formed.
+    ``mult`` must be built on ``dil``'s window. No dense M_theta is formed,
+    and of slot entries only the restricted block is made dense, read at
+    its index mesh (``Entries.at``). ||M_theta|| is the root of
+    ``spectral_norm`` of the Gram, which reads slot entries block by block.
     """
     window = dil.window
     if mult.window is not window:
@@ -645,9 +675,10 @@ def factorization_residual(
         cfd.support_cap,
         cfd.constant_cap,
     )
-    mask = window.degree_mask(restricted_degree)
-    v = dil.matrix[mask]
-    sub = minus_identity(v @ v.conj().T + mult.gram[np.ix_(mask, mask)])
+    idx = np.flatnonzero(window.degree_mask(restricted_degree))
+    v, mesh = dil.matrix[idx], (idx[:, None], idx[None, :])
+    block = mult.gram.at(*mesh) if isinstance(mult.gram, Entries) else mult.gram[mesh]
+    sub = minus_identity(v @ v.conj().T + block)
     exact_zero = bool(window.scalars.exact and is_exactly_zero(sub))
     return FactorizationResidual(
         restricted=spectral_norm(sub),

@@ -202,7 +202,7 @@ def test_criterion_09_projection_partition(matrix):
         mult = build_multiplier(cfd, dil, 3)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted_exact
-        total = dil.matrix @ dil.matrix.conj().T + mult.gram - dil.window.scalars.eye(dil.window.dim)
+        total = dil.matrix @ dil.matrix.conj().T + mult.gram.matrix - dil.window.scalars.eye(dil.window.dim)
         assert is_exactly_zero(total)
 
 

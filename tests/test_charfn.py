@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -168,7 +169,7 @@ class TestJordanCell:
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted_exact and fr.restricted == 0.0
         # on the whole window too: the double shift loses no mass
-        total = dil.matrix @ dil.matrix.conj().T + mult.gram - dil.window.scalars.eye(dil.window.dim)
+        total = dil.matrix @ dil.matrix.conj().T + _gram_matrix(mult) - dil.window.scalars.eye(dil.window.dim)
         assert is_exactly_zero(total)
 
     def test_k_inner_full_space(self, jordan_exact):
@@ -641,6 +642,11 @@ def _dense_multiplier_reference(cfd, source_degree, target_degree):
     return matrix, discarded
 
 
+def _gram_matrix(mult):
+    """M_theta M_theta^* as a dense array: ``mult.gram`` itself, or the matrix of its slot entries."""
+    return mult.gram.matrix if isinstance(mult.gram, Entries) else mult.gram
+
+
 def _per_source_gram(mult):
     """M_theta M_theta^* from ``mult``'s plan, one dense block of Theta Theta^* per source label.
 
@@ -671,6 +677,14 @@ def _wide_charfn():
     return charfn_of(model_tuple(k, 3, 1, mode="float"), factor_through_pick(k, s), support_cap=12, constant_cap=12)
 
 
+@functools.cache
+def _dense_stack_charfn():
+    """Theta of DA * Dirichlet through Dirichlet at the scalar point (0.3, 0.4), N 32, caps 8: a dense Taylor stack."""
+    k, s = cauchy_product(drury_arveson_kernel(2, 32), dirichlet_kernel(2, 32)), dirichlet_kernel(2, 32)
+    t = OperatorTuple((np.array([[0.3]]), np.array([[0.4]])), None, None, None, k)
+    return charfn_of(t, factor_through_pick(k, s), support_cap=8, constant_cap=8)
+
+
 def _windows(cfd, source_degree):
     """The exact window, and one that cuts the top half of theta's degrees."""
     top = cfd.taylor.max_degree
@@ -687,7 +701,7 @@ class TestMultiplierPlan:
         for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
             mult, _ = multiplier_on(cfd, source_degree, target_degree)
             dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
-            assert max_abs(mult.gram - dense @ dense.conj().T) <= 1e-15
+            assert max_abs(_gram_matrix(mult) - dense @ dense.conj().T) <= 1e-15
             assert mult.discarded_mass == discarded
             assert mult.exact_window == (discarded == 0.0)
             assert mult.matrix.dtype == dense.dtype and np.array_equal(mult.matrix, dense)
@@ -699,8 +713,8 @@ class TestMultiplierPlan:
         for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
             mult, _ = multiplier_on(cfd, source_degree, target_degree)
             dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
-            assert mult.gram.dtype == object
-            assert np.array_equal(mult.gram, dense @ dense.conj().T)
+            assert _gram_matrix(mult).dtype == object
+            assert np.array_equal(_gram_matrix(mult), dense @ dense.conj().T)
             assert mult.discarded_mass == discarded
             assert np.array_equal(mult.matrix, dense)
 
@@ -710,27 +724,54 @@ class TestMultiplierPlan:
         mult, _ = multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)
         dense, discarded = _dense_multiplier_reference(cfd, 3, 3 + cfd.taylor.max_degree)
         assert dense.shape == (816, 9260) and discarded == mult.discarded_mass == 0.0
-        assert max_abs(mult.gram - dense @ dense.T) <= 1e-15
+        assert max_abs(_gram_matrix(mult) - dense @ dense.T) <= 1e-15
         assert np.array_equal(mult.matrix, dense)
 
-    @pytest.mark.parametrize("name", ["k2_da_d2_n2_c", "wide", "two_cells_exact"])
+    @pytest.mark.parametrize("name", ["k2_da_d2_n2_c", "wide", "two_cells_exact", "dense_stack"])
     def test_gram_equals_per_source_blocks_bit_for_bit(self, name):
         """The Gram from the nonzero Taylor products equals the one from a dense block per source, sign bits included."""
-        cfd = _wide_charfn() if name == "wide" else _preset_charfn(name)
-        source_degree = 3 if name == "wide" else configuration(name.removesuffix("_exact")).source_degree
+        special = {"wide": (_wide_charfn, 3), "dense_stack": (_dense_stack_charfn, 4)}
+        if name in special:
+            cfd, source_degree = special[name][0](), special[name][1]
+        else:
+            cfd, source_degree = _preset_charfn(name), configuration(name.removesuffix("_exact")).source_degree
         for target_degree in (source_degree + cfd.taylor.max_degree, source_degree + cfd.taylor.max_degree // 2):
             mult, _ = multiplier_on(cfd, source_degree, target_degree)
-            expected = _per_source_gram(mult)
-            assert mult.gram.dtype == expected.dtype
+            expected, gram = _per_source_gram(mult), _gram_matrix(mult)
+            assert gram.dtype == expected.dtype
             if cfd.exact:
-                assert all(x == y and type(x) is type(y) for x, y in zip(mult.gram.flat, expected.flat))
+                assert all(x == y and type(x) is type(y) for x, y in zip(gram.flat, expected.flat))
                 continue
-            assert np.array_equal(mult.gram, expected)
+            assert np.array_equal(gram, expected)
             for part in (np.real, np.imag):
-                assert np.array_equal(np.signbit(part(mult.gram)), np.signbit(part(expected)))
+                assert np.array_equal(np.signbit(part(gram)), np.signbit(part(expected)))
         if name == "k2_da_d2_n2_c":
             theta = to_float_array(cfd.taylor.coefficients).reshape(-1, cfd.domain_dim)
             assert max(len(b[0]) for b in connected_blocks(Entries.of(theta @ theta.conj().T))) > 1
+
+    def test_gram_takes_slots_when_they_are_smaller(self):
+        """wide's 9,080 keys take slots against 816^2 dense positions; the dense stack's keys keep the dense array."""
+        cfd = _wide_charfn()
+        wide, _ = multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)
+        assert isinstance(wide.gram, Entries) and wide.gram.shape == (816, 816)
+        cfd = _dense_stack_charfn()
+        dense, _ = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
+        assert isinstance(dense.gram, np.ndarray)
+
+    def test_wide_gram_forms_no_window_square(self):
+        """On wide, build_multiplier's traced peak stays below the bytes of one dense 816 x 816 float Gram.
+
+        What is left is Theta Theta^*, kept as one BLAS product for its bits (454^2 floats, 1.6 MB).
+        """
+        cfd = _wide_charfn()
+        dil = build_dilation(cfd.defect, 3 + cfd.taylor.max_degree)
+        tracemalloc.start()
+        try:
+            build_multiplier(cfd, dil, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dil.window.dim**2
 
     def test_dense_matrix_built_only_on_request(self, monkeypatch):
         from cnpchar import charfn

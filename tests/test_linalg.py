@@ -31,6 +31,7 @@ from cnpchar._linalg import (
     is_coordinate,
     minus_identity,
     nonzero_index,
+    ordered_sum,
     orth_complement_of_range,
     point_stack,
     psd_root,
@@ -935,3 +936,70 @@ def test_scatter_add_refuses_a_strided_output():
     """A strided view would take the sums in a flat copy and lose them."""
     with pytest.raises(ValueError):
         scatter_add(np.zeros((5, 4)).T, np.array([3, 0]), np.ones((2, 5)))
+
+
+@st.composite
+def _ordered_sum_cases(draw):
+    """((m, n), dtype, parts of (flat positions, values)): repeated positions, empty parts, signed zeros, inf, NaN."""
+    kind = draw(st.sampled_from(["float", "complex", "fraction"]))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    if kind == "fraction":
+        scalar = st.fractions(max_denominator=50).map(lambda f: Fraction(f.numerator, f.denominator))
+    elif kind == "float":
+        scalar = _SCATTER_FLOATS
+    else:
+        scalar = st.builds(complex, _SCATTER_FLOATS, _SCATTER_FLOATS)
+    dtype = {"float": np.dtype(float), "complex": np.dtype(complex), "fraction": np.dtype(object)}[kind]
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        positions = draw(st.lists(st.integers(0, shape[0] * shape[1] - 1), max_size=8))
+        values = draw(st.lists(scalar, min_size=len(positions), max_size=len(positions)))
+        parts.append((np.array(positions, dtype=np.intp), np.array(values, dtype=dtype)))
+    return shape, dtype, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordered_sum_cases())
+def test_ordered_sum_is_the_ordered_loop_bit_for_bit(case):
+    """Both paths add every part's values at its positions in list order, part after part, from zeros of the dtype.
+
+    The slot path holds one slot per position some key reaches, row-major, and +0 everywhere else.
+    """
+    shape, dtype, parts = case
+    want = exact_zeros(shape) if dtype == object else np.zeros(shape, dtype=dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for positions, values in parts:
+            for at, value in zip(positions, values):
+                want.flat[at] += value
+    sizes = [len(positions) for positions, _ in parts]
+    same = _same_fractions if dtype == object else _same_bits_or_nan
+    for slots in (False, True):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = ordered_sum(shape, dtype, sizes, lambda i: parts[i][0], lambda i: parts[i][1], slots)
+        if slots:
+            reached = np.unique(np.concatenate([positions for positions, _ in parts]))
+            assert np.array_equal(got.rows * shape[1] + got.cols, reached) and got.dense is None
+            got = got.matrix
+        assert same(got, want)
+
+
+@pytest.mark.parametrize("slots", [False, True])
+def test_ordered_sum_reads_the_parts_in_turn(slots):
+    """Dense sums read each part's keys with its terms; slot sums read every key first, then the terms part by part."""
+    calls = []
+
+    def keys(i):
+        calls.append(("keys", i))
+        return np.array([i, 0])
+
+    def terms(i):
+        calls.append(("terms", i))
+        return np.array([1.0, 2.0])
+
+    got = ordered_sum((2, 2), np.dtype(float), [2, 2, 2], keys, terms, slots)
+    if slots:
+        assert calls == [("keys", 0), ("keys", 1), ("keys", 2), ("terms", 0), ("terms", 1), ("terms", 2)]
+        got = got.matrix
+    else:
+        assert calls == [("keys", 0), ("terms", 0), ("keys", 1), ("terms", 1), ("keys", 2), ("terms", 2)]
+    assert np.array_equal(got, [[7.0, 1.0], [1.0, 0.0]])

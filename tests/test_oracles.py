@@ -31,6 +31,7 @@ eta = sum_i x_i c_i.
 import numpy as np
 import pytest
 
+from cnpchar._linalg import Entries
 from cnpchar.charfn import (
     build_charfn,
     build_multiplier,
@@ -253,7 +254,8 @@ def test_projection_partition_at_a_complex_point():
     dd, cfd = scalar_point([[[0.3 + 0.4j]]], szego(), szego())
     dil = build_dilation(dd, 4 + cfd.taylor.max_degree)
     mult = build_multiplier(cfd, dil, 4)
-    assert np.iscomplexobj(mult.gram) and np.iscomplexobj(mult.matrix)
+    gram = mult.gram.matrix if isinstance(mult.gram, Entries) else mult.gram
+    assert np.iscomplexobj(gram) and np.iscomplexobj(mult.matrix)
     assert factorization_residual(cfd, dil, mult).restricted <= TOL
 
 
