@@ -52,15 +52,15 @@ print("theta(1/2) =", value.tolist(), "gap to the direct formula:", gap)
 # The induced multiplier is the double shift, and together with V it
 # partitions the identity of the truncated target space exactly. It is held
 # as an index plan, source block -> target block with a weight, and the
-# Gram M M* that the partition check reads, kept as entries at the positions
-# the plan reaches (``.matrix`` scatters them into a dense array); no dense
-# M is formed. Its target window is the dilation's window.
+# Gram M M* that the partition check reads: a window this small holds it as
+# a dense array (a large, sparse one as entries at the positions the plan
+# reaches); no dense M is formed. Its target window is the dilation's window.
 mult = build_multiplier(cfd, dil, source_degree=3)
 print("\nmultiplier plan (double shift): source monomial -> target monomial, weight")
 for i, j, w in zip(mult.sources, mult.targets, mult.weights):
     print(f"  z^{mult.source.labels[i][0]} -> z^{mult.window.labels[j][0]}  {w}")
 print("M M* =")
-print(np.asarray(mult.gram.matrix, dtype=float))
+print(np.asarray(mult.gram, dtype=float))
 # the dense matrix is scattered through the same plan when it is read
 print("dense M:")
 print(np.asarray(mult.matrix, dtype=float))

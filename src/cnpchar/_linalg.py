@@ -18,16 +18,16 @@ entries, and complements of the range of any. Anything else raises
 :class:`ExactnessError`, signalling that float arithmetic is the right
 backend for that computation. Float spectral steps read a matrix's
 structure once, as its entries (:class:`Entries`), from which the norm and
-the blocks of a sparse Gram follow. A product of sparse factors that is
-large against its nonzero pairs stays entries: one slot per position that a
-pair reaches (:func:`sparse_product`), and so can any ordered sum of terms
-at positions (:func:`ordered_sum`), as the multiplier Gram does when its
-slots take less memory than the dense array. Sums, ``minus_identity``,
-``hermitian_part``, ``spectral_norm`` and ``block_eigh`` read those slots
-with the bits the dense matrix would hold, and no dense array of the
-product's size is formed. Every sum whose order fixes its bits is one
-ordered scatter-add (:func:`scatter_add`), in parts whose temporaries each
-caller bounds by its output's size.
+the blocks of a sparse Gram follow. An ordered sum of terms at matrix
+positions (:func:`ordered_sum`), such as a product of sparse factors
+(:func:`sparse_product`) or the multiplier Gram, chooses its own form: slot
+entries, one slot per position that a term reaches, when the matrix is
+large and the slots take less memory than the dense array, else that
+array. Sums, ``minus_identity``, ``hermitian_part``, ``spectral_norm`` and
+``block_eigh`` read those slots with the bits the dense matrix would hold,
+and no dense array of the sum's size is formed. Every sum whose order fixes
+its bits is one ordered scatter-add (:func:`scatter_add`), in parts whose
+temporaries each caller bounds by its output's size.
 """
 
 from __future__ import annotations
@@ -168,6 +168,8 @@ class Entries:
         if self.dense is not None:
             return self.dense[rows, cols]
         keys, wanted = self.rows * self.shape[1] + self.cols, rows * self.shape[1] + cols
+        if not len(keys):
+            return _zeros(wanted.size, self.values.dtype).reshape(wanted.shape)
         found = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
         return np.where(keys[found] == wanted, self.values[found], 0)
 
@@ -223,30 +225,30 @@ def scatter_add(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.nd
     return out
 
 
-# the pairs path of sparse_product keeps its sums as slot entries when the
-# product has more than SLOT_SPAN positions for each pair plus SLOT_PAIRS:
-# below that the dense (m, n) array costs less than the entry bookkeeping
-SLOT_SPAN = 64
-SLOT_PAIRS = 256
+# an ordered sum takes slots only when its (m, n) array has at least SLOT_POSITIONS positions: below
+# that the dense array costs less time than the slot bookkeeping, measured on Grams of about one key a row
+SLOT_POSITIONS = 2**15
 
 
 def ordered_sum(
-    shape, dtype, sizes, keys: Callable[[int], np.ndarray], terms: Callable[[int], np.ndarray], slots: bool
+    shape, dtype, sizes, keys: Callable[[int], np.ndarray], terms: Callable[[int], np.ndarray]
 ) -> np.ndarray | Entries:
     """The (m, n) sum of terms at flat positions, given in parts, from zeros of ``dtype``: one ``scatter_add`` a part.
 
     Part i, one of ``len(sizes)`` (at least one), has ``sizes[i]`` terms;
     ``keys(i)`` gives their flat positions and ``terms(i)`` their values, so
-    every position gets its terms in list order, part after part. With
-    ``slots`` the sum is ``Entries`` holding slots, one per position that
-    some key reaches, and every part's keys are formed before the first
-    part's terms; a key then costs 16 bytes, its position and its slot.
-    Otherwise it is the dense (m, n) array, and no key is kept past its
-    part. Both hold the same bits on every position, and at most one part
-    of terms is held at a time.
+    every position gets its terms in list order, part after part. The sum
+    chooses its form from these sizes. It is ``Entries`` holding slots, one
+    per position that some key reaches, when the (m, n) array has at least
+    ``SLOT_POSITIONS`` positions and the keys take less memory than it: a
+    key costs 16 bytes, its position and its slot, against the itemsize of
+    ``dtype`` for each position. Every part's keys are then formed before
+    the first part's terms. Otherwise it is the dense (m, n) array, and no
+    key is kept past its part. Both hold the same bits on every position,
+    and at most one part of terms is held at a time.
     """
     m, n = shape
-    if not slots:
+    if m * n < SLOT_POSITIONS or 16 * int(np.sum(sizes)) >= np.dtype(dtype).itemsize * m * n:
         out = _zeros(m * n, dtype)
         for i in range(len(sizes)):
             scatter_add(out, keys(i), terms(i))
@@ -265,12 +267,11 @@ def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
     pairs than positions in the (m, n) product, it is ``a.matrix @
     b.matrix``. Otherwise :func:`ordered_sum` adds each pair's product, in
     a fixed order (a's entries in turn, each with b's in row-major order),
-    into zeros of the arithmetic, so the work is linear in the pairs: one
-    zero per position of a dense (m, n) array, or, when the product is large
-    against its pairs (``SLOT_SPAN``, ``SLOT_PAIRS``), one per slot of
-    ``Entries``, a slot for each position that a pair reaches, with no
-    (m, n) array. Both hold the same bits on every position. Fraction object
-    arrays take the same paths and give equal Fractions.
+    into zeros of the arithmetic, so the work is linear in the pairs, and
+    chooses the form: a dense (m, n) array, or ``Entries`` with a slot for
+    each position that a pair reaches. Both hold the same bits on every
+    position. Fraction object arrays take the same paths and give equal
+    Fractions.
     """
     (m, inner), n = a.shape, b.shape[1]
     per_row = np.bincount(b.rows, minlength=inner)
@@ -287,7 +288,6 @@ def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
         [total],
         lambda _: a.rows[left] * n + b.cols[right],
         lambda _: a.values[left] * b.values[right],
-        m * n > SLOT_SPAN * (total + SLOT_PAIRS),
     )
 
 

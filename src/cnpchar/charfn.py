@@ -213,7 +213,7 @@ def build_charfn(
     U is read from entries: U's are assembled from those of R*, B, P and D
     (``Entries.grid``), and the E-side Gram P P* + D D* and U's two Grams
     are sparse products, whose norms past the identity read their slots
-    when they are large (``_linalg.sparse_product``); no dense U is formed.
+    when they take slots (``_linalg.ordered_sum``); no dense U is formed.
     """
     kernel = factorization.kernel
     pick = factorization.pick_factor
@@ -521,14 +521,14 @@ class MultiplierMatrix:
     ``sources[k]``; the weight is sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}).
     The plan runs source by source, and pairs whose target lies beyond the
     window are left out of it. ``gram`` is M_theta M_theta^* on the window
-    (``build_multiplier``): slot entries (``Entries``, one slot per position
-    some source reaches) when they take less memory than the dense window x
-    window array, else that array, with the same bits on every position. The
-    dense ``matrix`` of M_theta is scattered through the same plan only when
-    it is read. ``exact_window`` is set when no Taylor mass was discarded:
-    the window's degree is at least ``source_degree`` plus the top Taylor
-    degree. ``discarded_mass`` bounds the squared column mass of the pairs
-    left out.
+    (``build_multiplier``), in the form ``_linalg.ordered_sum`` chooses:
+    slot entries (``Entries``, one slot per position some source reaches)
+    or the dense window x window array, with the same bits on every
+    position. The dense ``matrix`` of M_theta is scattered through the same
+    plan only when it is read. ``exact_window`` is set when no Taylor mass
+    was discarded: the window's degree is at least ``source_degree`` plus
+    the top Taylor degree. ``discarded_mass`` bounds the squared column mass
+    of the pairs left out.
     """
 
     taylor: TaylorCoefficients
@@ -566,10 +566,9 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     one product of the Taylor stack with itself, whose nonzero entries each
     source label adds at its own targets by one ordered ``scatter_add``, in
     source order, so a source costs the entries it reaches, not a dense block.
-    The sum is ``_linalg.ordered_sum``: slot entries when they are the
-    smaller form, 16 bytes for each entry a source adds against the
-    itemsize of each dense window x window position, else the dense array.
-    Either way the values are formed one source at a time.
+    The sum is ``_linalg.ordered_sum``, one part per source, which chooses
+    slot entries or the dense window x window array. Either way the values
+    are formed one source at a time.
     """
     taylor, pick, kernel, window = cfd.taylor, cfd.pick_factor, cfd.kernel, dil.window
     coeffs = taylor.coefficients
@@ -621,9 +620,7 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
         w, end = scale[s], ends[s]
         return values[:end] * (w[rows[:end]] * w[cols[:end]])
 
-    # slots when they are the smaller form: 16 bytes a key against a dense position's itemsize
-    slots = 16 * int(ends.sum()) < values.itemsize * window.dim**2
-    gram = ordered_sum((window.dim, window.dim), values.dtype, ends, positions_of, products_of, slots)
+    gram = ordered_sum((window.dim, window.dim), values.dtype, ends, positions_of, products_of)
     return MultiplierMatrix(
         taylor=taylor,
         source=source,
@@ -661,9 +658,9 @@ def factorization_residual(
 ) -> FactorizationResidual:
     """V V^* + M_theta M_theta^* - I on the exact degree range, M_theta M_theta^* read from ``mult.gram``.
 
-    ``mult`` must be built on ``dil``'s window. No dense M_theta is formed,
-    and of slot entries only the restricted block is made dense, read at
-    its index mesh (``Entries.at``). ||M_theta|| is the root of
+    ``mult`` must be built on ``dil``'s window. No dense M_theta is formed.
+    The restricted block is sliced from a dense Gram or read from slot
+    entries at its index mesh (``Entries.at``). ||M_theta|| is the root of
     ``spectral_norm`` of the Gram, which reads slot entries block by block.
     """
     window = dil.window
@@ -719,8 +716,8 @@ def k_inner_subspace(cfd: CharFnData) -> KInnerData:
     with eigenvalue >= 1 - ISOMETRY_TOL (EmptyKInnerError if there is none),
     from one ``eigh`` per block size of G's connected blocks (``block_eigh``),
     which forms only the kept eigenvectors. G and (G + G*) / 2 are formed from
-    the nonzero pairs of the Taylor stack (``sparse_product``), as slot
-    entries when they are large, with no dense n x n array.
+    the nonzero pairs of the Taylor stack (``sparse_product``), with no
+    dense n x n array when ``_linalg.ordered_sum`` takes slot entries.
     ``shift_residual`` is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
     """

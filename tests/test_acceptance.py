@@ -8,11 +8,13 @@ all; float identities at the stated tolerances.
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cnpchar._linalg import exact_zeros, is_exactly_zero
+from cnpchar import _linalg
+from cnpchar._linalg import Entries, exact_zeros, is_exactly_zero
 from cnpchar.charfn import (
     build_charfn,
     build_multiplier,
@@ -199,11 +201,13 @@ def test_criterion_09_projection_partition(matrix):
         dd = defect_data(t, k, k)
         cfd = build_charfn(dd, fac, support_cap=4, constant_cap=4)
         dil = build_dilation(dd, 5)
-        mult = build_multiplier(cfd, dil, 3)
-        fr = factorization_residual(cfd, dil, mult)
-        assert fr.restricted_exact
-        total = dil.matrix @ dil.matrix.conj().T + mult.gram.matrix - dil.window.scalars.eye(dil.window.dim)
-        assert is_exactly_zero(total)
+        for floor in (math.inf, 0):  # the Gram as the dense array, then as slot entries
+            with mock.patch.object(_linalg, "SLOT_POSITIONS", floor):
+                mult = build_multiplier(cfd, dil, 3)
+            assert isinstance(mult.gram, Entries) == (floor == 0)
+            assert factorization_residual(cfd, dil, mult).restricted_exact
+            gram = mult.gram.matrix if isinstance(mult.gram, Entries) else mult.gram
+            assert is_exactly_zero(dil.matrix @ dil.matrix.conj().T + gram - dil.window.scalars.eye(dil.window.dim))
 
 
 def test_criterion_10_impossibility_sweep():

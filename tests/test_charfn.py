@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cnpchar import _linalg
+from cnpchar import _linalg, charfn
 from cnpchar._linalg import (
     Entries,
     adjoint,
@@ -57,6 +57,19 @@ from cnpchar.series import (
     reciprocal_complement,
     szego_kernel,
 )
+
+
+def _forms_of_sums(build):
+    """(``build()``, the form of each ordered sum it ran, in call order: True for slot entries, False for dense)."""
+    forms, ordered_sum = [], _linalg.ordered_sum
+
+    def recorded(*args):
+        out = ordered_sum(*args)
+        forms.append(isinstance(out, Entries))
+        return out
+
+    with mock.patch.object(_linalg, "ordered_sum", recorded), mock.patch.object(charfn, "ordered_sum", recorded):
+        return build(), forms
 
 
 def charfn_of(t, fac, **caps):
@@ -218,14 +231,40 @@ class TestBuildDiagnostics:
 
     @pytest.mark.parametrize("name", ["wide", "k2_da_d2_n2_c", "dadir_dir_d1_n1", "two_cells", "two_cells_exact"])
     def test_slot_grams_give_the_dense_bits(self, name):
-        """The block-unitarity norms and the k-inner space read from slot entries equal the dense path's, bit for bit."""
+        """The block-unitarity norms and the k-inner space read from slot entries equal the dense path's, bit for bit.
+
+        Every sum is dense under an infinite position floor; with none, each
+        takes slots when they are smaller, and some sum does.
+        """
+        def build():
+            cfd = _wide_charfn.__wrapped__() if name == "wide" else _preset_charfn(name)
+            return cfd, k_inner_subspace(cfd)
+
         runs = []
-        for constants in ({"SLOT_SPAN": math.inf}, {"SLOT_SPAN": 0, "SLOT_PAIRS": 0}):
-            with mock.patch.multiple(_linalg, **constants):
-                cfd = _wide_charfn.__wrapped__() if name == "wide" else _preset_charfn(name)
-                ki = k_inner_subspace(cfd)
+        for floor in (math.inf, 0):
+            with mock.patch.object(_linalg, "SLOT_POSITIONS", floor):
+                (cfd, ki), forms = _forms_of_sums(build)
+            assert forms and any(forms) == (floor == 0)
             runs.append((cfd.diagnostics, ki.basis.tobytes(order="A"), ki.gram_eigenvalues.tobytes(), ki.shift_residual))
         assert runs[0] == runs[1]
+
+    def test_sums_take_the_form_of_their_size(self):
+        """Suite builds keep every sparse sum dense; wide's five products and its multiplier Gram take slots; the
+        dense stack's multiplier Gram stays dense."""
+        for name in ("k2_da_d2_n3", "dadir_da_d1_n2_c"):
+            _, forms = _forms_of_sums(lambda: k_inner_subspace(_preset_charfn(name)))
+            assert forms and not any(forms), name
+
+        def wide():
+            cfd = _wide_charfn.__wrapped__()
+            k_inner_subspace(cfd)
+            return multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)[0]
+
+        mult, forms = _forms_of_sums(wide)
+        assert forms == [True] * 6 and mult.gram.shape == (816, 816)
+        cfd = _dense_stack_charfn()
+        mult, forms = _forms_of_sums(lambda: multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)[0])
+        assert forms == [False] and isinstance(mult.gram, np.ndarray)
 
     @pytest.mark.parametrize("name", ["wide", "k2_da_d2_n2", "two_cells_exact", "dadir_dir_d1_n1"])
     def test_e_space_shares_the_graded_tables_when_g_has_no_zero(self, name):
@@ -749,15 +788,6 @@ class TestMultiplierPlan:
             theta = to_float_array(cfd.taylor.coefficients).reshape(-1, cfd.domain_dim)
             assert max(len(b[0]) for b in connected_blocks(Entries.of(theta @ theta.conj().T))) > 1
 
-    def test_gram_takes_slots_when_they_are_smaller(self):
-        """wide's 9,080 keys take slots against 816^2 dense positions; the dense stack's keys keep the dense array."""
-        cfd = _wide_charfn()
-        wide, _ = multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)
-        assert isinstance(wide.gram, Entries) and wide.gram.shape == (816, 816)
-        cfd = _dense_stack_charfn()
-        dense, _ = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
-        assert isinstance(dense.gram, np.ndarray)
-
     def test_wide_gram_forms_no_window_square(self):
         """On wide, build_multiplier's traced peak stays below the bytes of one dense 816 x 816 float Gram.
 
@@ -774,8 +804,6 @@ class TestMultiplierPlan:
         assert peak < 8 * dil.window.dim**2
 
     def test_dense_matrix_built_only_on_request(self, monkeypatch):
-        from cnpchar import charfn
-
         def refuse(self):
             raise AssertionError("dense multiplier built")
 

@@ -1,17 +1,20 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnpchar import _linalg
 from cnpchar.cli import IGNORED, REPORT_SCHEMA, build_parser, main
 
 
@@ -658,6 +661,29 @@ def _blanked_report(argv, out):
     for check in report["checks"]:
         check["elapsed"] = 0.0
     return report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        json.loads((Path(__file__).parent / "golden" / "charfn_verify_wide_seed_0.json").read_text())["argv"],
+        ["charfn", "verify", "--preset", "two_cells", "--mode", "exact"],
+    ],
+    ids=["wide_seed_0", "two_cells_exact"],
+)
+def test_the_form_of_a_sum_moves_no_report_byte(argv, tmp_path, capsys):
+    """Every ordered sum dense (an infinite position floor), or as slot entries wherever they are smaller (no floor):
+    the same exit code and, ``elapsed`` apart, the same report bytes, multiplier Gram and factorization residual included."""
+    runs = []
+    for floor in (math.inf, 0):
+        out = tmp_path / f"floor-{floor}.json"
+        with mock.patch.object(_linalg, "SLOT_POSITIONS", floor):
+            code = main(argv + ["--out", str(out)])
+        report = read_report(out)
+        for check in report["checks"]:
+            check["elapsed"] = 0.0
+        runs.append((code, json.dumps(report)))
+    assert runs[0] == runs[1]
 
 
 class TestSharedParser:

@@ -634,7 +634,9 @@ def _norm_or_error(norm, a):
         return "LinAlgError"
 
 
-_ALWAYS_SLOTS = {"SLOT_SPAN": 0, "SLOT_PAIRS": 0}
+def _slots_when_smaller():
+    """``ordered_sum`` with no position floor: a sum of any size takes slots when they take less memory."""
+    return mock.patch.object(_linalg, "SLOT_POSITIONS", 0)
 
 
 @st.composite
@@ -680,13 +682,19 @@ def _same_entries(got, want):
 @settings(max_examples=200, deadline=None)
 @given(_factors())
 def test_slot_entries_hold_the_dense_product_bits(factors):
-    """Every slot holds what the dense accumulation holds there; the positions without a slot hold +0 there."""
+    """Every slot holds what the dense accumulation holds there; the positions without a slot hold +0 there.
+
+    The product takes slots exactly when there are at most as many pairs as
+    positions and 16 bytes a pair is less than the itemsize of each position.
+    """
     a, b = factors
-    with mock.patch.multiple(_linalg, **_ALWAYS_SLOTS):
+    with _slots_when_smaller():
         got = sparse_product(Entries.of(a), Entries.of(b))
     want = _dense_sparse_product(a, b)
-    if isinstance(got, np.ndarray):  # more pairs than positions: the dense product itself
-        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=a.dtype != object)
+    pairs, positions = int(((a != 0).astype(int) @ (b != 0).astype(int)).sum()), want.size
+    assert isinstance(got, Entries) == (pairs <= positions and 16 * pairs < want.dtype.itemsize * positions)
+    if isinstance(got, np.ndarray):  # the dense product: a @ b, or the pairs added into a dense array
+        assert _same_entries(got, want) if a.dtype == object else _same_bits_or_nan(got, want)
         return
     keys = got.rows * got.shape[1] + got.cols
     assert got.dense is None and np.all(np.diff(keys) > 0)
@@ -710,7 +718,7 @@ def test_entry_norms_match_the_dense_norm_bit_for_bit(factors):
         ((ea, ea.adjoint), _dense_sparse_product(a, a.conj().T)),
         ((eb.adjoint, eb), _dense_sparse_product(b.conj().T, b)),
     ]
-    with mock.patch.multiple(_linalg, **_ALWAYS_SLOTS):
+    with _slots_when_smaller():
         got = [sparse_product(*pair) for pair, _ in cases]
         got.append(got[1] + got[2] if got[1].shape == got[2].shape else got[1])
     want = [dense for _, dense in cases]
@@ -731,7 +739,7 @@ def test_entry_eigh_matches_the_dense_eigh_bit_for_bit(factors, quantile):
     if np.isnan(a).any():
         return
     ea = Entries.of(a)
-    with mock.patch.multiple(_linalg, **_ALWAYS_SLOTS):
+    with _slots_when_smaller():
         gram = sparse_product(ea.adjoint, ea)
     dense = hermitian_part(_dense_sparse_product(a.conj().T, a))
     sym = hermitian_part(gram)
@@ -940,9 +948,14 @@ def test_scatter_add_refuses_a_strided_output():
 
 @st.composite
 def _ordered_sum_cases(draw):
-    """((m, n), dtype, parts of (flat positions, values)): repeated positions, empty parts, signed zeros, inf, NaN."""
+    """((m, n), dtype, parts of (flat positions, values)): repeated positions, empty parts, signed zeros, inf, NaN.
+
+    The positions come from a pool of at most three, so they repeat; the shape
+    ranges from fewer positions than keys to many more, so that with no
+    position floor either form can be taken.
+    """
     kind = draw(st.sampled_from(["float", "complex", "fraction"]))
-    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
     if kind == "fraction":
         scalar = st.fractions(max_denominator=50).map(lambda f: Fraction(f.numerator, f.denominator))
     elif kind == "float":
@@ -950,9 +963,10 @@ def _ordered_sum_cases(draw):
     else:
         scalar = st.builds(complex, _SCATTER_FLOATS, _SCATTER_FLOATS)
     dtype = {"float": np.dtype(float), "complex": np.dtype(complex), "fraction": np.dtype(object)}[kind]
+    pool = draw(st.lists(st.integers(0, shape[0] * shape[1] - 1), min_size=1, max_size=3))
     parts = []
     for _ in range(draw(st.integers(1, 4))):
-        positions = draw(st.lists(st.integers(0, shape[0] * shape[1] - 1), max_size=8))
+        positions = draw(st.lists(st.sampled_from(pool), max_size=8))
         values = draw(st.lists(scalar, min_size=len(positions), max_size=len(positions)))
         parts.append((np.array(positions, dtype=np.intp), np.array(values, dtype=dtype)))
     return shape, dtype, parts
@@ -961,9 +975,12 @@ def _ordered_sum_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_ordered_sum_cases())
 def test_ordered_sum_is_the_ordered_loop_bit_for_bit(case):
-    """Both paths add every part's values at its positions in list order, part after part, from zeros of the dtype.
+    """Both forms add every part's values at its positions in list order, part after part, from zeros of the dtype.
 
-    The slot path holds one slot per position some key reaches, row-major, and +0 everywhere else.
+    With no position floor the sum takes slots exactly when 16 bytes a key
+    is less than the itemsize of each position; the slots are one per
+    position some key reaches, row-major, and +0 is everywhere else. With an
+    infinite floor it is the dense array.
     """
     shape, dtype, parts = case
     want = exact_zeros(shape) if dtype == object else np.zeros(shape, dtype=dtype)
@@ -973,14 +990,37 @@ def test_ordered_sum_is_the_ordered_loop_bit_for_bit(case):
                 want.flat[at] += value
     sizes = [len(positions) for positions, _ in parts]
     same = _same_fractions if dtype == object else _same_bits_or_nan
-    for slots in (False, True):
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = ordered_sum(shape, dtype, sizes, lambda i: parts[i][0], lambda i: parts[i][1], slots)
+    for floor, slots in ((math.inf, False), (0, 16 * sum(sizes) < dtype.itemsize * want.size)):
+        with mock.patch.object(_linalg, "SLOT_POSITIONS", floor), np.errstate(invalid="ignore", over="ignore"):
+            got = ordered_sum(shape, dtype, sizes, lambda i: parts[i][0], lambda i: parts[i][1])
+        assert isinstance(got, Entries) == slots
         if slots:
             reached = np.unique(np.concatenate([positions for positions, _ in parts]))
             assert np.array_equal(got.rows * shape[1] + got.cols, reached) and got.dense is None
             got = got.matrix
         assert same(got, want)
+
+
+@pytest.mark.parametrize(
+    "shape, keys, dtype, slots",
+    [
+        ((128, 256), 1, float, True),  # SLOT_POSITIONS positions exactly
+        ((127, 256), 1, float, False),
+        ((256, 256), 32767, float, True),  # 16 bytes a key against 8 a position
+        ((256, 256), 32768, float, False),
+        ((256, 256), 65535, complex, True),  # against 16 a position
+        ((256, 256), 65536, complex, False),
+        ((256, 256), 32767, object, True),  # a pointer a position
+        ((256, 256), 32768, object, False),
+    ],
+)
+def test_ordered_sum_takes_slots_on_large_matrices_when_they_are_smaller(shape, keys, dtype, slots):
+    """Slots when the matrix has at least SLOT_POSITIONS positions and 16 bytes a key is less than its itemsize a position."""
+    dtype = np.dtype(dtype)
+    positions = np.arange(keys, dtype=np.intp) % (shape[0] * shape[1])
+    terms = _linalg._zeros(keys, dtype)
+    got = ordered_sum(shape, dtype, [keys], lambda _: positions, lambda _: terms)
+    assert isinstance(got, Entries) == slots and got.shape == shape
 
 
 @pytest.mark.parametrize("slots", [False, True])
@@ -996,10 +1036,31 @@ def test_ordered_sum_reads_the_parts_in_turn(slots):
         calls.append(("terms", i))
         return np.array([1.0, 2.0])
 
-    got = ordered_sum((2, 2), np.dtype(float), [2, 2, 2], keys, terms, slots)
+    with mock.patch.object(_linalg, "SLOT_POSITIONS", 0 if slots else math.inf):
+        got = ordered_sum((4, 4), np.dtype(float), [2, 2, 2], keys, terms)  # 96 bytes of keys, 128 of positions
+    assert isinstance(got, Entries) == slots
     if slots:
         assert calls == [("keys", 0), ("keys", 1), ("keys", 2), ("terms", 0), ("terms", 1), ("terms", 2)]
         got = got.matrix
     else:
         assert calls == [("keys", 0), ("terms", 0), ("keys", 1), ("terms", 1), ("keys", 2), ("terms", 2)]
-    assert np.array_equal(got, [[7.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(got, [[7.0, 1.0, 1.0, 0.0], [0.0] * 4, [0.0] * 4, [0.0] * 4])
+
+
+@pytest.mark.parametrize("dtype", [float, object])
+def test_entries_with_no_slots_read_zeros(dtype):
+    """An empty ordered sum or sparse product taken as slots holds +0 everywhere, read at any positions or at none."""
+    dtype = np.dtype(dtype)
+    zero = _linalg._zeros(1, dtype)
+    with _slots_when_smaller():
+        empty = [
+            ordered_sum((3, 4), dtype, [0], lambda _: np.zeros(0, dtype=np.intp), lambda _: np.zeros(0, dtype=dtype)),
+            sparse_product(Entries.of(_linalg._zeros(6, dtype).reshape(3, 2)), Entries.of(_linalg._zeros(8, dtype).reshape(2, 4))),
+        ]
+    for entries in empty:
+        assert isinstance(entries, Entries) and len(entries.values) == 0 and entries.values.dtype == dtype
+        rows, cols = np.arange(3)[:, None], np.array([0, 3])[None, :]
+        for at in [(rows, cols), (np.array([2]), np.array([1])), (np.zeros(0, dtype=int), np.zeros(0, dtype=int))]:
+            got, want = entries.at(*at), entries.matrix[at]
+            assert got.shape == want.shape and got.dtype == dtype
+            assert _same_fractions(got, want) if dtype == object else got.tobytes() == want.tobytes()
