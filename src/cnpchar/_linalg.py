@@ -18,16 +18,19 @@ entries, and complements of the range of any. Anything else raises
 :class:`ExactnessError`, signalling that float arithmetic is the right
 backend for that computation. Float spectral steps read a matrix's
 structure once, as its entries (:class:`Entries`), from which the norm and
-the blocks of a sparse Gram follow. An ordered sum of terms at matrix
-positions (:func:`ordered_sum`), such as a product of sparse factors
-(:func:`sparse_product`) or the multiplier Gram, chooses its own form: slot
-entries, one slot per position that a term reaches, when the matrix is
-large and the slots take less memory than the dense array, else that
-array. Sums, ``minus_identity``, ``hermitian_part``, ``spectral_norm`` and
+the blocks of a sparse Gram follow. One rule (:func:`takes_slots`) sets
+the form of a large sparse matrix: entries when the matrix is large and
+they take less memory than the dense array, else that array. An ordered sum
+of terms at matrix positions (:func:`ordered_sum`), such as a product of
+sparse factors (:func:`sparse_product`) or the multiplier Gram, follows it
+with slot entries, one slot per position that a term reaches; the block D
+and theta's Taylor coefficients follow it too (``charfn.build_charfn``).
+Sums, ``minus_identity``, ``hermitian_part``, ``spectral_norm`` and
 ``block_eigh`` read those slots with the bits the dense matrix would hold,
 and no dense array of the sum's size is formed. Every sum whose order fixes
 its bits is one ordered scatter-add (:func:`scatter_add`), in parts whose
-temporaries each caller bounds by its output's size.
+temporaries each caller bounds by its output's size; a product whose every
+output is one term is formed entry by entry (:func:`single_term_product`).
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ def nonzero_index(a: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.unravel_index(np.flatnonzero(a != 0), a.shape)
 
 
-def _zeros(count: int, dtype) -> np.ndarray:
-    return exact_zeros(count) if dtype == object else np.zeros(count, dtype=dtype)
+def _zeros(shape, dtype) -> np.ndarray:
+    return exact_zeros(shape) if dtype == object else np.zeros(shape, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +149,7 @@ class Entries:
         """The dense matrix: ``dense``, or zeros of the entries' arithmetic with the values scattered in."""
         if self.dense is not None:
             return self.dense
-        out = _zeros(self.shape[0] * self.shape[1], self.values.dtype).reshape(self.shape)
+        out = _zeros(self.shape, self.values.dtype)
         out[self.rows, self.cols] = self.values
         return out
 
@@ -169,7 +172,7 @@ class Entries:
             return self.dense[rows, cols]
         keys, wanted = self.rows * self.shape[1] + self.cols, rows * self.shape[1] + cols
         if not len(keys):
-            return _zeros(wanted.size, self.values.dtype).reshape(wanted.shape)
+            return _zeros(wanted.shape, self.values.dtype)
         found = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
         return np.where(keys[found] == wanted, self.values[found], 0)
 
@@ -181,6 +184,29 @@ class Entries:
         return Entries(self.shape, rows, cols, values, None)
 
     __radd__ = __add__
+
+
+def as_matrix(a: np.ndarray | Entries) -> np.ndarray:
+    """The dense matrix of a dense array (itself) or of entries (``Entries.matrix``)."""
+    return a.matrix if isinstance(a, Entries) else a
+
+
+def single_term_product(a: Entries, b: np.ndarray) -> np.ndarray | None:
+    """``a @ b`` for a dense ``b`` when no row of ``a`` holds two entries and none is complex, else None.
+
+    Each output is one real (or rational) entry times an entry of ``b``, or
+    none, so any order of summation gives its value: it is added to zeros
+    entry by entry, with no dense ``a``, and on a real ``b`` its zeros take
+    the BLAS product's signs too. Several entries in a row, or a complex
+    entry (itself a sum of two products, which BLAS may fuse), leave the
+    bits to the caller's dense product.
+    """
+    m = a.shape[0]
+    if np.iscomplexobj(a.values) or np.bincount(a.rows, minlength=m).max(initial=0) > 1:
+        return None
+    out = _zeros((m, b.shape[1]), np.result_type(a.values, b))
+    out[a.rows] += a.values[:, None] * b[a.cols]
+    return out
 
 
 def _slot_union(shape, *positions) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
@@ -225,9 +251,20 @@ def scatter_add(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.nd
     return out
 
 
-# an ordered sum takes slots only when its (m, n) array has at least SLOT_POSITIONS positions: below
-# that the dense array costs less time than the slot bookkeeping, measured on Grams of about one key a row
+# an array takes slots only when it has at least SLOT_POSITIONS positions: below that the dense array
+# costs less time than the slot bookkeeping, measured on Grams of about one key a row
 SLOT_POSITIONS = 2**15
+
+
+def takes_slots(shape, keys: int, dtype) -> bool:
+    """The one form rule: whether an (m, n) array reached by ``keys`` terms is held as slot entries, not densely.
+
+    Slots when the array has at least ``SLOT_POSITIONS`` positions and the
+    keys take less memory than it: a key costs 16 bytes, its position and
+    its slot, against the itemsize of ``dtype`` for each position.
+    """
+    positions = math.prod(shape)
+    return positions >= SLOT_POSITIONS and 16 * int(keys) < np.dtype(dtype).itemsize * positions
 
 
 def ordered_sum(
@@ -238,17 +275,15 @@ def ordered_sum(
     Part i, one of ``len(sizes)`` (at least one), has ``sizes[i]`` terms;
     ``keys(i)`` gives their flat positions and ``terms(i)`` their values, so
     every position gets its terms in list order, part after part. The sum
-    chooses its form from these sizes. It is ``Entries`` holding slots, one
-    per position that some key reaches, when the (m, n) array has at least
-    ``SLOT_POSITIONS`` positions and the keys take less memory than it: a
-    key costs 16 bytes, its position and its slot, against the itemsize of
-    ``dtype`` for each position. Every part's keys are then formed before
-    the first part's terms. Otherwise it is the dense (m, n) array, and no
-    key is kept past its part. Both hold the same bits on every position,
-    and at most one part of terms is held at a time.
+    chooses its form from these sizes by :func:`takes_slots`. It is
+    ``Entries`` holding slots, one per position that some key reaches, and
+    every part's keys are then formed before the first part's terms.
+    Otherwise it is the dense (m, n) array, and no key is kept past its
+    part. Both hold the same bits on every position, and at most one part of
+    terms is held at a time.
     """
     m, n = shape
-    if m * n < SLOT_POSITIONS or 16 * int(np.sum(sizes)) >= np.dtype(dtype).itemsize * m * n:
+    if not takes_slots(shape, np.sum(sizes), dtype):
         out = _zeros(m * n, dtype)
         for i in range(len(sizes)):
             scatter_add(out, keys(i), terms(i))
@@ -588,29 +623,39 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
 
 
-def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
+def range_complement(a: np.ndarray) -> np.ndarray | Entries:
     """Orthonormal basis (columns) of the orthogonal complement of Ran(a), rank cut at RANK_CUTOFF.
 
-    An exact ``a`` must be a coordinate matrix; its complement is one unit column per zero row.
-    A float ``a`` of rank k = min(m, its columns) whose nonzero rows are its
-    first k has the unit columns e_k ... e_{m-1}, with no m x m SVD: they
-    are the trailing columns of LAPACK's full U there. (With more columns
-    than nonzero rows, LAPACK may rotate some of them among themselves.)
-    Any other ``a`` takes its complement from that SVD.
+    Unit columns come as ``Entries``, a 1 in a's arithmetic each, with no
+    m x m array formed. An exact ``a`` must be a coordinate matrix; its
+    complement is one unit column per zero row. A float ``a`` with no
+    columns has every e_i; one of rank k = min(m, its columns) whose nonzero
+    rows are its first k has e_k ... e_{m-1}, with no m x m SVD: they are
+    the trailing columns of LAPACK's full U there. (With more columns than
+    nonzero rows, LAPACK may rotate some of them among themselves.) Any
+    other ``a`` takes its complement, dense, from that SVD.
     """
     m = a.shape[0]
     if is_exact_array(a):
         if not is_coordinate(a):
             raise ExactnessError("exact complements need a coordinate matrix")
-        return EXACT.eye(m)[:, np.bincount(nonzero_index(a)[0], minlength=m) == 0]
-    if a.shape[1] == 0:
-        return np.eye(m)
-    live = (a != 0).any(axis=1)
-    k = int(np.count_nonzero(live))
-    if k == min(a.shape) and live[:k].all() and _rank(np.linalg.svd(a[:k], compute_uv=False)) == k:
-        return np.eye(m, m - k, -k, dtype=np.result_type(a.dtype, float))
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    return u[:, _rank(s):]
+        rows, one = np.flatnonzero(np.bincount(nonzero_index(a)[0], minlength=m) == 0), Fraction(1)
+    elif a.shape[1] == 0:
+        rows, one = np.arange(m), np.float64(1)
+    else:
+        live = (a != 0).any(axis=1)
+        k = int(np.count_nonzero(live))
+        if not (k == min(a.shape) and live[:k].all() and _rank(np.linalg.svd(a[:k], compute_uv=False)) == k):
+            u, s, _ = np.linalg.svd(a, full_matrices=True)
+            return u[:, _rank(s):]
+        rows, one = np.arange(k, m), np.result_type(a.dtype, float).type(1)
+    values = np.full(len(rows), one, dtype=object if isinstance(one, Fraction) else one.dtype)
+    return Entries((m, len(rows)), rows, np.arange(len(rows)), values, None)
+
+
+def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
+    """:func:`range_complement` as a dense matrix."""
+    return as_matrix(range_complement(a))
 
 
 def polar_orthogonal(a: np.ndarray) -> np.ndarray:

@@ -45,21 +45,23 @@ from ._linalg import (
     Entries,
     Scalars,
     adjoint,
+    as_matrix,
     block_eigh,
     hermitian_part,
     is_exact_array,
     is_exactly_zero,
     max_abs,
     minus_identity,
-    nonzero_index,
     ordered_sum,
-    orth_complement_of_range,
     point_stack,
     polar_orthogonal,
     psd_root,
+    range_complement,
     scatter_add,
+    single_term_product,
     sparse_product,
     spectral_norm,
+    takes_slots,
     to_float_array,
 )
 from .dilation import DilationData, MonomialWindow
@@ -96,19 +98,29 @@ class EmptyKInnerError(RuntimeError):
 class TaylorCoefficients(Mapping):
     """theta's Taylor coefficients, as a mapping from labels gamma to r x dom matrices theta_gamma.
 
-    They are held as one read-only (L, r, dom) stack ``coefficients`` over
-    the labels of ``space`` (block size r), in the arithmetic they were built
-    in; a label whose coefficient is exactly zero is absent.
+    They are held as ``entries``, row-major (labels, slots, values) of the
+    (L, r dom) matrix whose row l is the flattened coefficient at the l-th
+    label of ``space`` (block size r), in the arithmetic they were built in:
+    with the read-only dense stack ``coefficients`` kept, or, when
+    ``_linalg.takes_slots`` rules so, alone, the stack formed on each read.
+    A label whose coefficient is exactly zero is absent.
     """
 
     space: BlockSpace
-    coefficients: np.ndarray
+    entries: Entries
 
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
+    @classmethod
+    def of(cls, space: BlockSpace, stack: np.ndarray) -> "TaylorCoefficients":
+        """The coefficients of a dense (L, r, dom) stack, which they keep."""
+        stack.setflags(write=False)
+        return cls(space, Entries.of(stack.reshape(len(stack), -1)))
 
     def __getitem__(self, label) -> np.ndarray:
-        return self.coefficients[self.space.index[label]]
+        i, e, shape = self.space.index[label], self.entries, (self.space.block_dim, self.dom)
+        if e.dense is not None:
+            return e.dense[i].reshape(shape)
+        at = slice(*np.searchsorted(e.rows, [i, i + 1]))
+        return Entries(shape, *np.divmod(e.cols[at], self.dom), e.values[at], None).matrix
 
     def __iter__(self):
         return iter(self.space.labels)
@@ -117,18 +129,21 @@ class TaylorCoefficients(Mapping):
         return len(self.space.labels)
 
     @property
+    def dom(self) -> int:
+        return self.entries.shape[1] // self.space.block_dim
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The dense (L, r, dom) stack: the kept one, or formed from the entries on each read."""
+        return self.entries.matrix.reshape(len(self), self.space.block_dim, self.dom)
+
+    @property
     def max_degree(self) -> int:
         return int(self.space.degrees.max(initial=0))
 
     @property
     def scalars(self) -> Scalars:
-        return EXACT if is_exact_array(self.coefficients) else FLOAT
-
-    @functools.cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries as (labels, slots, values), a slot being a flat index into r x dom, labels ascending."""
-        labels, rows, cols = nonzero_index(self.coefficients)
-        return labels, rows * self.coefficients.shape[2] + cols, self.coefficients[labels, rows, cols]
+        return EXACT if is_exact_array(self.entries.values) else FLOAT
 
 
 @dataclass(eq=False)
@@ -137,8 +152,9 @@ class CharFnData:
 
     ``defect`` is the DefectData the blocks were built from: the tuple, its
     defects and the basis of Ran Defect that theta's rows are written in.
-    The complement of Ran P in E is not stored: it is read back from D =
-    [-u R Q_R, -complement] (``complement_basis``).
+    ``d_block`` is D = [-u R Q_R, -complement], dense or, when
+    ``_linalg.takes_slots`` rules so, its nonzero entries (``Entries``). The
+    complement of Ran P in E is read back from D (``complement_basis``).
     ``taylor`` holds the Taylor coefficients of theta, which every later
     step reads. ``diagnostics`` records the residuals of every defining
     identity checked during the build.
@@ -154,7 +170,7 @@ class CharFnData:
     row_defect: np.ndarray
     row_defect_basis: np.ndarray
     b_block: np.ndarray
-    d_block: np.ndarray
+    d_block: np.ndarray | Entries
     taylor: TaylorCoefficients
     support_cap: int
     constant_cap: int
@@ -186,8 +202,12 @@ class CharFnData:
 
     @property
     def complement_basis(self) -> np.ndarray:
-        """The unit columns that complement Ran P in E: D's trailing columns, negated back, bit for bit."""
-        return -self.d_block[:, self.row_defect_basis.shape[1] :]
+        """The columns that complement Ran P in E: D's trailing columns, negated back (bit for bit; +0 off D's entries)."""
+        d, p = self.d_block, self.row_defect_basis.shape[1]
+        if isinstance(d, np.ndarray):
+            return -d[:, p:]
+        at = d.cols >= p
+        return Entries((d.shape[0], d.shape[1] - p), d.rows[at], d.cols[at] - p, -d.values[at], None).matrix
 
 
 def build_charfn(
@@ -214,6 +234,13 @@ def build_charfn(
     (``Entries.grid``), and the E-side Gram P P* + D D* and U's two Grams
     are sparse products, whose norms past the identity read their slots
     when they take slots (``_linalg.ordered_sum``); no dense U is formed.
+
+    D and the Taylor coefficients take the form ``_linalg.takes_slots``
+    gives them, keyed by D's nonzero entries and by theta's terms (D's
+    entries and an r x p product per (alpha, beta) pair). As entries no
+    dense E x domain array is formed: the complement comes as unit columns
+    and theta's sums run on the first p columns, where B is not zero, in
+    the dense order, so both forms hold the same bits.
     """
     kernel = factorization.kernel
     pick = factorization.pick_factor
@@ -278,7 +305,8 @@ def build_charfn(
             f"u ill-defined: ||u Gamma - embedding|| = {u_residual:.3e} "
             "(embedding Gram does not match the pick defect)"
         )
-    complement_basis = orth_complement_of_range(embedding)
+    # the complement of Ran P: unit columns as entries, with no E x E identity, where it is made of them
+    complement = range_complement(embedding)
 
     # row contraction from the weighted powers, and its defect
     row = (root_b[:, None, None] * powers[b_pos]).swapaxes(0, 1).reshape(n, row_space.dim)
@@ -296,18 +324,22 @@ def build_charfn(
     )
 
     p = row_defect_basis.shape[1]
-    q_h = complement_basis.shape[1]
+    q_h = complement.shape[1]
+    dom = p + q_h
     b_block = np.hstack([row_defect @ row_defect_basis, sc.zeros((row_space.dim, q_h))])
-    # D = [-u R Q_R, -complement], negated into its place
-    outer = range_unitary @ (row @ row_defect_basis)
-    d_block = np.empty((e_space.dim, p + q_h), dtype=np.result_type(outer, complement_basis))
-    np.negative(outer, out=d_block[:, :p])
-    np.negative(complement_basis, out=d_block[:, p:])
+    # D = [-u R Q_R, -complement]
+    d_left = np.negative(range_unitary @ (row @ row_defect_basis))
+    d_block = _d_block(d_left, complement)
+    d_entries = d_block if isinstance(d_block, Entries) else Entries.of(d_block)
 
-    # block unitarity of U = [[R*, B], [P, D]]; the E-side Grams and U's own are read from entries
+    # block unitarity of U = [[R*, B], [P, D]]; the E-side Grams and U's own are read from entries. D B* is one
+    # product an output when no row of D holds two entries, else the dense product
     rel1 = minus_identity(row_gram + b_block @ b_block.conj().T)
-    rel2 = embedding @ row + d_block @ b_block.conj().T
-    e_entries, d_entries = Entries.of(embedding), Entries.of(d_block)
+    cross = single_term_product(d_block, b_block.conj().T) if isinstance(d_block, Entries) else None
+    if cross is None:
+        cross = as_matrix(d_block) @ b_block.conj().T
+    rel2 = embedding @ row + cross
+    e_entries = Entries.of(embedding)
     rel3 = minus_identity(sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_entries, d_entries.adjoint))
     diagnostics["block_relation_row"] = spectral_norm(rel1)
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
@@ -321,7 +353,9 @@ def build_charfn(
     # summed in place over the labels in order of first appearance. The g
     # labels lead and start at their first term; the others start at -0.0,
     # the exact additive identity, so a first term enters unchanged, sign of
-    # zero included.
+    # zero included. B_alpha is zero past its first p columns, so when theta
+    # takes entries the sums run on those columns alone, and the trailing
+    # columns hold sqrt(g_gamma) D_gamma's entries.
     a = graded_space(t.num_vars, beta_top).lift(kernel, sc)
     exps = labels.exponents
     sums = (exps[b_pos, None, :] + exps[None, :n_betas, :]).reshape(-1, t.num_vars)
@@ -329,14 +363,20 @@ def build_charfn(
     first = np.unique(np.ravel_multi_index(gammas.T, gammas.max(axis=0, initial=0) + 1), return_index=True)[1]
     gamma_space = BlockSpace([tuple(x) for x in gammas[np.sort(first)].tolist()], r)
     targets = gamma_space.positions(sums).reshape(len(b_pos), n_betas)
-    stack = sc.zeros((len(gamma_space.labels), r, p + q_h), t.dtype)
+    terms = len(d_entries.values) + targets.size * r * p
+    width = p if takes_slots((len(gamma_space.labels) * r, dom), terms, t.dtype) else dom
+    stack = sc.zeros((len(gamma_space.labels), r, width), t.dtype)
     np.negative(stack[len(g_pos) :], out=stack[len(g_pos) :])
-    np.multiply(root_g[:, None, None], d_block.reshape(len(g_pos), r, p + q_h), out=stack[: len(g_pos)])
-    for alpha_targets, scale, block in zip(targets, root_b, b_block.reshape(len(b_pos), n, p + q_h)):
+    g_blocks = (d_left if width == p else as_matrix(d_block)).reshape(len(g_pos), r, width)
+    np.multiply(root_g[:, None, None], g_blocks, out=stack[: len(g_pos)])
+    for alpha_targets, scale, block in zip(targets, root_b, b_block.reshape(len(b_pos), n, dom)):
         for target, a_beta, rows in zip(alpha_targets, a, defect_rows):
-            stack[target] += (a_beta * scale) * (rows @ block)
-    keep = np.flatnonzero((stack != 0).reshape(len(stack), -1).any(axis=1))
-    taylor = TaylorCoefficients(BlockSpace([gamma_space.labels[i] for i in keep], r), stack[keep])
+            stack[target] += (a_beta * scale) * (rows @ block)[:, :width]
+    if width == dom:
+        keep = np.flatnonzero((stack != 0).reshape(len(stack), -1).any(axis=1))
+        taylor = TaylorCoefficients.of(BlockSpace([gamma_space.labels[i] for i in keep], r), stack[keep])
+    else:
+        taylor = _taylor_entries(gamma_space, stack, d_entries, root_g)
 
     return CharFnData(
         factorization=factorization,
@@ -355,6 +395,36 @@ def build_charfn(
         constant_cap=constant_cap,
         diagnostics=diagnostics,
     )
+
+
+def _d_block(d_left: np.ndarray, complement: np.ndarray | Entries) -> np.ndarray | Entries:
+    """D = [d_left, -complement] in the form ``_linalg.takes_slots`` gives: one dense array, or its nonzero entries."""
+    (m, p), q = d_left.shape, complement.shape[1]
+    entries = complement if isinstance(complement, Entries) else None
+    keys = np.count_nonzero(d_left) + (len(entries.values) if entries else np.count_nonzero(complement))
+    dtype = np.result_type(d_left, entries.values if entries else complement)
+    if not takes_slots((m, p + q), keys, dtype):
+        d_block = np.empty((m, p + q), dtype=dtype)
+        d_block[:, :p] = d_left
+        np.negative(as_matrix(complement), out=d_block[:, p:])
+        return d_block
+    entries = entries or Entries.of(complement)
+    right = Entries(entries.shape, entries.rows, entries.cols, np.negative(entries.values), None)
+    return Entries.grid([[Entries.of(d_left), right]])
+
+
+def _taylor_entries(space: BlockSpace, left: np.ndarray, d_block: Entries, root_g: np.ndarray) -> TaylorCoefficients:
+    """The coefficients held by entries: ``left``, their (L, r, p) leading columns over ``space``, and
+    sqrt(g_gamma) D_gamma's trailing entries on E's labels, which lead; only the labels with an entry are kept."""
+    count, r, p = left.shape
+    dom = d_block.shape[1]
+    tail = d_block.cols >= p
+    rows = d_block.rows[tail]
+    trailing = Entries((count * r, dom - p), rows, d_block.cols[tail] - p, root_g[rows // r] * d_block.values[tail], None)
+    theta = Entries.grid([[Entries.of(left.reshape(-1, p)), trailing]])
+    (keep, at), fibers = np.unique(theta.rows // r, return_inverse=True), theta.rows % r
+    entries = Entries((len(keep), r * dom), at, fibers * dom + theta.cols, theta.values, None)
+    return TaylorCoefficients(BlockSpace([space.labels[i] for i in keep], r), entries)
 
 
 def charfn_blocks_dict(cfd: CharFnData) -> dict:
@@ -382,7 +452,7 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
         "row_contraction": dense(cfd.row_contraction),
         "row_defect": dense(cfd.row_defect),
         "b_block": dense(cfd.b_block),
-        "d_block": dense(cfd.d_block),
+        "d_block": dense(as_matrix(cfd.d_block)),
         "taylor": {
             ",".join(map(str, gamma)): dense(coeff) for gamma, coeff in sorted(cfd.taylor.items())
         },
@@ -407,8 +477,8 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     taylor = cfd.taylor
     sp = taylor.scalars.at(pts)
     monomials = sp.monomial(taylor.space.monomials(pts)).T
-    _, r, dom = taylor.coefficients.shape
-    labels, slots, values = taylor.entries
+    r, dom = taylor.space.block_dim, taylor.dom
+    labels, slots, values = taylor.entries.rows, taylor.entries.cols, taylor.entries.values
     out = sp.zeros((r * dom, len(pts)), complex)
     for at in (slice(k, k + r * dom) for k in range(0, len(slots), r * dom)):
         scatter_add(out, slots[at], monomials[labels[at]] * sp.array(values[at])[:, None])
@@ -416,12 +486,25 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     return out[0] if single else out
 
 
-def _scaled_blocks(space: BlockSpace, series, points: np.ndarray, blocks: np.ndarray, sp: Scalars) -> np.ndarray:
-    """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha."""
+def _scaled_blocks(space: BlockSpace, series, points: np.ndarray, blocks: np.ndarray | Entries, sp: Scalars) -> np.ndarray:
+    """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha.
+
+    Real entries that reach each output once at most give it as its one
+    product (zeros may take other signs; the gap reads only |.|); otherwise
+    the sum is one complex product with ``blocks`` dense, formed here.
+    """
     roots = sp.roots(space.lift(series, sp))
     weights = roots * sp.monomial(space.monomials(points))
+    r, dom = space.block_dim, blocks.shape[1]
+    if isinstance(blocks, Entries):
+        labels, fibers = np.divmod(blocks.rows, r)
+        places = Entries((r * dom, len(space.labels)), fibers * dom + blocks.cols, labels, sp.array(blocks.values), None)
+        out = single_term_product(places, weights.T)
+        if out is not None:
+            return out.T.reshape(len(points), r, dom)
+        blocks = blocks.matrix
     stack = sp.array(blocks).reshape(len(space.labels), -1)
-    return (weights[:, None, :] @ stack).reshape(len(points), space.block_dim, blocks.shape[1])
+    return (weights[:, None, :] @ stack).reshape(len(points), r, dom)
 
 
 def evaluation_gap(cfd: CharFnData, points) -> tuple[np.ndarray, float]:
@@ -554,6 +637,13 @@ class MultiplierMatrix:
         return out
 
 
+def _stack_products(taylor: TaylorCoefficients) -> Entries:
+    """The nonzero entries of Theta Theta^*, one BLAS product for its bits, on the dense stack (formed here if need be)."""
+    theta = taylor.coefficients.reshape(-1, taylor.dom)
+    products = Entries.of(theta @ theta.conj().T)
+    return Entries(products.shape, products.rows, products.cols, products.values, None)
+
+
 def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> MultiplierMatrix:
     """The plan of M_theta from the Taylor coefficients into ``dil.window``, and its Gram, in their arithmetic.
 
@@ -568,11 +658,10 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
     source order, so a source costs the entries it reaches, not a dense block.
     The sum is ``_linalg.ordered_sum``, one part per source, which chooses
     slot entries or the dense window x window array. Either way the values
-    are formed one source at a time.
+    are formed one source at a time, after the dense product is gone.
     """
     taylor, pick, kernel, window = cfd.taylor, cfd.pick_factor, cfd.kernel, dil.window
-    coeffs = taylor.coefficients
-    n_terms, r, dom = coeffs.shape
+    n_terms, r, dom = len(taylor), taylor.space.block_dim, taylor.dom
     scalars, max_deg, target_degree = taylor.scalars, taylor.max_degree, window.max_degree
     if dil.defect is not cfd.defect or window.block_dim != r:
         raise ValueError("the dilation is not built from this characteristic function's defect data")
@@ -595,14 +684,14 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
         lost, at = np.unique(ends[~inside], axis=0, return_inverse=True)
         a_lost = BlockSpace([tuple(lab) for lab in lost.tolist()], 1).lift(kernel, EXACT)
         ratio = (source.lift(pick, EXACT)[lost_sources] / a_lost[at.ravel()]).astype(float)
-        peak = np.abs(to_float_array(coeffs)).max(axis=(1, 2), initial=0.0)
+        peak = np.zeros(n_terms)
+        np.maximum.at(peak, taylor.entries.rows, np.abs(to_float_array(taylor.entries.values)))
         discarded = float(np.max(ratio * peak[lost_terms] ** 2))
 
     # a source reaches the Taylor labels of degree <= target_degree - its own, so the products it adds are a
     # prefix once sorted by the higher degree of their two labels; they enter as p * (w_a * w_b) at its
     # places of the Taylor rows, distinct in one source, so the Gram has the bits of the per-source blocks
-    theta = coeffs.reshape(n_terms * r, dom)
-    products = Entries.of(theta @ theta.conj().T)
+    products = _stack_products(taylor)
     reach = np.maximum(*taylor.space.degrees[[products.rows // r, products.cols // r]])
     order = np.argsort(reach, kind="stable")
     rows, cols, values = products.rows[order], products.cols[order], products.values[order]
@@ -719,20 +808,38 @@ def k_inner_subspace(cfd: CharFnData) -> KInnerData:
     the nonzero pairs of the Taylor stack (``sparse_product``), with no
     dense n x n array when ``_linalg.ordered_sum`` takes slot entries.
     ``shift_residual`` is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
-    S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates.
+    S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates,
+    read from theta_gamma basis: from entries, one term a row, or one dense
+    product a label with a row of several entries, as the stack's batched product.
     """
-    space, dom = cfd.taylor.space, cfd.taylor.coefficients.shape[2]
-    stack = to_float_array(cfd.taylor.coefficients)
+    taylor, space = cfd.taylor, cfd.taylor.space
+    r, dom, entries = space.block_dim, taylor.dom, taylor.entries
     inv_k = 1.0 / space.lift(cfd.kernel)[:, None, None]
-    theta = Entries.of(stack.reshape(-1, dom))
-    gram = sparse_product(theta.adjoint, Entries.of((stack * inv_k).reshape(-1, dom)))
+    # exact or complex entries take the dense stack too: one-term products are read from real floats only
+    if entries.dense is not None or is_exact_array(entries.values) or np.iscomplexobj(entries.values):
+        stack = to_float_array(taylor.coefficients)
+        theta = Entries.of(stack.reshape(-1, dom))
+        gram = sparse_product(theta.adjoint, Entries.of((stack * inv_k).reshape(-1, dom)))
+    else:
+        fibers, cols = np.divmod(entries.cols, dom)
+        theta = Entries((len(taylor) * r, dom), entries.rows * r + fibers, cols, entries.values, None)
+        scaled = entries.values * inv_k.ravel()[entries.rows]
+        gram = sparse_product(theta.adjoint, Entries(theta.shape, theta.rows, theta.cols, scaled, None))
     vals, basis = block_eigh(hermitian_part(gram), 1.0 - ISOMETRY_TOL)
     top = float(vals.max(initial=0.0))
     if not basis.shape[1]:
         raise EmptyKInnerError(
             f"empty k-inner space: largest Gram eigenvalue 1 - {1.0 - top:.3e} is below 1 - {ISOMETRY_TOL:g}"
         )
-    proj = stack @ basis
+    if theta.dense is not None:
+        proj = stack @ basis
+    else:
+        lone = np.bincount(theta.rows, minlength=theta.shape[0])[theta.rows] == 1
+        lone_rows = Entries(theta.shape, theta.rows[lone], theta.cols[lone], theta.values[lone], None)
+        proj = single_term_product(lone_rows, basis).reshape(len(taylor), r, -1)
+        several = np.flatnonzero(np.bincount(theta.rows[~lone] // r, minlength=len(taylor)))
+        if len(several):
+            proj[several] = np.stack([taylor[space.labels[i]] for i in several]) @ basis
     worst = 0.0
     for alpha in enumerate_up_to_degree(cfd.kernel.dim, SHIFT_CHECK_DEGREE)[1:]:
         low, high = space.shift(alpha)

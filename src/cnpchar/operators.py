@@ -490,10 +490,12 @@ def tuple_to_spec(t: OperatorTuple) -> dict:
 
 
 def tuple_from_spec(spec: dict) -> OperatorTuple:
+    if not isinstance(spec, dict):
+        raise ValueError("tuple spec must be an object with 'mode' and 'matrices' fields")
     try:
         mode = spec["mode"]
         raw = spec["matrices"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"tuple spec missing field {exc}") from exc
     if mode == "exact":
         try:

@@ -12,6 +12,7 @@ from cnpchar import _linalg, charfn
 from cnpchar._linalg import (
     Entries,
     adjoint,
+    as_matrix,
     connected_blocks,
     is_exactly_zero,
     max_abs,
@@ -70,6 +71,11 @@ def _forms_of_sums(build):
 
     with mock.patch.object(_linalg, "ordered_sum", recorded), mock.patch.object(charfn, "ordered_sum", recorded):
         return build(), forms
+
+
+def _forms_of_blocks(cfd):
+    """(D held by entries, theta held by entries): the forms ``build_charfn`` chose."""
+    return isinstance(cfd.d_block, Entries), cfd.taylor.entries.dense is None
 
 
 def charfn_of(t, fac, **caps):
@@ -138,7 +144,7 @@ class TestJordanCell:
     def test_outer_space_vanishes_for_pick_kernel(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
         assert cfd.complement_basis.shape[1] == 0
-        assert max_abs(np.asarray(cfd.d_block, dtype=float)) == 0
+        assert max_abs(np.asarray(as_matrix(cfd.d_block), dtype=float)) == 0
 
     def test_block_identities_exact(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
@@ -249,22 +255,49 @@ class TestBuildDiagnostics:
         assert runs[0] == runs[1]
 
     def test_sums_take_the_form_of_their_size(self):
-        """Suite builds keep every sparse sum dense; wide's five products and its multiplier Gram take slots; the
-        dense stack's multiplier Gram stays dense."""
+        """Suite builds keep every sparse sum, D and theta dense; wide's five products, its multiplier Gram, D and
+        theta take entries; the dense stack's multiplier Gram, D and theta stay dense."""
         for name in ("k2_da_d2_n3", "dadir_da_d1_n2_c"):
-            _, forms = _forms_of_sums(lambda: k_inner_subspace(_preset_charfn(name)))
-            assert forms and not any(forms), name
+            cfd, forms = _forms_of_sums(lambda: _preset_charfn(name))
+            _, more = _forms_of_sums(lambda: k_inner_subspace(cfd))
+            assert more and not any(forms + more), name
+            assert _forms_of_blocks(cfd) == (False, False), name
 
         def wide():
             cfd = _wide_charfn.__wrapped__()
             k_inner_subspace(cfd)
-            return multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)[0]
+            return cfd, multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)[0]
 
-        mult, forms = _forms_of_sums(wide)
+        (cfd, mult), forms = _forms_of_sums(wide)
         assert forms == [True] * 6 and mult.gram.shape == (816, 816)
+        assert _forms_of_blocks(cfd) == (True, True)
+        assert (cfd.d_block.shape, len(cfd.d_block.values)) == ((455, 463), 454)
+        assert (cfd.taylor.entries.shape, len(cfd.taylor.entries.values)) == ((454, 463), 463)
         cfd = _dense_stack_charfn()
         mult, forms = _forms_of_sums(lambda: multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)[0])
         assert forms == [False] and isinstance(mult.gram, np.ndarray)
+        assert _forms_of_blocks(cfd) == (False, False)
+
+    def test_wide_build_forms_no_dense_d(self):
+        """On wide, build_charfn's traced peak and the CharFnData it returns stay below the bytes of one dense
+        455 x 463 float D, and evaluation_gap's traced peak below D's complex cast."""
+        k, s = bergman_kernel(2, 3, 32), drury_arveson_kernel(3, 32)
+        fac = factor_through_pick(k, s)
+        dd = defect_data(model_tuple(k, 3, 1, mode="float"), k, s)
+        points = sample_points(np.random.default_rng(0), 5, 3)
+        tracemalloc.start()
+        try:
+            cfd = build_charfn(dd, fac, support_cap=12, constant_cap=12)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            evaluation_gap(cfd, points)
+            gap_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        dense_d = 8 * 455 * 463
+        assert (cfd.g_support.dim, cfd.domain_dim) == (455, 463)
+        assert peak < dense_d and held < dense_d
+        assert gap_peak < 2 * dense_d
 
     @pytest.mark.parametrize("name", ["wide", "k2_da_d2_n2", "two_cells_exact", "dadir_dir_d1_n1"])
     def test_e_space_shares_the_graded_tables_when_g_has_no_zero(self, name):
@@ -358,7 +391,7 @@ class TestThetaEvaluation:
             direct = np.zeros_like(outer)
             g = cfd.factorization.positive_part
             for lab in cfd.g_support.labels:
-                block = np.asarray(cfd.d_block, dtype=float)[cfd.g_support.block(lab), p:]
+                block = np.asarray(as_matrix(cfd.d_block), dtype=float)[cfd.g_support.block(lab), p:]
                 direct += np.sqrt(float(g.coeff(lab))) * complex(z[0]) ** lab[0] * block
             assert max_abs(outer - direct) < 1e-12
 
@@ -508,7 +541,7 @@ def _taylor_reference(cfd):
     e, row = cfd.g_support, cfd.b_support
     root_g = [sc.sqrt(c) for c in e.lift(cfd.factorization.positive_part, sc)]
     root_b = [sc.sqrt(c) for c in row.lift(reciprocal_complement(cfd.pick_factor), sc)]
-    taylor = {lab: scale * cfd.d_block[e.block(lab)] for lab, scale in zip(e.labels, root_g)}
+    taylor = {lab: scale * as_matrix(cfd.d_block)[e.block(lab)] for lab, scale in zip(e.labels, root_g)}
     for alpha, scale in zip(row.labels, root_b):
         block = cfd.b_block[row.block(alpha)]
         for beta, a_beta, p in zip(betas.labels, betas.lift(cfd.kernel, sc), powers):
@@ -900,7 +933,7 @@ def _dense_k_inner_reference(cfd, check_degree=3, eig_tol=1e-9):
 def _clone_with_taylor(cfd, terms):
     """``cfd`` with the Taylor coefficients of a label -> matrix dict."""
     stack = np.array(list(terms.values()))
-    return dataclasses.replace(cfd, taylor=TaylorCoefficients(BlockSpace(list(terms), stack.shape[1]), stack))
+    return dataclasses.replace(cfd, taylor=TaylorCoefficients.of(BlockSpace(list(terms), stack.shape[1]), stack))
 
 
 @pytest.fixture(scope="module")

@@ -359,6 +359,16 @@ class TestCharFnCommands:
         assert main(["charfn", "verify", *args, "--N", "24", "--degree-cap", "4"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [[{"mode": "float", "matrices": [[[0.5]]]}], "float", 5], ids=["list", "string", "number"])
+    def test_tuple_spec_that_is_no_object_exits_two(self, specs, tmp_path, capsys, spec):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(spec))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(path)]
+        assert main(["charfn", "verify", *args]) == 2
+        err = capsys.readouterr().err
+        assert "tuple spec must be an object with 'mode' and 'matrices' fields" in err
+        assert "list indices" not in err and "Traceback" not in err
+
     def test_unsettled_series_exits_two(self, tmp_path, capsys):
         """T = 0.9 is not nilpotent, and its purity sum has not settled by --N 48: an error, not a failed check."""
         path = tmp_path / "tuple.json"

@@ -35,9 +35,12 @@ from cnpchar._linalg import (
     orth_complement_of_range,
     point_stack,
     psd_root,
+    range_complement,
     scatter_add,
+    single_term_product,
     sparse_product,
     spectral_norm,
+    takes_slots,
     to_float_array,
 )
 
@@ -236,6 +239,36 @@ def test_exact_complement_is_a_unit_column_per_zero_row():
     want = _fractions([[1, 0], [0, 0], [0, 1], [0, 0]])
     assert _same_fractions(orth_complement_of_range(a), want)
     assert _same_fractions(orth_complement_of_range(exact_zeros((2, 0))), EXACT.eye(2))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _fractions([[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, 0]]),
+        np.vstack([np.eye(3) * [1.0, -2.0, 0.5], np.zeros((4, 3))]),
+        np.vstack([np.eye(2) * 1j + 0.5, np.zeros((3, 2))]),
+        np.zeros((3, 0)),
+    ],
+    ids=["exact", "float_prefix", "complex_prefix", "no_columns"],
+)
+def test_unit_complements_come_as_their_entries(a):
+    """Unit columns are Entries, one 1 a column in a's arithmetic, whose matrix is the dense complement bit for bit."""
+    got = range_complement(a)
+    assert isinstance(got, Entries) and got.dense is None
+    assert np.array_equal(got.rows, np.flatnonzero(~(a != 0).any(axis=1))) and np.array_equal(got.cols, np.arange(got.shape[1]))
+    dense = orth_complement_of_range(a)
+    if a.dtype == object:
+        assert _same_fractions(got.matrix, dense)
+    else:
+        assert got.matrix.dtype == dense.dtype and got.matrix.tobytes() == dense.tobytes()
+
+
+def test_other_complements_stay_dense():
+    a = np.zeros((5, 2))
+    a[[1, 3]] = [[1.0, 2.0], [3.0, -1.0]]  # nonzero rows that are not the first two
+    got = range_complement(a)
+    assert isinstance(got, np.ndarray) and got.shape == (5, 3)
+    assert got.tobytes() == orth_complement_of_range(a).tobytes()
 
 
 def test_exact_complement_of_a_full_rank_coordinate_matrix_is_empty():
@@ -1021,6 +1054,39 @@ def test_ordered_sum_takes_slots_on_large_matrices_when_they_are_smaller(shape, 
     terms = _linalg._zeros(keys, dtype)
     got = ordered_sum(shape, dtype, [keys], lambda _: positions, lambda _: terms)
     assert isinstance(got, Entries) == slots and got.shape == shape
+    assert takes_slots(shape, keys, dtype) == slots
+
+
+@pytest.mark.parametrize("left, right", [(float, float), (float, complex), (complex, float)])
+@pytest.mark.parametrize("m, k, n", [(40, 30, 5), (455, 463, 12), (7, 463, 1), (120, 130, 33)])
+def test_single_term_product_is_the_blas_product_bit_for_bit(left, right, m, k, n):
+    """Real rows of one entry or none: each output is one term, with the value of ``@``, and on a real ``b`` its bits.
+
+    Complex rows are refused: a complex times a complex entry is a sum of two
+    products, and BLAS fuses them otherwise than numpy's scalar product.
+    """
+    rng = np.random.default_rng(m + k + n)
+    a = np.zeros((m, k), dtype=left)
+    rows = rng.choice(m, size=m // 2, replace=False)
+    a[rows, rng.integers(0, k, len(rows))] = _sparse(rng, (len(rows),), 1.0, left)
+    b = _sparse(rng, (k, n), 0.7, right)
+    want = a @ b
+    for entries in (Entries.of(a), Entries.of(a).adjoint.adjoint):
+        got = single_term_product(entries, b)
+        if left == complex:
+            assert got is None
+        elif right == float:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_single_term_product_refuses_a_row_of_two_entries_and_keeps_fractions():
+    a = _fractions([[0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, 0]])
+    b = _fractions([[1, 2], [Fraction(2, 3), 0], [5, 5]])
+    assert _same_fractions(single_term_product(Entries.of(a), b), a @ b)
+    a[0, 2] = Fraction(1)
+    assert single_term_product(Entries.of(a), b) is None
 
 
 @pytest.mark.parametrize("slots", [False, True])
