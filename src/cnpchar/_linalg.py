@@ -18,14 +18,12 @@ entries, and complements of the range of any. Anything else raises
 :class:`ExactnessError`, signalling that float arithmetic is the right
 backend for that computation. Float spectral steps read a matrix's
 structure once, as its entries (:class:`Entries`), from which the norm and
-the blocks of a sparse Gram follow. One rule (:func:`takes_slots`) sets
-the form of a large sparse matrix: entries when the matrix is large and
-they take less memory than the dense array, else that array. An ordered sum
-of terms at matrix positions (:func:`ordered_sum`), such as a product of
-sparse factors (:func:`sparse_product`) or the multiplier Gram, follows it
-with slot entries, one slot per position that a term reaches; the block D
-and theta's Taylor coefficients follow it too (``charfn.build_charfn``).
-Sums, ``minus_identity``, ``hermitian_part``, ``spectral_norm`` and
+the blocks of a sparse Gram follow. An ordered sum of terms at matrix
+positions (:func:`ordered_sum`), such as a product of sparse factors
+(:func:`sparse_product`) or the multiplier Gram, chooses its own form: slot
+entries, one slot per position that a term reaches, when the matrix is
+large and the slots take less memory than the dense array, else that
+array. Sums, ``minus_identity``, ``hermitian_part``, ``spectral_norm`` and
 ``block_eigh`` read those slots with the bits the dense matrix would hold,
 and no dense array of the sum's size is formed. Every sum whose order fixes
 its bits is one ordered scatter-add (:func:`scatter_add`), in parts whose
@@ -186,11 +184,6 @@ class Entries:
     __radd__ = __add__
 
 
-def as_matrix(a: np.ndarray | Entries) -> np.ndarray:
-    """The dense matrix of a dense array (itself) or of entries (``Entries.matrix``)."""
-    return a.matrix if isinstance(a, Entries) else a
-
-
 def single_term_product(a: Entries, b: np.ndarray) -> np.ndarray | None:
     """``a @ b`` for a dense ``b`` when no row of ``a`` holds two entries and none is complex, else None.
 
@@ -251,20 +244,9 @@ def scatter_add(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.nd
     return out
 
 
-# an array takes slots only when it has at least SLOT_POSITIONS positions: below that the dense array
-# costs less time than the slot bookkeeping, measured on Grams of about one key a row
+# an ordered sum takes slots only when its (m, n) array has at least SLOT_POSITIONS positions: below
+# that the dense array costs less time than the slot bookkeeping, measured on Grams of about one key a row
 SLOT_POSITIONS = 2**15
-
-
-def takes_slots(shape, keys: int, dtype) -> bool:
-    """The one form rule: whether an (m, n) array reached by ``keys`` terms is held as slot entries, not densely.
-
-    Slots when the array has at least ``SLOT_POSITIONS`` positions and the
-    keys take less memory than it: a key costs 16 bytes, its position and
-    its slot, against the itemsize of ``dtype`` for each position.
-    """
-    positions = math.prod(shape)
-    return positions >= SLOT_POSITIONS and 16 * int(keys) < np.dtype(dtype).itemsize * positions
 
 
 def ordered_sum(
@@ -275,15 +257,17 @@ def ordered_sum(
     Part i, one of ``len(sizes)`` (at least one), has ``sizes[i]`` terms;
     ``keys(i)`` gives their flat positions and ``terms(i)`` their values, so
     every position gets its terms in list order, part after part. The sum
-    chooses its form from these sizes by :func:`takes_slots`. It is
-    ``Entries`` holding slots, one per position that some key reaches, and
-    every part's keys are then formed before the first part's terms.
-    Otherwise it is the dense (m, n) array, and no key is kept past its
-    part. Both hold the same bits on every position, and at most one part of
-    terms is held at a time.
+    chooses its form from these sizes. It is ``Entries`` holding slots, one
+    per position that some key reaches, when the (m, n) array has at least
+    ``SLOT_POSITIONS`` positions and the keys take less memory than it: a
+    key costs 16 bytes, its position and its slot, against the itemsize of
+    ``dtype`` for each position. Every part's keys are then formed before
+    the first part's terms. Otherwise it is the dense (m, n) array, and no
+    key is kept past its part. Both hold the same bits on every position,
+    and at most one part of terms is held at a time.
     """
     m, n = shape
-    if not takes_slots(shape, np.sum(sizes), dtype):
+    if m * n < SLOT_POSITIONS or 16 * int(np.sum(sizes)) >= np.dtype(dtype).itemsize * m * n:
         out = _zeros(m * n, dtype)
         for i in range(len(sizes)):
             scatter_add(out, keys(i), terms(i))
@@ -623,17 +607,17 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > RANK_CUTOFF * max(1.0, s[0] if s.size else 0.0)))
 
 
-def range_complement(a: np.ndarray) -> np.ndarray | Entries:
-    """Orthonormal basis (columns) of the orthogonal complement of Ran(a), rank cut at RANK_CUTOFF.
+def range_complement(a: np.ndarray) -> Entries:
+    """Orthonormal basis (columns) of the orthogonal complement of Ran(a), rank cut at RANK_CUTOFF, as entries.
 
-    Unit columns come as ``Entries``, a 1 in a's arithmetic each, with no
-    m x m array formed. An exact ``a`` must be a coordinate matrix; its
-    complement is one unit column per zero row. A float ``a`` with no
-    columns has every e_i; one of rank k = min(m, its columns) whose nonzero
-    rows are its first k has e_k ... e_{m-1}, with no m x m SVD: they are
-    the trailing columns of LAPACK's full U there. (With more columns than
-    nonzero rows, LAPACK may rotate some of them among themselves.) Any
-    other ``a`` takes its complement, dense, from that SVD.
+    Unit columns are a 1 in a's arithmetic each, with no m x m array
+    formed. An exact ``a`` must be a coordinate matrix; its complement is
+    one unit column per zero row. A float ``a`` with no columns has every
+    e_i; one of rank k = min(m, its columns) whose nonzero rows are its
+    first k has e_k ... e_{m-1}, with no m x m SVD: they are the trailing
+    columns of LAPACK's full U there. (With more columns than nonzero rows,
+    LAPACK may rotate some of them among themselves.) Any other ``a`` takes
+    its complement from that SVD, read by ``Entries.of``.
     """
     m = a.shape[0]
     if is_exact_array(a):
@@ -647,7 +631,7 @@ def range_complement(a: np.ndarray) -> np.ndarray | Entries:
         k = int(np.count_nonzero(live))
         if not (k == min(a.shape) and live[:k].all() and _rank(np.linalg.svd(a[:k], compute_uv=False)) == k):
             u, s, _ = np.linalg.svd(a, full_matrices=True)
-            return u[:, _rank(s):]
+            return Entries.of(u[:, _rank(s):])
         rows, one = np.arange(k, m), np.result_type(a.dtype, float).type(1)
     values = np.full(len(rows), one, dtype=object if isinstance(one, Fraction) else one.dtype)
     return Entries((m, len(rows)), rows, np.arange(len(rows)), values, None)
@@ -655,7 +639,7 @@ def range_complement(a: np.ndarray) -> np.ndarray | Entries:
 
 def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
     """:func:`range_complement` as a dense matrix."""
-    return as_matrix(range_complement(a))
+    return range_complement(a).matrix
 
 
 def polar_orthogonal(a: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ from ._linalg import (
     Entries,
     Scalars,
     adjoint,
-    as_matrix,
     block_eigh,
     hermitian_part,
     is_exact_array,
@@ -61,7 +60,6 @@ from ._linalg import (
     single_term_product,
     sparse_product,
     spectral_norm,
-    takes_slots,
     to_float_array,
 )
 from .dilation import DilationData, MonomialWindow
@@ -98,12 +96,12 @@ class EmptyKInnerError(RuntimeError):
 class TaylorCoefficients(Mapping):
     """theta's Taylor coefficients, as a mapping from labels gamma to r x dom matrices theta_gamma.
 
-    They are held as ``entries``, row-major (labels, slots, values) of the
-    (L, r dom) matrix whose row l is the flattened coefficient at the l-th
-    label of ``space`` (block size r), in the arithmetic they were built in:
-    with the read-only dense stack ``coefficients`` kept, or, when
-    ``_linalg.takes_slots`` rules so, alone, the stack formed on each read.
-    A label whose coefficient is exactly zero is absent.
+    They are held as ``entries``, the row-major (labels, slots, values) of
+    the (L, r dom) matrix whose row l is the flattened coefficient at the
+    l-th label of ``space`` (block size r), in the arithmetic they were
+    built in; a coefficient or the dense (L, r, dom) stack ``coefficients``
+    is formed from them when read, +0 off the entries. A label whose
+    coefficient is exactly zero is absent.
     """
 
     space: BlockSpace
@@ -111,14 +109,12 @@ class TaylorCoefficients(Mapping):
 
     @classmethod
     def of(cls, space: BlockSpace, stack: np.ndarray) -> "TaylorCoefficients":
-        """The coefficients of a dense (L, r, dom) stack, which they keep."""
-        stack.setflags(write=False)
-        return cls(space, Entries.of(stack.reshape(len(stack), -1)))
+        """The coefficients of a dense (L, r, dom) stack, read as its nonzero entries."""
+        e = Entries.of(stack.reshape(len(stack), -1))
+        return cls(space, Entries(e.shape, e.rows, e.cols, e.values, None))
 
     def __getitem__(self, label) -> np.ndarray:
         i, e, shape = self.space.index[label], self.entries, (self.space.block_dim, self.dom)
-        if e.dense is not None:
-            return e.dense[i].reshape(shape)
         at = slice(*np.searchsorted(e.rows, [i, i + 1]))
         return Entries(shape, *np.divmod(e.cols[at], self.dom), e.values[at], None).matrix
 
@@ -134,8 +130,10 @@ class TaylorCoefficients(Mapping):
 
     @property
     def coefficients(self) -> np.ndarray:
-        """The dense (L, r, dom) stack: the kept one, or formed from the entries on each read."""
-        return self.entries.matrix.reshape(len(self), self.space.block_dim, self.dom)
+        """The dense (L, r, dom) stack, formed from the entries on each read, read-only."""
+        stack = self.entries.matrix.reshape(len(self), self.space.block_dim, self.dom)
+        stack.setflags(write=False)
+        return stack
 
     @property
     def max_degree(self) -> int:
@@ -152,9 +150,9 @@ class CharFnData:
 
     ``defect`` is the DefectData the blocks were built from: the tuple, its
     defects and the basis of Ran Defect that theta's rows are written in.
-    ``d_block`` is D = [-u R Q_R, -complement], dense or, when
-    ``_linalg.takes_slots`` rules so, its nonzero entries (``Entries``). The
-    complement of Ran P in E is read back from D (``complement_basis``).
+    ``d_block`` is D = [-u R Q_R, -complement], held by its nonzero
+    entries (``Entries``; ``d_block.matrix`` is the dense D, +0 off them).
+    The complement of Ran P in E is read back from D (``complement_basis``).
     ``taylor`` holds the Taylor coefficients of theta, which every later
     step reads. ``diagnostics`` records the residuals of every defining
     identity checked during the build.
@@ -170,7 +168,7 @@ class CharFnData:
     row_defect: np.ndarray
     row_defect_basis: np.ndarray
     b_block: np.ndarray
-    d_block: np.ndarray | Entries
+    d_block: Entries
     taylor: TaylorCoefficients
     support_cap: int
     constant_cap: int
@@ -202,10 +200,8 @@ class CharFnData:
 
     @property
     def complement_basis(self) -> np.ndarray:
-        """The columns that complement Ran P in E: D's trailing columns, negated back (bit for bit; +0 off D's entries)."""
+        """The columns that complement Ran P in E: D's trailing entries, negated back bit for bit, +0 off them."""
         d, p = self.d_block, self.row_defect_basis.shape[1]
-        if isinstance(d, np.ndarray):
-            return -d[:, p:]
         at = d.cols >= p
         return Entries((d.shape[0], d.shape[1] - p), d.rows[at], d.cols[at] - p, -d.values[at], None).matrix
 
@@ -235,12 +231,11 @@ def build_charfn(
     are sparse products, whose norms past the identity read their slots
     when they take slots (``_linalg.ordered_sum``); no dense U is formed.
 
-    D and the Taylor coefficients take the form ``_linalg.takes_slots``
-    gives them, keyed by D's nonzero entries and by theta's terms (D's
-    entries and an r x p product per (alpha, beta) pair). As entries no
+    D and the Taylor coefficients are held by their nonzero entries, and no
     dense E x domain array is formed: the complement comes as unit columns
-    and theta's sums run on the first p columns, where B is not zero, in
-    the dense order, so both forms hold the same bits.
+    where it is made of them (``_linalg.range_complement``), and theta's
+    sums run on the first p columns, where B is not zero, in the order of
+    the dense sums, so every entry has the bits of the dense stack.
     """
     kernel = factorization.kernel
     pick = factorization.pick_factor
@@ -305,7 +300,7 @@ def build_charfn(
             f"u ill-defined: ||u Gamma - embedding|| = {u_residual:.3e} "
             "(embedding Gram does not match the pick defect)"
         )
-    # the complement of Ran P: unit columns as entries, with no E x E identity, where it is made of them
+    # the complement of Ran P as entries: unit columns, with no E x E identity, where it is made of them
     complement = range_complement(embedding)
 
     # row contraction from the weighted powers, and its defect
@@ -327,35 +322,33 @@ def build_charfn(
     q_h = complement.shape[1]
     dom = p + q_h
     b_block = np.hstack([row_defect @ row_defect_basis, sc.zeros((row_space.dim, q_h))])
-    # D = [-u R Q_R, -complement]
+    # D = [-u R Q_R, -complement], as entries
     d_left = np.negative(range_unitary @ (row @ row_defect_basis))
-    d_block = _d_block(d_left, complement)
-    d_entries = d_block if isinstance(d_block, Entries) else Entries.of(d_block)
+    negated = Entries(complement.shape, complement.rows, complement.cols, np.negative(complement.values), None)
+    d_block = _beside(Entries.of(d_left), negated)
 
     # block unitarity of U = [[R*, B], [P, D]]; the E-side Grams and U's own are read from entries. D B* is one
     # product an output when no row of D holds two entries, else the dense product
     rel1 = minus_identity(row_gram + b_block @ b_block.conj().T)
-    cross = single_term_product(d_block, b_block.conj().T) if isinstance(d_block, Entries) else None
+    cross = single_term_product(d_block, b_block.conj().T)
     if cross is None:
-        cross = as_matrix(d_block) @ b_block.conj().T
+        cross = d_block.matrix @ b_block.conj().T
     rel2 = embedding @ row + cross
     e_entries = Entries.of(embedding)
-    rel3 = minus_identity(sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_entries, d_entries.adjoint))
+    rel3 = minus_identity(sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_block, d_block.adjoint))
     diagnostics["block_relation_row"] = spectral_norm(rel1)
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
     diagnostics["block_relation_e"] = spectral_norm(rel3)
-    u = Entries.grid([[Entries.of(row.conj().T), Entries.of(b_block)], [e_entries, d_entries]])
+    u = Entries.grid([[Entries.of(row.conj().T), Entries.of(b_block)], [e_entries, d_block]])
     diagnostics["unitary_gram"] = spectral_norm(minus_identity(sparse_product(u.adjoint, u)))
     diagnostics["unitary_cogram"] = spectral_norm(minus_identity(sparse_product(u, u.adjoint)))
 
     # theta_gamma = sqrt(g_gamma) D_gamma
     #     + sum_{alpha+beta=gamma} a_beta sqrt(b_alpha) Q* Defect (T^beta)^* B_alpha,
-    # summed in place over the labels in order of first appearance. The g
-    # labels lead and start at their first term; the others start at -0.0,
-    # the exact additive identity, so a first term enters unchanged, sign of
-    # zero included. B_alpha is zero past its first p columns, so when theta
-    # takes entries the sums run on those columns alone, and the trailing
-    # columns hold sqrt(g_gamma) D_gamma's entries.
+    # summed in place over the labels in order of first appearance; the g
+    # labels lead and start at their first term. B_alpha is zero past its
+    # first p columns, so the sums run on those columns alone, and the
+    # trailing columns hold sqrt(g_gamma) D_gamma's entries.
     a = graded_space(t.num_vars, beta_top).lift(kernel, sc)
     exps = labels.exponents
     sums = (exps[b_pos, None, :] + exps[None, :n_betas, :]).reshape(-1, t.num_vars)
@@ -363,20 +356,12 @@ def build_charfn(
     first = np.unique(np.ravel_multi_index(gammas.T, gammas.max(axis=0, initial=0) + 1), return_index=True)[1]
     gamma_space = BlockSpace([tuple(x) for x in gammas[np.sort(first)].tolist()], r)
     targets = gamma_space.positions(sums).reshape(len(b_pos), n_betas)
-    terms = len(d_entries.values) + targets.size * r * p
-    width = p if takes_slots((len(gamma_space.labels) * r, dom), terms, t.dtype) else dom
-    stack = sc.zeros((len(gamma_space.labels), r, width), t.dtype)
-    np.negative(stack[len(g_pos) :], out=stack[len(g_pos) :])
-    g_blocks = (d_left if width == p else as_matrix(d_block)).reshape(len(g_pos), r, width)
-    np.multiply(root_g[:, None, None], g_blocks, out=stack[: len(g_pos)])
+    left = sc.zeros((len(gamma_space.labels), r, p), t.dtype)
+    np.multiply(root_g[:, None, None], d_left.reshape(len(g_pos), r, p), out=left[: len(g_pos)])
     for alpha_targets, scale, block in zip(targets, root_b, b_block.reshape(len(b_pos), n, dom)):
         for target, a_beta, rows in zip(alpha_targets, a, defect_rows):
-            stack[target] += (a_beta * scale) * (rows @ block)[:, :width]
-    if width == dom:
-        keep = np.flatnonzero((stack != 0).reshape(len(stack), -1).any(axis=1))
-        taylor = TaylorCoefficients.of(BlockSpace([gamma_space.labels[i] for i in keep], r), stack[keep])
-    else:
-        taylor = _taylor_entries(gamma_space, stack, d_entries, root_g)
+            left[target] += (a_beta * scale) * (rows @ block)[:, :p]
+    taylor = _taylor_entries(gamma_space, left, d_block, root_g)
 
     return CharFnData(
         factorization=factorization,
@@ -397,31 +382,24 @@ def build_charfn(
     )
 
 
-def _d_block(d_left: np.ndarray, complement: np.ndarray | Entries) -> np.ndarray | Entries:
-    """D = [d_left, -complement] in the form ``_linalg.takes_slots`` gives: one dense array, or its nonzero entries."""
-    (m, p), q = d_left.shape, complement.shape[1]
-    entries = complement if isinstance(complement, Entries) else None
-    keys = np.count_nonzero(d_left) + (len(entries.values) if entries else np.count_nonzero(complement))
-    dtype = np.result_type(d_left, entries.values if entries else complement)
-    if not takes_slots((m, p + q), keys, dtype):
-        d_block = np.empty((m, p + q), dtype=dtype)
-        d_block[:, :p] = d_left
-        np.negative(as_matrix(complement), out=d_block[:, p:])
-        return d_block
-    entries = entries or Entries.of(complement)
-    right = Entries(entries.shape, entries.rows, entries.cols, np.negative(entries.values), None)
-    return Entries.grid([[Entries.of(d_left), right]])
+def _beside(lead: Entries, right: Entries) -> Entries:
+    """The block row [lead, right] as entries, from two row-major entry lists: in each row the entries of ``right``
+    follow those of ``lead``, so the lists merge with no sort (``Entries.grid``'s outgrows a dense block's entries)."""
+    at = np.searchsorted(lead.rows, right.rows, side="right")
+    values = lead.values.astype(np.result_type(lead.values, right.values), copy=False)
+    rows, cols = np.insert(lead.rows, at, right.rows), np.insert(lead.cols, at, right.cols + lead.shape[1])
+    return Entries((lead.shape[0], lead.shape[1] + right.shape[1]), rows, cols, np.insert(values, at, right.values), None)
 
 
 def _taylor_entries(space: BlockSpace, left: np.ndarray, d_block: Entries, root_g: np.ndarray) -> TaylorCoefficients:
-    """The coefficients held by entries: ``left``, their (L, r, p) leading columns over ``space``, and
+    """The coefficients from ``left``, their (L, r, p) leading columns over ``space``, and
     sqrt(g_gamma) D_gamma's trailing entries on E's labels, which lead; only the labels with an entry are kept."""
     count, r, p = left.shape
     dom = d_block.shape[1]
     tail = d_block.cols >= p
     rows = d_block.rows[tail]
     trailing = Entries((count * r, dom - p), rows, d_block.cols[tail] - p, root_g[rows // r] * d_block.values[tail], None)
-    theta = Entries.grid([[Entries.of(left.reshape(-1, p)), trailing]])
+    theta = _beside(Entries.of(left.reshape(-1, p)), trailing)
     (keep, at), fibers = np.unique(theta.rows // r, return_inverse=True), theta.rows % r
     entries = Entries((len(keep), r * dom), at, fibers * dom + theta.cols, theta.values, None)
     return TaylorCoefficients(BlockSpace([space.labels[i] for i in keep], r), entries)
@@ -436,7 +414,7 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
 
     def dense(m) -> dict:
         arr = to_float_array(np.asarray(m))
-        return {"shape": list(arr.shape), "entries": np.real_if_close(arr).astype(float).tolist()}
+        return {"shape": list(arr.shape), "entries": (np.real_if_close(arr).astype(float) + 0.0).tolist()}
 
     return {
         "fiber_dim": cfd.fiber_dim,
@@ -452,7 +430,7 @@ def charfn_blocks_dict(cfd: CharFnData) -> dict:
         "row_contraction": dense(cfd.row_contraction),
         "row_defect": dense(cfd.row_defect),
         "b_block": dense(cfd.b_block),
-        "d_block": dense(as_matrix(cfd.d_block)),
+        "d_block": dense(cfd.d_block.matrix),
         "taylor": {
             ",".join(map(str, gamma)): dense(coeff) for gamma, coeff in sorted(cfd.taylor.items())
         },
@@ -486,24 +464,22 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     return out[0] if single else out
 
 
-def _scaled_blocks(space: BlockSpace, series, points: np.ndarray, blocks: np.ndarray | Entries, sp: Scalars) -> np.ndarray:
+def _scaled_blocks(space: BlockSpace, series, points: np.ndarray, blocks: Entries, sp: Scalars) -> np.ndarray:
     """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha.
 
     Real entries that reach each output once at most give it as its one
     product (zeros may take other signs; the gap reads only |.|); otherwise
-    the sum is one complex product with ``blocks`` dense, formed here.
+    the sum is one complex product with ``blocks.matrix``, formed here.
     """
     roots = sp.roots(space.lift(series, sp))
     weights = roots * sp.monomial(space.monomials(points))
     r, dom = space.block_dim, blocks.shape[1]
-    if isinstance(blocks, Entries):
-        labels, fibers = np.divmod(blocks.rows, r)
-        places = Entries((r * dom, len(space.labels)), fibers * dom + blocks.cols, labels, sp.array(blocks.values), None)
-        out = single_term_product(places, weights.T)
-        if out is not None:
-            return out.T.reshape(len(points), r, dom)
-        blocks = blocks.matrix
-    stack = sp.array(blocks).reshape(len(space.labels), -1)
+    labels, fibers = np.divmod(blocks.rows, r)
+    places = Entries((r * dom, len(space.labels)), fibers * dom + blocks.cols, labels, sp.array(blocks.values), None)
+    out = single_term_product(places, weights.T)
+    if out is not None:
+        return np.ascontiguousarray(out.T).reshape(len(points), r, dom)  # C order, as the product's, for later products
+    stack = sp.array(blocks.matrix).reshape(len(space.labels), -1)
     return (weights[:, None, :] @ stack).reshape(len(points), r, dom)
 
 
@@ -518,7 +494,7 @@ def evaluation_gap(cfd: CharFnData, points) -> tuple[np.ndarray, float]:
     direct = _scaled_blocks(cfd.g_support, cfd.factorization.positive_part, pts, cfd.d_block, sp)
     # Defect k_z(T)^* Z(z) B
     kz_adj = np.conjugate(operator_series(t, cfd.kernel, pts)).swapaxes(-1, -2)
-    zb = _scaled_blocks(cfd.b_support, reciprocal_complement(cfd.pick_factor), pts, cfd.b_block, sp)
+    zb = _scaled_blocks(cfd.b_support, reciprocal_complement(cfd.pick_factor), pts, Entries.of(cfd.b_block), sp)
     qd_adj = sp.array(cfd.defect.ran_defect_basis.conj().T)
     delta = sp.array(cfd.defect.defect)
     direct = direct + qd_adj @ delta @ kz_adj @ zb
@@ -638,7 +614,7 @@ class MultiplierMatrix:
 
 
 def _stack_products(taylor: TaylorCoefficients) -> Entries:
-    """The nonzero entries of Theta Theta^*, one BLAS product for its bits, on the dense stack (formed here if need be)."""
+    """The nonzero entries of Theta Theta^*, one BLAS product for its bits, on the dense stack formed here."""
     theta = taylor.coefficients.reshape(-1, taylor.dom)
     products = Entries.of(theta @ theta.conj().T)
     return Entries(products.shape, products.rows, products.cols, products.values, None)
@@ -809,41 +785,27 @@ def k_inner_subspace(cfd: CharFnData) -> KInnerData:
     dense n x n array when ``_linalg.ordered_sum`` takes slot entries.
     ``shift_residual`` is max |basis^* S_alpha basis| over 1 <= |alpha| <= SHIFT_CHECK_DEGREE: the shifts
     S_alpha = sum_gamma theta_gamma^* theta_{gamma+alpha} / k_{gamma+alpha} in basis coordinates,
-    read from theta_gamma basis: from entries, one term a row, or one dense
-    product a label with a row of several entries, as the stack's batched product.
+    read from theta_gamma basis: one product of the dense stack, formed here.
     """
     taylor, space = cfd.taylor, cfd.taylor.space
     r, dom, entries = space.block_dim, taylor.dom, taylor.entries
-    inv_k = 1.0 / space.lift(cfd.kernel)[:, None, None]
-    # exact or complex entries take the dense stack too: one-term products are read from real floats only
-    if entries.dense is not None or is_exact_array(entries.values) or np.iscomplexobj(entries.values):
-        stack = to_float_array(taylor.coefficients)
-        theta = Entries.of(stack.reshape(-1, dom))
-        gram = sparse_product(theta.adjoint, Entries.of((stack * inv_k).reshape(-1, dom)))
-    else:
-        fibers, cols = np.divmod(entries.cols, dom)
-        theta = Entries((len(taylor) * r, dom), entries.rows * r + fibers, cols, entries.values, None)
-        scaled = entries.values * inv_k.ravel()[entries.rows]
-        gram = sparse_product(theta.adjoint, Entries(theta.shape, theta.rows, theta.cols, scaled, None))
+    inv_k = 1.0 / space.lift(cfd.kernel)
+    fibers, cols = np.divmod(entries.cols, dom)
+    values = to_float_array(entries.values)
+    theta = Entries((len(taylor) * r, dom), entries.rows * r + fibers, cols, values, None)
+    scaled = Entries(theta.shape, theta.rows, theta.cols, values * inv_k[entries.rows], None)
+    gram = sparse_product(theta.adjoint, scaled)
     vals, basis = block_eigh(hermitian_part(gram), 1.0 - ISOMETRY_TOL)
     top = float(vals.max(initial=0.0))
     if not basis.shape[1]:
         raise EmptyKInnerError(
             f"empty k-inner space: largest Gram eigenvalue 1 - {1.0 - top:.3e} is below 1 - {ISOMETRY_TOL:g}"
         )
-    if theta.dense is not None:
-        proj = stack @ basis
-    else:
-        lone = np.bincount(theta.rows, minlength=theta.shape[0])[theta.rows] == 1
-        lone_rows = Entries(theta.shape, theta.rows[lone], theta.cols[lone], theta.values[lone], None)
-        proj = single_term_product(lone_rows, basis).reshape(len(taylor), r, -1)
-        several = np.flatnonzero(np.bincount(theta.rows[~lone] // r, minlength=len(taylor)))
-        if len(several):
-            proj[several] = np.stack([taylor[space.labels[i]] for i in several]) @ basis
+    proj = to_float_array(taylor.coefficients) @ basis
     worst = 0.0
     for alpha in enumerate_up_to_degree(cfd.kernel.dim, SHIFT_CHECK_DEGREE)[1:]:
         low, high = space.shift(alpha)
-        shift = np.tensordot(proj[low].conj(), proj[high] * inv_k[high], axes=([0, 1], [0, 1]))
+        shift = np.tensordot(proj[low].conj(), proj[high] * inv_k[high, None, None], axes=([0, 1], [0, 1]))
         worst = max(worst, max_abs(shift))
     return KInnerData(basis, vals, worst, max(0.0, top - 1.0))
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cnpchar._linalg import adjoint, as_matrix, max_abs, point_stack, to_float_array
+from cnpchar._linalg import adjoint, max_abs, point_stack, to_float_array
 from cnpchar.charfn import (
     align_factorizations,
     build_charfn,
@@ -100,7 +100,7 @@ def _scaled_blocks_reference(space, series, point, blocks, sp):
 def _evaluation_gap_reference(cfd, point):
     t = cfd.ops
     sp = t.scalars.at(point)
-    direct = _scaled_blocks_reference(cfd.g_support, cfd.factorization.positive_part, point, as_matrix(cfd.d_block), sp)
+    direct = _scaled_blocks_reference(cfd.g_support, cfd.factorization.positive_part, point, cfd.d_block.matrix, sp)
     kz_adj = operator_series(t, cfd.kernel, point).conj().T
     b = reciprocal_complement(cfd.pick_factor)
     zb = _scaled_blocks_reference(cfd.b_support, b, point, cfd.b_block, sp)

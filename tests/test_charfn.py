@@ -12,7 +12,6 @@ from cnpchar import _linalg, charfn
 from cnpchar._linalg import (
     Entries,
     adjoint,
-    as_matrix,
     connected_blocks,
     is_exactly_zero,
     max_abs,
@@ -71,11 +70,6 @@ def _forms_of_sums(build):
 
     with mock.patch.object(_linalg, "ordered_sum", recorded), mock.patch.object(charfn, "ordered_sum", recorded):
         return build(), forms
-
-
-def _forms_of_blocks(cfd):
-    """(D held by entries, theta held by entries): the forms ``build_charfn`` chose."""
-    return isinstance(cfd.d_block, Entries), cfd.taylor.entries.dense is None
 
 
 def charfn_of(t, fac, **caps):
@@ -144,7 +138,7 @@ class TestJordanCell:
     def test_outer_space_vanishes_for_pick_kernel(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
         assert cfd.complement_basis.shape[1] == 0
-        assert max_abs(np.asarray(as_matrix(cfd.d_block), dtype=float)) == 0
+        assert max_abs(np.asarray(cfd.d_block.matrix, dtype=float)) == 0
 
     def test_block_identities_exact(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
@@ -255,13 +249,12 @@ class TestBuildDiagnostics:
         assert runs[0] == runs[1]
 
     def test_sums_take_the_form_of_their_size(self):
-        """Suite builds keep every sparse sum, D and theta dense; wide's five products, its multiplier Gram, D and
-        theta take entries; the dense stack's multiplier Gram, D and theta stay dense."""
+        """Suite builds keep every sparse sum dense; wide's five products and its multiplier Gram take slot
+        entries, and its D and theta hold only their nonzero entries; the dense stack's multiplier Gram stays dense."""
         for name in ("k2_da_d2_n3", "dadir_da_d1_n2_c"):
             cfd, forms = _forms_of_sums(lambda: _preset_charfn(name))
             _, more = _forms_of_sums(lambda: k_inner_subspace(cfd))
             assert more and not any(forms + more), name
-            assert _forms_of_blocks(cfd) == (False, False), name
 
         def wide():
             cfd = _wide_charfn.__wrapped__()
@@ -270,13 +263,12 @@ class TestBuildDiagnostics:
 
         (cfd, mult), forms = _forms_of_sums(wide)
         assert forms == [True] * 6 and mult.gram.shape == (816, 816)
-        assert _forms_of_blocks(cfd) == (True, True)
         assert (cfd.d_block.shape, len(cfd.d_block.values)) == ((455, 463), 454)
         assert (cfd.taylor.entries.shape, len(cfd.taylor.entries.values)) == ((454, 463), 463)
         cfd = _dense_stack_charfn()
         mult, forms = _forms_of_sums(lambda: multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)[0])
         assert forms == [False] and isinstance(mult.gram, np.ndarray)
-        assert _forms_of_blocks(cfd) == (False, False)
+        assert len(cfd.taylor.entries.values) == np.count_nonzero(cfd.taylor.coefficients)
 
     def test_wide_build_forms_no_dense_d(self):
         """On wide, build_charfn's traced peak and the CharFnData it returns stay below the bytes of one dense
@@ -391,7 +383,7 @@ class TestThetaEvaluation:
             direct = np.zeros_like(outer)
             g = cfd.factorization.positive_part
             for lab in cfd.g_support.labels:
-                block = np.asarray(as_matrix(cfd.d_block), dtype=float)[cfd.g_support.block(lab), p:]
+                block = np.asarray(cfd.d_block.matrix, dtype=float)[cfd.g_support.block(lab), p:]
                 direct += np.sqrt(float(g.coeff(lab))) * complex(z[0]) ** lab[0] * block
             assert max_abs(outer - direct) < 1e-12
 
@@ -541,7 +533,7 @@ def _taylor_reference(cfd):
     e, row = cfd.g_support, cfd.b_support
     root_g = [sc.sqrt(c) for c in e.lift(cfd.factorization.positive_part, sc)]
     root_b = [sc.sqrt(c) for c in row.lift(reciprocal_complement(cfd.pick_factor), sc)]
-    taylor = {lab: scale * as_matrix(cfd.d_block)[e.block(lab)] for lab, scale in zip(e.labels, root_g)}
+    taylor = {lab: scale * cfd.d_block.matrix[e.block(lab)] for lab, scale in zip(e.labels, root_g)}
     for alpha, scale in zip(row.labels, root_b):
         block = cfd.b_block[row.block(alpha)]
         for beta, a_beta, p in zip(betas.labels, betas.lift(cfd.kernel, sc), powers):

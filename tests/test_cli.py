@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -683,17 +684,19 @@ def _blanked_report(argv, out):
 )
 def test_the_form_of_a_sum_moves_no_report_byte(argv, tmp_path, capsys):
     """Every ordered sum dense (an infinite position floor), or as slot entries wherever they are smaller (no floor):
-    the same exit code and, ``elapsed`` apart, the same report bytes, multiplier Gram and factorization residual included."""
+    the same exit code and, ``elapsed`` apart, the same report bytes, multiplier Gram and factorization residual
+    included, and the same ``--dump-theta`` bytes, whose zeros print unsigned."""
     runs = []
     for floor in (math.inf, 0):
-        out = tmp_path / f"floor-{floor}.json"
+        out, dump = tmp_path / f"floor-{floor}.json", tmp_path / f"theta-{floor}.json"
         with mock.patch.object(_linalg, "SLOT_POSITIONS", floor):
-            code = main(argv + ["--out", str(out)])
+            code = main(argv + ["--out", str(out), "--dump-theta", str(dump)])
         report = read_report(out)
         for check in report["checks"]:
             check["elapsed"] = 0.0
-        runs.append((code, json.dumps(report)))
+        runs.append((code, json.dumps(report), dump.read_bytes()))
     assert runs[0] == runs[1]
+    assert re.search(rb"-0\.0[,\]\s]", runs[0][2]) is None
 
 
 class TestSharedParser:
