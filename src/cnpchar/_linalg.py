@@ -3,9 +3,9 @@
 Every computation runs in one of two arithmetics, ``EXACT`` or ``FLOAT``
 (:class:`Scalars`), and every choice that depends on which one is made here:
 zeros and identities, square roots, how a monomial or an array enters the
-arithmetic, and how points enter it: a stack of rational points stays
-exact, any other is one complex128 array (:func:`point_stack`). The one
-exception is a series' coefficients, which enter through
+arithmetic, and how points enter it: a stack of rational points stays exact,
+any other is one complex128 array (:func:`point_stack`). The one exception
+is a series' coefficients, which enter through
 ``multiindex.BlockSpace.lift`` in the arithmetic it is given. Float matrices
 are numpy float/complex arrays in orthonormal bases. Exact matrices are
 object arrays of ``fractions.Fraction`` (or int), optionally in an
@@ -16,19 +16,22 @@ matrices, which hold at most one nonzero entry in each row and column:
 roots, range bases and pseudo-inverses of diagonal ones with perfect-square
 entries, and complements of the range of any. Anything else raises
 :class:`ExactnessError`, signalling that float arithmetic is the right
-backend for that computation. Float spectral steps read a matrix's
-structure once, as its entries (:class:`Entries`), from which the norm and
-the blocks of a sparse Gram follow. An ordered sum of terms at matrix
-positions (:func:`ordered_sum`), such as a product of sparse factors
-(:func:`sparse_product`) or the multiplier Gram, chooses its own form: slot
-entries, one slot per position that a term reaches, when the matrix is
-large and the slots take less memory than the dense array, else that
-array. Sums, ``minus_identity``, ``hermitian_part``, ``spectral_norm`` and
-``block_eigh`` read those slots with the bits the dense matrix would hold,
-and no dense array of the sum's size is formed. Every sum whose order fixes
-its bits is one ordered scatter-add (:func:`scatter_add`), in parts whose
-temporaries each caller bounds by its output's size; a product whose every
-output is one term is formed entry by entry (:func:`single_term_product`).
+backend for that computation. Float spectral steps read a matrix's structure
+once, as its entries (:class:`Entries`, row-major slots; a dense matrix is
+passed as the array itself, whose bits its readers keep), from which the
+norm and the blocks of a sparse Gram follow; block matrices of entries are
+assembled with no sort (:func:`beside`, :func:`above`). An ordered sum of
+terms at matrix positions (:func:`ordered_sum`), such as a product of sparse
+factors (:func:`sparse_product`) or the multiplier Gram, chooses its own
+form: slot entries, one slot per position that a term reaches, when the
+matrix is large and the slots take less memory than the dense array, else
+that array. Sums, ``minus_identity``, ``hermitian_part``, ``spectral_norm``
+and ``block_eigh`` read those slots with the bits the dense matrix would
+hold, and no dense array of the sum's size is formed. Every sum whose order
+fixes its bits is one ordered scatter-add (:func:`scatter_add`), in parts
+whose temporaries each caller bounds by its output's size; a product whose
+every output is one term is formed entry by entry
+(:func:`single_term_product`).
 """
 
 from __future__ import annotations
@@ -104,49 +107,36 @@ def _zeros(shape, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Entries:
-    """A matrix held as entries: the row, column and value of each, at most one per position, row-major.
+    """A matrix held as slots: the row, column and value of each, at most one per position, row-major.
 
-    ``of`` reads a formed matrix once, as its nonzero entries, and keeps the
-    matrix as ``dense``. Entries built without one (``grid``,
-    ``ordered_sum``, sums, ``hermitian_part`` and ``minus_identity``)
-    hold slots: one per position that some term reached, whose value may be
-    a zero of either sign, while every other position holds +0. Their sums
-    give, on every slot, the bits of the same sum of the dense matrices, and
-    a sum with a dense array is that array's sum with ``matrix``. The
-    adjoint lists the same entries in its column-major order and serves
-    only as a factor.
+    A slot's value may be a zero of either sign, while every position
+    without a slot holds +0. ``of`` reads a formed matrix once, as its
+    nonzero entries; a reader that needs the formed matrix's own bits, its
+    zeros of either sign included, takes the array itself (``np.ndarray |
+    Entries``). Sums of entries give, on every slot, the bits of the same
+    sum of the dense matrices, and a sum with a dense array is that array's
+    sum with ``matrix``. The adjoint lists the same entries in its
+    column-major order and serves only as a factor.
     """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    dense: np.ndarray | None
 
     __array_ufunc__ = None  # an array plus entries is the entries' __radd__
 
     @classmethod
-    def of(cls, a: np.ndarray) -> "Entries":
+    def of(cls, a: "np.ndarray | Entries") -> "Entries":
+        """The nonzero entries of a formed matrix; entries are themselves."""
+        if isinstance(a, Entries):
+            return a
         rows, cols = nonzero_index(a)
-        return cls(a.shape, rows, cols, a[rows, cols], a)
-
-    @classmethod
-    def grid(cls, blocks: list[list["Entries"]]) -> "Entries":
-        """The block matrix with these blocks, given by rows of blocks, as slots, with no dense matrix formed."""
-        tops = np.cumsum([0] + [row[0].shape[0] for row in blocks])
-        lefts = np.cumsum([0] + [block.shape[1] for block in blocks[0]])
-        parts = [(block, tops[i], lefts[j]) for i, row in enumerate(blocks) for j, block in enumerate(row)]
-        rows = np.concatenate([block.rows + top for block, top, _ in parts])
-        cols = np.concatenate([block.cols + left for block, _, left in parts])
-        order = np.argsort(rows * lefts[-1] + cols)
-        values = np.concatenate([block.values for block, _, _ in parts])
-        return cls((int(tops[-1]), int(lefts[-1])), rows[order], cols[order], values[order], None)
+        return cls(a.shape, rows, cols, a[rows, cols])
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix: ``dense``, or zeros of the entries' arithmetic with the values scattered in."""
-        if self.dense is not None:
-            return self.dense
+        """The dense matrix: zeros of the entries' arithmetic with the values scattered in."""
         out = _zeros(self.shape, self.values.dtype)
         out[self.rows, self.cols] = self.values
         return out
@@ -154,20 +144,15 @@ class Entries:
     @property
     def adjoint(self) -> "Entries":
         """The conjugate transpose, its entries read from these ones, in its column-major order."""
-        dense = None if self.dense is None else self.dense.conj().T
-        return Entries(self.shape[::-1], self.cols, self.rows, self.values.conj(), dense)
+        return Entries(self.shape[::-1], self.cols, self.rows, self.values.conj())
 
     def nonzero(self) -> "Entries":
-        """The entries whose value is not zero."""
-        if self.dense is not None:
-            return self
+        """The entries whose value is not zero: these entries themselves when none is."""
         keep = self.values != 0
-        return Entries(self.shape, self.rows[keep], self.cols[keep], self.values[keep], None)
+        return self if keep.all() else Entries(self.shape, self.rows[keep], self.cols[keep], self.values[keep])
 
     def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The values at these positions: read from ``dense``, or found among the slots, 0 where there is none."""
-        if self.dense is not None:
-            return self.dense[rows, cols]
+        """The values at these positions, found among the slots, 0 where there is none."""
         keys, wanted = self.rows * self.shape[1] + self.cols, rows * self.shape[1] + cols
         if not len(keys):
             return _zeros(wanted.shape, self.values.dtype)
@@ -179,9 +164,28 @@ class Entries:
             return self.matrix + other
         (rows, cols), (at, other_at) = _slot_union(self.shape, (self.rows, self.cols), (other.rows, other.cols))
         values = _spread(self.values, at, len(rows)) + _spread(other.values, other_at, len(rows))
-        return Entries(self.shape, rows, cols, values, None)
+        return Entries(self.shape, rows, cols, values)
 
     __radd__ = __add__
+
+
+def formed(a: np.ndarray | Entries) -> np.ndarray:
+    """A dense matrix itself, or the matrix of entries."""
+    return a if isinstance(a, np.ndarray) else a.matrix
+
+
+def beside(lead: Entries, right: Entries) -> Entries:
+    """The block row [lead, right] as row-major entries: in each row those of ``right`` follow those of ``lead``, no sort."""
+    at = np.searchsorted(lead.rows, right.rows, side="right")
+    values = lead.values.astype(np.result_type(lead.values, right.values), copy=False)
+    rows, cols = np.insert(lead.rows, at, right.rows), np.insert(lead.cols, at, right.cols + lead.shape[1])
+    return Entries((lead.shape[0], lead.shape[1] + right.shape[1]), rows, cols, np.insert(values, at, right.values))
+
+
+def above(top: Entries, bottom: Entries) -> Entries:
+    """The block column [top; bottom] as row-major entries: those of ``bottom``, offset by the rows of ``top``, follow."""
+    parts = zip((top.rows, top.cols, top.values), (bottom.rows + top.shape[0], bottom.cols, bottom.values))
+    return Entries((top.shape[0] + bottom.shape[0], top.shape[1]), *map(np.concatenate, parts))
 
 
 def single_term_product(a: Entries, b: np.ndarray) -> np.ndarray | None:
@@ -227,7 +231,7 @@ def hermitian_part(a: np.ndarray | Entries) -> np.ndarray | Entries:
     (rows, cols), (at, mirror_at) = _slot_union(a.shape, (a.rows, a.cols), (a.cols, a.rows))
     mirror = _zeros(len(rows), a.values.dtype).conj()
     mirror[mirror_at] = a.values.conj()
-    return Entries(a.shape, rows, cols, (_spread(a.values, at, len(rows)) + mirror) / 2, None)
+    return Entries(a.shape, rows, cols, (_spread(a.values, at, len(rows)) + mirror) / 2)
 
 
 def scatter_add(out: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -276,37 +280,38 @@ def ordered_sum(
     out = _zeros(len(reached), dtype)
     for i, at in enumerate(np.split(where, np.cumsum(sizes)[:-1])):
         scatter_add(out, at, terms(i))
-    return Entries(shape, reached // n, reached % n, out, None)
+    return Entries(shape, reached // n, reached % n, out)
 
 
-def sparse_product(a: Entries, b: Entries) -> np.ndarray | Entries:
-    """The matrix product of ``a`` and ``b``, from the entry pairs of both factors when they are few.
+def sparse_product(a: np.ndarray | Entries, b: np.ndarray | Entries) -> np.ndarray | Entries:
+    """The matrix product of ``a`` and ``b``, dense arrays or entries, from the entry pairs of both when they are few.
 
-    Every entry a[i, k] pairs with every entry b[k, j]. When there are more
-    pairs than positions in the (m, n) product, it is ``a.matrix @
-    b.matrix``. Otherwise :func:`ordered_sum` adds each pair's product, in
-    a fixed order (a's entries in turn, each with b's in row-major order),
-    into zeros of the arithmetic, so the work is linear in the pairs, and
-    chooses the form: a dense (m, n) array, or ``Entries`` with a slot for
-    each position that a pair reaches. Both hold the same bits on every
-    position. Fraction object arrays take the same paths and give equal
-    Fractions.
+    Every nonzero entry a[i, k] pairs with every nonzero entry b[k, j]. When
+    there are more pairs than positions in the (m, n) product, it is ``a @
+    b``, of a dense factor itself and of entries' ``matrix``. Otherwise
+    :func:`ordered_sum` adds each pair's product, in a fixed order (a's
+    entries in turn, each with b's in row-major order), into zeros of the
+    arithmetic, so the work is linear in the pairs, and chooses the form: a
+    dense (m, n) array, or ``Entries`` with a slot for each position that a
+    pair reaches. Both hold the same bits on every position. Fraction
+    object arrays take the same paths and give equal Fractions.
     """
     (m, inner), n = a.shape, b.shape[1]
-    per_row = np.bincount(b.rows, minlength=inner)
-    counts = per_row[a.cols]
+    ea, eb = Entries.of(a), Entries.of(b)
+    per_row = np.bincount(eb.rows, minlength=inner)
+    counts = per_row[ea.cols]
     total = int(counts.sum())
     if total > m * n:
-        return a.matrix @ b.matrix
+        return formed(a) @ formed(b)
     left = np.repeat(np.arange(len(counts)), counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    right = np.argsort(b.rows, kind="stable")[(np.cumsum(per_row) - per_row)[a.cols[left]] + offsets]
+    right = np.argsort(eb.rows, kind="stable")[(np.cumsum(per_row) - per_row)[ea.cols[left]] + offsets]
     return ordered_sum(
         (m, n),
-        np.result_type(a.values, b.values),
+        np.result_type(ea.values, eb.values),
         [total],
-        lambda _: a.rows[left] * n + b.cols[right],
-        lambda _: a.values[left] * b.values[right],
+        lambda _: ea.rows[left] * n + eb.cols[right],
+        lambda _: ea.values[left] * eb.values[right],
     )
 
 
@@ -335,12 +340,12 @@ def spectral_norm(a: np.ndarray | Entries) -> float:
     others, passed as they are when of one kind.
     """
     if isinstance(a, Entries):
-        return _square_norm(Entries(a.shape, a.rows, a.cols, to_float_array(a.values), None))
+        return _square_norm(Entries(a.shape, a.rows, a.cols, to_float_array(a.values)))
     if a.size == 0:
         return 0.0
     stack = to_float_array(a).reshape(-1, *a.shape[-2:])
     if a.ndim == 2 and a.shape[0] == a.shape[1]:
-        return _square_norm(Entries.of(stack[0]))
+        return _square_norm(stack[0])
     if not stack.any():
         return 0.0
     herm = a.shape[-1] == a.shape[-2] and np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
@@ -354,14 +359,15 @@ def spectral_norm(a: np.ndarray | Entries) -> float:
     )
 
 
-def _square_norm(entries: Entries) -> float:
-    """``spectral_norm`` of a square float matrix given as row-major entries."""
-    nonzero = entries.nonzero()
-    if not np.array_equal(nonzero.values, entries.at(nonzero.cols, nonzero.rows).conj()):
-        return float(np.linalg.svd(entries.matrix[None], compute_uv=False).max())
+def _square_norm(a: np.ndarray | Entries) -> float:
+    """``spectral_norm`` of a square float matrix, dense or as row-major entries."""
+    dense = isinstance(a, np.ndarray)
+    nonzero = Entries.of(a) if dense else a.nonzero()
+    if not np.array_equal(nonzero.values, (a[nonzero.cols, nonzero.rows] if dense else a.at(nonzero.cols, nonzero.rows)).conj()):
+        return float(np.linalg.svd(formed(a)[None], compute_uv=False).max())
     if np.array_equal(nonzero.rows, nonzero.cols):
         return float(np.abs(nonzero.values).max(initial=0.0))
-    return max(float(np.abs(np.linalg.eigvalsh(_gather(entries, idx))).max()) for idx in connected_blocks(nonzero))
+    return max(float(np.abs(np.linalg.eigvalsh(_gather(a, idx))).max()) for idx in connected_blocks(nonzero))
 
 
 def connected_blocks(entries: Entries) -> list[np.ndarray]:
@@ -397,17 +403,17 @@ def connected_blocks(entries: Entries) -> list[np.ndarray]:
     ]
 
 
-def _gather(entries: Entries, idx: np.ndarray) -> np.ndarray:
-    """The (count, size, size) stack of the diagonal blocks on the rows of ``idx``: from ``dense``, or from every slot inside a block."""
-    if entries.dense is not None:
-        return entries.dense[idx[:, :, None], idx[:, None, :]]
+def _gather(a: np.ndarray | Entries, idx: np.ndarray) -> np.ndarray:
+    """The (count, size, size) stack of the diagonal blocks on the rows of ``idx``: of a dense ``a``, or from each slot inside a block."""
+    if isinstance(a, np.ndarray):
+        return a[idx[:, :, None], idx[:, None, :]]
     count, size = idx.shape
-    block, place = np.full(entries.shape[0], -1), np.zeros(entries.shape[0], dtype=int)
+    block, place = np.full(a.shape[0], -1), np.zeros(a.shape[0], dtype=int)
     block[idx], place[idx] = np.arange(count)[:, None], np.arange(size)
-    rows, cols = entries.rows, entries.cols
+    rows, cols = a.rows, a.cols
     inside = (block[rows] >= 0) & (block[rows] == block[cols])
-    out = np.zeros((count, size, size), dtype=entries.values.dtype)
-    out[block[rows[inside]], place[rows[inside]], place[cols[inside]]] = entries.values[inside]
+    out = np.zeros((count, size, size), dtype=a.values.dtype)
+    out[block[rows[inside]], place[rows[inside]], place[cols[inside]]] = a.values[inside]
     return out
 
 
@@ -421,9 +427,9 @@ def block_eigh(a: np.ndarray | Entries, floor: float) -> tuple[np.ndarray, np.nd
     their eigenvalues: the columns at or above ``floor`` of ``np.linalg.eigh``
     of the matrix, with no n x n array formed.
     """
-    entries = a if isinstance(a, Entries) else Entries.of(a)
+    entries = Entries.of(a)
     n = entries.shape[0]
-    parts = [(idx, *np.linalg.eigh(_gather(entries, idx))) for idx in connected_blocks(entries.nonzero())]
+    parts = [(idx, *np.linalg.eigh(_gather(a, idx))) for idx in connected_blocks(entries.nonzero())]
     vals = np.concatenate([w.ravel() for _, w, _ in parts]) if parts else np.zeros(0)
     order = np.argsort(vals, kind="stable")
     kept = order[vals[order] >= floor]
@@ -460,7 +466,7 @@ def minus_identity(a: np.ndarray | Entries) -> np.ndarray | Entries:
         (rows, cols), (at, on) = _slot_union(a.shape, (a.rows, a.cols), (diagonal, diagonal))
         values = _spread(a.values, at, len(rows))
         values[on] -= 1
-        return Entries(a.shape, rows, cols, values, None)
+        return Entries(a.shape, rows, cols, values)
     out = a.copy()
     out[np.diag_indices_from(out)] -= 1
     return out
@@ -634,12 +640,7 @@ def range_complement(a: np.ndarray) -> Entries:
             return Entries.of(u[:, _rank(s):])
         rows, one = np.arange(k, m), np.result_type(a.dtype, float).type(1)
     values = np.full(len(rows), one, dtype=object if isinstance(one, Fraction) else one.dtype)
-    return Entries((m, len(rows)), rows, np.arange(len(rows)), values, None)
-
-
-def orth_complement_of_range(a: np.ndarray) -> np.ndarray:
-    """:func:`range_complement` as a dense matrix."""
-    return range_complement(a).matrix
+    return Entries((m, len(rows)), rows, np.arange(len(rows)), values)
 
 
 def polar_orthogonal(a: np.ndarray) -> np.ndarray:

@@ -44,8 +44,11 @@ from ._linalg import (
     ExactnessError,
     Entries,
     Scalars,
+    above,
     adjoint,
+    beside,
     block_eigh,
+    formed,
     hermitian_part,
     is_exact_array,
     is_exactly_zero,
@@ -110,13 +113,12 @@ class TaylorCoefficients(Mapping):
     @classmethod
     def of(cls, space: BlockSpace, stack: np.ndarray) -> "TaylorCoefficients":
         """The coefficients of a dense (L, r, dom) stack, read as its nonzero entries."""
-        e = Entries.of(stack.reshape(len(stack), -1))
-        return cls(space, Entries(e.shape, e.rows, e.cols, e.values, None))
+        return cls(space, Entries.of(stack.reshape(len(stack), -1)))
 
     def __getitem__(self, label) -> np.ndarray:
         i, e, shape = self.space.index[label], self.entries, (self.space.block_dim, self.dom)
         at = slice(*np.searchsorted(e.rows, [i, i + 1]))
-        return Entries(shape, *np.divmod(e.cols[at], self.dom), e.values[at], None).matrix
+        return Entries(shape, *np.divmod(e.cols[at], self.dom), e.values[at]).matrix
 
     def __iter__(self):
         return iter(self.space.labels)
@@ -203,7 +205,7 @@ class CharFnData:
         """The columns that complement Ran P in E: D's trailing entries, negated back bit for bit, +0 off them."""
         d, p = self.d_block, self.row_defect_basis.shape[1]
         at = d.cols >= p
-        return Entries((d.shape[0], d.shape[1] - p), d.rows[at], d.cols[at] - p, -d.values[at], None).matrix
+        return Entries((d.shape[0], d.shape[1] - p), d.rows[at], d.cols[at] - p, -d.values[at]).matrix
 
 
 def build_charfn(
@@ -226,10 +228,11 @@ def build_charfn(
 
     E's labels are the graded space of degree <= ``constant_cap``, tables
     shared, when g has no zero coefficient up to it. The block unitarity of
-    U is read from entries: U's are assembled from those of R*, B, P and D
-    (``Entries.grid``), and the E-side Gram P P* + D D* and U's two Grams
-    are sparse products, whose norms past the identity read their slots
-    when they take slots (``_linalg.ordered_sum``); no dense U is formed.
+    U is read from entries: U's are those of the dense block row [R*, B]
+    above those of P beside D (``_linalg.above`` and ``beside``), and the
+    E-side Gram P P* + D D* and U's two Grams are sparse products, whose
+    norms past the identity read their slots when they take slots
+    (``_linalg.ordered_sum``); no dense U is formed.
 
     D and the Taylor coefficients are held by their nonzero entries, and no
     dense E x domain array is formed: the complement comes as unit columns
@@ -324,8 +327,8 @@ def build_charfn(
     b_block = np.hstack([row_defect @ row_defect_basis, sc.zeros((row_space.dim, q_h))])
     # D = [-u R Q_R, -complement], as entries
     d_left = np.negative(range_unitary @ (row @ row_defect_basis))
-    negated = Entries(complement.shape, complement.rows, complement.cols, np.negative(complement.values), None)
-    d_block = _beside(Entries.of(d_left), negated)
+    negated = Entries(complement.shape, complement.rows, complement.cols, np.negative(complement.values))
+    d_block = beside(Entries.of(d_left), negated)
 
     # block unitarity of U = [[R*, B], [P, D]]; the E-side Grams and U's own are read from entries. D B* is one
     # product an output when no row of D holds two entries, else the dense product
@@ -334,12 +337,11 @@ def build_charfn(
     if cross is None:
         cross = d_block.matrix @ b_block.conj().T
     rel2 = embedding @ row + cross
-    e_entries = Entries.of(embedding)
-    rel3 = minus_identity(sparse_product(e_entries, e_entries.adjoint) + sparse_product(d_block, d_block.adjoint))
+    rel3 = minus_identity(sparse_product(embedding, embedding.conj().T) + sparse_product(d_block, d_block.adjoint))
     diagnostics["block_relation_row"] = spectral_norm(rel1)
     diagnostics["block_relation_cross"] = spectral_norm(rel2)
     diagnostics["block_relation_e"] = spectral_norm(rel3)
-    u = Entries.grid([[Entries.of(row.conj().T), Entries.of(b_block)], [e_entries, d_block]])
+    u = above(Entries.of(np.hstack([row.conj().T, b_block])), beside(Entries.of(embedding), d_block))
     diagnostics["unitary_gram"] = spectral_norm(minus_identity(sparse_product(u.adjoint, u)))
     diagnostics["unitary_cogram"] = spectral_norm(minus_identity(sparse_product(u, u.adjoint)))
 
@@ -382,15 +384,6 @@ def build_charfn(
     )
 
 
-def _beside(lead: Entries, right: Entries) -> Entries:
-    """The block row [lead, right] as entries, from two row-major entry lists: in each row the entries of ``right``
-    follow those of ``lead``, so the lists merge with no sort (``Entries.grid``'s outgrows a dense block's entries)."""
-    at = np.searchsorted(lead.rows, right.rows, side="right")
-    values = lead.values.astype(np.result_type(lead.values, right.values), copy=False)
-    rows, cols = np.insert(lead.rows, at, right.rows), np.insert(lead.cols, at, right.cols + lead.shape[1])
-    return Entries((lead.shape[0], lead.shape[1] + right.shape[1]), rows, cols, np.insert(values, at, right.values), None)
-
-
 def _taylor_entries(space: BlockSpace, left: np.ndarray, d_block: Entries, root_g: np.ndarray) -> TaylorCoefficients:
     """The coefficients from ``left``, their (L, r, p) leading columns over ``space``, and
     sqrt(g_gamma) D_gamma's trailing entries on E's labels, which lead; only the labels with an entry are kept."""
@@ -398,10 +391,10 @@ def _taylor_entries(space: BlockSpace, left: np.ndarray, d_block: Entries, root_
     dom = d_block.shape[1]
     tail = d_block.cols >= p
     rows = d_block.rows[tail]
-    trailing = Entries((count * r, dom - p), rows, d_block.cols[tail] - p, root_g[rows // r] * d_block.values[tail], None)
-    theta = _beside(Entries.of(left.reshape(-1, p)), trailing)
+    trailing = Entries((count * r, dom - p), rows, d_block.cols[tail] - p, root_g[rows // r] * d_block.values[tail])
+    theta = beside(Entries.of(left.reshape(-1, p)), trailing)
     (keep, at), fibers = np.unique(theta.rows // r, return_inverse=True), theta.rows % r
-    entries = Entries((len(keep), r * dom), at, fibers * dom + theta.cols, theta.values, None)
+    entries = Entries((len(keep), r * dom), at, fibers * dom + theta.cols, theta.values)
     return TaylorCoefficients(BlockSpace([space.labels[i] for i in keep], r), entries)
 
 
@@ -464,22 +457,23 @@ def theta_taylor_at(cfd: CharFnData, points) -> np.ndarray:
     return out[0] if single else out
 
 
-def _scaled_blocks(space: BlockSpace, series, points: np.ndarray, blocks: Entries, sp: Scalars) -> np.ndarray:
+def _scaled_blocks(space: BlockSpace, series, points: np.ndarray, blocks: np.ndarray | Entries, sp: Scalars) -> np.ndarray:
     """sum_alpha sqrt(c_alpha) point^alpha B_alpha per point, with B_alpha the rows of ``blocks`` at label alpha.
 
-    Real entries that reach each output once at most give it as its one
-    product (zeros may take other signs; the gap reads only |.|); otherwise
-    the sum is one complex product with ``blocks.matrix``, formed here.
+    Real entries of ``blocks``, a dense array or entries, that reach each
+    output once at most give it as its one product (zeros may take other
+    signs; the gap reads only |.|); otherwise the sum is one complex product
+    with the dense array, or with the entries' matrix, formed here.
     """
     roots = sp.roots(space.lift(series, sp))
     weights = roots * sp.monomial(space.monomials(points))
-    r, dom = space.block_dim, blocks.shape[1]
-    labels, fibers = np.divmod(blocks.rows, r)
-    places = Entries((r * dom, len(space.labels)), fibers * dom + blocks.cols, labels, sp.array(blocks.values), None)
+    r, dom, entries = space.block_dim, blocks.shape[1], Entries.of(blocks)
+    labels, fibers = np.divmod(entries.rows, r)
+    places = Entries((r * dom, len(space.labels)), fibers * dom + entries.cols, labels, sp.array(entries.values))
     out = single_term_product(places, weights.T)
     if out is not None:
         return np.ascontiguousarray(out.T).reshape(len(points), r, dom)  # C order, as the product's, for later products
-    stack = sp.array(blocks.matrix).reshape(len(space.labels), -1)
+    stack = sp.array(formed(blocks)).reshape(len(space.labels), -1)
     return (weights[:, None, :] @ stack).reshape(len(points), r, dom)
 
 
@@ -494,7 +488,7 @@ def evaluation_gap(cfd: CharFnData, points) -> tuple[np.ndarray, float]:
     direct = _scaled_blocks(cfd.g_support, cfd.factorization.positive_part, pts, cfd.d_block, sp)
     # Defect k_z(T)^* Z(z) B
     kz_adj = np.conjugate(operator_series(t, cfd.kernel, pts)).swapaxes(-1, -2)
-    zb = _scaled_blocks(cfd.b_support, reciprocal_complement(cfd.pick_factor), pts, Entries.of(cfd.b_block), sp)
+    zb = _scaled_blocks(cfd.b_support, reciprocal_complement(cfd.pick_factor), pts, cfd.b_block, sp)
     qd_adj = sp.array(cfd.defect.ran_defect_basis.conj().T)
     delta = sp.array(cfd.defect.defect)
     direct = direct + qd_adj @ delta @ kz_adj @ zb
@@ -616,8 +610,7 @@ class MultiplierMatrix:
 def _stack_products(taylor: TaylorCoefficients) -> Entries:
     """The nonzero entries of Theta Theta^*, one BLAS product for its bits, on the dense stack formed here."""
     theta = taylor.coefficients.reshape(-1, taylor.dom)
-    products = Entries.of(theta @ theta.conj().T)
-    return Entries(products.shape, products.rows, products.cols, products.values, None)
+    return Entries.of(theta @ theta.conj().T)
 
 
 def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> MultiplierMatrix:
@@ -792,8 +785,8 @@ def k_inner_subspace(cfd: CharFnData) -> KInnerData:
     inv_k = 1.0 / space.lift(cfd.kernel)
     fibers, cols = np.divmod(entries.cols, dom)
     values = to_float_array(entries.values)
-    theta = Entries((len(taylor) * r, dom), entries.rows * r + fibers, cols, values, None)
-    scaled = Entries(theta.shape, theta.rows, theta.cols, values * inv_k[entries.rows], None)
+    theta = Entries((len(taylor) * r, dom), entries.rows * r + fibers, cols, values)
+    scaled = Entries(theta.shape, theta.rows, theta.cols, values * inv_k[entries.rows])
     gram = sparse_product(theta.adjoint, scaled)
     vals, basis = block_eigh(hermitian_part(gram), 1.0 - ISOMETRY_TOL)
     top = float(vals.max(initial=0.0))

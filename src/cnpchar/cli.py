@@ -2,12 +2,14 @@
 
 Every command writes a JSON run report (schema below) to --out when given
 and prints one line per check. Exit codes: 0 all checks passed (or
-certificate-only), 1 at least one verified failure, 2 malformed input or
-usage error; ``main`` returns it, but a usage error leaves ``main`` as
-argparse's ``SystemExit(2)`` (--help as ``SystemExit(0)``). The parser is
-built at the first ``main`` call and reused, so repeated calls in one
-process do not depend on their order. --seed sets all randomness and is
-recorded, so reports are byte-identical across runs but for elapsed fields.
+certificate-only), 1 at least one verified failure, 2 malformed input, a
+LAPACK step that fails on the input (numpy's ``LinAlgError``, its message
+printed) or a usage error; ``main`` returns it, but a usage error leaves
+``main`` as argparse's ``SystemExit(2)`` (--help as ``SystemExit(0)``).
+The parser is built at the first ``main`` call and reused, so repeated
+calls in one process do not depend on their order. --seed sets all
+randomness and is recorded, so reports are byte-identical across runs but
+for elapsed fields.
 
 Before any check runs, exit 2 comes from a negative --seed or --N, a --tol
 that is not finite and > 0, an output path that cannot be written, and a
@@ -525,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if given:
                 raise InputError(f"{', '.join(given)} cannot be combined with {row}")
         return args.func(args)
-    except InputError as exc:
+    except (InputError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

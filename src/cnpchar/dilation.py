@@ -31,8 +31,8 @@ from ._linalg import (
     adjoint,
     is_exact_array,
     min_eigenvalue,
-    orth_complement_of_range,
     point_stack,
+    range_complement,
     spectral_norm,
     to_float_array,
 )
@@ -237,7 +237,7 @@ def associated_tuple_test(
             "Ran V would not fit"
         )
     dil = build_dilation(defect_data(t, kernel), window_degree)
-    kernel_basis = orth_complement_of_range(to_float_array(dil.matrix))
+    kernel_basis = range_complement(to_float_array(dil.matrix)).matrix
     q = kernel_basis.shape[1]
     if q == 0:
         return AssociatedTupleCertificate(None, True, True, window_degree, 0)

@@ -533,11 +533,11 @@ def _scalar_to_string(x) -> str:
 
 
 def _scalar_from_string(s: str):
-    """A "p/q" string as an exact Fraction, any other number as a float; ValueError names a bad one."""
+    """A "p/q" or integer string as an exact Fraction, any other number as a float; ValueError names a bad one."""
     s = s.strip()
     try:
         if "/" not in s:
-            return float(s)
+            return Fraction(int(s)) if s.lstrip("+-").isdigit() else float(s)
         num, den = (int(part) for part in s.split("/"))
     except ValueError:
         raise ValueError(f"bad scalar {s!r}: expected a number or p/q") from None
@@ -559,7 +559,7 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
     """Build a kernel from a spec dict, e.g. parsed from a JSON file.
 
     Supported kinds: bergman (fields m, d, truncation), szego, dirichlet
-    (fields d, truncation), coeffs (fields a: list of "p/q" strings, d).
+    (fields d, truncation), coeffs (fields a: list of "p/q" or integer strings, d).
     The fields m, d and truncation must be integers; other fields, such as
     the "radius_one" flag of older coeffs specs, are ignored.
     """

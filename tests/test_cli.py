@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -931,3 +932,69 @@ class TestFuzzCharfnFlags:
             assert code == 2
         if command == "build" and (tol, seed) != (None, None):
             assert code == 2
+
+
+def _written(c: Fraction) -> str:
+    """A rational coefficient as a user writes it: an integer plainly, any other as p/q."""
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _product_specs(c, g, d, terms=32):
+    """Coefficient specs of k = s g and of s = 1 / (1 - c(t)), with c = c_1 t + c_2 t^2 + ..., ``terms`` coefficients each."""
+    s = [Fraction(1)]
+    for n in range(1, terms):
+        s.append(sum(c[j - 1] * s[n - j] for j in range(1, min(n, len(c)) + 1)))
+    k = [sum(g[j] * s[n - j] for j in range(min(n, len(g) - 1) + 1)) for n in range(terms)]
+    return [{"kind": "coeffs", "a": [_written(x) for x in series], "d": d} for series in (k, s)]
+
+
+def _verify_run(tmp, kernel, factor, d, model_degree):
+    """(exit code, report or None, stderr) of ``charfn verify`` of ``kernel`` through ``factor`` on its model tuple."""
+    paths = [Path(tmp) / "kernel.json", Path(tmp) / "factor.json", Path(tmp) / "report.json"]
+    for path, spec in zip(paths, (kernel, factor)):
+        path.write_text(json.dumps(spec))
+    argv = ["charfn", "verify", "--kernel", str(paths[0]), "--cnp-factor", str(paths[1])]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--d", str(d), "--model-degree", str(model_degree), "--out", str(paths[2])])
+    return code, read_report(paths[2]) if code != 2 else None, err.getvalue()
+
+
+# c_1 > 0 keeps every coefficient of s, and so of k, positive, as a kernel on the ball needs
+_LEADING = st.fractions(Fraction(1, 12), 1, max_denominator=12)
+_COEFFICIENT = st.one_of(st.just(Fraction(0)), st.fractions(0, 2, max_denominator=12))
+
+
+class TestKernelsOutsideTheFamilies:
+    """Kernels k = s g, s = 1 / (1 - c(t)) with c >= 0 (so b = c) and g >= 0, with their integers written plainly."""
+
+    def test_integer_strings_read_exactly(self, tmp_path):
+        """A plain "1" beside "p/q" coefficients is exact: s = 1 / (1 - 3t/8 - t^2/12) through itself passes all 14 checks."""
+        _, s = _product_specs([Fraction(3, 8), Fraction(1, 12)], [Fraction(1)], 1)
+        assert s["a"][:3] == ["1", "3/8", "43/192"]
+        code, report, _ = _verify_run(tmp_path, s, s, 1, 1)
+        assert code == 0 and len(report["checks"]) == 14 and all(c["verdict"] == "pass" for c in report["checks"])
+
+    def test_a_failed_lapack_step_exits_two(self, tmp_path):
+        """The float spec a_n = 0.3^n through itself leaves rounding noise in b, whose roots are NaN: exit 2, numpy's message."""
+        spec = {"kind": "coeffs", "a": [0.3**n for n in range(32)], "d": 1}
+        code, _, err = _verify_run(tmp_path, spec, spec, 1, 2)
+        assert code == 2 and "error:" in err and "SVD did not converge" in err and "Traceback" not in err
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        c=st.builds(lambda first, rest: [first] + rest, _LEADING, st.lists(_COEFFICIENT, max_size=2)).filter(lambda c: sum(c) <= 1),
+        g=st.lists(_COEFFICIENT, max_size=3),
+        d=st.sampled_from([1, 2]),
+        model_degree=st.integers(1, 3),
+    )
+    def test_every_product_kernel_passes_or_exits_two(self, c, g, d, model_degree):
+        """Each kernel passes all 14 checks, or exits 2 with an ``error:`` line and no traceback."""
+        kernel, factor = _product_specs(c, [Fraction(1)] + g, d)
+        with tempfile.TemporaryDirectory() as tmp:
+            code, report, err = _verify_run(tmp, kernel, factor, d, model_degree)
+        if code == 2:
+            assert any(line.startswith("error: ") for line in err.splitlines()) and "Traceback" not in err
+        else:
+            assert code == 0 and len(report["checks"]) == 14
+            assert all(check["verdict"] == "pass" for check in report["checks"])

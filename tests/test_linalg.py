@@ -7,6 +7,7 @@ matrix's entries, and the slot entries of a sparse product are checked bit
 for bit against the dense versions they replaced.
 """
 
+import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -22,6 +23,8 @@ from cnpchar._linalg import (
     FLOAT,
     ExactnessError,
     Entries,
+    above,
+    beside,
     block_eigh,
     connected_blocks,
     exact_zeros,
@@ -32,7 +35,6 @@ from cnpchar._linalg import (
     minus_identity,
     nonzero_index,
     ordered_sum,
-    orth_complement_of_range,
     point_stack,
     psd_root,
     range_complement,
@@ -236,8 +238,8 @@ def _same_fractions(got, want):
 def test_exact_complement_is_a_unit_column_per_zero_row():
     a = _fractions([[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, 0]])
     want = _fractions([[1, 0], [0, 0], [0, 1], [0, 0]])
-    assert _same_fractions(orth_complement_of_range(a), want)
-    assert _same_fractions(orth_complement_of_range(exact_zeros((2, 0))), EXACT.eye(2))
+    assert _same_fractions(range_complement(a).matrix, want)
+    assert _same_fractions(range_complement(exact_zeros((2, 0))).matrix, EXACT.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -254,7 +256,7 @@ def test_unit_complements_come_as_their_entries(a):
     """Unit columns are Entries, one 1 a column in a's arithmetic, whose matrix is those identity columns bit for bit."""
     got = range_complement(a)
     zero_rows = np.flatnonzero(~(a != 0).any(axis=1))
-    assert isinstance(got, Entries) and got.dense is None
+    assert isinstance(got, Entries)
     assert np.array_equal(got.rows, zero_rows) and np.array_equal(got.cols, np.arange(got.shape[1]))
     if a.dtype == object:
         assert _same_fractions(got.matrix, EXACT.eye(a.shape[0])[:, zero_rows])
@@ -268,27 +270,27 @@ def test_other_complements_keep_the_svd_columns():
     a[[1, 3]] = [[1.0, 2.0], [3.0, -1.0]]  # nonzero rows that are not the first two
     got = range_complement(a)
     u = np.linalg.svd(a, full_matrices=True)[0]
-    assert isinstance(got, Entries) and got.dense is not None and got.shape == (5, 3)
-    assert got.matrix.tobytes() == u[:, 2:].tobytes() == orth_complement_of_range(a).tobytes()
+    assert isinstance(got, Entries) and got.shape == (5, 3)
+    assert got.matrix.tobytes() == u[:, 2:].tobytes()
 
 
 def test_exact_complement_of_a_full_rank_coordinate_matrix_is_empty():
     a = _fractions([[0, 0, 2, 0], [-1, 0, 0, 0], [0, 0, 0, Fraction(1, 3)]])
-    assert orth_complement_of_range(a).shape == (3, 0)
+    assert range_complement(a).matrix.shape == (3, 0)
 
 
 @pytest.mark.parametrize("rows", [[[1, 1]], [[1], [1]], [[1, 1], [0, 1]]])
 def test_exact_complement_refuses_other_patterns(rows):
     """Full row rank is not enough: [[1, 1]] is refused like every other matrix that is not a coordinate one."""
     with pytest.raises(ExactnessError):
-        orth_complement_of_range(_fractions(rows))
+        range_complement(_fractions(rows))
 
 
 def test_exact_complement_matches_the_elimination():
     rng = np.random.default_rng(9)
     for _ in range(200):
         a = _coordinate(rng, int(rng.integers(0, 6)), int(rng.integers(0, 6)))
-        assert _same_fractions(orth_complement_of_range(a), _complement_reference(a))
+        assert _same_fractions(range_complement(a).matrix, _complement_reference(a))
 
 
 def _psd_root_reference(a_sq):
@@ -409,13 +411,13 @@ def test_sparse_product_matches_matmul_within_rounding(dtype):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_dense_factors_take_matmul_bit_for_bit(dtype):
-    """Beyond the pair bound the product is ``a @ b`` itself, as in a 300 x 300 dense product."""
+    """Beyond the pair bound the product is ``a @ b`` of the dense factors themselves, as in a 300 x 300 dense product."""
     rng = np.random.default_rng(22)
     for m, k, n in [(300, 300, 300), (7, 5, 6)]:
         a, b = _sparse(rng, (m, k), 1.0, dtype), _sparse(rng, (k, n), 1.0, dtype)
-        ea = Entries.of(a)
-        assert np.array_equal(sparse_product(ea, Entries.of(b)), a @ b)
-        assert np.array_equal(sparse_product(ea.adjoint, ea), a.conj().T @ a)
+        assert sparse_product(a, b).tobytes() == (a @ b).tobytes()
+        assert sparse_product(a.conj().T, a).tobytes() == (a.conj().T @ a).tobytes()
+        assert np.array_equal(sparse_product(Entries.of(a), Entries.of(b)), a @ b)
 
 
 def test_exact_factors_give_equal_fractions():
@@ -713,6 +715,16 @@ def _same_entries(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _pairs(a, b):
+    """How many pairs of nonzero entries a[i, k], b[k, j] there are."""
+    return int(((a != 0).astype(int) @ (b != 0).astype(int)).sum())
+
+
+def _factors_of(a, b, ea, eb):
+    """The factors to pass: the dense arrays past the pair bound, where the product is their ``a @ b``, else the entries."""
+    return (a, b) if _pairs(a, b) > a.shape[0] * b.shape[1] else (ea, eb)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_factors())
 def test_slot_entries_hold_the_dense_product_bits(factors):
@@ -723,15 +735,15 @@ def test_slot_entries_hold_the_dense_product_bits(factors):
     """
     a, b = factors
     with _slots_when_smaller():
-        got = sparse_product(Entries.of(a), Entries.of(b))
+        got = sparse_product(*_factors_of(a, b, Entries.of(a), Entries.of(b)))
     want = _dense_sparse_product(a, b)
-    pairs, positions = int(((a != 0).astype(int) @ (b != 0).astype(int)).sum()), want.size
+    pairs, positions = _pairs(a, b), want.size
     assert isinstance(got, Entries) == (pairs <= positions and 16 * pairs < want.dtype.itemsize * positions)
     if isinstance(got, np.ndarray):  # the dense product: a @ b, or the pairs added into a dense array
         assert _same_entries(got, want) if a.dtype == object else _same_bits_or_nan(got, want)
         return
     keys = got.rows * got.shape[1] + got.cols
-    assert got.dense is None and np.all(np.diff(keys) > 0)
+    assert np.all(np.diff(keys) > 0)
     reached = (to_float_array(a) != 0).astype(int) @ (to_float_array(b) != 0).astype(int) > 0
     assert np.array_equal(np.flatnonzero(reached), keys)
     assert _same_entries(got.matrix, want)
@@ -748,9 +760,9 @@ def test_entry_norms_match_the_dense_norm_bit_for_bit(factors):
     a, b = factors
     ea, eb = Entries.of(a), Entries.of(b)
     cases = [
-        ((ea, eb), _dense_sparse_product(a, b)),
-        ((ea, ea.adjoint), _dense_sparse_product(a, a.conj().T)),
-        ((eb.adjoint, eb), _dense_sparse_product(b.conj().T, b)),
+        (_factors_of(a, b, ea, eb), _dense_sparse_product(a, b)),
+        (_factors_of(a, a.conj().T, ea, ea.adjoint), _dense_sparse_product(a, a.conj().T)),
+        (_factors_of(b.conj().T, b, eb.adjoint, eb), _dense_sparse_product(b.conj().T, b)),
     ]
     with _slots_when_smaller():
         got = [sparse_product(*pair) for pair, _ in cases]
@@ -827,13 +839,17 @@ def test_large_sparse_grams_stay_entries_and_small_ones_dense(dtype):
             assert vecs.tobytes(order="A") == want_vecs[:, want_vals >= 1.0 - 1e-9].tobytes(order="A")
 
 
-def test_grid_is_the_block_matrix():
+def test_blocks_beside_and_above_are_the_block_matrix():
+    """One to three rows of one to four blocks, empty blocks included: the entries of the dense block matrix, in order."""
     rng = np.random.default_rng(32)
-    blocks = [[_sparse(rng, (3, 4), 0.3, float), _sparse(rng, (3, 2), 0.5, complex)], [_sparse(rng, (5, 4), 0.2, float), np.zeros((5, 2))]]
-    got = Entries.grid([[Entries.of(x) for x in row] for row in blocks])
-    want = Entries.of(np.vstack([np.hstack(row) for row in blocks]))
-    assert got.shape == (8, 6) and got.dense is None
-    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in [(got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)])
+    grid = [[_sparse(rng, (3, 4), 0.3, float), _sparse(rng, (3, 2), 0.5, complex)], [_sparse(rng, (5, 4), 0.2, float), np.zeros((5, 2))]]
+    wide = [_sparse(rng, (6, 3), 0.4, float), np.zeros((6, 0)), _sparse(rng, (6, 5), 0.3, float), _sparse(rng, (6, 1), 0.9, float)]
+    column = [[_sparse(rng, (2, 3), 0.5, float)], [np.zeros((0, 3))], [_sparse(rng, (4, 3), 0.5, complex)]]
+    for blocks in (grid, [wide], column, [wide[:1]]):
+        got = functools.reduce(above, [functools.reduce(beside, [Entries.of(x) for x in row]) for row in blocks])
+        want = Entries.of(np.vstack([np.hstack(row) for row in blocks]))
+        assert got.shape == want.shape
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in [(got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)])
 
 
 def test_sums_with_dense_arrays_are_dense():
@@ -888,7 +904,7 @@ def test_prefix_complement_is_the_svd_complement_bit_for_bit(seed, m, cols, dtyp
     a[:k] = _sparse(rng, (k, cols), 1.0, dtype)
     calls = []
     with mock.patch.object(np.linalg, "svd", _counting_svd(calls)):
-        got = orth_complement_of_range(a)
+        got = range_complement(a).matrix
     want = _full_svd_complement(a)
     assert not any(calls) and want.shape == (m, m - k)
     assert got.dtype == want.dtype and got.tobytes(order="A") == want.tobytes(order="A")
@@ -912,7 +928,7 @@ def test_other_complements_take_the_full_svd(case):
         a[:] = 0.0
     calls = []
     with mock.patch.object(np.linalg, "svd", _counting_svd(calls)):
-        got = orth_complement_of_range(a)
+        got = range_complement(a).matrix
     assert any(calls)
     assert got.tobytes(order="A") == _full_svd_complement(a).tobytes(order="A")
 
@@ -1030,7 +1046,7 @@ def test_ordered_sum_is_the_ordered_loop_bit_for_bit(case):
         assert isinstance(got, Entries) == slots
         if slots:
             reached = np.unique(np.concatenate([positions for positions, _ in parts]))
-            assert np.array_equal(got.rows * shape[1] + got.cols, reached) and got.dense is None
+            assert np.array_equal(got.rows * shape[1] + got.cols, reached)
             got = got.matrix
         assert same(got, want)
 

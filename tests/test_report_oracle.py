@@ -21,10 +21,15 @@ and its threading, so they are held only through their verdicts.
 
 To re-pin after a deliberate report change, run the command line with
 ``--out`` and copy its caps and those fields of each check into its golden
-file.
+file. ``tests/report_diff.py A B`` names every field, floats included, in
+which two reports (or two directories of them) differ.
 """
 
 import json
+import math
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +75,26 @@ def test_exact_theta_dump_matches_golden(tmp_path, capsys):
     assert main(argv) == 0
     golden = Path(__file__).parent / "dumps" / "theta_two_cells_exact.json"
     assert json.loads(dump.read_text()) == json.loads(golden.read_text())
+
+
+def test_report_diff_names_exactly_the_moved_field(tmp_path):
+    """Two runs of one command line differ in ``elapsed`` alone: exit 0. One residual one ulp up is the one line printed."""
+    diff = Path(__file__).parent / "report_diff.py"
+    left, right, moved = (tmp_path / side for side in ("left", "right", "moved"))
+    for side in (left, right):
+        side.mkdir()
+        assert main(["charfn", "verify", "--preset", "jordan", "--out", str(side / "jordan.json")]) == 0
+    same = subprocess.run([sys.executable, str(diff), str(left), str(right)], capture_output=True, text=True)
+    assert same.returncode == 0 and same.stdout == ""
+
+    report = json.loads((right / "jordan.json").read_text())
+    i, check = next((i, c) for i, c in enumerate(report["checks"]) if c.get("residual"))
+    ulp = math.ulp(check["residual"])
+    check["residual"] += ulp
+    shutil.copytree(right, moved)
+    (moved / "jordan.json").write_text(json.dumps(report))
+    for a, b, lead in ((left / "jordan.json", moved / "jordan.json", ""), (left, moved, "jordan.json: ")):
+        run = subprocess.run([sys.executable, str(diff), str(a), str(b)], capture_output=True, text=True)
+        lines = run.stdout.splitlines()
+        assert run.returncode == 1 and len(lines) == 1
+        assert lines[0].startswith(f"{lead}checks[{i} {check['name']}].residual: ") and f"|Δ| {ulp:.3e}" in lines[0]
