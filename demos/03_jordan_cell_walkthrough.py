@@ -54,8 +54,9 @@ print("theta(1/2) =", value.tolist(), "gap to the direct formula:", gap)
 # as an index plan, source block -> target block with a weight, and the
 # Gram M M* that the partition check reads: a window this small holds it as
 # a dense array (a large, sparse one as entries at the positions the plan
-# reaches); no dense M is formed. Its target window is the dilation's window.
-mult = build_multiplier(cfd, dil, source_degree=3)
+# reaches); no dense M is formed. Its target window is the dilation's window,
+# and its source window the degrees up to 5 - 2 = 3, so no image leaves it.
+mult = build_multiplier(cfd, dil)
 print("\nmultiplier plan (double shift): source monomial -> target monomial, weight")
 for i, j, w in zip(mult.sources, mult.targets, mult.weights):
     print(f"  z^{mult.source.labels[i][0]} -> z^{mult.window.labels[j][0]}  {w}")

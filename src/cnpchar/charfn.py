@@ -269,10 +269,11 @@ def build_charfn(
     beta_top = min(bound if bound is not None else max(support_cap, constant_cap), kernel.truncation)
     top = max(support_cap, constant_cap, beta_top)
     labels, powers = t.powers(top)
-    # the labels whose degree carries a nonzero b (1..support_cap) or g (0..constant_cap) coefficient
+    # the labels whose degree carries a b (1..support_cap) or g (0..constant_cap) coefficient above the
+    # factorization's tolerance: nonzero when it is exact, not rounding noise when it is float
     b_mask, g_mask = np.zeros((2, top + 1), dtype=bool)
-    b_mask[1 : support_cap + 1] = np.array(b_s.coefficients[1 : support_cap + 1]) != 0
-    g_mask[: constant_cap + 1] = np.array(g.coefficients[: constant_cap + 1]) != 0
+    b_mask[1 : support_cap + 1] = np.array(b_s.coefficients[1 : support_cap + 1]) > factorization.tolerance
+    g_mask[: constant_cap + 1] = np.array(g.coefficients[: constant_cap + 1]) > factorization.tolerance
     b_pos, g_pos = np.flatnonzero(b_mask[labels.degrees]), np.flatnonzero(g_mask[labels.degrees])
     row_space = BlockSpace([labels.labels[i] for i in b_pos], n)
     # E holds every graded label of degree <= constant_cap when g has no zero coefficient there
@@ -565,23 +566,22 @@ def row_symbol_margin(cfd: CharFnData, points: Sequence):
 
 @dataclass(eq=False)
 class MultiplierMatrix:
-    """M_theta from a truncated source window into the dilation's ``window``, held as an index plan and its Gram.
+    """M_theta from the source window into the dilation's ``window``, held as an index plan and its Gram.
 
     Source coordinates are grouped as (source label) x (domain coordinate),
-    target coordinates as (target label) x (Ran Defect coordinate). Entry k
-    of the plan puts ``weights[k] * theta_gamma``, gamma the Taylor label
-    ``terms[k]``, at target block ``targets[k]`` of source block
-    ``sources[k]``; the weight is sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}).
-    The plan runs source by source, and pairs whose target lies beyond the
-    window are left out of it. ``gram`` is M_theta M_theta^* on the window
-    (``build_multiplier``), in the form ``_linalg.ordered_sum`` chooses:
-    slot entries (``Entries``, one slot per position some source reaches)
-    or the dense window x window array, with the same bits on every
-    position. The dense ``matrix`` of M_theta is scattered through the same
-    plan only when it is read. ``exact_window`` is set when no Taylor mass
-    was discarded: the window's degree is at least ``source_degree`` plus
-    the top Taylor degree. ``discarded_mass`` bounds the squared column mass
-    of the pairs left out.
+    target coordinates as (target label) x (Ran Defect coordinate). The
+    source window holds the labels of degree <= ``source_degree``, the
+    window's degree less theta's top degree, so every image beta + gamma of
+    a source label lies in the window. Entry k of the plan puts ``weights[k]
+    * theta_gamma``, gamma the Taylor label ``terms[k]``, at target block
+    ``targets[k]`` of source block ``sources[k]``; the weight is
+    sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}). The plan runs source by
+    source, over every Taylor label. ``gram`` is M_theta M_theta^* on the
+    window (``build_multiplier``), in the form ``_linalg.ordered_sum``
+    chooses: slot entries (``Entries``, one slot per position some source
+    reaches) or the dense window x window array, with the same bits on
+    every position. The dense ``matrix`` of M_theta is scattered through the
+    same plan only when it is read.
     """
 
     taylor: TaylorCoefficients
@@ -593,8 +593,6 @@ class MultiplierMatrix:
     weights: np.ndarray
     gram: np.ndarray | Entries
     source_degree: int
-    exact_window: bool
-    discarded_mass: float
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -613,72 +611,57 @@ def _stack_products(taylor: TaylorCoefficients) -> Entries:
     return Entries.of(theta @ theta.conj().T)
 
 
-def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> MultiplierMatrix:
+def build_multiplier(cfd: CharFnData, dil: DilationData) -> MultiplierMatrix:
     """The plan of M_theta from the Taylor coefficients into ``dil.window``, and its Gram, in their arithmetic.
 
     ``dil`` is the dilation of ``cfd.defect``, so V and M_theta share one
-    window. A source monomial block at beta lands at target blocks beta + gamma
-    with weight sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}) theta_gamma; degrees
-    beyond the window are discarded and their mass recorded. The Gram is
+    window. The source window takes the labels of degree <= the window's
+    degree less theta's top degree, so no image leaves the window; a window
+    below theta's top degree is a ``ValueError``. A source monomial block at
+    beta lands at target blocks beta + gamma with weight
+    sqrt(a_beta^{(s)} / a_{beta+gamma}^{(k)}) theta_gamma. The Gram is
     sum_beta W_beta P_beta (Theta Theta^*) P_beta^* W_beta, with P_beta moving
     Taylor label gamma to target block beta + gamma and W_beta the weights:
     one product of the Taylor stack with itself, whose nonzero entries each
     source label adds at its own targets by one ordered ``scatter_add``, in
-    source order, so a source costs the entries it reaches, not a dense block.
-    The sum is ``_linalg.ordered_sum``, one part per source, which chooses
-    slot entries or the dense window x window array. Either way the values
-    are formed one source at a time, after the dense product is gone.
+    source order, so a source costs the entries of that product, not a dense
+    block. The sum is ``_linalg.ordered_sum``, one part per source, which
+    chooses slot entries or the dense window x window array. Either way the
+    values are formed one source at a time, after the dense product is gone.
     """
     taylor, pick, kernel, window = cfd.taylor, cfd.pick_factor, cfd.kernel, dil.window
-    n_terms, r, dom = len(taylor), taylor.space.block_dim, taylor.dom
-    scalars, max_deg, target_degree = taylor.scalars, taylor.max_degree, window.max_degree
+    n_terms, r, scalars = len(taylor), taylor.space.block_dim, taylor.scalars
     if dil.defect is not cfd.defect or window.block_dim != r:
         raise ValueError("the dilation is not built from this characteristic function's defect data")
-    if kernel.truncation < source_degree + max_deg or pick.truncation < source_degree:
-        raise ValueError("kernel truncation too small for the requested windows")
-    source = BlockSpace(graded_space(kernel.dim, source_degree), dom)
+    source_degree = window.max_degree - taylor.max_degree
+    if source_degree < 0:
+        raise ValueError(
+            f"the dilation window's degree {window.max_degree} is below theta's top degree {taylor.max_degree}"
+        )
+    source = BlockSpace(graded_space(kernel.dim, source_degree), taylor.dom)
+    n_sources = len(source.labels)
 
-    # every (source label, Taylor label) pair, source by source; the window holds every degree <= target_degree
+    # every (source label, Taylor label) pair, source by source; each beta + gamma lies in the window
     gammas = taylor.space.exponents.reshape(n_terms, kernel.dim)
-    ends = source.exponents[:, None, :] + gammas[None, :, :]
-    inside = source.degrees[:, None] + taylor.space.degrees[None, :] <= target_degree
-    sources, terms = np.nonzero(inside)
-    targets = window.positions(ends[inside])
-    a_s = source.lift(pick, scalars)
-    weights = scalars.roots(a_s[sources] / window.coefficients[targets])
+    sources, terms = np.divmod(np.arange(n_sources * n_terms), n_terms)
+    targets = window.positions(source.exponents[sources] + gammas[terms])
+    weights = scalars.roots(source.lift(pick, scalars)[sources] / window.coefficients[targets])
 
-    discarded = 0.0
-    if not inside.all():
-        lost_sources, lost_terms = np.nonzero(~inside)
-        lost, at = np.unique(ends[~inside], axis=0, return_inverse=True)
-        a_lost = BlockSpace([tuple(lab) for lab in lost.tolist()], 1).lift(kernel, EXACT)
-        ratio = (source.lift(pick, EXACT)[lost_sources] / a_lost[at.ravel()]).astype(float)
-        peak = np.zeros(n_terms)
-        np.maximum.at(peak, taylor.entries.rows, np.abs(to_float_array(taylor.entries.values)))
-        discarded = float(np.max(ratio * peak[lost_terms] ** 2))
-
-    # a source reaches the Taylor labels of degree <= target_degree - its own, so the products it adds are a
-    # prefix once sorted by the higher degree of their two labels; they enter as p * (w_a * w_b) at its
-    # places of the Taylor rows, distinct in one source, so the Gram has the bits of the per-source blocks
+    # each source adds every product of Theta Theta^*, as p * (w_a * w_b), at its places of the Taylor rows:
+    # distinct in one source, so each Gram position gets its terms in source order, with the per-source blocks' bits
     products = _stack_products(taylor)
-    reach = np.maximum(*taylor.space.degrees[[products.rows // r, products.cols // r]])
-    order = np.argsort(reach, kind="stable")
-    rows, cols, values = products.rows[order], products.cols[order], products.values[order]
-    ends = np.searchsorted(reach[order], target_degree - source.degrees, side="right")
+    rows, cols, values = products.rows, products.cols, products.values
     # per source, the Gram row of each row (label, fiber) of the Taylor stack, and its weight
-    place, scale = np.zeros((*inside.shape, r), dtype=int), scalars.zeros(inside.shape, weights.dtype)
-    place[inside], scale[inside] = targets[:, None] * r + np.arange(r), weights
-    place, scale = place.reshape(len(place), -1), np.repeat(scale, r, axis=1)
+    place = (targets[:, None] * r + np.arange(r)).reshape(n_sources, -1)
+    scale = np.repeat(weights, r).reshape(n_sources, -1)
 
     def positions_of(s):
-        at, end = place[s], ends[s]
-        return at[rows[:end]] * window.dim + at[cols[:end]]
+        return place[s, rows] * window.dim + place[s, cols]
 
     def products_of(s):
-        w, end = scale[s], ends[s]
-        return values[:end] * (w[rows[:end]] * w[cols[:end]])
+        return values * (scale[s, rows] * scale[s, cols])
 
-    gram = ordered_sum((window.dim, window.dim), values.dtype, ends, positions_of, products_of)
+    gram = ordered_sum((window.dim, window.dim), values.dtype, [len(values)] * n_sources, positions_of, products_of)
     return MultiplierMatrix(
         taylor=taylor,
         source=source,
@@ -689,8 +672,6 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
         weights=weights,
         gram=gram,
         source_degree=source_degree,
-        exact_window=target_degree >= source_degree + max_deg,
-        discarded_mass=discarded,
     )
 
 
@@ -698,9 +679,10 @@ def build_multiplier(cfd: CharFnData, dil: DilationData, source_degree: int) -> 
 class FactorizationResidual:
     """|| V V^* + M_theta M_theta^* - I || on the exact degree range, and || M_theta ||.
 
-    ``restricted`` is measured on the labels of degree <= ``restricted_degree``,
-    where the finite windows represent the infinite objects with no discarded
-    mass; beyond it the windowed identity can fail for truncation reasons alone.
+    ``restricted`` is measured on the labels of degree <= ``restricted_degree``:
+    the multiplier's source degree, capped by theta's support and constant
+    caps. There the finite windows represent the infinite objects; beyond it
+    the windowed identity can fail for truncation reasons alone.
     ``multiplier_norm`` is the norm of the windowed multiplier, read as
     sqrt(lambda_max(M_theta M_theta^*)) from the Gram.
     """
@@ -724,12 +706,7 @@ def factorization_residual(
     window = dil.window
     if mult.window is not window:
         raise ValueError("dilation and multiplier windows do not match")
-    restricted_degree = min(
-        mult.source_degree,
-        window.max_degree - mult.taylor.max_degree,
-        cfd.support_cap,
-        cfd.constant_cap,
-    )
+    restricted_degree = min(mult.source_degree, cfd.support_cap, cfd.constant_cap)
     idx = np.flatnonzero(window.degree_mask(restricted_degree))
     v, mesh = dil.matrix[idx], (idx[:, None], idx[None, :])
     block = mult.gram.at(*mesh) if isinstance(mult.gram, Entries) else mult.gram[mesh]

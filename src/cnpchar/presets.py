@@ -332,6 +332,7 @@ def run_configuration_checks(
             dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
         )
     with rec.timing("dilation_isometry"):
+        # the one window rule: the multiplier reads its source degree back off this window's degree
         dil = build_dilation(dd, config.source_degree + cfd.taylor.max_degree)
         rec.checks.append(_check("dilation_isometry", dil.isometry_residual, TOL_SINGLE))
 
@@ -399,7 +400,7 @@ def run_configuration_checks(
         rec.checks.append(_check("pointwise_gram_identity", residual, composite_tol))
 
     with rec.timing("multiplier_contraction"):
-        mult = build_multiplier(cfd, dil, config.source_degree)
+        mult = build_multiplier(cfd, dil)
         fr = factorization_residual(cfd, dil, mult)
         rec.checks.append(_check("multiplier_contraction", max(0.0, fr.multiplier_norm - 1.0), TOL_SINGLE))
 

@@ -1,6 +1,6 @@
 """Compare two cnpchar reports, or two directories of them, field by field, with every ``elapsed`` field blanked.
 
-Usage: ``python tests/report_diff.py A B``
+Usage: ``python tests/report_diff.py A B`` or ``python tests/report_diff.py --trees TREE_A TREE_B OUT [NAME ...]``
 
 A and B are two JSON files, or two directories whose ``*.json`` files are
 compared name by name; a name on one side only is a difference. Every
@@ -10,14 +10,31 @@ has one), both values, and for two numbers |Δ| and the relative Δ,
 |Δ| / max(|a|, |b|). Two values are the same when they have one JSON type
 and equal values, zeros of one sign and NaN against NaN, so a one-ulp move
 and 0.0 against -0.0 both count. Exits 0 when nothing differs, else 1.
+
+With ``--trees``, TREE_A and TREE_B are two source trees of cnpchar. Each
+command line of ``COMMANDS`` (or only those named) runs on each tree, from
+the tree's root, with ``PYTHONPATH=<tree>/src``, no bytecode written and one
+BLAS thread, its report going to ``OUT/a`` or ``OUT/b``; the two directories
+are then compared as above. A command that exits with neither 0 nor 1 (so
+writes no report to compare) is a difference too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+_GOLDEN = {path.stem: json.loads(path.read_text())["argv"] for path in sorted((Path(__file__).parent / "golden").glob("*.json"))}
+# report name -> command line: every golden's, and the suite and the golden wide window (its last flag the seed) at more seeds
+COMMANDS = {
+    **_GOLDEN,
+    **{f"suite_seed_{seed}": ["suite", "--seed", str(seed)] for seed in (3, 5, 7, 11)},
+    **{f"wide_seed_{seed}": _GOLDEN["charfn_verify_wide_seed_0"][:-1] + [str(seed)] for seed in (67, 8123)},
+}
 
 
 def _blank(value):
@@ -92,11 +109,45 @@ def compare(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def run_commands(tree: Path, out: Path, names) -> list[str]:
+    """Run the named command lines on the source tree ``tree``, reports into ``out``; one line for each failed run."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    out.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for name in names:
+        report = out.resolve() / f"{name}.json"
+        report.unlink(missing_ok=True)
+        argv = [sys.executable, "-m", "cnpchar.cli", *COMMANDS[name], "--out", str(report)]
+        run = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+        if run.returncode not in (0, 1):
+            lines.append(f"{name}: {tree} exited {run.returncode}: {(run.stderr.strip().splitlines() or [''])[-1]}")
+    return lines
+
+
+def compare_trees(tree_a: Path, tree_b: Path, out: Path, names=()) -> list[str]:
+    """The failed runs and the differing fields of the named command lines (all by default) run on two trees."""
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        raise ValueError(f"unknown command {', '.join(unknown)}; known: {', '.join(COMMANDS)}")
+    names = list(names) or list(COMMANDS)
+    failed = run_commands(tree_a, out / "a", names) + run_commands(tree_b, out / "b", names)
+    return failed + compare(out / "a", out / "b")
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    trees = argv[:1] == ["--trees"]
+    if (len(argv) < 4) if trees else len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    lines = compare(Path(argv[0]), Path(argv[1]))
+    if trees:
+        try:
+            lines = compare_trees(Path(argv[1]), Path(argv[2]), Path(argv[3]), argv[4:])
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        lines = compare(Path(argv[0]), Path(argv[1]))
     for line in lines:
         print(line)
     return 1 if lines else 0

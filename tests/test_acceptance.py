@@ -74,7 +74,7 @@ def matrix():
             dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
         )
         dil = build_dilation(dd, config.source_degree + cfd.taylor.max_degree)
-        mult = build_multiplier(cfd, dil, config.source_degree)
+        mult = build_multiplier(cfd, dil)
         bundles[name] = (config, dd, cfd, dil, mult)
     return bundles
 
@@ -203,7 +203,7 @@ def test_criterion_09_projection_partition(matrix):
         dil = build_dilation(dd, 5)
         for floor in (math.inf, 0):  # the Gram as the dense array, then as slot entries
             with mock.patch.object(_linalg, "SLOT_POSITIONS", floor):
-                mult = build_multiplier(cfd, dil, 3)
+                mult = build_multiplier(cfd, dil)
             assert isinstance(mult.gram, Entries) == (floor == 0)
             assert factorization_residual(cfd, dil, mult).restricted_exact
             gram = mult.gram.matrix if isinstance(mult.gram, Entries) else mult.gram

@@ -77,10 +77,10 @@ def charfn_of(t, fac, **caps):
     return build_charfn(defect_data(t, fac.kernel, fac.pick_factor), fac, **caps)
 
 
-def multiplier_on(cfd, source_degree, target_degree):
-    """(M_theta into the window of the dilation at ``target_degree``, that dilation)."""
+def multiplier_on(cfd, target_degree):
+    """(M_theta into the window of the dilation at ``target_degree``, that dilation): source degree target - top."""
     dil = build_dilation(cfd.defect, target_degree)
-    return build_multiplier(cfd, dil, source_degree), dil
+    return build_multiplier(cfd, dil), dil
 
 
 def sample_points(rng, count, dim, scale=0.5):
@@ -169,7 +169,7 @@ class TestJordanCell:
 
     def test_multiplier_is_double_shift(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
-        mult, _ = multiplier_on(cfd, 3, 5)
+        mult, _ = multiplier_on(cfd, 5)
         m = np.asarray(mult.matrix, dtype=float)
         expected = np.zeros((6, 4))
         for j in range(4):
@@ -178,7 +178,7 @@ class TestJordanCell:
 
     def test_projection_partition_exact(self, jordan_exact):
         cfd, t, k, _ = jordan_exact
-        mult, dil = multiplier_on(cfd, 3, 5)
+        mult, dil = multiplier_on(cfd, 5)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted_exact and fr.restricted == 0.0
         # on the whole window too: the double shift loses no mass
@@ -193,7 +193,7 @@ class TestJordanCell:
 
     def test_functional_model_is_the_cell(self, jordan_exact):
         cfd, t, k, _ = jordan_exact
-        mult, dil = multiplier_on(cfd, 3, 5)
+        mult, dil = multiplier_on(cfd, 5)
         model, equality = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
         assert equality < 1e-14
         assert max(intertwining_residuals(dil)) < 1e-14
@@ -259,14 +259,14 @@ class TestBuildDiagnostics:
         def wide():
             cfd = _wide_charfn.__wrapped__()
             k_inner_subspace(cfd)
-            return cfd, multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)[0]
+            return cfd, multiplier_on(cfd, 3 + cfd.taylor.max_degree)[0]
 
         (cfd, mult), forms = _forms_of_sums(wide)
         assert forms == [True] * 6 and mult.gram.shape == (816, 816)
         assert (cfd.d_block.shape, len(cfd.d_block.values)) == ((455, 463), 454)
         assert (cfd.taylor.entries.shape, len(cfd.taylor.entries.values)) == ((454, 463), 463)
         cfd = _dense_stack_charfn()
-        mult, forms = _forms_of_sums(lambda: multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)[0])
+        mult, forms = _forms_of_sums(lambda: multiplier_on(cfd, 4 + cfd.taylor.max_degree)[0])
         assert forms == [False] and isinstance(mult.gram, np.ndarray)
         assert len(cfd.taylor.entries.values) == np.count_nonzero(cfd.taylor.coefficients)
 
@@ -345,7 +345,7 @@ class TestSharedDefectCoordinates:
         cfd = build_charfn(dd, fac, **caps)
         dil = build_dilation(dd, cfd.taylor.max_degree + 4)
         assert cfd.defect is dd and dil.defect is dd
-        mult = build_multiplier(cfd, dil, 4)
+        mult = build_multiplier(cfd, dil)
         assert mult.window is dil.window
         assert factorization_residual(cfd, dil, mult).restricted < 1e-12
 
@@ -473,7 +473,7 @@ class TestFloatPaths:
             dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
         )
         dil = build_dilation(dd, config.source_degree + cfd.taylor.max_degree)
-        build_multiplier(cfd, dil, config.source_degree)
+        build_multiplier(cfd, dil)
 
         lift = RealSeries.coeff
 
@@ -609,29 +609,30 @@ class TestMultiplier:
         cfd = charfn_of(doubled, fac, support_cap=5, constant_cap=14)
         assert cfd.fiber_dim == 2
         theta = {(0,): np.array([[1.0, 0.0], [0.0, 1.0]])}
-        mult, _ = multiplier_on(_clone_with_taylor(cfd, theta), 3, 3)
+        mult, _ = multiplier_on(_clone_with_taylor(cfd, theta), 3)
         m = np.asarray(mult.matrix, dtype=float)
         constants = m[:, :2]
         assert max_abs(constants.T @ constants - np.eye(2)) < 1e-14
 
     def test_norm_is_at_most_one(self, k2_da):
         cfd, _, _, _ = k2_da
-        mult, _ = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
+        mult, _ = multiplier_on(cfd, 4 + cfd.taylor.max_degree)
         assert np.linalg.norm(np.asarray(mult.matrix, dtype=float), 2) <= 1 + 1e-10
 
-    def test_discarded_mass_reported(self, k2_da):
+    def test_window_below_top_degree_rejected(self, k2_da):
+        """A window below theta's top degree leaves no source window: ValueError naming both degrees."""
         cfd, _, _, _ = k2_da
-        tight, _ = multiplier_on(cfd, 4, 5)
-        assert not tight.exact_window
-        assert tight.discarded_mass > 0
-        full, _ = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
-        assert full.exact_window and full.discarded_mass == 0
+        top = cfd.taylor.max_degree
+        with pytest.raises(ValueError, match=f"degree {top - 1} is below theta's top degree {top}"):
+            multiplier_on(cfd, top - 1)
+        mult, _ = multiplier_on(cfd, top)
+        assert mult.source_degree == 0 and mult.source.labels == ((0,),)
 
 
 class TestProjectionPartition:
     def test_k2_da(self, k2_da):
         cfd, t, k, _ = k2_da
-        mult, dil = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
+        mult, dil = multiplier_on(cfd, 4 + cfd.taylor.max_degree)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted < 1e-8
 
@@ -645,27 +646,28 @@ class TestProjectionPartition:
         )
         broken = dict(cfd.taylor)
         del broken[victim]
-        mult, dil = multiplier_on(_clone_with_taylor(cfd, broken), 4, 4 + cfd.taylor.max_degree)
+        mult, dil = multiplier_on(_clone_with_taylor(cfd, broken), 4 + cfd.taylor.max_degree)
         fr = factorization_residual(cfd, dil, mult)
         assert fr.restricted >= 1e-3
 
     def test_multiplier_norm_k2_da(self, k2_da):
         cfd, _, _, _ = k2_da
-        mult, dil = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
+        mult, dil = multiplier_on(cfd, 4 + cfd.taylor.max_degree)
         fr = factorization_residual(cfd, dil, mult)
         assert abs(fr.multiplier_norm - np.linalg.norm(mult.matrix, 2)) <= 1e-14
 
     def test_multiplier_norm_jordan_exact(self, jordan_exact):
         cfd, _, _, _ = jordan_exact
-        mult, dil = multiplier_on(cfd, 3, 5)
+        mult, dil = multiplier_on(cfd, 5)
         fr = factorization_residual(cfd, dil, mult)
         assert abs(fr.multiplier_norm - np.linalg.norm(to_float_array(mult.matrix), 2)) <= 1e-14
 
     def test_window_mismatch_rejected(self, k2_da):
         """The windows are compared by identity: an equal window of another dilation is not the multiplier's."""
         cfd, t, k, _ = k2_da
-        mult, _ = multiplier_on(cfd, 4, 7)
-        for other in (build_dilation(cfd.defect, 7), build_dilation(cfd.defect, 6)):
+        top = cfd.taylor.max_degree
+        mult, _ = multiplier_on(cfd, top + 3)
+        for other in (build_dilation(cfd.defect, top + 3), build_dilation(cfd.defect, top + 2)):
             with pytest.raises(ValueError, match="window"):
                 factorization_residual(cfd, other, mult)
 
@@ -673,37 +675,33 @@ class TestProjectionPartition:
         cfd, t, k, fac = k2_da
         other = build_dilation(defect_data(t, k, fac.pick_factor), 7)
         with pytest.raises(ValueError, match="defect data"):
-            build_multiplier(cfd, other, 4)
+            build_multiplier(cfd, other)
 
 
-def _dense_multiplier_reference(cfd, source_degree, target_degree):
-    """(M_theta as one dense window x source matrix, its discarded mass), filled pair by pair.
+def _dense_multiplier_reference(cfd, target_degree):
+    """M_theta as one dense window x source matrix, filled pair by pair.
 
-    Every (source label, Taylor label) pair is visited in a Python loop: beta
-    lands at target beta + gamma with weight sqrt(a_beta^(s) / a_(beta+gamma)^(k)),
-    and a pair beyond the window adds its squared column mass to the bound.
+    The source window holds the labels of degree <= ``target_degree`` less
+    theta's top degree. Every (source label, Taylor label) pair is visited in
+    a Python loop: beta lands at target beta + gamma, inside the window, with
+    weight sqrt(a_beta^(s) / a_(beta+gamma)^(k)).
     """
     taylor, pick, kernel = cfd.taylor, cfd.pick_factor, cfd.kernel
     _, r, dom = taylor.coefficients.shape
     scalars = taylor.scalars
-    source = BlockSpace(enumerate_up_to_degree(kernel.dim, source_degree), dom)
+    source = BlockSpace(enumerate_up_to_degree(kernel.dim, target_degree - taylor.max_degree), dom)
     window = MonomialWindow(kernel, r, target_degree, scalars)
     matrix = scalars.zeros((window.dim, source.dim), taylor.coefficients.dtype)
-    discarded = 0.0
     a_s, a_k = source.lift(pick, scalars), window.coefficients
     terms = list(zip(taylor.space.labels, taylor.coefficients))
     for i, beta in enumerate(source.labels):
         cols = source.block(beta)
         for gamma, coeff in terms:
             target = add(beta, gamma)
-            j = window.index.get(target)
-            if j is None:
-                ratio = pick.coeff(beta) / kernel.coeff(target)
-                discarded = max(discarded, float(ratio) * float(max_abs(np.asarray(coeff))) ** 2)
-                continue
+            j = window.index[target]
             rows = window.block(target)
             matrix[rows, cols] = matrix[rows, cols] + scalars.sqrt(a_s[i] / a_k[j]) * coeff
-    return matrix, discarded
+    return matrix
 
 
 def _gram_matrix(mult):
@@ -750,9 +748,12 @@ def _dense_stack_charfn():
 
 
 def _windows(cfd, source_degree):
-    """The exact window, and one that cuts the top half of theta's degrees."""
+    """The window degree for ``source_degree``, and a smaller one: the top half of theta's degrees cut, but not below it.
+
+    The multiplier's source degree on each is the window degree less theta's top degree.
+    """
     top = cfd.taylor.max_degree
-    return [(source_degree, source_degree + top), (source_degree, source_degree + top // 2)]
+    return [source_degree + top, max(top, source_degree + top // 2)]
 
 
 class TestMultiplierPlan:
@@ -762,32 +763,29 @@ class TestMultiplierPlan:
     def test_float_gram_matches_dense_reference(self, name):
         cfd = _preset_charfn(name)
         assert not cfd.exact
-        for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
-            mult, _ = multiplier_on(cfd, source_degree, target_degree)
-            dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
+        for target_degree in _windows(cfd, configuration(name).source_degree):
+            mult, _ = multiplier_on(cfd, target_degree)
+            dense = _dense_multiplier_reference(cfd, target_degree)
             assert max_abs(_gram_matrix(mult) - dense @ dense.conj().T) <= 1e-15
-            assert mult.discarded_mass == discarded
-            assert mult.exact_window == (discarded == 0.0)
             assert mult.matrix.dtype == dense.dtype and np.array_equal(mult.matrix, dense)
 
     @pytest.mark.parametrize("name", ["jordan", "two_cells"])
     def test_exact_gram_equals_dense_reference(self, name):
         cfd = _preset_charfn(f"{name}_exact")
         assert cfd.exact
-        for source_degree, target_degree in _windows(cfd, configuration(name).source_degree):
-            mult, _ = multiplier_on(cfd, source_degree, target_degree)
-            dense, discarded = _dense_multiplier_reference(cfd, source_degree, target_degree)
+        for target_degree in _windows(cfd, configuration(name).source_degree):
+            mult, _ = multiplier_on(cfd, target_degree)
+            dense = _dense_multiplier_reference(cfd, target_degree)
             assert _gram_matrix(mult).dtype == object
             assert np.array_equal(_gram_matrix(mult), dense @ dense.conj().T)
-            assert mult.discarded_mass == discarded
             assert np.array_equal(mult.matrix, dense)
 
     def test_wide_window(self):
         """Bergman m = 2 through Drury-Arveson in d = 3 at cap 12: 816 x 9,260 when dense."""
         cfd = _wide_charfn()
-        mult, _ = multiplier_on(cfd, 3, 3 + cfd.taylor.max_degree)
-        dense, discarded = _dense_multiplier_reference(cfd, 3, 3 + cfd.taylor.max_degree)
-        assert dense.shape == (816, 9260) and discarded == mult.discarded_mass == 0.0
+        mult, _ = multiplier_on(cfd, 3 + cfd.taylor.max_degree)
+        dense = _dense_multiplier_reference(cfd, 3 + cfd.taylor.max_degree)
+        assert dense.shape == (816, 9260)
         assert max_abs(_gram_matrix(mult) - dense @ dense.T) <= 1e-15
         assert np.array_equal(mult.matrix, dense)
 
@@ -799,8 +797,8 @@ class TestMultiplierPlan:
             cfd, source_degree = special[name][0](), special[name][1]
         else:
             cfd, source_degree = _preset_charfn(name), configuration(name.removesuffix("_exact")).source_degree
-        for target_degree in (source_degree + cfd.taylor.max_degree, source_degree + cfd.taylor.max_degree // 2):
-            mult, _ = multiplier_on(cfd, source_degree, target_degree)
+        for target_degree in _windows(cfd, source_degree):
+            mult, _ = multiplier_on(cfd, target_degree)
             expected, gram = _per_source_gram(mult), _gram_matrix(mult)
             assert gram.dtype == expected.dtype
             if cfd.exact:
@@ -822,7 +820,7 @@ class TestMultiplierPlan:
         dil = build_dilation(cfd.defect, 3 + cfd.taylor.max_degree)
         tracemalloc.start()
         try:
-            build_multiplier(cfd, dil, 3)
+            build_multiplier(cfd, dil)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1056,7 +1054,7 @@ def _conjugated_pair(w):
 class TestFunctionalModelAndCoincidence:
     def test_model_reproduces_tuple(self, k2_da):
         cfd, t, k, _ = k2_da
-        mult, dil = multiplier_on(cfd, 4, 4 + cfd.taylor.max_degree)
+        mult, dil = multiplier_on(cfd, 4 + cfd.taylor.max_degree)
         model, equality = functional_model(cfd, dil, factorization_residual(cfd, dil, mult))
         assert equality < 1e-9
         assert max(intertwining_residuals(dil)) < 1e-9

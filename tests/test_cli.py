@@ -12,6 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -975,11 +976,37 @@ class TestKernelsOutsideTheFamilies:
         code, report, _ = _verify_run(tmp_path, s, s, 1, 1)
         assert code == 0 and len(report["checks"]) == 14 and all(c["verdict"] == "pass" for c in report["checks"])
 
-    def test_a_failed_lapack_step_exits_two(self, tmp_path):
-        """The float spec a_n = 0.3^n through itself leaves rounding noise in b, whose roots are NaN: exit 2, numpy's message."""
-        spec = {"kind": "coeffs", "a": [0.3**n for n in range(32)], "d": 1}
-        code, _, err = _verify_run(tmp_path, spec, spec, 1, 2)
-        assert code == 2 and "error:" in err and "SVD did not converge" in err and "Traceback" not in err
+    def test_a_failed_lapack_step_exits_two(self, monkeypatch):
+        """A LAPACK call that raises ``LinAlgError`` ends the run with exit 2 and numpy's message, no traceback."""
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["charfn", "verify", "--preset", "jordan"])
+        assert code == 2 and "error: Eigenvalues did not converge" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model_degree", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["float", "mixed"])
+    def test_float_specs_take_no_root_of_rounding_noise(self, tmp_path, kind, model_degree):
+        """Float and mixed specs through themselves pass all 14 checks, with no RuntimeWarning.
+
+        a_n = 0.3^n, and s = 1 / (1 - 3t/8 - t^2/12) with its second coefficient
+        written "0.375": both float b hold rounding noise where the exact b is
+        zero, which a coefficient at most the factorization's tolerance keeps
+        out of the row and E labels.
+        """
+        if kind == "float":
+            spec = {"kind": "coeffs", "a": [0.3**n for n in range(32)], "d": 1}
+        else:
+            _, spec = _product_specs([Fraction(3, 8), Fraction(1, 12)], [Fraction(1)], 1)
+            spec["a"][1] = "0.375"
+        code, report, _ = _verify_run(tmp_path, spec, spec, 1, model_degree)
+        assert code == 0 and len(report["checks"]) == 14 and all(c["verdict"] == "pass" for c in report["checks"])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(

@@ -253,7 +253,7 @@ def test_commuting_da_jordan_pair_closed_form(name):
 def test_projection_partition_at_a_complex_point():
     dd, cfd = scalar_point([[[0.3 + 0.4j]]], szego(), szego())
     dil = build_dilation(dd, 4 + cfd.taylor.max_degree)
-    mult = build_multiplier(cfd, dil, 4)
+    mult = build_multiplier(cfd, dil)
     gram = mult.gram.matrix if isinstance(mult.gram, Entries) else mult.gram
     assert np.iscomplexobj(gram) and np.iscomplexobj(mult.matrix)
     assert factorization_residual(cfd, dil, mult).restricted <= TOL

@@ -22,7 +22,9 @@ and its threading, so they are held only through their verdicts.
 To re-pin after a deliberate report change, run the command line with
 ``--out`` and copy its caps and those fields of each check into its golden
 file. ``tests/report_diff.py A B`` names every field, floats included, in
-which two reports (or two directories of them) differ.
+which two reports (or two directories of them) differ; ``tests/report_diff.py
+--trees TREE_A TREE_B OUT`` runs every golden's command line, and the suite
+and the wide window at more seeds, on two source trees and compares those.
 """
 
 import json
@@ -98,3 +100,14 @@ def test_report_diff_names_exactly_the_moved_field(tmp_path):
         lines = run.stdout.splitlines()
         assert run.returncode == 1 and len(lines) == 1
         assert lines[0].startswith(f"{lead}checks[{i} {check['name']}].residual: ") and f"|Δ| {ulp:.3e}" in lines[0]
+
+
+def test_report_diff_runs_a_golden_on_two_trees(tmp_path):
+    """A golden's command line, run by ``--trees`` on this source tree twice, writes both reports and finds no difference."""
+    diff, root = Path(__file__).parent / "report_diff.py", Path(__file__).parent.parent
+    trees = [sys.executable, str(diff), "--trees", str(root), str(root), str(tmp_path)]
+    run = subprocess.run(trees + ["charfn_verify_jordan_exact"], capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout == ""
+    assert all((tmp_path / side / "charfn_verify_jordan_exact.json").is_file() for side in ("a", "b"))
+    unknown = subprocess.run(trees + ["no_such_command"], capture_output=True, text=True)
+    assert unknown.returncode == 2 and "unknown command no_such_command" in unknown.stderr
