@@ -4,7 +4,8 @@ Every command writes a JSON run report (schema below) to --out when given
 and prints one line per check. Exit codes: 0 all checks passed (or
 certificate-only), 1 at least one verified failure, 2 malformed input, a
 LAPACK step that fails on the input (numpy's ``LinAlgError``, its message
-printed) or a usage error; ``main`` returns it, but a usage error leaves
+printed, followed by ``(in check <name>)`` when a check's block raised it)
+or a usage error; ``main`` returns it, but a usage error leaves
 ``main`` as argparse's ``SystemExit(2)`` (--help as ``SystemExit(0)``).
 The parser is built at the first ``main`` call and reused, so repeated
 calls in one process do not depend on their order. --seed sets all
@@ -351,20 +352,20 @@ def _exact_variant(config: Configuration) -> Configuration:
 
 def _build_checks(config: Configuration) -> tuple[list[CheckResult], Optional[CharFnData]]:
     """The purity check and, for a pure tuple only, the construction identities and theta."""
-    t0 = time.perf_counter()
-    dd = defect_data(config.ops, config.kernel, config.pick_factor)
-    verdict = "pass" if dd.pure else "fail"
-    purity = CheckResult("purity", verdict, dd.purity_residual, dd.purity_exact, time.perf_counter() - t0)
+    rec = presets._Recorder()
+    with rec.timing("purity"):
+        dd = defect_data(config.ops, config.kernel, config.pick_factor)
+        rec.checks.append(CheckResult("purity", "pass" if dd.pure else "fail", dd.purity_residual, dd.purity_exact, 0.0))
     if not dd.pure:
-        return [purity], None
-    t0 = time.perf_counter()
-    cfd = build_charfn(
-        dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
-    )
-    elapsed = time.perf_counter() - t0
+        return rec.results(), None
+    with rec.timing("construction_identities"):
+        cfd = build_charfn(
+            dd, config.factorization, support_cap=config.support_cap, constant_cap=config.constant_cap
+        )
     block = max(v for v in cfd.diagnostics.values() if not isinstance(v, bool))
     verdict = "pass" if block <= presets.TOL_BLOCK else "fail"
-    return [purity, CheckResult("construction_identities", verdict, float(block), cfd.exact or None, elapsed)], cfd
+    rec.checks.append(CheckResult("construction_identities", verdict, float(block), cfd.exact or None, 0.0))
+    return rec.results(), cfd
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +387,12 @@ def cmd_impossibility(args) -> int:
     kernel = bergman_kernel(m, 1, truncation)
     form = bergman_kernel(n, 1, truncation)
     for base in range(n_max + 1):
-        closed = Fraction(1) - Fraction(n * (base + 2), base + m + 1)
+        # the closed form 1 - n (N + 2) / (N + m + 1) as one Fraction; a difference is formed only when they differ
+        closed = Fraction(base + m + 1 - n * (base + 2), base + m + 1)
         value = quadratic_form_certificate(kernel, form, base, [(base + 2,)], window_degree=base + 2)[0]
-        agreement = max(agreement, abs(float(value - closed)))
-        if value < 0 and first_violation is None:
+        if value != closed:
+            agreement = max(agreement, abs(float(value - closed)))
+        if value.numerator < 0 and first_violation is None:
             first_violation = base
     elapsed = time.perf_counter() - t0
     checks = [

@@ -251,7 +251,8 @@ class _Recorder:
 
     ``timing(name)`` adds the run time of its block to check ``name``. A block
     may run ahead of its check, when the check only reads what an earlier
-    construction stored.
+    construction stored. A ``LinAlgError`` that leaves the block is raised
+    again with numpy's message followed by ``(in check <name>)``.
     """
 
     def __init__(self):
@@ -263,6 +264,8 @@ class _Recorder:
         start = time.perf_counter()
         try:
             yield
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"{exc} (in check {name})") from exc
         finally:
             self._spent[name] = self._spent.get(name, 0.0) + time.perf_counter() - start
 

@@ -8,7 +8,12 @@ paths read a series' float view (``floats``, built once per series), so
 they do no ``Fraction`` arithmetic. Exact sequences are multiplied,
 divided and inverted over Python ints, each scaled by its common
 denominator (1 for the Bergman, Drury-Arveson and Szego kernels), with one
-``Fraction`` normalization per coefficient.
+``Fraction`` normalization per coefficient. Exact certificates read the
+same ints from a series' scaled view (``scaled``, built once per series, as
+``floats`` is; plain ints count as exact, over the denominator 1): the
+contraction diagonal sums them and builds one ``Fraction`` per value it
+returns, and signs and comparisons read numerators, or cross products over
+a common denominator, with no ``Fraction`` arithmetic at all.
 
 The signed sequence b_n defined by
 
@@ -52,6 +57,25 @@ class FactorizationError(ValueError):
 
 def _is_exact(x) -> bool:
     return isinstance(x, (Fraction, int))
+
+
+class Scaled(NamedTuple):
+    """Exact coefficients c_n as the ints c_n * den, with den the lcm of their denominators."""
+
+    ints: list
+    den: int
+
+
+def _scaled(seq) -> Scaled:
+    den = math.lcm(*(c.denominator for c in seq))
+    return Scaled([c.numerator * (den // c.denominator) for c in seq], den)
+
+
+def _at_most(x, y) -> bool:
+    """x <= y: for two exact scalars by the cross products of their numerators and denominators, else as Python compares them."""
+    if _is_exact(x) and _is_exact(y):
+        return x.numerator * y.denominator <= y.numerator * x.denominator
+    return x <= y
 
 
 @dataclass(frozen=True)
@@ -100,6 +124,16 @@ class RealSeries:
         return replace(self, coefficients=tuple(float(c) for c in self.coefficients))
 
     @cached_property
+    def scaled(self) -> Optional[Scaled]:
+        """The coefficients times their common denominator, as ints, with that denominator; built once.
+
+        None unless every coefficient is exact (a ``Fraction`` or an int; an
+        int is over the denominator 1). Not a field, so equality, hashing and
+        repr ignore it.
+        """
+        return _scaled(self.coefficients) if self.exact else None
+
+    @cached_property
     def last_nonzero(self) -> int:
         """The degree of the last nonzero coefficient (0 when every coefficient is zero), found once."""
         return max((n for n, c in enumerate(self.coefficients) if c != 0), default=0)
@@ -115,7 +149,7 @@ class KernelSeries(RealSeries):
     """A unitarily invariant kernel sum_n a_n <z,w>^n, truncated at order N.
 
     Invariants enforced at construction: a_0 = 1 and a_n > 0 for every stored
-    coefficient.
+    coefficient (for an exact one, its numerator > 0).
     """
 
     def __post_init__(self):
@@ -123,9 +157,13 @@ class KernelSeries(RealSeries):
         if self.coefficients[0] != 1:
             raise ValueError(f"a_0 must be 1, got {self.coefficients[0]}")
         for n, a in enumerate(self.coefficients):
-            if not _is_exact(a) and not math.isfinite(a):
+            if _is_exact(a):
+                positive = a.numerator > 0
+            elif not math.isfinite(a):
                 raise ValueError(f"coefficient a_{n} = {a} is not finite")
-            if not a > 0:
+            else:
+                positive = a > 0
+            if not positive:
                 raise ValueError(f"coefficient a_{n} = {a} is not strictly positive")
 
     @cached_property
@@ -251,8 +289,7 @@ def _over_ints(*seqs):
     """
     if not all(isinstance(c, Fraction) for s in seqs for c in s):
         return seqs, tuple
-    dens = [math.lcm(*(c.denominator for c in s)) for s in seqs]
-    ints = [[c.numerator * (d // c.denominator) for c in s] for s, d in zip(seqs, dens)]
+    ints, dens = zip(*map(_scaled, seqs))
     den = math.prod(dens)
     if den == 1:
         return ints, lambda out: tuple(map(Fraction, out))
@@ -337,10 +374,11 @@ class NonnegativityCertificate:
 
 
 def _sign_certificate(coeffs, start: int, tol: float) -> NonnegativityCertificate:
+    """The first n >= start with c_n < 0 (an exact c_n by its numerator) or, for a float c_n, c_n < -tol."""
     first = None
     for n in range(start, len(coeffs)):
         c = coeffs[n]
-        negative = c < 0 if _is_exact(c) else c < -tol
+        negative = c.numerator < 0 if _is_exact(c) else c < -tol
         if negative:
             first = n
             break
@@ -375,7 +413,8 @@ class KernelFactorization:
 
     ``positive_part`` is the quotient g = k/s with g_0 = 1 and g_n >= 0; the
     Cauchy product of the factor and g reproduces k coefficientwise up to the
-    shared truncation (exactly in rational mode).
+    shared truncation (exactly in rational mode: over the scaled views' ints,
+    the product's over the denominator D_s D_g against k's over D_k).
     """
 
     kernel: KernelSeries
@@ -387,6 +426,16 @@ class KernelFactorization:
         g = self.positive_part
         if g.coefficients[0] != 1:
             raise FactorizationError("positive part must have leading coefficient 1")
+        views = (self.pick_factor.scaled, g.scaled, self.kernel.scaled)
+        if None not in views:
+            (s, ds), (q, dq), (k, dk) = views
+            for n in range(min(map(len, (s, q, k)))):
+                p = sum(s[i] * q[n - i] for i in range(n + 1))
+                if p * dk != k[n] * ds * dq:
+                    raise FactorizationError(
+                        f"product deviates from kernel at degree {n}: {Fraction(p, ds * dq)} != {self.kernel.coefficients[n]}"
+                    )
+            return
         prod = cauchy_product(self.pick_factor, g)
         for n, (p, a) in enumerate(zip(prod.coefficients, self.kernel.coefficients)):
             err = p - a
@@ -428,9 +477,9 @@ def factor_through_pick(k: KernelSeries, s: KernelSeries, tol: float = 1e-12) ->
     # coefficient monotonicity forced by g >= 0, g_0 = 1; checked defensively
     n = min(k.truncation, s.truncation)
     for m in range(n + 1):
-        if not (s.coefficients[m] <= k.coefficients[m] or _close(s.coefficients[m], k.coefficients[m], tol)):
+        if not (_at_most(s.coefficients[m], k.coefficients[m]) or _close(s.coefficients[m], k.coefficients[m], tol)):
             raise FactorizationError(f"factor coefficient exceeds kernel at degree {m}")
-        if not (g.coefficients[m] <= k.coefficients[m] or _close(g.coefficients[m], k.coefficients[m], tol)):
+        if not (_at_most(g.coefficients[m], k.coefficients[m]) or _close(g.coefficients[m], k.coefficients[m], tol)):
             raise FactorizationError(f"quotient coefficient exceeds kernel at degree {m}")
     return KernelFactorization(k, s, g, 0.0 if (k.exact and s.exact) else tol)
 
@@ -460,27 +509,39 @@ class AdmissibilityReport:
 def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int) -> list:
     """The partial values 1 - sum_{j=1}^{d} b_j a_{n-j} / a_n for d = 0..top, a from k and b from l.
 
-    Computed in the arithmetic of the coefficients, adding the terms in order
-    of j. By Vandermonde's identity (the multinomials of alpha and gamma -
-    alpha, summed over |alpha| = j, give that of gamma), the value at d is the
+    The partial sums S_d run in order of j. When a and b are both exact they
+    run over the scaled views' ints, A_i = D_a a_i and B_j = D_b b_j, and the
+    value at d is the one ``Fraction`` (D_b A_n - S_d) / (D_b A_n); otherwise
+    over the coefficients themselves, with the value 1 - S_d / a_n. By
+    Vandermonde's identity (the multinomials of alpha and gamma - alpha,
+    summed over |alpha| = j, give that of gamma), the value at d is the
     diagonal entry at any monomial z^gamma with |gamma| = n of
     I - sum_{1 <= |alpha| <= d} b_alpha M^alpha M^{alpha *} on the model of k.
     """
-    a, b = k.coefficients, reciprocal_complement(l).coefficients
     if not 0 <= top <= n <= k.truncation or top > l.truncation:
         raise ValueError(f"need 0 <= top {top} <= n {n} <= {k.truncation} and top <= {l.truncation}")
+    lb = reciprocal_complement(l)
+    exact = k.scaled is not None and lb.scaled is not None
+    (a, _), (b, den) = (k.scaled, lb.scaled) if exact else ((k.coefficients, 1), (lb.coefficients, 1))
     partial = 0 * a[0]
-    values = [1 - partial / a[n]]
+    sums = [partial]
     for j in range(1, top + 1):
         partial += b[j] * a[n - j]
-        values.append(1 - partial / a[n])
-    return values
+        sums.append(partial)
+    if exact:
+        whole = den * a[n]
+        return [Fraction(whole - s, whole) for s in sums]
+    return [1 - s / a[n] for s in sums]
 
 
 def admissibility_report(k: KernelSeries) -> AdmissibilityReport:
-    a = k.coefficients
     n_max = k.truncation
-    ratio_sup = max((a[n] / a[n + 1] for n in range(n_max)), default=a[0] / a[0])
+    if k.scaled is None:
+        a = k.coefficients
+        ratio_sup = max((a[n] / a[n + 1] for n in range(n_max)), default=a[0] / a[0])
+    else:
+        a = k.scaled.ints
+        ratio_sup = max((Fraction(a[n], a[n + 1]) for n in range(n_max)), default=Fraction(1))
     bound = max(abs(value) for n in range(n_max + 1) for value in contraction_diagonal(k, k, n, n))
     return AdmissibilityReport(ratio_sup, bound, n_max, f"certified up to {n_max}")
 
@@ -559,9 +620,11 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
     """Build a kernel from a spec dict, e.g. parsed from a JSON file.
 
     Supported kinds: bergman (fields m, d, truncation), szego, dirichlet
-    (fields d, truncation), coeffs (fields a: list of "p/q" or integer strings, d).
-    The fields m, d and truncation must be integers; other fields, such as
-    the "radius_one" flag of older coeffs specs, are ignored.
+    (fields d, truncation), coeffs (fields a: list of "p/q" or integer strings
+    or JSON numbers, d). An integer, as a string or a JSON number, is read as
+    an exact ``Fraction``; a JSON bool is no coefficient. The fields m, d and
+    truncation must be integers; other fields, such as the "radius_one" flag
+    of older coeffs specs, are ignored.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("kernel spec must be an object with a 'kind' field")
@@ -572,6 +635,11 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"kernel spec field {name!r} must be an integer, got {value!r}")
         return value
+
+    def coefficient(x):
+        if isinstance(x, bool):
+            raise ValueError(f"bad scalar {x!r}: expected a number or p/q")
+        return Fraction(x) if isinstance(x, int) else _scalar_from_spec(x)
 
     try:
         trunc = integer("truncation") if "truncation" in spec else DEFAULT_TRUNCATION
@@ -584,7 +652,7 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
         if kind == "coeffs":
             if not isinstance(spec["a"], list):
                 raise ValueError(f"'a' must be a list of coefficients, got {spec['a']!r}")
-            a = [_scalar_from_spec(s) for s in spec["a"]]
+            a = [coefficient(x) for x in spec["a"]]
             return kernel_from_coefficients(a, integer("d"))
     except KeyError as exc:
         raise ValueError(f"kernel spec missing field {exc}") from exc

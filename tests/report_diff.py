@@ -2,25 +2,30 @@
 
 Usage: ``python tests/report_diff.py A B`` or ``python tests/report_diff.py --trees TREE_A TREE_B OUT [NAME ...]``
 
-A and B are two JSON files, or two directories whose ``*.json`` files are
-compared name by name; a name on one side only is a difference. Every
-field that differs prints as one line: its path (``checks[7
-block_unitarity].residual``: a list index, with the item's ``name`` when it
-has one), both values, and for two numbers |Δ| and the relative Δ,
-|Δ| / max(|a|, |b|). Two values are the same when they have one JSON type
-and equal values, zeros of one sign and NaN against NaN, so a one-ulp move
-and 0.0 against -0.0 both count. Exits 0 when nothing differs, else 1.
+A and B are two JSON files, or two directories whose ``*.json`` and
+``*.txt`` files are compared name by name; a name on one side only is a
+difference. Every field that differs prints as one line: its path
+(``checks[7 block_unitarity].residual``: a list index, with the item's
+``name`` when it has one), both values, and for two numbers |Δ| and the
+relative Δ, |Δ| / max(|a|, |b|). Two values are the same when they have
+one JSON type and equal values, zeros of one sign and NaN against NaN, so a
+one-ulp move and 0.0 against -0.0 both count. A ``*.txt`` file differs
+line by line. Exits 0 when nothing differs, else 1.
 
 With ``--trees``, TREE_A and TREE_B are two source trees of cnpchar. Each
 command line of ``COMMANDS`` (or only those named) runs on each tree, from
 the tree's root, with ``PYTHONPATH=<tree>/src``, no bytecode written and one
-BLAS thread, its report going to ``OUT/a`` or ``OUT/b``; the two directories
-are then compared as above. A command that exits with neither 0 nor 1 (so
-writes no report to compare) is a difference too.
+BLAS thread, its report going to ``OUT/a`` or ``OUT/b`` and its standard
+output, with the report's path written ``<report>``, beside it as
+``<name>.txt`` (the exact values that ``kernel info`` and ``kernel factor``
+print are in no report); the two directories are then compared as above. A
+command that exits with neither 0 nor 1 (so writes no report to compare) is
+a difference too.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -29,11 +34,23 @@ import sys
 from pathlib import Path
 
 _GOLDEN = {path.stem: json.loads(path.read_text())["argv"] for path in sorted((Path(__file__).parent / "golden").glob("*.json"))}
-# report name -> command line: every golden's, and the suite and the golden wide window (its last flag the seed) at more seeds
+_DIRICHLET, _BERGMAN, _DA = "tests/specs/dirichlet_d1.json", "perfbench/specs/bergman_m2_d3.json", "perfbench/specs/drury_arveson_d3.json"
+# report name -> command line: every golden's, the suite and the golden wide window (its last flag the seed) at
+# more seeds, the benchmark's impossibility sweep, and the exact kernel certificates on Dirichlet (denominators
+# above 1) and on the wide window's factorization
 COMMANDS = {
     **_GOLDEN,
     **{f"suite_seed_{seed}": ["suite", "--seed", str(seed)] for seed in (3, 5, 7, 11)},
     **{f"wide_seed_{seed}": _GOLDEN["charfn_verify_wide_seed_0"][:-1] + [str(seed)] for seed in (67, 8123)},
+    **{
+        f"impossibility_m{m}_n{n}_N32": ["impossibility", "--m", str(m), "--n", str(n), "--N-max", "32"]
+        for m in range(1, 5)
+        for n in range(1, 5)
+    },
+    "kernel_info_dirichlet_d1": ["kernel", "info", "--spec", _DIRICHLET],
+    "kernel_cnp_dirichlet_d1": ["kernel", "cnp", "--spec", _DIRICHLET],
+    "kernel_factor_dirichlet_d1": ["kernel", "factor", "--spec", _DIRICHLET, "--cnp-factor", _DIRICHLET],
+    "kernel_factor_bergman_m2_d3": ["kernel", "factor", "--spec", _BERGMAN, "--cnp-factor", _DA],
 }
 
 
@@ -95,15 +112,22 @@ def _read(path: Path):
     return _blank(json.loads(path.read_text()))
 
 
+def _line_differences(a: Path, b: Path) -> list[str]:
+    pairs = itertools.zip_longest(a.read_text().splitlines(), b.read_text().splitlines(), fillvalue="<absent>")
+    return [f"line {i}: {x!r} -> {y!r}" for i, (x, y) in enumerate(pairs, 1) if x != y]
+
+
 def compare(a: Path, b: Path) -> list[str]:
-    """The differing fields of two report files, or of two directories of them, each line led by its file name there."""
+    """The differing fields of two report files, or of two directories of them and their output files, each line led by its file name there."""
     if not (a.is_dir() and b.is_dir()):
         return differences(_read(a), _read(b))
-    names_a, names_b = {p.name for p in a.glob("*.json")}, {p.name for p in b.glob("*.json")}
+    names_a, names_b = ({p.name for p in side.glob("*.json")} | {p.name for p in side.glob("*.txt")} for side in (a, b))
     lines = []
     for name in sorted(names_a | names_b):
         if name not in names_a or name not in names_b:
             lines.append(f"{name}: only in {a if name in names_a else b}")
+        elif name.endswith(".txt"):
+            lines += [f"{name}: {line}" for line in _line_differences(a / name, b / name)]
         else:
             lines += [f"{name}: {line}" for line in differences(_read(a / name), _read(b / name))]
     return lines
@@ -120,6 +144,7 @@ def run_commands(tree: Path, out: Path, names) -> list[str]:
         report.unlink(missing_ok=True)
         argv = [sys.executable, "-m", "cnpchar.cli", *COMMANDS[name], "--out", str(report)]
         run = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+        report.with_suffix(".txt").write_text(run.stdout.replace(str(report), "<report>"))
         if run.returncode not in (0, 1):
             lines.append(f"{name}: {tree} exited {run.returncode}: {(run.stderr.strip().splitlines() or [''])[-1]}")
     return lines

@@ -125,6 +125,24 @@ class TestKernelCommands:
         out = capsys.readouterr().out
         assert "ratio_sup: 2/1" in out
 
+    def test_json_integer_coefficients_are_certified_exactly(self, tmp_path, capsys):
+        """JSON integers print and certify as integer strings do: ratio_sup 3/4, not the float 0.75."""
+        outputs = []
+        for a in ([1, 2, 3, 4], ["1", "2", "3", "4"]):
+            spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+            spec.write_text(json.dumps({"kind": "coeffs", "d": 1, "a": a}))
+            assert main(["kernel", "info", "--spec", str(spec), "--out", str(out)]) == 0
+            assert read_report(out)["environment"]["mode"] == "exact"
+            outputs.append(capsys.readouterr().out.replace(str(out), "<out>"))
+        assert outputs[0] == outputs[1]
+        assert "ratio_sup: 3/4" in outputs[0] and "partial_sum_bound: 1/1" in outputs[0]
+
+    def test_json_bool_coefficient_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "coeffs", "d": 1, "a": [True, 2, 3]}))
+        assert main(["kernel", "info", "--spec", str(spec)]) == 2
+        assert "bad scalar True" in capsys.readouterr().err
+
     def test_malformed_spec_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -988,6 +1006,41 @@ class TestKernelsOutsideTheFamilies:
             code = main(["charfn", "verify", "--preset", "jordan"])
         assert code == 2 and "error: Eigenvalues did not converge" in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv, call, check",
+        [
+            (["charfn", "verify", "--preset", "jordan"], "eigh", "purity"),
+            (["charfn", "build", "--preset", "jordan"], "eigh", "purity"),
+            (["charfn", "verify", "--preset", "jordan"], "eigvalsh", "pointwise_gram_identity"),
+            (["suite", "--configs", "jordan"], "norm", "kernel_vector_identity"),
+        ],
+        ids=["verify_purity", "build_purity", "verify_gram", "suite_kernel_vector"],
+    )
+    def test_a_failed_lapack_step_names_its_check(self, monkeypatch, argv, call, check):
+        """The ``error:`` line keeps numpy's message and names the check whose block raised it."""
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{call} did not converge")
+
+        monkeypatch.setattr(np.linalg, call, fail)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 and err.getvalue() == f"error: {call} did not converge (in check {check})\n"
+
+    def test_a_failed_lapack_step_in_the_construction_names_it(self, monkeypatch):
+        """In ``charfn build``, a LAPACK failure after purity is named by the construction check."""
+        import cnpchar.cli
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cnpchar.cli, "build_charfn", fail)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["charfn", "build", "--preset", "jordan"])
+        assert code == 2 and err.getvalue() == "error: SVD did not converge (in check construction_identities)\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("model_degree", [1, 2, 3])

@@ -23,8 +23,10 @@ To re-pin after a deliberate report change, run the command line with
 ``--out`` and copy its caps and those fields of each check into its golden
 file. ``tests/report_diff.py A B`` names every field, floats included, in
 which two reports (or two directories of them) differ; ``tests/report_diff.py
---trees TREE_A TREE_B OUT`` runs every golden's command line, and the suite
-and the wide window at more seeds, on two source trees and compares those.
+--trees TREE_A TREE_B OUT`` runs every golden's command line, the suite and
+the wide window at more seeds, the benchmark's impossibility sweep and exact
+``kernel`` certificates on two source trees and compares those reports and
+what each run printed.
 """
 
 import json

@@ -29,7 +29,9 @@ from cnpchar.series import (
     quotient,
     reciprocal_complement,
     szego_kernel,
+    _at_most,
     _over_ints,
+    _sign_certificate,
 )
 
 
@@ -401,6 +403,13 @@ class TestContractionDiagonal:
                         assert value == 1 - lowered / k.coeff(gamma), (gamma, d)
                         assert isinstance(value, Fraction)
 
+    def test_plain_int_kernel_is_exact(self):
+        """A kernel of plain ints is exact, so its values are ``Fraction``s, as a kernel of Fractions' are."""
+        k = KernelSeries((1, 2, 3, 4), 1)
+        assert k.exact
+        values = contraction_diagonal(k, k, 3, 3)
+        assert values == [1, Fraction(-1, 2), 0, 0] and all(type(v) is Fraction for v in values)
+
     def test_partial_values_stop_at_top(self):
         k = bergman_kernel(2, 1, 8)
         assert contraction_diagonal(k, k, 6, 2) == contraction_diagonal(k, k, 6, 6)[:3]
@@ -411,6 +420,114 @@ class TestContractionDiagonal:
         k = bergman_kernel(2, 1, 8)
         with pytest.raises(ValueError, match="^need 0 <= top"):
             contraction_diagonal(k, k, n, top)
+
+
+def _diagonal_reference(k, l, n, top):
+    """The contraction diagonal by the literal loop: over ``Fraction``s for two exact kernels, else over the coefficients as they are."""
+    a, b = k.coefficients, reciprocal_complement(l).coefficients
+    if k.exact and l.exact:
+        a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    partial = 0 * a[0]
+    values = [1 - partial / a[n]]
+    for j in range(1, top + 1):
+        partial += b[j] * a[n - j]
+        values.append(1 - partial / a[n])
+    return values
+
+
+def _typed(values):
+    """Each value with its type and repr, so that two lists compare in value, in type and, for floats, bit for bit."""
+    return [(type(v), repr(v)) for v in values]
+
+
+# kernels of each scalar kind: Fractions with denominators above 1 (Dirichlet-like), integral
+# Fractions, plain ints and floats
+_KINDS = {
+    "rational": st.fractions(Fraction(1, 12), 8, max_denominator=12),
+    "integral": st.integers(1, 40).map(Fraction),
+    "int": st.integers(1, 40),
+    "float": st.floats(0.05, 8.0),
+}
+any_kernels = st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda kind: st.lists(_KINDS[kind], min_size=1, max_size=8).map(
+        lambda tail: kernel_from_coefficients([1.0 if kind == "float" else 1] + tail, 1)
+    )
+)
+
+
+class TestScaledCertificates:
+    """Exact certificates run over the scaled views' ints and must give what the literal loops give.
+
+    Each test is derandomized with a fixed budget; together they take about 1.3 s of Tier-1.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(k=any_kernels, l=any_kernels, data=st.data())
+    def test_contraction_diagonal_is_the_literal_loop(self, k, l, data):
+        """Equal to the ``Fraction`` loop in value and type for exact input, to the float loop bit for bit otherwise."""
+        n = data.draw(st.integers(0, k.truncation))
+        top = data.draw(st.integers(0, min(n, l.truncation)))
+        assert _typed(contraction_diagonal(k, l, n, top)) == _typed(_diagonal_reference(k, l, n, top))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        good=st.lists(st.fractions(Fraction(1, 12), 8, max_denominator=12), max_size=5),
+        bad=st.one_of(st.just(Fraction(0)), st.fractions(-8, 0, max_denominator=12), st.integers(-5, 0)),
+        at=st.integers(0, 5),
+    )
+    def test_a_non_positive_coefficient_is_refused_by_name(self, good, bad, at):
+        """Zero and negative exact coefficients are refused with the message the ``a > 0`` test gave."""
+        a = [Fraction(1)] + good
+        a.insert(min(at, len(good)) + 1, bad)
+        n = a.index(bad, 1)
+        with pytest.raises(ValueError) as caught:
+            KernelSeries(tuple(a), 1)
+        assert str(caught.value) == f"coefficient a_{n} = {bad} is not strictly positive"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        coeffs=st.lists(
+            st.one_of(st.fractions(-4, 4, max_denominator=12), st.integers(-3, 3), st.floats(-1e-11, 1e-11), st.floats(-4, 4)),
+            min_size=1,
+            max_size=10,
+        ),
+        start=st.integers(0, 2),
+        tol=st.sampled_from([0.0, 1e-12]),
+    )
+    def test_sign_certificate_finds_the_same_first_negative(self, coeffs, start, tol):
+        """The first negative index is the one of the literal ``c < 0`` (exact) or ``c < -tol`` (float) scan."""
+        first = next(
+            (n for n in range(start, len(coeffs)) if (coeffs[n] < 0 if isinstance(coeffs[n], (Fraction, int)) else coeffs[n] < -tol)),
+            None,
+        )
+        cert = _sign_certificate(coeffs, start, tol)
+        assert cert.first_negative == first and cert.holds == (first is None)
+
+    def test_cauchy_check_names_a_rational_deviation(self):
+        """Denominators above 1: a positive part off by 1/7 at degree 4 is named with the product's value, as a ``Fraction``."""
+        k, s = cauchy_product(drury_arveson_kernel(1, 10), dirichlet_kernel(1, 10)), dirichlet_kernel(1, 10)
+        g = [Fraction(1)] * 11
+        KernelFactorization(k, s, RealSeries(tuple(g), 1))
+        g[4] += Fraction(1, 7)
+        product = cauchy_product(s, RealSeries(tuple(g), 1)).coefficients[4]
+        with pytest.raises(FactorizationError, match=f"^product deviates from kernel at degree 4: {product} != {k.coefficients[4]}$"):
+            KernelFactorization(k, s, RealSeries(tuple(g), 1))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        x=st.one_of(st.fractions(-4, 4, max_denominator=12), st.integers(-3, 3), st.floats(-4, 4)),
+        y=st.one_of(st.fractions(-4, 4, max_denominator=12), st.integers(-3, 3), st.floats(-4, 4)),
+    )
+    def test_monotonicity_reads_a_common_denominator(self, x, y):
+        """``factor_through_pick``'s comparison, by cross products for exact pairs, is Python's ``<=``."""
+        assert _at_most(x, y) == (x <= y)
+
+    def test_scaled_view_is_built_once(self):
+        k = dirichlet_kernel(1, 6)
+        assert k.scaled is k.scaled
+        assert k.scaled.den == 420 and k.scaled.ints == [420 // (n + 1) for n in range(7)]
+        assert KernelSeries((1, 2, 3), 1).scaled == ([1, 2, 3], 1)
+        assert KernelSeries((1.0, 0.5), 1).scaled is None and KernelSeries((Fraction(1), 0.5), 1).scaled is None
 
 
 class TestEvaluate:
@@ -562,6 +679,20 @@ class TestSpecFiles:
     def test_rational_strings(self):
         k = kernel_from_spec({"kind": "coeffs", "a": ["1/1", "2/3", "1/2"], "d": 1})
         assert k.coefficients == (Fraction(1), Fraction(2, 3), Fraction(1, 2))
+
+    def test_json_integers_are_exact(self):
+        """JSON integers read as ``Fraction``s, as integer strings do, so their certificates are exact."""
+        k = kernel_from_spec({"kind": "coeffs", "a": [1, 2, 3, 4], "d": 1})
+        assert k == kernel_from_spec({"kind": "coeffs", "a": ["1", "2", "3", "4"], "d": 1})
+        assert all(type(c) is Fraction for c in k.coefficients)
+        report = admissibility_report(k)
+        assert (report.ratio_sup, report.partial_sum_bound) == (Fraction(3, 4), 1)
+        assert type(report.ratio_sup) is Fraction and type(report.partial_sum_bound) is Fraction
+
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_json_bools_are_no_coefficients(self, entry):
+        with pytest.raises(ValueError, match=f"^bad scalar {entry}: expected a number or p/q$"):
+            kernel_from_spec({"kind": "coeffs", "a": [entry, 2, 3], "d": 1})
 
     def test_malformed(self):
         with pytest.raises(ValueError):
