@@ -12,8 +12,7 @@ denominator (1 for the Bergman, Drury-Arveson and Szego kernels), with one
 same ints from a series' scaled view (``scaled``, built once per series, as
 ``floats`` is; plain ints count as exact, over the denominator 1): the
 contraction diagonal sums them and builds one ``Fraction`` per value it
-returns, and signs and comparisons read numerators, or cross products over
-a common denominator, with no ``Fraction`` arithmetic at all.
+returns, and signs read numerators, with no ``Fraction`` arithmetic at all.
 
 The signed sequence b_n defined by
 
@@ -36,6 +35,7 @@ sequences, which is what makes the one-variable calculus sufficient.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -69,13 +69,6 @@ class Scaled(NamedTuple):
 def _scaled(seq) -> Scaled:
     den = math.lcm(*(c.denominator for c in seq))
     return Scaled([c.numerator * (den // c.denominator) for c in seq], den)
-
-
-def _at_most(x, y) -> bool:
-    """x <= y: for two exact scalars by the cross products of their numerators and denominators, else as Python compares them."""
-    if _is_exact(x) and _is_exact(y):
-        return x.numerator * y.denominator <= y.numerator * x.denominator
-    return x <= y
 
 
 @dataclass(frozen=True)
@@ -413,8 +406,7 @@ class KernelFactorization:
 
     ``positive_part`` is the quotient g = k/s with g_0 = 1 and g_n >= 0; the
     Cauchy product of the factor and g reproduces k coefficientwise up to the
-    shared truncation (exactly in rational mode: over the scaled views' ints,
-    the product's over the denominator D_s D_g against k's over D_k).
+    shared truncation (exactly in rational mode).
     """
 
     kernel: KernelSeries
@@ -426,16 +418,6 @@ class KernelFactorization:
         g = self.positive_part
         if g.coefficients[0] != 1:
             raise FactorizationError("positive part must have leading coefficient 1")
-        views = (self.pick_factor.scaled, g.scaled, self.kernel.scaled)
-        if None not in views:
-            (s, ds), (q, dq), (k, dk) = views
-            for n in range(min(map(len, (s, q, k)))):
-                p = sum(s[i] * q[n - i] for i in range(n + 1))
-                if p * dk != k[n] * ds * dq:
-                    raise FactorizationError(
-                        f"product deviates from kernel at degree {n}: {Fraction(p, ds * dq)} != {self.kernel.coefficients[n]}"
-                    )
-            return
         prod = cauchy_product(self.pick_factor, g)
         for n, (p, a) in enumerate(zip(prod.coefficients, self.kernel.coefficients)):
             err = p - a
@@ -477,9 +459,9 @@ def factor_through_pick(k: KernelSeries, s: KernelSeries, tol: float = 1e-12) ->
     # coefficient monotonicity forced by g >= 0, g_0 = 1; checked defensively
     n = min(k.truncation, s.truncation)
     for m in range(n + 1):
-        if not (_at_most(s.coefficients[m], k.coefficients[m]) or _close(s.coefficients[m], k.coefficients[m], tol)):
+        if not (s.coefficients[m] <= k.coefficients[m] or _close(s.coefficients[m], k.coefficients[m], tol)):
             raise FactorizationError(f"factor coefficient exceeds kernel at degree {m}")
-        if not (_at_most(g.coefficients[m], k.coefficients[m]) or _close(g.coefficients[m], k.coefficients[m], tol)):
+        if not (g.coefficients[m] <= k.coefficients[m] or _close(g.coefficients[m], k.coefficients[m], tol)):
             raise FactorizationError(f"quotient coefficient exceeds kernel at degree {m}")
     return KernelFactorization(k, s, g, 0.0 if (k.exact and s.exact) else tol)
 
@@ -535,13 +517,10 @@ def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int) -> 
 
 
 def admissibility_report(k: KernelSeries) -> AdmissibilityReport:
+    a = k.coefficients
     n_max = k.truncation
-    if k.scaled is None:
-        a = k.coefficients
-        ratio_sup = max((a[n] / a[n + 1] for n in range(n_max)), default=a[0] / a[0])
-    else:
-        a = k.scaled.ints
-        ratio_sup = max((Fraction(a[n], a[n + 1]) for n in range(n_max)), default=Fraction(1))
+    divide = Fraction if k.exact else operator.truediv  # plain ints too give an exact ratio
+    ratio_sup = max((divide(a[n], a[n + 1]) for n in range(n_max)), default=divide(a[0], a[0]))
     bound = max(abs(value) for n in range(n_max + 1) for value in contraction_diagonal(k, k, n, n))
     return AdmissibilityReport(ratio_sup, bound, n_max, f"certified up to {n_max}")
 
