@@ -19,8 +19,10 @@ BLAS thread, its report going to ``OUT/a`` or ``OUT/b`` and its standard
 output, with the report's path written ``<report>``, beside it as
 ``<name>.txt`` (the exact values that ``kernel info`` and ``kernel factor``
 print are in no report); the two directories are then compared as above. A
-command that exits with neither 0 nor 1 (so writes no report to compare) is
-a difference too.
+failed run is a difference too, printed with its exit status and its last
+line of standard error: one that exits with neither 0 nor 1, writes no
+report or prints a traceback (an uncaught exception exits 1, as a failed
+check does).
 """
 
 from __future__ import annotations
@@ -145,7 +147,9 @@ def run_commands(tree: Path, out: Path, names) -> list[str]:
         argv = [sys.executable, "-m", "cnpchar.cli", *COMMANDS[name], "--out", str(report)]
         run = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
         report.with_suffix(".txt").write_text(run.stdout.replace(str(report), "<report>"))
-        if run.returncode not in (0, 1):
+        # exit 1 is a failed check only with its report written; an uncaught exception exits 1 too
+        crashed = not report.is_file() or "Traceback (most recent call last)" in run.stderr
+        if run.returncode not in (0, 1) or crashed:
             lines.append(f"{name}: {tree} exited {run.returncode}: {(run.stderr.strip().splitlines() or [''])[-1]}")
     return lines
 

@@ -113,3 +113,24 @@ def test_report_diff_runs_a_golden_on_two_trees(tmp_path):
     assert all((tmp_path / side / "charfn_verify_jordan_exact.json").is_file() for side in ("a", "b"))
     unknown = subprocess.run(trees + ["no_such_command"], capture_output=True, text=True)
     assert unknown.returncode == 2 and "unknown command no_such_command" in unknown.stderr
+
+
+@pytest.mark.parametrize(
+    "body, last",
+    [
+        ('raise RuntimeError("stub crash")\n', "RuntimeError: stub crash"),
+        ('import sys\nprint("no report", file=sys.stderr)\nsys.exit(1)\n', "no report"),
+    ],
+    ids=["traceback", "no_report"],
+)
+def test_report_diff_names_a_run_that_exits_one_without_finishing(tmp_path, body, last):
+    """A tree whose ``cnpchar/cli.py`` crashes (exit 1, with a traceback) or exits 1 with no report fails on both sides."""
+    diff = Path(__file__).parent / "report_diff.py"
+    stub = tmp_path / "stub"
+    (stub / "src" / "cnpchar").mkdir(parents=True)
+    (stub / "src" / "cnpchar" / "__init__.py").write_text("")
+    (stub / "src" / "cnpchar" / "cli.py").write_text(body)
+    argv = [sys.executable, str(diff), "--trees", str(stub), str(stub), str(tmp_path / "out"), "charfn_verify_jordan_exact"]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout.splitlines() == [f"charfn_verify_jordan_exact: {stub} exited 1: {last}"] * 2
