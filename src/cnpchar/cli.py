@@ -4,7 +4,8 @@ Every command writes a JSON run report (schema below) to --out when given
 and prints one line per check. Exit codes: 0 all checks passed (or
 certificate-only), 1 at least one verified failure, 2 malformed input, a
 LAPACK step that fails on the input (numpy's ``LinAlgError``, its message
-printed, followed by ``(in check <name>)`` when a check's block raised it)
+printed, followed by ``(in check <name>)`` when a check's block raised it,
+or by ``(in configuration <name>)`` when building the configuration did)
 or a usage error; ``main`` returns it, but a usage error leaves
 ``main`` as argparse's ``SystemExit(2)`` (--help as ``SystemExit(0)``).
 The parser is built at the first ``main`` call and reused, so repeated
@@ -294,8 +295,9 @@ def _configuration_from_args(args) -> Configuration:
             t = t.to_float()
         name = "custom_tuple"
     else:
-        t = model_tuple(kernel, args.d, args.model_degree, mode="float")
         name = f"custom_d{args.d}_n{args.model_degree}"
+        with presets.phase(f"configuration {name}"):
+            t = model_tuple(kernel, args.d, args.model_degree, mode="float")
     try:
         return Configuration(name=name, factorization=fac, ops=t, degree_cap=args.degree_cap)
     except ValueError as exc:

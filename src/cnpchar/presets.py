@@ -212,10 +212,11 @@ SUITE_CONFIGS = tuple(name for name in CONFIG_NAMES if name != "nonpure")
 
 
 def configuration(name: str) -> Configuration:
-    if name in _SZEGO_TUPLES:
-        return _szego_config(name, *_SZEGO_TUPLES[name])
-    if name in _MODELS:
-        return _model_config(name, *_MODELS[name])
+    with phase(f"configuration {name}"):
+        if name in _SZEGO_TUPLES:
+            return _szego_config(name, *_SZEGO_TUPLES[name])
+        if name in _MODELS:
+            return _model_config(name, *_MODELS[name])
     raise ValueError(f"unknown configuration {name!r}; known: {', '.join(CONFIG_NAMES)}")
 
 
@@ -246,13 +247,22 @@ def _check(name, residual, tol, exact=None) -> CheckResult:
     return CheckResult(name, "pass" if residual <= tol else "fail", residual, exact, 0.0)
 
 
+@contextmanager
+def phase(label: str):
+    """Raise a ``LinAlgError`` that leaves the block again, with numpy's message followed by ``(in <label>)``."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{exc} (in {label})") from exc
+
+
 class _Recorder:
     """Check results in the order they were added, with the seconds spent on each.
 
     ``timing(name)`` adds the run time of its block to check ``name``. A block
     may run ahead of its check, when the check only reads what an earlier
     construction stored. A ``LinAlgError`` that leaves the block is raised
-    again with numpy's message followed by ``(in check <name>)``.
+    again as ``phase`` raises it, in ``check <name>``.
     """
 
     def __init__(self):
@@ -263,9 +273,8 @@ class _Recorder:
     def timing(self, name: str):
         start = time.perf_counter()
         try:
-            yield
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"{exc} (in check {name})") from exc
+            with phase(f"check {name}"):
+                yield
         finally:
             self._spent[name] = self._spent.get(name, 0.0) + time.perf_counter() - start
 

@@ -1,18 +1,19 @@
 """Coefficient calculus for unitarily invariant kernels on the unit ball.
 
 A kernel k(z, w) = sum_n a_n <z, w>^n with a_0 = 1 and a_n > 0 is stored as
-its truncated coefficient sequence. Two scalar backends coexist: exact
-``fractions.Fraction`` entries (default for the built-in kernels, so that
-every coefficient identity can be asserted exactly) and plain floats. Float
-paths read a series' float view (``floats``, built once per series), so
-they do no ``Fraction`` arithmetic. Exact sequences are multiplied,
-divided and inverted over Python ints, each scaled by its common
-denominator (1 for the Bergman, Drury-Arveson and Szego kernels), with one
-``Fraction`` normalization per coefficient. Exact certificates read the
-same ints from a series' scaled view (``scaled``, built once per series, as
-``floats`` is; plain ints count as exact, over the denominator 1): the
-contraction diagonal sums them and builds one ``Fraction`` per value it
-returns, and signs read numerators, with no ``Fraction`` arithmetic at all.
+its truncated coefficient sequence. Each sequence has one scalar type, fixed
+when it is built: ``fractions.Fraction`` when every coefficient given is a
+``Fraction`` or an int (the built-in kernels, so that every coefficient
+identity can be asserted exactly), else float, every coefficient converted
+as ``float`` converts it. Float paths read a series' float view
+(``floats``, built once per series), so they do no ``Fraction`` arithmetic.
+Exact sequences are multiplied, divided, inverted and certified over the
+Python ints of their scaled view (``scaled``, built once per series, as
+``floats`` is): the coefficients times their common denominator (1 for the
+Bergman, Drury-Arveson and Szego kernels). A product or quotient builds
+one ``Fraction`` per coefficient it returns, the contraction diagonal one
+per value, and signs read numerators, with no ``Fraction`` arithmetic at
+all.
 
 The signed sequence b_n defined by
 
@@ -35,7 +36,6 @@ sequences, which is what makes the one-variable calculus sufficient.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -55,10 +55,6 @@ class FactorizationError(ValueError):
     """Raised when a claimed kernel factorization fails coefficientwise."""
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int))
-
-
 class Scaled(NamedTuple):
     """Exact coefficients c_n as the ints c_n * den, with den the lcm of their denominators."""
 
@@ -66,24 +62,27 @@ class Scaled(NamedTuple):
     den: int
 
 
-def _scaled(seq) -> Scaled:
-    den = math.lcm(*(c.denominator for c in seq))
-    return Scaled([c.numerator * (den // c.denominator) for c in seq], den)
-
-
 @dataclass(frozen=True)
 class RealSeries:
     """A truncated signed coefficient sequence c_0..c_N in one variable.
 
     Carries the ambient ball dimension so multi-index lifts are available via
-    :meth:`coeff`. No sign or normalization constraints.
+    :meth:`coeff`. No sign or normalization constraints. The coefficients are
+    stored as ``Fraction``s when each one given is a ``Fraction`` or an int,
+    else as floats.
     """
 
     coefficients: tuple
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        coefficients = tuple(self.coefficients)
+        # int first: an int tested against Fraction would take the slow ABC instance check
+        if all(isinstance(c, (int, Fraction)) for c in coefficients):
+            coefficients = tuple(Fraction(c) if isinstance(c, int) else c for c in coefficients)
+        else:
+            coefficients = tuple(map(float, coefficients))
+        object.__setattr__(self, "coefficients", coefficients)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         if not self.coefficients:
@@ -95,7 +94,7 @@ class RealSeries:
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coefficients)
+        return isinstance(self.coefficients[0], Fraction)
 
     def coeff_1d(self, n: int):
         if n < 0 or n > self.truncation:
@@ -110,21 +109,23 @@ class RealSeries:
 
     @cached_property
     def floats(self):
-        """The same series (and kind of series) with float coefficients, built once.
+        """The same series (and kind of series) with float coefficients, built once; a float series itself.
 
         Not a field, so equality, hashing and repr ignore it.
         """
-        return replace(self, coefficients=tuple(float(c) for c in self.coefficients))
+        return replace(self, coefficients=tuple(map(float, self.coefficients))) if self.exact else self
 
     @cached_property
     def scaled(self) -> Optional[Scaled]:
         """The coefficients times their common denominator, as ints, with that denominator; built once.
 
-        None unless every coefficient is exact (a ``Fraction`` or an int; an
-        int is over the denominator 1). Not a field, so equality, hashing and
-        repr ignore it.
+        None for a float series. Not a field, so equality, hashing and repr
+        ignore it.
         """
-        return _scaled(self.coefficients) if self.exact else None
+        if not self.exact:
+            return None
+        den = math.lcm(*(c.denominator for c in self.coefficients))
+        return Scaled([c.numerator * (den // c.denominator) for c in self.coefficients], den)
 
     @cached_property
     def last_nonzero(self) -> int:
@@ -149,14 +150,11 @@ class KernelSeries(RealSeries):
         super().__post_init__()
         if self.coefficients[0] != 1:
             raise ValueError(f"a_0 must be 1, got {self.coefficients[0]}")
+        exact = self.exact
         for n, a in enumerate(self.coefficients):
-            if _is_exact(a):
-                positive = a.numerator > 0
-            elif not math.isfinite(a):
+            if not (exact or math.isfinite(a)):
                 raise ValueError(f"coefficient a_{n} = {a} is not finite")
-            else:
-                positive = a > 0
-            if not positive:
+            if not (a.numerator > 0 if exact else a > 0):
                 raise ValueError(f"coefficient a_{n} = {a} is not strictly positive")
 
     @cached_property
@@ -164,19 +162,19 @@ class KernelSeries(RealSeries):
         """The sequence b with sum_{n>=1} b_n t^n = 1 - 1/k, stored as b_0 = 0, b_1, ...
 
         Computed on first use from the coefficients c of 1/k (c_0 = 1,
-        c_n = -sum_{i=1}^{n} a_i c_{n-i}, b_n = -c_n), exactly in rational mode:
-        over ints, or as the quotient (k - 1) / k (``_divide``) when the
-        coefficients are Fractions over a common denominator above 1.
-        Not a field, so equality, hashing and repr ignore it.
+        c_n = -sum_{i=1}^{n} a_i c_{n-i}, b_n = -c_n), over the floats of a
+        float kernel or the ints of an exact one's scaled view, or as the
+        quotient (k - 1) / k (``_divide``) when that view's denominator is
+        above 1. Not a field, so equality, hashing and repr ignore it.
         """
-        (a,), back = _over_ints(self.coefficients)
-        if a[0] != 1:
-            return RealSeries(_divide((Fraction(0),) + self.coefficients[1:], self.coefficients), self.dim)
+        exact, ((a, den),) = _views(self)
+        if den != 1:
+            return RealSeries(_divide(exact, [([0] + a[1:], den), (a, den)], len(a)), self.dim)
         inv = [a[0] ** 0]  # one of the right scalar type
         for n in range(1, len(a)):
             inv.append(-sum(a[i] * inv[n - i] for i in range(1, n + 1)))
         b = [0 * inv[0]] + [-c for c in inv[1:]]
-        return RealSeries(back(b), self.dim)
+        return RealSeries(b, self.dim)
 
     def evaluate(self, z: Sequence, w: Sequence, truncated: bool = False) -> KernelValue:
         """Partial sum of the kernel at a pair of points inside the ball, or pairwise along two stacks.
@@ -267,26 +265,10 @@ def reciprocal_complement(k: KernelSeries) -> RealSeries:
     return k.b
 
 
-def _over_ints(*seqs):
-    """Each sequence over Python ints, times its own common denominator, when every entry is a ``Fraction``; and the map back.
-
-    Sequence j comes back as the ints c * D_j, with D_j the lcm of its
-    denominators. The map takes ints over D_1 * ... * D_k, the denominator
-    of a product of one entry from each sequence (of one entry, for a single
-    sequence, so that it inverts the scaling), to a tuple of ``Fraction``,
-    with one normalization per entry, or none when every D_j is 1. Integer
-    products and sums skip the gcd that every ``Fraction`` operation takes,
-    so a loop over the returned ints gives the same numbers faster. Any other
-    input (ints, floats, mixed entries) comes back as it is, with ``tuple``
-    as the map, so its loop runs over its own scalars.
-    """
-    if not all(isinstance(c, Fraction) for s in seqs for c in s):
-        return seqs, tuple
-    ints, dens = zip(*map(_scaled, seqs))
-    den = math.prod(dens)
-    if den == 1:
-        return ints, lambda out: tuple(map(Fraction, out))
-    return ints, lambda out: tuple(Fraction(n, den) for n in out)
+def _views(*series) -> tuple:
+    """Whether every series is exact; and each one's scaled view then, else its float coefficients over the denominator 1."""
+    exact = all(s.exact for s in series)
+    return exact, [s.scaled if exact else (s.floats.coefficients, 1) for s in series]
 
 
 def cauchy_product(p, q):
@@ -298,38 +280,38 @@ def cauchy_product(p, q):
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     n = min(len(p.coefficients), len(q.coefficients))
-    (pa, qa), back = _over_ints(p.coefficients[:n], q.coefficients[:n])
-    out = back(sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(n))
+    exact, ((pa, pd), (qa, qd)) = _views(p, q)
+    sums = [sum(pa[i] * qa[m - i] for i in range(m + 1)) for m in range(n)]
+    out = [Fraction(c, pd * qd) for c in sums] if exact else sums
     if isinstance(p, KernelSeries) and isinstance(q, KernelSeries):
         return KernelSeries(out, p.dim)
     return RealSeries(out, p.dim)
 
 
-def _divide(a, l) -> tuple:
-    """q with cauchy_product(l, q) = a, for sequences of one length with l[0] = 1.
+def _divide(exact: bool, views: list, n: int) -> list:
+    """q_0..q_{n-1} with cauchy_product(l, q) = a, for the views of ``_views`` of a and of l, with l_0 = 1.
 
-    Runs q_m = a_m - sum_{i<m} q_i l_{m-i} over the ints of ``_over_ints``
-    (or over the input's own scalars). When l's entries are Fractions over a
-    common denominator D > 1, l runs as the ints D l and the partial results
-    as ints over their running lcm E, so that each q_m is one normalized
-    ``Fraction`` of ints over a_m's denominator times E D.
+    Runs q_m = a_m - sum_{i<m} q_i l_{m-i} over the views' floats, or over
+    their ints A = D_a a and L = D l, with q_m = Q_m / D_a for D = 1. When
+    D > 1, the partial results run as ints over their running lcm E, so
+    that each q_m is one normalized ``Fraction`` of ints over D_a E D.
     """
-    (a_int, l_int), back = _over_ints(a, l)
-    if l_int[0] == 1:
+    (a_int, da), (l_int, den) = views
+    if den == 1:
         q: list = []
-        for m in range(len(a)):
+        for m in range(n):
             q.append(a_int[m] - sum(q[i] * l_int[m - i] for i in range(m)))
-        return back(q)
-    den, q, scaled, e = l_int[0], [], [], 1
-    for m, x in enumerate(a):
+        return [Fraction(c, da) for c in q] if exact else q
+    q, scaled, e = [], [], 1
+    for m in range(n):
         s = sum(scaled[i] * l_int[m - i] for i in range(m))
-        f = Fraction(x.numerator * e * den - s * x.denominator, x.denominator * e * den)
+        f = Fraction(a_int[m] * e * den - s * da, da * e * den)
         q.append(f)
         if e % f.denominator:
             step = f.denominator // math.gcd(e, f.denominator)
             scaled, e = [c * step for c in scaled], e * step
         scaled.append(f.numerator * (e // f.denominator))
-    return tuple(q)
+    return q
 
 
 def quotient(numerator, denominator) -> RealSeries:
@@ -342,7 +324,7 @@ def quotient(numerator, denominator) -> RealSeries:
     if denominator.coefficients[0] != 1:
         raise ValueError("denominator must have leading coefficient 1")
     n = min(len(numerator.coefficients), len(denominator.coefficients))
-    return RealSeries(_divide(numerator.coefficients[:n], denominator.coefficients[:n]), numerator.dim)
+    return RealSeries(_divide(*_views(numerator, denominator), n), numerator.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +349,11 @@ class NonnegativityCertificate:
 
 
 def _sign_certificate(coeffs, start: int, tol: float) -> NonnegativityCertificate:
-    """The first n >= start with c_n < 0 (an exact c_n by its numerator) or, for a float c_n, c_n < -tol."""
+    """The first n >= start with c_n < -tol for a float c_n, or c_n < 0 (read off its numerator) for an exact one."""
     first = None
     for n in range(start, len(coeffs)):
         c = coeffs[n]
-        negative = c.numerator < 0 if _is_exact(c) else c < -tol
+        negative = c < -tol if isinstance(c, float) else c.numerator < 0
         if negative:
             first = n
             break
@@ -419,9 +401,10 @@ class KernelFactorization:
         if g.coefficients[0] != 1:
             raise FactorizationError("positive part must have leading coefficient 1")
         prod = cauchy_product(self.pick_factor, g)
+        exact = prod.exact and self.kernel.exact
         for n, (p, a) in enumerate(zip(prod.coefficients, self.kernel.coefficients)):
             err = p - a
-            bad = err != 0 if _is_exact(err) else abs(err) > self.tolerance
+            bad = err != 0 if exact else abs(err) > self.tolerance
             if bad:
                 raise FactorizationError(
                     f"product deviates from kernel at degree {n}: {p} != {a}"
@@ -519,8 +502,7 @@ def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int) -> 
 def admissibility_report(k: KernelSeries) -> AdmissibilityReport:
     a = k.coefficients
     n_max = k.truncation
-    divide = Fraction if k.exact else operator.truediv  # plain ints too give an exact ratio
-    ratio_sup = max((divide(a[n], a[n + 1]) for n in range(n_max)), default=divide(a[0], a[0]))
+    ratio_sup = max((a[n] / a[n + 1] for n in range(n_max)), default=a[0] / a[0])
     bound = max(abs(value) for n in range(n_max + 1) for value in contraction_diagonal(k, k, n, n))
     return AdmissibilityReport(ratio_sup, bound, n_max, f"certified up to {n_max}")
 
@@ -537,8 +519,7 @@ def bergman_kernel(m: int, dim: int, truncation: int = DEFAULT_TRUNCATION) -> Ke
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    coeffs = tuple(Fraction(math.comb(n + m - 1, n)) for n in range(truncation + 1))
-    return KernelSeries(coeffs, dim)
+    return KernelSeries(tuple(math.comb(n + m - 1, n) for n in range(truncation + 1)), dim)
 
 
 def drury_arveson_kernel(dim: int, truncation: int = DEFAULT_TRUNCATION) -> KernelSeries:
@@ -566,10 +547,9 @@ def kernel_from_coefficients(a: Sequence[Scalar], dim: int) -> KernelSeries:
 
 
 def _scalar_to_string(x) -> str:
-    f = Fraction(x) if _is_exact(x) else None
-    if f is not None:
-        return f"{f.numerator}/{f.denominator}"
-    return repr(float(x))
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    return repr(x)
 
 
 def _scalar_from_string(s: str):
@@ -600,8 +580,9 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
 
     Supported kinds: bergman (fields m, d, truncation), szego, dirichlet
     (fields d, truncation), coeffs (fields a: list of "p/q" or integer strings
-    or JSON numbers, d). An integer, as a string or a JSON number, is read as
-    an exact ``Fraction``; a JSON bool is no coefficient. The fields m, d and
+    or JSON numbers, d). A coeffs kernel is exact when every entry is a "p/q"
+    or an integer, as a string or a JSON number, and a float series when any
+    entry is another number; a JSON bool is no coefficient. The fields m, d and
     truncation must be integers; other fields, such as the "radius_one" flag
     of older coeffs specs, are ignored.
     """
@@ -618,7 +599,7 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
     def coefficient(x):
         if isinstance(x, bool):
             raise ValueError(f"bad scalar {x!r}: expected a number or p/q")
-        return Fraction(x) if isinstance(x, int) else _scalar_from_spec(x)
+        return _scalar_from_spec(x)
 
     try:
         trunc = integer("truncation") if "truncation" in spec else DEFAULT_TRUNCATION
@@ -635,7 +616,7 @@ def kernel_from_spec(spec: dict) -> KernelSeries:
             return kernel_from_coefficients(a, integer("d"))
     except KeyError as exc:
         raise ValueError(f"kernel spec missing field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed kernel spec: {exc}") from exc
     raise ValueError(f"unknown kernel kind {kind!r}")
 

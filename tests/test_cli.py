@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from cnpchar import _linalg
 from cnpchar.cli import IGNORED, REPORT_SCHEMA, build_parser, main
+from cnpchar.series import kernel_from_spec
 
 
 @pytest.fixture()
@@ -1008,17 +1009,27 @@ class TestKernelsOutsideTheFamilies:
         assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize(
-        "argv, call, check",
+        "argv, call, phase",
         [
-            (["charfn", "verify", "--preset", "jordan"], "eigh", "purity"),
-            (["charfn", "build", "--preset", "jordan"], "eigh", "purity"),
-            (["charfn", "verify", "--preset", "jordan"], "eigvalsh", "pointwise_gram_identity"),
-            (["suite", "--configs", "jordan"], "norm", "kernel_vector_identity"),
+            (["charfn", "verify", "--preset", "jordan"], "eigh", "check purity"),
+            (["charfn", "build", "--preset", "jordan"], "eigh", "check purity"),
+            (["charfn", "verify", "--preset", "jordan"], "eigvalsh", "check pointwise_gram_identity"),
+            (["suite", "--configs", "jordan"], "norm", "check kernel_vector_identity"),
+            (["charfn", "verify", "--preset", "jordan"], "svd", "configuration jordan"),
+            (["charfn", "build", "--preset", "jordan"], "svd", "configuration jordan"),
+            (["suite", "--configs", "jordan"], "svd", "configuration jordan"),
+            (["charfn", "verify", "--kernel", "tests/specs/szego_d1.json", "--cnp-factor", "tests/specs/szego_d1.json",
+              "--d", "1", "--model-degree", "1"], "svd", "configuration custom_d1_n1"),
         ],
-        ids=["verify_purity", "build_purity", "verify_gram", "suite_kernel_vector"],
+        ids=[
+            "verify_purity", "build_purity", "verify_gram", "suite_kernel_vector",
+            "verify_configuration", "build_configuration", "suite_configuration", "custom_configuration",
+        ],
     )
-    def test_a_failed_lapack_step_names_its_check(self, monkeypatch, argv, call, check):
-        """The ``error:`` line keeps numpy's message and names the check whose block raised it."""
+    def test_a_failed_lapack_step_names_its_check(self, monkeypatch, argv, call, phase):
+        """The ``error:`` line keeps numpy's message and names the check whose block raised it, or the
+        configuration being built (the first SVD is the commutation check of its model tuple)."""
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{call} did not converge")
@@ -1027,7 +1038,7 @@ class TestKernelsOutsideTheFamilies:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code == 2 and err.getvalue() == f"error: {call} did not converge (in check {check})\n"
+        assert code == 2 and err.getvalue() == f"error: {call} did not converge (in {phase})\n"
 
     def test_a_failed_lapack_step_in_the_construction_names_it(self, monkeypatch):
         """In ``charfn build``, a LAPACK failure after purity is named by the construction check."""
@@ -1041,6 +1052,26 @@ class TestKernelsOutsideTheFamilies:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["charfn", "build", "--preset", "jordan"])
         assert code == 2 and err.getvalue() == "error: SVD did not converge (in check construction_identities)\n"
+
+    def test_a_float_entry_reads_as_the_all_float_spelling(self, tmp_path):
+        """s with its second coefficient written "0.375" is a float series: the coefficients and the
+        ``charfn verify`` output of s written with every entry a float."""
+        _, mixed = _product_specs([Fraction(3, 8), Fraction(1, 12)], [Fraction(1)], 1)
+        mixed["a"][1] = "0.375"
+        spelled = {**mixed, "a": [repr(float(Fraction(x))) for x in mixed["a"]]}
+        kernels = [kernel_from_spec(spec) for spec in (mixed, spelled)]
+        assert all(type(c) is float for k in kernels for c in k.coefficients)
+        assert [c.hex() for c in kernels[0].coefficients] == [c.hex() for c in kernels[1].coefficients]
+        outputs = []
+        for spec in (mixed, spelled):
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(spec))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["charfn", "verify", "--kernel", str(path), "--cnp-factor", str(path), "--d", "1", "--model-degree", "1"])
+            assert code == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1] and outputs[0].count("PASS") == 14
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("model_degree", [1, 2, 3])

@@ -29,7 +29,6 @@ from cnpchar.series import (
     quotient,
     reciprocal_complement,
     szego_kernel,
-    _over_ints,
     _sign_certificate,
 )
 
@@ -270,34 +269,34 @@ integral_kernels = st.tuples(
 
 
 class TestIntegerPath:
-    """Integral sequences run over ints and must equal the scalar loops exactly, type included."""
+    """Exact sequences run over their scaled views' ints and must equal the scalar loops exactly, type included."""
 
     @given(integral_kernels, integral_kernels)
     @settings(max_examples=60)
     def test_integral_kernels_match_the_reference(self, k, l):
-        if type(k.coefficients[0]) is not type(l.coefficients[0]):
-            # mixed int and Fraction input is not integral Fraction input: it runs the plain loop
-            assert _over_ints(k.coefficients, l.coefficients)[0][0] is k.coefficients
+        # Fraction(n) and plain-int input alike are held as Fractions, over ints with the denominator 1
+        for kernel in (k, l):
+            assert all(type(c) is Fraction for c in kernel.coefficients)
+            assert all(type(c) is int for c in kernel.scaled.ints) and kernel.scaled.den == 1
         _assert_matches_reference(k, l)
 
     def test_integral_fractions_run_over_ints(self):
         k = bergman_kernel(3, 1, 6)
-        (ints,), back = _over_ints(k.coefficients)
-        assert all(type(c) is int for c in ints)
-        assert _same(back(ints), k.coefficients)
+        ints, den = k.scaled
+        assert all(type(c) is int for c in ints) and den == 1
+        assert _same(tuple(map(Fraction, ints)), k.coefficients)
 
     @pytest.mark.parametrize("floats", [False, True], ids=["fraction", "float"])
     def test_other_kernels_take_the_reference_path(self, floats):
         k, s = dirichlet_kernel(1, 12), drury_arveson_kernel(1, 12)
         if floats:
             k, s = k.floats, s.floats
-        (seq, other), back = _over_ints(k.coefficients, s.coefficients)
-        if floats:
-            assert seq is k.coefficients and other is s.coefficients and back is tuple
+            assert k.scaled is None and s.scaled is None
         else:
             # Fractions run over ints times their common denominator, lcm(1..13) for Dirichlet
-            assert seq == [math.lcm(*range(1, 14)) // (n + 1) for n in range(13)] and other == [1] * 13
-            assert _same(back(seq), k.coefficients)
+            den = math.lcm(*range(1, 14))
+            assert k.scaled == ([den // (n + 1) for n in range(13)], den) and s.scaled == ([1] * 13, 1)
+            assert _same(tuple(Fraction(c, den) for c in k.scaled.ints), k.coefficients)
         _assert_matches_reference(k, s)
 
     def test_dirichlet_type_kernels_match_the_reference_at_truncation_48(self):
@@ -520,6 +519,30 @@ class TestScaledCertificates:
         assert KernelSeries((1.0, 0.5), 1).scaled is None and KernelSeries((Fraction(1), 0.5), 1).scaled is None
 
 
+class TestScalarType:
+    """Each series holds one scalar type, fixed at construction: Fractions, or floats once any coefficient is a float."""
+
+    def test_plain_ints_are_held_as_fractions(self):
+        k = KernelSeries((1, 2, 3, 4), 1)
+        assert k.exact and k.coefficients == (1, 2, 3, 4)
+        assert all(type(c) is Fraction for c in k.coefficients)
+        assert all(type(c) is Fraction for c in k.b.coefficients)
+
+    def test_one_float_makes_every_coefficient_a_float(self):
+        k = KernelSeries((Fraction(1), 0.5), 1)
+        assert k.coefficients == (1.0, 0.5) and all(type(c) is float for c in k.coefficients)
+        assert not k.exact and k.floats is k
+
+    def test_a_mixed_spec_is_its_all_float_spelling(self):
+        """A "p/q" beside "0.375" is converted as ``float`` converts it: the kernel and its b bit for bit."""
+        mixed = {"kind": "coeffs", "a": ["1", "1/3", "0.375", "2/7"], "d": 1}
+        spelled = {**mixed, "a": [repr(float(Fraction(x))) for x in mixed["a"]]}
+        assert spelled["a"] == ["1.0", "0.3333333333333333", "0.375", "0.2857142857142857"]
+        k, f = kernel_from_spec(mixed), kernel_from_spec(spelled)
+        assert _typed(k.coefficients) == _typed(f.coefficients) and _typed(k.b.coefficients) == _typed(f.b.coefficients)
+        assert all(type(c) is float for c in k.b.coefficients)
+
+
 class TestEvaluate:
     def test_szego_origin(self):
         value, tail = szego_kernel(2, 20).evaluate([0, 0], [0, 0])
@@ -683,6 +706,11 @@ class TestSpecFiles:
     def test_json_bools_are_no_coefficients(self, entry):
         with pytest.raises(ValueError, match=f"^bad scalar {entry}: expected a number or p/q$"):
             kernel_from_spec({"kind": "coeffs", "a": [entry, 2, 3], "d": 1})
+
+    def test_an_exact_entry_beyond_the_float_range_in_a_float_spec_is_malformed(self):
+        """A float entry makes every entry a float, and an integer of 401 digits has none."""
+        with pytest.raises(ValueError, match="^malformed kernel spec: "):
+            kernel_from_spec({"kind": "coeffs", "a": ["1", "1" + "0" * 400, "0.5"], "d": 1})
 
     def test_malformed(self):
         with pytest.raises(ValueError):
