@@ -414,7 +414,17 @@ def cmd_impossibility(args) -> int:
 # the suite
 
 
+def _configuration_checks(name: str, seed: int, tol: float) -> list[CheckResult]:
+    checks = run_configuration_checks(presets.configuration(name), seed=seed, composite_tol=tol)[0]
+    return [replace(check, name=f"{name}/{check.name}") for check in checks]
+
+
 def cmd_suite(args) -> int:
+    """The named configurations (all by default, then alignment and coincidence), one unit each.
+
+    ``presets.run_suite`` runs the units on the CPUs the process may use;
+    the report and the printed lines do not depend on how many.
+    """
     seed = 0 if args.seed is None else args.seed
     tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
     names = list(presets.SUITE_CONFIGS) if args.configs is None else args.configs.split(",")
@@ -429,16 +439,11 @@ def cmd_suite(args) -> int:
     if twice:
         raise InputError(f"configurations named more than once: {', '.join(twice)}")
 
-    all_checks = [
-        replace(check, name=f"{name}/{check.name}")
-        for name in names
-        for check in run_configuration_checks(
-            presets.configuration(name), seed=seed, composite_tol=tol
-        )[0]
-    ]
+    units = [(name, functools.partial(_configuration_checks, name, seed, tol)) for name in names]
     if args.configs is None:
-        all_checks.append(presets.run_alignment_check(seed=seed))
-        all_checks.extend(presets.run_coincidence_checks(seed=seed))
+        units.append(("alignment", lambda: [presets.run_alignment_check(seed=seed)]))
+        units.append(("coincidence", lambda: presets.run_coincidence_checks(seed=seed)))
+    all_checks = presets.run_suite(units)
     passed = sum(1 for c in all_checks if c.verdict == "pass")
     failed = sum(1 for c in all_checks if c.verdict == "fail")
     report = _report(

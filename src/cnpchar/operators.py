@@ -605,7 +605,9 @@ def quadratic_form_certificate(
         if n is None or n > window_degree:
             raise ValueError(f"test vector {v!r} is not a label of the window of degree {window_degree}")
     return [
-        contraction_diagonal(kernel, form_kernel, n, max(0, min(n - base_degree - 1, form_kernel.truncation)))[-1]
+        contraction_diagonal(
+            kernel, form_kernel, n, max(0, min(n - base_degree - 1, form_kernel.truncation)), last=True
+        )[0]
         for n in degrees
     ]
 

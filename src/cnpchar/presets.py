@@ -11,15 +11,20 @@ acceptance tests, so residuals reported by either are comparable.
 All randomness (sample points, compression seeds, conjugating orthogonals)
 is drawn from generators seeded by the suite seed and the configuration
 name, which makes reports reproducible and independent of execution order.
+So ``run_suite`` can split the suite's units across forked workers, one per
+CPU the process may use, and its checks do not depend on how many there are.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import pickle
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -485,3 +490,134 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
         lower, _ = coincidence_residual(cfd_a, cfd_b)
         rec.checks.append(CheckResult("coincidence_distinct", "pass" if lower >= 1e-3 else "fail", lower, None, 0.0))
     return rec.results()
+
+
+# ---------------------------------------------------------------------------
+# the suite across processes
+
+# one unit of the suite: its label (a configuration name, or the check it runs) and the call that returns its checks
+Unit = tuple[str, Callable[[], list[CheckResult]]]
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an exception that a suite worker sent back; its cause when raised again."""
+
+
+def _process_count(units: int) -> int:
+    """The CPUs this process may use, at most ``units``; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, units))
+
+
+def _run_share(units: Sequence[Unit], process: int, count: int) -> tuple[list, Optional[tuple]]:
+    """The checks of units ``process``, ``process + count``, ... in order, up to the first that raises.
+
+    Returns them with that failure as (unit index, exception, None), or None.
+    """
+    done = []
+    for index in range(process, len(units), count):
+        try:
+            done.append(units[index][1]())
+        except Exception as exc:
+            return done, (index, exc, None)
+    return done, None
+
+
+def _worker(units: Sequence[Unit], process: int, count: int, write: int, inherited: list[int]) -> None:
+    """A forked worker: runs its share, writes (checks, failure) pickled to ``write`` and exits; never returns.
+
+    It first closes the ``inherited`` read ends, so that its write fails once
+    the parent is gone; that ends it with status 1. A failure carries its
+    traceback as text, and an exception that does not survive pickling goes
+    as a RuntimeError with its last line.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        done, failure = _run_share(units, process, count)
+        if failure:
+            import traceback  # only a failing worker pays for the import
+
+            index, exc, _ = failure
+            text = "".join(traceback.format_exception(exc))
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(text.rstrip().splitlines()[-1])
+            failure = (index, exc, text)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((done, failure), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_suite(units: Sequence[Unit]) -> list[CheckResult]:
+    """The checks of every unit, in unit order, run on the CPUs this process may use.
+
+    Unit i runs in process i mod P, with P = ``_process_count`` and this
+    process as process 0; the others are forked here and send their checks
+    back through a pipe. P = 1 runs the same loop with no worker. The units
+    share only frozen caches and draw from generators seeded by their names,
+    so the checks do not depend on P. Each process stops at its first unit
+    that raises, and the failure with the lowest unit index is raised again,
+    as a serial loop would raise it; a worker's exception has the worker's
+    traceback as its cause. A worker that ends without sending its checks
+    fails at its first unit, with a RuntimeError naming its units. Every
+    worker is reaped before this returns or raises: the ones whose units
+    all come after a failure in this process are killed first, and so is
+    every worker when this process is interrupted.
+    """
+    count = _process_count(len(units))
+    # nothing buffered before the fork may be written twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    live, pipes = [], []
+    try:
+        for process in range(1, count):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(units, process, count, write, [read] + [pipe.fileno() for pipe in pipes])
+            live.append(pid)
+            os.close(write)
+            pipes.append(os.fdopen(read, "rb"))
+        shares = [_run_share(units, 0, count)]
+        failed_at = shares[0][1][0] if shares[0][1] else len(units)
+        for process, (pid, pipe) in enumerate(zip(list(live), pipes), 1):
+            if process > failed_at:
+                _kill(pid)
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            live.remove(pid)
+            try:
+                shares.append(pickle.loads(data))
+            except Exception:  # it ended before it sent its checks whole
+                labels = ", ".join(label for label, _ in units[process::count])
+                code = os.waitstatus_to_exitcode(status)
+                error = RuntimeError(
+                    f"the suite worker for {labels} ended with status {code} before it sent its checks"
+                )
+                shares.append(([], (process, error, None)))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in live:
+            _kill(pid)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure]
+    if failures:
+        _, exc, text = min(failures, key=lambda failure: failure[0])
+        if text:
+            exc.__cause__ = WorkerTraceback(text)
+        raise exc
+    return [check for index in range(len(units)) for check in shares[index % count][0][index // count]]
+
+
+def _kill(pid: int) -> None:
+    import signal  # only a run that kills a worker pays for the import
+
+    os.kill(pid, signal.SIGKILL)

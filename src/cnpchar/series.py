@@ -471,7 +471,7 @@ class AdmissibilityReport:
     verdict: str
 
 
-def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int) -> list:
+def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int, *, last: bool = False) -> list:
     """The partial values 1 - sum_{j=1}^{d} b_j a_{n-j} / a_n for d = 0..top, a from k and b from l.
 
     The partial sums S_d run in order of j. When a and b are both exact they
@@ -482,6 +482,7 @@ def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int) -> 
     summed over |alpha| = j, give that of gamma), the value at d is the
     diagonal entry at any monomial z^gamma with |gamma| = n of
     I - sum_{1 <= |alpha| <= d} b_alpha M^alpha M^{alpha *} on the model of k.
+    With ``last``, only the value at d = top is formed, as a one-item list.
     """
     if not 0 <= top <= n <= k.truncation or top > l.truncation:
         raise ValueError(f"need 0 <= top {top} <= n {n} <= {k.truncation} and top <= {l.truncation}")
@@ -493,6 +494,8 @@ def contraction_diagonal(k: KernelSeries, l: KernelSeries, n: int, top: int) -> 
     for j in range(1, top + 1):
         partial += b[j] * a[n - j]
         sums.append(partial)
+    if last:
+        sums = sums[-1:]
     if exact:
         whole = den * a[n]
         return [Fraction(whole - s, whole) for s in sums]

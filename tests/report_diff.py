@@ -38,11 +38,14 @@ from pathlib import Path
 _GOLDEN = {path.stem: json.loads(path.read_text())["argv"] for path in sorted((Path(__file__).parent / "golden").glob("*.json"))}
 _DIRICHLET, _BERGMAN, _DA = "tests/specs/dirichlet_d1.json", "perfbench/specs/bergman_m2_d3.json", "perfbench/specs/drury_arveson_d3.json"
 # report name -> command line: every golden's, the suite and the golden wide window (its last flag the seed) at
-# more seeds, the benchmark's impossibility sweep, and the exact kernel certificates on Dirichlet (denominators
-# above 1) and on the wide window's factorization
+# more seeds, two suites split across two processes (one configuration in each, and a purity failure in the
+# forked worker's share), the benchmark's impossibility sweep, and the exact kernel certificates on Dirichlet
+# (denominators above 1) and on the wide window's factorization
 COMMANDS = {
     **_GOLDEN,
     **{f"suite_seed_{seed}": ["suite", "--seed", str(seed)] for seed in (3, 5, 7, 11)},
+    "suite_jordan_two_cells": ["suite", "--configs", "jordan,two_cells"],
+    "suite_jordan_nonpure_two_cells": ["suite", "--configs", "jordan,nonpure,two_cells"],
     **{f"wide_seed_{seed}": _GOLDEN["charfn_verify_wide_seed_0"][:-1] + [str(seed)] for seed in (67, 8123)},
     **{
         f"impossibility_m{m}_n{n}_N32": ["impossibility", "--m", str(m), "--n", str(n), "--N-max", "32"]

@@ -1,12 +1,15 @@
 import contextlib
+import functools
 import io
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnpchar import _linalg
+from cnpchar import _linalg, cli, presets
 from cnpchar.cli import IGNORED, REPORT_SCHEMA, build_parser, main
 from cnpchar.series import kernel_from_spec
 
@@ -684,6 +687,199 @@ class TestSuite:
         assert main(["suite", "--configs", "jordan,k2_da_d1_n1,jordan"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "configurations named more than once: jordan" in err
+
+
+@functools.cache
+def _serial_suite(seed):
+    """(name, verdict, residual repr, exact) of every suite check, from the three runners called in order."""
+    checks = [
+        (f"{name}/{c.name}", c) for name in presets.SUITE_CONFIGS
+        for c in presets.run_configuration_checks(presets.configuration(name), seed=seed)[0]
+    ]
+    checks.append(("alignment_two_factorizations", presets.run_alignment_check(seed=seed)))
+    checks += [(c.name, c) for c in presets.run_coincidence_checks(seed=seed)]
+    return [(name, c.verdict, repr(c.residual), c.exact) for name, c in checks]
+
+
+class TestSuiteAcrossWorkers:
+    """``presets.run_suite`` splits the suite's units across forked workers; nothing the suite prints or
+    writes depends on how many, a failure is the one a serial loop would raise, and no worker outlives the run.
+
+    ``os.sched_getaffinity`` is patched so that the split happens on any host.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        """Each test ends within a minute, and afterwards this process has no child, not even an unreaped one."""
+
+        def late(signum, frame):
+            raise TimeoutError("the suite hung")
+
+        previous = signal.signal(signal.SIGALRM, late)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @staticmethod
+    def _fail_in(monkeypatch, names, error):
+        """``error(name)`` raised inside the configuration runs of ``names``, in whichever process runs them."""
+        real = cli.run_configuration_checks
+
+        def run(config, **kwargs):
+            if config.name in names:
+                raise error(config.name)
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_configuration_checks", run)
+
+    @staticmethod
+    def _main(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("seed, cpus", [(0, 2), (7, 2), (0, 1), (7, 3)], ids=lambda x: str(x))
+    def test_checks_are_the_serial_runners(self, seed, cpus, monkeypatch, tmp_path):
+        """Every check's name, verdict, residual (bit for bit) and exactness, in order, as the three runners give them."""
+        self._cpus(monkeypatch, cpus)
+        out = tmp_path / "suite.json"
+        code, stdout, _ = self._main(["suite", "--seed", str(seed), "--out", str(out)])
+        report = read_report(out)
+        got = [(c["name"], c["verdict"], repr(c["residual"]), c["exact"]) for c in report["checks"]]
+        assert code == 0 and got == _serial_suite(seed)
+        assert stdout.splitlines()[-1] == "suite: 255 passed, 0 failed"
+
+    def test_workers_send_what_the_serial_loop_reports(self, monkeypatch, tmp_path):
+        """Reports and printed lines at P = 1, 2 and 4, ``elapsed`` apart, byte for byte."""
+        runs = []
+        for cpus in (1, 2, 4):
+            self._cpus(monkeypatch, cpus)
+            out = tmp_path / f"p{cpus}.json"
+            code, stdout, _ = self._main(["suite", "--configs", "jordan,nonpure,two_cells,k2_da_d1_n1", "--out", str(out)])
+            report = read_report(out)
+            for check in report["checks"]:
+                check["elapsed"] = 0.0
+            runs.append((code, stdout.replace(str(out), "<report>"), json.dumps(report)))
+        assert runs[0][0] == 1 and runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_lapack_failure_in_either_share_reads_the_same(self, cpus, monkeypatch):
+        """``np.linalg.svd`` fails only while two_cells is built: exit 2 and one ``error:`` line, whether
+        two_cells is the second unit (a worker's share at P = 2) or the first (this process's)."""
+        self._cpus(monkeypatch, cpus)
+        current = {}
+        real_configuration, real_svd = presets.configuration, np.linalg.svd
+
+        def configuration(name):
+            current["name"] = name
+            return real_configuration(name)
+
+        def svd(*args, **kwargs):
+            if current.get("name") == "two_cells":
+                raise np.linalg.LinAlgError("svd did not converge")
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(presets, "configuration", configuration)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for configs in ("jordan,two_cells", "two_cells,jordan"):
+            assert self._main(["suite", "--configs", configs]) == (
+                2, "", "error: svd did not converge (in configuration two_cells)\n"
+            )
+
+    @pytest.mark.parametrize(
+        "configs, cpus, first",
+        [
+            ("jordan,two_cells,k2_da_d1_n1", 2, "two_cells"),  # a worker's failure before this process's
+            ("jordan,k2_da_d1_n1,two_cells", 2, "k2_da_d1_n1"),
+            ("two_cells,k2_da_d1_n1", 2, "two_cells"),  # this process's failure first: the worker is killed
+            ("jordan,two_cells,k2_da_d1_n1", 3, "two_cells"),  # two workers fail
+        ],
+    )
+    def test_the_lowest_failing_unit_wins(self, configs, cpus, first, monkeypatch):
+        self._cpus(monkeypatch, cpus)
+        self._fail_in(monkeypatch, {"two_cells", "k2_da_d1_n1"}, lambda name: np.linalg.LinAlgError(f"{name} failed"))
+        assert self._main(["suite", "--configs", configs]) == (2, "", f"error: {first} failed\n")
+
+    def test_a_worker_that_exits_without_its_checks_is_an_error(self, monkeypatch):
+        """A worker that ends with ``os._exit(3)`` ends the run with a RuntimeError naming its configurations."""
+        self._cpus(monkeypatch, 2)
+        parent, real = os.getpid(), cli.run_configuration_checks
+
+        def run(config, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_configuration_checks", run)
+        with pytest.raises(RuntimeError, match="^the suite worker for two_cells, nonpure ended with status 3 "):
+            self._main(["suite", "--configs", "jordan,two_cells,k2_da_d1_n1,nonpure"])
+
+    def test_an_uncaught_worker_exception_keeps_its_traceback(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        self._fail_in(monkeypatch, {"two_cells"}, lambda name: ValueError(f"{name} broke"))
+        with pytest.raises(ValueError, match="^two_cells broke$") as info:
+            self._main(["suite", "--configs", "jordan,two_cells"])
+        cause = info.value.__cause__
+        assert isinstance(cause, presets.WorkerTraceback)
+        assert "in run\n" in str(cause) and str(cause).rstrip().endswith("ValueError: two_cells broke")
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, KeyboardInterrupt])
+    def test_a_failure_in_this_process_kills_later_workers(self, error, monkeypatch):
+        """The worker's unit would run for a minute; the failure of the first unit, here, ends the run at once."""
+        self._cpus(monkeypatch, 2)
+        real = cli.run_configuration_checks
+
+        def run(config, **kwargs):
+            if config.name == "jordan":
+                raise error("jordan failed")
+            time.sleep(60)
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_configuration_checks", run)
+        start = time.perf_counter()
+        with contextlib.suppress(KeyboardInterrupt):
+            self._main(["suite", "--configs", "jordan,two_cells"])
+        assert time.perf_counter() - start < 10
+
+    def test_each_line_is_printed_once(self, monkeypatch, capfd):
+        self._cpus(monkeypatch, 2)
+        print("before the suite")
+        assert main(["suite", "--configs", "jordan,two_cells"]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert len(lines) == len(set(lines)) == 1 + 2 * 14 + 1
+        assert lines[0] == "before the suite" and lines[-1] == "suite: 28 passed, 0 failed"
+
+    def test_a_block_buffered_stdout_prints_each_line_once(self):
+        """Standard output to a pipe, with a line buffered before the fork."""
+        code = "import sys; print('before the suite'); from cnpchar.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run(
+            [sys.executable, "-c", code, "suite", "--configs", "jordan,two_cells"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        lines = run.stdout.splitlines()
+        assert run.returncode == 0 and len(lines) == len(set(lines)) == 30 and lines[0] == "before the suite"
+
+    def test_the_process_count(self, monkeypatch):
+        """The CPUs the process may use, at most the units; the CPU count without affinity; 1 without fork."""
+        self._cpus(monkeypatch, 3)
+        assert [presets._process_count(units) for units in (1, 2, 3, 20)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert presets._process_count(20) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert presets._process_count(20) == 4
+        monkeypatch.delattr(os, "fork")
+        assert presets._process_count(20) == 1
 
 
 def _blanked_report(argv, out):

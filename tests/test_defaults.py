@@ -33,6 +33,8 @@ KEPT = {
     "series.szego_kernel.truncation",
     "series.dirichlet_kernel.truncation",
     "series.KernelSeries.evaluate.truncated",
+    # the sweep's certificate forms only the last contraction value; admissibility reads them all
+    "series.contraction_diagonal.last",
     # the suite seed and the tolerances that --seed and --tol set
     "presets.run_configuration_checks.seed",
     "presets.run_alignment_check.seed",

@@ -35,6 +35,7 @@ from cnpchar.operators import (
 from cnpchar.series import (
     bergman_kernel,
     cauchy_product,
+    contraction_diagonal,
     dirichlet_kernel,
     drury_arveson_kernel,
     factor_through_pick,
@@ -381,6 +382,22 @@ class TestQuadraticForm:
         )[0]
         assert isinstance(approx, float)
         assert abs(float(exact) - approx) < 1e-12
+
+    def test_sweep_certificates_are_the_last_diagonal_value(self):
+        """Every certificate of the benchmark's sweep (m, n in 1..4, N-max 32) is the full diagonal's last value.
+
+        The certificate forms only that value; over floats it keeps the bits.
+        """
+        for m in range(1, 5):
+            for n in range(1, 5):
+                kernel, form = bergman_kernel(m, 1, 36), bergman_kernel(n, 1, 36)
+                for base in range(33):
+                    label, window = [(base + 2,)], base + 2
+                    value = quadratic_form_certificate(kernel, form, base, label, window_degree=window)[0]
+                    last = contraction_diagonal(kernel, form, base + 2, 1)[-1]
+                    assert type(value) is Fraction and value == last
+                    approx = quadratic_form_certificate(kernel.floats, form.floats, base, label, window_degree=window)[0]
+                    assert approx == contraction_diagonal(kernel.floats, form.floats, base + 2, 1)[-1]
 
     @pytest.mark.parametrize("base", range(4), ids=lambda b: f"base{b}")
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 2)], ids=lambda x: f"{x}")

@@ -465,7 +465,9 @@ class TestScaledCertificates:
         """Equal to the ``Fraction`` loop in value and type for exact input, to the float loop bit for bit otherwise."""
         n = data.draw(st.integers(0, k.truncation))
         top = data.draw(st.integers(0, min(n, l.truncation)))
-        assert _typed(contraction_diagonal(k, l, n, top)) == _typed(_diagonal_reference(k, l, n, top))
+        reference = _typed(_diagonal_reference(k, l, n, top))
+        assert _typed(contraction_diagonal(k, l, n, top)) == reference
+        assert _typed(contraction_diagonal(k, l, n, top, last=True)) == reference[-1:]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
