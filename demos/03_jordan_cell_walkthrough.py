@@ -29,7 +29,7 @@ from cnpchar import (
 k = szego_kernel(dim=1, truncation=24)
 t = model_tuple(k, dim=1, degree_cut=1, mode="exact")
 # the Hardy weights are all 1, so the monomial basis is already orthonormal
-t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
+t = OperatorTuple(t.mats, None, t.nilpotency_bound)
 print("T =", [[str(x) for x in row] for row in t.mats[0].tolist()])
 
 # k = s: the factorization is trivial and the outer space vanishes. One

@@ -49,7 +49,7 @@ print("agreement with the I - V V* compression:", out.reference_residual)
 # Coincidence: conjugating the tuple by an orthogonal matrix produces Taylor
 # coefficients that match up to constant unitaries on both sides...
 w = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
-conj = OperatorTuple(tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, k)
+conj = OperatorTuple(tuple(w.T @ m @ w for m in t.mats), None, t.nilpotency_bound)
 cfd_conj = build_charfn(defect_data(conj, k, da), fac_da, support_cap=14, constant_cap=14)
 # coincidence_residual returns a certified lower bound (from the singular
 # values of each coefficient) and the best mismatch a search reached
@@ -61,8 +61,8 @@ hardy = szego_kernel(dim=1, truncation=24)
 fac = factor_through_pick(hardy, hardy)
 two_cells = np.zeros((4, 4)); two_cells[1, 0] = 1.0; two_cells[3, 2] = 1.0
 chain = np.zeros((4, 4)); chain[1, 0] = 1.0; chain[2, 1] = 1.0
-t_a = OperatorTuple((two_cells,), None, None, 3, hardy)
-t_b = OperatorTuple((chain,), None, None, 3, hardy)
+t_a = OperatorTuple((two_cells,), None, 3)
+t_b = OperatorTuple((chain,), None, 3)
 cfd_a = build_charfn(defect_data(t_a, hardy, hardy), fac, 6, 6)
 cfd_b = build_charfn(defect_data(t_b, hardy, hardy), fac, 6, 6)
 print("coincidence bounds (lower, upper), two cells vs one chain:", coincidence_residual(cfd_a, cfd_b))

@@ -886,7 +886,7 @@ def functional_model(
     t = cfd.ops
     mats = tuple(dil.window.lower(i, v).conj().T @ v for i in range(t.num_vars))
     equality = max(spectral_norm(m - to_float_array(ti)) for m, ti in zip(mats, t.mats))
-    return OperatorTuple(mats, None, None, t.nilpotency_bound, cfd.kernel), equality
+    return OperatorTuple(mats, None, t.nilpotency_bound), equality
 
 
 def coincidence_residual(cfd_a: CharFnData, cfd_b: CharFnData) -> tuple[float, float]:

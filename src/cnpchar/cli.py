@@ -201,22 +201,25 @@ def cmd_kernel(args) -> int:
     k = _load_kernel(args.spec, args.N) if args.spec else None
     tol = presets.TOL_COMPOSITE if args.tol is None else args.tol
     config = {"command": f"kernel {args.kernel_cmd}", "spec": args.spec}
+    rec = presets._Recorder()
     if args.kernel_cmd == "info":
-        b = reciprocal_complement(k)
-        adm = admissibility_report(k)
-        print("a:", [_scalar_to_string(c) for c in k.coefficients])
-        print("b:", [_scalar_to_string(c) for c in b.coefficients])
-        print(f"ratio_sup: {_scalar_to_string(adm.ratio_sup)}")
-        print(f"partial_sum_bound: {_scalar_to_string(adm.partial_sum_bound)}")
-        print(f"admissibility: {adm.verdict}")
+        with rec.timing("kernel_info"):
+            b = reciprocal_complement(k)
+            adm = admissibility_report(k)
+            print("a:", [_scalar_to_string(c) for c in k.coefficients])
+            print("b:", [_scalar_to_string(c) for c in b.coefficients])
+            print(f"ratio_sup: {_scalar_to_string(adm.ratio_sup)}")
+            print(f"partial_sum_bound: {_scalar_to_string(adm.partial_sum_bound)}")
+            print(f"admissibility: {adm.verdict}")
         check = CheckResult("kernel_info", "certificate-only", None, k.exact, 0.0)
         exact, truncation = k.exact, k.truncation
     elif args.kernel_cmd == "cnp":
-        cert = is_complete_pick(k, tol)
-        print(
-            f"complete Nevanlinna-Pick up to degree {cert.holds_up_to}: "
-            f"{'yes' if cert.holds else f'no (first negative at n={cert.first_negative})'}"
-        )
+        with rec.timing("complete_pick"):
+            cert = is_complete_pick(k, tol)
+            print(
+                f"complete Nevanlinna-Pick up to degree {cert.holds_up_to}: "
+                f"{'yes' if cert.holds else f'no (first negative at n={cert.first_negative})'}"
+            )
         config["first_negative"] = cert.first_negative
         check = _certificate("complete_pick", cert.holds, exact=k.exact)
         exact, truncation = k.exact, k.truncation
@@ -225,13 +228,14 @@ def cmd_kernel(args) -> int:
         den = _load_kernel(args.den, args.N)
         if num.dim != den.dim:
             raise InputError(f"kernel dimensions differ: {num.dim} and {den.dim}")
-        q = quotient(num, den)
-        cert = is_positive_quotient(num, den, tol)
-        print("quotient:", [_scalar_to_string(c) for c in q.coefficients])
-        print(
-            f"non-negative up to degree {cert.holds_up_to}: "
-            f"{'yes' if cert.holds else f'no (first negative at n={cert.first_negative})'}"
-        )
+        with rec.timing("positive_quotient"):
+            q = quotient(num, den)
+            cert = is_positive_quotient(num, den, tol)
+            print("quotient:", [_scalar_to_string(c) for c in q.coefficients])
+            print(
+                f"non-negative up to degree {cert.holds_up_to}: "
+                f"{'yes' if cert.holds else f'no (first negative at n={cert.first_negative})'}"
+            )
         config = {"command": "kernel quotient", "num": args.num, "den": args.den,
                   "first_negative": cert.first_negative}
         check = _certificate("positive_quotient", cert.holds, exact=q.exact)
@@ -240,18 +244,20 @@ def cmd_kernel(args) -> int:
         s = _load_kernel(args.cnp_factor, args.N)
         config["factor"] = args.cnp_factor
         exact = k.exact
-        try:
-            fac = factor_through_pick(k, s, tol)
-        except (FactorizationError, ValueError) as exc:
-            print(f"factorization failed: {exc}")
-            config["error"] = str(exc)
-            check, truncation = _certificate("factorization", False), k.truncation
-        else:
-            print("positive part:", [_scalar_to_string(c) for c in fac.positive_part.coefficients])
-            check = _certificate("factorization", True, exact=k.exact and s.exact)
-            truncation = fac.truncation
+        with rec.timing("factorization"):
+            try:
+                fac = factor_through_pick(k, s, tol)
+            except (FactorizationError, ValueError) as exc:
+                print(f"factorization failed: {exc}")
+                config["error"] = str(exc)
+                check, truncation = _certificate("factorization", False), k.truncation
+            else:
+                print("positive part:", [_scalar_to_string(c) for c in fac.positive_part.coefficients])
+                check = _certificate("factorization", True, exact=k.exact and s.exact)
+                truncation = fac.truncation
+    rec.checks.append(check)
     environment = _environment("exact" if exact else "float", truncation=truncation)
-    return _finish(_report(config, environment, [check]), args.out)
+    return _finish(_report(config, environment, rec.results()), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +354,7 @@ def _exact_variant(config: Configuration) -> Configuration:
     exact = np.frompyfunc(lambda x: Fraction(x).limit_denominator(10**9), 1, 1)(stack)
     if np.any(np.abs(exact.astype(float) - stack.astype(float)) > 1e-12):
         raise InputError("exact mode needs rational matrix entries")
-    ops = OperatorTuple(tuple(exact), None, t.basis_labels, t.nilpotency_bound, t.kernel)
+    ops = OperatorTuple(tuple(exact), None, t.nilpotency_bound)
     return replace(config, ops=ops)
 
 

@@ -208,8 +208,6 @@ class AssociatedTupleCertificate:
     min_eigenvalue: Optional[float]
     holds: bool
     vacuous: bool
-    window_degree: int
-    subspace_dim: int
 
 
 def associated_tuple_test(
@@ -238,13 +236,12 @@ def associated_tuple_test(
         )
     dil = build_dilation(defect_data(t, kernel), window_degree)
     kernel_basis = range_complement(to_float_array(dil.matrix)).matrix
-    q = kernel_basis.shape[1]
-    if q == 0:
-        return AssociatedTupleCertificate(None, True, True, window_degree, 0)
+    if kernel_basis.shape[1] == 0:
+        return AssociatedTupleCertificate(None, True, True)
     mats = tuple(dil.window.lower(i, kernel_basis).conj().T @ kernel_basis for i in range(t.num_vars))
-    restricted = OperatorTuple(mats, None, None, window_degree, kernel)
+    restricted = OperatorTuple(mats, None, window_degree)
     b_form = reciprocal_complement(form_kernel)
     total, _ = conjugated_sum(restricted, b_form)
     form = restricted.identity() - total
     lo = min_eigenvalue(form)
-    return AssociatedTupleCertificate(lo, lo >= -PSD_TOL, False, window_degree, q)
+    return AssociatedTupleCertificate(lo, lo >= -PSD_TOL, False)

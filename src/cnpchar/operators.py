@@ -1,8 +1,9 @@
 """Commuting matrix tuples, graded multiplication models, and defect calculus.
 
 The central object is a commuting d-tuple T = (T_1, ..., T_d) of square
-matrices. For a kernel with coefficients a_n and derived sequence b_n
-(coefficients of 1 - 1/k), the tuple is a 1/k-contraction when
+matrices, read against several kernels: each function that needs a kernel
+takes it as an argument. For a kernel with coefficients a_n and derived
+sequence b_n (coefficients of 1 - 1/k), the tuple is a 1/k-contraction when
 
     I - sum_{alpha != 0} b_alpha T^alpha (T^alpha)^*   is positive,
 
@@ -61,8 +62,6 @@ from .series import (
     _scalar_from_string,
     _scalar_to_string,
     contraction_diagonal,
-    kernel_from_spec,
-    kernel_to_spec,
     reciprocal_complement,
 )
 
@@ -94,18 +93,16 @@ class OperatorTuple:
     """A commuting d-tuple of square matrices on an n-dimensional space.
 
     ``weights`` are the squared norms of the (orthogonal) basis vectors; None
-    means the basis is orthonormal. ``basis_labels`` names basis vectors by
-    multi-indices for graded models. ``nilpotency_bound`` is a degree nu with
+    means the basis is orthonormal. ``nilpotency_bound`` is a degree nu with
     T^alpha = 0 whenever |alpha| > nu, when one is known; it makes all
     operator series finite and exact. ``mats`` are copied at construction
-    and read-only, so the power stack the tuple keeps cannot go stale.
+    and read-only, so the power stack the tuple keeps cannot go stale. The
+    tuple holds no kernel: every step that reads one takes it as an argument.
     """
 
     mats: tuple
     weights: Optional[np.ndarray] = None
-    basis_labels: Optional[tuple] = None
     nilpotency_bound: Optional[int] = None
-    kernel: Optional[KernelSeries] = None
 
     def __post_init__(self):
         self.mats = tuple(np.array(m) for m in self.mats)
@@ -185,7 +182,7 @@ class OperatorTuple:
             return replace(self, mats=tuple(map(to_float_array, self.mats))) if self.exact else self
         scale = np.sqrt(to_float_array(self.weights).astype(float))
         mats = tuple(to_float_array(m) * scale[:, None] / scale[None, :] for m in self.mats)
-        return OperatorTuple(mats, None, self.basis_labels, self.nilpotency_bound, self.kernel)
+        return OperatorTuple(mats, None, self.nilpotency_bound)
 
 
 def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "float") -> OperatorTuple:
@@ -208,7 +205,7 @@ def model_tuple(kernel: KernelSeries, dim: int, degree_cut: int, mode: str = "fl
         src, dst = space.shift(unit(dim, i))
         m[dst, src] = Fraction(1) if sc.exact else np.sqrt((a[src] / a[dst]).astype(float))
     weights = 1 / a if sc.exact else None
-    return OperatorTuple(tuple(mats), weights, space.labels, degree_cut, kernel)
+    return OperatorTuple(tuple(mats), weights, degree_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +436,7 @@ def compress(t: OperatorTuple, basis: np.ndarray) -> OperatorTuple:
             stacklevel=2,
         )
     mats = tuple(basis.conj().T @ m @ basis for m in t.mats)
-    return OperatorTuple(
-        mats,
-        None,
-        None,
-        t.nilpotency_bound if co_invariant else None,
-        t.kernel,
-    )
+    return OperatorTuple(mats, None, t.nilpotency_bound if co_invariant else None)
 
 
 def random_coinvariant_compression(t: OperatorTuple, rng: np.random.Generator) -> OperatorTuple:
@@ -483,15 +474,20 @@ def tuple_to_spec(t: OperatorTuple) -> dict:
         "mode": "exact" if t.exact else "float",
         "matrices": [encode(m) for m in t.mats],
         "weights": None if t.weights is None else [_scalar_to_string(w) for w in t.weights],
-        "basis_labels": None if t.basis_labels is None else [list(l) for l in t.basis_labels],
         "nilpotency_bound": t.nilpotency_bound,
-        "kernel": None if t.kernel is None else kernel_to_spec(t.kernel),
     }
 
 
 def tuple_from_spec(spec: dict) -> OperatorTuple:
+    """The tuple of a ``tuple_to_spec`` dict; a bad field, or a non-null ``kernel`` or ``basis_labels``, is a ValueError naming it."""
     if not isinstance(spec, dict):
         raise ValueError("tuple spec must be an object with 'mode' and 'matrices' fields")
+    for name in ("kernel", "basis_labels"):
+        if spec.get(name) is not None:
+            raise ValueError(
+                f"tuple spec field {name!r} is not read: a tuple is its matrices, weights and nilpotency_bound, "
+                "and a --tuple run takes its kernel from --kernel"
+            )
     try:
         mode = spec["mode"]
         raw = spec["matrices"]
@@ -521,14 +517,10 @@ def tuple_from_spec(spec: dict) -> OperatorTuple:
             mats = tuple(m.real.copy() for m in mats)
     else:
         raise ValueError(f"unknown tuple mode {mode!r}")
-    n, d = (len(mats[0]) if mats else 0), len(mats)
+    n = len(mats[0]) if mats else 0
     weights = _spec_field(spec, "weights", lambda ws: np.array(_listed(ws, n, _positive), dtype=object))
-    labels = _spec_field(spec, "basis_labels", lambda ls: tuple(_listed(ls, n, lambda l: tuple(_listed(l, d, _count)))))
     bound = _spec_field(spec, "nilpotency_bound", _count)
-    kernel = spec.get("kernel")
-    if kernel is not None:
-        kernel = kernel_from_spec(kernel)
-    t = OperatorTuple(mats, weights, labels, bound, kernel)
+    t = OperatorTuple(mats, weights, bound)
     if bound is not None:
         _check_nilpotent(t)
     return t

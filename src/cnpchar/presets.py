@@ -174,7 +174,7 @@ def _two_cells(kernel: KernelSeries) -> OperatorTuple:
     mat = np.zeros((4, 4))
     mat[1, 0] = 1.0
     mat[3, 2] = 1.0
-    return OperatorTuple((mat,), None, None, 1, kernel)
+    return OperatorTuple((mat,), None, 1)
 
 
 # name -> (tuple built from the Szego kernel, description)
@@ -185,7 +185,7 @@ _SZEGO_TUPLES = {
     ),
     "two_cells": (_two_cells, "direct sum of two Jordan cells; defect rank 2"),
     "nonpure": (
-        lambda k: OperatorTuple((np.array([[1.0]]),), None, None, None, k),
+        lambda k: OperatorTuple((np.array([[1.0]]),)),
         "the 1x1 isometry: a 1/k-contraction that is not pure",
     ),
 }
@@ -470,9 +470,7 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
         t = model_tuple(kernel, 1, 2, mode="float")
         rng = config_rng(seed, "coincidence")
         w = np.linalg.qr(rng.standard_normal((t.size, t.size)))[0]
-        conjugated = OperatorTuple(
-            tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, kernel
-        )
+        conjugated = OperatorTuple(tuple(w.T @ m @ w for m in t.mats), None, t.nilpotency_bound)
         cfd = build_charfn(defect_data(t, kernel, da), fac, support_cap=5, constant_cap=10)
         cfd_conj = build_charfn(defect_data(conjugated, kernel, da), fac, support_cap=5, constant_cap=10)
         _, upper = coincidence_residual(cfd, cfd_conj)
@@ -483,7 +481,7 @@ def run_coincidence_checks(seed: int = 0) -> list[CheckResult]:
         chain = np.zeros((4, 4))
         chain[1, 0] = 1.0
         chain[2, 1] = 1.0
-        other = OperatorTuple((chain,), None, None, 3, jordan.kernel)
+        other = OperatorTuple((chain,), None, 3)
         kernel, pick, fac = jordan.kernel, jordan.pick_factor, jordan.factorization
         cfd_a = build_charfn(defect_data(jordan.ops, kernel, pick), fac, support_cap=6, constant_cap=6)
         cfd_b = build_charfn(defect_data(other, kernel, pick), fac, support_cap=6, constant_cap=6)

@@ -187,8 +187,9 @@ class KernelSeries(RealSeries):
         rounds as a scalar evaluation would. The tail bound is a
         geometric estimate from the largest observed coefficient ratio; it is
         heuristic in that ratios beyond the truncation are assumed not to
-        exceed the observed maximum. With ``truncated=True`` the partial sum
-        is the requested semantics and the tail bound is reported as 0.
+        exceed the observed maximum; a kernel truncated at degree 0 has no
+        ratio, so its tail bound is inf. With ``truncated=True`` the partial
+        sum is the requested semantics and the tail bound is reported as 0.
         """
         zs, single = point_stack(z)
         ws = point_stack(w)[0]
@@ -216,11 +217,11 @@ class KernelSeries(RealSeries):
         else:
             # at |<z, w>| = size: |a_N| size^N r / (1 - r) with r = size * growth, inf once r >= 1
             floats = self.floats.coefficients
-            growth = max(floats[n + 1] / floats[n] for n in range(self.truncation))
+            growth = max((floats[n + 1] / floats[n] for n in range(self.truncation)), default=math.inf)
             tc = np.asarray(t, dtype=complex)
             size = np.hypot(tc.real, tc.imag)
-            r = size * growth
             with np.errstate(divide="ignore", invalid="ignore"):
+                r = size * growth
                 tail = abs(floats[-1]) * np.float_power(size, self.truncation) * (r / (1 - r))
             tail = np.where(r < 1, tail, math.inf)
         return KernelValue(value[0], float(tail[0])) if single else KernelValue(value, tail)
@@ -467,7 +468,6 @@ class AdmissibilityReport:
 
     ratio_sup: Scalar
     partial_sum_bound: Scalar
-    checked_to: int
     verdict: str
 
 
@@ -507,7 +507,7 @@ def admissibility_report(k: KernelSeries) -> AdmissibilityReport:
     n_max = k.truncation
     ratio_sup = max((a[n] / a[n + 1] for n in range(n_max)), default=a[0] / a[0])
     bound = max(abs(value) for n in range(n_max + 1) for value in contraction_diagonal(k, k, n, n))
-    return AdmissibilityReport(ratio_sup, bound, n_max, f"certified up to {n_max}")
+    return AdmissibilityReport(ratio_sup, bound, f"certified up to {n_max}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,15 @@ the tree's root, with ``PYTHONPATH=<tree>/src``, no bytecode written and one
 BLAS thread, its report going to ``OUT/a`` or ``OUT/b`` and its standard
 output, with the report's path written ``<report>``, beside it as
 ``<name>.txt`` (the exact values that ``kernel info`` and ``kernel factor``
-print are in no report); the two directories are then compared as above. A
-failed run is a difference too, printed with its exit status and its last
-line of standard error: one that exits with neither 0 nor 1, writes no
-report or prints a traceback (an uncaught exception exits 1, as a failed
-check does).
+print are in no report). So does each script ``demos/<stem>.py`` of either
+tree, named ``demo_<stem>``: it runs as ``python demos/<stem>.py`` in the
+same environment, its standard output going to ``demo_<stem>.txt`` (a
+script that one tree lacks is a file on one side only). The two directories
+are then compared as above. A failed run is a difference too, printed with
+its exit status and its last line of standard error: a command line that
+exits with neither 0 nor 1, writes no report or prints a traceback (an
+uncaught exception exits 1, as a failed check does), or a demo that exits
+nonzero or prints a traceback.
 """
 
 from __future__ import annotations
@@ -138,32 +142,54 @@ def compare(a: Path, b: Path) -> list[str]:
     return lines
 
 
-def run_commands(tree: Path, out: Path, names) -> list[str]:
-    """Run the named command lines on the source tree ``tree``, reports into ``out``; one line for each failed run."""
+def _run(tree: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    """``argv`` run from the root of the source tree ``tree`` on its sources, no bytecode written, one BLAS thread."""
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    return subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True, text=True)
+
+
+def demos(*trees: Path) -> dict[str, str]:
+    """``demo_<stem>`` -> ``demos/<stem>.py`` for every demo script of the given trees."""
+    return {f"demo_{path.stem}": f"demos/{path.name}" for tree in trees for path in sorted((tree / "demos").glob("*.py"))}
+
+
+def run_commands(tree: Path, out: Path, names, scripts: dict[str, str]) -> list[str]:
+    """Run the named command lines and demos (``scripts``: name -> script) on the source tree ``tree``, into ``out``.
+
+    Returns one line for each failed run. A demo that ``tree`` lacks is not run.
+    """
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for name in names:
         report = out.resolve() / f"{name}.json"
+        stdout = report.with_suffix(".txt")
         report.unlink(missing_ok=True)
-        argv = [sys.executable, "-m", "cnpchar.cli", *COMMANDS[name], "--out", str(report)]
-        run = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
-        report.with_suffix(".txt").write_text(run.stdout.replace(str(report), "<report>"))
-        # exit 1 is a failed check only with its report written; an uncaught exception exits 1 too
-        crashed = not report.is_file() or "Traceback (most recent call last)" in run.stderr
-        if run.returncode not in (0, 1) or crashed:
+        stdout.unlink(missing_ok=True)
+        if name in COMMANDS:
+            run = _run(tree, ["-m", "cnpchar.cli", *COMMANDS[name], "--out", str(report)])
+            stdout.write_text(run.stdout.replace(str(report), "<report>"))
+            # exit 1 is a failed check only with its report written; an uncaught exception exits 1 too
+            failed = run.returncode not in (0, 1) or not report.is_file()
+        elif (tree / scripts[name]).is_file():
+            run = _run(tree, [scripts[name]])
+            stdout.write_text(run.stdout)
+            failed = run.returncode != 0
+        else:
+            continue
+        if failed or "Traceback (most recent call last)" in run.stderr:
             lines.append(f"{name}: {tree} exited {run.returncode}: {(run.stderr.strip().splitlines() or [''])[-1]}")
     return lines
 
 
 def compare_trees(tree_a: Path, tree_b: Path, out: Path, names=()) -> list[str]:
-    """The failed runs and the differing fields of the named command lines (all by default) run on two trees."""
-    unknown = [name for name in names if name not in COMMANDS]
+    """The failed runs and the differing fields of the named command lines and demos (all by default) run on two trees."""
+    scripts = demos(tree_a, tree_b)
+    unknown = [name for name in names if name not in COMMANDS and name not in scripts]
     if unknown:
-        raise ValueError(f"unknown command {', '.join(unknown)}; known: {', '.join(COMMANDS)}")
-    names = list(names) or list(COMMANDS)
-    failed = run_commands(tree_a, out / "a", names) + run_commands(tree_b, out / "b", names)
+        raise ValueError(f"unknown command {', '.join(unknown)}; known: {', '.join([*COMMANDS, *scripts])}")
+    names = list(names) or [*COMMANDS, *scripts]
+    failed = run_commands(tree_a, out / "a", names, scripts) + run_commands(tree_b, out / "b", names, scripts)
     return failed + compare(out / "a", out / "b")
 
 

@@ -196,7 +196,7 @@ def test_criterion_09_projection_partition(matrix):
         # rational cross-check of the squared projections
         k = szego_kernel(1, 24)
         t = model_tuple(k, 1, 1, mode="exact")
-        t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
+        t = OperatorTuple(t.mats, None, t.nilpotency_bound)
         fac = factor_through_pick(k, k)
         dd = defect_data(t, k, k)
         cfd = build_charfn(dd, fac, support_cap=4, constant_cap=4)

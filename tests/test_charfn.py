@@ -96,7 +96,7 @@ def jordan_exact():
     """The 2x2 nilpotent Jordan cell over the Hardy-space kernel, exact scalars."""
     k = szego_kernel(1, 24)
     t = model_tuple(k, 1, 1, mode="exact")
-    t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
+    t = OperatorTuple(t.mats, None, t.nilpotency_bound)
     fac = factor_through_pick(k, k)
     return charfn_of(t, fac, support_cap=4, constant_cap=4), t, k, fac
 
@@ -305,7 +305,7 @@ class TestBuildDiagnostics:
     def test_rejects_impure(self):
         k = szego_kernel(1, 24)
         fac = factor_through_pick(k, k)
-        t = OperatorTuple((np.array([[1.0]]),), None, None, None, k)
+        t = OperatorTuple((np.array([[1.0]]),))
         dd = defect_data(t, k, k)  # the defects exist; only purity fails
         with pytest.raises(NotPureError):
             build_charfn(dd, fac, support_cap=4, constant_cap=4)
@@ -314,7 +314,7 @@ class TestBuildDiagnostics:
         # a non-contraction cannot be a 1/s-contraction either: defect_data
         # rejects it, so build_charfn never reaches the row construction
         k = szego_kernel(1, 24)
-        t = OperatorTuple((np.array([[1.5]]),), None, None, None, k)
+        t = OperatorTuple((np.array([[1.5]]),))
         with pytest.raises(NotContractionError):
             defect_data(t, k, k)
 
@@ -324,7 +324,7 @@ def jordan_pair():
     k = szego_kernel(1, 48)
     mat = np.zeros((5, 5))
     mat[1, 0] = mat[3, 2] = mat[4, 3] = 1.0
-    return OperatorTuple((mat,), None, None, 2, k), factor_through_pick(k, k), {"support_cap": 5, "constant_cap": 5}
+    return OperatorTuple((mat,), None, 2), factor_through_pick(k, k), {"support_cap": 5, "constant_cap": 5}
 
 
 def preset_inputs(name):
@@ -568,7 +568,7 @@ SCALAR_POINTS = {
 def _scalar_point_charfn(name):
     kernel, pick, point = SCALAR_POINTS[name]
     k = kernel()
-    t = OperatorTuple(tuple(np.array([[x]]) for x in point), None, None, None, k)
+    t = OperatorTuple(tuple(np.array([[x]]) for x in point))
     return charfn_of(t, factor_through_pick(k, pick()), support_cap=8, constant_cap=8)
 
 
@@ -605,7 +605,7 @@ class TestMultiplier:
         independent of the kernels involved. The symbol maps into Ran Defect,
         so the tuple is doubled to give the defect rank 2."""
         _, t, k, fac = k2_da
-        doubled = OperatorTuple((np.kron(np.eye(2), t.mats[0]),), None, None, t.nilpotency_bound, k)
+        doubled = OperatorTuple((np.kron(np.eye(2), t.mats[0]),), None, t.nilpotency_bound)
         cfd = charfn_of(doubled, fac, support_cap=5, constant_cap=14)
         assert cfd.fiber_dim == 2
         theta = {(0,): np.array([[1.0, 0.0], [0.0, 1.0]])}
@@ -743,7 +743,7 @@ def _wide_charfn():
 def _dense_stack_charfn():
     """Theta of DA * Dirichlet through Dirichlet at the scalar point (0.3, 0.4), N 32, caps 8: a dense Taylor stack."""
     k, s = cauchy_product(drury_arveson_kernel(2, 32), dirichlet_kernel(2, 32)), dirichlet_kernel(2, 32)
-    t = OperatorTuple((np.array([[0.3]]), np.array([[0.4]])), None, None, None, k)
+    t = OperatorTuple((np.array([[0.3]]), np.array([[0.4]])))
     return charfn_of(t, factor_through_pick(k, s), support_cap=8, constant_cap=8)
 
 
@@ -888,7 +888,7 @@ def _preset_charfn(name):
     t, fac, caps = preset_inputs(name.removesuffix("_exact"))
     if name.endswith("_exact"):
         mats = tuple(np.vectorize(Fraction, otypes=[object])(m.astype(int)) for m in t.mats)
-        t = OperatorTuple(mats, None, None, t.nilpotency_bound, t.kernel)
+        t = OperatorTuple(mats, None, t.nilpotency_bound)
     return charfn_of(t, fac, **caps)
 
 
@@ -1047,7 +1047,7 @@ def _conjugated_pair(w):
     k = bergman_kernel(2, 1, 48)
     fac = factor_through_pick(k, drury_arveson_kernel(1, 48))
     t = model_tuple(k, 1, 2, mode="float")
-    conj = OperatorTuple(tuple(w.T @ m @ w for m in t.mats), None, None, t.nilpotency_bound, k)
+    conj = OperatorTuple(tuple(w.T @ m @ w for m in t.mats), None, t.nilpotency_bound)
     return charfn_of(t, fac, support_cap=5, constant_cap=10), charfn_of(conj, fac, support_cap=5, constant_cap=10)
 
 
@@ -1072,7 +1072,7 @@ class TestFunctionalModelAndCoincidence:
         jordan = configuration("two_cells")
         chain = np.zeros((4, 4))
         chain[1, 0] = chain[2, 1] = 1.0
-        other = OperatorTuple((chain,), None, None, 3, jordan.kernel)
+        other = OperatorTuple((chain,), None, 3)
         cfd_a, cfd_b = (charfn_of(t, jordan.factorization, support_cap=6, constant_cap=6) for t in (jordan.ops, other))
         lower, upper = coincidence_residual(cfd_a, cfd_b)
         assert (lower, upper) == _coincidence_reference(cfd_a, cfd_b)
@@ -1087,8 +1087,8 @@ class TestFunctionalModelAndCoincidence:
         chain = np.zeros((4, 4))
         chain[1, 0] = 1.0
         chain[2, 1] = 1.0
-        t_a = OperatorTuple((two_cells,), None, None, 3, k)
-        t_b = OperatorTuple((chain,), None, None, 3, k)
+        t_a = OperatorTuple((two_cells,), None, 3)
+        t_b = OperatorTuple((chain,), None, 3)
         cfd_a = charfn_of(t_a, fac, support_cap=6, constant_cap=6)
         cfd_b = charfn_of(t_b, fac, support_cap=6, constant_cap=6)
         lower, upper = coincidence_residual(cfd_a, cfd_b)

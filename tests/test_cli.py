@@ -83,7 +83,7 @@ class TestKernelCommands:
         argv = [specs.get(a, a) for a in argv]
         assert main(["kernel", *argv, "--out", str(out)]) == code
         report = read_report(out)
-        assert report["checks"][0].pop("elapsed") == 0.0
+        assert report["checks"][0].pop("elapsed") > 0.0
         (mode, truncation), (name, verdict, exact) = caps, check
         assert report == {
             "schema_version": 1,
@@ -96,6 +96,33 @@ class TestKernelCommands:
             },
             "checks": [{"name": name, "verdict": verdict, "residual": None, "exact": exact}],
         }
+
+    @pytest.mark.parametrize(
+        "argv, certificate",
+        [
+            (["info", "--spec", "dirichlet"], "admissibility_report"),
+            (["cnp", "--spec", "dirichlet"], "is_complete_pick"),
+            (["quotient", "--num", "k3", "--den", "k1"], "is_positive_quotient"),
+            (["factor", "--spec", "bergman_m2", "--cnp-factor", "k1"], "factor_through_pick"),
+        ],
+        ids=["info", "cnp", "quotient", "factor"],
+    )
+    def test_elapsed_is_the_certificate_time(self, specs, tmp_path, capsys, monkeypatch, argv, certificate):
+        """A kernel check's elapsed holds the certificate's time and not the time spent reading spec files."""
+        import time
+
+        def slowed(fn, seconds):
+            def run(*args, **kwargs):
+                time.sleep(seconds)
+                return fn(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(cli, certificate, slowed(getattr(cli, certificate), 0.05))
+        monkeypatch.setattr(cli, "_load_kernel", slowed(cli._load_kernel, 0.2))
+        out = tmp_path / "r.json"
+        assert main(["kernel", *[specs.get(a, a) for a in argv], "--out", str(out)]) == 0
+        assert 0.05 <= read_report(out)["checks"][0]["elapsed"] < 0.2
 
     def test_cnp_failure_exits_one(self, specs, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -414,9 +441,6 @@ class TestCharFnCommands:
             ("weights", 5),
             ("weights", ["0"]),
             ("weights", [1, 2]),
-            ("basis_labels", 5),
-            ("basis_labels", [[-1]]),
-            ("basis_labels", [[0, 0]]),
             # T = 0.5 is not nilpotent of degree 0: no truncated sum may stop there
             ("nilpotency_bound", 0),
         ],
@@ -427,6 +451,42 @@ class TestCharFnCommands:
         args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(path)]
         assert main(["charfn", "verify", *args]) == 2
         assert f"tuple spec field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kernel", {"kind": "bergman", "m": 3, "d": 1, "truncation": 24}),
+            ("kernel", {"kind": "nope"}),
+            ("basis_labels", [[0], [1]]),
+            ("basis_labels", 5),
+            ("basis_labels", [[-1]]),
+            ("basis_labels", [[0, 0]]),
+        ],
+        ids=["kernel-bergman", "kernel-unknown", "basis_labels-graded", "basis_labels-5", "basis_labels-negative", "basis_labels-long"],
+    )
+    def test_unread_field_exits_two(self, specs, tmp_path, capsys, field, value):
+        """A tuple holds no kernel or basis labels: a non-null field is one ``error:`` line naming it, not a silent default."""
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"mode": "float", "matrices": [[[0, 0], [1, 0]]], "nilpotency_bound": 1, field: value}))
+        args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(path)]
+        assert main(["charfn", "verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read tuple spec")
+        assert f"tuple spec field {field!r} is not read" in lines[0] and "takes its kernel from --kernel" in lines[0]
+
+    def test_null_unread_fields_are_absent(self, specs, tmp_path):
+        """``"kernel": null`` and ``"basis_labels": null`` give the report of a spec without them."""
+        spec = {"mode": "float", "matrices": [[[0, 0], [1, 0]]], "nilpotency_bound": 1}
+        reports = []
+        for extra in ({}, {"kernel": None, "basis_labels": None}):
+            path, out = tmp_path / "tuple.json", tmp_path / "r.json"
+            path.write_text(json.dumps({**spec, **extra}))
+            args = ["--kernel", specs["szego"], "--cnp-factor", specs["szego"], "--tuple", str(path)]
+            assert main(["charfn", "verify", *args, "--out", str(out)]) == 0
+            reports.append([{**c, "elapsed": 0} for c in read_report(out)["checks"]])
+        assert reports[0] == reports[1]
 
     def test_exact_tuple_spec_runs_in_float_mode(self, specs, tmp_path):
         """An exact spec whose defect root is irrational runs when float mode is asked for."""
@@ -1074,11 +1134,6 @@ def _tuple_spec():
     optional = {
         "nilpotency_bound": st.one_of(st.none(), st.integers(-1, 3), st.sampled_from(["x", True, 1.5, 2.0, []])),
         "weights": st.one_of(st.none(), st.lists(weight, max_size=3), st.sampled_from([5, "1/2", {}])),
-        "basis_labels": st.one_of(
-            st.none(),
-            st.lists(st.lists(st.integers(-1, 3), max_size=2), max_size=3),
-            st.sampled_from([5, [5], [["0"]], [[True]], [[0.0]]]),
-        ),
     }
     return st.fixed_dictionaries(
         {"mode": st.sampled_from(["exact", "float", "bogus"]), "matrices": matrices}, optional=optional

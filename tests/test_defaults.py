@@ -11,9 +11,7 @@ KEPT = {
     "cli._environment.seed",
     "cli.main.argv",
     "operators.OperatorTuple.weights",
-    "operators.OperatorTuple.basis_labels",
     "operators.OperatorTuple.nilpotency_bound",
-    "operators.OperatorTuple.kernel",
     "operators.conjugated_sum.middle",
     "operators.defect_data.pick_factor",
     "presets._check.exact",

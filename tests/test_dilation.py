@@ -77,7 +77,7 @@ class TestBuild:
 
     def test_rejects_impure(self):
         k = szego_kernel(1, 16)
-        t = OperatorTuple((np.array([[1.0]]),), None, None, None, k)
+        t = OperatorTuple((np.array([[1.0]]),))
         dd = defect_data(t, k)
         with pytest.raises(NotPureError):
             build_dilation(dd, 4)
@@ -93,7 +93,7 @@ class TestBuild:
     def test_exact_isometry_for_jordan_cell(self):
         k = szego_kernel(1, 16)
         t = model_tuple(k, 1, 1, mode="exact")
-        t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
+        t = OperatorTuple(t.mats, None, t.nilpotency_bound)
         dd = defect_data(t, k)
         dil = build_dilation(dd, 4)
         gram = dil.matrix.conj().T @ dil.matrix

@@ -14,6 +14,7 @@ from cnpchar.multiindex import (
     count_up_to_degree,
     degree,
     enumerate_up_to_degree,
+    graded_space,
     monomial_value,
     unit,
 )
@@ -216,7 +217,7 @@ class TestDefect:
         assert np.linalg.eigvalsh(dd.pick_defect_sq).min() > -1e-12
 
     def test_non_contraction_rejected(self):
-        t = OperatorTuple((np.array([[2.0]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[2.0]]),))
         with pytest.raises(NotContractionError):
             defect_data(t, szego_kernel(1, 24))
 
@@ -235,7 +236,7 @@ class TestPurity:
             assert dd.purity_exact and dd.purity_residual == 0.0
 
     def test_isometry_not_pure(self):
-        t = OperatorTuple((np.array([[1.0]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[1.0]]),))
         dd = defect_data(t, szego_kernel(1, 24))
         assert max_abs(dd.defect_sq) < 1e-15
         assert abs(dd.purity_residual - 1.0) < 1e-15
@@ -280,7 +281,7 @@ class TestOperatorSeries:
 
     def test_exact_rational_point(self):
         t = model_tuple(szego_kernel(1, 8), 1, 1, mode="exact")
-        t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
+        t = OperatorTuple(t.mats, None, t.nilpotency_bound)
         out = operator_series(t, szego_kernel(1, 8), [Fraction(1, 2)])
         assert out.dtype == object and out[1, 0] == Fraction(1, 2)
 
@@ -441,8 +442,9 @@ def _dense_certificate_reference(kernel, form_kernel, base_degree, labels, windo
     from <z^gamma, z^gamma>, lowering one variable at a time with the dense adjoints.
     """
     t = model_tuple(kernel, kernel.dim, window_degree, mode="exact")
-    index = {lab: i for i, lab in enumerate(t.basis_labels)}
-    mask = np.array([degree(lab) > base_degree for lab in t.basis_labels])
+    labels = graded_space(kernel.dim, window_degree).labels
+    index = {lab: i for i, lab in enumerate(labels)}
+    mask = np.array([degree(lab) > base_degree for lab in labels])
     adjoints = [adjoint(m, t.weights) for m in t.mats]
     b = reciprocal_complement(form_kernel)
     support = max(n for n, c in enumerate(b.coefficients) if c != 0)
@@ -579,7 +581,7 @@ class TestGradedWalker:
     def test_rational_point(self):
         k = szego_kernel(1, 8)
         t = model_tuple(k, 1, 2, mode="exact")
-        t = OperatorTuple(t.mats, None, t.basis_labels, t.nilpotency_bound, t.kernel)
+        t = OperatorTuple(t.mats, None, t.nilpotency_bound)
         _assert_walker_matches_references(t, k, [[Fraction(1, 2)], [Fraction(-2, 3)]])
 
     def test_float_model_with_non_integral_coefficients(self):
@@ -594,11 +596,11 @@ class TestGradedWalker:
     @pytest.mark.parametrize("truncation", [40, 80])
     @pytest.mark.parametrize("kernel", [szego_kernel, dirichlet_kernel])
     def test_non_nilpotent_scalar(self, kernel, truncation):
-        t = OperatorTuple((np.array([[0.5]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[0.5]]),))
         _assert_walker_matches_references(t, kernel(1, truncation), [[0.6], [0.3 + 0.4j]])
 
     def test_operator_series_convergence_error(self):
-        t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[0.999]]),))
         dirichlet = dirichlet_kernel(1, 80)
         with pytest.raises(ConvergenceError):
             operator_series(t, dirichlet, [0.9])
@@ -613,9 +615,8 @@ class TestSerialization:
         t = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode="float")
         back = tuple_from_spec(tuple_to_spec(t))
         assert all(max_abs(a - b) == 0 for a, b in zip(t.mats, back.mats))
-        assert back.basis_labels == t.basis_labels
+        assert back.weights is None
         assert back.nilpotency_bound == t.nilpotency_bound
-        assert back.kernel.coefficients == t.kernel.coefficients
 
     def test_exact_round_trip(self):
         from cnpchar.operators import tuple_from_spec, tuple_to_spec
@@ -637,6 +638,30 @@ class TestSerialization:
         wire = json.dumps(tuple_to_spec(t))
         back = tuple_from_spec(json.loads(wire))
         assert back.weights[1] == Fraction(2)
+
+    def test_a_tuple_is_its_matrices_weights_and_bound(self):
+        """``tuple_to_spec`` writes the three fields and the mode, and ``tuple_from_spec`` reads them back."""
+        from cnpchar.operators import tuple_to_spec
+
+        assert [f.name for f in dataclasses.fields(OperatorTuple)] == ["mats", "weights", "nilpotency_bound"]
+        for mode in ("exact", "float"):
+            t = model_tuple(bergman_kernel(2, 2, 10), 2, 2, mode=mode)
+            spec = json.loads(json.dumps(tuple_to_spec(t)))
+            assert list(spec) == ["mode", "matrices", "weights", "nilpotency_bound"]
+            back = tuple_from_spec(spec)
+            assert all(np.array_equal(a, b) for a, b in zip(t.mats, back.mats)) and back.exact == t.exact
+            assert (back.weights is None) == (mode == "float") and back.nilpotency_bound == t.nilpotency_bound == 2
+            assert tuple_to_spec(back) == spec
+
+    @pytest.mark.parametrize("field", ["kernel", "basis_labels"])
+    def test_unread_fields_are_refused_by_name(self, field):
+        """A non-null ``kernel`` or ``basis_labels`` is a ValueError naming it; null counts as absent."""
+        spec = {"mode": "exact", "matrices": [[[0, 0], [1, 0]]], "nilpotency_bound": 1}
+        for value in ({"kind": "szego", "d": 1, "truncation": 8}, [[0], [1]], 5, "x", False):
+            with pytest.raises(ValueError, match=f"^tuple spec field '{field}' is not read:.* takes its kernel from --kernel$"):
+                tuple_from_spec({**spec, field: value})
+        t = tuple_from_spec({**spec, field: None})
+        assert [str(x) for x in t.mats[0].flat] == ["0", "0", "1", "0"] and t.nilpotency_bound == 1
 
     def test_malformed_rejected(self):
         from cnpchar.operators import tuple_from_spec
@@ -687,18 +712,18 @@ class TestPickFactorPurityExact:
 class TestConvergenceHandling:
     def test_no_convergence_error(self):
         # a non-nilpotent contraction against a kernel with slowly decaying b
-        t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[0.999]]),))
         with pytest.raises(ConvergenceError, match="by degree 10"):
             defect_data(t, dirichlet_kernel(1, 10))
 
     def test_unsettled_at_truncation_48(self):
         """Below degree 64 too, a sum that reaches the truncation unsettled is an error, not a verdict."""
-        t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[0.999]]),))
         with pytest.raises(ConvergenceError, match="by degree 48"):
             defect_data(t, dirichlet_kernel(1, 48))
 
     def test_scalar_contraction_converges(self):
-        t = OperatorTuple((np.array([[0.5]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[0.5]]),))
         dd = defect_data(t, szego_kernel(1, 40))
         assert abs(dd.defect_sq[0, 0] - 0.75) < 1e-14
 
@@ -707,7 +732,7 @@ class TestOperatorSeriesStack:
     """operator_series over a (P, d) stack of points: one walk, one stopping rule."""
 
     def test_one_unsettled_point_raises(self):
-        t = OperatorTuple((np.array([[0.999]]),), None, None, None, None)
+        t = OperatorTuple((np.array([[0.999]]),))
         dirichlet = dirichlet_kernel(1, 80)
         operator_series(t, dirichlet, [0.1])
         with pytest.raises(ConvergenceError):

@@ -140,7 +140,7 @@ def inner(z, w):
 
 
 def scalar_point(mats, k, s):
-    t = OperatorTuple(tuple(np.asarray(m) for m in mats), None, None, None, k)
+    t = OperatorTuple(tuple(np.asarray(m) for m in mats))
     dd = defect_data(t, k, s)
     return dd, build_charfn(dd, factor_through_pick(k, s), support_cap=CAP, constant_cap=CAP)
 

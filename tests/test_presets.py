@@ -186,7 +186,7 @@ def test_degree_cap_replaces_both_caps(name):
 
 def test_boundless_tuple_is_sized_at_the_assumed_degree():
     fac = presets._factorization("szego", "szego", 1)
-    t = OperatorTuple((np.array([[0.5]]),), None, None, None, fac.kernel)
+    t = OperatorTuple((np.array([[0.5]]),))
     config = presets.Configuration("scalar_half", fac, t)
     assert presets.ASSUMED_DEGREE == 9
     assert _windows(config) == (12, 16, 11, 0.5, 1)

@@ -11,8 +11,10 @@ runs the benchmark's ``wide`` command line on the spec files under
 the non-nilpotent tuple [[0.5]] through the Szego kernel at truncation 64,
 where the truncated operator series settle, on the spec files under
 ``tests/specs`` (outside ``tests/golden``, whose every file is a golden).
-The weighted file runs the Jordan cell as a float spec on a weighted basis,
-which the run rescales to an orthonormal one.
+The two weighted files run the Jordan cell as a float and as an exact spec
+on a weighted basis, which the run rescales to an orthonormal one; the
+exact one then runs in exact mode, the one ``--tuple`` run with exact
+residuals.
 The ``--dump-theta`` file of the exact two_cells preset is pinned whole in
 ``tests/dumps``: every block and Taylor coefficient is a rational there.
 
@@ -24,9 +26,9 @@ To re-pin after a deliberate report change, run the command line with
 file. ``tests/report_diff.py A B`` names every field, floats included, in
 which two reports (or two directories of them) differ; ``tests/report_diff.py
 --trees TREE_A TREE_B OUT`` runs every golden's command line, the suite and
-the wide window at more seeds, the benchmark's impossibility sweep and exact
-``kernel`` certificates on two source trees and compares those reports and
-what each run printed.
+the wide window at more seeds, the benchmark's impossibility sweep, exact
+``kernel`` certificates and every demo script on two source trees and
+compares those reports and what each run printed.
 """
 
 import json
@@ -66,6 +68,7 @@ def test_golden_files_present():
         "charfn_verify_jordan_exact",
         "charfn_verify_scalar_half_N64",
         "charfn_verify_two_cells_exact",
+        "charfn_verify_weighted_exact",
         "charfn_verify_weighted_float",
         "charfn_verify_wide_seed_0",
         "impossibility_m3_n2_N50",
@@ -113,6 +116,46 @@ def test_report_diff_runs_a_golden_on_two_trees(tmp_path):
     assert all((tmp_path / side / "charfn_verify_jordan_exact.json").is_file() for side in ("a", "b"))
     unknown = subprocess.run(trees + ["no_such_command"], capture_output=True, text=True)
     assert unknown.returncode == 2 and "unknown command no_such_command" in unknown.stderr
+
+
+def _stub_tree(root: Path, demo: str) -> Path:
+    """A source tree with an empty ``cnpchar`` package and the one script ``demos/01_stub.py``."""
+    (root / "src" / "cnpchar").mkdir(parents=True)
+    (root / "src" / "cnpchar" / "__init__.py").write_text("")
+    (root / "demos").mkdir()
+    (root / "demos" / "01_stub.py").write_text(demo)
+    return root
+
+
+@pytest.mark.parametrize(
+    "demos, lines",
+    [
+        (('print("a")\nprint("b")\n', 'print("a")\nprint("b")\n'), []),
+        (('print("a")\nprint("b")\n', 'print("a")\nprint("c")\n'), ["demo_01_stub.txt: line 2: 'b' -> 'c'"]),
+        (('print("a")\n', 'print("a")\nraise SystemExit(3)\n'), ["demo_01_stub: {b} exited 3: "]),
+        (('print("a")\n', 'import sys\nprint("a")\nprint(\'Traceback (most recent call last):\', file=sys.stderr)\n'),
+         ["demo_01_stub: {b} exited 0: Traceback (most recent call last):"]),
+    ],
+    ids=["same", "one_line_moved", "nonzero_exit", "traceback"],
+)
+def test_report_diff_compares_the_demos_line_by_line(tmp_path, demos, lines):
+    """``--trees`` runs each demo script from its tree's root: a moved line is one difference, a failed run another."""
+    diff = Path(__file__).parent / "report_diff.py"
+    a, b = (_stub_tree(tmp_path / side, demo) for side, demo in zip("ab", demos))
+    argv = [sys.executable, str(diff), "--trees", str(a), str(b), str(tmp_path / "out"), "demo_01_stub"]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.stdout.splitlines() == [line.format(b=b) for line in lines]
+    assert run.returncode == (1 if lines else 0)
+    assert (tmp_path / "out" / "b" / "demo_01_stub.txt").read_text().startswith("a\n")
+
+
+def test_report_diff_runs_a_demo_on_two_trees(tmp_path):
+    """Every demo of this tree is a ``--trees`` name; run on this tree twice, a demo prints the same lines."""
+    diff, root = Path(__file__).parent / "report_diff.py", Path(__file__).parent.parent
+    name = "demo_01_kernels_and_pick_certificates"
+    run = subprocess.run([sys.executable, str(diff), "--trees", str(root), str(root), str(tmp_path), name], capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout == ""
+    assert (tmp_path / "a" / f"{name}.txt").read_text() == (tmp_path / "b" / f"{name}.txt").read_text() != ""
 
 
 @pytest.mark.parametrize(

@@ -569,6 +569,16 @@ class TestEvaluate:
         assert tail == 0.0
         assert abs(value - sum(0.25**n for n in range(11))) < 1e-15
 
+    def test_truncation_zero_has_no_tail_estimate(self):
+        """k truncated at degree 0 sums to a_0 = 1, and with no coefficient ratio its tail bound is inf."""
+        k = bergman_kernel(2, 1, 0)
+        for z, w in (([0.1], [0.2]), ([Fraction(1, 3)], [Fraction(1, 2)]), ([0.0], [0.0])):
+            value, tail = k.evaluate(z, w)
+            assert value == 1 and tail == math.inf
+            assert k.evaluate(z, w, truncated=True) == (value, 0.0)
+        stack = k.evaluate([[0.1], [0.0], [0.3j]], [[0.2], [0.5], [0.1]])
+        assert list(stack.value) == [1, 1, 1] and list(stack.tail_bound) == [math.inf] * 3
+
 
 def _fraction_horner_reference(kernel, z, w):
     """The truncated kernel sum by Horner's rule over the stored (exact) coefficients."""
