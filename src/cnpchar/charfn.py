@@ -269,11 +269,12 @@ def build_charfn(
     beta_top = min(bound if bound is not None else max(support_cap, constant_cap), kernel.truncation)
     top = max(support_cap, constant_cap, beta_top)
     labels, powers = t.powers(top)
-    # the labels whose degree carries a b (1..support_cap) or g (0..constant_cap) coefficient above the
-    # factorization's tolerance: nonzero when it is exact, not rounding noise when it is float
+    # the labels whose degree carries a b (1..support_cap) or g (0..constant_cap) coefficient that is
+    # nonzero when it is exact, and above the factorization's tolerance (not rounding noise) when it is float
     b_mask, g_mask = np.zeros((2, top + 1), dtype=bool)
-    b_mask[1 : support_cap + 1] = np.array(b_s.coefficients[1 : support_cap + 1]) > factorization.tolerance
-    g_mask[: constant_cap + 1] = np.array(g.coefficients[: constant_cap + 1]) > factorization.tolerance
+    b_floor, g_floor = (0 if series.exact else factorization.tolerance for series in (b_s, g))
+    b_mask[1 : support_cap + 1] = [c > b_floor for c in b_s.coefficients[1 : support_cap + 1]]
+    g_mask[: constant_cap + 1] = [c > g_floor for c in g.coefficients[: constant_cap + 1]]
     b_pos, g_pos = np.flatnonzero(b_mask[labels.degrees]), np.flatnonzero(g_mask[labels.degrees])
     row_space = BlockSpace([labels.labels[i] for i in b_pos], n)
     # E holds every graded label of degree <= constant_cap when g has no zero coefficient there

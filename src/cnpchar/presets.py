@@ -13,6 +13,12 @@ is drawn from generators seeded by the suite seed and the configuration
 name, which makes reports reproducible and independent of execution order.
 So ``run_suite`` can split the suite's units across forked workers, one per
 CPU the process may use, and its checks do not depend on how many there are.
+
+One configuration's checks split the same way once theta and V are built:
+on a dilation window of at least ``SPLIT_LABELS`` labels, the multiplier
+checks (which draw no sample) run in a forked worker while this process runs
+the sampled checks. Smaller windows, every suite configuration among them,
+run both groups here, because a fork costs more than it saves on them.
 """
 
 from __future__ import annotations
@@ -286,6 +292,16 @@ class _Recorder:
     def results(self) -> list[CheckResult]:
         return [replace(c, elapsed=self._spent.get(c.name, 0.0)) for c in self.checks]
 
+    def unit(self, run: Callable[[], None]) -> Callable[[], list[CheckResult]]:
+        """A unit for ``run_suite``: calls ``run`` and returns the checks it added, with their times."""
+
+        def checks() -> list[CheckResult]:
+            start = len(self.checks)
+            run()
+            return self.results()[start:]
+
+        return checks
+
 
 def sample_points(rng: np.random.Generator, count: int, dim: int, scale: float = 0.5) -> np.ndarray:
     """A (count, dim) complex128 stack of points in the ball of radius ``scale``, seeded.
@@ -318,6 +334,12 @@ POINT_COUNT = 20
 GRAM_PAIRS = 50
 ALIGNMENT_SAMPLES = 30
 
+# A dilation window of at least this many labels runs its multiplier checks in a forked worker. The
+# sampled checks stay here: they hold more of the work (with numpy.random's first import), so the worker's
+# fork and exit sit off the critical path. In cold charfn verify runs of the d = 3 Bergman window through
+# Drury-Arveson, a split cost 1.6 ms at 455 labels (degree cap 9) and saved 2.4 ms at 560 (cap 10).
+SPLIT_LABELS = 500
+
 
 def run_configuration_checks(
     config: Configuration,
@@ -334,8 +356,17 @@ def run_configuration_checks(
     characteristic-function build counts toward ``defect_embedding_gram``,
     the first check that reads it, and the partition Gram M_theta M_theta^*
     toward ``multiplier_contraction``, whose norm is read from it.
+
+    After purity, the build of theta and V and the two dilation checks, the
+    rest forms two units of ``run_suite``, which read nothing from each
+    other: the sampled checks (``kernel_vector_identity`` through
+    ``pointwise_gram_identity``, on the configuration's generator, created
+    in the first unit) and the multiplier checks (``multiplier_contraction``
+    through ``functional_model``). On a dilation window of at least
+    ``SPLIT_LABELS`` labels and two usable CPUs the second unit runs in a
+    forked worker; otherwise both run here, in report order. The checks,
+    and a failure (the sampled group's first), do not depend on which.
     """
-    rng = config_rng(seed, config.name)
     rec = _Recorder()
     with rec.timing("purity"):
         dd = defect_data(config.ops, config.kernel, config.pick_factor)
@@ -357,88 +388,98 @@ def run_configuration_checks(
         intertwining = max(intertwining_residuals(dil))
         rec.checks.append(_check("dilation_intertwining", intertwining, TOL_SINGLE))
 
-    with rec.timing("kernel_vector_identity"):
-        points = sample_points(rng, POINT_COUNT, config.dim, config.sample_scale)
-        fibers = [rng.standard_normal(dil.fiber_dim) for _ in points]
-        fibers = np.array([f / np.linalg.norm(f) for f in fibers])
-        rec.checks.append(_check("kernel_vector_identity", kernel_vector_gap(dil, points, fibers)[1], TOL_SINGLE))
+    def sampled_checks():
+        rng = config_rng(seed, config.name)
+        with rec.timing("kernel_vector_identity"):
+            points = sample_points(rng, POINT_COUNT, config.dim, config.sample_scale)
+            fibers = [rng.standard_normal(dil.fiber_dim) for _ in points]
+            fibers = np.array([f / np.linalg.norm(f) for f in fibers])
+            rec.checks.append(_check("kernel_vector_identity", kernel_vector_gap(dil, points, fibers)[1], TOL_SINGLE))
 
-    with rec.timing("defect_embedding_gram"):
-        rec.checks.append(
-            _check(
-                "defect_embedding_gram",
-                cfd.diagnostics["embedding_gram_residual"],
-                TOL_BLOCK,
-                cfd.diagnostics.get("embedding_gram_exact"),
+        with rec.timing("defect_embedding_gram"):
+            rec.checks.append(
+                _check(
+                    "defect_embedding_gram",
+                    cfd.diagnostics["embedding_gram_residual"],
+                    TOL_BLOCK,
+                    cfd.diagnostics.get("embedding_gram_exact"),
+                )
             )
-        )
 
-    with rec.timing("block_unitarity"):
-        block = max(
-            cfd.diagnostics["block_relation_row"],
-            cfd.diagnostics["block_relation_cross"],
-            cfd.diagnostics["block_relation_e"],
-            cfd.diagnostics["unitary_gram"],
-            cfd.diagnostics["unitary_cogram"],
-        )
-        rec.checks.append(_check("block_unitarity", block, TOL_BLOCK))
-
-    with rec.timing("series_inverse_identity"):
-        points = sample_points(rng, POINT_COUNT, config.dim, config.sample_scale)
-        residual = inverse_identity_residual(cfd, points)
-        rec.checks.append(_check("series_inverse_identity", residual, TOL_SINGLE))
-
-    with rec.timing("row_symbol_strict_contraction"):
-        margin, mismatch = row_symbol_margin(cfd, points)
-        strict_ok = margin > 0 and mismatch <= composite_tol
-        rec.checks.append(
-            CheckResult(
-                "row_symbol_strict_contraction",
-                "pass" if strict_ok else "fail",
-                float(mismatch),
-                None,
-                0.0,
+        with rec.timing("block_unitarity"):
+            block = max(
+                cfd.diagnostics["block_relation_row"],
+                cfd.diagnostics["block_relation_cross"],
+                cfd.diagnostics["block_relation_e"],
+                cfd.diagnostics["unitary_gram"],
+                cfd.diagnostics["unitary_cogram"],
             )
-        )
+            rec.checks.append(_check("block_unitarity", block, TOL_BLOCK))
 
-    with rec.timing("theta_taylor_cross_check"):
-        points = sample_points(rng, 5, config.dim, config.sample_scale)
-        gap = evaluation_gap(cfd, points)[1]
-        rec.checks.append(_check("theta_taylor_cross_check", gap, TOL_SINGLE))
+        with rec.timing("series_inverse_identity"):
+            points = sample_points(rng, POINT_COUNT, config.dim, config.sample_scale)
+            residual = inverse_identity_residual(cfd, points)
+            rec.checks.append(_check("series_inverse_identity", residual, TOL_SINGLE))
 
-    with rec.timing("pointwise_gram_identity"):
-        pairs = list(
-            zip(
-                sample_points(rng, GRAM_PAIRS, config.dim, config.sample_scale),
-                sample_points(rng, GRAM_PAIRS, config.dim, config.sample_scale),
+        with rec.timing("row_symbol_strict_contraction"):
+            margin, mismatch = row_symbol_margin(cfd, points)
+            strict_ok = margin > 0 and mismatch <= composite_tol
+            rec.checks.append(
+                CheckResult(
+                    "row_symbol_strict_contraction",
+                    "pass" if strict_ok else "fail",
+                    float(mismatch),
+                    None,
+                    0.0,
+                )
             )
-        )
-        residual = pointwise_identity_residual(cfd, pairs)
-        rec.checks.append(_check("pointwise_gram_identity", residual, composite_tol))
 
-    with rec.timing("multiplier_contraction"):
-        mult = build_multiplier(cfd, dil)
-        fr = factorization_residual(cfd, dil, mult)
-        rec.checks.append(_check("multiplier_contraction", max(0.0, fr.multiplier_norm - 1.0), TOL_SINGLE))
+        with rec.timing("theta_taylor_cross_check"):
+            points = sample_points(rng, 5, config.dim, config.sample_scale)
+            gap = evaluation_gap(cfd, points)[1]
+            rec.checks.append(_check("theta_taylor_cross_check", gap, TOL_SINGLE))
 
-    with rec.timing("projection_partition"):
-        rec.checks.append(_check("projection_partition", fr.restricted, composite_tol, fr.restricted_exact))
+        with rec.timing("pointwise_gram_identity"):
+            pairs = list(
+                zip(
+                    sample_points(rng, GRAM_PAIRS, config.dim, config.sample_scale),
+                    sample_points(rng, GRAM_PAIRS, config.dim, config.sample_scale),
+                )
+            )
+            residual = pointwise_identity_residual(cfd, pairs)
+            rec.checks.append(_check("pointwise_gram_identity", residual, composite_tol))
 
-    with rec.timing("k_inner_space"):
-        try:
-            rec.checks.append(_check("k_inner_space", k_inner_subspace(cfd).shift_residual, TOL_BLOCK))
-        except EmptyKInnerError:
-            rec.checks.append(CheckResult("k_inner_space", "fail", None, None, 0.0))
+    def multiplier_checks():
+        with rec.timing("multiplier_contraction"):
+            mult = build_multiplier(cfd, dil)
+            fr = factorization_residual(cfd, dil, mult)
+            rec.checks.append(_check("multiplier_contraction", max(0.0, fr.multiplier_norm - 1.0), TOL_SINGLE))
 
-    with rec.timing("functional_model"):
-        if fr.restricted > TOL_COMPOSITE:
-            # Ran V is not the complement of Ran M_theta, so there is no model space to compress to
-            rec.checks.append(CheckResult("functional_model", "fail", fr.restricted, None, 0.0))
-        else:
-            equality = functional_model(cfd, dil, fr)[1]
-            rec.checks.append(_check("functional_model", max(equality, intertwining), TOL_MODEL))
+        with rec.timing("projection_partition"):
+            rec.checks.append(_check("projection_partition", fr.restricted, composite_tol, fr.restricted_exact))
 
-    return rec.results(), cfd
+        with rec.timing("k_inner_space"):
+            try:
+                rec.checks.append(_check("k_inner_space", k_inner_subspace(cfd).shift_residual, TOL_BLOCK))
+            except EmptyKInnerError:
+                rec.checks.append(CheckResult("k_inner_space", "fail", None, None, 0.0))
+
+        with rec.timing("functional_model"):
+            if fr.restricted > TOL_COMPOSITE:
+                # Ran V is not the complement of Ran M_theta, so there is no model space to compress to
+                rec.checks.append(CheckResult("functional_model", "fail", fr.restricted, None, 0.0))
+            else:
+                equality = functional_model(cfd, dil, fr)[1]
+                rec.checks.append(_check("functional_model", max(equality, intertwining), TOL_MODEL))
+
+    units = [
+        (f"{config.name} sampled checks", rec.unit(sampled_checks)),
+        (f"{config.name} multiplier checks", rec.unit(multiplier_checks)),
+    ]
+    head = rec.results()
+    if len(dil.window.labels) >= SPLIT_LABELS:
+        return head + run_suite(units), cfd
+    return head + [check for _, unit in units for check in unit()], cfd
 
 
 def run_alignment_check(seed: int = 0) -> CheckResult:
@@ -556,6 +597,9 @@ def _worker(units: Sequence[Unit], process: int, count: int, write: int, inherit
 def run_suite(units: Sequence[Unit]) -> list[CheckResult]:
     """The checks of every unit, in unit order, run on the CPUs this process may use.
 
+    The units are the suite's (``cli.cmd_suite``), or the two check groups
+    of one large window (``run_configuration_checks``); a suite unit's
+    window is below ``SPLIT_LABELS``, so no worker forks workers of its own.
     Unit i runs in process i mod P, with P = ``_process_count`` and this
     process as process 0; the others are forked here and send their checks
     back through a pipe. P = 1 runs the same loop with no worker. The units

@@ -43,14 +43,18 @@ _GOLDEN = {path.stem: json.loads(path.read_text())["argv"] for path in sorted((P
 _DIRICHLET, _BERGMAN, _DA = "tests/specs/dirichlet_d1.json", "perfbench/specs/bergman_m2_d3.json", "perfbench/specs/drury_arveson_d3.json"
 # report name -> command line: every golden's, the suite and the golden wide window (its last flag the seed) at
 # more seeds, two suites split across two processes (one configuration in each, and a purity failure in the
-# forked worker's share), the benchmark's impossibility sweep, and the exact kernel certificates on Dirichlet
+# forked worker's share), the wide window at degree caps 9 and 10, whose dilation windows (455 and 560 labels)
+# sit just below and just above presets.SPLIT_LABELS (500), so that both the one-process and the two-process
+# charfn verify run, the benchmark's impossibility sweep, and the exact kernel certificates on Dirichlet
 # (denominators above 1) and on the wide window's factorization
+_WIDE = _GOLDEN["charfn_verify_wide_seed_0"]
 COMMANDS = {
     **_GOLDEN,
     **{f"suite_seed_{seed}": ["suite", "--seed", str(seed)] for seed in (3, 5, 7, 11)},
     "suite_jordan_two_cells": ["suite", "--configs", "jordan,two_cells"],
     "suite_jordan_nonpure_two_cells": ["suite", "--configs", "jordan,nonpure,two_cells"],
-    **{f"wide_seed_{seed}": _GOLDEN["charfn_verify_wide_seed_0"][:-1] + [str(seed)] for seed in (67, 8123)},
+    **{f"wide_seed_{seed}": _WIDE[:-1] + [str(seed)] for seed in (67, 8123)},
+    **{f"wide_cap_{cap}": _WIDE[: _WIDE.index("--degree-cap") + 1] + [str(cap), "--seed", "0"] for cap in (9, 10)},
     **{
         f"impossibility_m{m}_n{n}_N32": ["impossibility", "--m", str(m), "--n", str(n), "--N-max", "32"]
         for m in range(1, 5)

@@ -48,6 +48,7 @@ from cnpchar.operators import (
 )
 from cnpchar.presets import SUITE_CONFIGS, config_rng, configuration, run_configuration_checks
 from cnpchar.series import (
+    KernelSeries,
     RealSeries,
     bergman_kernel,
     cauchy_product,
@@ -548,6 +549,21 @@ def _supports_reference(cfd):
     labels = enumerate_up_to_degree(cfd.ops.num_vars, max(cfd.support_cap, cfd.constant_cap))
     b = [lab for lab in labels if 1 <= degree(lab) <= cfd.support_cap and b_s.coeff_1d(degree(lab))]
     return b, [lab for lab in labels if degree(lab) <= cfd.constant_cap and g.coeff_1d(degree(lab))]
+
+
+def test_an_exact_b_coefficient_below_the_float_tolerance_keeps_its_label():
+    """An exact CNP factor with b_1 = 10^-15 under a float kernel (tolerance 1e-12): b_1 is compared with 0.
+
+    The factor is 1 / (1 - 10^-15 z), so b_1 = 10^-15 is its one nonzero b coefficient.
+    """
+    eps = Fraction(1, 10**15)
+    s = KernelSeries(tuple(eps**n for n in range(9)), 1)
+    fac = factor_through_pick(s.floats, s)
+    assert fac.tolerance == 1e-12 and s.b.coefficients[1] == eps
+    t = OperatorTuple((np.array([[0.0, 0.0], [1.0, 0.0]]),), None, 1)
+    cfd = charfn_of(t, fac, support_cap=4, constant_cap=4)
+    assert list(cfd.b_support.labels) == [(1,)]
+    assert (list(cfd.b_support.labels), list(cfd.g_support.labels)) == _supports_reference(cfd)
 
 
 # non-nilpotent scalar points in d = 2, real and complex: (kernel, CNP factor, point), at truncation 48 and caps 8

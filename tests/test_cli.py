@@ -942,6 +942,112 @@ class TestSuiteAcrossWorkers:
         assert presets._process_count(20) == 1
 
 
+_WIDE = json.loads((Path(__file__).parent / "golden" / "charfn_verify_wide_seed_0.json").read_text())["argv"]
+
+
+class TestVerifyAcrossWorkers:
+    """A dilation window of at least ``presets.SPLIT_LABELS`` labels runs its multiplier checks in one forked
+    worker, through ``presets.run_suite``; nothing ``charfn verify`` prints or writes depends on the CPU count, a
+    failure is the one the serial checks would raise, and a smaller window never forks.
+
+    ``os.sched_getaffinity`` is patched so that the split happens on any host.
+    """
+
+    no_worker_left = TestSuiteAcrossWorkers.no_worker_left
+
+    @staticmethod
+    def _run(monkeypatch, cpus, argv):
+        """(exit code, stdout, stderr, the number of forks) of one ``main`` run at P = ``cpus``."""
+        TestSuiteAcrossWorkers._cpus(monkeypatch, cpus)
+        forks, real = [], os.fork
+
+        def fork():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return (*TestSuiteAcrossWorkers._main(argv), len(forks))
+
+    @staticmethod
+    def _no_fork(monkeypatch):
+        TestSuiteAcrossWorkers._cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a window below the threshold forked"))
+
+    @pytest.mark.parametrize("seed", ["0", "67"])
+    def test_reports_do_not_depend_on_the_cpu_count(self, seed, monkeypatch, tmp_path):
+        """The wide window (816 labels) at P = 1 and P = 2: reports and printed lines, ``elapsed`` apart, byte for
+        byte, with one fork at P = 2 and none at P = 1."""
+        assert presets.SPLIT_LABELS <= 816
+        runs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"p{cpus}.json"
+            code, stdout, err, forks = self._run(monkeypatch, cpus, _WIDE[:-1] + [seed, "--out", str(out)])
+            report = read_report(out)
+            assert forks == cpus - 1 and len(report["checks"]) == 14
+            for check in report["checks"]:
+                check["elapsed"] = 0.0
+            runs.append((code, stdout.replace(str(out), "<report>"), err, json.dumps(report)))
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "function, check",
+        [("pointwise_identity_residual", "pointwise_gram_identity"), ("k_inner_subspace", "k_inner_space")],
+        ids=["sampled", "multiplier"],
+    )
+    def test_a_lapack_failure_in_either_group_reads_the_same(self, function, check, cpus, monkeypatch):
+        """Exit 2 and one ``error:`` line naming the check, whether it ran in this process or in the worker."""
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("svd did not converge")
+
+        monkeypatch.setattr(presets, function, fail)
+        code, stdout, err, forks = self._run(monkeypatch, cpus, _WIDE)
+        assert (code, stdout, err) == (2, "", f"error: svd did not converge (in check {check})\n")
+        assert forks == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_sampled_group_s_failure_wins(self, cpus, monkeypatch):
+        """Both groups fail; the worker's failure comes first in time, in its first check, and the sampled group's
+        last check fails 0.2 s later, yet its error is the one raised, as the serial checks would raise it."""
+
+        def late(*args, **kwargs):
+            time.sleep(0.2)
+            raise np.linalg.LinAlgError("the sampled group failed")
+
+        def early(*args, **kwargs):
+            raise np.linalg.LinAlgError("the multiplier group failed")
+
+        monkeypatch.setattr(presets, "pointwise_identity_residual", late)
+        monkeypatch.setattr(presets, "build_multiplier", early)
+        code, stdout, err, forks = self._run(monkeypatch, cpus, _WIDE)
+        assert (code, stdout, err) == (2, "", "error: the sampled group failed (in check pointwise_gram_identity)\n")
+        assert forks == cpus - 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _WIDE[: _WIDE.index("--degree-cap") + 1] + ["9", "--seed", "0"],
+            ["charfn", "verify", "--preset", "k2_da_d2_n3"],
+        ],
+        ids=["wide_cap_9", "k2_da_d2_n3"],
+    )
+    def test_a_window_below_the_threshold_never_forks(self, argv, monkeypatch):
+        """The wide window at cap 9 (455 labels) and the largest suite configuration (210 labels)."""
+        assert presets.SPLIT_LABELS > 455
+        self._no_fork(monkeypatch)
+        code, stdout, err = TestSuiteAcrossWorkers._main(argv)
+        lines = stdout.splitlines()
+        assert (code, err, len(lines)) == (0, "", 14) and all(line.startswith("[            PASS]") for line in lines)
+
+    def test_every_suite_configuration_stays_in_one_process(self, monkeypatch):
+        """So a suite unit, itself in a forked worker, never forks a second level of workers."""
+        self._no_fork(monkeypatch)
+        for name in presets.SUITE_CONFIGS:
+            checks = presets.run_configuration_checks(presets.configuration(name))[0]
+            assert len(checks) == 14 and all(c.verdict == "pass" for c in checks), name
+
+
 def _blanked_report(argv, out):
     """The report of one ``main`` run with every ``elapsed`` field set to 0."""
     main(argv + ["--out", str(out)])
